@@ -18,11 +18,11 @@ Acceptance assertions:
 
 Tracked benchmarks (picked up by ``track.py``'s ``bench_*.py`` glob, so
 they feed ``--quick`` CI snapshots and the baseline regression gate):
-the same confidence_all workload on the legacy unsharded path, the
-sharded serial path (``workers=1`` — the shard-merge machinery without
-parallelism), and ``workers=4``; plus a sharded Prop 4.2 budget.  A
-regression in the shard-merge plumbing shows up as a >2x drift of the
-``workers=1`` entry against its committed baseline.
+the same confidence_all workload at ``workers=1`` (the shard plan run
+in process — what a session that omits ``workers`` runs too) and
+``workers=4``; plus a sharded Prop 4.2 budget.  A regression in the
+shard-merge plumbing shows up as a >2x drift of the ``workers=1`` entry
+against its committed baseline.
 """
 
 from __future__ import annotations
@@ -163,7 +163,6 @@ def test_sharded_speedup_with_4_workers():
 @pytest.fixture(scope="module")
 def tracked_sessions():
     sessions = {
-        "legacy": _session(None, n_tuples=32, eps=0.1),
         "w1": _session(1, n_tuples=32, eps=0.1),
         "w4": _session(4, n_tuples=32, eps=0.1),
     }
@@ -176,11 +175,6 @@ def _bench_confidence_all(benchmark, session, label):
     reports = benchmark(session.confidence_all, "R")
     benchmark.extra_info["workers"] = label
     benchmark.extra_info["tuples"] = len(reports)
-
-
-def test_benchmark_confidence_all_unsharded(benchmark, tracked_sessions):
-    """The legacy single-stream path (workers omitted)."""
-    _bench_confidence_all(benchmark, tracked_sessions["legacy"], "none")
 
 
 def test_benchmark_confidence_all_sharded_serial(benchmark, tracked_sessions):

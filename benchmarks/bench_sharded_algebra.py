@@ -11,9 +11,8 @@ Acceptance assertions:
 
 * ``test_sharded_algebra_bit_identical_across_worker_counts`` — NEVER
   skipped: the big join/product pipeline produces identical relations
-  at ``workers ∈ {legacy-unsharded, 1, 2, 4}``.  The algebra draws no
-  randomness, so even the unsharded session must agree bit for bit —
-  a strictly stronger contract than the confidence layer's.
+  at ``workers ∈ {omitted, 1, 2, 4}`` (a session that omits
+  ``workers`` runs the same plan on the default serial executor).
 * ``test_sharded_algebra_speedup_with_4_workers`` — ≥1.8x wall-clock for
   ``workers=4`` over ``workers=1`` on the big pipeline.  Skipped (the
   speedup half only) on machines with fewer than 4 CPU cores, where the
@@ -21,9 +20,8 @@ Acceptance assertions:
 
 Tracked benchmarks (picked up by ``track.py``'s ``bench_*.py`` glob, so
 they feed ``--quick`` CI snapshots and the baseline regression gate):
-a moderate join pipeline on the legacy unsharded path, the sharded
-serial path (``workers=1`` — shard-plan overhead without parallelism),
-``workers=4``, and a sharded product.  A regression in the shard-merge
+a moderate join pipeline at ``workers=1`` (the shard plan run in
+process), ``workers=4``, and a sharded product.  A regression in the shard-merge
 plumbing shows up as a >2x drift of the ``workers=1`` entry against its
 committed baseline.
 """
@@ -107,21 +105,6 @@ PRODUCT_PIPELINE = rel("R").product(
 
 
 def _session(db: UDatabase, workers) -> ProbDB:
-    if workers is None:
-        # The legacy cell must be genuinely unsharded: ProbDB resolves
-        # workers=None through REPRO_WORKERS, so an ambient worker count
-        # (e.g. a sharded CI leg) would silently turn the
-        # legacy-vs-sharded equality into sharded-vs-sharded.
-        saved = os.environ.pop("REPRO_WORKERS", None)
-        try:
-            return _session_with(db, None)
-        finally:
-            if saved is not None:
-                os.environ["REPRO_WORKERS"] = saved
-    return _session_with(db, workers)
-
-
-def _session_with(db: UDatabase, workers) -> ProbDB:
     return ProbDB(
         db,
         strategy="exact-decomposition",
@@ -147,9 +130,9 @@ def test_sharded_algebra_bit_identical_across_worker_counts():
     """The determinism half — never skipped, on any machine.
 
     The pair-merge shard plan is a function of row counts only and the
-    shard kernels are the very functions the serial path runs, so every
-    worker count — and the legacy unsharded session — must produce the
-    same relation, not just statistically equivalent ones.
+    shard kernels run unchanged in process or on a worker, so every
+    worker count — and a session that omits ``workers`` — must produce
+    the same relation, not just statistically equivalent ones.
     """
     results = {}
     for workers in (None,) + WORKER_MATRIX:
@@ -205,7 +188,6 @@ def tracked_sessions():
         pytest.skip("the sharded algebra is the columnar (numpy) engine")
     db = _pipeline_db(600, 500)  # 300k product pairs: CI-sized
     sessions = {
-        "legacy": _session(db, None),
         "w1": _session(db, 1),
         "w4": _session(db, 4),
     }
@@ -218,11 +200,6 @@ def _bench_pipeline(benchmark, session, q, label):
     result = benchmark(lambda: session.query(q).relation)
     benchmark.extra_info["workers"] = label
     benchmark.extra_info["rows"] = len(result.rows)
-
-
-def test_benchmark_join_pipeline_unsharded(benchmark, tracked_sessions):
-    """The legacy single-stream path (workers omitted)."""
-    _bench_pipeline(benchmark, tracked_sessions["legacy"], JOIN_PIPELINE, "none")
 
 
 def test_benchmark_join_pipeline_sharded_serial(benchmark, tracked_sessions):

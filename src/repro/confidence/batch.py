@@ -3,10 +3,11 @@
 The Karp–Luby FPRAS (Proposition 4.2: m = ⌈3·|F|·ln(2/δ)/ε²⌉ trials give
 Pr[|p̂ − p| ≥ ε·p] ≤ δ) and the naive world-sampling baseline both reduce
 to drawing many independent trials over the same disjunction F.  The
-scalar samplers in :mod:`repro.confidence.karp_luby` and
+scalar reference samplers in :mod:`repro.confidence.karp_luby` and
 :mod:`repro.confidence.naive_mc` draw one trial per Python iteration;
-this module draws a *block* of trials at once and evaluates every clause
-against the whole block with boolean array operations:
+this module — the engine's only sampler — draws a *block* of trials at
+once and evaluates every clause against the whole block with boolean
+array operations:
 
 * variables are integer-coded against their W-table domains, so a block
   of m world assignments is an (m × |vars(F)|) integer matrix sampled
@@ -31,14 +32,15 @@ sampled ones.
 disjunctions against one shared block of world samples — the draw-once,
 evaluate-everything pattern behind ``ProbDB.confidence_all``.
 
-Every block entry point also takes an optional
-:class:`~repro.util.parallel.ShardExecutor`: the trial budget is then
-cut into per-worker blocks by the executor's worker-count-independent
-plan, each block draws from a generator seeded by its *block index*
-(:func:`~repro.util.parallel.spawn_shard_rng`), and the block statistics
+Every block entry point runs on a
+:class:`~repro.util.parallel.ShardExecutor` (the process-wide serial one
+when the caller passes none): the trial budget is cut into blocks by the
+executor's worker-count-independent plan, each block draws from a
+generator seeded by its *block index*
+(:func:`~repro.util.parallel.shard_seed`), and the block statistics
 merge by trial-count weighting (positives and trials simply sum, so the
 estimate X·M/m is the weighted mean of the block estimates).  Results
-are bit-identical for any worker count, including the serial fallback.
+are bit-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ from repro.util.backends import (
     np as _np,
     resolve_backend,
 )
-from repro.util.parallel import ShardExecutor, shard_seed
+from repro.util.parallel import SERIAL_EXECUTOR, ShardExecutor, shard_seed
 from repro.util.rng import ensure_rng
 
 __all__ = [
@@ -132,11 +134,6 @@ class _EncodedDnf:
 # --------------------------------------------------------------------------
 # NumPy block primitives
 # --------------------------------------------------------------------------
-
-
-def _np_rng(rng: random.Random):
-    """A NumPy generator seeded deterministically from the session stream."""
-    return _np.random.default_rng(rng.getrandbits(64))
 
 
 def _np_sample_block(enc: _EncodedDnf, n: int, nrng):
@@ -285,6 +282,25 @@ def _shared_trial_block(
     return counts
 
 
+def _map_trial_blocks(
+    executor: ShardExecutor, kernel, enc, n_trials: int, rng: random.Random, backend: str
+) -> list:
+    """Per-block ``kernel`` results for a budget cut by ``executor.plan_trials``.
+
+    One parent draw seeds the whole budget; block ``i`` draws from
+    ``shard_seed(base, i)``, so the results depend on the plan and the
+    block index only — never on which worker ran the block.
+    """
+    base = rng.getrandbits(64)
+    return executor.map(
+        kernel,
+        [
+            (enc, count, shard_seed(base, i), backend)
+            for i, count in enumerate(executor.plan_trials(n_trials))
+        ],
+    )
+
+
 # --------------------------------------------------------------------------
 # The incremental batch sampler (Figure 3's draw-more-trials contract)
 # --------------------------------------------------------------------------
@@ -297,18 +313,16 @@ class BatchKarpLubySampler:
     :class:`~repro.confidence.karp_luby.KarpLubySampler`: same degenerate
     handling (empty F → 0, trivially-true F → 1, |F| = 1 → p_f, all
     exact), same readout API (``estimate``/``trials``/``positives``/
-    ``error_bound``/``snapshot``), but :meth:`run` materializes all
-    requested trials as one vectorized block instead of a Python loop.
-    The Figure 3 algorithm refines by repeatedly calling ``run(|F|)``;
-    every such refinement is one block.
+    ``error_bound``/``snapshot``), but :meth:`run` materializes the
+    requested trials as vectorized blocks instead of a Python loop.
+    The Figure 3 algorithm refines by repeatedly calling ``run(|F|)``.
 
-    With an ``executor``, :meth:`run` cuts each requested budget into
-    per-worker blocks by the executor's (worker-count-independent) trial
-    plan, seeds block ``i`` from ``(one parent draw, i)``, and sums the
-    block positives — the trial-count-weighted merge of the block
-    estimates.  Estimates are then bit-identical for every worker count
-    (including ``workers=1``), though the stream differs from the
-    executor-less sampler.
+    :meth:`run` cuts each requested budget into blocks by the
+    executor's (worker-count-independent) trial plan, seeds block ``i``
+    from ``(one parent draw, i)``, and sums the block positives — the
+    trial-count-weighted merge of the block estimates.  Estimates are
+    bit-identical for every worker count; without an ``executor`` the
+    blocks run on the process-wide serial one.
     """
 
     def __init__(
@@ -318,19 +332,14 @@ class BatchKarpLubySampler:
         backend: str | None = None,
         executor: "ShardExecutor | None" = None,
     ):
-        """Set up block sampling for ``dnf`` (backend/executor as in the scalar sampler)."""
+        """Set up block sampling for ``dnf`` on ``backend`` and ``executor``."""
         self.dnf = dnf
         self.backend = resolve_backend(backend)
         self.rng = ensure_rng(rng)
-        self.executor = executor
+        self.executor = executor or SERIAL_EXECUTOR
         self.trials = 0
         self.positives = 0
         self._enc = _EncodedDnf(dnf)
-        self._nrng = (
-            _np_rng(self.rng)
-            if self.backend == "numpy" and executor is None
-            else None
-        )
         if dnf.is_trivially_true:
             self._exact_value: float | None = 1.0
         elif dnf.is_empty:
@@ -346,29 +355,13 @@ class BatchKarpLubySampler:
         return self._exact_value is not None
 
     def run(self, n_trials: int) -> None:
-        """Accumulate ``n_trials`` further Definition 4.1 trials.
-
-        Without an executor this is one block on the sampler's own
-        stream; with one, the budget is sharded as documented above.
-        """
+        """Accumulate ``n_trials`` further Definition 4.1 trials."""
         if n_trials <= 0 or self.is_exact:
             return
-        if self.executor is not None:
-            base = self.rng.getrandbits(64)
-            blocks = self.executor.plan_trials(n_trials)
-            self.positives += sum(
-                self.executor.map(
-                    _karp_luby_trial_block,
-                    [
-                        (self._enc, count, shard_seed(base, i), self.backend)
-                        for i, count in enumerate(blocks)
-                    ],
-                )
-            )
-        elif self.backend == "numpy":
-            self.positives += _np_karp_luby_block(self._enc, n_trials, self._nrng)
-        else:
-            self.positives += _py_karp_luby_block(self._enc, n_trials, self.rng)
+        blocks = _map_trial_blocks(
+            self.executor, _karp_luby_trial_block, self._enc, n_trials, self.rng, self.backend
+        )
+        self.positives += sum(blocks)
         self.trials += n_trials
 
     def draw(self) -> int:
@@ -414,14 +407,14 @@ def batch_approximate_confidence(
     backend: str | None = None,
     executor: "ShardExecutor | None" = None,
 ) -> KarpLubyEstimate:
-    """The Proposition 4.2 FPRAS with the whole trial budget as one block.
+    """The Proposition 4.2 FPRAS with the trial budget drawn in blocks.
 
     Identical guarantee to
     :func:`~repro.confidence.karp_luby.approximate_confidence` — the
     m = ⌈3·|F|·ln(2/δ)/ε²⌉ trials come from the same estimator, merely
-    drawn together — at a fraction of the interpreter overhead.  With an
-    ``executor`` the budget runs as per-worker blocks whose statistics
-    merge by trial-count weighting (see :class:`BatchKarpLubySampler`).
+    drawn together — at a fraction of the interpreter overhead.  The
+    budget runs as per-block draws whose statistics merge by trial-count
+    weighting (see :class:`BatchKarpLubySampler`).
     """
     sampler = BatchKarpLubySampler(dnf, rng, backend=backend, executor=executor)
     if sampler.is_exact:
@@ -437,7 +430,7 @@ def batch_naive_confidence(
     backend: str | None = None,
     executor: "ShardExecutor | None" = None,
 ) -> NaiveEstimate:
-    """Naive world-sampling estimate of p with trials drawn as one block."""
+    """Naive world-sampling estimate of p with trials drawn in blocks."""
     generator = ensure_rng(rng)
     if dnf.is_trivially_true:
         return NaiveEstimate(1.0, 0, 0)
@@ -446,22 +439,15 @@ def batch_naive_confidence(
     enc = _EncodedDnf(dnf)
     if samples <= 0:
         return NaiveEstimate(0.0, 0, 0)
-    concrete = resolve_backend(backend)
-    if executor is not None:
-        base = generator.getrandbits(64)
-        positives = sum(
-            executor.map(
-                _naive_trial_block,
-                [
-                    (enc, count, shard_seed(base, i), concrete)
-                    for i, count in enumerate(executor.plan_trials(samples))
-                ],
-            )
-        )
-    elif concrete == "numpy":
-        positives = _np_naive_block(enc, samples, _np_rng(generator))
-    else:
-        positives = _py_naive_block(enc, samples, generator)
+    blocks = _map_trial_blocks(
+        executor or SERIAL_EXECUTOR,
+        _naive_trial_block,
+        enc,
+        samples,
+        generator,
+        resolve_backend(backend),
+    )
+    positives = sum(blocks)
     return NaiveEstimate(positives / samples, samples, positives)
 
 
@@ -482,7 +468,7 @@ def shared_block_confidences(
     are exact, as in the scalar path.  All disjunctions must share one
     W table.
 
-    With an ``executor`` the sample budget is cut into per-worker blocks
+    The sample budget is cut into blocks by the executor's trial plan
     (each still shared by every DNF *within* the block, so the per-block
     correlation structure is preserved); per-DNF positives sum across
     blocks — the trial-count-weighted merge.
@@ -510,33 +496,10 @@ def shared_block_confidences(
     variables = sorted(union_vars, key=repr)
     encoders = [_EncodedDnf(dnfs[i], variables) for i in sampled]
 
-    if executor is not None:
-        base = generator.getrandbits(64)
-        per_block = executor.map(
-            _shared_trial_block,
-            [
-                (encoders, count, shard_seed(base, i), concrete)
-                for i, count in enumerate(executor.plan_trials(samples))
-            ],
-        )
-        counts = [sum(block[k] for block in per_block) for k in range(len(sampled))]
-        for k, i in enumerate(sampled):
-            results[i] = NaiveEstimate(counts[k] / samples, samples, counts[k])
-        return results
-
-    if concrete == "numpy":
-        nrng = _np_rng(generator)
-        block = _np_sample_block(encoders[0], samples, nrng)
-        for i, enc in zip(sampled, encoders):
-            positives = int(_np_satisfaction(enc, block).any(axis=1).sum())
-            results[i] = NaiveEstimate(positives / samples, samples, positives)
-    else:
-        counts = [0] * len(sampled)
-        for _ in range(samples):
-            codes = _py_sample_codes(encoders[0], generator)
-            for k, enc in enumerate(encoders):
-                if any(_py_satisfied(pairs, codes) for pairs in enc.member_pairs):
-                    counts[k] += 1
-        for k, i in enumerate(sampled):
-            results[i] = NaiveEstimate(counts[k] / samples, samples, counts[k])
+    per_block = _map_trial_blocks(
+        executor or SERIAL_EXECUTOR, _shared_trial_block, encoders, samples, generator, concrete
+    )
+    for k, i in enumerate(sampled):
+        positives = sum(block[k] for block in per_block)
+        results[i] = NaiveEstimate(positives / samples, samples, positives)
     return results

@@ -73,6 +73,7 @@ from repro.confidence.exact import (
 )
 from repro.urel.conditions import Condition
 from repro.urel.variables import VariableTable
+from repro.util.parallel import SERIAL_EXECUTOR
 from repro.worlds.database import Prob
 
 try:  # pragma: no cover - exercised via whichever path the host has
@@ -166,21 +167,15 @@ def dissociation_intervals(
 ) -> list[BoundInterval]:
     """Compute bounds for a batch of disjunctions, sharded when profitable.
 
-    Bounds draw no randomness, so the executor path needs no shard
-    seeds: the DNF list is cut by the worker-count-independent
+    Bounds draw no randomness, so the shards need no seeds: the DNF
+    list is cut by the worker-count-independent
     :meth:`~repro.util.parallel.ShardExecutor.plan_items` schedule and
     results concatenate in shard order — bit-identical at every worker
     count, exactly like the exact strategies' sharded batches.
     """
-    if executor is not None:
-        shards = executor.plan_items(len(dnfs))
-        if len(shards) > 1:
-            results = executor.map(
-                _interval_shard_task,
-                [(list(dnfs[start:stop]), budget) for start, stop in shards],
-            )
-            return [interval for shard in results for interval in shard]
-    return [dissociation_interval(dnf, budget) for dnf in dnfs]
+    return (executor or SERIAL_EXECUTOR).map_items(
+        _interval_shard_task, list(dnfs), budget
+    )
 
 
 def _interval_shard_task(dnfs: list[Dnf], budget: int) -> list[BoundInterval]:

@@ -18,6 +18,12 @@ polynomial-time randomized approximation scheme (Proposition 4.2).
 :class:`KarpLubySampler` supports *incremental* use (draw more trials
 later and re-read the estimate); the Figure 3 predicate-approximation
 algorithm depends on exactly that.
+
+**Reference implementation.**  :class:`KarpLubySampler` and
+:func:`approximate_confidence` draw one trial per Python iteration and
+have no production caller: the engine samples through
+:mod:`repro.confidence.batch`, and the batch tests compare against
+these.  :class:`KarpLubyEstimate` is the result type both share.
 """
 
 from __future__ import annotations

@@ -8,6 +8,12 @@ unbounded as p → 0 — whereas Karp–Luby needs m = O(|F|·ln(2/δ)/ε²)
 *independent of p*.  Benchmark E6 measures exactly this gap; MystiQ-style
 systems [7, 16] use Monte-Carlo simulation of this general flavour, which
 is why the paper adopts Karp–Luby instead.
+
+**Reference implementation.**  :func:`naive_confidence` draws one world
+per Python iteration and has no production caller: the ``naive-mc``
+strategy samples through :mod:`repro.confidence.batch`, and the batch
+tests compare against this.  :class:`NaiveEstimate` and
+:func:`naive_sample_size_additive` are shared with the batch engine.
 """
 
 from __future__ import annotations

@@ -64,7 +64,7 @@ from repro.urel.translate import (
 )
 from repro.urel.udatabase import UDatabase
 from repro.urel.urelation import URelation, URow
-from repro.util.parallel import shard_seed
+from repro.util.parallel import SERIAL_EXECUTOR, shard_seed
 from repro.util.rng import ensure_rng, spawn_rng
 
 __all__ = ["ApproxQueryEvaluator", "DecisionRecord", "UnreliableInputError"]
@@ -111,7 +111,7 @@ class ApproxQueryEvaluator:
         self.rng = ensure_rng(rng)
         self.epsilon_method = epsilon_method
         self.backend = backend
-        self.executor = executor
+        self.executor = executor or SERIAL_EXECUTOR
         self.bounds_budget = bounds_budget
         self.decision_log: list[DecisionRecord] = []
 
@@ -344,7 +344,14 @@ class ApproxQueryEvaluator:
             )
             return AnnotatedRelation.reliable_from(out, True)
         out, _estimates = approx_confidence_relation(
-            child.relation, self.db.w, node.eps, node.delta, self.rng, node.p_name
+            child.relation,
+            self.db.w,
+            node.eps,
+            node.delta,
+            self.rng,
+            node.p_name,
+            backend=self.backend,
+            executor=self.executor,
         )
         # The Karp–Luby value errors are (ε, δ)-bounded per tuple; as
         # membership bounds the output rows are exact (poss is exact).
@@ -461,22 +468,19 @@ class ApproxQueryEvaluator:
     ) -> list[PredicateDecision]:
         """Figure 3 decisions for the sorted σ̂ candidates, fanned out when wide.
 
-        With a session executor and enough candidates to cut
+        With enough candidates to cut
         (:meth:`~repro.util.parallel.ShardExecutor.plan_items` — a
         function of the candidate count only), candidates are decided
         concurrently: one pre-spawned stream per candidate, seeded from
         its *position* in the sorted candidate order, and the
         per-candidate Figure 3 runs keep their whole allocation in one
-        worker (no nested trial sharding).  Results are bit-identical at
-        every worker count, including the in-process serial fallback,
+        worker.  Results are bit-identical at every worker count
         because both the plan and the seeds ignore the worker count.
 
-        Narrow selections (and executor-less evaluators) keep the
-        sequential loop: one stream spawned per candidate from the
-        evaluator generator in candidate order — byte-compatible with
-        the pre-candidate-parallel engine — with each value's trial
-        allocation still sharded *within* the candidate when an
-        executor is present.
+        Narrow selections keep the sequential loop: one stream spawned
+        per candidate from the evaluator generator in candidate order,
+        with each value's trial allocation sharded *within* the
+        candidate.
 
         With a ``bounds_budget``, each candidate's approximator first
         tries to certify the predicate from dissociation bound
@@ -487,31 +491,22 @@ class ApproxQueryEvaluator:
         candidates that still sample.
         """
         executor = self.executor
-        if executor is not None:
-            shards = executor.plan_items(len(specs))
-            if len(shards) > 1:
-                base = self.rng.getrandbits(64)
-                tasks = [
-                    (
-                        node.predicate,
-                        [
-                            (specs[i][2], specs[i][1], shard_seed(base, i))
-                            for i in range(start, stop)
-                        ],
-                        self.eps0,
-                        self.rounds,
-                        self.decision_delta,
-                        self.epsilon_method,
-                        self.backend,
-                        self.bounds_budget,
-                    )
-                    for start, stop in shards
-                ]
-                return [
-                    decision
-                    for shard in executor.map(decide_candidates_shard, tasks)
-                    for decision in shard
-                ]
+        if len(executor.plan_items(len(specs))) > 1:
+            base = self.rng.getrandbits(64)
+            return executor.map_items(
+                decide_candidates_shard,
+                [
+                    (dnfs, cand_env, shard_seed(base, i))
+                    for i, (_cand, cand_env, dnfs) in enumerate(specs)
+                ],
+                node.predicate,
+                self.eps0,
+                self.rounds,
+                self.decision_delta,
+                self.epsilon_method,
+                self.backend,
+                self.bounds_budget,
+            )
         decisions = []
         for _cand, cand_env, dnfs in specs:
             approximator = PredicateApproximator(

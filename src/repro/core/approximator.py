@@ -410,8 +410,8 @@ def _is_linear(predicate: BoolExpr) -> bool:
 
 
 def decide_candidates_shard(
-    predicate: BoolExpr,
     specs: list[tuple[Mapping[str, "Dnf"], Mapping[str, object], int]],
+    predicate: BoolExpr,
     eps0: float,
     rounds: int | None,
     decision_delta: float | None,
@@ -424,12 +424,13 @@ def decide_candidates_shard(
     Each spec is ``(values, constants, seed)`` for one candidate of an
     approximate selection; the seed was derived from the candidate's
     *position* in the (sorted) candidate order by
-    :func:`repro.util.parallel.shard_seed`, so every worker count — and
-    the in-process serial fallback — replays identical streams.  The
-    per-candidate Figure 3 runs never nest a pool of their own: each
-    candidate's trial allocation is one worker's work by construction,
-    which is exactly what makes candidate fan-out profitable for wide
-    selections where per-value trial sharding has nothing left to cut.
+    :func:`repro.util.parallel.shard_seed`, so every worker count
+    replays identical streams.  The per-candidate Figure 3 runs never
+    nest a pool of their own (their values draw on the process-wide
+    serial executor): each candidate's trial allocation is one worker's
+    work by construction, which is exactly what makes candidate fan-out
+    profitable for wide selections where per-value trial sharding has
+    nothing left to cut.
     """
     decisions = []
     for values, constants, seed in specs:

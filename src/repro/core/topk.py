@@ -42,8 +42,7 @@ candidate count); each candidate draws from its own positional stream
 parent draw and ``index`` the candidate's rank in the deterministic
 candidate order, and per-block positives merge by trial-count weighting
 exactly as the batch sampler's executor path does.  Results are
-bit-identical for every worker count, including the serial (no
-executor) path, and the final ranking breaks ties by candidate order —
+bit-identical for every worker count, and the final ranking breaks ties by candidate order —
 so ``topk`` is reproducible tuple-for-tuple.
 """
 
@@ -64,7 +63,7 @@ from repro.confidence.batch import (
 from repro.confidence.dissociation import DEFAULT_BOUND_BUDGET, dissociation_intervals
 from repro.confidence.dnf import Dnf
 from repro.core.intervals import relative_interval
-from repro.util.parallel import ShardExecutor, shard_seed
+from repro.util.parallel import SERIAL_EXECUTOR, ShardExecutor, shard_seed
 from repro.util.rng import ensure_rng
 
 __all__ = ["TopKEntry", "TopKReport", "race_topk", "TOPK_COARSE_ROUNDS"]
@@ -202,6 +201,7 @@ def race_topk(
         raise ValueError(f"{len(rows)} rows but {len(dnfs)} disjunctions")
     n = len(rows)
     concrete = resolve_backend(backend)
+    executor = executor or SERIAL_EXECUTOR
     generator = ensure_rng(rng)
     full_trials = sum(
         bounds.karp_luby_sample_size(eps, delta, dnf.size)
@@ -272,7 +272,7 @@ def race_topk(
             (samplers[i]._enc, count, shard_seed(shard_seed(base, i), rounds))
             for i, count in allocations
         ]
-        positives = _run_round(items, concrete, executor)
+        positives = executor.map_items(_race_shard_task, items, concrete)
         for (i, count), won in zip(allocations, positives):
             sampler = samplers[i]
             # Trial-count-weighted merge, exactly the sampler's own
@@ -329,19 +329,6 @@ def _apply_decisions(status: list[int], lo: list[float], hi: list[float], k: int
             status[i] = _ELIMINATED
         elif _kth_excluding(his, hi[i], k) <= lo[i]:
             status[i] = _ADMITTED
-
-
-def _run_round(items: list[tuple], backend: str, executor) -> list[int]:
-    """Per-candidate positives for one round's allocation, sharded when profitable."""
-    if executor is not None:
-        shards = executor.plan_items(len(items))
-        if len(shards) > 1:
-            results = executor.map(
-                _race_shard_task,
-                [(items[start:stop], backend) for start, stop in shards],
-            )
-            return [won for shard in results for won in shard]
-    return _race_shard_task(items, backend)
 
 
 def _ranked_entries(

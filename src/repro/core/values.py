@@ -10,7 +10,7 @@ conceivably extend to areas such as online aggregation [12, 13]".
 This module defines the interface and three implementations:
 
 ``KarpLubyValue``
-    a Karp–Luby sampler over a disjunction F; one refinement step runs
+    a batch Karp–Luby sampler over a disjunction F; one refinement step runs
     |F| estimator invocations (the Figure 3 inner loop), and
     δ(ε) = 2·e^{−m·ε²/(3|F|)}.
 
@@ -39,8 +39,8 @@ import numbers
 import random
 from collections.abc import Callable
 
+from repro.confidence.batch import BatchKarpLubySampler
 from repro.confidence.dnf import Dnf
-from repro.confidence.karp_luby import KarpLubySampler
 
 __all__ = [
     "ApproximableValue",
@@ -101,15 +101,13 @@ class ApproximableValue(abc.ABC):
 class KarpLubyValue(ApproximableValue):
     """Tuple confidence approximated by the Karp–Luby estimator.
 
-    ``backend`` selects the trial engine: ``None`` keeps the scalar
-    sampler; ``"auto"``/``"numpy"``/``"python"`` use the vectorized
-    :class:`~repro.confidence.batch.BatchKarpLubySampler`, which draws
-    each refinement round's |F| trials (and multi-round allocations, see
-    :meth:`refine_many`) as one block.  An ``executor``
-    (:class:`~repro.util.parallel.ShardExecutor`) additionally
-    distributes each allocation over worker processes as per-block
-    budgets merged by trial-count weighting; it implies the batch
-    sampler even when ``backend`` is left ``None``.
+    A :class:`~repro.confidence.batch.BatchKarpLubySampler` draws each
+    refinement round's |F| trials (and multi-round allocations, see
+    :meth:`refine_many`) in blocks on the trial ``backend``
+    (``None``/``"auto"`` picks numpy when importable) and the
+    ``executor`` (:class:`~repro.util.parallel.ShardExecutor`; default:
+    the process-wide serial one), which cuts each allocation into
+    per-block budgets merged by trial-count weighting.
     """
 
     def __init__(
@@ -119,8 +117,6 @@ class KarpLubyValue(ApproximableValue):
         backend: str | None = None,
         executor=None,
     ):
-        self._backend = backend
-        self._executor = executor
         #: Guaranteed enclosing bound interval
         #: (:class:`repro.confidence.dissociation.BoundInterval`), seeded
         #: by the Figure 3 approximator when bound pruning is enabled.
@@ -128,22 +124,17 @@ class KarpLubyValue(ApproximableValue):
         #: stream, so sampled transcripts stay bit-identical with and
         #: without it.
         self.interval = None
-        if backend is None and executor is None:
-            self._sampler = KarpLubySampler(dnf, rng)
-        else:
-            from repro.confidence.batch import BatchKarpLubySampler
-
-            self._sampler = BatchKarpLubySampler(
-                dnf, rng, backend=backend, executor=executor
-            )
+        self._sampler = BatchKarpLubySampler(
+            dnf, rng, backend=backend, executor=executor
+        )
 
     @property
     def dnf(self) -> Dnf:
         return self._sampler.dnf
 
     @property
-    def sampler(self):
-        """The underlying (scalar or batch) Karp–Luby sampler."""
+    def sampler(self) -> BatchKarpLubySampler:
+        """The underlying batch Karp–Luby sampler."""
         return self._sampler
 
     @property
@@ -172,8 +163,9 @@ class KarpLubyValue(ApproximableValue):
         return self._sampler.error_bound(eps)
 
     def clone(self, rng: random.Random | int | None = None) -> "KarpLubyValue":
+        sampler = self._sampler
         fresh = KarpLubyValue(
-            self._sampler.dnf, rng, backend=self._backend, executor=self._executor
+            sampler.dnf, rng, backend=sampler.backend, executor=sampler.executor
         )
         fresh.interval = self.interval
         return fresh

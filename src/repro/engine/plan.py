@@ -41,7 +41,6 @@ from repro.confidence.dnf import Dnf
 if TYPE_CHECKING:
     from repro.engine.strategies import ConfidenceStrategy
     from repro.urel.evaluate import UEvaluator
-    from repro.util.parallel import ShardExecutor
 
 __all__ = [
     "PlanNode",
@@ -170,7 +169,6 @@ def explain_plan(
     node: Query,
     evaluator: "UEvaluator",
     strategy: "ConfidenceStrategy",
-    executor: "ShardExecutor | None" = None,
 ) -> ExplainReport:
     """Build the annotated plan for ``node``.
 
@@ -178,10 +176,10 @@ def explain_plan(
     explain executes repair-keys (extending that copy's W) to see the
     DNFs that confidence operators will face.  The evaluator's operator
     backend determines the ``path`` annotation of the relational nodes;
-    a session shard ``executor`` annotates the confidence operators it
-    fans out with ``·sharded[n]`` (n = configured workers).
+    when its executor has two or more workers, the operators it fans
+    out over them are annotated ``·sharded[n]`` (n = configured workers).
     """
-    return ExplainReport(_build(node, evaluator, strategy, executor, {}), strategy.name)
+    return ExplainReport(_build(node, evaluator, strategy, {}), strategy.name)
 
 
 def _operator_path(evaluator) -> str:
@@ -198,10 +196,11 @@ def _operator_path(evaluator) -> str:
 BELOW_THRESHOLD = "below-threshold"
 """Annotation suffix: the executor would not fan this workload out.
 
-The README's "when serial wins" guidance, mechanized: a sharded session
-pays nothing for workloads under the profitable shard size — they run
-serially, in process — but a plan that *says so* lets an operator reading
-``explain`` output see that raising ``workers`` cannot help this query.
+The README's "when serial wins" guidance, mechanized: a session with a
+pool pays nothing for workloads under the profitable shard size — they
+run as one shard, in process — but a plan that *says so* lets an operator
+reading ``explain`` output see that raising ``workers`` cannot help this
+query.
 """
 
 
@@ -213,43 +212,49 @@ drawing a Karp–Luby trial (see :mod:`repro.confidence.dissociation`),
 so only the remaining n−k consume round budget."""
 
 
-def _sharded_path(executor, fans_out: bool | None = None) -> str | None:
-    """The ``sharded[n]`` annotation for fanned-out operators.
+def _has_pool(executor) -> bool:
+    """Whether ``sharded[n]`` annotations apply: "fans out over n workers".
 
-    Shown whenever the session carries an executor: the *plan* (and the
-    results) are those of the sharded code path even at ``workers=1``,
-    where the shards merely run serially.  ``fans_out=False`` appends
-    the ``below-threshold`` warning — the workload is under the
-    profitable shard size, so every worker count runs it serially.
+    Every session runs the same shard plan, so with one worker there is
+    no fan-out to report (and no cost model worth evaluating).
     """
-    if executor is None:
-        return None
+    return executor.workers >= 2
+
+
+def _sharded_path(executor, fans_out: bool) -> str:
+    """The ``sharded[n]`` annotation of an operator on a pooled executor.
+
+    ``fans_out=False`` appends the ``below-threshold`` warning — the
+    workload is under the profitable shard size, so every worker count
+    runs it serially.
+    """
     path = f"sharded[{executor.workers}]"
-    if fans_out is False:
+    if not fans_out:
         path += f"·{BELOW_THRESHOLD}"
     return path
 
 
-def _conf_fans_out(executor, strategy, dnfs) -> bool | None:
-    """Whether a conf-family workload clears the profitable shard size.
+def _conf_path(executor, strategy, dnfs) -> str | None:
+    """The sharded annotation of a conf-family operator, if any.
 
     Mirrors the runtime's two levers: the per-tuple DNF list shards when
     ``plan_items`` cuts it, and a batch too short to cut still fans out
     when some tuple's Monte-Carlo budget alone fills worker blocks
     (``plan_trials`` of :meth:`ConfidenceStrategy.trial_budget`).
     """
-    if executor is None:
+    if not _has_pool(executor):
         return None
-    if len(executor.plan_items(len(dnfs))) > 1:
-        return True
-    return any(len(executor.plan_trials(strategy.trial_budget(dnf))) > 1 for dnf in dnfs)
+    fans_out = len(executor.plan_items(len(dnfs))) > 1 or any(
+        len(executor.plan_trials(strategy.trial_budget(dnf))) > 1 for dnf in dnfs
+    )
+    return _sharded_path(executor, fans_out)
 
 
-def _algebra_path(node: Query, evaluator, executor, cache: dict) -> str:
+def _algebra_path(node: Query, evaluator, cache: dict) -> str:
     """The operator-engine annotation for a product/join node.
 
-    On the columnar path with a session executor, the pair merge may
-    shard.  The fan-out test consults the *same* schedule the operator
+    On the columnar path with a pooled executor, the pair merge may
+    fan out.  The fan-out test consults the *same* schedule the operator
     runs: products (and joins without shared attributes, which fall to
     the all-pairs path) ask ``plan_all_pairs`` over the child row
     counts; key joins ask ``plan_pairs`` over n₁·n₂ — an upper bound on
@@ -260,7 +265,8 @@ def _algebra_path(node: Query, evaluator, executor, cache: dict) -> str:
     The scalar path never shards and stays bare.
     """
     path = _operator_path(evaluator)
-    if executor is None or path != "columnar[numpy]":
+    executor = evaluator.executor
+    if not _has_pool(executor) or path != "columnar[numpy]":
         return path
     left = _eval_rep_cached(evaluator, node.left, cache)
     right = _eval_rep_cached(evaluator, node.right, cache)
@@ -284,13 +290,12 @@ def _algebra_path(node: Query, evaluator, executor, cache: dict) -> str:
     return f"{path}·{_sharded_path(executor, fans_out)}"
 
 
-def _build(node: Query, evaluator, strategy, executor=None, cache=None) -> PlanNode:
-    if cache is None:
-        cache = {}
+def _build(node: Query, evaluator, strategy, cache: dict) -> PlanNode:
     children = tuple(
-        _build(c, evaluator, strategy, executor, cache) for c in _children_of(node)
+        _build(c, evaluator, strategy, cache) for c in _children_of(node)
     )
     path = _operator_path(evaluator)
+    executor = evaluator.executor
 
     if isinstance(node, BaseRel):
         return PlanNode("scan", node.name)
@@ -318,13 +323,13 @@ def _build(node: Query, evaluator, strategy, executor=None, cache=None) -> PlanN
         return PlanNode(
             "product",
             children=children,
-            path=_algebra_path(node, evaluator, executor, cache),
+            path=_algebra_path(node, evaluator, cache),
         )
     if isinstance(node, Join):
         return PlanNode(
             "join",
             children=children,
-            path=_algebra_path(node, evaluator, executor, cache),
+            path=_algebra_path(node, evaluator, cache),
         )
     if isinstance(node, Union):
         return PlanNode("union", children=children, path=path)
@@ -343,7 +348,7 @@ def _build(node: Query, evaluator, strategy, executor=None, cache=None) -> PlanN
             strategy=strategy.name,
             methods=counts,
             children=children,
-            path=_sharded_path(executor, _conf_fans_out(executor, strategy, dnfs)),
+            path=_conf_path(executor, strategy, dnfs),
         )
     if isinstance(node, Cert):
         counts, _dnfs = _conf_observations(evaluator, strategy, node.child, cache)
@@ -364,7 +369,7 @@ def _build(node: Query, evaluator, strategy, executor=None, cache=None) -> PlanN
             strategy="karp-luby",
             methods={"karp-luby": n_tuples},
             children=children,
-            path=_sharded_path(executor, _conf_fans_out(executor, node_sampler, dnfs)),
+            path=_conf_path(executor, node_sampler, dnfs),
         )
     if isinstance(node, ApproxSelect):
         counts, dnfs = _conf_observations(
@@ -381,8 +386,8 @@ def _build(node: Query, evaluator, strategy, executor=None, cache=None) -> PlanN
         # budget alone fills worker blocks — the sequential candidate
         # loop shards each value's trial allocation (the session
         # strategy's budget stands in for the runtime's l·|F| rounds).
-        fans_out = None
-        if executor is not None:
+        path = None
+        if _has_pool(executor):
             relation = _eval_relation(evaluator, node.child, cache)
             joined = None
             for group in node.groups:
@@ -392,6 +397,7 @@ def _build(node: Query, evaluator, strategy, executor=None, cache=None) -> PlanN
                 len(executor.plan_trials(strategy.trial_budget(dnf))) > 1
                 for dnf in dnfs
             )
+            path = _sharded_path(executor, fans_out)
         # Group DNFs the driver's bound pruning certifies outright: not
         # degenerate (those are free for every method) but with an exact
         # dissociation interval — e.g. repair-key alternatives.
@@ -401,7 +407,6 @@ def _build(node: Query, evaluator, strategy, executor=None, cache=None) -> PlanN
             if not (dnf.is_empty or dnf.is_trivially_true or dnf.size == 1)
             and dissociation_interval(dnf).is_exact
         )
-        path = _sharded_path(executor, fans_out)
         if pruned:
             tag = f"{BOUNDS_PRUNED}[{pruned}/{len(dnfs)}]"
             path = tag if path is None else f"{path}·{tag}"
@@ -421,7 +426,6 @@ def topk_plan(
     evaluator: "UEvaluator",
     strategy: "ConfidenceStrategy",
     k: int,
-    executor: "ShardExecutor | None" = None,
 ) -> ExplainReport:
     """The annotated plan for ``ProbDB.topk(node, k)``.
 
@@ -434,7 +438,7 @@ def topk_plan(
     the session fans rounds out.
     """
     cache: dict = {}
-    child = _build(node, evaluator, strategy, executor, cache)
+    child = _build(node, evaluator, strategy, cache)
     relation = _eval_relation(evaluator, node, cache)
     dnfs = [
         Dnf.for_tuple(relation, row, evaluator.db.w)
@@ -453,7 +457,7 @@ def topk_plan(
         or dissociation_interval(dnf).is_exact
     )
     path = f"topk[{k}]·{BOUNDS_PRUNED}[{pruned}/{len(dnfs)}]"
-    sharded = _sharded_path(executor, _conf_fans_out(executor, strategy, dnfs))
+    sharded = _conf_path(evaluator.executor, strategy, dnfs)
     if sharded is not None:
         path = f"{path}·{sharded}"
     root = PlanNode(

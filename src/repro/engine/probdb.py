@@ -43,14 +43,12 @@ from repro.engine.strategies import (
     DEFAULT_EPS,
     ConfidenceReport,
     ConfidenceStrategy,
-    compute_batch_with_executor,
-    compute_with_executor,
     resolve_strategy,
 )
 from repro.urel.evaluate import UEvaluator
 from repro.urel.udatabase import UDatabase
 from repro.urel.urelation import URelation
-from repro.util.parallel import ShardExecutor, default_workers
+from repro.util.parallel import ShardExecutor, as_executor
 from repro.util.rng import ensure_rng, spawn_rng
 
 __all__ = ["ProbDB", "connect"]
@@ -98,17 +96,17 @@ def connect(
     auto-detection — see :mod:`repro.util.backends`).  With ``copy``
     the session works on a private copy of the database.
 
-    ``workers`` opts the session into sharded execution
-    (:mod:`repro.util.parallel`): confidence batches, Monte-Carlo trial
-    budgets, driver round allocations, σ̂ candidate decisions, and the
-    columnar algebra's product/join pair merges fan out over a process
-    pool.  Results are *bit-identical for every worker count*
-    (``workers=1`` runs the same shard plan serially); omitting
-    ``workers`` keeps the unsharded single-stream code path.  Pass a
+    Every session runs the one shard plan (:mod:`repro.util.parallel`):
+    confidence batches, Monte-Carlo trial budgets, driver round
+    allocations, σ̂ candidate decisions, and the columnar algebra's
+    product/join pair merges are cut into shards whose results merge in
+    shard order.  ``workers`` only sets how many processes run the
+    shards — results are *bit-identical for every worker count*.
+    Omitted, it is the ``REPRO_WORKERS`` environment variable or ``1``
+    (the shards run serially, in process).  Pass a
     :class:`~repro.util.parallel.ShardExecutor` instance instead of an
     int to customize the shard plan parameters or to share one pool
-    across sessions.  The ``REPRO_WORKERS`` environment variable
-    supplies a default when the argument is left ``None``.
+    across sessions.
 
     Example::
 
@@ -162,7 +160,10 @@ class ProbDB:
     Usually constructed via :func:`repro.connect`.  The session owns a
     U-relational database, a confidence strategy, one seeded RNG that
     every stochastic subroutine derives from (same seed + same request
-    sequence = bit-identical answers), and a per-session memo cache.
+    sequence = bit-identical answers), a per-session memo cache, and
+    one :class:`~repro.util.parallel.ShardExecutor` (``db.executor`` —
+    always set; every way of opening a session runs the same shard
+    plan, ``workers`` only sizes the pool).
 
     The public surface, in the order a session typically uses it::
 
@@ -202,22 +203,14 @@ class ProbDB:
         self.strategy = resolve_strategy(
             strategy, eps=eps, delta=delta, backend=self.backend
         )
-        if workers is None:
-            workers = default_workers()
-        # The session's one fan-out primitive; None keeps the legacy
-        # unsharded code path (results byte-compatible with older
-        # sessions).  The pool itself is lazy — sessions that never
-        # shard a workload never fork.  An existing ShardExecutor is
-        # accepted as-is but *borrowed* (custom plan parameters, or a
-        # pool shared across sessions): :meth:`close` only tears down
-        # executors the session constructed itself, so closing one
-        # sharing session cannot silently degrade the others to serial.
-        if isinstance(workers, ShardExecutor):
-            self.executor = workers
-            self._owns_executor = False
-        else:
-            self.executor = ShardExecutor(workers) if workers is not None else None
-            self._owns_executor = self.executor is not None
+        # The session's one fan-out primitive.  The pool itself is lazy —
+        # sessions that never fan a workload out never fork.  An existing
+        # ShardExecutor is accepted as-is but *borrowed* (custom plan
+        # parameters, or a pool shared across sessions): :meth:`close`
+        # only tears down executors the session constructed itself, so
+        # closing one sharing session cannot silently degrade the others
+        # to serial.
+        self.executor, self._owns_executor = as_executor(workers)
         self._cache = MemoCache(cache_size)
         # close() must be idempotent and safe to race from many threads
         # (an async server closes sessions while sibling requests are in
@@ -284,13 +277,7 @@ class ProbDB:
         started = time.perf_counter()
         if self._cache.enabled:
             fingerprint = query_fingerprint(node)
-            token = self.strategy.cache_token
-            if self.executor is not None:
-                # A sharded session's algebra runs the sharded pair-merge
-                # schedule; results are bit-identical at any worker count
-                # *given the plan*, so entries are keyed on the plan token
-                # (the merge schedule), mirroring the conf cache keys.
-                token = token + (self.executor.plan_token,)
+            token = self._plan_cache_token(self.strategy)
             cached = self._cache.get(
                 ("query", fingerprint, token, self.db.version, self.db.w.version)
             )
@@ -456,9 +443,7 @@ class ProbDB:
         result = self.query(node)
         if not self._cache.enabled:
             return self._topk_compute(result, k, eps_v, delta_v, bounds_budget)
-        token = self.strategy.cache_token
-        if self.executor is not None:
-            token = token + (self.executor.plan_token,)
+        token = self._plan_cache_token(self.strategy)
         key = (
             "topk",
             query_fingerprint(node),
@@ -529,13 +514,16 @@ class ProbDB:
             print(db.explain("conf[P](T)"))
         """
         node, _source = self._resolve(query)
-        # Fixed-seed scratch RNG: explain only *chooses* methods (never
-        # samples for answers), and a read-only introspection call must not
-        # perturb the session generator or later stochastic results.  The
-        # scratch evaluator shares the session executor — one pool serves
-        # both the confidence and the algebra layer, and close() tears it
-        # down once.
-        scratch = UEvaluator(
+        return explain_plan(node, self._scratch_evaluator(), self.strategy)
+
+    def _scratch_evaluator(self) -> UEvaluator:
+        # Fixed-seed scratch RNG on a throwaway copy: explain only
+        # *chooses* methods (never samples for answers), and a read-only
+        # introspection call must not perturb the session generator or
+        # later stochastic results.  The scratch evaluator shares the
+        # session executor — one pool serves both the confidence and the
+        # algebra layer, and close() tears it down once.
+        return UEvaluator(
             self.db,
             conf_method="decomposition",
             rng=random.Random(0),
@@ -543,7 +531,6 @@ class ProbDB:
             backend=self.backend,
             executor=self.executor,
         )
-        return explain_plan(node, scratch, self.strategy, executor=self.executor)
 
     def explain_topk(self, query: "Query | Q | str", k: int) -> ExplainReport:
         """The plan for ``topk(query, k)``, with the stage-1 pruning census.
@@ -558,15 +545,7 @@ class ProbDB:
         node, _source = self._resolve(query)
         if isinstance(k, bool) or not isinstance(k, int) or k <= 0:
             raise ValueError(f"k must be a positive integer, got {k!r}")
-        scratch = UEvaluator(
-            self.db,
-            conf_method="decomposition",
-            rng=random.Random(0),
-            copy_db=True,
-            backend=self.backend,
-            executor=self.executor,
-        )
-        return topk_plan(node, scratch, self.strategy, k, executor=self.executor)
+        return topk_plan(node, self._scratch_evaluator(), self.strategy, k)
 
     # ------------------------------------------------------------ confidence internals
     def tuple_confidence(self, relation: URelation, row: Sequence) -> ConfidenceReport:
@@ -580,25 +559,26 @@ class ProbDB:
         dnf = Dnf.for_tuple(relation, row, self.db.w)
         return self._compute_confidence(dnf, self.strategy)
 
+    def _plan_cache_token(self, strategy: ConfidenceStrategy) -> tuple:
+        # Answers are bit-identical at any worker count *given the plan*
+        # (the merge schedule of sampled estimates and pair merges), so
+        # every memo key names the strategy configuration and the plan —
+        # entries computed under another schedule never cross-hit.
+        return strategy.cache_token + (self.executor.plan_token,)
+
     def _conf_cache_key(self, dnf: Dnf, strategy: ConfidenceStrategy) -> tuple:
-        # A sharded session merges sampled estimates by the executor's
-        # plan — a different merge schedule than the unsharded stream —
-        # so its entries carry the plan token and never cross-hit with
-        # entries computed under another schedule.
-        token = strategy.cache_token
-        if self.executor is not None:
-            token = token + (self.executor.plan_token,)
+        token = self._plan_cache_token(strategy)
         return ("conf", frozenset(dnf.members), self.db.w.version, token)
 
     def _compute_confidence(
         self, dnf: Dnf, strategy: ConfidenceStrategy
     ) -> ConfidenceReport:
         if not self._cache.enabled:
-            return compute_with_executor(strategy, dnf, self._rng, self.executor)
+            return strategy.compute(dnf, self._rng, executor=self.executor)
         key = self._conf_cache_key(dnf, strategy)
         report = self._cache.get(key)
         if report is None:
-            report = compute_with_executor(strategy, dnf, self._rng, self.executor)
+            report = strategy.compute(dnf, self._rng, executor=self.executor)
             # Sampled reports are volatile: a recompute would consume
             # session RNG state, so the cross-session budget evictor
             # must not remove them (exact reports recompute identically
@@ -618,7 +598,7 @@ class ProbDB:
         """
         if not self._cache.enabled:
             return list(
-                compute_batch_with_executor(strategy, dnfs, self._rng, self.executor)
+                strategy.compute_batch(dnfs, self._rng, executor=self.executor)
             )
         reports: list[ConfidenceReport | None] = []
         # Distinct tuples often share one condition set (same cache key);
@@ -632,8 +612,8 @@ class ProbDB:
             if cached is None:
                 misses.setdefault(key, i)
         if misses:
-            fresh = compute_batch_with_executor(
-                strategy, [dnfs[i] for i in misses.values()], self._rng, self.executor
+            fresh = strategy.compute_batch(
+                [dnfs[i] for i in misses.values()], self._rng, executor=self.executor
             )
             by_key = dict(zip(misses, fresh))
             for key, report in by_key.items():
@@ -747,7 +727,7 @@ class ProbDB:
         return self._closed
 
     def close(self) -> None:
-        """Release the session's worker pool (if any).
+        """Release the session's worker pool (if it started one).
 
         One executor serves both layers — confidence/driver fan-outs and
         the sharded columnar algebra — so this tears down one pool, once.
@@ -769,7 +749,7 @@ class ProbDB:
             if self._closed:
                 return
             self._closed = True
-        if self.executor is not None and self._owns_executor:
+        if self._owns_executor:
             self.executor.close()
 
     async def aclose(self) -> None:

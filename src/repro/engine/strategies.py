@@ -10,34 +10,31 @@ per-tuple policy that inspects the DNF — degenerate cases, read-once
 structure (checked through :mod:`repro.core.readonce`), and size — and
 routes each tuple to the cheapest method that is still sound.
 
-Registry protocol::
+Registry protocol — two methods, one signature::
 
     strategy = resolve_strategy("auto", eps=0.1, delta=0.01, backend="numpy")
-    report = strategy.compute(dnf, rng)     # -> ConfidenceReport
-    reports = strategy.compute_batch(dnfs, rng)   # batched (shared samples)
+    report = strategy.compute(dnf, rng, executor=None)      # -> ConfidenceReport
+    reports = strategy.compute_batch(dnfs, rng, executor=None)   # batched
     method = strategy.choose(dnf)           # what compute() would run
 
 Sampling strategies additionally take a trial ``backend``
 (``"numpy"``/``"python"``/``"auto"``, see :mod:`repro.confidence.batch`)
-and override :meth:`ConfidenceStrategy.compute_batch` to draw trials in
-vectorized blocks shared across a whole batch of tuples.  Third parties
-register their own strategies with :func:`register_strategy`; strategy
-classes are instantiated as ``cls(eps=..., delta=..., backend=...)``.
+and may override :meth:`ConfidenceStrategy.compute_batch` to draw trials
+in blocks shared across a whole batch of tuples.  Third parties register
+their own strategies with :func:`register_strategy`; strategy classes
+are instantiated as ``cls(eps=..., delta=..., backend=...)``.
 
-:meth:`ConfidenceStrategy.compute_batch` also accepts a
-:class:`~repro.util.parallel.ShardExecutor`: the per-tuple DNF list is
-then cut into contiguous shards by the executor's worker-count-
-independent plan, each shard computed under a generator derived from its
-*shard index*, and results concatenated in shard order — bit-identical
-for every worker count.  Strategies registered against the original
-two-argument contract keep working: the engine only passes the keyword
-to ``compute_batch`` implementations that declare it (see
-:func:`compute_batch_with_executor`).
+``executor`` is the session's :class:`~repro.util.parallel.ShardExecutor`
+(``None`` means the process-wide serial one): a per-tuple DNF list long
+enough to cut is sharded by the executor's worker-count-independent
+plan, each shard computed under a generator derived from its *shard
+index*, and results concatenated in shard order; shorter batches shard
+each tuple's trial budget instead — bit-identical for every worker
+count either way.
 """
 
 from __future__ import annotations
 
-import inspect
 import random
 from dataclasses import dataclass
 
@@ -62,7 +59,7 @@ from repro.confidence.exact import (
 )
 from repro.confidence.naive_mc import naive_sample_size_additive
 from repro.core.readonce import is_read_once
-from repro.util.parallel import ShardExecutor, shard_seed
+from repro.util.parallel import SERIAL_EXECUTOR, ShardExecutor
 from repro.worlds.database import Prob
 
 __all__ = [
@@ -157,7 +154,12 @@ class ConfidenceStrategy:
         """
         return 0
 
-    def compute(self, dnf: Dnf, rng: random.Random) -> ConfidenceReport:
+    def compute(
+        self,
+        dnf: Dnf,
+        rng: random.Random,
+        executor: "ShardExecutor | None" = None,
+    ) -> ConfidenceReport:
         raise NotImplementedError
 
     def compute_batch(
@@ -168,91 +170,51 @@ class ConfidenceStrategy:
     ) -> list[ConfidenceReport]:
         """Confidences for a whole batch of disjunctions (one per tuple).
 
-        The default runs :meth:`compute` per DNF; sampling strategies
-        override this to amortize trial drawing across the batch (shared
-        world blocks, vectorized per-tuple trial budgets).  With an
-        ``executor`` the DNF list is sharded across workers (see
-        :meth:`_sharded_compute`).
-        """
-        sharded = self._sharded_compute(dnfs, rng, executor)
-        if sharded is not None:
-            return sharded
-        return [self.compute(dnf, rng) for dnf in dnfs]
-
-    def _sharded_compute(
-        self,
-        dnfs: Sequence[Dnf],
-        rng: random.Random,
-        executor: "ShardExecutor | None",
-    ) -> list[ConfidenceReport] | None:
-        """Shard the DNF list across the executor, or ``None`` to stay serial.
-
-        The shard plan and each shard's generator depend on the workload
-        and the shard *index* only (never on the worker count), so the
+        A list long enough for ``executor.plan_items`` to cut is sharded:
+        the plan and each shard's generator depend on the workload and
+        the shard *index* only (never on the worker count), so the
         concatenated result is bit-identical at any parallelism.  The
         strategy itself travels to the workers, which is why strategy
-        instances must stay picklable and must not hold executors.
+        instances must stay picklable and must not hold executors.  A
+        shorter list runs :meth:`compute` per DNF, handing it the
+        executor so each tuple's trial budget can shard instead.
+        Sampling strategies override this to amortize trial drawing
+        across the batch (shared world blocks).
         """
-        if executor is None:
-            return None
-        shards = executor.plan_items(len(dnfs))
-        if len(shards) <= 1:
-            return None
-        # A strategy that never samples needs no shard entropy; a fixed
-        # base keeps the shard-seed derivation uniform without touching
-        # the session stream (the workers ignore their generators).
-        base = rng.getrandbits(64) if self.consumes_rng else 0
-        results = executor.map(
-            _strategy_shard_task,
-            [
-                (self, list(dnfs[start:stop]), shard_seed(base, i))
-                for i, (start, stop) in enumerate(shards)
-            ],
-        )
-        return [report for shard in results for report in shard]
+        executor = executor or SERIAL_EXECUTOR
+        if len(executor.plan_items(len(dnfs))) > 1:
+            # A strategy that never samples needs no shard entropy; a
+            # fixed base keeps the shard-seed derivation uniform without
+            # touching the session stream (the workers ignore their
+            # generators).
+            base = rng.getrandbits(64) if self.consumes_rng else 0
+            return executor.map_items(
+                _strategy_shard_task, list(dnfs), self, seed_base=base
+            )
+        return [self.compute(dnf, rng, executor=executor) for dnf in dnfs]
 
     def __repr__(self) -> str:
         return f"<strategy {self.name!r}>"
 
 
 def _strategy_shard_task(
-    strategy: ConfidenceStrategy, dnfs: list[Dnf], seed: int
+    dnfs: list[Dnf], strategy: ConfidenceStrategy, seed: int
 ) -> list[ConfidenceReport]:
     """One shard of a sharded ``compute_batch`` (module level: pickles)."""
     rng = random.Random(seed)
     return [strategy.compute(dnf, rng) for dnf in dnfs]
 
 
-_EXECUTOR_AWARE: dict[tuple[type, str], bool] = {}
-
-
-def _accepts_executor(strategy: ConfidenceStrategy, method: str) -> bool:
-    cls = type(strategy)
-    aware = _EXECUTOR_AWARE.get((cls, method))
-    if aware is None:
-        parameters = inspect.signature(getattr(cls, method)).parameters
-        aware = "executor" in parameters or any(
-            p.kind is inspect.Parameter.VAR_KEYWORD for p in parameters.values()
-        )
-        _EXECUTOR_AWARE[(cls, method)] = aware
-    return aware
-
-
+# Kept for the frozen ``benchmarks/e2e`` harness, which imports these two
+# names; the engine calls the strategy methods directly.
 def compute_batch_with_executor(
     strategy: ConfidenceStrategy,
     dnfs: Sequence[Dnf],
     rng: random.Random,
     executor: "ShardExecutor | None",
 ) -> list[ConfidenceReport]:
-    """Call ``strategy.compute_batch``, passing ``executor`` only if accepted.
-
-    Third-party strategies written against the original
-    ``compute_batch(dnfs, rng)`` contract predate sharding; they run
-    serially rather than erroring on an unexpected keyword.
-    """
-    if executor is not None and _accepts_executor(strategy, "compute_batch"):
-        return strategy.compute_batch(dnfs, rng, executor=executor)
-    return strategy.compute_batch(dnfs, rng)
+    """``strategy.compute_batch(dnfs, rng, executor=executor)``."""
+    return strategy.compute_batch(dnfs, rng, executor=executor)
 
 
 def compute_with_executor(
@@ -261,15 +223,8 @@ def compute_with_executor(
     rng: random.Random,
     executor: "ShardExecutor | None",
 ) -> ConfidenceReport:
-    """Single-tuple counterpart of :func:`compute_batch_with_executor`.
-
-    Sampling strategies shard the one tuple's whole trial budget
-    (there is no list to cut); strategies with the original
-    ``compute(dnf, rng)`` signature run serially.
-    """
-    if executor is not None and _accepts_executor(strategy, "compute"):
-        return strategy.compute(dnf, rng, executor=executor)
-    return strategy.compute(dnf, rng)
+    """``strategy.compute(dnf, rng, executor=executor)``."""
+    return strategy.compute(dnf, rng, executor=executor)
 
 
 def dnf_is_read_once(dnf: Dnf) -> bool:
@@ -339,15 +294,7 @@ def resolve_strategy(
         raise UnknownStrategyError(
             f"unknown confidence strategy {spec!r}; registered: {strategy_names()}"
         ) from None
-    # Third-party strategies registered against the original contract
-    # (``cls(eps=..., delta=...)``) may not know about trial backends;
-    # only pass the kwarg to classes that declare it.
-    parameters = inspect.signature(cls.__init__).parameters
-    if "backend" in parameters or any(
-        p.kind is inspect.Parameter.VAR_KEYWORD for p in parameters.values()
-    ):
-        return cls(eps=eps, delta=delta, backend=backend)
-    return cls(eps=eps, delta=delta)
+    return cls(eps=eps, delta=delta, backend=backend)
 
 
 @register_strategy
@@ -365,7 +312,12 @@ class ExactDecomposition(ConfidenceStrategy):
     ):
         pass
 
-    def compute(self, dnf: Dnf, rng: random.Random) -> ConfidenceReport:
+    def compute(
+        self,
+        dnf: Dnf,
+        rng: random.Random,
+        executor: "ShardExecutor | None" = None,
+    ) -> ConfidenceReport:
         value = probability_by_decomposition(dnf)
         return ConfidenceReport(value, self.name, self.name, exact=True)
 
@@ -385,7 +337,12 @@ class ExactEnumeration(ConfidenceStrategy):
     ):
         pass
 
-    def compute(self, dnf: Dnf, rng: random.Random) -> ConfidenceReport:
+    def compute(
+        self,
+        dnf: Dnf,
+        rng: random.Random,
+        executor: "ShardExecutor | None" = None,
+    ) -> ConfidenceReport:
         value = probability_by_enumeration(dnf)
         return ConfidenceReport(value, self.name, self.name, exact=True)
 
@@ -396,7 +353,7 @@ class KarpLuby(ConfidenceStrategy):
 
     ``backend`` selects the trial engine behind
     :func:`repro.confidence.batch.batch_approximate_confidence`, which
-    draws the whole m = ⌈3·|F|·ln(2/δ)/ε²⌉ budget as one block:
+    draws the m = ⌈3·|F|·ln(2/δ)/ε²⌉ budget in blocks:
     ``"numpy"`` vectorizes it, ``"python"`` is the dependency-free
     fallback, and ``None`` / ``"auto"`` picks numpy when importable.
     The statistical guarantee is identical either way.
@@ -445,22 +402,6 @@ class KarpLuby(ConfidenceStrategy):
             eps=self.eps,
             delta=self.delta,
         )
-
-    def compute_batch(
-        self,
-        dnfs: Sequence[Dnf],
-        rng: random.Random,
-        executor: "ShardExecutor | None" = None,
-    ) -> list[ConfidenceReport]:
-        """Sharded per-tuple budgets: many tuples shard the DNF list; a
-        batch too small to cut shards instead splits each tuple's whole
-        Prop 4.2 trial budget into per-worker blocks."""
-        sharded = self._sharded_compute(dnfs, rng, executor)
-        if sharded is not None:
-            return sharded
-        if executor is not None:
-            return [self.compute(dnf, rng, executor=executor) for dnf in dnfs]
-        return [self.compute(dnf, rng) for dnf in dnfs]
 
 
 @register_strategy
@@ -525,9 +466,9 @@ class NaiveMonteCarlo(ConfidenceStrategy):
         rng: random.Random,
         executor: "ShardExecutor | None" = None,
     ) -> list[ConfidenceReport]:
-        """One shared world block per batch; with an executor, the block
-        budget is split into per-worker sub-blocks (each still shared by
-        every tuple) whose counts merge by trial-count weighting."""
+        """One shared world budget per batch, split by the executor's
+        trial plan into blocks (each still shared by every tuple) whose
+        counts merge by trial-count weighting."""
         samples = naive_sample_size_additive(self.eps, self.delta)
         estimates = shared_block_confidences(
             dnfs, samples, rng, backend=self.backend, executor=executor
@@ -575,7 +516,12 @@ class DissociationBounds(ConfidenceStrategy):
             upper=interval.upper,
         )
 
-    def compute(self, dnf: Dnf, rng: random.Random) -> ConfidenceReport:
+    def compute(
+        self,
+        dnf: Dnf,
+        rng: random.Random,
+        executor: "ShardExecutor | None" = None,
+    ) -> ConfidenceReport:
         return self._report(dissociation_interval(dnf, self.budget))
 
     def compute_batch(

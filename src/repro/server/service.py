@@ -82,7 +82,7 @@ from repro.server.protocol import (
     validate_request,
 )
 from repro.server.scheduler import FairShareScheduler, Job
-from repro.util.parallel import ShardExecutor, default_workers
+from repro.util.parallel import ShardExecutor, as_executor
 
 __all__ = ["Server", "Client", "SessionHandle", "serve"]
 
@@ -168,14 +168,7 @@ class Server:
         self._delta = delta
         self._backend = backend
         self._cache_size = cache_size
-        if workers is None:
-            workers = default_workers() or 1
-        if isinstance(workers, ShardExecutor):
-            self._executor = workers
-            self._owns_executor = False
-        else:
-            self._executor = ShardExecutor(workers)
-            self._owns_executor = True
+        self._executor, self._owns_executor = as_executor(workers)
         # Warm the shard pool before any compute thread exists: under the
         # ``fork`` start method the pool MUST fork first (forked children
         # must not inherit live threads); under ``forkserver`` this just

@@ -64,6 +64,7 @@ from repro.urel.conditions import TOP, Condition, ConditionPool, Var
 from repro.urel.urelation import URelation
 from repro.urel.variables import VariableTable
 from repro.util.backends import HAS_NUMPY, np as _np
+from repro.util.parallel import SERIAL_EXECUTOR
 
 __all__ = ["HAS_NUMPY", "ValueCodec", "ColumnarContext", "ColumnarURelation"]
 
@@ -491,7 +492,7 @@ class ColumnarURelation:
         li,
         ri,
         rkeep: Sequence[int],
-        executor=None,
+        executor,
     ) -> "ColumnarURelation":
         """Merge candidate row pairs: vectorized consistency check + union.
 
@@ -505,19 +506,19 @@ class ColumnarURelation:
         peak memory at O(block × width) plus the surviving rows —
         instead of materializing every candidate pair at once.
 
-        With an ``executor`` the pair index range is cut by
+        The pair index range is cut by
         :meth:`~repro.util.parallel.ShardExecutor.plan_pairs` — a
         function of the pair count only, never the worker count — and
-        each contiguous shard runs its (unchanged, still bounded) block
-        loop on a worker; shard survivors are concatenated in shard
-        order, so the result is bit-identical to the serial path.  The
-        dedup lexsort below runs once, on the merged survivors.
+        each contiguous shard runs its (still bounded) block loop as one
+        ``executor`` task; shard survivors are concatenated in shard
+        order, so the result is bit-identical at every worker count.
+        The dedup lexsort below runs once, on the merged survivors.
         """
         out_vars, left_conds, right_conds = self._aligned_conds(other)
         rkeep = list(rkeep)
         n_pairs = int(li.shape[0])
         block = _pair_block_size(len(out_vars), self.data.shape[1], len(rkeep))
-        shards = executor.plan_pairs(n_pairs) if executor is not None else []
+        shards = executor.plan_pairs(n_pairs)
         if len(shards) > 1:
             parts = executor.map(
                 _indexed_pairs_shard,
@@ -642,7 +643,7 @@ class ColumnarURelation:
         other: "ColumnarURelation",
         out_cols: tuple[str, ...],
         rkeep: Sequence[int],
-        executor=None,
+        executor,
     ) -> "ColumnarURelation":
         """Merge every (left, right) row pair, generating pairs in blocks.
 
@@ -659,7 +660,7 @@ class ColumnarURelation:
         rkeep = list(rkeep)
         n1, n2 = len(self), len(other)
         block = _pair_block_size(len(out_vars), self.data.shape[1], len(rkeep))
-        shards = executor.plan_all_pairs(n1, n2) if executor is not None else []
+        shards = executor.plan_all_pairs(n1, n2)
         if len(shards) > 1:
             # Each task receives only its contiguous left-row slice
             # (range rebased to 0) — the shard unit IS a left-row range,
@@ -696,13 +697,13 @@ class ColumnarURelation:
     def product(self, other: "ColumnarURelation", executor=None) -> "ColumnarURelation":
         """[[R × S]] — all pairs, vectorized condition merge.
 
-        ``executor`` (a :class:`~repro.util.parallel.ShardExecutor`)
-        fans the pair merge out over worker processes; results are
-        bit-identical at every worker count, including ``None``.
+        ``executor`` (a :class:`~repro.util.parallel.ShardExecutor`;
+        default: the process-wide serial one) runs the pair-merge
+        shards; results are bit-identical at every worker count.
         """
         out_cols = _schema.disjoint_union(self.columns, other.columns)
         return self._all_pairs_merge(
-            other, out_cols, range(len(other.columns)), executor=executor
+            other, out_cols, range(len(other.columns)), executor or SERIAL_EXECUTOR
         )
 
     def natural_join(
@@ -718,8 +719,9 @@ class ColumnarURelation:
         out_cols, shared = _schema.natural_join_schema(self.columns, other.columns)
         rkeep = [i for i, c in enumerate(other.columns) if c not in set(shared)]
         n1, n2 = len(self), len(other)
+        executor = executor or SERIAL_EXECUTOR
         if not shared or n1 == 0 or n2 == 0:
-            return self._all_pairs_merge(other, out_cols, rkeep, executor=executor)
+            return self._all_pairs_merge(other, out_cols, rkeep, executor)
         lpos = list(_schema.positions(self.columns, shared))
         rpos = list(_schema.positions(other.columns, shared))
         stacked = _np.vstack([self.data[:, lpos], other.data[:, rpos]])
@@ -735,7 +737,7 @@ class ColumnarURelation:
         offsets = _np.concatenate(([0], _np.cumsum(counts)))[:-1]
         within = _np.arange(total) - _np.repeat(offsets, counts)
         ri = order[_np.repeat(starts, counts) + within]
-        return self._pair_merge(other, out_cols, li, ri, rkeep, executor=executor)
+        return self._pair_merge(other, out_cols, li, ri, rkeep, executor)
 
 
 # --------------------------------------------------------------------------

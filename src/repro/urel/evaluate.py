@@ -67,6 +67,7 @@ from repro.urel.translate import (
 )
 from repro.urel.udatabase import UDatabase
 from repro.urel.urelation import URelation
+from repro.util.parallel import SERIAL_EXECUTOR
 from repro.util.rng import ensure_rng
 
 __all__ = ["UEvaluator", "UResult"]
@@ -91,9 +92,10 @@ class UEvaluator:
     selects the relational-operator engine (``"numpy"`` columnar /
     ``"python"`` scalar; ``None``/``"auto"`` picks numpy when
     importable); ``executor`` (a
-    :class:`~repro.util.parallel.ShardExecutor`) fans columnar
-    product/join pair merges out over worker processes, bit-identically
-    to the serial path.  When ``copy_db`` is true the input database
+    :class:`~repro.util.parallel.ShardExecutor`; default: the
+    process-wide serial one) runs the columnar product/join pair merges
+    and the ``aconf`` trial budgets, bit-identically at every worker
+    count.  When ``copy_db`` is true the input database
     (including W) is left untouched and repair-key variables go into a
     private copy.
     """
@@ -112,11 +114,10 @@ class UEvaluator:
         self.rng = ensure_rng(rng)
         self.conf_log: list = []
         self.backend = resolve_backend(backend)
-        # The session's ShardExecutor (or None): columnar product/join
-        # pair merges fan out over it.  Results are bit-identical with
-        # and without one — the shard plan is a function of row counts
-        # only and the merge kernels are shared with the serial path.
-        self.executor = executor
+        # Columnar product/join pair merges and aconf trial budgets run
+        # on it; the shard plan is a function of row and trial counts
+        # only, so results are bit-identical at every worker count.
+        self.executor = executor or SERIAL_EXECUTOR
         self._pool = self.db.condition_pool
         if self.backend == "numpy":
             # One coding context per database family (shared through
@@ -286,7 +287,14 @@ class UEvaluator:
         if isinstance(query, ApproxConf):
             child, _complete = self.eval(query.child)
             relation, estimates = approx_confidence_relation(
-                child, self.db.w, query.eps, query.delta, self.rng, query.p_name
+                child,
+                self.db.w,
+                query.eps,
+                query.delta,
+                self.rng,
+                query.p_name,
+                backend=self.backend,
+                executor=self.executor,
             )
             self.conf_log.append(estimates)
             return relation, True

@@ -139,14 +139,18 @@ def approx_confidence_relation(
     delta: float,
     rng: random.Random | int | None = None,
     p_name: str = "P",
+    backend: str | None = None,
+    executor=None,
 ) -> tuple[URelation, dict[tuple, "KarpLubyEstimate"]]:
     """[[conf_{ε,δ}(R)]]: Karp–Luby confidences (Corollary 4.3).
 
     Returns the complete output relation and the per-tuple estimates with
     their sampling metadata, so callers can audit each (ε, δ) guarantee.
+    Each tuple's Proposition 4.2 budget is drawn by the batch trial
+    engine on the evaluator's ``backend`` and ``executor``.
     """
+    from repro.confidence.batch import batch_approximate_confidence
     from repro.confidence.dnf import Dnf
-    from repro.confidence.karp_luby import approximate_confidence
 
     generator = ensure_rng(rng)
     cols = urel.columns
@@ -155,8 +159,8 @@ def approx_confidence_relation(
     out = set()
     estimates: dict[tuple, "KarpLubyEstimate"] = {}
     for t in sorted(urel.possible_tuples().rows, key=repr):
-        estimate = approximate_confidence(
-            Dnf.for_tuple(urel, t, w), eps, delta, generator
+        estimate = batch_approximate_confidence(
+            Dnf.for_tuple(urel, t, w), eps, delta, generator, backend=backend, executor=executor
         )
         estimates[t] = estimate
         out.add((TOP, t + (estimate.estimate,)))

@@ -7,10 +7,12 @@ drawn in any partition, and the Theorem 6.7 driver hands every σ̂ value a
 private round allocation.  So is the relational layer under them: the
 columnar algebra's product/join pair merges already run in bounded row
 blocks, and those blocks are independent subproblems too.
-:class:`ShardExecutor` is the one fan-out primitive behind all of them:
+:class:`ShardExecutor` is the one execution path behind all of them:
 it cuts a workload into *shards*, runs the shards on a process pool (or
 serially, in process, when ``workers <= 1`` or multiprocessing is
-unavailable), and merges results in shard order.
+unavailable), and merges results in shard order.  Every session and
+server owns one (:func:`as_executor`), and library calls made without
+one run on :data:`SERIAL_EXECUTOR` — there is no unsharded code path.
 
 Determinism is the hard contract, and it rests on two rules:
 
@@ -82,6 +84,8 @@ __all__ = [
     "DEFAULT_MIN_SHARD_TRIALS",
     "DEFAULT_MIN_SHARD_PAIRS",
     "ShardExecutor",
+    "SERIAL_EXECUTOR",
+    "as_executor",
     "shard_seed",
     "spawn_shard_rng",
     "default_workers",
@@ -163,22 +167,22 @@ def pool_start_method() -> str | None:
     return None
 
 
-def default_workers() -> int | None:
-    """The ambient worker count from ``REPRO_WORKERS``, or ``None``.
+def default_workers() -> int:
+    """The ambient worker count from ``REPRO_WORKERS`` (default 1).
 
-    Lets a deployment (or a CI leg) opt whole processes into sharded
-    execution without touching call sites; an unset or empty variable
-    means "no executor" and a non-integer value is a loud error.
+    Lets a deployment (or a CI leg) give every session and server of a
+    process a worker pool without touching call sites.  Unset, empty and
+    ``0`` all mean one serial in-process executor; a negative or
+    non-integer value is a loud error.
     """
     raw = os.environ.get(_WORKERS_ENV, "").strip()
     if not raw:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
+        return 1
+    if not raw.isdigit():
         raise ValueError(
-            f"{_WORKERS_ENV} must be an integer worker count, got {raw!r}"
-        ) from None
+            f"{_WORKERS_ENV} must be a non-negative integer worker count, got {raw!r}"
+        )
+    return max(int(raw), 1)
 
 
 class ShardExecutor:
@@ -341,6 +345,27 @@ class ShardExecutor:
             return False
         return True
 
+    def map_items(
+        self, fn: Callable, items: Sequence, *args, seed_base: int | None = None
+    ) -> list:
+        """``fn(items[start:stop], *args)`` per :meth:`plan_items` shard, flattened.
+
+        The one "cut a list, map the shards, concatenate in shard order"
+        schedule behind every list-shaped fan-out (strategy batches,
+        bound batches, top-k rounds, σ̂ candidates).  ``fn`` returns one
+        result per item.  With ``seed_base`` each call also receives
+        ``shard_seed(seed_base, shard index)`` as its last argument.
+        Runs through :meth:`map`, so the same fallbacks apply.
+        """
+        tasks = [
+            (items[start:stop], *args) for start, stop in self.plan_items(len(items))
+        ]
+        if seed_base is not None:
+            tasks = [
+                task + (shard_seed(seed_base, i),) for i, task in enumerate(tasks)
+            ]
+        return [result for shard in self.map(fn, tasks) for result in shard]
+
     def map(self, fn: Callable, tasks: Sequence[tuple], validate: bool = True) -> list:
         """``[fn(*args) for args in tasks]``, one task per shard.
 
@@ -471,6 +496,28 @@ class ShardExecutor:
 
     def __repr__(self) -> str:
         return f"ShardExecutor(workers={self.workers}, max_shards={self.max_shards})"
+
+
+SERIAL_EXECUTOR = ShardExecutor()
+"""The process-wide serial executor (default plan, never owns a pool).
+
+Library entry points called without an ``executor`` run on it, so they
+execute the same plan → map → merge code as a session — which is also
+what a shard kernel's nested calls get: one worker's work stays in
+that worker."""
+
+
+def as_executor(workers: "int | ShardExecutor | None") -> tuple[ShardExecutor, bool]:
+    """Coerce a ``workers`` argument to ``(executor, owned)``.
+
+    The one rule for :func:`repro.connect` and :func:`repro.serve`: a
+    :class:`ShardExecutor` is borrowed as-is (``owned`` false — its
+    creator closes it), an int builds an owned executor, and ``None``
+    means :func:`default_workers`.
+    """
+    if isinstance(workers, ShardExecutor):
+        return workers, False
+    return ShardExecutor(default_workers() if workers is None else workers), True
 
 
 def _shutdown_pool(pool) -> None:

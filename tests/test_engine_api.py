@@ -130,26 +130,16 @@ class TestConnectForms:
         with pytest.raises(repro.UnknownStrategyError):
             repro.connect(coin_database(), strategy="quantum")
 
-    def test_legacy_plugin_strategy_without_backend_param(self):
-        """Strategies registered against the PR-1 contract still resolve."""
-        from repro.engine import strategies as strategies_module
+    def test_every_session_has_an_executor(self):
+        """However a session is opened, it runs on a ShardExecutor."""
+        from repro.util.parallel import ShardExecutor
 
-        @repro.register_strategy
-        class LegacyStrategy(repro.ConfidenceStrategy):
-            name = "legacy-test-strategy"
-
-            def __init__(self, eps=None, delta=None):  # no backend kwarg
-                self.eps = eps
-
-            def compute(self, dnf, rng):
-                return repro.ConfidenceReport(0.5, self.name, self.name, exact=True)
-
-        try:
-            chosen = resolve_strategy("legacy-test-strategy", eps=0.2, backend="python")
-            assert chosen.name == "legacy-test-strategy"
-            assert chosen.eps == 0.2
-        finally:
-            del strategies_module._REGISTRY["legacy-test-strategy"]
+        shared = ShardExecutor(1)
+        for options in ({}, {"workers": None}, {"workers": 1}, {"workers": shared}):
+            with repro.connect(coin_database(), **options) as db:
+                assert isinstance(db.executor, ShardExecutor)
+                assert isinstance(repro.connect(db).executor, ShardExecutor)
+        assert db.executor is shared  # an instance is borrowed, not copied
 
 
 class TestAutoStrategy:
@@ -335,8 +325,8 @@ class TestMemoCache:
 
         cached_keys = [k for k in db._cache._data if k[0] == "conf"]
         expected = ("karp-luby", 0.3, 0.2, default_backend())
-        # A sharded session (e.g. REPRO_WORKERS set) appends its merge
-        # schedule to the token; the strategy configuration is the prefix.
+        # Every session appends its merge schedule (the executor's plan
+        # token) to the key; the strategy configuration is the prefix.
         assert any(k[-1][: len(expected)] == expected for k in cached_keys)
 
     def test_strategy_swap_invalidates_query_cache(self):

@@ -48,7 +48,17 @@ BACKENDS = [
     "python",
     pytest.param("numpy", marks=needs_numpy),
 ]
-WORKER_MATRIX = (1, 2, 4)
+# None is the session (or library call) that omits ``workers``: it runs
+# the same shard plan on the default serial executor.
+WORKER_MATRIX = (None, 1, 2, 4)
+
+
+def _all_equal(results) -> bool:
+    return all(result == results[0] for result in results)
+
+
+def _executor_for(workers: int | None) -> ShardExecutor | None:
+    return None if workers is None else ShardExecutor(workers)
 
 
 # ------------------------------------------------------------------ workloads
@@ -185,7 +195,7 @@ def _first_arg(x):
 
 # ------------------------------------------------------- determinism matrix
 class TestDeterminismMatrix:
-    """Same seed, workers ∈ {1, 2, 4} ⇒ identical results, per backend."""
+    """Same seed, workers ∈ {omitted, 1, 2, 4} ⇒ identical results, per backend."""
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("strategy", ["karp-luby", "auto", "naive-mc"])
@@ -201,16 +211,19 @@ class TestDeterminismMatrix:
                 workers=workers,
             )
             with session:
-                return {
+                query = session.query("R")
+                reports = {
                     row: _report_key(rep)
                     for row, rep in session.confidence_all("R").items()
                 }
+                # The memo entries too: every cell keys on the same plan.
+                return sorted(query.rows), reports, set(session._cache._data)
 
         results = [run(w) for w in WORKER_MATRIX]
-        assert results[0] == results[1] == results[2]
+        assert _all_equal(results)
         # The workload must actually sample for the matrix to mean much.
         if strategy != "auto":
-            assert any(samples > 0 for _, samples, _, _ in results[0].values())
+            assert any(samples > 0 for _, samples, _, _ in results[0][1].values())
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_evaluate_with_guarantee(self, backend):
@@ -246,7 +259,7 @@ class TestDeterminismMatrix:
             )
 
         results = [run(w) for w in WORKER_MATRIX]
-        assert results[0] == results[1] == results[2]
+        assert _all_equal(results)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_karp_luby_sampler_outputs(self, backend):
@@ -254,13 +267,13 @@ class TestDeterminismMatrix:
 
         def run(workers):
             sampler = BatchKarpLubySampler(
-                dnf, rng=21, backend=backend, executor=ShardExecutor(workers)
+                dnf, rng=21, backend=backend, executor=_executor_for(workers)
             )
             sampler.run(20_000)
             return (sampler.estimate, sampler.positives, sampler.trials)
 
         results = [run(w) for w in WORKER_MATRIX]
-        assert results[0] == results[1] == results[2]
+        assert _all_equal(results)
         assert results[0][2] == 20_000
 
     @pytest.mark.parametrize("backend", BACKENDS)
@@ -269,7 +282,7 @@ class TestDeterminismMatrix:
 
         def fpras(workers):
             est = batch_approximate_confidence(
-                dnf, 0.2, 0.1, rng=31, backend=backend, executor=ShardExecutor(workers)
+                dnf, 0.2, 0.1, rng=31, backend=backend, executor=_executor_for(workers)
             )
             return (est.estimate, est.positives, est.samples)
 
@@ -281,12 +294,12 @@ class TestDeterminismMatrix:
                 Dnf(_one_dnf(seed=1).members, w)
             ]
             ests = shared_block_confidences(
-                dnfs, 9000, rng=41, backend=backend, executor=ShardExecutor(workers)
+                dnfs, 9000, rng=41, backend=backend, executor=_executor_for(workers)
             )
             return [(e.estimate, e.positives, e.samples) for e in ests]
 
-        assert fpras(1) == fpras(2) == fpras(4)
-        assert shared(1) == shared(2) == shared(4)
+        assert _all_equal([fpras(w) for w in WORKER_MATRIX])
+        assert _all_equal([shared(w) for w in WORKER_MATRIX])
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_single_tuple_confidence(self, backend):
@@ -308,8 +321,35 @@ class TestDeterminismMatrix:
                 return _report_key(session.tuple_confidence(relation, (0,)))
 
         results = [run(w) for w in WORKER_MATRIX]
-        assert results[0] == results[1] == results[2]
+        assert _all_equal(results)
         assert results[0][1] > 0  # genuinely sampled
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_aconf_operator_uses_session_backend_and_executor(self, backend):
+        """``aconf[ε, δ, P](R)`` draws each tuple's budget on the session's
+        trial backend and executor — the same call a strategy makes."""
+        eps, delta = 0.2, 0.1
+
+        def run(workers):
+            session = repro.connect(
+                _sampled_db(n_tuples=1), rng=13, backend=backend, workers=workers
+            )
+            with session:
+                result = session.query(f"aconf[{eps}, {delta}, P](R)")
+                return sorted(result.relation.to_complete().rows)
+
+        results = [run(w) for w in (None, 1, 2)]
+        assert _all_equal(results)
+
+        relation = _sampled_db(n_tuples=1).relation("R")
+        dnf = Dnf.for_tuple(relation, (0,), _sampled_db(n_tuples=1).w)
+        expected = batch_approximate_confidence(dnf, eps, delta, rng=13, backend=backend)
+        assert expected.samples > 0  # genuinely sampled
+        assert results[0] == [(0, expected.estimate)]
+        if HAS_NUMPY:
+            other = "numpy" if backend == "python" else "python"
+            elsewhere = batch_approximate_confidence(dnf, eps, delta, rng=13, backend=other)
+            assert elsewhere.estimate != expected.estimate  # the backend shows
 
     def test_workers_one_merges_like_many(self):
         """The serial path IS the sharded plan: a hand-merged per-block

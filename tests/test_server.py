@@ -499,7 +499,7 @@ class TestSessionLifecycle:
         assert not errors
         assert db.closed
         db.close()  # still a no-op
-        # The session stays usable, just unsharded.
+        # The session stays usable: the same shards now run in process.
         assert len(db.query(R_QUERY).rows) == 2
 
     def test_aclose_from_event_loop(self):
@@ -522,6 +522,57 @@ class TestSessionLifecycle:
             assert len(b.query(R_QUERY).rows) == 2
         finally:
             shared.close()
+
+
+# ============================================================== workers setting
+class TestWorkersSetting:
+    """``REPRO_WORKERS`` means the same thing to ``connect()`` and ``serve()``."""
+
+    @staticmethod
+    def _workers_of_both_entry_points():
+        with repro.connect(coin_database()) as db:
+            session_workers = db.executor.workers
+            plan = str(db.explain(f"conf[P]({T_QUERY})"))
+        server = serve(coin_database())
+
+        async def main():
+            client = Client(server, tenant="t1")
+            session = await client.open_session(seed=1)
+            served_plan = await session.explain(f"conf[P]({T_QUERY})")
+            stats = await client.stats()
+            await server.aclose()
+            return served_plan, stats["executor"]["workers"]
+
+        served_plan, server_workers = run(main())
+        return session_workers, server_workers, plan, served_plan
+
+    @pytest.mark.parametrize("raw", [None, "", "0", "1"])
+    def test_unset_and_zero_are_one_serial_executor(self, monkeypatch, raw):
+        if raw is None:
+            monkeypatch.delenv("REPRO_WORKERS", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_WORKERS", raw)
+        session_workers, server_workers, plan, served_plan = (
+            self._workers_of_both_entry_points()
+        )
+        assert session_workers == server_workers == 1
+        assert "sharded[" not in plan and "sharded[" not in served_plan
+
+    def test_pool_size_reaches_both_entry_points(self, monkeypatch):
+        monkeypatch.setenv("REPRO_WORKERS", "2")
+        session_workers, server_workers, plan, served_plan = (
+            self._workers_of_both_entry_points()
+        )
+        assert session_workers == server_workers == 2
+        assert "sharded[2]" in plan and "sharded[2]" in served_plan
+
+    @pytest.mark.parametrize("raw", ["-1", "two"])
+    def test_bad_values_name_the_variable(self, monkeypatch, raw):
+        monkeypatch.setenv("REPRO_WORKERS", raw)
+        with pytest.raises(ValueError, match="REPRO_WORKERS"):
+            repro.connect(coin_database())
+        with pytest.raises(ValueError, match="REPRO_WORKERS"):
+            serve(coin_database())
 
 
 # ======================================================================== server

@@ -6,7 +6,7 @@ time, never answers*.  This suite attacks the claim differentially:
 
 * random query trees (joins / products / selects / projects / unions
   over generated U-databases) are evaluated on every cell of the
-  ``workers ∈ {legacy, 1, 2, 4} × backends {numpy, python}`` matrix, and
+  ``workers ∈ {omitted, 1, 2, 4} × backends {numpy, python}`` matrix, and
   every cell must produce identical decoded relations, identical
   (exact) confidences, and identical ``explain`` strategy choices;
 * a seed corpus of the worst shrunk failures — empty operands,
@@ -21,10 +21,11 @@ time, never answers*.  This suite attacks the claim differentially:
   and the narrow regime (sequential candidates, per-value trial
   sharding).
 
-Sharded sessions here run executors with deliberately tiny plan
-thresholds so test-sized workloads genuinely cross process boundaries;
-the executors (and their forked pools) are shared across examples to
-keep the suite fast.
+Sessions given a worker count here run executors with deliberately tiny
+plan thresholds so test-sized workloads genuinely cross process
+boundaries; the executors (and their forked pools) are shared across
+examples to keep the suite fast.  The omitted-``workers`` cell runs the
+default plan on the default serial executor.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ def _executor(workers: int | None) -> ShardExecutor | None:
     one — only the profitability constants are scaled down.
     """
     if workers is None:
-        return None
+        return None  # connect(workers=None): the default serial executor
     if workers not in _EXECUTORS:
         _EXECUTORS[workers] = ShardExecutor(
             workers, min_shard_pairs=64, min_shard_items=2, min_shard_trials=256
@@ -355,10 +356,10 @@ def _sigma_db(n_groups: int) -> UDatabase:
 
 
 class TestCandidateFanOutDeterminism:
-    """σ̂ decisions identical at workers ∈ {1, 2, 4}, wide and narrow."""
+    """σ̂ decisions identical at workers ∈ {omitted, 1, 2, 4}, wide and narrow."""
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("n_groups", [20, 4])  # wide (fans out) / narrow (legacy)
+    @pytest.mark.parametrize("n_groups", [20, 4])  # wide (fans out) / narrow
     def test_evaluate_with_guarantee_across_workers(self, backend, n_groups):
         q = rel("R").approx_select(col("P1") > lit(0.4), groups=[["A"]])
 
@@ -386,8 +387,8 @@ class TestCandidateFanOutDeterminism:
                 ],
             )
 
-        results = [run(w) for w in WORKER_MATRIX]
-        assert results[0] == results[1] == results[2]
+        results = [run(w) for w in (None,) + WORKER_MATRIX]
+        assert all(result == results[0] for result in results)
         # The workload must actually sample for the matrix to mean much.
         assert any(trials > 0 for _, _, trials in results[0][3])
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import asyncio
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -184,6 +185,35 @@ class TestProbDBTopK:
         assert report.entries[0].exact
         # EngineResult.topk delegates to the same memoized computation.
         assert db.query("R").topk(2) == report
+
+    def test_session_transcripts_and_memo_agree_across_workers(self):
+        """A session that omits ``workers`` races exactly like workers ∈
+        {1, 2, 4} and leaves the same memo entries behind."""
+        # One K₃,₃ 2-DNF per tuple (see _pair_race): budget-0 bounds
+        # cannot decide them, so the race really samples.
+        w = VariableTable()
+        rows = []
+        for t, target in enumerate(_SEPARATED):
+            q = Fraction(1.0 - (1.0 - math.sqrt(target)) ** (1.0 / 3.0)).limit_denominator(64)
+            for side in "xy":
+                for i in range(3):
+                    w.add((side, t, i), {1: q, 0: 1 - q})
+            rows += [
+                (Condition({("x", t, a): 1, ("y", t, b): 1}), (t,))
+                for a in range(3)
+                for b in range(3)
+            ]
+        relation = URelation.from_rows(("id",), rows)
+
+        def run(workers):
+            options = {} if workers is None else {"workers": workers}
+            source = UDatabase({"R": relation}, w.copy(), set())
+            with ProbDB(source, eps=_EPS, delta=_DELTA, rng=7, **options) as db:
+                return db.topk("R", 2, bounds_budget=0), set(db._cache._data)
+
+        results = [run(workers) for workers in (None, 1, 2, 4)]
+        assert results[0][0].total_trials > 0  # vacuous unless it samples
+        assert all(result == results[0] for result in results)
 
     def test_k_validation(self):
         db = ProbDB(_single_var_db([0.5, 0.4]), rng=1)

@@ -1,0 +1,166 @@
+"""Transcript digest of one fixed script — are two checkouts' answers the same?
+
+    PYTHONHASHSEED=0 PYTHONPATH=<checkout>/src python tools/transcript_digest.py <workers>
+
+``workers`` is ``none`` (the session omits the argument), an int, or
+``custom`` (a ``ShardExecutor(2)`` with small plan parameters).  The
+script runs ``query``, ``confidence_all`` (karp-luby / naive-mc / auto),
+a single-tuple confidence, ``topk`` and ``evaluate_with_guarantee`` on
+both trial backends with fixed seeds and prints a SHA-256 prefix per
+section (``--sections``) and two totals:
+
+* ``top-level-sampling`` — sections whose trials are drawn by the
+  session's executor (short DNF lists, narrow σ̂, top-k);
+* ``all`` — plus the sections whose trials are drawn *inside a shard
+  kernel* (a 48-tuple ``confidence_all``, a 20-candidate σ̂).
+
+Pin ``PYTHONHASHSEED``: the transcript embeds ``repr`` of conditions.
+Written for PR 14 (CHANGES.md records the digests of both commits); it
+imports only names that exist on either side of that change.
+"""
+
+import hashlib
+import math
+import random
+import sys
+from fractions import Fraction
+
+import repro
+from repro.algebra.builder import rel
+from repro.algebra.expressions import col, lit
+from repro.urel.conditions import Condition
+from repro.urel.udatabase import UDatabase
+from repro.urel.urelation import URelation
+from repro.urel.variables import VariableTable
+from repro.util.parallel import ShardExecutor
+
+
+def sampled_db(n_tuples, n_vars=10, clauses=4, seed=3):
+    rng = random.Random(seed)
+    w = VariableTable()
+    for i in range(n_vars):
+        w.add(("x", i), {0: Fraction(1, 2), 1: Fraction(1, 2)})
+    rows = []
+    for t in range(n_tuples):
+        for _ in range(clauses):
+            cond = Condition(
+                {("x", rng.randrange(n_vars)): rng.randint(0, 1) for _ in range(2)}
+            )
+            rows.append((cond, (t,)))
+    # A second relation to join against (exercises the algebra).
+    srows = [
+        (Condition({("x", i % n_vars): i % 2}), (i % n_tuples, i))
+        for i in range(3 * n_tuples)
+    ]
+    db = UDatabase(w=w)
+    db.set_relation("R", URelation.from_rows(("A",), rows))
+    db.set_relation("S", URelation.from_rows(("A", "B"), srows))
+    return db
+
+
+def k33_db(targets=(0.08, 0.85, 0.2, 0.45, 0.3, 0.6)):
+    w = VariableTable()
+    rows = []
+    for t, target in enumerate(targets):
+        q = Fraction(1.0 - (1.0 - math.sqrt(target)) ** (1.0 / 3.0)).limit_denominator(64)
+        for side in "xy":
+            for i in range(3):
+                w.add((side, t, i), {1: q, 0: 1 - q})
+        rows += [
+            (Condition({("x", t, a): 1, ("y", t, b): 1}), (t,))
+            for a in range(3)
+            for b in range(3)
+        ]
+    db = UDatabase(w=w)
+    db.set_relation("R", URelation.from_rows(("A",), rows))
+    return db
+
+
+def sigma_db(n_groups, clauses=3, seed=5):
+    rng = random.Random(seed)
+    w = VariableTable()
+    for i in range(8):
+        w.add(("v", i), {0: Fraction(1, 2), 1: Fraction(1, 2)})
+    rows = []
+    for g in range(n_groups):
+        for _ in range(clauses):
+            cond = Condition({("v", rng.randrange(8)): rng.randint(0, 1) for _ in range(2)})
+            rows.append((cond, (g,)))
+    db = UDatabase(w=w)
+    db.set_relation("R", URelation.from_rows(("A",), rows))
+    return db
+
+
+def connect(db, workers, **kw):
+    if workers == "none":
+        return repro.connect(db, **kw)
+    if workers == "custom":
+        return repro.connect(
+            db,
+            workers=ShardExecutor(2, min_shard_pairs=64, min_shard_items=2, min_shard_trials=256),
+            **kw,
+        )
+    return repro.connect(db, workers=int(workers), **kw)
+
+
+def report_key(rep):
+    return (repr(rep.value), rep.samples, rep.method, rep.exact)
+
+
+def transcript(workers):
+    sections = {}
+    for backend in ("numpy", "python"):
+        # -- query + confidence_all on a SHORT list (4 tuples: per-tuple trial sharding)
+        out = []
+        for strategy in ("karp-luby", "naive-mc", "auto"):
+            with connect(sampled_db(6), workers, strategy=strategy, eps=0.3, delta=0.2,
+                         rng=11, backend=backend) as db:
+                q = db.query(rel("R").join(rel("S")).project(["A"]))
+                out.append(sorted(map(repr, q.relation.rows)))
+                out.append(sorted((r, report_key(p)) for r, p in db.confidence_all("R").items()))
+                out.append(sorted((r, report_key(p)) for r, p in db.confidence_all("R").items()))
+                out.append(report_key(db.query("R").confidence((0,))))
+        sections[f"{backend}/conf-short"] = out
+        # -- confidence_all on a LONG list (48 tuples: the DNF list itself shards)
+        out = []
+        for strategy in ("karp-luby", "naive-mc", "auto"):
+            with connect(sampled_db(48), workers, strategy=strategy, eps=0.4, delta=0.2,
+                         rng=11, backend=backend) as db:
+                out.append(sorted((r, report_key(p)) for r, p in db.confidence_all("R").items()))
+        sections[f"{backend}/conf-long"] = out
+        # -- topk
+        with connect(k33_db(), workers, eps=0.2, delta=0.05, rng=7, backend=backend) as db:
+            rep = db.topk("R", 2, bounds_budget=0)
+            assert rep.total_trials > 0
+            sections[f"{backend}/topk"] = [
+                [(e.row, repr(e.value), e.trials, e.source) for e in rep.entries],
+                rep.total_trials, rep.rounds,
+            ]
+        # -- evaluate_with_guarantee, narrow (4 candidates) and wide (20)
+        q = rel("R").approx_select(col("P1") > lit(0.4), groups=[["A"]])
+        for label, n in (("narrow", 4), ("wide", 20)):
+            with connect(sigma_db(n), workers, strategy="exact-decomposition", rng=9,
+                         backend=backend) as db:
+                rep = db.evaluate_with_guarantee(q, delta=0.2, eps0=0.25, bounds_budget=0)
+                sections[f"{backend}/sigma-{label}"] = [
+                    sorted(map(repr, rep.relation.rows)),
+                    rep.rounds,
+                    sorted((repr(r), b) for r, b in rep.tuple_bounds.items()),
+                    [(d.data, d.decision.value, d.decision.total_trials,
+                      sorted(d.decision.estimates.items())) for d in rep.decisions],
+                ]
+    return sections
+
+
+def digest(obj):
+    return hashlib.sha256(repr(obj).encode()).hexdigest()[:16]
+
+
+if __name__ == "__main__":
+    sections = transcript(sys.argv[1])
+    if "--sections" in sys.argv:
+        for name, value in sections.items():
+            print(f"{name:24s} {digest(value)}")
+    compat = {k: v for k, v in sections.items() if not k.endswith(("conf-long", "sigma-wide"))}
+    print("top-level-sampling", digest(sorted(compat.items())))
+    print("all", digest(sorted(sections.items())))
