@@ -41,7 +41,7 @@ def test_figure_1b_shapes():
     assert len(headed) == 2 and all(c.is_empty for c in headed)
     assert len(db.w) == 3  # coin choice + two fair-toss variables
 
-    u_t = session.assign("T", evidence_query(["H", "H"]))
+    u_t = session.assign("T", evidence_query(["H", "H"])).relation
     sizes = {vals[0]: len(cond) for cond, vals in u_t.rows}
     assert sizes == {"fair": 3, "2headed": 1}
 

@@ -34,7 +34,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Any, Callable, ClassVar, Optional
 
 from repro.algebra import schema as _schema
 from repro.algebra.expressions import BoolExpr, Term, attributes
@@ -67,6 +67,7 @@ __all__ = [
     "output_schema",
     "children",
     "walk",
+    "fold",
     "P_COLUMN",
 ]
 
@@ -77,9 +78,26 @@ _repair_key_ids = itertools.count(1)
 
 
 class Query:
-    """Base class for UA operator nodes."""
+    """Base class for UA operator nodes.
+
+    ``child_fields`` names the fields that hold sub-queries, in
+    evaluation order (operators inherit it from ``_UnaryOp`` /
+    ``_BinaryOp``); :func:`children`, :func:`walk` and :func:`fold` read
+    nothing else about a node's shape.
+    """
 
     __slots__ = ()
+    child_fields: ClassVar[tuple[str, ...]] = ()
+
+
+class _UnaryOp(Query):
+    __slots__ = ()
+    child_fields = ("child",)
+
+
+class _BinaryOp(Query):
+    __slots__ = ()
+    child_fields = ("left", "right")
 
 
 @dataclass(frozen=True, slots=True)
@@ -97,7 +115,7 @@ class Literal(Query):
 
 
 @dataclass(frozen=True, slots=True)
-class Select(Query):
+class Select(_UnaryOp):
     """σ_condition, applied in each possible world independently."""
 
     child: Query
@@ -105,7 +123,7 @@ class Select(Query):
 
 
 @dataclass(frozen=True)
-class Project(Query):
+class Project(_UnaryOp):
     """Generalized projection π (also covers arithmetic ρ of the paper)."""
 
     child: Query
@@ -117,7 +135,7 @@ class Project(Query):
 
 
 @dataclass(frozen=True, slots=True)
-class Rename(Query):
+class Rename(_UnaryOp):
     """Pure attribute renaming ρ_{A→B}."""
 
     child: Query
@@ -132,7 +150,7 @@ class Rename(Query):
 
 
 @dataclass(frozen=True, slots=True)
-class Product(Query):
+class Product(_BinaryOp):
     """Cartesian product × (schemas must be disjoint)."""
 
     left: Query
@@ -140,7 +158,7 @@ class Product(Query):
 
 
 @dataclass(frozen=True, slots=True)
-class Join(Query):
+class Join(_BinaryOp):
     """Natural join ⋈ on shared attribute names."""
 
     left: Query
@@ -148,7 +166,7 @@ class Join(Query):
 
 
 @dataclass(frozen=True, slots=True)
-class Union(Query):
+class Union(_BinaryOp):
     """Set union ∪ (same schema)."""
 
     left: Query
@@ -156,7 +174,7 @@ class Union(Query):
 
 
 @dataclass(frozen=True, slots=True)
-class Difference(Query):
+class Difference(_BinaryOp):
     """Set difference −.
 
     In positive UA only the complete-relation variant −_c is permitted;
@@ -169,7 +187,7 @@ class Difference(Query):
 
 
 @dataclass(frozen=True, slots=True)
-class RepairKey(Query):
+class RepairKey(_UnaryOp):
     """repair-key_{key@weight}: all maximal key-repairs, weighted by ``weight``.
 
     The uncertainty-introducing operation of Definition 2.1.  ``op_id``
@@ -191,7 +209,7 @@ class RepairKey(Query):
 
 
 @dataclass(frozen=True, slots=True)
-class Conf(Query):
+class Conf(_UnaryOp):
     """conf: exact tuple-confidence computation; output is complete by c."""
 
     child: Query
@@ -199,7 +217,7 @@ class Conf(Query):
 
 
 @dataclass(frozen=True, slots=True)
-class ApproxConf(Query):
+class ApproxConf(_UnaryOp):
     """conf_{ε,δ}: Karp–Luby approximate confidence (Corollary 4.3)."""
 
     child: Query
@@ -209,21 +227,21 @@ class ApproxConf(Query):
 
 
 @dataclass(frozen=True, slots=True)
-class Poss(Query):
+class Poss(_UnaryOp):
     """poss(R): tuples possible in at least one world (complete output)."""
 
     child: Query
 
 
 @dataclass(frozen=True, slots=True)
-class Cert(Query):
+class Cert(_UnaryOp):
     """cert(R): tuples certain in all worlds (complete output)."""
 
     child: Query
 
 
 @dataclass(frozen=True)
-class ApproxSelect(Query):
+class ApproxSelect(_UnaryOp):
     """σ̂_{φ(conf[Ā₁],…,conf[Āκ])}(R) — approximate selection (Section 6).
 
     ``groups`` lists the attribute sets Āᵢ; conceptually the operator
@@ -265,16 +283,17 @@ class ApproxSelect(Query):
                 f"P-names nor grouped data attributes"
             )
 
+    def output_columns(self) -> tuple[str, ...]:
+        """(Ā₁, P₁, Ā₂∖Ā₁, P₂, …): the schema of the join in step 2."""
+        joined: tuple[str, ...] = ()
+        for group, p_name in zip(self.groups, self.p_names):
+            joined, _shared = _schema.natural_join_schema(joined, group + (p_name,))
+        return joined
+
 
 def children(query: Query) -> tuple[Query, ...]:
     """Direct sub-queries of a node."""
-    if isinstance(query, (BaseRel, Literal)):
-        return ()
-    if isinstance(query, (Select, Project, Rename, RepairKey, Conf, ApproxConf, Poss, Cert, ApproxSelect)):
-        return (query.child,)
-    if isinstance(query, (Product, Join, Union, Difference)):
-        return (query.left, query.right)
-    raise TypeError(f"unknown query node {query!r}")
+    return tuple(getattr(query, name) for name in query.child_fields)
 
 
 def walk(query: Query):
@@ -284,82 +303,104 @@ def walk(query: Query):
         yield from walk(c)
 
 
+def fold(query: Query, handlers: Mapping[type, Callable[..., Any]], walker: str, *context) -> Any:
+    """Post-order fold of a query tree: the one dispatch over node types.
+
+    Every interpreter of the AST is a table ``handlers`` from node type
+    to ``handler(*context, node, *results)``, where ``results`` are the
+    already-folded children of ``node``, computed depth-first, left to
+    right.  Handlers never recurse.  A node type missing from the table
+    raises ``TypeError`` naming ``walker``, before any of the node's
+    children is folded.
+    """
+    handler = handlers.get(type(query))
+    if handler is None:
+        raise TypeError(f"{walker}: no handler for query node {type(query).__name__}")
+    results = [fold(child, handlers, walker, *context) for child in children(query)]
+    return handler(*context, query, *results)
+
+
 def output_schema(query: Query, base_schemas: Mapping[str, Sequence[str]]) -> tuple[str, ...]:
     """Infer the output schema of ``query`` given base relation schemas.
 
     Raises :class:`repro.algebra.schema.SchemaError` for ill-typed queries;
     engines call this up-front so errors surface before evaluation.
     """
-    if isinstance(query, BaseRel):
-        try:
-            return _schema.check_schema(tuple(base_schemas[query.name]))
-        except KeyError as exc:
-            raise _schema.SchemaError(f"unknown base relation {query.name!r}") from exc
-    if isinstance(query, Literal):
-        return query.relation.columns
-    if isinstance(query, Select):
-        cols = output_schema(query.child, base_schemas)
-        missing = attributes(query.condition) - set(cols)
+    return fold(query, _SCHEMA_HANDLERS, "output_schema", base_schemas)
+
+
+def _base_schema(base_schemas, node: BaseRel):
+    try:
+        return _schema.check_schema(tuple(base_schemas[node.name]))
+    except KeyError as exc:
+        raise _schema.SchemaError(f"unknown base relation {node.name!r}") from exc
+
+
+def _select_schema(base_schemas, node: Select, cols):
+    missing = attributes(node.condition) - set(cols)
+    if missing:
+        raise _schema.SchemaError(f"selection references missing attributes {sorted(missing)}")
+    return cols
+
+
+def _project_schema(base_schemas, node: Project, cols):
+    for expr, _name in node.items:
+        missing = attributes(expr) - set(cols)
         if missing:
             raise _schema.SchemaError(
-                f"selection references missing attributes {sorted(missing)}"
+                f"projection references missing attributes {sorted(missing)}"
             )
-        return cols
-    if isinstance(query, Project):
-        cols = output_schema(query.child, base_schemas)
-        for expr, _name in query.items:
-            missing = attributes(expr) - set(cols)
-            if missing:
-                raise _schema.SchemaError(
-                    f"projection references missing attributes {sorted(missing)}"
-                )
-        return _schema.check_schema(tuple(name for _, name in query.items))
-    if isinstance(query, Rename):
-        cols = output_schema(query.child, base_schemas)
-        mapping = query.as_dict()
-        missing = set(mapping) - set(cols)
-        if missing:
-            raise _schema.SchemaError(f"rename of missing attributes {sorted(missing)}")
-        return _schema.check_schema(tuple(mapping.get(c, c) for c in cols))
-    if isinstance(query, Product):
-        return _schema.disjoint_union(
-            output_schema(query.left, base_schemas),
-            output_schema(query.right, base_schemas),
-        )
-    if isinstance(query, Join):
-        joined, _shared = _schema.natural_join_schema(
-            output_schema(query.left, base_schemas),
-            output_schema(query.right, base_schemas),
-        )
-        return joined
-    if isinstance(query, (Union, Difference)):
-        lcols = output_schema(query.left, base_schemas)
-        rcols = output_schema(query.right, base_schemas)
-        if set(lcols) != set(rcols):
-            raise _schema.SchemaError(f"incompatible schemas {lcols} vs {rcols}")
-        return lcols
-    if isinstance(query, RepairKey):
-        cols = output_schema(query.child, base_schemas)
-        _schema.positions(cols, query.key + (query.weight,))
-        return cols
-    if isinstance(query, (Conf, ApproxConf)):
-        cols = output_schema(query.child, base_schemas)
-        if query.p_name in cols:
-            raise _schema.SchemaError(
-                f"conf output column {query.p_name!r} already in schema {cols}"
-            )
-        return cols + (query.p_name,)
-    if isinstance(query, (Poss, Cert)):
-        return output_schema(query.child, base_schemas)
-    if isinstance(query, ApproxSelect):
-        cols = output_schema(query.child, base_schemas)
-        for group in query.groups:
-            _schema.positions(cols, group)
-        for p in query.p_names:
-            if p in cols:
-                raise _schema.SchemaError(f"P-name {p!r} collides with schema {cols}")
-        joined: tuple[str, ...] = ()
-        for group, p in zip(query.groups, query.p_names):
-            joined, _ = _schema.natural_join_schema(joined, tuple(group) + (p,))
-        return joined
-    raise TypeError(f"unknown query node {query!r}")
+    return _schema.check_schema(tuple(name for _, name in node.items))
+
+
+def _rename_schema(base_schemas, node: Rename, cols):
+    mapping = node.as_dict()
+    missing = set(mapping) - set(cols)
+    if missing:
+        raise _schema.SchemaError(f"rename of missing attributes {sorted(missing)}")
+    return _schema.check_schema(tuple(mapping.get(c, c) for c in cols))
+
+
+def _setop_schema(base_schemas, node, lcols, rcols):
+    if set(lcols) != set(rcols):
+        raise _schema.SchemaError(f"incompatible schemas {lcols} vs {rcols}")
+    return lcols
+
+
+def _repair_key_schema(base_schemas, node: RepairKey, cols):
+    _schema.positions(cols, node.key + (node.weight,))
+    return cols
+
+
+def _conf_schema(base_schemas, node, cols):
+    if node.p_name in cols:
+        raise _schema.SchemaError(f"conf output column {node.p_name!r} already in schema {cols}")
+    return cols + (node.p_name,)
+
+
+def _approx_select_schema(base_schemas, node: ApproxSelect, cols):
+    for group in node.groups:
+        _schema.positions(cols, group)
+    for p in node.p_names:
+        if p in cols:
+            raise _schema.SchemaError(f"P-name {p!r} collides with schema {cols}")
+    return node.output_columns()
+
+
+_SCHEMA_HANDLERS = {
+    BaseRel: _base_schema,
+    Literal: lambda base_schemas, node: node.relation.columns,
+    Select: _select_schema,
+    Project: _project_schema,
+    Rename: _rename_schema,
+    Product: lambda base_schemas, node, lcols, rcols: _schema.disjoint_union(lcols, rcols),
+    Join: lambda base_schemas, node, lcols, rcols: _schema.natural_join_schema(lcols, rcols)[0],
+    Union: _setop_schema,
+    Difference: _setop_schema,
+    RepairKey: _repair_key_schema,
+    Conf: _conf_schema,
+    ApproxConf: _conf_schema,
+    Poss: lambda base_schemas, node, cols: cols,
+    Cert: lambda base_schemas, node, cols: cols,
+    ApproxSelect: _approx_select_schema,
+}

@@ -39,6 +39,7 @@ from repro.algebra.operators import (
     RepairKey,
     Select,
     Union,
+    fold,
 )
 
 __all__ = ["unparse_query", "unparse_expression", "unparse_session"]
@@ -112,67 +113,65 @@ def _scalar(value) -> str:
 
 def unparse_query(query: Query) -> str:
     """Render a query tree in the textual language."""
-    if isinstance(query, BaseRel):
-        return query.name
-    if isinstance(query, Literal):
-        columns = ", ".join(query.relation.columns)
-        rows = ", ".join(
-            "(" + ", ".join(_scalar(v) for v in row) + ")"
-            for row in query.relation.sorted_rows()
-        )
-        return f"literal[{columns}]{{{rows}}}"
-    if isinstance(query, Select):
-        return (
-            f"select[{unparse_expression(query.condition)}]"
-            f"({unparse_query(query.child)})"
-        )
-    if isinstance(query, Project):
-        items = []
-        for expr, name in query.items:
-            if isinstance(expr, Attr) and expr.name == name:
-                items.append(name)
-            else:
-                items.append(f"{unparse_expression(expr)} -> {name}")
-        return f"project[{', '.join(items)}]({unparse_query(query.child)})"
-    if isinstance(query, Rename):
-        items = ", ".join(f"{old} -> {new}" for old, new in query.mapping)
-        return f"rename[{items}]({unparse_query(query.child)})"
-    if isinstance(query, Product):
-        return f"product({unparse_query(query.left)}, {unparse_query(query.right)})"
-    if isinstance(query, Join):
-        return f"join({unparse_query(query.left)}, {unparse_query(query.right)})"
-    if isinstance(query, Union):
-        return f"union({unparse_query(query.left)}, {unparse_query(query.right)})"
-    if isinstance(query, Difference):
-        return f"diff({unparse_query(query.left)}, {unparse_query(query.right)})"
-    if isinstance(query, RepairKey):
-        key = ", ".join(query.key)
-        sep = " " if key else ""
-        return (
-            f"repair-key[{key}{sep}@ {query.weight}]"
-            f"({unparse_query(query.child)})"
-        )
-    if isinstance(query, Conf):
-        return f"conf[{query.p_name}]({unparse_query(query.child)})"
-    if isinstance(query, ApproxConf):
-        return (
-            f"aconf[{query.eps!r}, {query.delta!r}, {query.p_name}]"
-            f"({unparse_query(query.child)})"
-        )
-    if isinstance(query, Poss):
-        return f"poss({unparse_query(query.child)})"
-    if isinstance(query, Cert):
-        return f"cert({unparse_query(query.child)})"
-    if isinstance(query, ApproxSelect):
-        groups = ", ".join(
-            f"conf({', '.join(group)}) as {p_name}"
-            for group, p_name in zip(query.groups, query.p_names)
-        )
-        return (
-            f"aselect[{unparse_expression(query.predicate)} ; {groups}]"
-            f"({unparse_query(query.child)})"
-        )
-    raise TypeError(f"cannot unparse query node {query!r}")
+    return fold(query, _QUERY_HANDLERS, "unparse_query")
+
+
+def _literal_text(node: Literal) -> str:
+    columns = ", ".join(node.relation.columns)
+    rows = ", ".join(
+        "(" + ", ".join(_scalar(v) for v in row) + ")" for row in node.relation.sorted_rows()
+    )
+    return f"literal[{columns}]{{{rows}}}"
+
+
+def _project_text(node: Project, child: str) -> str:
+    items = []
+    for expr, name in node.items:
+        if isinstance(expr, Attr) and expr.name == name:
+            items.append(name)
+        else:
+            items.append(f"{unparse_expression(expr)} -> {name}")
+    return f"project[{', '.join(items)}]({child})"
+
+
+def _rename_text(node: Rename, child: str) -> str:
+    items = ", ".join(f"{old} -> {new}" for old, new in node.mapping)
+    return f"rename[{items}]({child})"
+
+
+def _repair_key_text(node: RepairKey, child: str) -> str:
+    key = ", ".join(node.key)
+    sep = " " if key else ""
+    return f"repair-key[{key}{sep}@ {node.weight}]({child})"
+
+
+def _approx_select_text(node: ApproxSelect, child: str) -> str:
+    groups = ", ".join(
+        f"conf({', '.join(group)}) as {p_name}"
+        for group, p_name in zip(node.groups, node.p_names)
+    )
+    return f"aselect[{unparse_expression(node.predicate)} ; {groups}]({child})"
+
+
+_QUERY_HANDLERS = {
+    BaseRel: lambda node: node.name,
+    Literal: _literal_text,
+    Select: lambda node, child: f"select[{unparse_expression(node.condition)}]({child})",
+    Project: _project_text,
+    Rename: _rename_text,
+    Product: lambda node, left, right: f"product({left}, {right})",
+    Join: lambda node, left, right: f"join({left}, {right})",
+    Union: lambda node, left, right: f"union({left}, {right})",
+    Difference: lambda node, left, right: f"diff({left}, {right})",
+    RepairKey: _repair_key_text,
+    Conf: lambda node, child: f"conf[{node.p_name}]({child})",
+    ApproxConf: lambda node, child: (
+        f"aconf[{node.eps!r}, {node.delta!r}, {node.p_name}]({child})"
+    ),
+    Poss: lambda node, child: f"poss({child})",
+    Cert: lambda node, child: f"cert({child})",
+    ApproxSelect: _approx_select_text,
+}
 
 
 def unparse_session(assignments: list[tuple[str, Query]]) -> str:

@@ -1,11 +1,12 @@
 """Approximate evaluation Q∼ of positive UA[σ̂] queries (Section 6).
 
-:class:`ApproxQueryEvaluator` interprets the operator AST over a
-U-relational database like `repro.urel.evaluate.UEvaluator`, but with the
-genuinely *approximate* σ̂ — every candidate tuple's selection predicate
-is decided by the Figure 3 algorithm over Karp–Luby-estimated
-confidences — and with the Lemma 6.4 error accounting of
-`repro.core.error_bounds` threaded through every operator.
+:class:`ApproxQueryEvaluator` is a
+:class:`~repro.urel.evaluate.UEvaluator` that adds what Section 6 adds:
+the genuinely *approximate* σ̂ — every candidate tuple's selection
+predicate is decided by the Figure 3 algorithm over Karp–Luby-estimated
+confidences — and, for the operators *above* a σ̂, the Lemma 6.4 error
+accounting of `repro.core.error_bounds`.  σ̂-free subtrees run the
+inherited operators unchanged.
 
 Two budget modes:
 
@@ -25,18 +26,15 @@ supported.
 from __future__ import annotations
 
 import random
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro.algebra.operators import (
     ApproxConf,
     ApproxSelect,
-    BaseRel,
     Cert,
     Conf,
     Difference,
     Join,
-    Literal,
     Poss,
     Product,
     Project,
@@ -48,7 +46,6 @@ from repro.algebra.operators import (
 )
 from repro.algebra import schema as _schema
 from repro.algebra.builder import Q
-from repro.algebra.relations import Relation
 from repro.confidence.dnf import Dnf
 from repro.core.approximator import (
     PredicateApproximator,
@@ -57,15 +54,11 @@ from repro.core.approximator import (
 )
 from repro.core.error_bounds import AnnotatedRelation, cap
 from repro.urel.conditions import TOP
-from repro.urel.translate import (
-    approx_confidence_relation,
-    exact_confidence_relation,
-    translate_repair_key,
-)
+from repro.urel.evaluate import UEvaluator
 from repro.urel.udatabase import UDatabase
 from repro.urel.urelation import URelation, URow
-from repro.util.parallel import SERIAL_EXECUTOR, shard_seed
-from repro.util.rng import ensure_rng, spawn_rng
+from repro.util.parallel import shard_seed
+from repro.util.rng import spawn_rng
 
 __all__ = ["ApproxQueryEvaluator", "DecisionRecord", "UnreliableInputError"]
 
@@ -84,8 +77,31 @@ class DecisionRecord:
     provenance_bound: float
 
 
-class ApproxQueryEvaluator:
-    """Evaluate positive UA[σ̂] approximately with per-tuple error bounds."""
+_CONF_UNRELIABLE = (
+    "free-standing conf over unreliable data is outside the paper's "
+    "simplified language (Section 6); use σ̂ instead"
+)
+_UNRELIABLE = {
+    RepairKey: (
+        "repair-key over unreliable data is outside the paper's language "
+        "(footnote 3: repair-key never above an approximate selection)"
+    ),
+    Conf: _CONF_UNRELIABLE,
+    ApproxConf: _CONF_UNRELIABLE,
+    Cert: (
+        "cert over unreliable data cannot be approximated "
+        "(certainty tests are singularities, Example 5.7)"
+    ),
+}
+
+
+class ApproxQueryEvaluator(UEvaluator):
+    """Evaluate positive UA[σ̂] approximately with per-tuple error bounds.
+
+    Results flowing up the tree are the inherited ``(representation,
+    complete)`` pairs until a σ̂ is crossed, and
+    :class:`AnnotatedRelation` objects from there on.
+    """
 
     def __init__(
         self,
@@ -103,73 +119,59 @@ class ApproxQueryEvaluator:
     ):
         if (rounds is None) == (decision_delta is None):
             raise ValueError("specify exactly one of rounds / decision_delta")
-        self.db = db.copy() if copy_db else db
+        super().__init__(
+            db,
+            conf_method=conf_method,
+            rng=rng,
+            copy_db=copy_db,
+            backend=backend,
+            executor=executor,
+        )
         self.eps0 = eps0
         self.rounds = rounds
         self.decision_delta = decision_delta
-        self.conf_method = conf_method
-        self.rng = ensure_rng(rng)
         self.epsilon_method = epsilon_method
-        self.backend = backend
-        self.executor = executor or SERIAL_EXECUTOR
         self.bounds_budget = bounds_budget
         self.decision_log: list[DecisionRecord] = []
 
     # ------------------------------------------------------------------
     def evaluate(self, query: Query | Q) -> AnnotatedRelation:
-        node = query.q if isinstance(query, Q) else query
-        return self.eval(node)
+        return self.eval(query.q if isinstance(query, Q) else query)
 
     def eval(self, query: Query) -> AnnotatedRelation:
-        if isinstance(query, BaseRel):
-            return AnnotatedRelation.reliable_from(
-                self.db.relation(query.name), self.db.is_complete(query.name)
-            )
-        if isinstance(query, Literal):
-            return AnnotatedRelation.reliable_from(
-                URelation.from_complete(query.relation), True
-            )
-        if isinstance(query, Select):
-            return self._select(query, self.eval(query.child))
-        if isinstance(query, Project):
-            return self._project(query.items, self.eval(query.child))
-        if isinstance(query, Rename):
-            return self._rename(query.as_dict(), self.eval(query.child))
-        if isinstance(query, (Product, Join)):
-            return self._binary_join(
-                query, self.eval(query.left), self.eval(query.right)
-            )
-        if isinstance(query, Union):
-            return self._union(self.eval(query.left), self.eval(query.right))
-        if isinstance(query, Difference):
-            return self._difference(self.eval(query.left), self.eval(query.right))
-        if isinstance(query, RepairKey):
-            return self._repair_key(query, self.eval(query.child))
-        if isinstance(query, (Conf, ApproxConf)):
-            return self._conf(query, self.eval(query.child))
-        if isinstance(query, Poss):
-            return self._poss(self.eval(query.child))
-        if isinstance(query, Cert):
-            return self._cert(self.eval(query.child))
-        if isinstance(query, ApproxSelect):
-            return self._approx_select(query, self.eval(query.child))
-        raise TypeError(f"unknown query node {query!r}")
+        return self._annotated(self._eval_rep(query))
 
-    # ------------------------------------------------------- plain algebra
+    def _annotated(self, result) -> AnnotatedRelation:
+        """``result`` as an :class:`AnnotatedRelation` (reliable if plain)."""
+        if isinstance(result, AnnotatedRelation):
+            return result
+        rep, complete = result
+        return AnnotatedRelation(self._materialize(rep), complete)
+
+    def _above_sigma(self, node: Query, *operands):
+        """Every operator but σ̂: annotated only once a σ̂ has been crossed."""
+        if not any(isinstance(operand, AnnotatedRelation) for operand in operands):
+            return UEvaluator.HANDLERS[type(node)](self, node, *operands)
+        return self.ANNOTATED[type(node)](self, node, *map(self._annotated, operands))
+
+    def _reliable_only(self, node: Query, child: AnnotatedRelation):
+        """repair-key / conf / aconf / cert: inherited, on reliable input only."""
+        if not child.reliable:
+            raise UnreliableInputError(_UNRELIABLE[type(node)])
+        return UEvaluator.HANDLERS[type(node)](self, node, (child.relation, child.complete))
+
+    # --------------------------------------------- annotated algebra (above σ̂)
     def _select(self, node: Select, child: AnnotatedRelation) -> AnnotatedRelation:
         cols = child.relation.columns
+        kept = [
+            entry
+            for entry in self._iter_all(child)
+            if node.condition.evaluate(dict(zip(cols, entry[0][1])))
+        ]
+        return self._regroup(cols, kept, child.complete)
 
-        def keep(row: URow) -> bool:
-            return node.condition.evaluate(dict(zip(cols, row[1])))
-
-        present = {r: child.bound_of(r) for r in child.relation.rows if keep(r)}
-        phantom = {r: child.phantom_bound_of(r) for r in child.phantom.rows if keep(r)}
-        singular = {r for r in child.singular if keep(r)}
-        return self._build(cols, present, phantom, singular, child.complete)
-
-    def _project(
-        self, items: Sequence, child: AnnotatedRelation
-    ) -> AnnotatedRelation:
+    def _project(self, node: Project, child: AnnotatedRelation) -> AnnotatedRelation:
+        items = node.items
         cols = child.relation.columns
         out_cols = tuple(name for _, name in items)
 
@@ -179,14 +181,12 @@ class ApproxQueryEvaluator:
 
         return self._regroup(
             out_cols,
-            [(transform(r), child.bound_of(r), r in child.singular, True)
-             for r in child.relation.rows]
-            + [(transform(r), child.phantom_bound_of(r), r in child.singular, False)
-               for r in child.phantom.rows],
+            [(transform(r), mu, sing, pres) for r, mu, sing, pres in self._iter_all(child)],
             child.complete,
         )
 
-    def _rename(self, mapping, child: AnnotatedRelation) -> AnnotatedRelation:
+    def _rename(self, node: Rename, child: AnnotatedRelation) -> AnnotatedRelation:
+        mapping = node.as_dict()
         relation = child.relation.rename(mapping)
         phantom = child.phantom.rename(mapping)
         return AnnotatedRelation(
@@ -216,15 +216,9 @@ class ApproxQueryEvaluator:
         rpos = _schema.positions(rcols, shared)
         rkeep = [i for i, c in enumerate(rcols) if c not in set(shared)]
 
-        def rows_of(ann: AnnotatedRelation):
-            for r in ann.relation.rows:
-                yield r, ann.bound_of(r), r in ann.singular, True
-            for r in ann.phantom.rows:
-                yield r, ann.phantom_bound_of(r), r in ann.singular, False
-
         entries = []
-        right_rows = list(rows_of(right))
-        for lrow, lmu, lsing, lpres in rows_of(left):
+        right_rows = list(self._iter_all(right))
+        for lrow, lmu, lsing, lpres in self._iter_all(left):
             lkey = tuple(lrow[1][i] for i in lpos)
             for rrow, rmu, rsing, rpres in right_rows:
                 if not is_product and tuple(rrow[1][i] for i in rpos) != lkey:
@@ -239,7 +233,7 @@ class ApproxQueryEvaluator:
         return self._regroup(out_cols, entries, left.complete and right.complete)
 
     def _union(
-        self, left: AnnotatedRelation, right: AnnotatedRelation
+        self, node: Union, left: AnnotatedRelation, right: AnnotatedRelation
     ) -> AnnotatedRelation:
         cols = left.relation.columns
         if set(right.relation.columns) != set(cols):
@@ -256,18 +250,12 @@ class ApproxQueryEvaluator:
 
         entries = []
         for ann in (left, right):
-            for r in ann.relation.rows:
-                entries.append(
-                    (align_row(r, ann), ann.bound_of(r), r in ann.singular, True)
-                )
-            for r in ann.phantom.rows:
-                entries.append(
-                    (align_row(r, ann), ann.phantom_bound_of(r), r in ann.singular, False)
-                )
+            for r, mu, sing, pres in self._iter_all(ann):
+                entries.append((align_row(r, ann), mu, sing, pres))
         return self._regroup(cols, entries, left.complete and right.complete)
 
     def _difference(
-        self, left: AnnotatedRelation, right: AnnotatedRelation
+        self, node: Difference, left: AnnotatedRelation, right: AnnotatedRelation
     ) -> AnnotatedRelation:
         if not (left.complete and right.complete):
             raise ValueError(
@@ -312,110 +300,21 @@ class ApproxQueryEvaluator:
                 singular.add(row)
         return self._build(cols, present, phantom, singular, True)
 
-    # ------------------------------------------------- uncertainty closers
-    def _repair_key(
-        self, node: RepairKey, child: AnnotatedRelation
-    ) -> AnnotatedRelation:
-        if not child.reliable:
-            raise UnreliableInputError(
-                "repair-key over unreliable data is outside the paper's language "
-                "(footnote 3: repair-key never above an approximate selection)"
-            )
-        if not child.complete:
-            from repro.worlds.repair import RepairError
-
-            raise RepairError(
-                "repair-key requires a complete relation (c(R)=1, Definition 2.1)"
-            )
-        result = translate_repair_key(
-            child.relation, node.key, node.weight, node.op_id, self.db.w
-        )
-        return AnnotatedRelation.reliable_from(result, False)
-
-    def _conf(self, node, child: AnnotatedRelation) -> AnnotatedRelation:
-        if not child.reliable:
-            raise UnreliableInputError(
-                "free-standing conf over unreliable data is outside the paper's "
-                "simplified language (Section 6); use σ̂ instead"
-            )
-        if isinstance(node, Conf):
-            out = exact_confidence_relation(
-                child.relation, self.db.w, node.p_name, self.conf_method
-            )
-            return AnnotatedRelation.reliable_from(out, True)
-        out, _estimates = approx_confidence_relation(
-            child.relation,
-            self.db.w,
-            node.eps,
-            node.delta,
-            self.rng,
-            node.p_name,
-            backend=self.backend,
-            executor=self.executor,
-        )
-        # The Karp–Luby value errors are (ε, δ)-bounded per tuple; as
-        # membership bounds the output rows are exact (poss is exact).
-        return AnnotatedRelation.reliable_from(out, True)
-
-    def _poss(self, child: AnnotatedRelation) -> AnnotatedRelation:
+    def _poss(self, node: Poss, child: AnnotatedRelation) -> AnnotatedRelation:
         cols = child.relation.columns
-        entries = (
-            [((TOP, r[1]), child.bound_of(r), r in child.singular, True)
-             for r in child.relation.rows]
-            + [((TOP, r[1]), child.phantom_bound_of(r), r in child.singular, False)
-               for r in child.phantom.rows]
-        )
+        entries = [((TOP, r[1]), mu, sing, pres) for r, mu, sing, pres in self._iter_all(child)]
         return self._regroup(cols, entries, True)
 
-    def _cert(self, child: AnnotatedRelation) -> AnnotatedRelation:
-        if not child.reliable:
-            raise UnreliableInputError(
-                "cert over unreliable data cannot be approximated "
-                "(certainty tests are singularities, Example 5.7)"
-            )
-        conf_rel = exact_confidence_relation(
-            child.relation, self.db.w, "__P", self.conf_method
-        )
-        from repro.algebra.expressions import Attr, Cmp, Const
-
-        ones = conf_rel.select(Cmp("=", Attr("__P"), Const(1)))
-        return AnnotatedRelation.reliable_from(
-            ones.project(list(child.relation.columns)), True
-        )
-
     # ------------------------------------------------------------------ σ̂
-    def _approx_select(
-        self, node: ApproxSelect, child: AnnotatedRelation
-    ) -> AnnotatedRelation:
-        urel = child.relation
-        child_cols = urel.columns
-        w = self.db.w
-
-        # Per group: project (present rows only) and build each key's DNF.
-        group_dnfs: list[dict[tuple, Dnf]] = []
-        for group in node.groups:
-            projected = urel.project(list(group))
-            dnfs = {
-                t: Dnf(projected.conditions_of(t), w)
-                for t in projected.possible_tuples().rows
-            }
-            group_dnfs.append(dnfs)
-
+    def _approx_select(self, node: ApproxSelect, child) -> AnnotatedRelation:
+        child = self._annotated(child)
         # Candidate tuples: natural join over present ∪ phantom group keys.
-        all_rows = set(urel.rows) | set(child.phantom.rows)
-        joined: Relation | None = None
-        for group, dnfs in zip(node.groups, group_dnfs):
-            gpos = _schema.positions(child_cols, group)
-            keys = {tuple(vals[i] for i in gpos) for _cond, vals in all_rows}
-            keys |= set(dnfs)
-            rel = Relation(tuple(group), frozenset(keys))
-            joined = rel if joined is None else joined.natural_join(rel)
-        assert joined is not None
+        joined, group_dnfs = self.sigma_candidates(node, child.relation, child.phantom.rows)
 
         # Provenance: child rows contributing to a candidate (any group
         # projection matches); their μ flows into the candidate's bound.
         group_positions = [
-            _schema.positions(child_cols, group) for group in node.groups
+            _schema.positions(child.relation.columns, group) for group in node.groups
         ]
 
         def provenance_bound(cand_env: dict) -> tuple[float, bool]:
@@ -430,11 +329,8 @@ class ApproxQueryEvaluator:
                         break
             return cap(total), tainted
 
-        out_cols = joined.columns + node.p_names
-        present: dict[URow, float] = {}
-        phantom: dict[URow, float] = {}
-        singular: set[URow] = set()
-        empty = Dnf((), w)
+        out_cols = node.output_columns()
+        empty = Dnf((), self.db.w)
         specs: list[tuple[tuple, dict, dict[str, Dnf]]] = []
         for cand in sorted(joined.rows, key=repr):
             cand_env = dict(zip(joined.columns, cand))
@@ -443,25 +339,15 @@ class ApproxQueryEvaluator:
                 for p_name, group, dnf_map in zip(node.p_names, node.groups, group_dnfs)
             }
             specs.append((cand, cand_env, dnfs))
-        for (cand, cand_env, _dnfs), decision in zip(
-            specs, self._decide_candidates(node, specs)
-        ):
+        entries = []
+        for (cand, cand_env, _dnfs), decision in zip(specs, self._decide_candidates(node, specs)):
             prov_mu, tainted = provenance_bound(cand_env)
-            bound = cap(decision.error_bound + prov_mu)
-            out_values = cand + tuple(
-                decision.estimates[p] for p in node.p_names
-            )
-            row: URow = (TOP, out_values)
-            self.decision_log.append(
-                DecisionRecord(cand, node.p_names, decision, prov_mu)
-            )
-            if decision.value:
-                present[row] = bound
-            else:
-                phantom[row] = bound
-            if decision.suspected_singularity or tainted:
-                singular.add(row)
-        return self._build(out_cols, present, phantom, singular, True)
+            out_env = {**cand_env, **decision.estimates}
+            row: URow = (TOP, tuple(out_env[c] for c in out_cols))
+            self.decision_log.append(DecisionRecord(cand, node.p_names, decision, prov_mu))
+            singular = decision.suspected_singularity or tainted
+            entries.append((row, cap(decision.error_bound + prov_mu), singular, decision.value))
+        return self._regroup(out_cols, entries, True)
 
     def _decide_candidates(
         self, node: ApproxSelect, specs: list[tuple[tuple, dict, dict[str, Dnf]]]
@@ -576,3 +462,21 @@ class ApproxQueryEvaluator:
             dict(phantom),
             singular,
         )
+
+    ANNOTATED = {
+        Select: _select,
+        Project: _project,
+        Rename: _rename,
+        Product: _binary_join,
+        Join: _binary_join,
+        Union: _union,
+        Difference: _difference,
+        Poss: _poss,
+        RepairKey: _reliable_only,
+        Conf: _reliable_only,
+        ApproxConf: _reliable_only,
+        Cert: _reliable_only,
+    }
+    """Section 6's versions of the operators, run only above a σ̂."""
+
+    HANDLERS = {**dict.fromkeys(UEvaluator.HANDLERS, _above_sigma), ApproxSelect: _approx_select}

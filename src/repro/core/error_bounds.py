@@ -96,10 +96,6 @@ class AnnotatedRelation:
             worst = max(worst, bound)
         return worst
 
-    @staticmethod
-    def reliable_from(urel: URelation, complete: bool) -> "AnnotatedRelation":
-        return AnnotatedRelation(urel, complete)
-
 
 def proposition_66_bound(
     k: int, d: int, n: int, eps0: float, rounds: int

@@ -33,10 +33,12 @@ from repro.algebra.operators import (
     RepairKey,
     Select,
     Union,
+    fold,
 )
 from repro.algebra.printer import unparse_expression
 from repro.confidence.dissociation import dissociation_interval
 from repro.confidence.dnf import Dnf
+from repro.engine.strategies import KarpLuby
 
 if TYPE_CHECKING:
     from repro.engine.strategies import ConfidenceStrategy
@@ -112,59 +114,6 @@ class ExplainReport:
         return f"plan (session strategy: {self.strategy})\n{self.text}"
 
 
-def _eval_rep_cached(evaluator: "UEvaluator", node: Query, cache: dict):
-    """``evaluator._eval_rep(node)``'s representation, memoized per pass.
-
-    Explain inspects actual data at every conf *and* product/join node,
-    so without a memo a left-deep chain of k joins would re-evaluate its
-    bottom relations O(k) times.  The *in-flight* representation is
-    cached (columnar on the numpy path, scalar otherwise) — the very
-    object the runtime's lift test inspects, so the cost-model
-    annotations cannot diverge from what the evaluator would actually
-    do with this node's children.  Keyed by node identity: the tree
-    root keeps every node alive for the duration of the pass.
-    """
-    rep = cache.get(id(node))
-    if rep is None:
-        rep, _complete = evaluator._eval_rep(node)
-        cache[id(node)] = rep
-    return rep
-
-
-def _eval_relation(evaluator: "UEvaluator", node: Query, cache: dict):
-    """The materialized (scalar) relation for ``node``, via the rep memo."""
-    return evaluator._materialize(_eval_rep_cached(evaluator, node, cache))
-
-
-def _conf_observations(
-    evaluator: "UEvaluator",
-    strategy: "ConfidenceStrategy",
-    child: Query,
-    cache: dict,
-    groups=None,
-) -> tuple[dict[str, int], list[Dnf]]:
-    """Evaluate ``child``; tally the backend chosen per tuple DNF + keep the DNFs.
-
-    The DNF list doubles as the workload the shard cost model inspects:
-    its length is what :meth:`~repro.util.parallel.ShardExecutor.plan_items`
-    cuts, and each member's :meth:`ConfidenceStrategy.trial_budget` is
-    what :meth:`~repro.util.parallel.ShardExecutor.plan_trials` cuts.
-    """
-    relation = _eval_relation(evaluator, child, cache)
-    counts: dict[str, int] = {}
-    dnfs: list[Dnf] = []
-    targets = [relation] if groups is None else [
-        relation.project(list(group)) for group in groups
-    ]
-    for target in targets:
-        for row in target.possible_tuples().rows:
-            dnf = Dnf.for_tuple(target, row, evaluator.db.w)
-            dnfs.append(dnf)
-            method = strategy.choose(dnf)
-            counts[method] = counts.get(method, 0) + 1
-    return counts, dnfs
-
-
 def explain_plan(
     node: Query,
     evaluator: "UEvaluator",
@@ -179,18 +128,7 @@ def explain_plan(
     when its executor has two or more workers, the operators it fans
     out over them are annotated ``·sharded[n]`` (n = configured workers).
     """
-    return ExplainReport(_build(node, evaluator, strategy, {}), strategy.name)
-
-
-def _operator_path(evaluator) -> str:
-    """Which algebra implementation the evaluator's backend runs.
-
-    Names the configured engine; at runtime individual relations outside
-    the columnar envelope (tiny, or too many condition variables) fall
-    back to the indexed scalar operators per relation.
-    """
-    backend = getattr(evaluator, "backend", "python")
-    return "columnar[numpy]" if backend == "numpy" else "scalar[indexed]"
+    return ExplainReport(_PlanPass(evaluator, strategy).build(node), strategy.name)
 
 
 BELOW_THRESHOLD = "below-threshold"
@@ -250,152 +188,199 @@ def _conf_path(executor, strategy, dnfs) -> str | None:
     return _sharded_path(executor, fans_out)
 
 
-def _algebra_path(node: Query, evaluator, cache: dict) -> str:
-    """The operator-engine annotation for a product/join node.
+def _tally(strategy: "ConfidenceStrategy", dnfs) -> dict[str, int]:
+    """How many of ``dnfs`` the strategy routes to each concrete method."""
+    counts: dict[str, int] = {}
+    for dnf in dnfs:
+        method = strategy.choose(dnf)
+        counts[method] = counts.get(method, 0) + 1
+    return counts
 
-    On the columnar path with a pooled executor, the pair merge may
-    fan out.  The fan-out test consults the *same* schedule the operator
-    runs: products (and joins without shared attributes, which fall to
-    the all-pairs path) ask ``plan_all_pairs`` over the child row
-    counts; key joins ask ``plan_pairs`` over n₁·n₂ — an upper bound on
-    the candidate pairs the key match emits, so a join annotated
-    ``below-threshold`` certainly runs serially while one annotated
-    sharded may still fall back if few keys match.  Below the
-    profitable size the node carries the ``below-threshold`` warning.
-    The scalar path never shards and stays bare.
+
+class _PlanPass:
+    """One explain pass: a handler table over :func:`fold` building ``PlanNode``s.
+
+    Explain inspects actual data at every conf *and* product/join node,
+    so the pass memoizes the evaluator's *in-flight* representation of
+    each inspected sub-query (columnar on the numpy path, scalar
+    otherwise) — the very object the runtime's lift test inspects, so
+    the cost-model annotations cannot diverge from what the evaluator
+    would actually do with that node's children.  Keyed by node
+    identity: the tree root keeps every node alive for the pass.
     """
-    path = _operator_path(evaluator)
-    executor = evaluator.executor
-    if not _has_pool(executor) or path != "columnar[numpy]":
-        return path
-    left = _eval_rep_cached(evaluator, node.left, cache)
-    right = _eval_rep_cached(evaluator, node.right, cache)
-    # Consult the evaluator's own lift test, on the same in-flight
-    # representations the runtime would hold here: operands the runtime
-    # refuses to make columnar (outside the row/variable envelope,
-    # cross-type conflation taint, merged condition layout too wide)
-    # run the scalar serial operator — annotating them "sharded" would
-    # promise a fan-out that cannot happen — while columnar-born
-    # intermediates stay columnar however small they are.
-    if evaluator._lift_pair(left, right) is None:
-        return "scalar[indexed]"
-    n1, n2 = len(left), len(right)
-    all_pairs = isinstance(node, Product) or not (
-        set(left.columns) & set(right.columns)
-    )
-    if all_pairs:
-        fans_out = len(executor.plan_all_pairs(n1, n2)) > 1
-    else:
-        fans_out = len(executor.plan_pairs(n1 * n2)) > 1
-    return f"{path}·{_sharded_path(executor, fans_out)}"
 
+    def __init__(self, evaluator: "UEvaluator", strategy: "ConfidenceStrategy"):
+        self.evaluator = evaluator
+        self.strategy = strategy
+        self.executor = evaluator.executor
+        # Names the configured engine; at runtime individual relations
+        # outside the columnar envelope (tiny, or too many condition
+        # variables) fall back to the indexed scalar operators.
+        self.path = "columnar[numpy]" if evaluator.backend == "numpy" else "scalar[indexed]"
+        self._reps: dict[int, object] = {}
 
-def _build(node: Query, evaluator, strategy, cache: dict) -> PlanNode:
-    children = tuple(
-        _build(c, evaluator, strategy, cache) for c in _children_of(node)
-    )
-    path = _operator_path(evaluator)
-    executor = evaluator.executor
+    def build(self, node: Query) -> PlanNode:
+        return fold(node, self.HANDLERS, "explain", self)
 
-    if isinstance(node, BaseRel):
+    def rep(self, node: Query):
+        """The evaluator's representation of ``node``'s result, memoized."""
+        rep = self._reps.get(id(node))
+        if rep is None:
+            rep, _complete = self.evaluator._eval_rep(node)
+            self._reps[id(node)] = rep
+        return rep
+
+    def relation(self, node: Query):
+        """The materialized (scalar) relation for ``node``, via the rep memo."""
+        return self.evaluator._materialize(self.rep(node))
+
+    def tuple_dnfs(self, node: Query) -> list[Dnf]:
+        """The DNF of every possible tuple of ``node``'s result.
+
+        The list doubles as the workload the shard cost model inspects:
+        its length is what :meth:`~repro.util.parallel.ShardExecutor.plan_items`
+        cuts, and each member's :meth:`ConfidenceStrategy.trial_budget` is
+        what :meth:`~repro.util.parallel.ShardExecutor.plan_trials` cuts.
+        """
+        relation = self.relation(node)
+        return [
+            Dnf.for_tuple(relation, row, self.evaluator.db.w)
+            for row in relation.possible_tuples().rows
+        ]
+
+    # ----------------------------------------------------------- handlers
+    def _scan(self, node: BaseRel) -> PlanNode:
         return PlanNode("scan", node.name)
-    if isinstance(node, Literal):
+
+    def _literal(self, node: Literal) -> PlanNode:
         return PlanNode("literal", f"{len(node.relation)} rows")
-    if isinstance(node, Select):
+
+    def _select(self, node: Select, child: PlanNode) -> PlanNode:
         return PlanNode(
-            "select", unparse_expression(node.condition), children=children, path=path
+            "select", unparse_expression(node.condition), children=(child,), path=self.path
         )
-    if isinstance(node, Project):
+
+    def _project(self, node: Project, child: PlanNode) -> PlanNode:
         return PlanNode(
             "project",
             ", ".join(name for _, name in node.items),
-            children=children,
-            path=path,
+            children=(child,),
+            path=self.path,
         )
-    if isinstance(node, Rename):
+
+    def _rename(self, node: Rename, child: PlanNode) -> PlanNode:
         return PlanNode(
             "rename",
             ", ".join(f"{a}->{b}" for a, b in node.mapping),
-            children=children,
-            path=path,
+            children=(child,),
+            path=self.path,
         )
-    if isinstance(node, Product):
-        return PlanNode(
-            "product",
-            children=children,
-            path=_algebra_path(node, evaluator, cache),
-        )
-    if isinstance(node, Join):
-        return PlanNode(
-            "join",
-            children=children,
-            path=_algebra_path(node, evaluator, cache),
-        )
-    if isinstance(node, Union):
-        return PlanNode("union", children=children, path=path)
-    if isinstance(node, Difference):
-        return PlanNode("difference", children=children)
-    if isinstance(node, RepairKey):
+
+    def _pair_merge(self, node: "Product | Join", left: PlanNode, right: PlanNode) -> PlanNode:
+        """A product/join node, with its operator-engine annotation.
+
+        On the columnar path with a pooled executor, the pair merge may
+        fan out.  The fan-out test consults the *same* schedule the operator
+        runs: products (and joins without shared attributes, which fall to
+        the all-pairs path) ask ``plan_all_pairs`` over the child row
+        counts; key joins ask ``plan_pairs`` over n₁·n₂ — an upper bound on
+        the candidate pairs the key match emits, so a join annotated
+        ``below-threshold`` certainly runs serially while one annotated
+        sharded may still fall back if few keys match.  Below the
+        profitable size the node carries the ``below-threshold`` warning.
+        The scalar path never shards and stays bare.
+        """
+        is_product = isinstance(node, Product)
+        operator = "product" if is_product else "join"
+        executor = self.executor
+        if not _has_pool(executor) or self.path != "columnar[numpy]":
+            return PlanNode(operator, children=(left, right), path=self.path)
+        left_rep, right_rep = self.rep(node.left), self.rep(node.right)
+        # Consult the evaluator's own lift test, on the same in-flight
+        # representations the runtime would hold here: operands the runtime
+        # refuses to make columnar (outside the row/variable envelope,
+        # cross-type conflation taint, merged condition layout too wide)
+        # run the scalar serial operator — annotating them "sharded" would
+        # promise a fan-out that cannot happen — while columnar-born
+        # intermediates stay columnar however small they are.
+        if self.evaluator._lift_pair(left_rep, right_rep) is None:
+            return PlanNode(operator, children=(left, right), path="scalar[indexed]")
+        n1, n2 = len(left_rep), len(right_rep)
+        if is_product or not (set(left_rep.columns) & set(right_rep.columns)):
+            fans_out = len(executor.plan_all_pairs(n1, n2)) > 1
+        else:
+            fans_out = len(executor.plan_pairs(n1 * n2)) > 1
+        path = f"{self.path}·{_sharded_path(executor, fans_out)}"
+        return PlanNode(operator, children=(left, right), path=path)
+
+    def _union(self, node: Union, left: PlanNode, right: PlanNode) -> PlanNode:
+        return PlanNode("union", children=(left, right), path=self.path)
+
+    def _difference(self, node: Difference, left: PlanNode, right: PlanNode) -> PlanNode:
+        return PlanNode("difference", children=(left, right))
+
+    def _repair_key(self, node: RepairKey, child: PlanNode) -> PlanNode:
         key = ", ".join(node.key) or "∅"
-        return PlanNode("repair-key", f"{key} @ {node.weight}", children=children)
-    if isinstance(node, Poss):
-        return PlanNode("poss", children=children)
-    if isinstance(node, Conf):
-        counts, dnfs = _conf_observations(evaluator, strategy, node.child, cache)
+        return PlanNode("repair-key", f"{key} @ {node.weight}", children=(child,))
+
+    def _poss(self, node: Poss, child: PlanNode) -> PlanNode:
+        return PlanNode("poss", children=(child,))
+
+    def _conf(self, node: Conf, child: PlanNode) -> PlanNode:
+        dnfs = self.tuple_dnfs(node.child)
         return PlanNode(
             "conf",
             node.p_name,
-            strategy=strategy.name,
-            methods=counts,
-            children=children,
-            path=_conf_path(executor, strategy, dnfs),
+            strategy=self.strategy.name,
+            methods=_tally(self.strategy, dnfs),
+            children=(child,),
+            path=_conf_path(self.executor, self.strategy, dnfs),
         )
-    if isinstance(node, Cert):
-        counts, _dnfs = _conf_observations(evaluator, strategy, node.child, cache)
+
+    def _cert(self, node: Cert, child: PlanNode) -> PlanNode:
         return PlanNode(
-            "cert", strategy=strategy.name, methods=counts, children=children
+            "cert",
+            strategy=self.strategy.name,
+            methods=_tally(self.strategy, self.tuple_dnfs(node.child)),
+            children=(child,),
         )
-    if isinstance(node, ApproxConf):
-        counts, dnfs = _conf_observations(evaluator, strategy, node.child, cache)
-        n_tuples = sum(counts.values())
+
+    def _approx_conf(self, node: ApproxConf, child: PlanNode) -> PlanNode:
+        dnfs = self.tuple_dnfs(node.child)
         # aconf always runs Karp–Luby at the node's own (ε, δ); the cost
         # model must rate its budgets, not the session strategy's.
-        from repro.engine.strategies import KarpLuby
-
         node_sampler = KarpLuby(node.eps, node.delta)
         return PlanNode(
             "aconf",
             f"ε={node.eps}, δ={node.delta}",
             strategy="karp-luby",
-            methods={"karp-luby": n_tuples},
-            children=children,
-            path=_conf_path(executor, node_sampler, dnfs),
+            methods={"karp-luby": len(dnfs)},
+            children=(child,),
+            path=_conf_path(self.executor, node_sampler, dnfs),
         )
-    if isinstance(node, ApproxSelect):
-        counts, dnfs = _conf_observations(
-            evaluator, strategy, node.child, cache, groups=node.groups
-        )
+
+    def _approx_select(self, node: ApproxSelect, child: PlanNode) -> PlanNode:
         # σ̂ fans out over its *candidate tuples* (one Figure 3 decision
         # each), which the runtime builds as the natural join of the
         # group key sets — a count that can far exceed the sum of the
-        # per-group tuple counts for multi-group predicates.  Build the
-        # same join over the observed (present) keys; phantom-derived
-        # keys from approximate subtrees can only add candidates, so a
-        # node annotated as fanning out certainly does.  A narrow
-        # selection still fans out when some group DNF's Monte-Carlo
-        # budget alone fills worker blocks — the sequential candidate
-        # loop shards each value's trial allocation (the session
-        # strategy's budget stands in for the runtime's l·|F| rounds).
+        # per-group tuple counts for multi-group predicates.  Ask the
+        # evaluator for the same join over the observed (present) keys;
+        # phantom-derived keys from approximate subtrees can only add
+        # candidates, so a node annotated as fanning out certainly does.
+        # A narrow selection still fans out when some group DNF's
+        # Monte-Carlo budget alone fills worker blocks — the sequential
+        # candidate loop shards each value's trial allocation (the
+        # session strategy's budget stands in for the runtime's l·|F|
+        # rounds).
+        executor, strategy = self.executor, self.strategy
+        candidates, group_dnfs = self.evaluator.sigma_candidates(
+            node, self.relation(node.child)
+        )
+        dnfs = [dnf for by_key in group_dnfs for dnf in by_key.values()]
         path = None
         if _has_pool(executor):
-            relation = _eval_relation(evaluator, node.child, cache)
-            joined = None
-            for group in node.groups:
-                keys = relation.project(list(group)).possible_tuples()
-                joined = keys if joined is None else joined.natural_join(keys)
-            fans_out = len(executor.plan_items(len(joined.rows))) > 1 or any(
-                len(executor.plan_trials(strategy.trial_budget(dnf))) > 1
-                for dnf in dnfs
+            fans_out = len(executor.plan_items(len(candidates.rows))) > 1 or any(
+                len(executor.plan_trials(strategy.trial_budget(dnf))) > 1 for dnf in dnfs
             )
             path = _sharded_path(executor, fans_out)
         # Group DNFs the driver's bound pruning certifies outright: not
@@ -414,11 +399,28 @@ def _build(node: Query, evaluator, strategy, cache: dict) -> PlanNode:
             "approx-select",
             unparse_expression(node.predicate),
             strategy=strategy.name,
-            methods=counts,
-            children=children,
+            methods=_tally(strategy, dnfs),
+            children=(child,),
             path=path,
         )
-    raise TypeError(f"cannot explain query node {node!r}")
+
+    HANDLERS = {
+        BaseRel: _scan,
+        Literal: _literal,
+        Select: _select,
+        Project: _project,
+        Rename: _rename,
+        Product: _pair_merge,
+        Join: _pair_merge,
+        Union: _union,
+        Difference: _difference,
+        RepairKey: _repair_key,
+        Conf: _conf,
+        ApproxConf: _approx_conf,
+        Poss: _poss,
+        Cert: _cert,
+        ApproxSelect: _approx_select,
+    }
 
 
 def topk_plan(
@@ -437,17 +439,9 @@ def topk_plan(
     drawing a single trial — plus the usual ``sharded[w]`` marker when
     the session fans rounds out.
     """
-    cache: dict = {}
-    child = _build(node, evaluator, strategy, cache)
-    relation = _eval_relation(evaluator, node, cache)
-    dnfs = [
-        Dnf.for_tuple(relation, row, evaluator.db.w)
-        for row in relation.possible_tuples().rows
-    ]
-    counts: dict[str, int] = {}
-    for dnf in dnfs:
-        method = strategy.choose(dnf)
-        counts[method] = counts.get(method, 0) + 1
+    plan_pass = _PlanPass(evaluator, strategy)
+    child = plan_pass.build(node)
+    dnfs = plan_pass.tuple_dnfs(node)
     pruned = sum(
         1
         for dnf in dnfs
@@ -463,14 +457,8 @@ def topk_plan(
     root = PlanNode(
         "topk",
         strategy=strategy.name,
-        methods=counts,
+        methods=_tally(strategy, dnfs),
         children=(child,),
         path=path,
     )
     return ExplainReport(root, strategy.name)
-
-
-def _children_of(node: Query) -> tuple[Query, ...]:
-    from repro.algebra.operators import children
-
-    return children(node)

@@ -30,8 +30,12 @@ from dataclasses import dataclass
 from repro.algebra import schema as _schema
 from repro.algebra.builder import Q
 from repro.algebra.operators import (
+    ApproxConf,
     ApproxSelect,
     BaseRel,
+    Cert,
+    Conf,
+    Difference,
     Join,
     Literal,
     Poss,
@@ -39,8 +43,10 @@ from repro.algebra.operators import (
     Project,
     Query,
     Rename,
+    RepairKey,
     Select,
     Union,
+    fold,
 )
 from repro.algebra.relations import Relation
 
@@ -70,122 +76,134 @@ def evaluate_with_provenance(
 ) -> ProvenanceResult:
     """Evaluate positive RA (+ structural σ̂/poss) with tuple lineage."""
     node = query.q if isinstance(query, Q) else query
-    return _eval(node, dict(relations))
+    return fold(node, _HANDLERS, "evaluate_with_provenance", dict(relations))
 
 
-def _eval(node: Query, db: dict[str, Relation]) -> ProvenanceResult:
-    if isinstance(node, BaseRel):
-        rel = db[node.name]
-        lineage = {row: frozenset({(node.name, row)}) for row in rel.rows}
-        return ProvenanceResult(rel, lineage)
+def _base(db, node: BaseRel) -> ProvenanceResult:
+    rel = db[node.name]
+    lineage = {row: frozenset({(node.name, row)}) for row in rel.rows}
+    return ProvenanceResult(rel, lineage)
 
-    if isinstance(node, Literal):
-        return ProvenanceResult(
-            node.relation, {row: frozenset() for row in node.relation.rows}
+
+def _literal(db, node: Literal) -> ProvenanceResult:
+    return ProvenanceResult(node.relation, {row: frozenset() for row in node.relation.rows})
+
+
+def _select(db, node: Select, child: ProvenanceResult) -> ProvenanceResult:
+    rel = child.relation.select(node.condition)
+    lineage = {row: child.lineage[row] for row in rel.rows}
+    return ProvenanceResult(rel, lineage)
+
+
+def _project(db, node: Project, child: ProvenanceResult) -> ProvenanceResult:
+    cols = child.relation.columns
+    items = list(node.items)
+    rel = child.relation.project(items)
+    lineage: dict[tuple, set[SourceTuple]] = {row: set() for row in rel.rows}
+    for row in child.relation.rows:
+        env = dict(zip(cols, row))
+        out = tuple(expr.evaluate(env) for expr, _ in items)
+        lineage[out] |= child.lineage[row]
+    return ProvenanceResult(rel, {k: frozenset(v) for k, v in lineage.items()})
+
+
+def _rename(db, node: Rename, child: ProvenanceResult) -> ProvenanceResult:
+    return ProvenanceResult(child.relation.rename(node.as_dict()), child.lineage)
+
+
+def _product_or_join(
+    db, node, left: ProvenanceResult, right: ProvenanceResult
+) -> ProvenanceResult:
+    if isinstance(node, Product):
+        out_cols = _schema.disjoint_union(left.relation.columns, right.relation.columns)
+        shared: tuple[str, ...] = ()
+    else:
+        out_cols, shared = _schema.natural_join_schema(
+            left.relation.columns, right.relation.columns
         )
-
-    if isinstance(node, Select):
-        child = _eval(node.child, db)
-        rel = child.relation.select(node.condition)
-        lineage = {row: child.lineage[row] for row in rel.rows}
-        return ProvenanceResult(rel, lineage)
-
-    if isinstance(node, Project):
-        child = _eval(node.child, db)
-        cols = child.relation.columns
-        items = list(node.items)
-        rel = child.relation.project(items)
-        lineage: dict[tuple, set[SourceTuple]] = {row: set() for row in rel.rows}
-        for row in child.relation.rows:
-            env = dict(zip(cols, row))
-            out = tuple(expr.evaluate(env) for expr, _ in items)
-            lineage[out] |= child.lineage[row]
-        return ProvenanceResult(rel, {k: frozenset(v) for k, v in lineage.items()})
-
-    if isinstance(node, Rename):
-        child = _eval(node.child, db)
-        return ProvenanceResult(child.relation.rename(node.as_dict()), child.lineage)
-
-    if isinstance(node, (Product, Join)):
-        left = _eval(node.left, db)
-        right = _eval(node.right, db)
-        if isinstance(node, Product):
-            out_cols = _schema.disjoint_union(
-                left.relation.columns, right.relation.columns
-            )
-            shared: tuple[str, ...] = ()
-        else:
-            out_cols, shared = _schema.natural_join_schema(
-                left.relation.columns, right.relation.columns
-            )
-        lpos = _schema.positions(left.relation.columns, shared)
-        rpos = _schema.positions(right.relation.columns, shared)
-        rkeep = [
-            i for i, c in enumerate(right.relation.columns) if c not in set(shared)
-        ]
-        rows = set()
-        lineage: dict[tuple, set[SourceTuple]] = {}
-        for lrow in left.relation.rows:
-            lkey = tuple(lrow[i] for i in lpos)
-            for rrow in right.relation.rows:
-                if tuple(rrow[i] for i in rpos) != lkey:
-                    continue
-                out = lrow + tuple(rrow[i] for i in rkeep)
-                rows.add(out)
-                lineage.setdefault(out, set()).update(left.lineage[lrow])
-                lineage[out].update(right.lineage[rrow])
-        return ProvenanceResult(
-            Relation(out_cols, frozenset(rows)),
-            {k: frozenset(v) for k, v in lineage.items()},
-        )
-
-    if isinstance(node, Union):
-        left = _eval(node.left, db)
-        right = _eval(node.right, db)
-        rel = left.relation.union(right.relation)
-        pos = (
-            None
-            if right.relation.columns == left.relation.columns
-            else _schema.positions(right.relation.columns, left.relation.columns)
-        )
-        lineage: dict[tuple, set[SourceTuple]] = {row: set() for row in rel.rows}
-        for row in left.relation.rows:
-            lineage[row] |= left.lineage[row]
-        for row in right.relation.rows:
-            aligned = row if pos is None else tuple(row[i] for i in pos)
-            lineage[aligned] |= right.lineage[row]
-        return ProvenanceResult(rel, {k: frozenset(v) for k, v in lineage.items()})
-
-    if isinstance(node, Poss):
-        # On complete relations poss is the identity (structurally a π).
-        return _eval(node.child, db)
-
-    if isinstance(node, ApproxSelect):
-        # (t, σ̂_φ(Q)) ≺ (t, Q): a candidate depends on every child tuple
-        # sharing one of its conf-group projections (those determine the
-        # confidences the predicate is evaluated on).
-        child = _eval(node.child, db)
-        child_cols = child.relation.columns
-        joined: Relation | None = None
-        for group in node.groups:
-            rel = child.relation.project(list(group))
-            joined = rel if joined is None else joined.natural_join(rel)
-        assert joined is not None
-        lineage: dict[tuple, set[SourceTuple]] = {}
-        positions = [_schema.positions(child_cols, g) for g in node.groups]
-        for cand in joined.rows:
-            env = dict(zip(joined.columns, cand))
-            sources: set[SourceTuple] = set()
-            for row in child.relation.rows:
-                for group, gpos in zip(node.groups, positions):
-                    if all(row[i] == env[a] for i, a in zip(gpos, group)):
-                        sources |= child.lineage[row]
-                        break
-            lineage[cand] = sources
-        return ProvenanceResult(
-            joined, {k: frozenset(v) for k, v in lineage.items()}
-        )
-
-    raise TypeError(
-        f"provenance is defined for positive UA[σ̂] operators only, got {node!r}"
+    lpos = _schema.positions(left.relation.columns, shared)
+    rpos = _schema.positions(right.relation.columns, shared)
+    rkeep = [i for i, c in enumerate(right.relation.columns) if c not in set(shared)]
+    rows = set()
+    lineage: dict[tuple, set[SourceTuple]] = {}
+    for lrow in left.relation.rows:
+        lkey = tuple(lrow[i] for i in lpos)
+        for rrow in right.relation.rows:
+            if tuple(rrow[i] for i in rpos) != lkey:
+                continue
+            out = lrow + tuple(rrow[i] for i in rkeep)
+            rows.add(out)
+            lineage.setdefault(out, set()).update(left.lineage[lrow])
+            lineage[out].update(right.lineage[rrow])
+    return ProvenanceResult(
+        Relation(out_cols, frozenset(rows)),
+        {k: frozenset(v) for k, v in lineage.items()},
     )
+
+
+def _union(db, node: Union, left: ProvenanceResult, right: ProvenanceResult) -> ProvenanceResult:
+    rel = left.relation.union(right.relation)
+    pos = (
+        None
+        if right.relation.columns == left.relation.columns
+        else _schema.positions(right.relation.columns, left.relation.columns)
+    )
+    lineage: dict[tuple, set[SourceTuple]] = {row: set() for row in rel.rows}
+    for row in left.relation.rows:
+        lineage[row] |= left.lineage[row]
+    for row in right.relation.rows:
+        aligned = row if pos is None else tuple(row[i] for i in pos)
+        lineage[aligned] |= right.lineage[row]
+    return ProvenanceResult(rel, {k: frozenset(v) for k, v in lineage.items()})
+
+
+def _poss(db, node: Poss, child: ProvenanceResult) -> ProvenanceResult:
+    # On complete relations poss is the identity (structurally a π).
+    return child
+
+
+def _approx_select(db, node: ApproxSelect, child: ProvenanceResult) -> ProvenanceResult:
+    # (t, σ̂_φ(Q)) ≺ (t, Q): a candidate depends on every child tuple
+    # sharing one of its conf-group projections (those determine the
+    # confidences the predicate is evaluated on).
+    child_cols = child.relation.columns
+    joined: Relation | None = None
+    for group in node.groups:
+        rel = child.relation.project(list(group))
+        joined = rel if joined is None else joined.natural_join(rel)
+    assert joined is not None
+    lineage: dict[tuple, set[SourceTuple]] = {}
+    positions = [_schema.positions(child_cols, g) for g in node.groups]
+    for cand in joined.rows:
+        env = dict(zip(joined.columns, cand))
+        sources: set[SourceTuple] = set()
+        for row in child.relation.rows:
+            for group, gpos in zip(node.groups, positions):
+                if all(row[i] == env[a] for i, a in zip(gpos, group)):
+                    sources |= child.lineage[row]
+                    break
+        lineage[cand] = sources
+    return ProvenanceResult(joined, {k: frozenset(v) for k, v in lineage.items()})
+
+
+def _not_positive(db, node, *children) -> ProvenanceResult:
+    raise TypeError(f"provenance is defined for positive UA[σ̂] operators only, got {node!r}")
+
+
+_HANDLERS = {
+    BaseRel: _base,
+    Literal: _literal,
+    Select: _select,
+    Project: _project,
+    Rename: _rename,
+    Product: _product_or_join,
+    Join: _product_or_join,
+    Union: _union,
+    Difference: _not_positive,
+    RepairKey: _not_positive,
+    Conf: _not_positive,
+    ApproxConf: _not_positive,
+    Poss: _poss,
+    Cert: _not_positive,
+    ApproxSelect: _approx_select,
+}

@@ -11,8 +11,9 @@ engine, but on the succinct representation:
   Theorem 3.4;
 * ``conf_{ε,δ}`` invokes the Karp–Luby FPRAS (Corollary 4.3);
 * ``σ̂`` is evaluated here with *exact* confidences; the genuinely
-  approximate σ̂ with per-tuple error accounting is layered on top in
-  `repro.core.approx_select` by overriding :meth:`UEvaluator.approx_select`.
+  approximate σ̂ with per-tuple error accounting is
+  `repro.core.approx_select.ApproxQueryEvaluator`, a subclass that
+  replaces the σ̂ handler and the operators above a σ̂.
 
 ``backend`` selects the operator engine for the purely-relational
 subtrees, through the same ``resolve_backend("auto"|"numpy"|"python")``
@@ -37,6 +38,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 from typing import Union as _Union
 
 from repro.algebra.operators import (
@@ -56,8 +58,11 @@ from repro.algebra.operators import (
     RepairKey,
     Select,
     Union,
+    fold,
 )
+from repro.algebra import schema as _schema
 from repro.algebra.expressions import Attr, Cmp, Const
+from repro.algebra.relations import Relation
 from repro.urel.columnar import ColumnarContext, ColumnarURelation
 from repro.util.backends import resolve_backend
 from repro.urel.translate import (
@@ -69,6 +74,10 @@ from repro.urel.udatabase import UDatabase
 from repro.urel.urelation import URelation
 from repro.util.parallel import SERIAL_EXECUTOR
 from repro.util.rng import ensure_rng
+from repro.worlds.repair import RepairError
+
+if TYPE_CHECKING:  # imported lazily at runtime to avoid a package cycle
+    from repro.confidence.dnf import Dnf
 
 __all__ = ["UEvaluator", "UResult"]
 
@@ -85,7 +94,11 @@ class UResult:
 
 
 class UEvaluator:
-    """Recursive evaluator for UA queries on a U-relational database.
+    """Evaluator for UA queries on a U-relational database.
+
+    A handler table over :func:`repro.algebra.operators.fold`: one
+    method per operator, receiving the node and its operands'
+    ``(representation, complete)`` results.
 
     ``conf_method`` selects the exact solver ("decomposition" or
     "enumeration"); ``rng`` seeds all approximate operators; ``backend``
@@ -210,114 +223,134 @@ class UEvaluator:
         union = set(left.cond_vars) | set(right.cond_vars)
         return len(union) <= self._ctx.max_vars
 
-    # -- recursive evaluation ------------------------------------------
+    # -- evaluation ----------------------------------------------------
     def _eval_rep(self, query: Query) -> tuple[_Rep, bool]:
-        if isinstance(query, BaseRel):
-            return self.db.relation(query.name), self.db.is_complete(query.name)
+        return fold(query, self.HANDLERS, type(self).__name__, self)
 
-        if isinstance(query, Literal):
-            return URelation.from_complete(query.relation), True
+    def _base(self, node: BaseRel):
+        return self.db.relation(node.name), self.db.is_complete(node.name)
 
-        if isinstance(query, Select):
-            child, complete = self._eval_rep(query.child)
-            return self._lift(child).select(query.condition), complete
+    def _literal(self, node: Literal):
+        return URelation.from_complete(node.relation), True
 
-        if isinstance(query, Project):
-            child, complete = self._eval_rep(query.child)
-            return self._lift(child).project(list(query.items)), complete
+    def _select(self, node: Select, child):
+        rep, complete = child
+        return self._lift(rep).select(node.condition), complete
 
-        if isinstance(query, Rename):
-            child, complete = self._eval_rep(query.child)
-            return self._lift(child).rename(query.as_dict()), complete
+    def _project(self, node: Project, child):
+        rep, complete = child
+        return self._lift(rep).project(list(node.items)), complete
 
-        if isinstance(query, Product):
-            left, lc = self._eval_rep(query.left)
-            right, rc = self._eval_rep(query.right)
-            pair = self._lift_pair(left, right)
-            if pair is not None:
-                return pair[0].product(pair[1], executor=self.executor), lc and rc
-            left, right = self._materialize(left), self._materialize(right)
-            return left.product(right, pool=self._pool), lc and rc
+    def _rename(self, node: Rename, child):
+        rep, complete = child
+        return self._lift(rep).rename(node.as_dict()), complete
 
-        if isinstance(query, Join):
-            left, lc = self._eval_rep(query.left)
-            right, rc = self._eval_rep(query.right)
-            pair = self._lift_pair(left, right)
-            if pair is not None:
-                return pair[0].natural_join(pair[1], executor=self.executor), lc and rc
-            left, right = self._materialize(left), self._materialize(right)
-            return left.natural_join(right, pool=self._pool), lc and rc
+    def _operands(self, left, right):
+        """``(columnar?, left, right, complete)`` for a binary operator."""
+        (lrep, lc), (rrep, rc) = left, right
+        pair = self._lift_pair(lrep, rrep)
+        if pair is not None:
+            return True, pair[0], pair[1], lc and rc
+        return False, self._materialize(lrep), self._materialize(rrep), lc and rc
 
-        if isinstance(query, Union):
-            left, lc = self._eval_rep(query.left)
-            right, rc = self._eval_rep(query.right)
-            pair = self._lift_pair(left, right)
-            if pair is not None:
-                return pair[0].union(pair[1]), lc and rc
-            left, right = self._materialize(left), self._materialize(right)
-            return left.union(right), lc and rc
+    def _product(self, node: Product, left, right):
+        columnar, left, right, complete = self._operands(left, right)
+        if columnar:
+            return left.product(right, executor=self.executor), complete
+        return left.product(right, pool=self._pool), complete
 
-        if isinstance(query, Difference):
-            left, lc = self.eval(query.left)
-            right, rc = self.eval(query.right)
-            if not (lc and rc):
-                raise ValueError(
-                    "general difference is not in positive UA; only −_c on "
-                    "complete relations is supported by the U-relational engine"
-                )
-            return left.difference_complete(right), True
+    def _join(self, node: Join, left, right):
+        columnar, left, right, complete = self._operands(left, right)
+        if columnar:
+            return left.natural_join(right, executor=self.executor), complete
+        return left.natural_join(right, pool=self._pool), complete
 
-        if isinstance(query, RepairKey):
-            child, complete = self.eval(query.child)
-            if not complete:
-                from repro.worlds.repair import RepairError
+    def _union(self, node: Union, left, right):
+        _columnar, left, right, complete = self._operands(left, right)
+        return left.union(right), complete
 
-                raise RepairError(
-                    "repair-key requires a complete relation (c(R)=1, Definition 2.1)"
-                )
-            result = translate_repair_key(
-                child, query.key, query.weight, query.op_id, self.db.w
+    def _difference(self, node: Difference, left, right):
+        if not (left[1] and right[1]):
+            raise ValueError(
+                "general difference is not in positive UA; only −_c on "
+                "complete relations is supported by the U-relational engine"
             )
-            return result, False
+        return self._materialize(left[0]).difference_complete(self._materialize(right[0])), True
 
-        if isinstance(query, Conf):
-            child, _complete = self.eval(query.child)
-            return self.eval_conf(child, query.p_name), True
+    def _repair_key(self, node: RepairKey, child):
+        rep, complete = child
+        if not complete:
+            raise RepairError("repair-key requires a complete relation (c(R)=1, Definition 2.1)")
+        result = translate_repair_key(
+            self._materialize(rep), node.key, node.weight, node.op_id, self.db.w
+        )
+        return result, False
 
-        if isinstance(query, ApproxConf):
-            child, _complete = self.eval(query.child)
-            relation, estimates = approx_confidence_relation(
-                child,
-                self.db.w,
-                query.eps,
-                query.delta,
-                self.rng,
-                query.p_name,
-                backend=self.backend,
-                executor=self.executor,
-            )
-            self.conf_log.append(estimates)
-            return relation, True
+    def _conf(self, node: Conf, child):
+        return self.eval_conf(self._materialize(child[0]), node.p_name), True
 
-        if isinstance(query, Poss):
-            child, _complete = self.eval(query.child)
-            return URelation.from_complete(child.possible_tuples()), True
+    def _approx_conf(self, node: ApproxConf, child):
+        relation, estimates = approx_confidence_relation(
+            self._materialize(child[0]),
+            self.db.w,
+            node.eps,
+            node.delta,
+            self.rng,
+            node.p_name,
+            backend=self.backend,
+            executor=self.executor,
+        )
+        self.conf_log.append(estimates)
+        return relation, True
 
-        if isinstance(query, Cert):
-            # cert(R) = π_sch(R)(σ_{P=1}(conf(R))).  Certainty tests are
-            # singularities (Example 5.7), so cert always uses exact conf.
-            child, _complete = self.eval(query.child)
-            conf_rel = exact_confidence_relation(
-                child, self.db.w, "__P", self.conf_method
-            )
-            ones = conf_rel.select(Cmp("=", Attr("__P"), Const(1)))
-            return ones.project(list(child.columns)), True
+    def _poss(self, node: Poss, child):
+        return URelation.from_complete(self._materialize(child[0]).possible_tuples()), True
 
-        if isinstance(query, ApproxSelect):
-            child, complete = self.eval(query.child)
-            return self.approx_select(query, child, complete)
+    def _cert(self, node: Cert, child):
+        # cert(R) = π_sch(R)(σ_{P=1}(conf(R))).  Certainty tests are
+        # singularities (Example 5.7), so cert always uses exact conf.
+        relation = self._materialize(child[0])
+        conf_rel = exact_confidence_relation(relation, self.db.w, "__P", self.conf_method)
+        ones = conf_rel.select(Cmp("=", Attr("__P"), Const(1)))
+        return ones.project(list(relation.columns)), True
 
-        raise TypeError(f"unknown query node {query!r}")
+    def _approx_select(self, node: ApproxSelect, child):
+        """σ̂ with exact confidences (the ideal query Q of Section 6)."""
+        from repro.confidence.exact import exact_probability  # package cycle
+
+        candidates, group_dnfs = self.sigma_candidates(node, self._materialize(child[0]))
+        confidences = [
+            {key: exact_probability(dnf, self.conf_method) for key, dnf in dnfs.items()}
+            for dnfs in group_dnfs
+        ]
+        columns = node.output_columns()
+        rows = set()
+        for candidate in candidates.rows:
+            env = dict(zip(candidates.columns, candidate))
+            for p_name, group, confs in zip(node.p_names, node.groups, confidences):
+                env[p_name] = confs[tuple(env[a] for a in group)]
+            rows.add(tuple(env[c] for c in columns))
+        joined = URelation.from_complete(Relation(columns, frozenset(rows)))
+        return joined.select(node.predicate), True
+
+    HANDLERS = {
+        BaseRel: _base,
+        Literal: _literal,
+        Select: _select,
+        Project: _project,
+        Rename: _rename,
+        Product: _product,
+        Join: _join,
+        Union: _union,
+        Difference: _difference,
+        RepairKey: _repair_key,
+        Conf: _conf,
+        ApproxConf: _approx_conf,
+        Poss: _poss,
+        Cert: _cert,
+        ApproxSelect: _approx_select,
+    }
+    """Operator → handler; subclasses replace entries, never the traversal."""
 
     # ------------------------------------------------------------------
     def eval_conf(self, child: URelation, p_name: str) -> URelation:
@@ -329,25 +362,33 @@ class UEvaluator:
         """
         return exact_confidence_relation(child, self.db.w, p_name, self.conf_method)
 
-    def approx_select(
-        self, query: ApproxSelect, child: URelation, child_complete: bool
-    ) -> tuple[URelation, bool]:
-        """σ̂ with exact confidences (the ideal query Q of Section 6).
+    def sigma_candidates(
+        self, node: ApproxSelect, child: URelation, phantom_rows=()
+    ) -> tuple[Relation, list[dict[tuple, Dnf]]]:
+        """σ̂'s candidate tuples: the natural join over the group key sets.
 
-        `repro.core` overrides this hook with the genuinely approximate
-        version Q∼ that uses the Figure 3 algorithm per candidate tuple.
+        Returns the candidates (a complete relation over the grouped
+        attributes, Ā₁ ∪ … ∪ Ā_k in join order) and, per group, the DNF
+        of every key of π_{Āᵢ}(``child``).  ``phantom_rows`` — rows that
+        may be wrongly absent from ``child`` — contribute keys but no
+        DNF.  Every σ̂ consumer (this evaluator, the approximate
+        evaluator, ``explain``) builds its candidates here.
         """
-        joined = self.conf_join(query, child)
-        return joined.select(query.predicate), True
+        from repro.confidence.dnf import Dnf  # package cycle
 
-    def conf_join(self, query: ApproxSelect, child: URelation) -> URelation:
-        """ρ_{P→P₁}(conf(π_{Ā₁}(R))) ⋈ … ⋈ ρ_{P→P_k}(conf(π_{Ā_k}(R)))."""
-        joined: URelation | None = None
-        for group, p_name in zip(query.groups, query.p_names):
+        candidates: Relation | None = None
+        group_dnfs = []
+        for group in node.groups:
             projected = child.project(list(group))
-            conf_rel = exact_confidence_relation(
-                projected, self.db.w, p_name, self.conf_method
-            )
-            joined = conf_rel if joined is None else joined.natural_join(conf_rel)
-        assert joined is not None  # guaranteed: ApproxSelect validates k >= 1
-        return joined
+            dnfs = {
+                key: Dnf.for_tuple(projected, key, self.db.w)
+                for key in projected.possible_tuples().rows
+            }
+            positions = _schema.positions(child.columns, group)
+            keys = set(dnfs)
+            keys.update(tuple(values[i] for i in positions) for _cond, values in phantom_rows)
+            relation = Relation(tuple(group), frozenset(keys))
+            candidates = relation if candidates is None else candidates.natural_join(relation)
+            group_dnfs.append(dnfs)
+        assert candidates is not None  # guaranteed: ApproxSelect validates k >= 1
+        return candidates, group_dnfs

@@ -41,6 +41,7 @@ from repro.algebra.operators import (
     RepairKey,
     Select,
     Union,
+    fold,
 )
 from repro.algebra.relations import Relation
 from repro.worlds.database import PossibleWorldsDB, Prob, World
@@ -64,8 +65,7 @@ def evaluate_worlds(
     probability (worlds are not merged; indistinguishable results may
     repeat, matching the paper's definition of a probabilistic database).
     """
-    engine = _Engine(max_worlds)
-    out_db, name = engine.eval(query, db)
+    out_db, name = _Engine(db, max_worlds).eval(query)
     return [(w.relation(name), w.probability) for w in out_db.worlds]
 
 
@@ -81,8 +81,7 @@ def evaluate(
     database contains all original relations plus the result, with the
     world set expanded by any repair-key operations inside the query.
     """
-    engine = _Engine(max_worlds)
-    out_db, name = engine.eval(query, db)
+    out_db, name = _Engine(db, max_worlds).eval(query)
     worlds = tuple(
         World(
             {
@@ -117,10 +116,25 @@ def evaluate_certain(
     return first
 
 
-class _Engine:
-    """Recursive evaluator; intermediate results live under __q{i} names."""
+_PER_WORLD = {
+    Product: Relation.product,
+    Join: Relation.natural_join,
+    Union: Relation.union,
+    Difference: Relation.difference,
+}
 
-    def __init__(self, max_worlds: int):
+
+class _Engine:
+    """Handler table over :func:`fold`; intermediate results live under __q{i} names.
+
+    The database is threaded through the fold as state: a handler reads
+    ``self.db`` — already extended by every operand evaluated before it,
+    left to right — and replaces it; its result is the name under which
+    the operator's output relation is stored in ``self.db``.
+    """
+
+    def __init__(self, db: PossibleWorldsDB, max_worlds: int):
+        self.db = db
         self.max_worlds = max_worlds
         self._counter = 0
 
@@ -129,86 +143,63 @@ class _Engine:
         return f"__q{self._counter}"
 
     # ------------------------------------------------------------------
-    def eval(self, query: Query, db: PossibleWorldsDB) -> tuple[PossibleWorldsDB, str]:
-        if isinstance(query, BaseRel):
-            if query.name not in db.relation_names:
-                raise EvaluationError(f"unknown base relation {query.name!r}")
-            return db, query.name
+    def eval(self, query: Query) -> tuple[PossibleWorldsDB, str]:
+        name = fold(query, self.HANDLERS, "worlds.evaluate", self)
+        return self.db, name
 
-        if isinstance(query, Literal):
-            name = self._fresh()
-            return db.add_complete_relation(name, query.relation), name
+    def _complete(self, out: str, relation: Relation) -> str:
+        self.db = self.db.add_complete_relation(out, relation)
+        return out
 
-        if isinstance(query, Select):
-            return self._per_world_unary(
-                query.child, db, lambda r: r.select(query.condition)
-            )
+    def _base(self, query: BaseRel):
+        if query.name not in self.db.relation_names:
+            raise EvaluationError(f"unknown base relation {query.name!r}")
+        return query.name
 
-        if isinstance(query, Project):
-            return self._per_world_unary(
-                query.child, db, lambda r: r.project(list(query.items))
-            )
+    def _literal(self, query: Literal):
+        return self._complete(self._fresh(), query.relation)
 
-        if isinstance(query, Rename):
-            mapping = query.as_dict()
-            return self._per_world_unary(query.child, db, lambda r: r.rename(mapping))
+    def _select(self, query: Select, name: str):
+        return self._per_world_unary(name, lambda r: r.select(query.condition))
 
-        if isinstance(query, (Product, Join, Union, Difference)):
-            return self._per_world_binary(query, db)
+    def _project(self, query: Project, name: str):
+        return self._per_world_unary(name, lambda r: r.project(list(query.items)))
 
-        if isinstance(query, RepairKey):
-            return self._repair_key(query, db)
+    def _rename(self, query: Rename, name: str):
+        mapping = query.as_dict()
+        return self._per_world_unary(name, lambda r: r.rename(mapping))
 
-        if isinstance(query, (Conf, ApproxConf)):
-            return self._conf(query, db)
+    def _poss(self, query: Poss, name: str):
+        sub = _as_subdb(self.db, name)
+        return self._complete(self._fresh(), sub.possible_tuples(name))
 
-        if isinstance(query, Poss):
-            db1, name = self.eval(query.child, db)
-            sub = _as_subdb(db1, name)
-            out = self._fresh()
-            return db1.add_complete_relation(out, sub.possible_tuples(name)), out
-
-        if isinstance(query, Cert):
-            db1, name = self.eval(query.child, db)
-            sub = _as_subdb(db1, name)
-            out = self._fresh()
-            return db1.add_complete_relation(out, sub.certain_tuples(name)), out
-
-        if isinstance(query, ApproxSelect):
-            return self._approx_select(query, db)
-
-        raise TypeError(f"unknown query node {query!r}")
+    def _cert(self, query: Cert, name: str):
+        sub = _as_subdb(self.db, name)
+        return self._complete(self._fresh(), sub.certain_tuples(name))
 
     # ------------------------------------------------------------------
-    def _per_world_unary(self, child: Query, db: PossibleWorldsDB, op):
-        db1, name = self.eval(child, db)
+    def _per_world_unary(self, name: str, op):
+        db1 = self.db
         out = self._fresh()
         worlds = tuple(w.with_relation(out, op(w.relation(name))) for w in db1.worlds)
         complete = db1.complete | ({out} if name in db1.complete else set())
-        return PossibleWorldsDB(worlds, complete), out
+        self.db = PossibleWorldsDB(worlds, complete)
+        return out
 
-    def _per_world_binary(self, query, db: PossibleWorldsDB):
-        db1, lname = self.eval(query.left, db)
-        db2, rname = self.eval(query.right, db1)
+    def _per_world_binary(self, query, lname: str, rname: str):
+        db2 = self.db
         out = self._fresh()
-
-        def op(w: World) -> Relation:
-            l, r = w.relation(lname), w.relation(rname)
-            if isinstance(query, Product):
-                return l.product(r)
-            if isinstance(query, Join):
-                return l.natural_join(r)
-            if isinstance(query, Union):
-                return l.union(r)
-            return l.difference(r)
-
-        worlds = tuple(w.with_relation(out, op(w)) for w in db2.worlds)
+        op = _PER_WORLD[type(query)]
+        worlds = tuple(
+            w.with_relation(out, op(w.relation(lname), w.relation(rname))) for w in db2.worlds
+        )
         both_complete = lname in db2.complete and rname in db2.complete
         complete = db2.complete | ({out} if both_complete else set())
-        return PossibleWorldsDB(worlds, complete), out
+        self.db = PossibleWorldsDB(worlds, complete)
+        return out
 
-    def _repair_key(self, query: RepairKey, db: PossibleWorldsDB):
-        db1, name = self.eval(query.child, db)
+    def _repair_key(self, query: RepairKey, name: str):
+        db1 = self.db
         if name not in db1.complete:
             raise RepairError(
                 "repair-key requires a complete relation (c(R)=1, Definition 2.1)"
@@ -227,22 +218,37 @@ class _Engine:
                 nw = w.with_relation(out, repaired)
                 worlds.append(World(nw.relations, w.probability * q))
         # Output is genuinely uncertain: not complete.
-        return PossibleWorldsDB(tuple(worlds), db1.complete), out
+        self.db = PossibleWorldsDB(tuple(worlds), db1.complete)
+        return out
 
-    def _conf(self, query, db: PossibleWorldsDB):
-        db1, name = self.eval(query.child, db)
-        sub = _as_subdb(db1, name)
+    def _conf(self, query, name: str):
+        sub = _as_subdb(self.db, name)
         confidence = sub.confidence_relation(name, query.p_name)
-        out = self._fresh()
-        return db1.add_complete_relation(out, confidence), out
+        return self._complete(self._fresh(), confidence)
 
-    def _approx_select(self, query: ApproxSelect, db: PossibleWorldsDB):
-        db1, name = self.eval(query.child, db)
-        sub = _as_subdb(db1, name)
+    def _approx_select(self, query: ApproxSelect, name: str):
+        sub = _as_subdb(self.db, name)
         joined = _exact_conf_join(sub, name, query.groups, query.p_names)
         selected = joined.select(query.predicate)
-        out = self._fresh()
-        return db1.add_complete_relation(out, selected), out
+        return self._complete(self._fresh(), selected)
+
+    HANDLERS = {
+        BaseRel: _base,
+        Literal: _literal,
+        Select: _select,
+        Project: _project,
+        Rename: _rename,
+        Product: _per_world_binary,
+        Join: _per_world_binary,
+        Union: _per_world_binary,
+        Difference: _per_world_binary,
+        RepairKey: _repair_key,
+        Conf: _conf,
+        ApproxConf: _conf,
+        Poss: _poss,
+        Cert: _cert,
+        ApproxSelect: _approx_select,
+    }
 
 
 def _as_subdb(db: PossibleWorldsDB, name: str) -> PossibleWorldsDB:
@@ -265,7 +271,6 @@ def _exact_conf_join(
     helper builds that join with exact confidences.
     """
     joined: Relation | None = None
-    cols = sub.schema_of(name)
     for group, p_name in zip(groups, p_names):
         projected_worlds = tuple(
             World(
@@ -279,5 +284,4 @@ def _exact_conf_join(
         joined = conf_rel if joined is None else joined.natural_join(conf_rel)
     if joined is None:
         raise EvaluationError("σ̂ needs at least one conf group")
-    del cols
     return joined

@@ -355,6 +355,30 @@ def _sigma_db(n_groups: int) -> UDatabase:
     return db
 
 
+def _sigma_join_db() -> UDatabase:
+    """R(A,B), S(B,C) past the columnar ``min_rows``, two-literal
+    conditions over ten variables: π_A(σ_{C=A}(R ⋈ S)) gives six groups
+    with sampled (non-read-once) DNFs on both sides of 1/2."""
+    rng = random.Random(31)
+    w = VariableTable()
+    for i in range(10):
+        w.add(("x", i), {0: Fraction(1, 2), 1: Fraction(1, 2)})
+
+    def condition() -> Condition:
+        return Condition({("x", rng.randrange(10)): rng.randint(0, 1) for _ in range(2)})
+
+    db = UDatabase(w=w)
+    db.set_relation(
+        "R",
+        URelation.from_rows(("A", "B"), [(condition(), (a, b)) for a in range(6) for b in range(8)]),
+    )
+    db.set_relation(
+        "S",
+        URelation.from_rows(("B", "C"), [(condition(), (b, c)) for b in range(8) for c in range(6)]),
+    )
+    return db
+
+
 class TestCandidateFanOutDeterminism:
     """σ̂ decisions identical at workers ∈ {omitted, 1, 2, 4}, wide and narrow."""
 
@@ -391,6 +415,88 @@ class TestCandidateFanOutDeterminism:
         assert all(result == results[0] for result in results)
         # The workload must actually sample for the matrix to mean much.
         assert any(trials > 0 for _, _, trials in results[0][3])
+
+    def test_sigma_over_join_subtree_runs_inherited_operators(self, monkeypatch):
+        """σ̂ over ``project(select(join(R, S)))``: a non-trivial σ̂-free
+        subtree under the approximate evaluator.  Every cell of backends
+        × workers {omitted, 1, 2} must agree with its backend's first
+        cell on decisions, tuple bounds and rows; the subtree must run
+        the inherited ``UEvaluator`` operators (columnar on numpy) and
+        never Section 6's annotated ones, which start above a σ̂."""
+        from repro.algebra.operators import Join, Project, Select
+        from repro.core.approx_select import ApproxQueryEvaluator
+        from repro.urel.evaluate import UEvaluator
+
+        calls = {"annotated": 0, "inherited": [], "join_reps": set()}
+
+        def count_annotated(handler):
+            def spy(self, node, *operands):
+                calls["annotated"] += 1
+                return handler(self, node, *operands)
+
+            return spy
+
+        def record_inherited(handler):
+            def spy(self, node, *operands):
+                result = handler(self, node, *operands)
+                calls["inherited"].append(type(node))
+                if type(node) is Join:
+                    calls["join_reps"].add(type(result[0]).__name__)
+                return result
+
+            return spy
+
+        for node_type, handler in list(ApproxQueryEvaluator.ANNOTATED.items()):
+            monkeypatch.setitem(
+                ApproxQueryEvaluator.ANNOTATED, node_type, count_annotated(handler)
+            )
+        for node_type in (Join, Select, Project):
+            monkeypatch.setitem(
+                UEvaluator.HANDLERS, node_type, record_inherited(UEvaluator.HANDLERS[node_type])
+            )
+
+        subtree = rel("R").join(rel("S")).select(col("C").eq(col("A"))).project(["A"])
+        q = subtree.approx_select(col("P1") > lit(0.5), groups=[["A"]])
+
+        def run(backend, workers):
+            calls["inherited"].clear()
+            calls["join_reps"].clear()
+            session = repro.connect(
+                _sigma_join_db(),
+                strategy="exact-decomposition",
+                rng=9,
+                backend=backend,
+                workers=workers,
+            )
+            with session:
+                report = session.evaluate_with_guarantee(
+                    q, delta=0.2, eps0=0.25, bounds_budget=0
+                )
+            # One join, one select, one project per driver evaluation — all inherited.
+            assert sorted(calls["inherited"], key=repr) == sorted(
+                [Join, Select, Project] * report.evaluations, key=repr
+            )
+            expected_rep = "ColumnarURelation" if backend == "numpy" else "URelation"
+            assert calls["join_reps"] == {expected_rep}
+            assert report.relation.columns == ("A", "P1")
+            return report
+
+        candidates = None
+        for backend in BACKENDS:
+            reference = run(backend, None)
+            assert any(d.decision.total_trials > 0 for d in reference.decisions)
+            for workers in (1, 2):
+                report = run(backend, workers)
+                assert report.decisions == reference.decisions
+                assert report.tuple_bounds == reference.tuple_bounds
+                assert report.relation.rows == reference.relation.rows
+                assert report.rounds == reference.rounds
+            # Trial streams differ per backend; the candidates and their
+            # round-indexed budgets (l·|F| per value) do not.
+            data = [d.data for d in reference.decisions]
+            assert candidates in (None, data)
+            candidates = data
+        assert calls["annotated"] == 0
 
     def test_wide_selection_crosses_fanout_threshold(self):
         """20 candidates with the default plan (min 8 per shard) is the
