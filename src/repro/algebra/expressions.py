@@ -19,6 +19,14 @@ The same AST doubles as the predicate language of Section 5: there the
 attributes are the approximable values ``p1..pk`` and `repro.core`
 analyses the AST symbolically (linear-form extraction, read-once checks,
 NNF normalization).
+
+Every node class declares its ``child_fields`` and is listed in
+:data:`NODE_TYPES`; every analysis of an expression — here and in
+`repro.core`, the printer and the columnar lowering — is a handler table
+over `repro.algebra.tree.fold`, so a class missing from a table is one
+``TypeError``, never a silently skipped subtree.  The exception is
+``evaluate``, which stays a method on each node: it is the scalar
+algebra's per-row inner loop.
 """
 
 from __future__ import annotations
@@ -26,7 +34,9 @@ from __future__ import annotations
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import ClassVar, Union
+
+from repro.algebra.tree import fold, rebuild
 
 __all__ = [
     "Expr",
@@ -43,7 +53,12 @@ __all__ = [
     "col",
     "lit",
     "as_term",
+    "NODE_TYPES",
+    "CMP_FUNCS",
+    "ARITH_FUNCS",
+    "attribute_occurrences",
     "attributes",
+    "map_attributes",
     "rename_attributes",
     "substitute_constants",
     "to_nnf",
@@ -55,7 +70,7 @@ __all__ = [
 Value = Union[int, float, Fraction, str]
 Row = Mapping[str, Value]
 
-_CMP_FUNCS: dict[str, Callable[[Value, Value], bool]] = {
+CMP_FUNCS: dict[str, Callable[[Value, Value], bool]] = {
     "<": lambda a, b: a < b,
     "<=": lambda a, b: a <= b,
     "=": lambda a, b: a == b,
@@ -66,7 +81,7 @@ _CMP_FUNCS: dict[str, Callable[[Value, Value], bool]] = {
 
 _CMP_NEGATION = {"<": ">=", "<=": ">", "=": "!=", "!=": "=", ">=": "<", ">": "<="}
 
-_ARITH_FUNCS: dict[str, Callable[[Value, Value], Value]] = {
+ARITH_FUNCS: dict[str, Callable[[Value, Value], Value]] = {
     "+": lambda a, b: a + b,
     "-": lambda a, b: a - b,
     "*": lambda a, b: a * b,
@@ -75,9 +90,15 @@ _ARITH_FUNCS: dict[str, Callable[[Value, Value], Value]] = {
 
 
 class Expr:
-    """Base class of all expression nodes (terms and Boolean formulas)."""
+    """Base class of all expression nodes (terms and Boolean formulas).
+
+    ``child_fields`` names the fields holding sub-expressions, as on
+    `repro.algebra.operators.Query`.
+    """
 
     __slots__ = ()
+    kind: ClassVar[str] = "expression"
+    child_fields: ClassVar[tuple[str, ...]] = ()
 
     def evaluate(self, row: Row) -> Value:
         raise NotImplementedError
@@ -174,13 +195,14 @@ class Arith(Term):
     op: str
     left: Term
     right: Term
+    child_fields = ("left", "right")
 
     def __post_init__(self) -> None:
-        if self.op not in _ARITH_FUNCS:
+        if self.op not in ARITH_FUNCS:
             raise ValueError(f"unknown arithmetic operator {self.op!r}")
 
     def evaluate(self, row: Row) -> Value:
-        return _ARITH_FUNCS[self.op](self.left.evaluate(row), self.right.evaluate(row))
+        return ARITH_FUNCS[self.op](self.left.evaluate(row), self.right.evaluate(row))
 
     def __repr__(self) -> str:
         return f"({self.left!r} {self.op} {self.right!r})"
@@ -211,13 +233,14 @@ class Cmp(BoolExpr):
     op: str
     left: Term
     right: Term
+    child_fields = ("left", "right")
 
     def __post_init__(self) -> None:
-        if self.op not in _CMP_FUNCS:
+        if self.op not in CMP_FUNCS:
             raise ValueError(f"unknown comparison operator {self.op!r}")
 
     def evaluate(self, row: Row) -> bool:
-        return _CMP_FUNCS[self.op](self.left.evaluate(row), self.right.evaluate(row))
+        return CMP_FUNCS[self.op](self.left.evaluate(row), self.right.evaluate(row))
 
     def __repr__(self) -> str:
         return f"({self.left!r} {self.op} {self.right!r})"
@@ -228,6 +251,7 @@ class And(BoolExpr):
     """Conjunction of one or more Boolean expressions."""
 
     args: tuple[BoolExpr, ...]
+    child_fields = ("args",)
 
     def evaluate(self, row: Row) -> bool:
         return all(a.evaluate(row) for a in self.args)
@@ -241,6 +265,7 @@ class Or(BoolExpr):
     """Disjunction of one or more Boolean expressions."""
 
     args: tuple[BoolExpr, ...]
+    child_fields = ("args",)
 
     def evaluate(self, row: Row) -> bool:
         return any(a.evaluate(row) for a in self.args)
@@ -254,6 +279,7 @@ class Not(BoolExpr):
     """Negation."""
 
     arg: BoolExpr
+    child_fields = ("arg",)
 
     def evaluate(self, row: Row) -> bool:
         return not self.arg.evaluate(row)
@@ -298,92 +324,62 @@ def as_term(value: object) -> Term:
     raise TypeError(f"cannot use {value!r} as a term")
 
 
+NODE_TYPES = (Attr, Const, Arith, Cmp, And, Or, Not, BoolConst)
+"""Every concrete node class: the keys a complete handler table has."""
+
+_OCCURRENCES = {
+    **dict.fromkeys(NODE_TYPES, lambda node, *parts: sum(parts, ())),
+    Attr: lambda node: (node.name,),
+}
+
+
+def attribute_occurrences(expr: Expr) -> tuple[str, ...]:
+    """The attribute name of every ``Attr`` leaf of ``expr``, left to right."""
+    return fold(expr, _OCCURRENCES, "attribute_occurrences")
+
+
 def attributes(expr: Expr) -> frozenset[str]:
     """The set of attribute names mentioned anywhere in ``expr``."""
-    found: set[str] = set()
-    _collect_attributes(expr, found)
-    return frozenset(found)
+    return frozenset(attribute_occurrences(expr))
 
 
-def _collect_attributes(expr: Expr, out: set[str]) -> None:
-    if isinstance(expr, Attr):
-        out.add(expr.name)
-    elif isinstance(expr, Const) or isinstance(expr, BoolConst):
-        pass
-    elif isinstance(expr, Arith):
-        _collect_attributes(expr.left, out)
-        _collect_attributes(expr.right, out)
-    elif isinstance(expr, Cmp):
-        _collect_attributes(expr.left, out)
-        _collect_attributes(expr.right, out)
-    elif isinstance(expr, And) or isinstance(expr, Or):
-        for a in expr.args:
-            _collect_attributes(a, out)
-    elif isinstance(expr, Not):
-        _collect_attributes(expr.arg, out)
-    else:
-        raise TypeError(f"unknown expression node {expr!r}")
+_REBUILD = dict.fromkeys(NODE_TYPES, rebuild)
+
+
+def map_attributes(expr: Expr, leaf: Callable[[Attr], Term]) -> Expr:
+    """``expr`` with every attribute reference ``a`` replaced by ``leaf(a)``."""
+    return fold(expr, {**_REBUILD, Attr: leaf}, "map_attributes")
 
 
 def rename_attributes(expr: Expr, mapping: Mapping[str, str]) -> Expr:
     """Rewrite attribute references according to ``mapping`` (missing keys kept)."""
-    if isinstance(expr, Attr):
-        return Attr(mapping.get(expr.name, expr.name))
-    if isinstance(expr, (Const, BoolConst)):
-        return expr
-    if isinstance(expr, Arith):
-        return Arith(
-            expr.op,
-            rename_attributes(expr.left, mapping),  # type: ignore[arg-type]
-            rename_attributes(expr.right, mapping),  # type: ignore[arg-type]
-        )
-    if isinstance(expr, Cmp):
-        return Cmp(
-            expr.op,
-            rename_attributes(expr.left, mapping),  # type: ignore[arg-type]
-            rename_attributes(expr.right, mapping),  # type: ignore[arg-type]
-        )
-    if isinstance(expr, And):
-        return And(tuple(rename_attributes(a, mapping) for a in expr.args))  # type: ignore[arg-type]
-    if isinstance(expr, Or):
-        return Or(tuple(rename_attributes(a, mapping) for a in expr.args))  # type: ignore[arg-type]
-    if isinstance(expr, Not):
-        return Not(rename_attributes(expr.arg, mapping))  # type: ignore[arg-type]
-    raise TypeError(f"unknown expression node {expr!r}")
+    return map_attributes(expr, lambda a: Attr(mapping.get(a.name, a.name)))
 
 
 def substitute_constants(expr: Expr, values: Mapping[str, Value]) -> Expr:
     """Replace attribute references found in ``values`` by constants."""
-    if isinstance(expr, Attr):
-        if expr.name in values:
-            return Const(values[expr.name])
-        return expr
-    if isinstance(expr, (Const, BoolConst)):
-        return expr
-    if isinstance(expr, Arith):
-        return Arith(
-            expr.op,
-            substitute_constants(expr.left, values),  # type: ignore[arg-type]
-            substitute_constants(expr.right, values),  # type: ignore[arg-type]
-        )
-    if isinstance(expr, Cmp):
-        return Cmp(
-            expr.op,
-            substitute_constants(expr.left, values),  # type: ignore[arg-type]
-            substitute_constants(expr.right, values),  # type: ignore[arg-type]
-        )
-    if isinstance(expr, And):
-        return And(tuple(substitute_constants(a, values) for a in expr.args))  # type: ignore[arg-type]
-    if isinstance(expr, Or):
-        return Or(tuple(substitute_constants(a, values) for a in expr.args))  # type: ignore[arg-type]
-    if isinstance(expr, Not):
-        return Not(substitute_constants(expr.arg, values))  # type: ignore[arg-type]
-    raise TypeError(f"unknown expression node {expr!r}")
+    return map_attributes(expr, lambda a: Const(values[a.name]) if a.name in values else a)
 
 
 def negate_cmp(atom: Cmp) -> Cmp:
     """The complementary comparison (``not (a < b)`` is ``a >= b``)."""
     return Cmp(_CMP_NEGATION[atom.op], atom.left, atom.right)
+
+
+def _nnf_junction(same: type, dual: type) -> Callable[..., tuple[BoolExpr, BoolExpr]]:
+    return lambda node, *args: (same(tuple(p for p, _ in args)), dual(tuple(n for _, n in args)))
+
+
+# Bottom-up De Morgan: each Boolean node folds to the pair (its NNF, the
+# NNF of its negation), so a ``Not`` just swaps its child's pair.
+_NNF = {
+    **dict.fromkeys((Attr, Const, Arith), lambda node, *operands: None),
+    BoolConst: lambda node: (node, BoolConst(not node.value)),
+    Cmp: lambda node, left, right: (node, negate_cmp(node)),
+    Not: lambda node, arg: arg[::-1],
+    And: _nnf_junction(And, Or),
+    Or: _nnf_junction(Or, And),
+}
 
 
 def to_nnf(expr: BoolExpr) -> BoolExpr:
@@ -394,20 +390,4 @@ def to_nnf(expr: BoolExpr) -> BoolExpr:
     step Section 5 of the paper prescribes before combining epsilons
     with min/max.
     """
-    return _nnf(expr, negate=False)
-
-
-def _nnf(expr: BoolExpr, negate: bool) -> BoolExpr:
-    if isinstance(expr, Not):
-        return _nnf(expr.arg, not negate)
-    if isinstance(expr, BoolConst):
-        return BoolConst(expr.value != negate)
-    if isinstance(expr, Cmp):
-        return negate_cmp(expr) if negate else expr
-    if isinstance(expr, And):
-        parts = tuple(_nnf(a, negate) for a in expr.args)
-        return Or(parts) if negate else And(parts)
-    if isinstance(expr, Or):
-        parts = tuple(_nnf(a, negate) for a in expr.args)
-        return And(parts) if negate else Or(parts)
-    raise TypeError(f"unknown boolean node {expr!r}")
+    return fold(expr, _NNF, "to_nnf")[0]

@@ -34,7 +34,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
-from typing import Any, Callable, ClassVar, Optional
+from typing import ClassVar, Optional
 
 from repro.algebra import schema as _schema
 from repro.algebra.expressions import BoolExpr, Term, attributes
@@ -43,6 +43,7 @@ from repro.algebra.relations import (
     Relation,
     normalize_projection,
 )
+from repro.algebra.tree import children, fold, walk
 
 # NB: this module defines a query node named ``Union`` (the UA operator);
 # do not import ``typing.Union`` here.
@@ -65,6 +66,7 @@ __all__ = [
     "Cert",
     "ApproxSelect",
     "output_schema",
+    "NODE_TYPES",
     "children",
     "walk",
     "fold",
@@ -82,11 +84,12 @@ class Query:
 
     ``child_fields`` names the fields that hold sub-queries, in
     evaluation order (operators inherit it from ``_UnaryOp`` /
-    ``_BinaryOp``); :func:`children`, :func:`walk` and :func:`fold` read
-    nothing else about a node's shape.
+    ``_BinaryOp``); the traversal functions of `repro.algebra.tree`
+    (re-exported here) read nothing else about a node's shape.
     """
 
     __slots__ = ()
+    kind: ClassVar[str] = "query"
     child_fields: ClassVar[tuple[str, ...]] = ()
 
 
@@ -291,35 +294,6 @@ class ApproxSelect(_UnaryOp):
         return joined
 
 
-def children(query: Query) -> tuple[Query, ...]:
-    """Direct sub-queries of a node."""
-    return tuple(getattr(query, name) for name in query.child_fields)
-
-
-def walk(query: Query):
-    """Yield every node of the query tree, root first."""
-    yield query
-    for c in children(query):
-        yield from walk(c)
-
-
-def fold(query: Query, handlers: Mapping[type, Callable[..., Any]], walker: str, *context) -> Any:
-    """Post-order fold of a query tree: the one dispatch over node types.
-
-    Every interpreter of the AST is a table ``handlers`` from node type
-    to ``handler(*context, node, *results)``, where ``results`` are the
-    already-folded children of ``node``, computed depth-first, left to
-    right.  Handlers never recurse.  A node type missing from the table
-    raises ``TypeError`` naming ``walker``, before any of the node's
-    children is folded.
-    """
-    handler = handlers.get(type(query))
-    if handler is None:
-        raise TypeError(f"{walker}: no handler for query node {type(query).__name__}")
-    results = [fold(child, handlers, walker, *context) for child in children(query)]
-    return handler(*context, query, *results)
-
-
 def output_schema(query: Query, base_schemas: Mapping[str, Sequence[str]]) -> tuple[str, ...]:
     """Infer the output schema of ``query`` given base relation schemas.
 
@@ -404,3 +378,6 @@ _SCHEMA_HANDLERS = {
     Cert: lambda base_schemas, node, cols: cols,
     ApproxSelect: _approx_select_schema,
 }
+
+NODE_TYPES = tuple(_SCHEMA_HANDLERS)
+"""The operator catalogue: every class a handler table must cover."""

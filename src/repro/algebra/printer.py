@@ -56,41 +56,43 @@ _PREC_ATOM = 7
 
 def unparse_expression(expr: Expr) -> str:
     """Render a condition/term in the textual language's expression syntax."""
-    return _expr(expr, parent_precedence=0)
+    return fold(expr, _EXPR_HANDLERS, "unparse_expression")[0]
 
 
-def _wrap(text: str, precedence: int, parent: int) -> str:
+def _wrap(rendered: tuple[str, int], parent: int) -> str:
+    """A folded ``(text, precedence)`` operand, parenthesised if it binds looser."""
+    text, precedence = rendered
     return f"({text})" if precedence < parent else text
 
 
-def _expr(expr: Expr, parent_precedence: int) -> str:
-    if isinstance(expr, Attr):
-        return expr.name
-    if isinstance(expr, Const):
-        return _scalar(expr.value)
-    if isinstance(expr, BoolConst):
-        return "true" if expr.value else "false"
-    if isinstance(expr, Arith):
-        precedence = _PREC_ADD if expr.op in "+-" else _PREC_MUL
-        left = _expr(expr.left, precedence)
-        # Right operand of -,/ needs a strictly tighter context so that
-        # a - (b - c) and a / (b * c) keep their grouping.
-        right = _expr(expr.right, precedence + (1 if expr.op in "-/" else 0))
-        return _wrap(f"{left} {expr.op} {right}", precedence, parent_precedence)
-    if isinstance(expr, Cmp):
-        left = _expr(expr.left, _PREC_CMP + 1)
-        right = _expr(expr.right, _PREC_CMP + 1)
-        return _wrap(f"{left} {expr.op} {right}", _PREC_CMP, parent_precedence)
-    if isinstance(expr, Not):
-        inner = _expr(expr.arg, _PREC_NOT + 1)
-        return _wrap(f"not {inner}", _PREC_NOT, parent_precedence)
-    if isinstance(expr, And):
-        inner = " and ".join(_expr(a, _PREC_AND + 1) for a in expr.args)
-        return _wrap(inner, _PREC_AND, parent_precedence)
-    if isinstance(expr, Or):
-        inner = " or ".join(_expr(a, _PREC_OR + 1) for a in expr.args)
-        return _wrap(inner, _PREC_OR, parent_precedence)
-    raise TypeError(f"cannot unparse expression node {expr!r}")
+def _arith_text(node: Arith, left, right):
+    precedence = _PREC_ADD if node.op in "+-" else _PREC_MUL
+    # Right operand of -,/ needs a strictly tighter context so that
+    # a - (b - c) and a / (b * c) keep their grouping.
+    right_context = precedence + (1 if node.op in "-/" else 0)
+    return f"{_wrap(left, precedence)} {node.op} {_wrap(right, right_context)}", precedence
+
+
+def _junction_text(word: str, precedence: int):
+    return lambda node, *args: (
+        f" {word} ".join(_wrap(a, precedence + 1) for a in args),
+        precedence,
+    )
+
+
+_EXPR_HANDLERS = {
+    Attr: lambda node: (node.name, _PREC_ATOM),
+    Const: lambda node: (_scalar(node.value), _PREC_ATOM),
+    BoolConst: lambda node: ("true" if node.value else "false", _PREC_ATOM),
+    Arith: _arith_text,
+    Cmp: lambda node, left, right: (
+        f"{_wrap(left, _PREC_CMP + 1)} {node.op} {_wrap(right, _PREC_CMP + 1)}",
+        _PREC_CMP,
+    ),
+    Not: lambda node, arg: (f"not {_wrap(arg, _PREC_NOT + 1)}", _PREC_NOT),
+    And: _junction_text("and", _PREC_AND),
+    Or: _junction_text("or", _PREC_OR),
+}
 
 
 def _scalar(value) -> str:

@@ -34,6 +34,7 @@ from repro.algebra.expressions import (
     Term,
 )
 from repro.algebra.operators import (
+    NODE_TYPES,
     BaseRel,
     Conf,
     Join,
@@ -43,6 +44,7 @@ from repro.algebra.operators import (
     Select,
     Union,
 )
+from repro.algebra.tree import fold, rebuild
 from repro.calculus.queries import (
     ConjunctiveQuery,
     Egd,
@@ -128,37 +130,22 @@ class _PositionalRel(Query):
         self.aliases = aliases
 
 
+_REBUILD = dict.fromkeys(NODE_TYPES, rebuild)
+
+
 def resolve_positional(query: Query, db_schemas) -> Query:
     """Replace positional markers by Rename(BaseRel) against real schemas."""
-    if isinstance(query, _PositionalRel):
-        cols = tuple(db_schemas[query.name])
-        if len(cols) != query.arity:
+
+    def resolve(marker: _PositionalRel) -> Query:
+        cols = tuple(db_schemas[marker.name])
+        if len(cols) != marker.arity:
             raise ValueError(
-                f"atom arity {query.arity} does not match relation "
-                f"{query.name!r} arity {len(cols)}"
+                f"atom arity {marker.arity} does not match relation "
+                f"{marker.name!r} arity {len(cols)}"
             )
-        return Rename(BaseRel(query.name), dict(zip(cols, query.aliases)))
-    if isinstance(query, Select):
-        return Select(resolve_positional(query.child, db_schemas), query.condition)
-    if isinstance(query, Project):
-        return Project(
-            resolve_positional(query.child, db_schemas), list(query.items)
-        )
-    if isinstance(query, Rename):
-        return Rename(resolve_positional(query.child, db_schemas), query.as_dict())
-    if isinstance(query, Join):
-        return Join(
-            resolve_positional(query.left, db_schemas),
-            resolve_positional(query.right, db_schemas),
-        )
-    if isinstance(query, Union):
-        return Union(
-            resolve_positional(query.left, db_schemas),
-            resolve_positional(query.right, db_schemas),
-        )
-    if isinstance(query, Conf):
-        return Conf(resolve_positional(query.child, db_schemas), query.p_name)
-    return query
+        return Rename(BaseRel(marker.name), dict(zip(cols, marker.aliases)))
+
+    return fold(query, {**_REBUILD, _PositionalRel: resolve}, "resolve_positional")
 
 
 def compile_existential(eq: ExistentialQuery) -> Query:

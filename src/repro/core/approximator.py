@@ -31,24 +31,16 @@ import random
 from collections.abc import Mapping
 from dataclasses import dataclass
 
-from repro.algebra.expressions import (
-    And,
-    BoolExpr,
-    Cmp,
-    Not,
-    Or,
-    attributes,
-    substitute_constants,
-)
+from repro.algebra.expressions import BoolExpr, attributes, substitute_constants
 from repro.confidence.bounds import rounds_for
 from repro.confidence.dissociation import dissociation_interval
 from repro.confidence.dnf import Dnf
 from repro.core.certify import certify_predicate
 from repro.core.linear import (
     NonLinearError,
-    affine_form,
     clamp_epsilon,
     epsilon_for_predicate,
+    is_linear,
 )
 from repro.core.readonce import duplicate_variables, epsilon_by_corners, is_read_once
 from repro.core.values import (
@@ -184,7 +176,7 @@ class PredicateApproximator:
         if self.epsilon_method == "linear":
             return
         effective = substitute_constants(self.predicate, self.constants)
-        if self.epsilon_method == "auto" and _is_linear(effective):
+        if self.epsilon_method == "auto" and is_linear(effective):
             return
         stochastic_repeats = {
             name
@@ -391,22 +383,6 @@ class PredicateApproximator:
         for name in self._stochastic:
             self.samplers[name].refine_many(rounds)
         return self._decision(rounds)
-
-
-def _is_linear(predicate: BoolExpr) -> bool:
-    """True when every atom of the predicate is affine in its attributes."""
-    if isinstance(predicate, Cmp):
-        try:
-            affine_form(predicate.left)
-            affine_form(predicate.right)
-            return True
-        except NonLinearError:
-            return False
-    if isinstance(predicate, (And, Or)):
-        return all(_is_linear(a) for a in predicate.args)
-    if isinstance(predicate, Not):
-        return _is_linear(predicate.arg)
-    return True  # boolean constants
 
 
 def decide_candidates_shard(

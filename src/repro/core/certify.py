@@ -24,6 +24,7 @@ is an optimization, never a semantics change.
 from __future__ import annotations
 
 from collections.abc import Mapping
+from functools import partial
 from numbers import Real
 
 from repro.algebra.expressions import (
@@ -38,6 +39,7 @@ from repro.algebra.expressions import (
     Or,
     Term,
 )
+from repro.algebra.tree import fold
 from repro.confidence.dissociation import BoundInterval
 
 __all__ = ["certify_predicate", "evaluate_term_interval"]
@@ -76,26 +78,16 @@ def evaluate_term_interval(term: Term, env: Mapping[str, object]):
     numeric ``(lo, hi)`` pair, an opaque ``("point", value)`` pair for
     non-numeric constants, or ``None``.
     """
-    result = _eval_term(term, env)
+    result = fold(term, _HANDLERS, "evaluate_term_interval", env)
     return None if result is _UNKNOWN else result
 
 
-def _eval_term(term: Term, env: Mapping[str, object]):
-    if isinstance(term, Const):
-        return _as_interval(term.value)
-    if isinstance(term, Attr):
-        if term.name not in env:
-            return _UNKNOWN
-        return _as_interval(env[term.name])
-    if isinstance(term, Arith):
-        left = _eval_term(term.left, env)
-        right = _eval_term(term.right, env)
-        if left is _UNKNOWN or right is _UNKNOWN:
-            return _UNKNOWN
-        if left[0] is _POINT or right[0] is _POINT:
-            return _UNKNOWN  # arithmetic on non-numeric data
-        return _arith_interval(term.op, left, right)
-    return _UNKNOWN
+def _arith(env, term: Arith, left, right):
+    if left is _UNKNOWN or right is _UNKNOWN:
+        return _UNKNOWN
+    if left[0] is _POINT or right[0] is _POINT:
+        return _UNKNOWN  # arithmetic on non-numeric data
+    return _arith_interval(term.op, left, right)
 
 
 def _arith_interval(op: str, a, b):
@@ -161,6 +153,31 @@ def _compare(op: str, a, b):
     return None
 
 
+def _atom(env, atom: Cmp, left, right):
+    if left is _UNKNOWN or right is _UNKNOWN:
+        return None
+    return _compare(atom.op, left, right)
+
+
+def _kleene(veto: bool, env, node, *results):
+    """``And`` (veto False) / ``Or`` (veto True) in three-valued logic."""
+    if veto in results:
+        return veto
+    return None if None in results else not veto
+
+
+_HANDLERS = {
+    Const: lambda env, term: _as_interval(term.value),
+    Attr: lambda env, term: _as_interval(env[term.name]) if term.name in env else _UNKNOWN,
+    Arith: _arith,
+    BoolConst: lambda env, node: node.value,
+    Cmp: _atom,
+    Not: lambda env, node, inner: None if inner is None else not inner,
+    And: partial(_kleene, False),
+    Or: partial(_kleene, True),
+}
+
+
 def certify_predicate(predicate: BoolExpr, env: Mapping[str, object]) -> bool | None:
     """Decide ``predicate`` over the box ``env``, or ``None`` if it straddles.
 
@@ -170,23 +187,4 @@ def certify_predicate(predicate: BoolExpr, env: Mapping[str, object]) -> bool | 
     answer is *guaranteed* for every point of the box — in particular
     for the true confidences the intervals enclose.
     """
-    if isinstance(predicate, BoolConst):
-        return predicate.value
-    if isinstance(predicate, Cmp):
-        left = _eval_term(predicate.left, env)
-        right = _eval_term(predicate.right, env)
-        if left is _UNKNOWN or right is _UNKNOWN:
-            return None
-        return _compare(predicate.op, left, right)
-    if isinstance(predicate, Not):
-        inner = certify_predicate(predicate.arg, env)
-        return None if inner is None else not inner
-    if isinstance(predicate, (And, Or)):
-        veto = False if isinstance(predicate, And) else True
-        results = [certify_predicate(a, env) for a in predicate.args]
-        if veto in results:
-            return veto
-        if any(r is None for r in results):
-            return None
-        return not veto
-    return None
+    return fold(predicate, _HANDLERS, "certify_predicate", env)

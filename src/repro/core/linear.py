@@ -36,6 +36,7 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from fractions import Fraction
+from functools import partial
 
 from repro.algebra.expressions import (
     And,
@@ -49,13 +50,17 @@ from repro.algebra.expressions import (
     Or,
     Term,
 )
+from repro.algebra.tree import fold
 
 __all__ = [
     "NonLinearError",
     "affine_form",
+    "is_linear",
     "atom_as_geq",
     "theorem_52_epsilon",
+    "atom_margin",
     "atom_epsilon",
+    "min_max_radius",
     "epsilon_for_predicate",
     "clamp_epsilon",
     "EPS_CAP",
@@ -74,32 +79,58 @@ def affine_form(term: Term) -> tuple[dict[str, object], object]:
 
     Coefficients stay exact (int/Fraction) when the expression is exact.
     """
-    if isinstance(term, Attr):
-        return {term.name: Fraction(1)}, Fraction(0)
-    if isinstance(term, Const):
-        if isinstance(term.value, str):
-            raise NonLinearError(f"non-numeric constant {term.value!r} in arithmetic")
-        return {}, term.value
-    if isinstance(term, Arith):
-        lcoeffs, lconst = affine_form(term.left)
-        rcoeffs, rconst = affine_form(term.right)
-        if term.op == "+":
-            return _merge(lcoeffs, rcoeffs, 1), lconst + rconst
-        if term.op == "-":
-            return _merge(lcoeffs, rcoeffs, -1), lconst - rconst
-        if term.op == "*":
-            if not lcoeffs:
-                return {k: lconst * v for k, v in rcoeffs.items()}, lconst * rconst
-            if not rcoeffs:
-                return {k: v * rconst for k, v in lcoeffs.items()}, lconst * rconst
-            raise NonLinearError("product of two variable-dependent terms is not linear")
-        if term.op == "/":
-            if rcoeffs:
-                raise NonLinearError("division by a variable-dependent term is not linear")
-            if rconst == 0:
-                raise ZeroDivisionError("division by constant zero in predicate")
-            return {k: _div(v, rconst) for k, v in lcoeffs.items()}, _div(lconst, rconst)
-    raise NonLinearError(f"unsupported term {term!r} in linear predicate")
+    return fold(term, _AFFINE, "affine_form")
+
+
+def _affine_const(term: Const):
+    if isinstance(term.value, str):
+        raise NonLinearError(f"non-numeric constant {term.value!r} in arithmetic")
+    return {}, term.value
+
+
+def _affine_arith(term: Arith, left, right):
+    (lcoeffs, lconst), (rcoeffs, rconst) = left, right
+    if term.op == "+":
+        return _merge(lcoeffs, rcoeffs, 1), lconst + rconst
+    if term.op == "-":
+        return _merge(lcoeffs, rcoeffs, -1), lconst - rconst
+    if term.op == "*":
+        if not lcoeffs:
+            return {k: lconst * v for k, v in rcoeffs.items()}, lconst * rconst
+        if not rcoeffs:
+            return {k: v * rconst for k, v in lcoeffs.items()}, lconst * rconst
+        raise NonLinearError("product of two variable-dependent terms is not linear")
+    if rcoeffs:
+        raise NonLinearError("division by a variable-dependent term is not linear")
+    if rconst == 0:
+        raise ZeroDivisionError("division by constant zero in predicate")
+    return {k: _div(v, rconst) for k, v in lcoeffs.items()}, _div(lconst, rconst)
+
+
+def _not_a_term(node, *parts):
+    raise NonLinearError(f"unsupported term {node!r} in linear predicate")
+
+
+_BOOLEAN = (Cmp, And, Or, Not, BoolConst)
+
+_AFFINE = {
+    Attr: lambda term: ({term.name: Fraction(1)}, Fraction(0)),
+    Const: _affine_const,
+    Arith: _affine_arith,
+    **dict.fromkeys(_BOOLEAN, _not_a_term),
+}
+
+# The affine fold over a whole predicate: Boolean structure is transparent.
+_LINEARITY = {**_AFFINE, **dict.fromkeys(_BOOLEAN, lambda node, *parts: None)}
+
+
+def is_linear(predicate: BoolExpr) -> bool:
+    """True when every atom of the predicate is affine in its attributes."""
+    try:
+        fold(predicate, _LINEARITY, "is_linear")
+    except NonLinearError:
+        return False
+    return True
 
 
 def _merge(left: dict, right: dict, sign: int) -> dict:
@@ -192,6 +223,18 @@ def theorem_52_epsilon(
     return max(eps, 0.0)
 
 
+def atom_margin(atom: Cmp, point: Mapping[str, object]):
+    """``(coeffs, b, α, β)`` for the hyperplane Σaᵢxᵢ = b bounding ``atom``.
+
+    α = Σaᵢp̂ᵢ and β = Σ|aᵢp̂ᵢ| at ``point``; an ``=``/``!=`` atom is
+    bounded by the hyperplane of its ``>=`` form.
+    """
+    proxy = Cmp(">=", atom.left, atom.right) if atom.op in ("=", "!=") else atom
+    coeffs, b, _strict = atom_as_geq(proxy)
+    products = [a * point[name] for name, a in coeffs.items()]
+    return coeffs, b, sum(products), sum(map(abs, products))
+
+
 def atom_epsilon(atom: Cmp, point: Mapping[str, object]) -> float:
     """Homogeneity radius of one comparison atom at ``point``.
 
@@ -200,61 +243,63 @@ def atom_epsilon(atom: Cmp, point: Mapping[str, object]) -> float:
     point have radius 0 (every neighbourhood crosses the hyperplane) —
     they can never be approximated, cf. Example 5.7.
     """
-    if atom.op in ("=", "!="):
-        eq = Cmp(">=", atom.left, atom.right)
-        coeffs, b, _ = atom_as_geq(eq)
-        alpha = sum(a * point[name] for name, a in coeffs.items())
-        beta = sum(abs(a * point[name]) for name, a in coeffs.items())
-        on_plane = alpha == b
-        if beta == 0:
-            return math.inf  # constant atom: 0 = b or 0 ≠ b everywhere
-        if on_plane:
-            # '=' true / '!=' false at the point: radius 0 either way.
-            return 0.0
-        # Off the hyperplane: radius = distance to it, on whichever side.
-        if alpha > b:
-            return theorem_52_epsilon(coeffs, b, point)
-        return theorem_52_epsilon({k: -v for k, v in coeffs.items()}, -b, point)
-
-    coeffs, b, _strict = atom_as_geq(atom)
-    alpha = sum(a * point[name] for name, a in coeffs.items())
-    beta = sum(abs(a * point[name]) for name, a in coeffs.items())
+    coeffs, b, alpha, beta = atom_margin(atom, point)
     if beta == 0:
-        return math.inf
+        return math.inf  # constant atom
     if alpha == b:
         # On the hyperplane: whichever truth value the atom takes, any
         # neighbourhood contains both sides — Remark 5.3 / singularity.
         return 0.0
     if alpha > b:
         return theorem_52_epsilon(coeffs, b, point)
-    # Atom false at the point: radius of the complement Σ(−aᵢ)xᵢ > −b.
+    # The other side: radius of the complement Σ(−aᵢ)xᵢ > −b.
     return theorem_52_epsilon({k: -v for k, v in coeffs.items()}, -b, point)
+
+
+def _junction_radius(quantifier, point, atom_radius, node, *parts):
+    """``And`` (``all``) / ``Or`` (``any``) over ``(truth, radius thunk)`` pairs."""
+    truth = quantifier(t for t, _ in parts)
+    # A true And / false Or needs every child to keep its value: min.
+    # Otherwise one child that already decides the node suffices: max.
+    pick = min if truth == (quantifier is all) else max
+    return truth, lambda: pick(radius() for t, radius in parts if t == truth)
+
+
+_MIN_MAX = {
+    **dict.fromkeys((Attr, Const, Arith), lambda point, atom_radius, term, *operands: None),
+    BoolConst: lambda point, atom_radius, node: (node.value, lambda: math.inf),
+    Cmp: lambda point, atom_radius, atom, left, right: (
+        atom.evaluate(point),
+        partial(atom_radius, atom, point),
+    ),
+    Not: lambda point, atom_radius, node, arg: (not arg[0], arg[1]),
+    And: partial(_junction_radius, all),
+    Or: partial(_junction_radius, any),
+}
+
+
+def min_max_radius(
+    predicate: BoolExpr, point: Mapping[str, object], atom_radius
+) -> tuple[bool, float]:
+    """``(φ(point), radius)`` by Section 5's min/max rule over per-atom radii.
+
+    The truth-oriented rule of the module docstring.  Truth values are
+    folded bottom-up, every atom evaluated once; ``atom_radius(atom,
+    point)`` is then asked only for the atoms the rule reaches (the
+    children that share a mixed node's truth value), so an atom outside
+    ``atom_radius``'s fragment matters only where it decides.
+    """
+    truth, radius = fold(predicate, _MIN_MAX, "min_max_radius", point, atom_radius)
+    return truth, radius()
 
 
 def epsilon_for_predicate(predicate: BoolExpr, point: Mapping[str, object]) -> float:
     """ε_φ(p̂₁, …, p̂_k): maximal homogeneous ε for a Boolean combination.
 
-    Implements the Section 5 min/max recursion in truth-oriented form (see
-    module docstring).  Returns ``inf`` for predicates constant on every
-    orthotope and 0 at singular points.
+    Returns ``inf`` for predicates constant on every orthotope and 0 at
+    singular points.
     """
-    if isinstance(predicate, BoolConst):
-        return math.inf
-    if isinstance(predicate, Not):
-        return epsilon_for_predicate(predicate.arg, point)
-    if isinstance(predicate, Cmp):
-        return atom_epsilon(predicate, point)
-    if isinstance(predicate, And):
-        if predicate.evaluate(point):
-            return min(epsilon_for_predicate(a, point) for a in predicate.args)
-        false_children = [a for a in predicate.args if not a.evaluate(point)]
-        return max(epsilon_for_predicate(a, point) for a in false_children)
-    if isinstance(predicate, Or):
-        if not predicate.evaluate(point):
-            return min(epsilon_for_predicate(a, point) for a in predicate.args)
-        true_children = [a for a in predicate.args if a.evaluate(point)]
-        return max(epsilon_for_predicate(a, point) for a in true_children)
-    raise TypeError(f"unsupported predicate node {predicate!r}")
+    return min_max_radius(predicate, point, atom_epsilon)[1]
 
 
 def clamp_epsilon(eps: float, floor: float = 0.0, cap: float = EPS_CAP) -> float:

@@ -25,26 +25,33 @@ Caveat inherited from the theorem: monotonicity of ``a/xᵢ + b`` needs
 the interval not to straddle 0.  Confidences are positive, and for
 p̂ᵢ > 0 the orthotope stays in (0, ∞); :func:`epsilon_by_corners`
 rejects centers ≤ 0 under a divisor for safety.
+
+Occurrences are counted by `repro.algebra.expressions.attribute_occurrences`
+and variables duplicated by ``map_attributes`` — handler tables over the
+shared fold — so the read-once precondition is checked on *every* node:
+an expression class the tables do not know is a ``TypeError``, not a
+subtree whose variables go uncounted.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from collections.abc import Mapping
 
 from repro.algebra.expressions import (
-    And,
+    NODE_TYPES,
     Arith,
     Attr,
     BoolConst,
     BoolExpr,
-    Cmp,
-    Not,
-    Or,
     Term,
+    attribute_occurrences,
     attributes,
+    map_attributes,
     to_nnf,
 )
+from repro.algebra.tree import fold
 from repro.core.intervals import Orthotope
 
 __all__ = [
@@ -61,34 +68,19 @@ class ReadOnceError(ValueError):
     """Raised when a predicate is not read-once (some variable repeats)."""
 
 
-def _count_occurrences(expr, counts: dict[str, int]) -> None:
-    if isinstance(expr, Attr):
-        counts[expr.name] = counts.get(expr.name, 0) + 1
-    elif isinstance(expr, Arith):
-        _count_occurrences(expr.left, counts)
-        _count_occurrences(expr.right, counts)
-    elif isinstance(expr, Cmp):
-        _count_occurrences(expr.left, counts)
-        _count_occurrences(expr.right, counts)
-    elif isinstance(expr, (And, Or)):
-        for a in expr.args:
-            _count_occurrences(a, counts)
-    elif isinstance(expr, Not):
-        _count_occurrences(expr.arg, counts)
+def _repeated(predicate: BoolExpr | Term) -> list[str]:
+    counts = Counter(attribute_occurrences(predicate))
+    return sorted(name for name, n in counts.items() if n > 1)
 
 
 def is_read_once(predicate: BoolExpr | Term) -> bool:
     """True iff every variable occurs at most once in the whole predicate."""
-    counts: dict[str, int] = {}
-    _count_occurrences(predicate, counts)
-    return all(v <= 1 for v in counts.values())
+    return not _repeated(predicate)
 
 
 def check_read_once(predicate: BoolExpr | Term) -> None:
     """Raise :class:`ReadOnceError` naming the offending variables."""
-    counts: dict[str, int] = {}
-    _count_occurrences(predicate, counts)
-    repeated = sorted(name for name, n in counts.items() if n > 1)
+    repeated = _repeated(predicate)
     if repeated:
         raise ReadOnceError(
             f"variables occur more than once: {repeated}; approximate each "
@@ -111,33 +103,17 @@ def duplicate_variables(
     obtain an *independent* estimate for every alias.  ``new_point`` is
     ``None`` when no ``point`` is supplied.
     """
-    counts: dict[str, int] = {}
-    _count_occurrences(predicate, counts)
+    repeated = set(_repeated(predicate))
     aliases: dict[str, str] = {}
-    next_id = [0]
 
-    def rewrite(expr):
-        if isinstance(expr, Attr):
-            name = expr.name
-            if counts.get(name, 0) > 1:
-                fresh = f"{name}__dup{next_id[0]}"
-                next_id[0] += 1
-                aliases[fresh] = name
-                return Attr(fresh)
-            return expr
-        if isinstance(expr, Arith):
-            return Arith(expr.op, rewrite(expr.left), rewrite(expr.right))
-        if isinstance(expr, Cmp):
-            return Cmp(expr.op, rewrite(expr.left), rewrite(expr.right))
-        if isinstance(expr, And):
-            return And(tuple(rewrite(a) for a in expr.args))
-        if isinstance(expr, Or):
-            return Or(tuple(rewrite(a) for a in expr.args))
-        if isinstance(expr, Not):
-            return Not(rewrite(expr.arg))
-        return expr
+    def fresh_copy(attr: Attr) -> Attr:
+        if attr.name not in repeated:
+            return attr
+        fresh = f"{attr.name}__dup{len(aliases)}"
+        aliases[fresh] = attr.name
+        return Attr(fresh)
 
-    new_predicate = rewrite(predicate)
+    new_predicate = map_attributes(predicate, fresh_copy)
     if point is None:
         return new_predicate, None, aliases
     new_point = dict(point)
@@ -146,18 +122,12 @@ def duplicate_variables(
     return new_predicate, new_point, aliases
 
 
-def _has_variable_divisor(expr) -> bool:
-    if isinstance(expr, Arith):
-        if expr.op == "/" and attributes(expr.right):
-            return True
-        return _has_variable_divisor(expr.left) or _has_variable_divisor(expr.right)
-    if isinstance(expr, Cmp):
-        return _has_variable_divisor(expr.left) or _has_variable_divisor(expr.right)
-    if isinstance(expr, (And, Or)):
-        return any(_has_variable_divisor(a) for a in expr.args)
-    if isinstance(expr, Not):
-        return _has_variable_divisor(expr.arg)
-    return False
+_VARIABLE_DIVISOR = {
+    **dict.fromkeys(NODE_TYPES, lambda node, *parts: any(parts)),
+    Arith: lambda node, left, right: (
+        left or right or (node.op == "/" and bool(attributes(node.right)))
+    ),
+}
 
 
 def corners_agree(
@@ -191,7 +161,7 @@ def epsilon_by_corners(
     if isinstance(nnf, BoolConst):
         return math.inf
     names = attributes(nnf)
-    if _has_variable_divisor(nnf):
+    if fold(nnf, _VARIABLE_DIVISOR, "epsilon_by_corners"):
         for n in names:
             if float(point[n]) <= 0.0:
                 raise ValueError(

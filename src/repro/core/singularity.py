@@ -14,10 +14,10 @@ satisfied atom at
     ε* = (α − b) / β        (α = Σaᵢpᵢ,  β = Σ|aᵢpᵢ|),
 
 because the extreme deviation of Σaᵢxᵢ over the box is exactly ε·β.
-Boolean combinations recurse with the same truth-oriented min/max as
-`repro.core.linear`.  For non-linear read-once predicates a corner
-check over the (closed, multiplicative) box decides singularity
-numerically.
+Boolean combinations use `repro.core.linear.min_max_radius`, the one
+truth-oriented min/max rule, with this radius per atom.  For non-linear
+read-once predicates a corner check over the (closed, multiplicative)
+box decides singularity numerically.
 """
 
 from __future__ import annotations
@@ -26,16 +26,8 @@ import math
 from collections.abc import Mapping
 from itertools import product as iter_product
 
-from repro.algebra.expressions import (
-    And,
-    BoolConst,
-    BoolExpr,
-    Cmp,
-    Not,
-    Or,
-    attributes,
-)
-from repro.core.linear import atom_as_geq
+from repro.algebra.expressions import BoolExpr, Cmp, attributes
+from repro.core.linear import atom_margin, min_max_radius
 
 __all__ = [
     "singularity_radius",
@@ -46,22 +38,9 @@ __all__ = [
 
 def _atom_singularity_radius(atom: Cmp, point: Mapping[str, object]) -> float:
     """Radius at which the closed multiplicative box reaches the atom's boundary."""
-    if atom.op in ("=", "!="):
-        proxy = Cmp(">=", atom.left, atom.right)
-        coeffs, b, _ = atom_as_geq(proxy)
-        alpha = sum(a * point[n] for n, a in coeffs.items())
-        beta = sum(abs(a * point[n]) for n, a in coeffs.items())
-        if beta == 0:
-            return math.inf  # constant atom — never flips
-        if alpha == b:
-            return 0.0  # '=' holds exactly: flips at any radius
-        return float(abs(alpha - b)) / float(beta)
-
-    coeffs, b, _strict = atom_as_geq(atom)
-    alpha = sum(a * point[n] for n, a in coeffs.items())
-    beta = sum(abs(a * point[n]) for n, a in coeffs.items())
+    _coeffs, b, alpha, beta = atom_margin(atom, point)
     if beta == 0:
-        return math.inf
+        return math.inf  # constant atom — never flips
     return float(abs(alpha - b)) / float(beta)
 
 
@@ -72,23 +51,7 @@ def singularity_radius(predicate: BoolExpr, point: Mapping[str, object]) -> floa
     ``singularity_radius(predicate, point) <= eps0`` (up to the boundary
     convention for weak/strict atoms, which has measure zero).
     """
-    if isinstance(predicate, BoolConst):
-        return math.inf
-    if isinstance(predicate, Not):
-        return singularity_radius(predicate.arg, point)
-    if isinstance(predicate, Cmp):
-        return _atom_singularity_radius(predicate, point)
-    if isinstance(predicate, And):
-        if predicate.evaluate(point):
-            return min(singularity_radius(a, point) for a in predicate.args)
-        false_children = [a for a in predicate.args if not a.evaluate(point)]
-        return max(singularity_radius(a, point) for a in false_children)
-    if isinstance(predicate, Or):
-        if not predicate.evaluate(point):
-            return min(singularity_radius(a, point) for a in predicate.args)
-        true_children = [a for a in predicate.args if a.evaluate(point)]
-        return max(singularity_radius(a, point) for a in true_children)
-    raise TypeError(f"unsupported predicate node {predicate!r}")
+    return min_max_radius(predicate, point, _atom_singularity_radius)[1]
 
 
 def is_singularity(

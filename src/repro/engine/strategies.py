@@ -7,8 +7,8 @@ functions into a probability: the exact #P solvers behind ``conf``
 each as a named :class:`ConfidenceStrategy` in a registry, so sessions
 can switch backends without touching query code, and adds ``auto``: a
 per-tuple policy that inspects the DNF — degenerate cases, read-once
-structure (checked through :mod:`repro.core.readonce`), and size — and
-routes each tuple to the cheapest method that is still sound.
+structure (pairwise variable-disjoint clauses), and size — and routes
+each tuple to the cheapest method that is still sound.
 
 Registry protocol — two methods, one signature::
 
@@ -40,7 +40,6 @@ from dataclasses import dataclass
 
 from collections.abc import Sequence
 
-from repro.algebra.expressions import And, Attr, Cmp, Const, Or
 from repro.confidence.batch import (
     batch_approximate_confidence,
     batch_naive_confidence,
@@ -58,7 +57,6 @@ from repro.confidence.exact import (
     probability_by_enumeration,
 )
 from repro.confidence.naive_mc import naive_sample_size_additive
-from repro.core.readonce import is_read_once
 from repro.util.parallel import SERIAL_EXECUTOR, ShardExecutor
 from repro.worlds.database import Prob
 
@@ -232,26 +230,12 @@ def dnf_is_read_once(dnf: Dnf) -> bool:
 
     A clause is a partial function, so within one clause each variable
     occurs once; the disjunction is read-once iff clauses are pairwise
-    variable-disjoint.  On such instances the decomposition solver's
+    variable-disjoint, i.e. the clause sizes add up to the number of
+    distinct variables.  On such instances the decomposition solver's
     independent-component factoring computes the probability in linear
     time (no Shannon branching), so exact evaluation is always cheap.
-    The check reuses the paper's predicate notion from
-    :mod:`repro.core.readonce` by lowering F to the Boolean formula
-    ⋁_f ⋀_{X∈dom(f)} (X = f(X)) with one attribute per variable
-    occurrence.
     """
-    clauses = []
-    for member in dnf.members:
-        atoms = tuple(
-            Cmp("=", Attr(repr(var)), Const(0)) for var in sorted(member.variables, key=repr)
-        )
-        if not atoms:
-            continue
-        clauses.append(atoms[0] if len(atoms) == 1 else And(atoms))
-    if not clauses:
-        return True
-    formula = clauses[0] if len(clauses) == 1 else Or(tuple(clauses))
-    return is_read_once(formula)
+    return sum(map(len, dnf.members)) == len(dnf.variables)
 
 
 _REGISTRY: dict[str, type[ConfidenceStrategy]] = {}

@@ -42,12 +42,16 @@ on the indexed scalar path.
 
 from __future__ import annotations
 
+import operator
 import threading
 from collections.abc import Mapping, Sequence
+from functools import partial, reduce
 from typing import Optional
 
 from repro.algebra import schema as _schema
 from repro.algebra.expressions import (
+    ARITH_FUNCS,
+    CMP_FUNCS,
     And,
     Arith,
     Attr,
@@ -60,6 +64,7 @@ from repro.algebra.expressions import (
     Value,
 )
 from repro.algebra.relations import ProjectionItem, normalize_projection
+from repro.algebra.tree import fold
 from repro.urel.conditions import TOP, Condition, ConditionPool, Var
 from repro.urel.urelation import URelation
 from repro.urel.variables import VariableTable
@@ -894,105 +899,77 @@ def _vector_mask(expr: BoolExpr, rel: ColumnarURelation):
     the caller falls back to per-row evaluation — semantics are
     identical either way.
     """
-    n = len(rel)
-    if isinstance(expr, BoolConst):
-        return _np.full(n, expr.value, dtype=bool)
-    if isinstance(expr, Not):
-        inner = _vector_mask(expr.arg, rel)
-        return None if inner is None else ~inner
-    if isinstance(expr, (And, Or)):
-        masks = [_vector_mask(arg, rel) for arg in expr.args]
-        if any(mask is None for mask in masks):
-            return None
-        out = masks[0]
-        for mask in masks[1:]:
-            out = (out & mask) if isinstance(expr, And) else (out | mask)
-        return out
-    if isinstance(expr, Cmp):
-        return _cmp_mask(expr, rel)
-    return None
+    return fold(expr, _MASK_HANDLERS, "columnar select", rel)
 
 
-def _cmp_mask(expr: Cmp, rel: ColumnarURelation):
-    col_of = {c: i for i, c in enumerate(rel.columns)}
-    # Fast path: =/!= over attributes/constants needs no decoding at all.
-    if expr.op in ("=", "!="):
-        if isinstance(expr.left, Const) and isinstance(expr.right, Const):
-            # Constant-vs-constant never consults the codec: two distinct
-            # constants the codec has not seen would both take the unseen
-            # sentinel and spuriously compare equal.
-            equal = expr.left.value == expr.right.value
-            return _as_mask(equal if expr.op == "=" else not equal, len(rel))
-        if not rel.ctx.values.has_nonreflexive:
-            # With a NaN anywhere in the codec, code equality no longer
-            # implies value == value; fall through to the decoded object
-            # path, whose elementwise == matches the scalar backend.
-            left = _code_operand(expr.left, rel, col_of)
-            right = _code_operand(expr.right, rel, col_of)
-            if left is not None and right is not None:
-                mask = _as_mask(left == right, len(rel))
-                return mask if expr.op == "=" else ~mask
-    left = _term_objects(expr.left, rel, col_of)
-    right = _term_objects(expr.right, rel, col_of)
+# A term lowers to ``(codes, objects)`` — ``None`` when it has no lowering.
+# ``codes`` is a column's code vector or a constant's code (``None`` for a
+# computed term); ``objects()`` decodes to an object ndarray / scalar only
+# when called, so an ``=`` between coded operands never decodes a column.
+
+
+def _attr_operand(rel: ColumnarURelation, term: Attr):
+    if term.name not in rel.columns:
+        return None
+    position = rel.columns.index(term.name)
+    return rel.data[:, position], partial(rel._column_objects, position)
+
+
+def _const_operand(rel: ColumnarURelation, term: Const):
+    # A constant never seen by the codec gets the sentinel ``-2``: it
+    # cannot equal any row's code (``-1`` is taken by "undefined" in
+    # condition matrices, never appears in data columns either way).
+    return rel.ctx.values.index.get(term.value, -2), lambda: term.value
+
+
+def _arith_operand(rel: ColumnarURelation, term: Arith, left, right):
     if left is None or right is None:
         return None
-    op = expr.op
-    if op == "<":
-        mask = left < right
-    elif op == "<=":
-        mask = left <= right
-    elif op == "=":
-        mask = left == right
-    elif op == "!=":
-        mask = left != right
-    elif op == ">=":
-        mask = left >= right
-    else:
-        mask = left > right
-    return _as_mask(mask, len(rel))
+    value = ARITH_FUNCS[term.op](left[1](), right[1]())
+    return None, lambda: value
+
+
+def _cmp_mask(rel: ColumnarURelation, atom: Cmp, left, right):
+    if left is None or right is None:
+        return None
+    # Fast path: =/!= over attributes/constants needs no decoding at all.
+    # Constant-vs-constant never compares codes: two distinct constants
+    # the codec has not seen share the sentinel and would spuriously
+    # compare equal.  With a NaN anywhere in the codec, code equality no
+    # longer implies value == value; the decoded path's elementwise ==
+    # matches the scalar backend.
+    if (
+        atom.op in ("=", "!=")
+        and left[0] is not None
+        and right[0] is not None
+        and not (isinstance(atom.left, Const) and isinstance(atom.right, Const))
+        and not rel.ctx.values.has_nonreflexive
+    ):
+        mask = _as_mask(left[0] == right[0], len(rel))
+        return mask if atom.op == "=" else ~mask
+    return _as_mask(CMP_FUNCS[atom.op](left[1](), right[1]()), len(rel))
 
 
 def _as_mask(mask, n: int):
-    """Broadcast constant-vs-constant comparison results to a full mask."""
+    """Broadcast a constant truth value (constant atom, Boolean literal) to a full mask."""
     if isinstance(mask, _np.ndarray) and mask.shape:
         return mask.astype(bool, copy=False)
     return _np.full(n, bool(mask), dtype=bool)
 
 
-def _code_operand(term, rel: ColumnarURelation, col_of):
-    """An operand as integer codes: a column's code vector or a constant code.
-
-    A constant never seen by the codec gets the sentinel ``-2``: it
-    cannot equal any row's code (``-1`` is taken by "undefined" in
-    condition matrices, never appears in data columns either way).  The
-    caller must not compare two constant operands through their codes —
-    two *distinct* unseen constants share the sentinel.
-    """
-    if isinstance(term, Attr):
-        position = col_of.get(term.name)
-        return None if position is None else rel.data[:, position]
-    if isinstance(term, Const):
-        return rel.ctx.values.index.get(term.value, -2)
-    return None
+def _junction_mask(combine, rel: ColumnarURelation, node, *masks):
+    if any(mask is None for mask in masks):
+        return None
+    return reduce(combine, masks)
 
 
-def _term_objects(term, rel: ColumnarURelation, col_of):
-    """A term as decoded values (object ndarray / scalar), ``None`` if unsupported."""
-    if isinstance(term, Attr):
-        position = col_of.get(term.name)
-        return None if position is None else rel._column_objects(position)
-    if isinstance(term, Const):
-        return term.value
-    if isinstance(term, Arith):
-        left = _term_objects(term.left, rel, col_of)
-        right = _term_objects(term.right, rel, col_of)
-        if left is None or right is None:
-            return None
-        if term.op == "+":
-            return left + right
-        if term.op == "-":
-            return left - right
-        if term.op == "*":
-            return left * right
-        return left / right
-    return None
+_MASK_HANDLERS = {
+    Attr: _attr_operand,
+    Const: _const_operand,
+    Arith: _arith_operand,
+    BoolConst: lambda rel, node: _as_mask(node.value, len(rel)),
+    Cmp: _cmp_mask,
+    Not: lambda rel, node, inner: None if inner is None else ~inner,
+    And: partial(_junction_mask, operator.and_),
+    Or: partial(_junction_mask, operator.or_),
+}

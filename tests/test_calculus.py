@@ -251,3 +251,50 @@ class TestTheorem44:
         )
         assert p_joint == reference_joint
         assert 0 < p_joint < p_given
+
+
+class TestResolvePositional:
+    """One rebuild pass over the whole operator catalogue: markers below
+    ``Product`` / ``Difference`` (and every other operator) are resolved,
+    not returned unvisited."""
+
+    SCHEMAS = {"R": ("A", "B"), "S": ("B",)}
+
+    def _marker(self, relation, arity):
+        from repro.calculus.compile import _positional
+
+        return _positional(relation, arity, [f"__a{i}" for i in range(arity)])
+
+    def _resolved(self, relation):
+        from repro.algebra.operators import BaseRel, Rename
+
+        columns = self.SCHEMAS[relation]
+        return Rename(BaseRel(relation), {c: f"__a{i}" for i, c in enumerate(columns)})
+
+    def test_marker_below_product_and_difference_is_resolved(self):
+        from repro.algebra.operators import Difference, Poss, Product, Project, walk
+        from repro.calculus.compile import _PositionalRel
+
+        r, s = self._marker("R", 2), self._marker("S", 1)
+        plan = Poss(Difference(Project(Product(r, s), ["__a0"]), Project(r, ["__a0"])))
+        resolved = resolve_positional(plan, self.SCHEMAS)
+        assert not any(isinstance(node, _PositionalRel) for node in walk(resolved))
+        product = resolved.child.left.child
+        assert product == Product(self._resolved("R"), self._resolved("S"))
+        assert resolved.child.right == Project(self._resolved("R"), ["__a0"])
+
+    def test_marker_free_subtrees_are_shared_not_copied(self):
+        from repro.algebra.operators import BaseRel, Join, RepairKey
+
+        kept = RepairKey(BaseRel("R"), ["A"], "B")
+        resolved = resolve_positional(Join(kept, self._marker("S", 1)), self.SCHEMAS)
+        assert resolved.left is kept and resolved.right == self._resolved("S")
+
+    def test_arity_mismatch_raises_the_same_error(self):
+        from repro.algebra.operators import Product
+
+        plan = Product(self._marker("S", 1), self._marker("R", 3))
+        with pytest.raises(
+            ValueError, match="atom arity 3 does not match relation 'R' arity 2"
+        ):
+            resolve_positional(plan, self.SCHEMAS)

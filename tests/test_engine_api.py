@@ -18,6 +18,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import repro
 from repro.algebra.parser import parse_query, parse_session
@@ -146,6 +147,35 @@ class TestAutoStrategy:
     def test_read_once_detection(self):
         assert dnf_is_read_once(chain_dnf(30, overlap=False))
         assert not dnf_is_read_once(chain_dnf(16, overlap=True))
+
+    @given(
+        st.lists(
+            st.dictionaries(st.sampled_from("uvwxyz"), st.integers(0, 1), max_size=3),
+            max_size=5,
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_read_once_check_equals_the_predicate_lowering(self, clauses):
+        """The direct clause-disjointness test routes exactly like the
+        lowering to a Section 5 predicate it replaced (kept here only):
+        ⋁_f ⋀_{X∈dom(f)} (X = 0), one attribute per variable occurrence."""
+        from repro.algebra.expressions import And, Attr, Cmp, Const, Or
+        from repro.confidence.dnf import Dnf
+        from repro.core.readonce import is_read_once
+        from repro.urel.conditions import Condition
+        from repro.urel.variables import VariableTable
+
+        w = VariableTable()
+        for name in "uvwxyz":
+            w.add(name, {0: Fraction(1, 2), 1: Fraction(1, 2)})
+        dnf = Dnf([Condition(clause) for clause in clauses], w)
+        lowered = [
+            And(tuple(Cmp("=", Attr(repr(v)), Const(0)) for v in sorted(f.variables, key=repr)))
+            for f in dnf.members
+            if f.variables
+        ]
+        expected = is_read_once(Or(tuple(lowered))) if lowered else True
+        assert dnf_is_read_once(dnf) == expected
 
     def test_auto_picks_exact_on_read_once(self):
         """30 disjoint clauses: too big for the size cutoff, still exact."""
