@@ -26,10 +26,9 @@ from repro.confidence.dissociation import (
     dissociation_interval,
     dissociation_intervals,
 )
-from repro.confidence.dnf import Dnf
+from repro.confidence.dnf import Dnf, lineage
 from repro.confidence.exact import (
     EnumerationLimitError,
-    exact_probability,
     probability_by_decomposition,
     probability_by_enumeration,
 )
@@ -43,9 +42,24 @@ from repro.confidence.naive_mc import (
     naive_confidence,
     naive_sample_size_additive,
 )
+from repro.confidence.strategies import (
+    ConfidenceReport,
+    ConfidenceStrategy,
+    ExactDecomposition,
+    ExactEnumeration,
+    KarpLuby,
+    is_exact_solver,
+)
 
 __all__ = [
     "Dnf",
+    "lineage",
+    "ConfidenceReport",
+    "ConfidenceStrategy",
+    "ExactDecomposition",
+    "ExactEnumeration",
+    "KarpLuby",
+    "is_exact_solver",
     "BoundInterval",
     "DEFAULT_BOUND_BUDGET",
     "dissociation_interval",
@@ -59,7 +73,6 @@ __all__ = [
     "default_backend",
     "resolve_backend",
     "shared_block_confidences",
-    "exact_probability",
     "probability_by_enumeration",
     "probability_by_decomposition",
     "EnumerationLimitError",

@@ -73,13 +73,9 @@ from repro.confidence.exact import (
 )
 from repro.urel.conditions import Condition
 from repro.urel.variables import VariableTable
+from repro.util.backends import np as _np
 from repro.util.parallel import SERIAL_EXECUTOR
 from repro.worlds.database import Prob
-
-try:  # pragma: no cover - exercised via whichever path the host has
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
 
 __all__ = [
     "BoundInterval",

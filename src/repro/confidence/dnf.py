@@ -17,7 +17,7 @@ from repro.urel.conditions import Condition, Var
 from repro.urel.variables import VariableTable
 from repro.worlds.database import Prob
 
-__all__ = ["Dnf"]
+__all__ = ["Dnf", "lineage"]
 
 
 class Dnf:
@@ -103,3 +103,19 @@ class Dnf:
     def for_tuple(urelation, row: Sequence, w: VariableTable) -> "Dnf":
         """The disjunction F for data tuple ``row`` of a U-relation."""
         return Dnf(urelation.conditions_of(row), w)
+
+
+def lineage(
+    urelation, w: VariableTable, rows: Sequence[tuple] | None = None
+) -> tuple[Sequence[tuple], list[Dnf]]:
+    """The data tuples of a U-relation and the disjunction F of each.
+
+    ``rows`` defaults to poss(R) in ``repr`` order — the order every
+    confidence-closing operator computes, and a sampler draws, in.  The
+    one place a relation's DNFs are built: each is read off the
+    relation's cached tuple index, so the whole list costs one grouping
+    pass over U_R.
+    """
+    if rows is None:
+        rows = urelation.possible_tuples().sorted_rows()
+    return rows, [Dnf.for_tuple(urelation, row, w) for row in rows]

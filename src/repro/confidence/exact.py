@@ -21,6 +21,9 @@ Two implementations:
     of experiment E17.
 
 Both preserve exact rational arithmetic when the W table holds Fractions.
+Callers choose between them by strategy object
+(:class:`~repro.confidence.strategies.ExactDecomposition` /
+:class:`~repro.confidence.strategies.ExactEnumeration`), not by name.
 """
 
 from __future__ import annotations
@@ -36,7 +39,6 @@ from repro.worlds.database import Prob
 __all__ = [
     "probability_by_enumeration",
     "probability_by_decomposition",
-    "exact_probability",
     "EnumerationLimitError",
 ]
 
@@ -80,15 +82,6 @@ def probability_by_decomposition(dnf: Dnf) -> Prob:
         return Fraction(1)
     solver = _Decomposition(dnf.w)
     return solver.solve(frozenset(dnf.members))
-
-
-def exact_probability(dnf: Dnf, method: str = "decomposition") -> Prob:
-    """Dispatch between the two exact solvers."""
-    if method == "decomposition":
-        return probability_by_decomposition(dnf)
-    if method == "enumeration":
-        return probability_by_enumeration(dnf)
-    raise ValueError(f"unknown exact method {method!r}")
 
 
 class _Decomposition:

@@ -109,7 +109,6 @@ class ApproxQueryEvaluator(UEvaluator):
         eps0: float,
         rounds: int | None = None,
         decision_delta: float | None = None,
-        conf_method: str = "decomposition",
         rng: random.Random | int | None = None,
         epsilon_method: str = "auto",
         copy_db: bool = True,
@@ -119,14 +118,7 @@ class ApproxQueryEvaluator(UEvaluator):
     ):
         if (rounds is None) == (decision_delta is None):
             raise ValueError("specify exactly one of rounds / decision_delta")
-        super().__init__(
-            db,
-            conf_method=conf_method,
-            rng=rng,
-            copy_db=copy_db,
-            backend=backend,
-            executor=executor,
-        )
+        super().__init__(db, rng=rng, copy_db=copy_db, backend=backend, executor=executor)
         self.eps0 = eps0
         self.rounds = rounds
         self.decision_delta = decision_delta

@@ -82,7 +82,6 @@ def evaluate_with_guarantee(
     rng: random.Random | int | None = None,
     initial_rounds: int = 1,
     max_rounds: int | None = None,
-    conf_method: str = "decomposition",
     epsilon_method: str = "auto",
     backend: str | None = None,
     executor=None,
@@ -132,7 +131,6 @@ def evaluate_with_guarantee(
             db,
             eps0,
             rounds=rounds,
-            conf_method=conf_method,
             rng=spawn_rng(generator),
             epsilon_method=epsilon_method,
             backend=backend,

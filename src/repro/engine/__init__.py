@@ -11,7 +11,7 @@ from repro.engine.cache import CacheStats, MemoCache, query_fingerprint
 from repro.engine.plan import ExplainReport, PlanNode
 from repro.engine.probdb import ProbDB, connect
 from repro.engine.result import EngineResult
-from repro.engine.strategies import (
+from repro.confidence.strategies import (
     AutoStrategy,
     ConfidenceReport,
     ConfidenceStrategy,

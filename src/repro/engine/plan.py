@@ -37,11 +37,10 @@ from repro.algebra.operators import (
 )
 from repro.algebra.printer import unparse_expression
 from repro.confidence.dissociation import dissociation_interval
-from repro.confidence.dnf import Dnf
-from repro.engine.strategies import KarpLuby
 
 if TYPE_CHECKING:
-    from repro.engine.strategies import ConfidenceStrategy
+    from repro.confidence.dnf import Dnf
+    from repro.confidence.strategies import ConfidenceStrategy
     from repro.urel.evaluate import UEvaluator
 
 __all__ = [
@@ -242,11 +241,7 @@ class _PlanPass:
         cuts, and each member's :meth:`ConfidenceStrategy.trial_budget` is
         what :meth:`~repro.util.parallel.ShardExecutor.plan_trials` cuts.
         """
-        relation = self.relation(node)
-        return [
-            Dnf.for_tuple(relation, row, self.evaluator.db.w)
-            for row in relation.possible_tuples().rows
-        ]
+        return self.evaluator.lineage(self.relation(node))[1]
 
     # ----------------------------------------------------------- handlers
     def _scan(self, node: BaseRel) -> PlanNode:
@@ -338,10 +333,13 @@ class _PlanPass:
         )
 
     def _cert(self, node: Cert, child: PlanNode) -> PlanNode:
+        # Certainty is never sampled: the runtime's exact solver, not the
+        # session strategy.
+        exact = self.evaluator.exact_strategy
         return PlanNode(
             "cert",
-            strategy=self.strategy.name,
-            methods=_tally(self.strategy, self.tuple_dnfs(node.child)),
+            strategy=exact.name,
+            methods=_tally(exact, self.tuple_dnfs(node.child)),
             children=(child,),
         )
 
@@ -349,12 +347,12 @@ class _PlanPass:
         dnfs = self.tuple_dnfs(node.child)
         # aconf always runs Karp–Luby at the node's own (ε, δ); the cost
         # model must rate its budgets, not the session strategy's.
-        node_sampler = KarpLuby(node.eps, node.delta)
+        node_sampler = self.evaluator.aconf_strategy(node)
         return PlanNode(
             "aconf",
             f"ε={node.eps}, δ={node.delta}",
-            strategy="karp-luby",
-            methods={"karp-luby": len(dnfs)},
+            strategy=node_sampler.name,
+            methods={node_sampler.name: len(dnfs)},
             children=(child,),
             path=_conf_path(self.executor, node_sampler, dnfs),
         )

@@ -16,9 +16,13 @@ one session object:
 A session owns one U-relational database (the W table grows across
 assignments, as in Example 2.2), one RNG (seeded once — every stochastic
 subroutine derives from it), one confidence strategy (see
-:mod:`repro.engine.strategies`), and one memo cache keyed on query
+:mod:`repro.confidence.strategies`), and one memo cache keyed on query
 fingerprint and database/W versions, so repeated confidence computations
-in a session are free.
+in a session are free.  Every confidence the session computes — ``conf``
+/ ``cert`` / σ̂ inside a query, :meth:`ProbDB.confidence`,
+``confidence_all``, per-row and top-k — is the session evaluator's
+``lineage`` → ``confidences``, so they all share the strategy protocol,
+the shard plan and the memo.
 """
 
 from __future__ import annotations
@@ -35,16 +39,17 @@ from repro.algebra.relations import Relation
 from repro.confidence.batch import resolve_backend
 from repro.confidence.dissociation import DEFAULT_BOUND_BUDGET
 from repro.confidence.dnf import Dnf
-from repro.engine.cache import MemoCache, query_fingerprint
-from repro.engine.plan import ExplainReport, explain_plan, topk_plan
-from repro.engine.result import EngineResult
-from repro.engine.strategies import (
+from repro.confidence.strategies import (
     DEFAULT_DELTA,
     DEFAULT_EPS,
     ConfidenceReport,
     ConfidenceStrategy,
+    is_exact_solver,
     resolve_strategy,
 )
+from repro.engine.cache import MemoCache, query_fingerprint
+from repro.engine.plan import ExplainReport, explain_plan, topk_plan
+from repro.engine.result import EngineResult
 from repro.urel.evaluate import UEvaluator
 from repro.urel.udatabase import UDatabase
 from repro.urel.urelation import URelation
@@ -133,25 +138,56 @@ def connect(
 
 
 class _EngineEvaluator(UEvaluator):
-    """A :class:`UEvaluator` whose ``conf`` goes through the strategy registry."""
+    """The session's evaluator: the session's *current* strategy, and its memo."""
 
-    def __init__(self, db, strategy, rng, engine, copy_db=False, backend=None, executor=None):
-        # cert and σ̂ conf-joins must stay exact (Example 5.7); honor an
-        # explicitly-exact session strategy there, default to decomposition.
-        conf_method = "enumeration" if strategy.name == "exact-enumeration" else "decomposition"
-        super().__init__(
-            db,
-            conf_method=conf_method,
-            rng=rng,
-            copy_db=copy_db,
-            backend=backend,
-            executor=executor,
-        )
-        self.strategy = strategy
+    def __init__(self, engine: "ProbDB"):
         self.engine = engine
+        super().__init__(
+            engine.db,
+            rng=engine.rng,
+            copy_db=False,
+            backend=engine.backend,
+            executor=engine.executor,
+        )
 
-    def eval_conf(self, child, p_name):
-        return self.engine._confidence_relation(child, p_name, self)
+    @property
+    def strategy(self) -> ConfidenceStrategy:
+        """Read through, never copied: ``db.strategy`` is assignable."""
+        return self.engine.strategy
+
+    def confidences(self, dnfs, strategy=None) -> list[ConfidenceReport]:
+        """Memoized DNFs from the session cache, the misses in one batch.
+
+        Only the misses go to the strategy's ``compute_batch``, which
+        draws their trials as shared/vectorized blocks instead of N
+        independent sampler runs.
+        """
+        engine = self.engine
+        cache = engine._cache
+        if not cache.enabled:
+            return super().confidences(dnfs, strategy)
+        chosen = self.strategy if strategy is None else strategy
+        keys = [engine._conf_cache_key(dnf, chosen) for dnf in dnfs]
+        reports = [cache.get(key) for key in keys]
+        # Distinct tuples often share one condition set (same cache key);
+        # each distinct DNF is computed once per batch.
+        misses: dict[tuple, int] = {}
+        for i, key in enumerate(keys):
+            if reports[i] is None:
+                misses.setdefault(key, i)
+        if misses:
+            fresh = super().confidences([dnfs[i] for i in misses.values()], chosen)
+            by_key = dict(zip(misses, fresh))
+            for key, report in by_key.items():
+                # Sampled reports are volatile: a recompute would consume
+                # session RNG state, so the cross-session budget evictor
+                # must not remove them (exact reports recompute
+                # identically and draw nothing — freely evictable).
+                cache.put(key, report, volatile=_report_volatile(report))
+            reports = [
+                by_key[key] if report is None else report for key, report in zip(keys, reports)
+            ]
+        return reports
 
 
 class ProbDB:
@@ -222,15 +258,7 @@ class ProbDB:
         # plan (same repair-key op_ids → same random variables, and memo
         # cache keys that can actually repeat).
         self._parse_cache: dict[str, Query] = {}
-        self._evaluator = _EngineEvaluator(
-            self.db,
-            self.strategy,
-            self._rng,
-            self,
-            copy_db=False,
-            backend=self.backend,
-            executor=self.executor,
-        )
+        self._evaluator = _EngineEvaluator(self)
 
     @staticmethod
     def _coerce(source, copy: bool) -> UDatabase:
@@ -351,17 +379,8 @@ class ProbDB:
         """
         node, source = self._resolve(query)
         inner = self.query(node)
-        chosen = (
-            self.strategy
-            if strategy is None
-            else resolve_strategy(
-                strategy, eps=self._eps, delta=self._delta, backend=self.backend
-            )
-        )
         started = time.perf_counter()
-        relation = self._confidence_relation(
-            inner.relation, p_name, self._evaluator, chosen
-        )
+        relation = self._evaluator.conf(inner.relation, p_name, self._override(strategy))
         elapsed = time.perf_counter() - started
         return EngineResult(relation, True, node, self, inner.elapsed + elapsed, source)
 
@@ -468,13 +487,12 @@ class ProbDB:
     def _topk_compute(self, result: EngineResult, k, eps, delta, bounds_budget):
         from repro.core.topk import TopKEntry, TopKReport, race_topk
 
-        rows = result.rows
-        dnfs = [Dnf.for_tuple(result.relation, row, self.db.w) for row in rows]
-        if self.strategy.name in ("exact-decomposition", "exact-enumeration"):
+        rows, dnfs = self._evaluator.lineage(result.relation, result.rows)
+        if is_exact_solver(self.strategy):
             # Strategy routing: an exact session owes exact answers, so
             # the ranking comes from exact confidences — no race, no
             # trials, error 0 (and the memo entry is freely evictable).
-            reports = self._compute_confidence_batch(dnfs, self.strategy)
+            reports = self._evaluator.confidences(dnfs)
             order = sorted(range(len(rows)), key=lambda i: (-reports[i].value, i))
             entries = tuple(
                 TopKEntry(
@@ -525,7 +543,7 @@ class ProbDB:
         # algebra layer, and close() tears it down once.
         return UEvaluator(
             self.db,
-            conf_method="decomposition",
+            strategy=self.strategy,
             rng=random.Random(0),
             copy_db=True,
             backend=self.backend,
@@ -556,8 +574,13 @@ class ProbDB:
             result = db.query("project[CoinType](R)")
             db.tuple_confidence(result.relation, ("fair",))
         """
-        dnf = Dnf.for_tuple(relation, row, self.db.w)
-        return self._compute_confidence(dnf, self.strategy)
+        return self.relation_confidences(relation, [tuple(row)])[0]
+
+    def _override(self, strategy: str | ConfidenceStrategy | None) -> ConfidenceStrategy | None:
+        """A per-call ``strategy=`` as an object; ``None`` stays the session's."""
+        if strategy is None:
+            return None
+        return resolve_strategy(strategy, eps=self._eps, delta=self._delta, backend=self.backend)
 
     def _plan_cache_token(self, strategy: ConfidenceStrategy) -> tuple:
         # Answers are bit-identical at any worker count *given the plan*
@@ -569,59 +592,6 @@ class ProbDB:
     def _conf_cache_key(self, dnf: Dnf, strategy: ConfidenceStrategy) -> tuple:
         token = self._plan_cache_token(strategy)
         return ("conf", frozenset(dnf.members), self.db.w.version, token)
-
-    def _compute_confidence(
-        self, dnf: Dnf, strategy: ConfidenceStrategy
-    ) -> ConfidenceReport:
-        if not self._cache.enabled:
-            return strategy.compute(dnf, self._rng, executor=self.executor)
-        key = self._conf_cache_key(dnf, strategy)
-        report = self._cache.get(key)
-        if report is None:
-            report = strategy.compute(dnf, self._rng, executor=self.executor)
-            # Sampled reports are volatile: a recompute would consume
-            # session RNG state, so the cross-session budget evictor
-            # must not remove them (exact reports recompute identically
-            # and draw nothing — freely evictable).
-            self._cache.put(key, report, volatile=_report_volatile(report))
-        return report
-
-    def _compute_confidence_batch(
-        self, dnfs: Sequence[Dnf], strategy: ConfidenceStrategy
-    ) -> list[ConfidenceReport]:
-        """Confidences for many tuples in one batched pass.
-
-        Cache-aware: memoized DNFs are answered from the session cache;
-        only the misses go to the strategy's :meth:`compute_batch`, which
-        draws their trials as shared/vectorized blocks instead of N
-        independent sampler runs.
-        """
-        if not self._cache.enabled:
-            return list(
-                strategy.compute_batch(dnfs, self._rng, executor=self.executor)
-            )
-        reports: list[ConfidenceReport | None] = []
-        # Distinct tuples often share one condition set (same cache key);
-        # compute each distinct DNF once per batch, as the sequential
-        # path effectively did.
-        misses: dict[tuple, int] = {}
-        for i, dnf in enumerate(dnfs):
-            key = self._conf_cache_key(dnf, strategy)
-            cached = self._cache.get(key)
-            reports.append(cached)
-            if cached is None:
-                misses.setdefault(key, i)
-        if misses:
-            fresh = strategy.compute_batch(
-                [dnfs[i] for i in misses.values()], self._rng, executor=self.executor
-            )
-            by_key = dict(zip(misses, fresh))
-            for key, report in by_key.items():
-                self._cache.put(key, report, volatile=_report_volatile(report))
-            for i, dnf in enumerate(dnfs):
-                if reports[i] is None:
-                    reports[i] = by_key[self._conf_cache_key(dnf, strategy)]
-        return reports
 
     def confidence_all(
         self,
@@ -641,17 +611,8 @@ class ProbDB:
                 print(row, report.value, report.exact)
         """
         result = self.query(query)
-        chosen = (
-            self.strategy
-            if strategy is None
-            else resolve_strategy(
-                strategy, eps=self._eps, delta=self._delta, backend=self.backend
-            )
-        )
-        rows = result.rows
-        dnfs = [Dnf.for_tuple(result.relation, row, self.db.w) for row in rows]
-        reports = self._compute_confidence_batch(dnfs, chosen)
-        return dict(zip(rows, reports))
+        rows, dnfs = self._evaluator.lineage(result.relation, result.rows)
+        return dict(zip(rows, self._evaluator.confidences(dnfs, self._override(strategy))))
 
     def relation_confidences(
         self, relation: URelation, rows: Sequence[tuple]
@@ -663,34 +624,7 @@ class ProbDB:
 
             db.relation_confidences(result.relation, result.rows)
         """
-        dnfs = [Dnf.for_tuple(relation, row, self.db.w) for row in rows]
-        return self._compute_confidence_batch(dnfs, self.strategy)
-
-    def _confidence_relation(
-        self,
-        urel: URelation,
-        p_name: str,
-        evaluator: UEvaluator,
-        strategy: ConfidenceStrategy | None = None,
-    ) -> URelation:
-        """Strategy-routed [[conf(R)]] (replaces the evaluator's exact-only path)."""
-        chosen = self.strategy if strategy is None else strategy
-        from repro.algebra import schema as _schema
-        from repro.urel.conditions import TOP
-
-        cols = urel.columns
-        if p_name in cols:
-            raise _schema.SchemaError(
-                f"conf column {p_name!r} collides with schema {cols}"
-            )
-        rows = sorted(urel.possible_tuples().rows, key=repr)
-        dnfs = [Dnf.for_tuple(urel, row, evaluator.db.w) for row in rows]
-        reports = self._compute_confidence_batch(dnfs, chosen)
-        out = {
-            (TOP, tuple(row) + (report.value,))
-            for row, report in zip(rows, reports)
-        }
-        return URelation(cols + (p_name,), frozenset(out))
+        return self._evaluator.confidences(self._evaluator.lineage(relation, rows)[1])
 
     # ------------------------------------------------------------ introspection
     def relation(self, name: str) -> URelation:

@@ -18,7 +18,7 @@ from repro.urel.urelation import URelation
 
 if TYPE_CHECKING:
     from repro.engine.probdb import ProbDB
-    from repro.engine.strategies import ConfidenceReport
+    from repro.confidence.strategies import ConfidenceReport
 
 __all__ = ["EngineResult"]
 

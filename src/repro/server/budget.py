@@ -109,7 +109,13 @@ class CacheBudget:
             # eviction: if a hit refreshed the entry in between, the
             # cache no-ops (the comparison that made it the global LRU
             # no longer holds) and the next round re-picks.
-            freed = victim.evict_lru(victim_tick)
+            # Under the registry lock (budget lock → cache lock, the one
+            # order used anywhere), and only if the victim is still
+            # registered: ``caches`` is a snapshot, and a cache that was
+            # unregistered since is out of this budget's reach — its late
+            # puts must survive.
+            with self._lock:
+                freed = victim.evict_lru(victim_tick) if victim in self._caches else 0
             if freed <= 0:
                 # Raced with a hit that refreshed the entry; try again —
                 # unless nothing is evictable anymore.

@@ -185,7 +185,7 @@ def decode_rows(rows) -> list[tuple]:
 
 
 def encode_report(report) -> dict:
-    """A :class:`~repro.engine.strategies.ConfidenceReport`, losslessly.
+    """A :class:`~repro.confidence.strategies.ConfidenceReport`, losslessly.
 
     ``lower``/``upper`` carry the guaranteed dissociation bound interval
     (exact Fractions, encoded like the value) when the method produced

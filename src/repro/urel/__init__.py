@@ -4,12 +4,7 @@ from repro.urel.columnar import ColumnarContext, ColumnarURelation
 from repro.urel.conditions import TOP, Condition, ConditionPool
 from repro.urel.enumerate import WorldLimitError, enumerate_worlds, from_possible_worlds
 from repro.urel.evaluate import UEvaluator, UResult
-from repro.urel.translate import (
-    approx_confidence_relation,
-    exact_confidence_relation,
-    translate_repair_key,
-    tuple_confidence,
-)
+from repro.urel.translate import confidence_relation, translate_repair_key
 from repro.urel.udatabase import UDatabase
 from repro.urel.urelation import URelation
 from repro.urel.variables import VariableError, VariableTable
@@ -30,7 +25,5 @@ __all__ = [
     "from_possible_worlds",
     "WorldLimitError",
     "translate_repair_key",
-    "exact_confidence_relation",
-    "approx_confidence_relation",
-    "tuple_confidence",
+    "confidence_relation",
 ]

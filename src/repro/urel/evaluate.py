@@ -6,10 +6,13 @@ engine, but on the succinct representation:
 * positive relational algebra, ``poss`` and ``repair-key`` run as the
   parsimonious translations (Proposition 3.3 — no look at W except to
   extend it with fresh repair-key variables);
-* ``conf`` invokes an exact #P subprocedure
-  (`repro.confidence.exact`) — this is the evaluation strategy behind
-  Theorem 3.4;
-* ``conf_{ε,δ}`` invokes the Karp–Luby FPRAS (Corollary 4.3);
+* the confidence-closing operators share one seam — :meth:`lineage`
+  (poss(R) and each tuple's disjunction F) → :meth:`confidences` (a
+  strategy object weighs the Fs) → ``translate.confidence_relation``:
+  ``conf`` under the evaluator's strategy (default: the exact #P
+  subprocedure behind Theorem 3.4), ``cert`` and ``σ̂`` under its
+  :attr:`exact_strategy`, ``conf_{ε,δ}`` under Karp–Luby at the node's
+  own (ε, δ) (Corollary 4.3);
 * ``σ̂`` is evaluated here with *exact* confidences; the genuinely
   approximate σ̂ with per-tuple error accounting is
   `repro.core.approx_select.ApproxQueryEvaluator`, a subclass that
@@ -37,6 +40,7 @@ threaded through consecutive assignments) use ``repro.connect(db)``.
 from __future__ import annotations
 
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 from typing import Union as _Union
@@ -65,21 +69,31 @@ from repro.algebra.expressions import Attr, Cmp, Const
 from repro.algebra.relations import Relation
 from repro.urel.columnar import ColumnarContext, ColumnarURelation
 from repro.util.backends import resolve_backend
-from repro.urel.translate import (
-    approx_confidence_relation,
-    exact_confidence_relation,
-    translate_repair_key,
-)
+from repro.urel.translate import confidence_relation, translate_repair_key
 from repro.urel.udatabase import UDatabase
 from repro.urel.urelation import URelation
 from repro.util.parallel import SERIAL_EXECUTOR
 from repro.util.rng import ensure_rng
 from repro.worlds.repair import RepairError
 
-if TYPE_CHECKING:  # imported lazily at runtime to avoid a package cycle
-    from repro.confidence.dnf import Dnf
+if TYPE_CHECKING:
+    from repro.confidence import ConfidenceReport, ConfidenceStrategy, Dnf
 
 __all__ = ["UEvaluator", "UResult"]
+
+
+def _confidence():
+    """The :mod:`repro.confidence` package, imported on first use.
+
+    ``repro.confidence`` imports ``repro.urel.conditions`` and with it
+    this module, so the import cannot sit at the top: whenever
+    ``repro.confidence`` is imported first it would find itself half
+    initialised.
+    """
+    import repro.confidence
+
+    return repro.confidence
+
 
 _Rep = _Union[URelation, ColumnarURelation]
 """An intermediate result: scalar, or columnar on the numpy path."""
@@ -100,8 +114,9 @@ class UEvaluator:
     method per operator, receiving the node and its operands'
     ``(representation, complete)`` results.
 
-    ``conf_method`` selects the exact solver ("decomposition" or
-    "enumeration"); ``rng`` seeds all approximate operators; ``backend``
+    ``strategy`` is the :class:`~repro.confidence.strategies.ConfidenceStrategy`
+    object ``conf`` runs (``None``: exact decomposition, the Theorem 3.4
+    subprocedure); ``rng`` seeds all approximate operators; ``backend``
     selects the relational-operator engine (``"numpy"`` columnar /
     ``"python"`` scalar; ``None``/``"auto"`` picks numpy when
     importable); ``executor`` (a
@@ -116,16 +131,15 @@ class UEvaluator:
     def __init__(
         self,
         db: UDatabase,
-        conf_method: str = "decomposition",
+        strategy: ConfidenceStrategy | None = None,
         rng: random.Random | int | None = None,
         copy_db: bool = True,
         backend: str | None = None,
         executor=None,
     ):
         self.db = db.copy() if copy_db else db
-        self.conf_method = conf_method
+        self._strategy = _confidence().ExactDecomposition() if strategy is None else strategy
         self.rng = ensure_rng(rng)
-        self.conf_log: list = []
         self.backend = resolve_backend(backend)
         # Columnar product/join pair merges and aconf trial budgets run
         # on it; the shard plan is a function of row and trial counts
@@ -287,21 +301,20 @@ class UEvaluator:
         return result, False
 
     def _conf(self, node: Conf, child):
-        return self.eval_conf(self._materialize(child[0]), node.p_name), True
+        return self.conf(self._materialize(child[0]), node.p_name), True
 
     def _approx_conf(self, node: ApproxConf, child):
-        relation, estimates = approx_confidence_relation(
-            self._materialize(child[0]),
-            self.db.w,
-            node.eps,
-            node.delta,
-            self.rng,
-            node.p_name,
-            backend=self.backend,
-            executor=self.executor,
-        )
-        self.conf_log.append(estimates)
-        return relation, True
+        urel = self._materialize(child[0])
+        rows, dnfs = self.lineage(urel)
+        # Corollary 4.3 is one independent Karp–Luby run per tuple, in
+        # row order.  Hence ``compute`` per DNF and not
+        # :meth:`confidences`: the batch would shard a list of 16 or more
+        # tuples and seed each shard, and a session's batch answers equal
+        # lineage once and from its memo — each a different trial stream,
+        # the last also one that repeats.
+        sampler = self.aconf_strategy(node)
+        values = [sampler.compute(dnf, self.rng, executor=self.executor).value for dnf in dnfs]
+        return confidence_relation(urel, node.p_name, rows, values), True
 
     def _poss(self, node: Poss, child):
         return URelation.from_complete(self._materialize(child[0]).possible_tuples()), True
@@ -310,19 +323,17 @@ class UEvaluator:
         # cert(R) = π_sch(R)(σ_{P=1}(conf(R))).  Certainty tests are
         # singularities (Example 5.7), so cert always uses exact conf.
         relation = self._materialize(child[0])
-        conf_rel = exact_confidence_relation(relation, self.db.w, "__P", self.conf_method)
+        conf_rel = self.conf(relation, "__P", self.exact_strategy)
         ones = conf_rel.select(Cmp("=", Attr("__P"), Const(1)))
         return ones.project(list(relation.columns)), True
 
     def _approx_select(self, node: ApproxSelect, child):
         """σ̂ with exact confidences (the ideal query Q of Section 6)."""
-        from repro.confidence.exact import exact_probability  # package cycle
-
         candidates, group_dnfs = self.sigma_candidates(node, self._materialize(child[0]))
-        confidences = [
-            {key: exact_probability(dnf, self.conf_method) for key, dnf in dnfs.items()}
-            for dnfs in group_dnfs
-        ]
+        confidences = []
+        for dnfs in group_dnfs:
+            reports = self.confidences(list(dnfs.values()), self.exact_strategy)
+            confidences.append({key: report.value for key, report in zip(dnfs, reports)})
         columns = node.output_columns()
         rows = set()
         for candidate in candidates.rows:
@@ -353,14 +364,51 @@ class UEvaluator:
     """Operator → handler; subclasses replace entries, never the traversal."""
 
     # ------------------------------------------------------------------
-    def eval_conf(self, child: URelation, p_name: str) -> URelation:
-        """[[conf(R)]] for an evaluated child — the strategy override point.
+    # The conf seam: what every confidence-closing operator shares.
+    @property
+    def strategy(self) -> ConfidenceStrategy:
+        """What ``conf`` runs (a session's evaluator reads the session's)."""
+        return self._strategy
 
-        The engine facade overrides this to route through its pluggable
-        confidence-strategy registry; the plain evaluator runs the exact
-        Theorem 3.4 subprocedure.
+    @property
+    def exact_strategy(self) -> ConfidenceStrategy:
+        """What ``cert`` and the ideal σ̂ run: always an exact solver.
+
+        Certainty and threshold tests on sampled confidences are
+        singularities (Example 5.7): the current strategy where it names
+        one of the two exact solvers, else exact decomposition.
         """
-        return exact_confidence_relation(child, self.db.w, p_name, self.conf_method)
+        strategy = self.strategy
+        confidence = _confidence()
+        return strategy if confidence.is_exact_solver(strategy) else confidence.ExactDecomposition()
+
+    def aconf_strategy(self, node: ApproxConf) -> ConfidenceStrategy:
+        """What ``conf_{ε,δ}`` runs: Karp–Luby at the node's own (ε, δ)."""
+        return _confidence().KarpLuby(node.eps, node.delta, backend=self.backend)
+
+    def lineage(
+        self, urel: URelation, rows: Sequence[tuple] | None = None
+    ) -> tuple[Sequence[tuple], list[Dnf]]:
+        """``rows`` of ``urel`` (default: poss(R) in ``repr`` order) and their DNFs."""
+        return _confidence().lineage(urel, self.db.w, rows)
+
+    def confidences(
+        self, dnfs: Sequence[Dnf], strategy: ConfidenceStrategy | None = None
+    ) -> list[ConfidenceReport]:
+        """One report per DNF from ``strategy`` (default: :attr:`strategy`).
+
+        The override point: a session answers from its memo first.
+        """
+        chosen = self.strategy if strategy is None else strategy
+        return list(chosen.compute_batch(dnfs, self.rng, executor=self.executor))
+
+    def conf(
+        self, urel: URelation, p_name: str, strategy: ConfidenceStrategy | None = None
+    ) -> URelation:
+        """[[conf(R)]]: lineage → confidences → the complete relation ⟨t, P⟩."""
+        rows, dnfs = self.lineage(urel)
+        values = [report.value for report in self.confidences(dnfs, strategy)]
+        return confidence_relation(urel, p_name, rows, values)
 
     def sigma_candidates(
         self, node: ApproxSelect, child: URelation, phantom_rows=()
@@ -374,16 +422,11 @@ class UEvaluator:
         DNF.  Every σ̂ consumer (this evaluator, the approximate
         evaluator, ``explain``) builds its candidates here.
         """
-        from repro.confidence.dnf import Dnf  # package cycle
-
         candidates: Relation | None = None
         group_dnfs = []
         for group in node.groups:
-            projected = child.project(list(group))
-            dnfs = {
-                key: Dnf.for_tuple(projected, key, self.db.w)
-                for key in projected.possible_tuples().rows
-            }
+            group_keys, key_dnfs = self.lineage(child.project(list(group)))
+            dnfs = dict(zip(group_keys, key_dnfs))
             positions = _schema.positions(child.columns, group)
             keys = set(dnfs)
             keys.update(tuple(values[i] for i in positions) for _cond, values in phantom_rows)

@@ -2,40 +2,32 @@
 
 The purely-relational operations translate parsimoniously and live on
 :class:`~repro.urel.urelation.URelation`; this module holds the two
-operations that touch the W table:
+translations that do not:
 
 * ``repair-key`` — introduces fresh random variables (the only operation
   that extends W, as the paper notes);
 * ``conf`` — closes the possible-worlds semantics into a complete
-  relation of confidences, exactly (#P subprocedure) or via Karp–Luby.
+  relation ⟨t, P⟩.  Only the *relation* is built here
+  (:func:`confidence_relation`); which tuples, which disjunctions and
+  which solver are the evaluator's business
+  (:meth:`repro.urel.evaluate.UEvaluator.conf`), so this module needs
+  nothing from ``repro.confidence``.
 """
 
 from __future__ import annotations
 
-import random
 from collections.abc import Sequence
 from fractions import Fraction
 from numbers import Rational
 
-from typing import TYPE_CHECKING
-
 from repro.algebra import schema as _schema
 from repro.urel.conditions import TOP, Condition
-
-if TYPE_CHECKING:  # imported lazily at runtime to avoid a package cycle
-    from repro.confidence.karp_luby import KarpLubyEstimate
 from repro.urel.urelation import URelation
 from repro.urel.variables import VariableTable
-from repro.util.rng import ensure_rng
 from repro.worlds.database import Prob
 from repro.worlds.repair import RepairError
 
-__all__ = [
-    "translate_repair_key",
-    "exact_confidence_relation",
-    "approx_confidence_relation",
-    "tuple_confidence",
-]
+__all__ = ["translate_repair_key", "confidence_relation"]
 
 
 def _ratio(weight: Prob, total: Prob) -> Prob:
@@ -102,66 +94,18 @@ def translate_repair_key(
     return URelation(cols, frozenset(out_rows))
 
 
-def tuple_confidence(
-    urel: URelation,
-    row: Sequence,
-    w: VariableTable,
-    method: str = "decomposition",
-) -> Prob:
-    """Exact confidence of one data tuple (the weight of its disjunction F)."""
-    from repro.confidence.dnf import Dnf
-    from repro.confidence.exact import exact_probability
-
-    return exact_probability(Dnf.for_tuple(urel, row, w), method)
-
-
-def exact_confidence_relation(
-    urel: URelation,
-    w: VariableTable,
-    p_name: str = "P",
-    method: str = "decomposition",
+def confidence_relation(
+    urel: URelation, p_name: str, rows: Sequence[tuple], values: Sequence[Prob]
 ) -> URelation:
-    """[[conf(R)]]: complete relation of ⟨t, Pr[t ∈ R]⟩ over poss(R)."""
-    cols = urel.columns
-    if p_name in cols:
-        raise _schema.SchemaError(f"conf column {p_name!r} collides with schema {cols}")
-    out = set()
-    for t in urel.possible_tuples().rows:
-        p = tuple_confidence(urel, t, w, method)
-        out.add((TOP, t + (p,)))
-    return URelation(cols + (p_name,), frozenset(out))
+    """[[conf(R)]] from its parts: the complete relation of ⟨t, P⟩.
 
-
-def approx_confidence_relation(
-    urel: URelation,
-    w: VariableTable,
-    eps: float,
-    delta: float,
-    rng: random.Random | int | None = None,
-    p_name: str = "P",
-    backend: str | None = None,
-    executor=None,
-) -> tuple[URelation, dict[tuple, "KarpLubyEstimate"]]:
-    """[[conf_{ε,δ}(R)]]: Karp–Luby confidences (Corollary 4.3).
-
-    Returns the complete output relation and the per-tuple estimates with
-    their sampling metadata, so callers can audit each (ε, δ) guarantee.
-    Each tuple's Proposition 4.2 budget is drawn by the batch trial
-    engine on the evaluator's ``backend`` and ``executor``.
+    ``rows`` are the data tuples of ``urel`` and ``values`` their
+    confidences, exact or estimated, in the same order.  Every
+    confidence-closing operator ends here, so this is the one place the
+    P column can collide with the schema.
     """
-    from repro.confidence.batch import batch_approximate_confidence
-    from repro.confidence.dnf import Dnf
-
-    generator = ensure_rng(rng)
     cols = urel.columns
     if p_name in cols:
         raise _schema.SchemaError(f"conf column {p_name!r} collides with schema {cols}")
-    out = set()
-    estimates: dict[tuple, "KarpLubyEstimate"] = {}
-    for t in sorted(urel.possible_tuples().rows, key=repr):
-        estimate = batch_approximate_confidence(
-            Dnf.for_tuple(urel, t, w), eps, delta, generator, backend=backend, executor=executor
-        )
-        estimates[t] = estimate
-        out.add((TOP, t + (estimate.estimate,)))
-    return URelation(cols + (p_name,), frozenset(out)), estimates
+    out = frozenset((TOP, tuple(row) + (value,)) for row, value in zip(rows, values))
+    return URelation(cols + (p_name,), out)

@@ -10,7 +10,9 @@ from hypothesis import given, settings, strategies as st
 from repro.confidence import (
     Dnf,
     EnumerationLimitError,
-    exact_probability,
+    ExactDecomposition,
+    ExactEnumeration,
+    is_exact_solver,
     probability_by_decomposition,
     probability_by_enumeration,
 )
@@ -109,13 +111,15 @@ class TestKnownValues:
         assert probability_by_decomposition(d) == 0
 
     def test_dispatch(self):
+        """The solver is chosen by strategy object (an unknown *name* is
+        ``resolve_strategy``'s error, tested in test_engine_api)."""
         w = _bool_table(1)
         d = Dnf([Condition({("x", 0): 1})], w)
-        assert exact_probability(d, "enumeration") == exact_probability(
-            d, "decomposition"
-        )
-        with pytest.raises(ValueError, match="unknown"):
-            exact_probability(d, "sorcery")
+        solvers = [ExactEnumeration(), ExactDecomposition()]
+        reports = [solver.compute(d, None) for solver in solvers]
+        assert [r.value for r in reports] == [Fraction(1, 2)] * 2
+        assert [r.method for r in reports] == ["exact-enumeration", "exact-decomposition"]
+        assert all(r.exact for r in reports) and all(map(is_exact_solver, solvers))
 
     def test_enumeration_limit(self):
         d = chain_dnf(25)

@@ -34,10 +34,9 @@ class TestTupleIndependent:
     def test_confidences_match_inputs(self):
         rows = [(("a", 1), Fraction(1, 3)), (("b", 2), Fraction(2, 3))]
         db = tuple_independent("R", ("A", "B"), rows)
-        from repro.urel.translate import tuple_confidence
-
-        assert tuple_confidence(db.relation("R"), ("a", 1), db.w) == Fraction(1, 3)
-        assert tuple_confidence(db.relation("R"), ("b", 2), db.w) == Fraction(2, 3)
+        confidences = repro.connect(db).confidence_all("R")
+        assert confidences[("a", 1)].value == Fraction(1, 3)
+        assert confidences[("b", 2)].value == Fraction(2, 3)
 
     def test_probability_one_tuple_certain(self):
         db = tuple_independent("R", ("A",), [(("a",), 1), (("b",), Fraction(1, 2))])

@@ -14,9 +14,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import repro
 from repro.algebra.builder import Q, query, rel
 from repro.algebra.expressions import col, lit
 from repro.algebra.relations import Relation
+from repro.confidence import ExactDecomposition, ExactEnumeration, KarpLuby
 from repro.generators.coins import (
     evidence_query,
     pick_coin_query,
@@ -68,7 +70,57 @@ def _queries() -> list[Q]:
         rel("R").poss(),
         rel("R").cert(),
         rel("R").join(rel("S")).project(["A"]).conf(),
+        # The ideal σ̂ (exact confidences), one and two conf groups.
+        rel("R").approx_select(col("P1") >= lit(Fraction(1, 2)), groups=[["A"]]),
+        rel("R").approx_select(col("P1") > col("P2"), groups=[["A"], ["B"]]),
     ]
+
+
+def _plain(strategy):
+    """Evaluate on a plain ``UEvaluator``; confidences by its own seam."""
+
+    def run(udb, q):
+        evaluator = UEvaluator(udb, strategy, rng=0)
+        relation = evaluator.evaluate(q).relation
+        rows, dnfs = evaluator.lineage(relation)
+        reports = evaluator.confidences(dnfs, evaluator.exact_strategy)
+        return dict(zip(rows, (r.value for r in reports)))
+
+    return run
+
+
+def _session(strategy, confidences):
+    """Evaluate through ``repro.connect``; ``confidences(db, q)`` reads them."""
+
+    def run(udb, q):
+        with repro.connect(udb, strategy=strategy, rng=0, copy=True) as db:
+            return confidences(db, q)
+
+    return run
+
+
+def _via_db_confidence(db, q):
+    conf = db.confidence(q, p_name="__conf", strategy="exact-decomposition")
+    return {row[:-1]: row[-1] for row in conf.rows}
+
+
+ENGINES = {
+    "UEvaluator()": _plain(None),
+    "UEvaluator(ExactDecomposition)": _plain(ExactDecomposition()),
+    "UEvaluator(ExactEnumeration)": _plain(ExactEnumeration()),
+    "query+confidences[enumeration]": _session(
+        "exact-enumeration",
+        lambda db, q: {row: r.value for row, r in db.query(q).confidences().items()},
+    ),
+    "query+confidence(row)[decomposition]": _session(
+        "exact-decomposition",
+        lambda db, q: {row: db.query(q).confidence(row).value for row in db.query(q)},
+    ),
+    "db.confidence": _session("auto", _via_db_confidence),
+    "confidence_all": _session(
+        "auto", lambda db, q: {row: r.value for row, r in db.confidence_all(q).items()}
+    ),
+}
 
 
 class TestTheorem31:
@@ -104,30 +156,34 @@ class TestTheorem31:
 class TestParsimoniousTranslation:
     """Both engines agree on every operator over random databases."""
 
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("q_index", range(15))
+    def test_engines_agree(self, q_index, engine):
+        """Every entry point of the conf seam, every operator, against the
+        world-by-world reference: the result's tuples and their confidences."""
+        q = query(_queries()[q_index])
+        for seed in range(6):
+            pwdb = _random_pwdb(seed)
+            ref_conf: dict[tuple, Fraction] = {}
+            for rel_out, p in evaluate_worlds(q, pwdb):
+                for t in rel_out.rows:
+                    ref_conf[t] = ref_conf.get(t, Fraction(0)) + p
+            assert ENGINES[engine](from_possible_worlds(pwdb), q) == ref_conf, f"seed {seed}"
+
     @pytest.mark.parametrize("seed", range(6))
-    @pytest.mark.parametrize("q_index", range(13))
-    def test_engines_agree(self, seed, q_index):
+    def test_cert_and_ideal_sigma_stay_exact_under_a_sampler(self, seed):
+        """``cert`` and the ideal σ̂ never sample, whatever ``conf`` runs."""
         pwdb = _random_pwdb(seed)
         udb = from_possible_worlds(pwdb)
-        q = _queries()[q_index]
-
-        reference = evaluate_worlds(query(q), pwdb)
-        result = UEvaluator(udb, copy_db=True).evaluate(query(q))
-
-        # Compare world-by-world via unfolding: confidences of all tuples.
-        ref_conf: dict[tuple, Fraction] = {}
-        for rel_out, p in reference:
-            for t in rel_out.rows:
-                ref_conf[t] = ref_conf.get(t, Fraction(0)) + p
-
-        urel = result.relation
-        w = UEvaluator(udb, copy_db=True).db.w  # same W (evaluation copies)
-        from repro.urel.translate import tuple_confidence
-
-        got_tuples = {vals for _, vals in urel.rows}
-        assert got_tuples == set(ref_conf), f"tuple sets differ for query {q_index}"
-        for t in got_tuples:
-            assert tuple_confidence(urel, t, w) == ref_conf[t]
+        sampler = KarpLuby(0.5, 0.5)
+        for q in _queries()[11], _queries()[13], _queries()[14]:
+            expected = {t for rel_out, _p in evaluate_worlds(query(q), pwdb) for t in rel_out.rows}
+            evaluator = UEvaluator(udb, sampler, rng=seed)
+            before = evaluator.rng.getstate()
+            assert set(evaluator.evaluate(query(q)).relation.possible_tuples().rows) == expected
+            with repro.connect(udb, strategy=sampler, rng=seed, copy=True) as db:
+                assert set(db.query(q).rows) == expected
+                assert db.rng.getstate() == evaluator.rng.getstate() == before
 
 
 class TestCoinPipelineAgreement:
@@ -190,15 +246,14 @@ class TestTupleIndependentHypothesis:
     @settings(max_examples=25, suppress_health_check=[HealthCheck.too_slow])
     def test_projection_confidence_matches_enumeration(self, rows):
         from repro.generators.tpdb import tuple_independent
-        from repro.urel.translate import tuple_confidence
 
         udb = tuple_independent("R", ("A", "B"), rows)
-        projected = UEvaluator(udb, copy_db=True).evaluate(
-            query(rel("R").project(["A"]))
-        ).relation
+        evaluator = UEvaluator(udb, copy_db=True)
+        projected = evaluator.evaluate(query(rel("R").project(["A"]))).relation
         pwdb = enumerate_worlds(udb)
-        for t in projected.possible_tuples().rows:
-            exact = tuple_confidence(projected, t, udb.w)
+        rows, dnfs = evaluator.lineage(projected)
+        for t, report in zip(rows, evaluator.confidences(dnfs)):
+            exact = report.value
             # reference: sum of world weights whose projection contains t
             total = Fraction(0)
             for world in pwdb.worlds:

@@ -23,12 +23,26 @@ from repro.urel import (
     Condition,
     UDatabase,
     URelation,
+    UEvaluator,
     VariableTable,
-    exact_confidence_relation,
     translate_repair_key,
-    tuple_confidence,
 )
 from repro.worlds.repair import RepairError
+
+
+def _evaluator(w: VariableTable) -> UEvaluator:
+    """The plain evaluator (exact decomposition) over W table ``w``."""
+    return UEvaluator(UDatabase(w=w), copy_db=False)
+
+
+def _conf_relation(urel, w, p_name="P"):
+    return _evaluator(w).conf(urel, p_name)
+
+
+def _tuple_confidence(urel, row, w):
+    evaluator = _evaluator(w)
+    [report] = evaluator.confidences(evaluator.lineage(urel, [row])[1])
+    return report.value
 
 
 def _session(db: UDatabase) -> repro.ProbDB:
@@ -162,8 +176,8 @@ class TestRepairKeyTranslation:
         w = VariableTable()
         rel_ = Relation.from_rows(("K", "V", "Wt"), [(1, "a", 1), (1, "b", 3)])
         out = translate_repair_key(URelation.from_complete(rel_), ("K",), "Wt", 3, w)
-        assert tuple_confidence(out, (1, "a", 1), w) == Fraction(1, 4)
-        assert tuple_confidence(out, (1, "b", 3), w) == Fraction(3, 4)
+        assert _tuple_confidence(out, (1, "a", 1), w) == Fraction(1, 4)
+        assert _tuple_confidence(out, (1, "b", 3), w) == Fraction(3, 4)
 
     def test_bad_weight_rejected(self):
         w = VariableTable()
@@ -175,7 +189,7 @@ class TestRepairKeyTranslation:
 class TestConfTranslation:
     def test_exact_confidence_relation(self):
         urel, w = _ti_relation()
-        out = exact_confidence_relation(urel, w)
+        out = _conf_relation(urel, w)
         assert out.is_certain
         assert out.to_complete().rows == {
             ("a", Fraction(1, 2)),
@@ -185,7 +199,7 @@ class TestConfTranslation:
     def test_conf_p_collision(self):
         urel, w = _ti_relation()
         with pytest.raises(Exception, match="collides"):
-            exact_confidence_relation(urel, w, p_name="A")
+            _conf_relation(urel, w, p_name="A")
 
     def test_duplicate_tuple_disjunction(self):
         """Two conditions for the same tuple: P = Pr[X=1 ∨ Y=1]."""
@@ -195,7 +209,7 @@ class TestConfTranslation:
         urel = URelation.from_rows(
             ("A",), [(Condition({"X": 1}), ("a",)), (Condition({"Y": 1}), ("a",))]
         )
-        out = exact_confidence_relation(urel, w)
+        out = _conf_relation(urel, w)
         assert out.to_complete().rows == {("a", Fraction(3, 4))}
 
 

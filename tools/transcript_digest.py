@@ -7,16 +7,24 @@
 script runs ``query``, ``confidence_all`` (karp-luby / naive-mc / auto),
 a single-tuple confidence, ``topk`` and ``evaluate_with_guarantee`` on
 both trial backends with fixed seeds and prints a SHA-256 prefix per
-section (``--sections``) and two totals:
+section (``--sections``) and three totals:
 
 * ``top-level-sampling`` — sections whose trials are drawn by the
   session's executor (short DNF lists, narrow σ̂, top-k);
 * ``all`` — plus the sections whose trials are drawn *inside a shard
-  kernel* (a 48-tuple ``confidence_all``, a 20-candidate σ̂).
+  kernel* (a 48-tuple ``confidence_all``, a 20-candidate σ̂);
+* ``conf-operators`` — a separate script (in neither total above): the
+  confidence-closing operators ``conf`` / ``aconf`` / ``cert`` / σ̂
+  inside queries, ``db.confidence`` and ``result.confidences()``, under
+  the five non-bounds strategies on 6- and 24-tuple relations, and the
+  same operators on a plain ``UEvaluator``; every block ends with the
+  next draw of its generator, so a shifted stream shows even where the
+  answers agree.
 
 Pin ``PYTHONHASHSEED``: the transcript embeds ``repr`` of conditions.
-Written for PR 14 (CHANGES.md records the digests of both commits); it
-imports only names that exist on either side of that change.
+Written for PR 14 (CHANGES.md records the digests of both commits) and
+extended for PR 17; it uses only names that exist on either side of
+both changes.
 """
 
 import hashlib
@@ -26,9 +34,10 @@ import sys
 from fractions import Fraction
 
 import repro
-from repro.algebra.builder import rel
+from repro.algebra.builder import literal, rel
 from repro.algebra.expressions import col, lit
 from repro.urel.conditions import Condition
+from repro.urel.evaluate import UEvaluator
 from repro.urel.udatabase import UDatabase
 from repro.urel.urelation import URelation
 from repro.urel.variables import VariableTable
@@ -152,15 +161,54 @@ def transcript(workers):
     return sections
 
 
+def conf_operator_transcript(workers):
+    r, joined = rel("R"), rel("R").join(rel("S")).project(["A"])
+    operators = {
+        "conf": r.conf(),
+        "aconf": r.approx_conf(0.3, 0.2),
+        "aconf/join": joined.approx_conf(0.3, 0.2),
+        # (a, 0) and (a, 1) share one lineage: a deduping batch would draw once.
+        "aconf/duplicates": r.product(literal(["C"], [[0], [1]])).approx_conf(0.3, 0.2),
+        "cert": r.cert(),
+        "aselect": r.approx_select(col("P1") > lit(0.4), groups=[["A"]]),
+    }
+
+    def rows(relation):
+        return sorted(map(repr, relation.rows))
+
+    sections = {}
+    for backend in ("numpy", "python"):
+        for n_tuples in (6, 24):  # from 16 tuples on, a DNF list shards
+            for strategy in (
+                "exact-decomposition", "exact-enumeration", "karp-luby", "naive-mc", "auto",
+            ):
+                with connect(sampled_db(n_tuples), workers, strategy=strategy, eps=0.3,
+                             delta=0.2, rng=13, backend=backend) as db:
+                    out = [(name, rows(db.query(q).relation)) for name, q in operators.items()]
+                    out.append(rows(db.confidence("R").relation))
+                    out.append(rows(db.confidence("R", strategy="karp-luby").relation))
+                    reports = db.query(joined).confidences()
+                    out.append(sorted((row, report_key(rep)) for row, rep in reports.items()))
+                    out.append(repr(db.rng.random()))
+                sections[f"{backend}/{n_tuples}/{strategy}"] = out
+            evaluator = UEvaluator(sampled_db(n_tuples), rng=3, backend=backend)
+            out = [(name, rows(evaluator.evaluate(q.q).relation)) for name, q in operators.items()]
+            out.append(repr(evaluator.rng.random()))
+            sections[f"{backend}/{n_tuples}/UEvaluator"] = out
+    return sections
+
+
 def digest(obj):
     return hashlib.sha256(repr(obj).encode()).hexdigest()[:16]
 
 
 if __name__ == "__main__":
     sections = transcript(sys.argv[1])
+    conf_sections = conf_operator_transcript(sys.argv[1])
     if "--sections" in sys.argv:
-        for name, value in sections.items():
+        for name, value in {**sections, **conf_sections}.items():
             print(f"{name:24s} {digest(value)}")
     compat = {k: v for k, v in sections.items() if not k.endswith(("conf-long", "sigma-wide"))}
     print("top-level-sampling", digest(sorted(compat.items())))
     print("all", digest(sorted(sections.items())))
+    print("conf-operators", digest(sorted(conf_sections.items())))
