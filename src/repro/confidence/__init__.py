@@ -23,6 +23,7 @@ from repro.confidence.bounds import (
 from repro.confidence.dissociation import (
     DEFAULT_BOUND_BUDGET,
     BoundInterval,
+    EnclosureMemo,
     dissociation_interval,
     dissociation_intervals,
 )
@@ -61,6 +62,7 @@ __all__ = [
     "KarpLuby",
     "is_exact_solver",
     "BoundInterval",
+    "EnclosureMemo",
     "DEFAULT_BOUND_BUDGET",
     "dissociation_interval",
     "dissociation_intervals",

@@ -68,6 +68,7 @@ from repro.confidence.dnf import Dnf
 from repro.confidence.exact import (
     _SATISFIED,
     _Decomposition,
+    _SortKeys,
     _branching_variable,
     _connected_components,
 )
@@ -79,6 +80,7 @@ from repro.worlds.database import Prob
 
 __all__ = [
     "BoundInterval",
+    "EnclosureMemo",
     "dissociation_interval",
     "dissociation_intervals",
     "DEFAULT_BOUND_BUDGET",
@@ -137,14 +139,18 @@ def dissociation_interval(dnf: Dnf, budget: int = DEFAULT_BOUND_BUDGET) -> Bound
     factoring and single-clause components are free, so read-once
     disjunctions are exact at any budget (including 0).
     """
-    cache = dnf._bounds
-    if cache is None:
-        cache = dnf._bounds = {}
-    interval = cache.get(budget)
+    memo = _object_memo(dnf)
+    interval = memo.get(budget)
     if interval is None:
-        interval = _compute_interval(dnf, budget)
-        cache[budget] = interval
+        interval = memo[budget] = _compute_interval(dnf, budget)
     return interval
+
+
+def _object_memo(dnf: Dnf) -> dict[int, BoundInterval]:
+    """The budget → interval memo riding on ``dnf`` itself (created lazily)."""
+    if dnf._bounds is None:
+        dnf._bounds = {}
+    return dnf._bounds
 
 
 def _compute_interval(dnf: Dnf, budget: int) -> BoundInterval:
@@ -163,20 +169,87 @@ def dissociation_intervals(
 ) -> list[BoundInterval]:
     """Compute bounds for a batch of disjunctions, sharded when profitable.
 
-    Bounds draw no randomness, so the shards need no seeds: the DNF
+    Only the misses are solved — among the objects not yet holding an
+    interval at ``budget``, one representative per distinct clause set
+    (over one W table) — and every result is written back to the
+    objects' memo, so a pooled batch pickles nothing the parent already
+    knows and a later :func:`dissociation_interval` on any of them is
+    free.
+
+    Bounds draw no randomness, so the shards need no seeds: the miss
     list is cut by the worker-count-independent
     :meth:`~repro.util.parallel.ShardExecutor.plan_items` schedule and
     results concatenate in shard order — bit-identical at every worker
     count, exactly like the exact strategies' sharded batches.
     """
-    return (executor or SERIAL_EXECUTOR).map_items(
-        _interval_shard_task, list(dnfs), budget
-    )
+    dnfs = list(dnfs)
+    misses: dict[tuple, list[Dnf]] = {}
+    for dnf in dnfs:
+        if budget not in _object_memo(dnf):
+            misses.setdefault((id(dnf.w), frozenset(dnf.members)), []).append(dnf)
+    if misses:
+        solved = (executor or SERIAL_EXECUTOR).map_items(
+            _interval_shard_task, [same[0] for same in misses.values()], budget
+        )
+        for same, interval in zip(misses.values(), solved):
+            for dnf in same:
+                dnf._bounds[budget] = interval
+    return [dnf._bounds[budget] for dnf in dnfs]
 
 
 def _interval_shard_task(dnfs: list[Dnf], budget: int) -> list[BoundInterval]:
     """One shard of a sharded bounds batch (module level: pickles)."""
     return [dissociation_interval(dnf, budget) for dnf in dnfs]
+
+
+class EnclosureMemo:
+    """Enclosures by content: each distinct (clause set, budget) is solved once.
+
+    An enclosure is a pure function of the clause set, the W entries of
+    its variables and the budget, while the ``Dnf`` *objects* asking for
+    it come and go — Theorem 6.7's driver rebuilds every candidate's
+    disjunction, over a fresh copy of W, at each doubling of l.  A memo
+    outlives them: it is the run scope the driver carries across its
+    evaluations, and the scope a session puts in front of its cache (the
+    two hooks).  The key names no W, so one memo serves one database
+    (its W table and copies of it).  Calling it is the enclosure seam,
+    ``memo(dnfs, budget) -> list[BoundInterval]``; ``computed`` counts
+    the disjunctions it had to hand to the solver.
+    """
+
+    def __init__(self, executor=None):
+        """Solve misses on ``executor`` (default: the process-wide serial one)."""
+        self.executor = executor
+        self.computed = 0
+        self._intervals: dict[tuple, BoundInterval] = {}
+
+    def _shared_get(self, key: tuple) -> BoundInterval | None:
+        """A longer-lived store's answer for ``key`` (here: there is none)."""
+        return None
+
+    def _shared_put(self, key: tuple, dnf: Dnf, interval: BoundInterval) -> None:
+        """Offer a freshly solved interval to the longer-lived store."""
+
+    def __call__(self, dnfs: Sequence[Dnf], budget: int) -> list[BoundInterval]:
+        """One interval per disjunction, in order; only the misses are solved."""
+        known = self._intervals
+        keys = [("bounds", frozenset(dnf.members), budget) for dnf in dnfs]
+        misses: dict[tuple, Dnf] = {}
+        for key, dnf in zip(keys, dnfs):
+            if key in known or key in misses:
+                continue
+            interval = self._shared_get(key)
+            if interval is None:
+                misses[key] = dnf
+            else:
+                known[key] = interval
+        if misses:
+            solved = dissociation_intervals(list(misses.values()), budget, executor=self.executor)
+            self.computed += len(misses)
+            for (key, dnf), interval in zip(misses.items(), solved):
+                known[key] = interval
+                self._shared_put(key, dnf, interval)
+        return [known[key] for key in keys]
 
 
 class _BoundSolver:
@@ -188,13 +261,14 @@ class _BoundSolver:
     and return different — still valid, but different — intervals.
     """
 
-    __slots__ = ("w", "budget", "_memo")
+    __slots__ = ("w", "budget", "_memo", "_keys")
 
     def __init__(self, w: VariableTable, budget: int):
         """Bind the W table and the node budget the traversal may spend."""
         self.w = w
         self.budget = budget
         self._memo: dict[frozenset[Condition], tuple[Prob, Prob]] = {}
+        self._keys = _SortKeys()
 
     def solve(self, clauses: frozenset[Condition]) -> tuple[Prob, Prob]:
         """Return (lower, upper) confidence bounds for ``clauses``."""
@@ -206,11 +280,11 @@ class _BoundSolver:
         if cached is not None:
             return cached
 
-        components = _connected_components(clauses)
+        components = _connected_components(clauses, self._keys)
         if len(components) > 1:
             # Disjoint variable sets: 1 − ∏(1 − x) is monotone in every
             # component probability, so the interval product is tight.
-            components.sort(key=lambda comp: min(repr(c) for c in comp))
+            components.sort(key=lambda comp: min(map(self._keys.__getitem__, comp)))
             miss_lower: Prob = Fraction(1)  # ∏(1 − upper_c)
             miss_upper: Prob = Fraction(1)  # ∏(1 − lower_c)
             for component in components:
@@ -224,7 +298,7 @@ class _BoundSolver:
             result = (p, p)
         elif self.budget > 0:
             self.budget -= 1
-            var = _branching_variable(clauses)
+            var = _branching_variable(clauses, self._keys)
             lower: Prob = Fraction(0)
             upper: Prob = Fraction(0)
             for value in self.w.domain(var):
@@ -246,7 +320,7 @@ class _BoundSolver:
     # -------------------------------------------------- base-case bounds
     def _component_bounds(self, clauses: frozenset[Condition]) -> tuple[Prob, Prob]:
         """Pairwise bounds for one connected component, budget exhausted."""
-        members = sorted(clauses, key=repr)
+        members = sorted(clauses, key=self._keys.__getitem__)
         weights = [self.w.weight(c) for c in members]
         k = len(members)
         total: Prob = Fraction(0)

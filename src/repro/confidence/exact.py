@@ -84,15 +84,32 @@ def probability_by_decomposition(dnf: Dnf) -> Prob:
     return solver.solve(frozenset(dnf.members))
 
 
+class _SortKeys(dict):
+    """``repr`` of each clause or variable, formatted once per solver run.
+
+    Every traversal order in the solvers is "sorted by ``repr``", and
+    ``Condition.__repr__`` re-sorts and re-formats its pairs on each
+    call.  The memo lives and dies with one solver: conditions stay two
+    slots wide however many of them a relation holds.
+    """
+
+    __slots__ = ()
+
+    def __missing__(self, item) -> str:
+        key = self[item] = repr(item)
+        return key
+
+
 class _Decomposition:
     """Memoized Shannon-expansion solver over clause sets."""
 
-    __slots__ = ("w", "_memo")
+    __slots__ = ("w", "_memo", "_keys")
 
     def __init__(self, w: VariableTable):
         """Bind the W table; the memo starts empty."""
         self.w = w
         self._memo: dict[frozenset[Condition], Prob] = {}
+        self._keys = _SortKeys()
 
     def solve(self, clauses: frozenset[Condition]) -> Prob:
         """The exact probability that some clause in ``clauses`` holds."""
@@ -104,7 +121,7 @@ class _Decomposition:
         if cached is not None:
             return cached
 
-        components = _connected_components(clauses)
+        components = _connected_components(clauses, self._keys)
         if len(components) > 1:
             # Disjoint variable sets: the events "some clause of component i
             # holds" are independent, so the union's complement factors.
@@ -113,7 +130,7 @@ class _Decomposition:
                 miss = miss * (1 - self.solve(component))
             result: Prob = 1 - miss
         else:
-            var = _branching_variable(clauses)
+            var = _branching_variable(clauses, self._keys)
             result = Fraction(0)
             for value in self.w.domain(var):
                 reduced = self._condition_on(clauses, var, value)
@@ -156,9 +173,11 @@ class _Satisfied:
 _SATISFIED = _Satisfied()
 
 
-def _connected_components(clauses: frozenset[Condition]) -> list[frozenset[Condition]]:
+def _connected_components(
+    clauses: frozenset[Condition], keys: _SortKeys
+) -> list[frozenset[Condition]]:
     """Partition clauses into groups sharing no variables (union-find)."""
-    clause_list = sorted(clauses, key=repr)
+    clause_list = sorted(clauses, key=keys.__getitem__)
     parent = list(range(len(clause_list)))
 
     def find(i: int) -> int:
@@ -186,10 +205,10 @@ def _connected_components(clauses: frozenset[Condition]) -> list[frozenset[Condi
     return [frozenset(g) for g in groups.values()]
 
 
-def _branching_variable(clauses: frozenset[Condition]) -> Var:
+def _branching_variable(clauses: frozenset[Condition], keys: _SortKeys) -> Var:
     """Most frequently-occurring variable (ties broken by repr for determinism)."""
     counts: dict[Var, int] = {}
     for clause in clauses:
         for var in clause.variables:
             counts[var] = counts.get(var, 0) + 1
-    return max(sorted(counts, key=repr), key=lambda v: counts[v])
+    return max(sorted(counts, key=keys.__getitem__), key=lambda v: counts[v])

@@ -46,6 +46,7 @@ from repro.algebra.operators import (
 )
 from repro.algebra import schema as _schema
 from repro.algebra.builder import Q
+from repro.confidence.dissociation import BoundInterval
 from repro.confidence.dnf import Dnf
 from repro.core.approximator import (
     PredicateApproximator,
@@ -115,10 +116,18 @@ class ApproxQueryEvaluator(UEvaluator):
         backend: str | None = None,
         executor=None,
         bounds_budget: int | None = None,
+        enclosures=None,
     ):
         if (rounds is None) == (decision_delta is None):
             raise ValueError("specify exactly one of rounds / decision_delta")
-        super().__init__(db, rng=rng, copy_db=copy_db, backend=backend, executor=executor)
+        super().__init__(
+            db,
+            rng=rng,
+            copy_db=copy_db,
+            backend=backend,
+            executor=executor,
+            enclosures=enclosures,
+        )
         self.eps0 = eps0
         self.rounds = rounds
         self.decision_delta = decision_delta
@@ -303,24 +312,7 @@ class ApproxQueryEvaluator(UEvaluator):
         # Candidate tuples: natural join over present ∪ phantom group keys.
         joined, group_dnfs = self.sigma_candidates(node, child.relation, child.phantom.rows)
 
-        # Provenance: child rows contributing to a candidate (any group
-        # projection matches); their μ flows into the candidate's bound.
-        group_positions = [
-            _schema.positions(child.relation.columns, group) for group in node.groups
-        ]
-
-        def provenance_bound(cand_env: dict) -> tuple[float, bool]:
-            total, tainted = 0.0, False
-            for row, bound, sing, _present in self._iter_all(child):
-                for group, gpos in zip(node.groups, group_positions):
-                    if all(
-                        row[1][i] == cand_env[a] for i, a in zip(gpos, group)
-                    ):
-                        total += bound
-                        tainted = tainted or sing
-                        break
-            return cap(total), tainted
-
+        provenance_bound = self._provenance_bounds(node, child)
         out_cols = node.output_columns()
         empty = Dnf((), self.db.w)
         specs: list[tuple[tuple, dict, dict[str, Dnf]]] = []
@@ -331,8 +323,10 @@ class ApproxQueryEvaluator(UEvaluator):
                 for p_name, group, dnf_map in zip(node.p_names, node.groups, group_dnfs)
             }
             specs.append((cand, cand_env, dnfs))
+        intervals = self._candidate_intervals([dnfs for _cand, _env, dnfs in specs])
+        decisions = self._decide_candidates(node, specs, intervals)
         entries = []
-        for (cand, cand_env, _dnfs), decision in zip(specs, self._decide_candidates(node, specs)):
+        for (cand, cand_env, _dnfs), decision in zip(specs, decisions):
             prov_mu, tainted = provenance_bound(cand_env)
             out_env = {**cand_env, **decision.estimates}
             row: URow = (TOP, tuple(out_env[c] for c in out_cols))
@@ -341,8 +335,66 @@ class ApproxQueryEvaluator(UEvaluator):
             entries.append((row, cap(decision.error_bound + prov_mu), singular, decision.value))
         return self._regroup(out_cols, entries, True)
 
+    def _candidate_intervals(
+        self, candidate_dnfs: list[dict[str, Dnf]]
+    ) -> list[dict[str, BoundInterval] | None]:
+        """Per candidate, the bound enclosure of each value (``None``: pruning off).
+
+        The enclosure seam is asked once, here in the parent, for the
+        selection's distinct DNFs, and each candidate is handed its
+        intervals: no candidate — and, behind the seam, no doubling of
+        the driver and no later run of a session — solves one again.
+        """
+        if not self.bounds_budget:
+            return [None] * len(candidate_dnfs)
+        distinct = {id(dnf): dnf for dnfs in candidate_dnfs for dnf in dnfs.values()}
+        solved = self.enclosures(list(distinct.values()), self.bounds_budget)
+        enclosure = dict(zip(distinct, solved))
+        return [
+            {name: enclosure[id(dnf)] for name, dnf in dnfs.items()} for dnfs in candidate_dnfs
+        ]
+
+    def _provenance_bounds(self, node: ApproxSelect, child: AnnotatedRelation):
+        """Candidate environment → (Σμ, tainted) over its provenance in ``child``.
+
+        A child row contributes to a candidate when any group projection
+        matches (once, however many match); its μ flows into the
+        candidate's bound.  Reliable input carries no μ and no taint, so
+        every candidate gets ``(0.0, False)`` unscanned; otherwise the
+        rows are indexed by group key once per σ̂ and each candidate sums
+        its contributors in :meth:`_iter_all` order — the order the
+        float sum has always been taken in.
+        """
+        if child.reliable:
+            return lambda cand_env: (0.0, False)
+        contributions = []
+        by_key: list[dict[tuple, list[int]]] = [{} for _ in node.groups]
+        group_positions = [
+            _schema.positions(child.relation.columns, group) for group in node.groups
+        ]
+        for i, (row, bound, sing, _present) in enumerate(self._iter_all(child)):
+            contributions.append((bound, sing))
+            for index, gpos in zip(by_key, group_positions):
+                index.setdefault(tuple(row[1][p] for p in gpos), []).append(i)
+
+        def provenance_bound(cand_env: dict) -> tuple[float, bool]:
+            contributors: set[int] = set()
+            for group, index in zip(node.groups, by_key):
+                contributors.update(index.get(tuple(cand_env[a] for a in group), ()))
+            total, tainted = 0.0, False
+            for i in sorted(contributors):
+                bound, sing = contributions[i]
+                total += bound
+                tainted = tainted or sing
+            return cap(total), tainted
+
+        return provenance_bound
+
     def _decide_candidates(
-        self, node: ApproxSelect, specs: list[tuple[tuple, dict, dict[str, Dnf]]]
+        self,
+        node: ApproxSelect,
+        specs: list[tuple[tuple, dict, dict[str, Dnf]]],
+        intervals: list[dict[str, BoundInterval] | None],
     ) -> list[PredicateDecision]:
         """Figure 3 decisions for the sorted σ̂ candidates, fanned out when wide.
 
@@ -361,8 +413,8 @@ class ApproxQueryEvaluator(UEvaluator):
         candidate.
 
         With a ``bounds_budget``, each candidate's approximator first
-        tries to certify the predicate from dissociation bound
-        intervals; certified candidates return a zero-error decision
+        tries to certify the predicate from its dissociation bound
+        ``intervals``; certified candidates return a zero-error decision
         without drawing a trial.  Candidate streams are positional
         (wide path) or burned per candidate in order (sequential path),
         so pruning some candidates never shifts the streams of the
@@ -374,8 +426,8 @@ class ApproxQueryEvaluator(UEvaluator):
             return executor.map_items(
                 decide_candidates_shard,
                 [
-                    (dnfs, cand_env, shard_seed(base, i))
-                    for i, (_cand, cand_env, dnfs) in enumerate(specs)
+                    (dnfs, cand_env, shard_seed(base, i), boxes)
+                    for i, ((_cand, cand_env, dnfs), boxes) in enumerate(zip(specs, intervals))
                 ],
                 node.predicate,
                 self.eps0,
@@ -386,7 +438,7 @@ class ApproxQueryEvaluator(UEvaluator):
                 self.bounds_budget,
             )
         decisions = []
-        for _cand, cand_env, dnfs in specs:
+        for (_cand, cand_env, dnfs), boxes in zip(specs, intervals):
             approximator = PredicateApproximator(
                 node.predicate,
                 dnfs,
@@ -397,6 +449,7 @@ class ApproxQueryEvaluator(UEvaluator):
                 backend=self.backend,
                 executor=executor,
                 bounds_budget=self.bounds_budget,
+                intervals=boxes,
             )
             if self.rounds is not None:
                 decisions.append(approximator.run_rounds(self.rounds))

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 from repro.algebra.expressions import BoolExpr, attributes, substitute_constants
 from repro.confidence.bounds import rounds_for
-from repro.confidence.dissociation import dissociation_interval
+from repro.confidence.dissociation import BoundInterval, dissociation_interval
 from repro.confidence.dnf import Dnf
 from repro.core.certify import certify_predicate
 from repro.core.linear import (
@@ -113,14 +113,24 @@ class PredicateApproximator:
     falling back to corners on non-linear predicates).
 
     ``bounds_budget`` (``None``/0 disables) seeds every Karp–Luby value
-    with its guaranteed dissociation bound interval
-    (:func:`repro.confidence.dissociation.dissociation_interval`): values
+    with its guaranteed dissociation bound interval: values
     whose interval is a *point* become exact constants outright, and
     :meth:`decide`/:meth:`run_rounds` first try to certify the predicate
     over the interval box (:func:`repro.core.certify.certify_predicate`)
     — a certified candidate never draws a trial.  The seeding happens
     after all randomness streams are spawned, so enabling bounds never
     shifts the trial streams of values that still sample.
+
+    ``intervals`` (value name →
+    :class:`~repro.confidence.dissociation.BoundInterval`) hands over
+    enclosures the caller already holds: σ̂ asks its evaluator's
+    enclosure seam once for all its candidates and ships each one its
+    intervals, so nothing is solved per candidate (or per doubling of
+    the Theorem 6.7 driver).  Only a standalone caller that gives just a
+    ``bounds_budget`` has the missing ones solved here
+    (:func:`repro.confidence.dissociation.dissociation_interval`).
+    Where an interval comes from cannot change a decision or a trial:
+    it is a pure function of the disjunction and the budget.
     """
 
     def __init__(
@@ -134,6 +144,7 @@ class PredicateApproximator:
         backend: str | None = None,
         executor=None,
         bounds_budget: int | None = None,
+        intervals: Mapping[str, BoundInterval] | None = None,
     ):
         if not 0 < eps0 < 1:
             raise ValueError(f"eps0 must be in (0, 1), got {eps0}")
@@ -159,7 +170,7 @@ class PredicateApproximator:
         self.aliases: dict[str, str] = {}
         self._maybe_duplicate_variables(generator)
         self._bounds_substituted = False
-        self._seed_bound_intervals()
+        self._seed_bound_intervals(intervals or {})
 
     def _maybe_duplicate_variables(self, generator: random.Random) -> None:
         """Apply the Section 5 duplication trick when it is needed.
@@ -198,7 +209,7 @@ class PredicateApproximator:
         for original in set(relevant.values()):
             del self.samplers[original]
 
-    def _seed_bound_intervals(self) -> None:
+    def _seed_bound_intervals(self, intervals: Mapping[str, BoundInterval]) -> None:
         """Attach dissociation bound intervals to the Karp–Luby values.
 
         Runs strictly *after* every ``spawn_rng`` of ``__init__`` (per-
@@ -211,7 +222,10 @@ class PredicateApproximator:
             return
         for name, sampler in sorted(self.samplers.items()):
             if isinstance(sampler, KarpLubyValue) and not sampler.is_exact:
-                interval = dissociation_interval(sampler.dnf, self.bounds_budget)
+                # A duplicated occurrence is enclosed under its original's name.
+                interval = intervals.get(self.aliases.get(name, name))
+                if interval is None:
+                    interval = dissociation_interval(sampler.dnf, self.bounds_budget)
                 sampler.interval = interval
                 if interval.is_exact:
                     self.samplers[name] = ExactValue(float(interval.lower))
@@ -386,7 +400,9 @@ class PredicateApproximator:
 
 
 def decide_candidates_shard(
-    specs: list[tuple[Mapping[str, "Dnf"], Mapping[str, object], int]],
+    specs: list[
+        tuple[Mapping[str, "Dnf"], Mapping[str, object], int, Mapping[str, BoundInterval] | None]
+    ],
     predicate: BoolExpr,
     eps0: float,
     rounds: int | None,
@@ -397,11 +413,13 @@ def decide_candidates_shard(
 ) -> list[PredicateDecision]:
     """Decide one shard of σ̂ candidate tuples (module level: pickles).
 
-    Each spec is ``(values, constants, seed)`` for one candidate of an
-    approximate selection; the seed was derived from the candidate's
-    *position* in the (sorted) candidate order by
+    Each spec is ``(values, constants, seed, intervals)`` for one
+    candidate of an approximate selection; the seed was derived from the
+    candidate's *position* in the (sorted) candidate order by
     :func:`repro.util.parallel.shard_seed`, so every worker count
-    replays identical streams.  The per-candidate Figure 3 runs never
+    replays identical streams, and the intervals are the enclosures the
+    parent already obtained for the candidate's values (``None``:
+    pruning is off).  The per-candidate Figure 3 runs never
     nest a pool of their own (their values draw on the process-wide
     serial executor): each candidate's trial allocation is one worker's
     work by construction, which is exactly what makes candidate fan-out
@@ -409,7 +427,7 @@ def decide_candidates_shard(
     nothing left to cut.
     """
     decisions = []
-    for values, constants, seed in specs:
+    for values, constants, seed, intervals in specs:
         approximator = PredicateApproximator(
             predicate,
             values,
@@ -419,6 +437,7 @@ def decide_candidates_shard(
             epsilon_method=epsilon_method,
             backend=backend,
             bounds_budget=bounds_budget,
+            intervals=intervals,
         )
         if rounds is not None:
             decisions.append(approximator.run_rounds(rounds))

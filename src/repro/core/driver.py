@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from repro.algebra.builder import Q
 from repro.algebra.operators import ApproxSelect, Query, walk
 from repro.confidence.bounds import rounds_for
+from repro.confidence.dissociation import EnclosureMemo
 from repro.core.approx_select import ApproxQueryEvaluator, DecisionRecord
 from repro.core.error_bounds import AnnotatedRelation
 from repro.urel.udatabase import UDatabase
@@ -53,7 +54,12 @@ class DriverReport:
     ``history``        (l, worst non-singular bound) per evaluation;
     ``decisions``      σ̂ decision audit records of the final evaluation;
     ``bounds_certified`` σ̂ candidates of the final evaluation decided by
-                       dissociation bound intervals alone (no trials).
+                       dissociation bound intervals alone (no trials);
+    ``bounds_computed`` bound enclosures this run had solved, over all
+                       its evaluations: at most one per distinct
+                       candidate disjunction, none on a session that
+                       already holds them (a cost counter — it says
+                       nothing about the answer and stays off the wire).
     """
 
     annotated: AnnotatedRelation
@@ -67,6 +73,7 @@ class DriverReport:
     history: list[tuple[int, float]] = field(default_factory=list)
     decisions: list[DecisionRecord] = field(default_factory=list)
     bounds_certified: int = 0
+    bounds_computed: int = 0
 
     @property
     def relation(self):
@@ -86,6 +93,7 @@ def evaluate_with_guarantee(
     backend: str | None = None,
     executor=None,
     bounds_budget: int | None = None,
+    enclosures: EnclosureMemo | None = None,
 ) -> DriverReport:
     """Evaluate a positive UA[σ̂] query with overall tuple error ≤ δ.
 
@@ -114,6 +122,15 @@ def evaluate_with_guarantee(
     with error 0 before any round budget is allocated.  Pruning never
     shifts the trial streams of decisions that still sample, so results
     at a given l are bit-identical wherever sampling still happens.
+
+    "Double l and restart query evaluation" restarts the *sampling*: an
+    enclosure does not depend on l, so one
+    :class:`~repro.confidence.dissociation.EnclosureMemo` serves every
+    evaluation of the run and each distinct candidate disjunction is
+    solved once, not once per doubling
+    (``DriverReport.bounds_computed``).  ``enclosures`` is that memo
+    when the caller owns a longer-lived one — a session passes the run
+    scope in front of its cache; nobody else needs to.
     """
     node = query.q if isinstance(query, Q) else query
     if not 0 < delta < 1:
@@ -123,6 +140,8 @@ def evaluate_with_guarantee(
     if max_rounds is None:
         max_rounds = 2 * rounds_for(eps0, delta / (2.0 * n_sigma))
 
+    memo = EnclosureMemo(executor) if enclosures is None else enclosures
+    computed_before = memo.computed
     rounds = max(1, initial_rounds)
     history: list[tuple[int, float]] = []
     evaluations = 0
@@ -136,6 +155,7 @@ def evaluate_with_guarantee(
             backend=backend,
             executor=executor,
             bounds_budget=bounds_budget,
+            enclosures=memo,
         )
         annotated = evaluator.evaluate(node)
         evaluations += 1
@@ -159,5 +179,6 @@ def evaluate_with_guarantee(
                     for record in evaluator.decision_log
                     if record.decision.certified_by_bounds
                 ),
+                bounds_computed=memo.computed - computed_before,
             )
         rounds = min(rounds * 2, max_rounds)

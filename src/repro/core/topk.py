@@ -182,6 +182,7 @@ def race_topk(
     backend: str | None = None,
     executor: "ShardExecutor | None" = None,
     bounds_budget: int = DEFAULT_BOUND_BUDGET,
+    enclosures=None,
 ) -> TopKReport:
     """Race ``rows`` (with per-row disjunctions ``dnfs``) for the top k.
 
@@ -189,7 +190,10 @@ def race_topk(
     guarantee ``confidence_all`` gives each tuple — the race merely
     refuses to spend the full budget on candidates the intervals
     already separate.  ``rows`` fixes the deterministic candidate order
-    used for positional seeds and tie-breaking.
+    used for positional seeds and tie-breaking.  ``enclosures`` is the
+    enclosure seam stage 1 asks (``(dnfs, budget) -> intervals``; a
+    session passes its evaluator's, so boxes it already holds are not
+    solved again); by default they are solved here, on ``executor``.
     """
     if k <= 0:
         raise ValueError(f"k must be a positive integer, got {k}")
@@ -212,20 +216,23 @@ def race_topk(
         return TopKReport((), k, eps, delta, 0, 0, 0, 0, 0, 0)
 
     # ---- stage 1: dissociation enclosures seed every candidate's box.
-    enclosures = dissociation_intervals(dnfs, bounds_budget, executor=executor)
-    lo: list[float] = [float(iv.lower) for iv in enclosures]
-    hi: list[float] = [float(iv.upper) for iv in enclosures]
+    if enclosures is None:
+        boxes = dissociation_intervals(dnfs, bounds_budget, executor=executor)
+    else:
+        boxes = enclosures(dnfs, bounds_budget)
+    lo: list[float] = [float(iv.lower) for iv in boxes]
+    hi: list[float] = [float(iv.upper) for iv in boxes]
     # Point summaries: exact Fractions where the enclosure pins the
     # value, midpoints otherwise (replaced by estimates once sampled).
     value: list[Fraction | float] = [
-        iv.lower if iv.is_exact else iv.midpoint for iv in enclosures
+        iv.lower if iv.is_exact else iv.midpoint for iv in boxes
     ]
     status = [_ACTIVE] * n
     trials = [0] * n
     source = ["bounds"] * n
 
     if n <= k:
-        entries = _ranked_entries(rows, enclosures, value, lo, hi, trials, source, n)
+        entries = _ranked_entries(rows, boxes, value, lo, hi, trials, source, n)
         return TopKReport(entries, k, eps, delta, n, n, 0, 0, 0, full_trials)
 
     _apply_decisions(status, lo, hi, k)
@@ -234,7 +241,7 @@ def race_topk(
     # the boundary gap only when tied); they cannot be sampled — a point
     # interval cannot shrink — so resolve them outright.
     for i in range(n):
-        if status[i] == _ACTIVE and enclosures[i].is_exact:
+        if status[i] == _ACTIVE and boxes[i].is_exact:
             status[i] = _RESOLVED
             bounds_decided += 1
 
@@ -285,14 +292,14 @@ def race_topk(
             if eps_now < 1.0:
                 rel_lo, rel_hi = relative_interval(est, eps_now)
             else:
-                rel_lo, rel_hi = 0.0, float(enclosures[i].upper)
+                rel_lo, rel_hi = 0.0, float(boxes[i].upper)
             # Intersect with the guaranteed enclosure; an empty
             # intersection (the δ-event fired) collapses to the
             # enclosure point nearest the estimate.
-            new_lo = max(rel_lo, float(enclosures[i].lower))
-            new_hi = min(rel_hi, float(enclosures[i].upper))
+            new_lo = max(rel_lo, float(boxes[i].lower))
+            new_hi = min(rel_hi, float(boxes[i].upper))
             if new_lo > new_hi:
-                pinned = min(max(est, float(enclosures[i].lower)), float(enclosures[i].upper))
+                pinned = min(max(est, float(boxes[i].lower)), float(boxes[i].upper))
                 new_lo = new_hi = pinned
             lo[i], hi[i] = new_lo, new_hi
             value[i] = est
@@ -302,7 +309,7 @@ def race_topk(
         if status[i] == _ACTIVE:
             status[i] = _RESOLVED
 
-    entries = _ranked_entries(rows, enclosures, value, lo, hi, trials, source, k)
+    entries = _ranked_entries(rows, boxes, value, lo, hi, trials, source, k)
     return TopKReport(
         entries,
         k,

@@ -36,7 +36,7 @@ from repro.algebra.operators import (
     fold,
 )
 from repro.algebra.printer import unparse_expression
-from repro.confidence.dissociation import dissociation_interval
+from repro.confidence.dissociation import DEFAULT_BOUND_BUDGET
 
 if TYPE_CHECKING:
     from repro.confidence.dnf import Dnf
@@ -384,11 +384,12 @@ class _PlanPass:
         # Group DNFs the driver's bound pruning certifies outright: not
         # degenerate (those are free for every method) but with an exact
         # dissociation interval — e.g. repair-key alternatives.
+        nontrivial = [
+            dnf for dnf in dnfs if not (dnf.is_empty or dnf.is_trivially_true or dnf.size == 1)
+        ]
         pruned = sum(
-            1
-            for dnf in dnfs
-            if not (dnf.is_empty or dnf.is_trivially_true or dnf.size == 1)
-            and dissociation_interval(dnf).is_exact
+            interval.is_exact
+            for interval in self.evaluator.enclosures(nontrivial, DEFAULT_BOUND_BUDGET)
         )
         if pruned:
             tag = f"{BOUNDS_PRUNED}[{pruned}/{len(dnfs)}]"
@@ -440,13 +441,9 @@ def topk_plan(
     plan_pass = _PlanPass(evaluator, strategy)
     child = plan_pass.build(node)
     dnfs = plan_pass.tuple_dnfs(node)
+    # Degenerate disjunctions enclose to a point too.
     pruned = sum(
-        1
-        for dnf in dnfs
-        if dnf.is_empty
-        or dnf.is_trivially_true
-        or dnf.size == 1
-        or dissociation_interval(dnf).is_exact
+        interval.is_exact for interval in evaluator.enclosures(dnfs, DEFAULT_BOUND_BUDGET)
     )
     path = f"topk[{k}]·{BOUNDS_PRUNED}[{pruned}/{len(dnfs)}]"
     sharded = _conf_path(evaluator.executor, strategy, dnfs)

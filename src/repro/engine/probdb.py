@@ -22,7 +22,9 @@ in a session are free.  Every confidence the session computes — ``conf``
 / ``cert`` / σ̂ inside a query, :meth:`ProbDB.confidence`,
 ``confidence_all``, per-row and top-k — is the session evaluator's
 ``lineage`` → ``confidences``, so they all share the strategy protocol,
-the shard plan and the memo.
+the shard plan and the memo; every dissociation enclosure it needs —
+σ̂ certification under the driver, top-k stage 1, ``explain`` — is the
+same evaluator's ``enclosures``, memoized by clause set.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from repro.algebra.operators import BaseRel, Query
 from repro.algebra.parser import parse_query, parse_session
 from repro.algebra.relations import Relation
 from repro.confidence.batch import resolve_backend
-from repro.confidence.dissociation import DEFAULT_BOUND_BUDGET
+from repro.confidence.dissociation import DEFAULT_BOUND_BUDGET, BoundInterval, EnclosureMemo
 from repro.confidence.dnf import Dnf
 from repro.confidence.strategies import (
     DEFAULT_DELTA,
@@ -137,6 +139,34 @@ def connect(
     )
 
 
+class _SessionEnclosures(EnclosureMemo):
+    """One run's enclosures on a session: the run scope in front of its cache.
+
+    The content key ``("bounds", clause set, budget)`` names no W
+    version: W only grows and a distribution is immutable once added, so
+    the key pins the interval of every disjunction whose variables all
+    live in the *session's* W.  A driver or ``explain`` run works on a
+    private copy, though, where a repair-key below the σ̂ mints
+    variables the session never sees — and their distributions follow
+    relation data that ``assign`` can replace without touching
+    ``w.version``.  Such an enclosure stays in the run scope and dies
+    with it; everything else goes to the session cache, non-volatile
+    (nothing is drawn, so an evicted entry recomputes identically).
+    """
+
+    def __init__(self, engine: "ProbDB"):
+        super().__init__(engine.executor)
+        self._cache = engine._cache
+        self._w = engine.db.w
+
+    def _shared_get(self, key: tuple) -> BoundInterval | None:
+        return self._cache.get(key)
+
+    def _shared_put(self, key: tuple, dnf: Dnf, interval: BoundInterval) -> None:
+        if all(var in self._w for var in dnf.variables):
+            self._cache.put(key, interval)
+
+
 class _EngineEvaluator(UEvaluator):
     """The session's evaluator: the session's *current* strategy, and its memo."""
 
@@ -188,6 +218,10 @@ class _EngineEvaluator(UEvaluator):
                 by_key[key] if report is None else report for key, report in zip(keys, reports)
             ]
         return reports
+
+    def enclosures(self, dnfs, budget) -> list[BoundInterval]:
+        """Memoized enclosures from the session cache, the misses solved once."""
+        return _SessionEnclosures(self.engine)(dnfs, budget)
 
 
 class ProbDB:
@@ -406,7 +440,12 @@ class ProbDB:
         (``DriverReport.bounds_certified`` counts them).  Pass
         ``bounds_budget=0`` to disable, or another Shannon-expansion
         budget to tune how hard the bound solver tries (see
-        :mod:`repro.confidence.dissociation`).  Example::
+        :mod:`repro.confidence.dissociation`).  Each candidate's
+        enclosure is solved once — not once per doubling of l — and the
+        session keeps it: a later run at another seed or δ, a
+        :meth:`topk` or an :meth:`explain` over the same tuples finds it
+        solved (``DriverReport.bounds_computed`` counts what this run
+        still had to solve).  Example::
 
             report = db.evaluate_with_guarantee(
                 "aselect[P > 0.3 ; conf(A) as P](R)", delta=0.05, eps0=0.1
@@ -420,7 +459,15 @@ class ProbDB:
         kwargs.setdefault("backend", self.backend)
         kwargs.setdefault("executor", self.executor)
         kwargs.setdefault("bounds_budget", DEFAULT_BOUND_BUDGET)
-        return _driver(node, self.db, delta=delta, eps0=eps0, rng=generator, **kwargs)
+        return _driver(
+            node,
+            self.db,
+            delta=delta,
+            eps0=eps0,
+            rng=generator,
+            enclosures=_SessionEnclosures(self),
+            **kwargs,
+        )
 
     def topk(
         self,
@@ -517,6 +564,7 @@ class ProbDB:
             backend=self.backend,
             executor=self.executor,
             bounds_budget=bounds_budget,
+            enclosures=self._evaluator.enclosures,
         )
 
     def explain(self, query: "Query | Q | str") -> ExplainReport:
@@ -540,7 +588,9 @@ class ProbDB:
         # introspection call must not perturb the session generator or
         # later stochastic results.  The scratch evaluator shares the
         # session executor — one pool serves both the confidence and the
-        # algebra layer, and close() tears it down once.
+        # algebra layer, and close() tears it down once — and asks the
+        # session's enclosure seam, so what explain encloses the next
+        # top-k or driver run finds solved (and the other way round).
         return UEvaluator(
             self.db,
             strategy=self.strategy,
@@ -548,6 +598,7 @@ class ProbDB:
             copy_db=True,
             backend=self.backend,
             executor=self.executor,
+            enclosures=self._evaluator.enclosures,
         )
 
     def explain_topk(self, query: "Query | Q | str", k: int) -> ExplainReport:

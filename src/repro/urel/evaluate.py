@@ -8,7 +8,9 @@ engine, but on the succinct representation:
   extend it with fresh repair-key variables);
 * the confidence-closing operators share one seam — :meth:`lineage`
   (poss(R) and each tuple's disjunction F) → :meth:`confidences` (a
-  strategy object weighs the Fs) → ``translate.confidence_relation``:
+  strategy object weighs the Fs; :meth:`enclosures` is its sibling for
+  the consumers that only need a guaranteed box around each weight) →
+  ``translate.confidence_relation``:
   ``conf`` under the evaluator's strategy (default: the exact #P
   subprocedure behind Theorem 3.4), ``cert`` and ``σ̂`` under its
   :attr:`exact_strategy`, ``conf_{ε,δ}`` under Karp–Luby at the node's
@@ -77,7 +79,7 @@ from repro.util.rng import ensure_rng
 from repro.worlds.repair import RepairError
 
 if TYPE_CHECKING:
-    from repro.confidence import ConfidenceReport, ConfidenceStrategy, Dnf
+    from repro.confidence import BoundInterval, ConfidenceReport, ConfidenceStrategy, Dnf
 
 __all__ = ["UEvaluator", "UResult"]
 
@@ -125,7 +127,10 @@ class UEvaluator:
     and the ``aconf`` trial budgets, bit-identically at every worker
     count.  When ``copy_db`` is true the input database
     (including W) is left untouched and repair-key variables go into a
-    private copy.
+    private copy.  ``enclosures`` is an enclosure seam to ask instead of
+    solving here — how a scratch or per-doubling evaluator reaches the
+    memo of the session or driver run it works for (see
+    :meth:`enclosures`).
     """
 
     def __init__(
@@ -136,9 +141,11 @@ class UEvaluator:
         copy_db: bool = True,
         backend: str | None = None,
         executor=None,
+        enclosures=None,
     ):
         self.db = db.copy() if copy_db else db
         self._strategy = _confidence().ExactDecomposition() if strategy is None else strategy
+        self._enclosures = enclosures
         self.rng = ensure_rng(rng)
         self.backend = resolve_backend(backend)
         # Columnar product/join pair merges and aconf trial budgets run
@@ -401,6 +408,20 @@ class UEvaluator:
         """
         chosen = self.strategy if strategy is None else strategy
         return list(chosen.compute_batch(dnfs, self.rng, executor=self.executor))
+
+    def enclosures(self, dnfs: Sequence[Dnf], budget: int) -> list[BoundInterval]:
+        """One guaranteed ``lower ≤ P(F) ≤ upper`` box per DNF, trial-free.
+
+        What σ̂ certification, top-k stage 1 and ``explain`` ask before
+        (or instead of) weighing a disjunction.  Here: the seam this
+        evaluator was built with if any, else the sharded
+        :func:`~repro.confidence.dissociation.dissociation_intervals`
+        over the distinct misses.  The override point: a session answers
+        from its memo first.
+        """
+        if self._enclosures is not None:
+            return self._enclosures(dnfs, budget)
+        return _confidence().dissociation_intervals(dnfs, budget, executor=self.executor)
 
     def conf(
         self, urel: URelation, p_name: str, strategy: ConfidenceStrategy | None = None

@@ -1,13 +1,13 @@
 """Transcript digest of one fixed script — are two checkouts' answers the same?
 
-    PYTHONHASHSEED=0 PYTHONPATH=<checkout>/src python tools/transcript_digest.py <workers>
+    PYTHONHASHSEED=0 PYTHONPATH=<checkout>/src python tools/transcript_digest.py <workers> [--warm]
 
 ``workers`` is ``none`` (the session omits the argument), an int, or
 ``custom`` (a ``ShardExecutor(2)`` with small plan parameters).  The
 script runs ``query``, ``confidence_all`` (karp-luby / naive-mc / auto),
 a single-tuple confidence, ``topk`` and ``evaluate_with_guarantee`` on
 both trial backends with fixed seeds and prints a SHA-256 prefix per
-section (``--sections``) and three totals:
+section (``--sections``) and four totals:
 
 * ``top-level-sampling`` — sections whose trials are drawn by the
   session's executor (short DNF lists, narrow σ̂, top-k);
@@ -19,12 +19,23 @@ section (``--sections``) and three totals:
   the five non-bounds strategies on 6- and 24-tuple relations, and the
   same operators on a plain ``UEvaluator``; every block ends with the
   next draw of its generator, so a shifted stream shows even where the
-  answers agree.
+  answers agree;
+* ``enclosures`` — a third script (in no other total): the consumers of
+  dissociation enclosures with pruning *on* — ``topk`` at two k and
+  ``evaluate_with_guarantee`` at two seeds, in a row on one session, on
+  relations whose candidates are partly certified by their enclosure and
+  partly sampled.  A checkout that memoises enclosures per session must
+  print what one that solves them at every call prints.
+
+``--warm`` asks every bounds-consuming section (top-k, σ̂ narrow and
+20-candidate, the ``enclosures`` script) a second time on the same
+session with the session RNG re-seeded and digests the second pass: the
+totals must equal the cold ones, whatever the session remembered.
 
 Pin ``PYTHONHASHSEED``: the transcript embeds ``repr`` of conditions.
 Written for PR 14 (CHANGES.md records the digests of both commits) and
-extended for PR 17; it uses only names that exist on either side of
-both changes.
+extended for PRs 17 and 18; it uses only names that exist on either
+side of those changes.
 """
 
 import hashlib
@@ -116,6 +127,41 @@ def report_key(rep):
     return (repr(rep.value), rep.samples, rep.method, rep.exact)
 
 
+WARM = "--warm" in sys.argv
+
+
+def asked(db, seed, ask, warm_up=None):
+    """``ask()`` on a session seeded with ``seed`` — under ``--warm``, its second asking.
+
+    The first pass (``warm_up`` where an identical call would only be
+    answered by the report memo) leaves the session whatever it
+    remembers; re-seeding rewinds the session stream to where the cold
+    answer starts.
+    """
+    if WARM:
+        (warm_up or ask)()
+        db.rng.seed(seed)
+    return ask()
+
+
+def topk_key(rep):
+    return (
+        [(e.row, repr(e.value), repr(e.lower), repr(e.upper), e.trials, e.source)
+         for e in rep.entries],
+        rep.bounds_decided, rep.sampled, rep.total_trials, rep.rounds,
+    )
+
+
+def driver_key(rep):
+    return (
+        sorted(map(repr, rep.relation.rows)),
+        rep.rounds, rep.evaluations, rep.bounds_certified, rep.history,
+        sorted((repr(r), b) for r, b in rep.tuple_bounds.items()),
+        [(d.data, d.decision.value, d.decision.total_trials, d.decision.certified_by_bounds,
+          sorted(d.decision.estimates.items())) for d in rep.decisions],
+    )
+
+
 def transcript(workers):
     sections = {}
     for backend in ("numpy", "python"):
@@ -139,7 +185,11 @@ def transcript(workers):
         sections[f"{backend}/conf-long"] = out
         # -- topk
         with connect(k33_db(), workers, eps=0.2, delta=0.05, rng=7, backend=backend) as db:
-            rep = db.topk("R", 2, bounds_budget=0)
+            rep = asked(
+                db, 7,
+                lambda: db.topk("R", 2, bounds_budget=0),
+                warm_up=lambda: db.topk("R", 3, bounds_budget=0),
+            )
             assert rep.total_trials > 0
             sections[f"{backend}/topk"] = [
                 [(e.row, repr(e.value), e.trials, e.source) for e in rep.entries],
@@ -150,7 +200,10 @@ def transcript(workers):
         for label, n in (("narrow", 4), ("wide", 20)):
             with connect(sigma_db(n), workers, strategy="exact-decomposition", rng=9,
                          backend=backend) as db:
-                rep = db.evaluate_with_guarantee(q, delta=0.2, eps0=0.25, bounds_budget=0)
+                rep = asked(
+                    db, 9,
+                    lambda: db.evaluate_with_guarantee(q, delta=0.2, eps0=0.25, bounds_budget=0),
+                )
                 sections[f"{backend}/sigma-{label}"] = [
                     sorted(map(repr, rep.relation.rows)),
                     rep.rounds,
@@ -198,6 +251,46 @@ def conf_operator_transcript(workers):
     return sections
 
 
+def contested_db(n_groups):
+    """``sigma_db`` plus two circulant bipartite 2-DNFs (36 clauses over private
+    variables) that the default bound budget encloses in [0.79, 0.97] but
+    does not crack: ``P1 > 0.8`` certifies the groups and samples these."""
+    db = sigma_db(n_groups)
+    rows = list(db.relation("R").rows)
+    side, offsets = 9, (0, 1, 2, 3)
+    for t in (1000, 1001):
+        for i in range(side):
+            db.w.add(("x", t, i), {1: Fraction(1, 3), 0: Fraction(2, 3)})
+            db.w.add(("y", t, i), {1: Fraction(2, 5), 0: Fraction(3, 5)})
+        rows += [
+            (Condition({("x", t, i): 1, ("y", t, (i + d) % side): 1}), (t,))
+            for i in range(side)
+            for d in offsets
+        ]
+    db.set_relation("R", URelation.from_rows(("A",), rows))
+    return db
+
+
+def enclosure_transcript(workers):
+    q = rel("R").approx_select(col("P1") > lit(0.8), groups=[["A"]])
+    sections = {}
+    for backend in ("numpy", "python"):
+        for label, n in (("narrow", 4), ("wide", 20)):
+            with connect(contested_db(n), workers, eps=0.3, delta=0.2, rng=9,
+                         backend=backend) as db:
+                def consumers():
+                    out = [topk_key(db.topk("R", k)) for k in (2, 3)]
+                    out.append(driver_key(db.evaluate_with_guarantee(q, delta=0.2, eps0=0.1)))
+                    out.append(
+                        driver_key(db.evaluate_with_guarantee(q, delta=0.1, eps0=0.1, rng=4))
+                    )
+                    out.append(repr(db.rng.random()))
+                    return out
+
+                sections[f"{backend}/enclosures-{label}"] = asked(db, 9, consumers)
+    return sections
+
+
 def digest(obj):
     return hashlib.sha256(repr(obj).encode()).hexdigest()[:16]
 
@@ -205,10 +298,12 @@ def digest(obj):
 if __name__ == "__main__":
     sections = transcript(sys.argv[1])
     conf_sections = conf_operator_transcript(sys.argv[1])
+    enclosure_sections = enclosure_transcript(sys.argv[1])
     if "--sections" in sys.argv:
-        for name, value in {**sections, **conf_sections}.items():
+        for name, value in {**sections, **conf_sections, **enclosure_sections}.items():
             print(f"{name:24s} {digest(value)}")
     compat = {k: v for k, v in sections.items() if not k.endswith(("conf-long", "sigma-wide"))}
     print("top-level-sampling", digest(sorted(compat.items())))
     print("all", digest(sorted(sections.items())))
     print("conf-operators", digest(sorted(conf_sections.items())))
+    print("enclosures", digest(sorted(enclosure_sections.items())))
