@@ -33,6 +33,7 @@ from repro.confidence.exact import (
     probability_by_decomposition,
     probability_by_enumeration,
 )
+from repro.confidence.extensional import EXTENSIONAL, SafePlan, lift
 from repro.confidence.karp_luby import (
     KarpLubyEstimate,
     KarpLubySampler,
@@ -55,6 +56,9 @@ from repro.confidence.strategies import (
 __all__ = [
     "Dnf",
     "lineage",
+    "EXTENSIONAL",
+    "SafePlan",
+    "lift",
     "ConfidenceReport",
     "ConfidenceStrategy",
     "ExactDecomposition",

@@ -8,7 +8,11 @@ functions into a probability: the exact #P solvers behind ``conf``
 backends without touching query code, plus ``auto``: a per-tuple policy
 that inspects the DNF — degenerate cases, read-once structure (pairwise
 variable-disjoint clauses), and size — and routes each tuple to the
-cheapest method that is still sound.
+cheapest method that is still sound.  ``auto`` is also the one strategy
+that lets an evaluator answer a safe plan over tuple-independent
+relations without any DNF (:attr:`ConfidenceStrategy.lifts_safe_plans`,
+:mod:`repro.confidence.extensional`); its per-tuple order is what is
+left for every other input.
 
 Evaluators take strategy *objects*
 (``UEvaluator(db, strategy=KarpLuby(0.1, 0.01))``; sessions resolve
@@ -138,6 +142,15 @@ class ConfidenceStrategy:
     lets the serving layer's global cache budget evict exact entries
     without shifting the session's sampled stream.  Third parties keep
     the conservative default."""
+
+    lifts_safe_plans: bool = False
+    """Whether an evaluator holding the plan may answer it extensionally
+    (:mod:`repro.confidence.extensional`) without showing this strategy
+    a single DNF.  A property of the strategy *object*, never of its
+    name: ``auto`` turns it on; a registered third-party strategy or a
+    delegating wrapper (which may well report ``name = "auto"``) keeps
+    the default and keeps receiving every DNF through
+    :meth:`compute_batch`."""
 
     @property
     def cache_token(self) -> tuple:
@@ -562,9 +575,16 @@ class DissociationBounds(ConfidenceStrategy):
 
 @register_strategy
 class AutoStrategy(ConfidenceStrategy):
-    """Per-tuple routing to the cheapest sound backend.
+    """Routing to the cheapest sound backend: per plan, then per tuple.
 
-    Decision rule, in order:
+    Step 0 happens above this class, where the plan is still in hand
+    (:attr:`lifts_safe_plans`; ``UEvaluator.plan_confidences``): a
+    hierarchical self-join-free plan over tuple-independent relations is
+    answered extensionally (:mod:`repro.confidence.extensional`,
+    ``method="extensional"``) and no DNF ever reaches :meth:`choose`.
+    What does reach it is the residue — unsafe plans, relations that
+    share variables or carry multi-assignment conditions, lineage with
+    no plan attached — routed per tuple, in order:
 
     1. degenerate F (empty, trivially true, single clause) — exact, free;
     2. read-once F (:func:`dnf_is_read_once`) — exact decomposition,
@@ -586,6 +606,7 @@ class AutoStrategy(ConfidenceStrategy):
     """
 
     name = "auto"
+    lifts_safe_plans = True
 
     def __init__(
         self,

@@ -66,7 +66,7 @@ from repro.core.intervals import relative_interval
 from repro.util.parallel import SERIAL_EXECUTOR, ShardExecutor, shard_seed
 from repro.util.rng import ensure_rng
 
-__all__ = ["TopKEntry", "TopKReport", "race_topk", "TOPK_COARSE_ROUNDS"]
+__all__ = ["TopKEntry", "TopKReport", "race_topk", "rank_exact", "TOPK_COARSE_ROUNDS"]
 
 TOPK_COARSE_ROUNDS = 32
 """Outer-loop rounds of the first sampling pass: every survivor's coarse
@@ -138,6 +138,42 @@ class TopKReport:
         return len(self.entries)
 
 
+def rank_exact(
+    rows: Sequence[tuple], values: Sequence, k: int, eps: float, delta: float
+) -> TopKReport:
+    """The top k of ``rows`` by their *exact* confidences ``values`` — no race.
+
+    What ``topk`` answers when every value is already known exactly (an
+    exact-solver session, or a plan answered extensionally): entries
+    with ``source="exact"``, zero trials, point intervals; ties broken
+    by candidate order, like the race.  (ε, δ) only label the report,
+    but are checked as the race checks them: whether a call is accepted
+    must not depend on which route its data took.
+    """
+    _check_accuracy(eps, delta)
+    order = sorted(range(len(rows)), key=lambda i: (-values[i], i))
+    entries = tuple(
+        TopKEntry(
+            row=tuple(rows[i]),
+            value=values[i],
+            lower=values[i],
+            upper=values[i],
+            exact=True,
+            trials=0,
+            source="exact",
+        )
+        for i in order[:k]
+    )
+    return TopKReport(entries, k, eps, delta, len(rows), 0, 0, 0, 0, 0)
+
+
+def _check_accuracy(eps: float, delta: float) -> None:
+    if not 0 < eps < 1:
+        raise ValueError(f"eps must be in (0, 1), got {eps}")
+    if not 0 < delta < 1:
+        raise ValueError(f"delta must be in (0, 1), got {delta}")
+
+
 def _achieved_eps(trials: int, size: int, delta: float) -> float:
     """The ε that ``trials`` Karp–Luby trials justify at failure δ.
 
@@ -197,10 +233,7 @@ def race_topk(
     """
     if k <= 0:
         raise ValueError(f"k must be a positive integer, got {k}")
-    if not 0 < eps < 1:
-        raise ValueError(f"eps must be in (0, 1), got {eps}")
-    if not 0 < delta < 1:
-        raise ValueError(f"delta must be in (0, 1), got {delta}")
+    _check_accuracy(eps, delta)
     if len(rows) != len(dnfs):
         raise ValueError(f"{len(rows)} rows but {len(dnfs)} disjunctions")
     n = len(rows)

@@ -37,6 +37,7 @@ from repro.algebra.operators import (
 )
 from repro.algebra.printer import unparse_expression
 from repro.confidence.dissociation import DEFAULT_BOUND_BUDGET
+from repro.confidence.extensional import EXTENSIONAL
 
 if TYPE_CHECKING:
     from repro.confidence.dnf import Dnf
@@ -322,14 +323,22 @@ class _PlanPass:
         return PlanNode("poss", children=(child,))
 
     def _conf(self, node: Conf, child: PlanNode) -> PlanNode:
-        dnfs = self.tuple_dnfs(node.child)
+        lifted = self.evaluator.plan_confidences(node.child, self.strategy)
+        if lifted is not None:
+            # Step 0 answers the whole node: there is no per-DNF routing
+            # to take a census of, and nothing to fan out.
+            methods, path = {EXTENSIONAL: len(lifted)}, EXTENSIONAL
+        else:
+            dnfs = self.tuple_dnfs(node.child)
+            methods = _tally(self.strategy, dnfs)
+            path = _conf_path(self.executor, self.strategy, dnfs)
         return PlanNode(
             "conf",
             node.p_name,
             strategy=self.strategy.name,
-            methods=_tally(self.strategy, dnfs),
+            methods=methods,
             children=(child,),
-            path=_conf_path(self.executor, self.strategy, dnfs),
+            path=path,
         )
 
     def _cert(self, node: Cert, child: PlanNode) -> PlanNode:
@@ -436,24 +445,28 @@ def topk_plan(
     root is annotated ``topk[k]·bounds-pruned[m/n]`` — m of the n
     candidate DNFs have *exact* enclosures, so they are ranked without
     drawing a single trial — plus the usual ``sharded[w]`` marker when
-    the session fans rounds out.
+    the session fans rounds out.  Where the plan lifts (step 0 of the
+    conf seam) there is no race and no DNF: the root says
+    ``topk[k]·extensional``.
     """
     plan_pass = _PlanPass(evaluator, strategy)
     child = plan_pass.build(node)
-    dnfs = plan_pass.tuple_dnfs(node)
-    # Degenerate disjunctions enclose to a point too.
-    pruned = sum(
-        interval.is_exact for interval in evaluator.enclosures(dnfs, DEFAULT_BOUND_BUDGET)
-    )
-    path = f"topk[{k}]·{BOUNDS_PRUNED}[{pruned}/{len(dnfs)}]"
-    sharded = _conf_path(evaluator.executor, strategy, dnfs)
-    if sharded is not None:
-        path = f"{path}·{sharded}"
+    lifted = evaluator.plan_confidences(node, strategy)
+    if lifted is not None:
+        # No race: the ranking is read off the lifted plan's exact values.
+        methods, path = {EXTENSIONAL: len(lifted)}, f"topk[{k}]·{EXTENSIONAL}"
+    else:
+        dnfs = plan_pass.tuple_dnfs(node)
+        methods = _tally(strategy, dnfs)
+        # Degenerate disjunctions enclose to a point too.
+        pruned = sum(
+            interval.is_exact for interval in evaluator.enclosures(dnfs, DEFAULT_BOUND_BUDGET)
+        )
+        path = f"topk[{k}]·{BOUNDS_PRUNED}[{pruned}/{len(dnfs)}]"
+        sharded = _conf_path(evaluator.executor, strategy, dnfs)
+        if sharded is not None:
+            path = f"{path}·{sharded}"
     root = PlanNode(
-        "topk",
-        strategy=strategy.name,
-        methods=_tally(strategy, dnfs),
-        children=(child,),
-        path=path,
+        "topk", strategy=strategy.name, methods=methods, children=(child,), path=path
     )
     return ExplainReport(root, strategy.name)

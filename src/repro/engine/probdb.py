@@ -22,7 +22,10 @@ in a session are free.  Every confidence the session computes — ``conf``
 / ``cert`` / σ̂ inside a query, :meth:`ProbDB.confidence`,
 ``confidence_all``, per-row and top-k — is the session evaluator's
 ``lineage`` → ``confidences``, so they all share the strategy protocol,
-the shard plan and the memo; every dissociation enclosure it needs —
+the shard plan and the memo — after its plan-level step 0
+(``plan_confidences``), which under ``auto`` answers a safe plan over
+tuple-independent relations without building any lineage; every
+dissociation enclosure it needs —
 σ̂ certification under the driver, top-k stage 1, ``explain`` — is the
 same evaluator's ``enclosures``, memoized by clause set.
 """
@@ -35,12 +38,13 @@ import time
 from collections.abc import Mapping, Sequence
 
 from repro.algebra.builder import Q
-from repro.algebra.operators import BaseRel, Query
+from repro.algebra.operators import BaseRel, Conf, Query
 from repro.algebra.parser import parse_query, parse_session
 from repro.algebra.relations import Relation
 from repro.confidence.batch import resolve_backend
 from repro.confidence.dissociation import DEFAULT_BOUND_BUDGET, BoundInterval, EnclosureMemo
 from repro.confidence.dnf import Dnf
+from repro.confidence.extensional import EXTENSIONAL
 from repro.confidence.strategies import (
     DEFAULT_DELTA,
     DEFAULT_EPS,
@@ -68,9 +72,10 @@ __all__ = ["ProbDB", "connect"]
 # degenerate DNFs their batch machinery seeds shards; third-party
 # methods we cannot vouch for) is pinned as volatile.  Dissociation
 # bounds qualify: exact Fraction arithmetic over the clause set, never a
-# trial.
+# trial.  So does a lifted plan: arithmetic over the probability column
+# in a canonical order.
 _RECOMPUTE_PURE_METHODS = frozenset(
-    {"exact-decomposition", "exact-enumeration", "dissociation-bounds"}
+    {"exact-decomposition", "exact-enumeration", "dissociation-bounds", EXTENSIONAL}
 )
 
 
@@ -222,6 +227,33 @@ class _EngineEvaluator(UEvaluator):
     def enclosures(self, dnfs, budget) -> list[BoundInterval]:
         """Memoized enclosures from the session cache, the misses solved once."""
         return _SessionEnclosures(self.engine)(dnfs, budget)
+
+    def _plan_reports(self, query, plan, strategy) -> dict[tuple, ConfidenceReport] | None:
+        """A lifted plan's reports: one memo entry per plan, not one per tuple.
+
+        Asked only after both screens passed, so a plan that is not
+        lifted never touches the cache.  The key names the database and
+        W versions — ``assign`` replacing a relation or a repair-key
+        growing W retires the entry — and the caller must not mutate the
+        mapping it gets.
+        """
+        engine = self.engine
+        cache = engine._cache
+        if not cache.enabled:
+            return super()._plan_reports(query, plan, strategy)
+        key = (
+            "lifted",
+            query_fingerprint(query),
+            strategy.name,
+            engine.db.version,
+            engine.db.w.version,
+        )
+        reports = cache.get(key)
+        if reports is None:
+            reports = super()._plan_reports(query, plan, strategy)
+            if reports is not None:
+                cache.put(key, reports, volatile=any(map(_report_volatile, reports.values())))
+        return reports
 
 
 class ProbDB:
@@ -414,9 +446,14 @@ class ProbDB:
         node, source = self._resolve(query)
         inner = self.query(node)
         started = time.perf_counter()
-        relation = self._evaluator.conf(inner.relation, p_name, self._override(strategy))
+        relation = self._evaluator.conf(
+            inner.relation, p_name, self._override(strategy), query=node
+        )
         elapsed = time.perf_counter() - started
-        return EngineResult(relation, True, node, self, inner.elapsed + elapsed, source)
+        # The result's plan is the conf *of* the query: what its rows are
+        # tuples of, and so what a later step 0 on it would have to lift.
+        plan = Conf(node, p_name)
+        return EngineResult(relation, True, plan, self, inner.elapsed + elapsed, source)
 
     def evaluate_with_guarantee(
         self,
@@ -494,8 +531,10 @@ class ProbDB:
 
         ``eps``/``delta`` default to the session's accuracy targets; an
         exact session strategy routes to exact confidence computation
-        instead (error 0, nothing sampled).  Results are memoized like
-        queries and bit-identical for every worker count.
+        instead (error 0, nothing sampled), and so does a plan ``auto``
+        answers extensionally (entries say ``source="exact"``).  Results
+        are memoized like queries and bit-identical for every worker
+        count.
         """
         node, _source = self._resolve(query)
         if isinstance(k, bool) or not isinstance(k, int) or k <= 0:
@@ -532,28 +571,21 @@ class ProbDB:
         return cached
 
     def _topk_compute(self, result: EngineResult, k, eps, delta, bounds_budget):
-        from repro.core.topk import TopKEntry, TopKReport, race_topk
+        from repro.core.topk import race_topk, rank_exact
 
+        # Exact values need no race — no trials, error 0, and the memo
+        # entry is freely evictable.  Two ways to have them: the plan
+        # lifts (step 0: not a DNF built), or the session's strategy is
+        # an exact solver and owes exact answers.
+        lifted = self._evaluator.plan_confidences(result.query)
+        if lifted is not None:
+            return rank_exact(
+                list(lifted), [report.value for report in lifted.values()], k, eps, delta
+            )
         rows, dnfs = self._evaluator.lineage(result.relation, result.rows)
         if is_exact_solver(self.strategy):
-            # Strategy routing: an exact session owes exact answers, so
-            # the ranking comes from exact confidences — no race, no
-            # trials, error 0 (and the memo entry is freely evictable).
             reports = self._evaluator.confidences(dnfs)
-            order = sorted(range(len(rows)), key=lambda i: (-reports[i].value, i))
-            entries = tuple(
-                TopKEntry(
-                    row=tuple(rows[i]),
-                    value=reports[i].value,
-                    lower=reports[i].value,
-                    upper=reports[i].value,
-                    exact=True,
-                    trials=0,
-                    source="exact",
-                )
-                for i in order[:k]
-            )
-            return TopKReport(entries, k, eps, delta, len(rows), 0, 0, 0, 0, 0)
+            return rank_exact(rows, [report.value for report in reports], k, eps, delta)
         return race_topk(
             rows,
             dnfs,
@@ -655,15 +687,21 @@ class ProbDB:
         this evaluates the query once, builds every tuple's DNF, and
         hands the whole batch to the strategy — sampling strategies then
         draw trials as vectorized blocks (and, for naive MC, evaluate
-        all tuples against one shared block of worlds).  Returns a
+        all tuples against one shared block of worlds).  Under ``auto``
+        a safe plan over tuple-independent relations skips the DNFs
+        altogether (``report.method == "extensional"``).  Returns a
         mapping from data tuple to its :class:`ConfidenceReport`::
 
             for row, report in sorted(db.confidence_all("T").items()):
                 print(row, report.value, report.exact)
         """
         result = self.query(query)
+        override = self._override(strategy)
+        lifted = self._evaluator.plan_confidences(result.query, override)
+        if lifted is not None:
+            return dict(lifted)
         rows, dnfs = self._evaluator.lineage(result.relation, result.rows)
-        return dict(zip(rows, self._evaluator.confidences(dnfs, self._override(strategy))))
+        return dict(zip(rows, self._evaluator.confidences(dnfs, override)))
 
     def relation_confidences(
         self, relation: URelation, rows: Sequence[tuple]

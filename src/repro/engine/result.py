@@ -48,6 +48,7 @@ class EngineResult:
         "source",
         "elapsed",
         "_engine",
+        "_db_version",
         "_conf",
         "_rows",
     )
@@ -67,6 +68,9 @@ class EngineResult:
         self.source = source
         self.elapsed = elapsed
         self._engine = engine
+        # ``query`` describes ``relation`` only while the relations it
+        # names are the ones it was evaluated on.
+        self._db_version = engine.db.version
         self._conf: dict[tuple, "ConfidenceReport"] = {}
         self._rows: list[tuple] | None = None
 
@@ -102,9 +106,24 @@ class EngineResult:
         key = tuple(row)
         report = self._conf.get(key)
         if report is None:
-            report = self._engine.tuple_confidence(self.relation, key)
-            self._conf[key] = report
+            report = self._conf[key] = self._reports([key])[0]
         return report
+
+    def _reports(self, rows: list[tuple]) -> list["ConfidenceReport"]:
+        """Reports for ``rows``: off the plan where it lifts, else off the lineage.
+
+        Step 0 of the conf seam needs the plan to still describe
+        ``relation``: an ``assign`` since the evaluation (another
+        ``db.version``) may have replaced a relation the plan reads, so
+        then — and for a row that is not a result tuple, whose confidence
+        is 0 — the held relation's own lineage answers.
+        """
+        engine = self._engine
+        if engine.db.version == self._db_version:
+            lifted = engine._evaluator.plan_confidences(self.query)
+            if lifted is not None and all(row in lifted for row in rows):
+                return [lifted[row] for row in rows]
+        return engine.relation_confidences(self.relation, rows)
 
     def topk(self, k: int, eps=None, delta=None, bounds_budget=None):
         """The ``k`` most probable tuples, by confidence-interval racing.
@@ -131,8 +150,7 @@ class EngineResult:
         """
         missing = [row for row in self.rows if tuple(row) not in self._conf]
         if missing:
-            reports = self._engine.relation_confidences(self.relation, missing)
-            for row, report in zip(missing, reports):
+            for row, report in zip(missing, self._reports(missing)):
                 self._conf[tuple(row)] = report
         return {row: self._conf[tuple(row)] for row in self.rows}
 

@@ -10,7 +10,11 @@ engine, but on the succinct representation:
   (poss(R) and each tuple's disjunction F) → :meth:`confidences` (a
   strategy object weighs the Fs; :meth:`enclosures` is its sibling for
   the consumers that only need a guaranteed box around each weight) →
-  ``translate.confidence_relation``:
+  ``translate.confidence_relation`` — with a plan-level step 0 in
+  front, :meth:`plan_confidences`: where the strategy object allows it
+  (``auto``) and the plan is a safe one over tuple-independent
+  relations, every tuple's confidence is arithmetic over a probability
+  column (:mod:`repro.confidence.extensional`) and no F is built:
   ``conf`` under the evaluator's strategy (default: the exact #P
   subprocedure behind Theorem 3.4), ``cert`` and ``σ̂`` under its
   :attr:`exact_strategy`, ``conf_{ε,δ}`` under Karp–Luby at the node's
@@ -31,9 +35,13 @@ confidence / repair-key / possibility boundaries; ``python`` (and any
 environment without NumPy) uses the indexed scalar operators of
 :class:`URelation` directly.  Relations outside the columnar envelope
 (fewer than ``ColumnarContext.min_rows`` rows, or more than
-``max_vars`` condition variables — e.g. tuple-independent inputs with
-one variable per row) quietly stay on the indexed scalar path even
-under ``numpy``.  Both paths produce setwise-identical relations.
+``max_vars`` condition variables) run the indexed scalar operators even
+under ``numpy``; both paths produce setwise-identical relations.
+Tuple-independent inputs, one variable per row, are the shape that
+exceeds ``max_vars`` — and the shape step 0 exists for: the
+*confidences* of a safe plan over them are read off the plan, on one
+pure-Python path whatever the backend, and never wait for this
+intensional result.
 
 For the paper's session style (``R := query``, one growing W table
 threaded through consecutive assignments) use ``repro.connect(db)``.
@@ -308,7 +316,7 @@ class UEvaluator:
         return result, False
 
     def _conf(self, node: Conf, child):
-        return self.conf(self._materialize(child[0]), node.p_name), True
+        return self.conf(self._materialize(child[0]), node.p_name, query=node.child), True
 
     def _approx_conf(self, node: ApproxConf, child):
         urel = self._materialize(child[0])
@@ -423,12 +431,56 @@ class UEvaluator:
             return self._enclosures(dnfs, budget)
         return _confidence().dissociation_intervals(dnfs, budget, executor=self.executor)
 
+    def plan_confidences(
+        self, query: Query, strategy: ConfidenceStrategy | None = None
+    ) -> dict[tuple, ConfidenceReport] | None:
+        """Step 0: every result tuple's report read off the plan, or ``None``.
+
+        For whoever still has the plan in hand.  When ``strategy``
+        (default: :attr:`strategy`) lets safe plans be lifted and
+        ``query`` passes both screens of
+        :func:`repro.confidence.extensional.lift` on this database, the
+        answer is poss(result) in ``repr`` order with exact reports —
+        no lineage, enclosure or trial, nothing drawn from :attr:`rng`.
+        ``None`` means: take steps 1–3.
+        """
+        chosen = self.strategy if strategy is None else strategy
+        if not chosen.lifts_safe_plans:
+            return None
+        plan = _confidence().lift(query, self.db)
+        return None if plan is None else self._plan_reports(query, plan, chosen)
+
+    def _plan_reports(self, query: Query, plan, strategy: ConfidenceStrategy):
+        """Evaluate a lifted plan.  The override point: a session memoizes it."""
+        confidence = _confidence()
+        values = plan.confidences()
+        if values is None:
+            return None
+        return {
+            row: confidence.ConfidenceReport(
+                value, strategy.name, confidence.EXTENSIONAL, exact=True
+            )
+            for row, value in values.items()
+        }
+
     def conf(
-        self, urel: URelation, p_name: str, strategy: ConfidenceStrategy | None = None
+        self,
+        urel: URelation,
+        p_name: str,
+        strategy: ConfidenceStrategy | None = None,
+        query: Query | None = None,
     ) -> URelation:
-        """[[conf(R)]]: lineage → confidences → the complete relation ⟨t, P⟩."""
-        rows, dnfs = self.lineage(urel)
-        values = [report.value for report in self.confidences(dnfs, strategy)]
+        """[[conf(R)]]: lineage → confidences → the complete relation ⟨t, P⟩.
+
+        ``query`` is the plan ``urel`` came from, when the caller has it:
+        step 0 is asked first and replaces the first two steps.
+        """
+        lifted = None if query is None else self.plan_confidences(query, strategy)
+        if lifted is not None:
+            rows, values = list(lifted), [report.value for report in lifted.values()]
+        else:
+            rows, dnfs = self.lineage(urel)
+            values = [report.value for report in self.confidences(dnfs, strategy)]
         return confidence_relation(urel, p_name, rows, values)
 
     def sigma_candidates(

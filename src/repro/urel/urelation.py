@@ -12,7 +12,7 @@ looks at the W table — which is what makes them LOGSPACE
 (Proposition 3.3).
 
 Because a :class:`URelation` is immutable, it lazily builds (and keeps
-forever, invalidation-free) three indexes that turn the scalar operator
+forever, invalidation-free) caches that turn the scalar operator
 paths from scan-per-call into lookup-per-call:
 
 * the **tuple index** (data tuple → list of conditions) behind
@@ -24,7 +24,10 @@ paths from scan-per-call into lookup-per-call:
 * the cached **variable set** / **certainty flag** behind
   :meth:`variables` and :attr:`is_certain`, recomputed from scratch on
   every call in the seed implementation (including inside ``in_world``
-  loops).
+  loops);
+* the **tuple-independence verdict** behind :meth:`independent_rows` —
+  the data screen of extensional confidence
+  (:mod:`repro.confidence.extensional`), asked once per relation.
 
 Operators that construct rows from already-validated rows (``rename``,
 ``union``, ``_align_to``, ``select``, ``product``, ``natural_join``)
@@ -223,6 +226,45 @@ class URelation:
             if "_variables" not in self.__dict__:
                 object.__setattr__(self, "_variables", frozenset(out))
         return False
+
+    def independent_rows(self) -> tuple[tuple[tuple[Value, ...], tuple | None], ...] | None:
+        """The rows as ``(values, assignment)`` if tuple-independent, else ``None``.
+
+        Tuple-independent *as stored*: every data tuple appears once,
+        under the empty condition (``assignment`` is ``None``) or under a
+        single ``(variable, value)`` pair, and no variable serves two
+        rows — so whatever W says, the tuples are independent events and
+        each one's probability is one W entry.  The screen stops at the
+        first offending row.  Rows come in ``repr`` order (the order
+        every confidence-closing operator computes in), so arithmetic
+        that visits them in sequence is canonical.  The verdict is
+        cached like the other lazy caches: built under ``_CACHE_LOCK``,
+        published immutable.
+        """
+        try:
+            return self.__dict__["_independent_rows"]
+        except KeyError:
+            pass
+        with _CACHE_LOCK:
+            if "_independent_rows" not in self.__dict__:
+                object.__setattr__(self, "_independent_rows", self._screen_independent())
+            return self.__dict__["_independent_rows"]
+
+    def _screen_independent(self):
+        seen: set = set()
+        screened = []
+        for cond, vals in self.rows:
+            if len(cond) > 1:
+                return None
+            assignment = next(iter(cond.items()), None)
+            if assignment is not None:
+                if assignment[0] in seen:
+                    return None
+                seen.add(assignment[0])
+            screened.append((vals, assignment))
+        if len({vals for vals, _ in screened}) != len(screened):
+            return None
+        return tuple(sorted(screened, key=lambda row: repr(row[0])))
 
     def in_world(self, world: Mapping) -> Relation:
         """Instantiate this U-relation in the world given by a total assignment."""

@@ -241,6 +241,7 @@ def test_isinstance_census():
         "algebra/parser.py": 4,  # surface-syntax coercions (column lists, numbers)
         "algebra/printer.py": 1,  # project item named like its column
         "algebra/relations.py": 1,  # normalize_projection coercion
+        "confidence/extensional.py": 1,  # plain-column projection (else: not liftable)
         "core/readonce.py": 1,  # constant predicate: radius ∞
         "urel/columnar.py": 3,  # plain-column projection; const-vs-const guard
     }

@@ -239,12 +239,19 @@ class TestProbDBTopK:
         assert report.total_trials == 0
 
     def test_explain_topk_annotation(self):
+        # One variable per row: the bare scan lifts (step 0 of the conf
+        # seam), so there is no race and no enclosure census to report.
         db = ProbDB(_single_var_db([0.9, 0.7, 0.5]), rng=5)
         plan = db.explain_topk("R", 2)
-        assert "topk[2]" in plan.text
-        assert "bounds-pruned[3/3]" in plan.text
+        assert "topk[2]·extensional" in plan.text
+        assert plan.chosen_methods() == {"extensional"}
         with pytest.raises(ValueError):
             db.explain_topk("R", 0)
+        # The same tuples twice over (a union is not liftable) race as
+        # before: every enclosure is a point.
+        plan = db.explain_topk("union(R, R)", 2)
+        assert "topk[2]" in plan.text
+        assert "bounds-pruned[3/3]" in plan.text
 
 
 class TestServerTopK:

@@ -1,13 +1,14 @@
 """Transcript digest of one fixed script — are two checkouts' answers the same?
 
     PYTHONHASHSEED=0 PYTHONPATH=<checkout>/src python tools/transcript_digest.py <workers> [--warm]
+    PYTHONPATH=<checkout>/src python tools/transcript_digest.py <workers> --lifted <backend>
 
 ``workers`` is ``none`` (the session omits the argument), an int, or
 ``custom`` (a ``ShardExecutor(2)`` with small plan parameters).  The
 script runs ``query``, ``confidence_all`` (karp-luby / naive-mc / auto),
 a single-tuple confidence, ``topk`` and ``evaluate_with_guarantee`` on
 both trial backends with fixed seeds and prints a SHA-256 prefix per
-section (``--sections``) and four totals:
+section (``--sections``) and five totals:
 
 * ``top-level-sampling`` — sections whose trials are drawn by the
   session's executor (short DNF lists, narrow σ̂, top-k);
@@ -26,16 +27,28 @@ section (``--sections``) and four totals:
   relations whose candidates are partly certified by their enclosure and
   partly sampled.  A checkout that memoises enclosures per session must
   print what one that solves them at every call prints.
+* ``lifted`` — a fourth script (in no other total): safe and unsafe
+  plans over float- and ``Fraction``-weighted tuple-independent
+  relations through every entry point that has the plan in hand
+  (``conf`` inside a query, ``db.confidence``, ``confidence_all``,
+  ``result.confidences()``, ``result.confidence(row)``, ``topk``), each
+  asked cold and then warm on one session.  The safe ones are answered
+  extensionally (step 0 of the conf seam), in a canonical multiplication
+  order, so this total embeds no condition and must not move with
+  ``PYTHONHASHSEED``, the backend or the worker count:
+  ``--lifted <backend>`` (``numpy`` / ``python`` / ``auto``) prints it
+  alone, at that backend, in a fraction of a second — CI compares the
+  eight combinations of hash seed 0 / 1 × backend × workers none / 2.
 
 ``--warm`` asks every bounds-consuming section (top-k, σ̂ narrow and
 20-candidate, the ``enclosures`` script) a second time on the same
 session with the session RNG re-seeded and digests the second pass: the
 totals must equal the cold ones, whatever the session remembered.
 
-Pin ``PYTHONHASHSEED``: the transcript embeds ``repr`` of conditions.
-Written for PR 14 (CHANGES.md records the digests of both commits) and
-extended for PRs 17 and 18; it uses only names that exist on either
-side of those changes.
+Pin ``PYTHONHASHSEED`` for the first four: their transcripts embed
+``repr`` of conditions.  Written for PR 14 (CHANGES.md records the
+digests of both commits) and extended for PRs 17, 18 and 19; the first
+four totals use only names that exist on either side of those changes.
 """
 
 import hashlib
@@ -47,6 +60,7 @@ from fractions import Fraction
 import repro
 from repro.algebra.builder import literal, rel
 from repro.algebra.expressions import col, lit
+from repro.generators.tpdb import add_tuple_independent
 from repro.urel.conditions import Condition
 from repro.urel.evaluate import UEvaluator
 from repro.urel.udatabase import UDatabase
@@ -291,19 +305,78 @@ def enclosure_transcript(workers):
     return sections
 
 
+def tuple_independent_db(floats, n_rows=40, n_keys=7, seed=17):
+    """R(A,B), S(B,C), T(C,D), one variable per row, some rows certain."""
+    rng = random.Random(seed)
+    db = UDatabase()
+    for name, columns in (("R", ("A", "B")), ("S", ("B", "C")), ("T", ("C", "D"))):
+        rows = []
+        for i in range(n_rows):
+            values = (i, rng.randrange(n_keys)) if name == "R" else (rng.randrange(n_keys), i)
+            p = 1 if i % 9 == 0 else Fraction(rng.randint(1, 19), 20)
+            rows.append((values, float(p) if floats and p != 1 else p))
+        add_tuple_independent(db, name, columns, rows)
+    return db
+
+
+def lifted_transcript(workers, backend):
+    plans = (
+        "R",
+        "project[B](join(R, S))",
+        "project[](join(R, S))",
+        "project[B](select[A < 12](join(R, S)))",
+        "project[B](join(select[A >= 3](R), S, T))",
+        "project[C](join(S, rename[D -> X](select[D < 9](T))))",
+        # not hierarchical: per-DNF under auto, small enough to stay exact
+        "project[A](select[A < 4](join(R, S, T)))",
+    )
+    sections = {}
+    for weights in ("fraction", "float"):
+        source = tuple_independent_db(floats=weights == "float")
+        with connect(source, workers, eps=0.3, delta=0.2, rng=5,
+                     backend=None if backend == "auto" else backend) as db:
+            def ask(q):
+                reports = db.confidence_all(q)
+                result = db.query(q)
+                out = [
+                    sorted((row, report_key(rep)) for row, rep in reports.items()),
+                    sorted(map(repr, db.query(f"conf[P]({q})").relation.rows)),
+                    sorted(map(repr, db.confidence(q).relation.rows)),
+                    sorted((row, report_key(rep)) for row, rep in result.confidences().items()),
+                    [report_key(db.query(q).confidence(row)) for row in result.rows[:2]],
+                    report_key(result.confidence(("absent",) * len(result.columns))),
+                    topk_key(db.topk(q, 3)),
+                ]
+                return out
+
+            for q in plans:
+                cold = ask(q)
+                assert ask(q) == cold, f"warm answers differ from cold ones: {q}"
+                sections[f"{weights}/{q}"] = cold
+            sections[f"{weights}/next-draw"] = repr(db.rng.random())
+    return sections
+
+
 def digest(obj):
     return hashlib.sha256(repr(obj).encode()).hexdigest()[:16]
 
 
 if __name__ == "__main__":
+    if "--lifted" in sys.argv:
+        only = lifted_transcript(sys.argv[1], sys.argv[sys.argv.index("--lifted") + 1])
+        print("lifted", digest(sorted(only.items())))
+        sys.exit(0)
     sections = transcript(sys.argv[1])
     conf_sections = conf_operator_transcript(sys.argv[1])
     enclosure_sections = enclosure_transcript(sys.argv[1])
+    lifted_sections = lifted_transcript(sys.argv[1], "auto")
     if "--sections" in sys.argv:
-        for name, value in {**sections, **conf_sections, **enclosure_sections}.items():
+        every = {**sections, **conf_sections, **enclosure_sections, **lifted_sections}
+        for name, value in every.items():
             print(f"{name:24s} {digest(value)}")
     compat = {k: v for k, v in sections.items() if not k.endswith(("conf-long", "sigma-wide"))}
     print("top-level-sampling", digest(sorted(compat.items())))
     print("all", digest(sorted(sections.items())))
     print("conf-operators", digest(sorted(conf_sections.items())))
     print("enclosures", digest(sorted(enclosure_sections.items())))
+    print("lifted", digest(sorted(lifted_sections.items())))
