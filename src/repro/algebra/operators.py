@@ -119,10 +119,15 @@ class Literal(Query):
 
 @dataclass(frozen=True, slots=True)
 class Select(_UnaryOp):
-    """σ_condition, applied in each possible world independently."""
+    """σ_condition, applied in each possible world independently.
+
+    ``pushed`` marks a copy the selection-pushdown pass placed
+    (`repro.algebra.pushdown`); queries as written never carry one.
+    """
 
     child: Query
     condition: BoolExpr
+    pushed: bool = field(default=False, repr=False)
 
 
 @dataclass(frozen=True)

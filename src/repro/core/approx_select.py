@@ -46,6 +46,7 @@ from repro.algebra.operators import (
 )
 from repro.algebra import schema as _schema
 from repro.algebra.builder import Q
+from repro.algebra.pushdown import PUSH_ERRORS
 from repro.confidence.dissociation import BoundInterval
 from repro.confidence.dnf import Dnf
 from repro.core.approximator import (
@@ -140,7 +141,7 @@ class ApproxQueryEvaluator(UEvaluator):
         return self.eval(query.q if isinstance(query, Q) else query)
 
     def eval(self, query: Query) -> AnnotatedRelation:
-        return self._annotated(self._eval_rep(query))
+        return self._annotated(self._eval_rep(self._pushed(query)))
 
     def _annotated(self, result) -> AnnotatedRelation:
         """``result`` as an :class:`AnnotatedRelation` (reliable if plain)."""
@@ -164,11 +165,16 @@ class ApproxQueryEvaluator(UEvaluator):
     # --------------------------------------------- annotated algebra (above σ̂)
     def _select(self, node: Select, child: AnnotatedRelation) -> AnnotatedRelation:
         cols = child.relation.columns
-        kept = [
-            entry
-            for entry in self._iter_all(child)
-            if node.condition.evaluate(dict(zip(cols, entry[0][1])))
-        ]
+        try:
+            kept = [
+                entry
+                for entry in self._iter_all(child)
+                if node.condition.evaluate(dict(zip(cols, entry[0][1])))
+            ]
+        except PUSH_ERRORS:
+            if not node.pushed:
+                raise
+            return child  # a copy that cannot filter leaves its operand whole
         return self._regroup(cols, kept, child.complete)
 
     def _project(self, node: Project, child: AnnotatedRelation) -> AnnotatedRelation:

@@ -36,6 +36,7 @@ from repro.algebra.operators import (
     fold,
 )
 from repro.algebra.printer import unparse_expression
+from repro.algebra.pushdown import strip
 from repro.confidence.dissociation import DEFAULT_BOUND_BUDGET
 from repro.confidence.extensional import EXTENSIONAL
 
@@ -51,6 +52,7 @@ __all__ = [
     "topk_plan",
     "BELOW_THRESHOLD",
     "BOUNDS_PRUNED",
+    "PUSHED",
 ]
 
 
@@ -127,8 +129,11 @@ def explain_plan(
     backend determines the ``path`` annotation of the relational nodes;
     when its executor has two or more workers, the operators it fans
     out over them are annotated ``·sharded[n]`` (n = configured workers).
+    The tree is the one the evaluator runs: selection copies the
+    pushdown pass placed render as ``select[φ]  ·pushed``.
     """
-    return ExplainReport(_PlanPass(evaluator, strategy).build(node), strategy.name)
+    plan = evaluator._pushed(node)
+    return ExplainReport(_PlanPass(evaluator, strategy).build(plan), strategy.name)
 
 
 BELOW_THRESHOLD = "below-threshold"
@@ -140,6 +145,12 @@ run as one shard, in process — but a plan that *says so* lets an operator
 reading ``explain`` output see that raising ``workers`` cannot help this
 query.
 """
+
+
+PUSHED = "pushed"
+"""Annotation of a selection copy the pushdown pass placed
+(:mod:`repro.algebra.pushdown`): the evaluator filters this operand
+before the merge above it, and the ``select`` as written still runs."""
 
 
 BOUNDS_PRUNED = "bounds-pruned"
@@ -253,7 +264,10 @@ class _PlanPass:
 
     def _select(self, node: Select, child: PlanNode) -> PlanNode:
         return PlanNode(
-            "select", unparse_expression(node.condition), children=(child,), path=self.path
+            "select",
+            unparse_expression(node.condition),
+            children=(child,),
+            path=PUSHED if node.pushed else self.path,
         )
 
     def _project(self, node: Project, child: PlanNode) -> PlanNode:
@@ -323,7 +337,7 @@ class _PlanPass:
         return PlanNode("poss", children=(child,))
 
     def _conf(self, node: Conf, child: PlanNode) -> PlanNode:
-        lifted = self.evaluator.plan_confidences(node.child, self.strategy)
+        lifted = self.evaluator.plan_confidences(strip(node.child), self.strategy)
         if lifted is not None:
             # Step 0 answers the whole node: there is no per-DNF routing
             # to take a census of, and nothing to fan out.
@@ -450,13 +464,14 @@ def topk_plan(
     ``topk[k]·extensional``.
     """
     plan_pass = _PlanPass(evaluator, strategy)
-    child = plan_pass.build(node)
+    plan = evaluator._pushed(node)
+    child = plan_pass.build(plan)
     lifted = evaluator.plan_confidences(node, strategy)
     if lifted is not None:
         # No race: the ranking is read off the lifted plan's exact values.
         methods, path = {EXTENSIONAL: len(lifted)}, f"topk[{k}]·{EXTENSIONAL}"
     else:
-        dnfs = plan_pass.tuple_dnfs(node)
+        dnfs = plan_pass.tuple_dnfs(plan)
         methods = _tally(strategy, dnfs)
         # Degenerate disjunctions enclose to a point too.
         pruned = sum(

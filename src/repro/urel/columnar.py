@@ -262,6 +262,14 @@ class ColumnarContext:
         when it returns False; results are identical either way.  The
         width probe early-exits, so asking about a huge wide relation
         costs O(max_vars), not a full variable scan.
+
+        It is asked about the relations the operators meet, after
+        selection pushdown (`repro.algebra.pushdown`): a stored relation
+        under a pushed copy is rated whole and, inside the envelope,
+        filtered columnar — the filtered result is columnar-born and
+        never re-rated — while a scalar one is filtered first and its
+        join rates the *filtered* operand, which may now fit (a
+        tuple-independent relation filtered below ``max_vars`` rows).
         """
         return len(urel.rows) >= self.min_rows and not urel.variables_exceed(self.max_vars)
 

@@ -24,6 +24,16 @@ engine, but on the succinct representation:
   `repro.core.approx_select.ApproxQueryEvaluator`, a subclass that
   replaces the σ̂ handler and the operators above a σ̂.
 
+Before the fold, :meth:`eval` runs one rewrite: selection pushdown
+(:mod:`repro.algebra.pushdown`).  A selection filters data values and
+leaves conditions alone, so a copy of each conjunct goes on the lowest
+operand of a join, product or union that covers it — never across
+``conf``, ``aconf``, ``cert``, σ̂, ``repair-key``, ``poss`` or
+``difference`` — and a merge pairs only the rows the answer can keep;
+the ``select`` as written still runs, and a copy whose predicate raises
+on its operand is skipped.  The rewritten tree stays in here: the
+``conf`` handler hands step 0 the plan as written.
+
 ``backend`` selects the operator engine for the purely-relational
 subtrees, through the same ``resolve_backend("auto"|"numpy"|"python")``
 switch as the Monte Carlo trial backends: ``numpy`` runs
@@ -36,7 +46,9 @@ environment without NumPy) uses the indexed scalar operators of
 :class:`URelation` directly.  Relations outside the columnar envelope
 (fewer than ``ColumnarContext.min_rows`` rows, or more than
 ``max_vars`` condition variables) run the indexed scalar operators even
-under ``numpy``; both paths produce setwise-identical relations.
+under ``numpy``; both paths produce setwise-identical relations.  The
+envelope is asked about what the operators actually meet — after
+pushdown, a join's operand is the filtered relation.
 Tuple-independent inputs, one variable per row, are the shape that
 exceeds ``max_vars`` — and the shape step 0 exists for: the
 *confidences* of a safe plan over them are read off the plan, on one
@@ -76,6 +88,7 @@ from repro.algebra.operators import (
 )
 from repro.algebra import schema as _schema
 from repro.algebra.expressions import Attr, Cmp, Const
+from repro.algebra.pushdown import PUSH_ERRORS, push, strip
 from repro.algebra.relations import Relation
 from repro.urel.columnar import ColumnarContext, ColumnarURelation
 from repro.util.backends import resolve_backend
@@ -179,8 +192,21 @@ class UEvaluator:
         return UResult(relation, complete)
 
     def eval(self, query: Query) -> tuple[URelation, bool]:
-        rep, complete = self._eval_rep(query)
+        rep, complete = self._eval_rep(self._pushed(query))
         return self._materialize(rep), complete
+
+    def _pushed(self, query: Query) -> Query:
+        """``query`` as it runs: selection copies pushed toward the scans.
+
+        The rewrite (:func:`repro.algebra.pushdown.push`) stays inside
+        the evaluator — whatever hands a sub-plan onward strips it.  A
+        plan the pass cannot read runs as written, so the handler table,
+        not the pass, names an operator nobody knows.
+        """
+        try:
+            return push(query, self.db.schema_of)
+        except TypeError:
+            return query
 
     # -- representation plumbing ---------------------------------------
     def _materialize(self, rep: _Rep) -> URelation:
@@ -264,7 +290,15 @@ class UEvaluator:
 
     def _select(self, node: Select, child):
         rep, complete = child
-        return self._lift(rep).select(node.condition), complete
+        rep = self._lift(rep)
+        try:
+            return rep.select(node.condition), complete
+        except PUSH_ERRORS:
+            if not node.pushed:
+                raise
+            # A copy that cannot filter its operand leaves it whole: the
+            # selection as written raises, or not, on the rows it sees.
+            return rep, complete
 
     def _project(self, node: Project, child):
         rep, complete = child
@@ -316,7 +350,8 @@ class UEvaluator:
         return result, False
 
     def _conf(self, node: Conf, child):
-        return self.conf(self._materialize(child[0]), node.p_name, query=node.child), True
+        plan = strip(node.child)
+        return self.conf(self._materialize(child[0]), node.p_name, query=plan), True
 
     def _approx_conf(self, node: ApproxConf, child):
         urel = self._materialize(child[0])

@@ -149,9 +149,14 @@ class TestDifferential:
     def test_float_weights_agree_to_1e_12(self, seed):
         assert_floats_match_enumeration(ti_database(seed, floats=True))
 
-    def test_every_entry_point_gives_the_same_answers(self):
+    # The second plan runs with a pushed selection copy under its join: the
+    # in-query conf must still lift the plan as written (one memo entry for
+    # both askers), and nothing the pass adds may reach a lifting walker.
+    @pytest.mark.parametrize(
+        "text", ["project[B](join(R, S))", "project[B](select[A < 2](join(R, S)))"]
+    )
+    def test_every_entry_point_gives_the_same_answers(self, text):
         db = ti_database(3, n_rows=(5, 7))
-        text = "project[B](join(R, S))"
         with repro.connect(db, strategy="exact-enumeration") as reference:
             truth = values(reference.confidence_all(text))
         assert len(truth) >= 2
@@ -161,7 +166,9 @@ class TestDifferential:
             report = next(iter(reports.values()))
             assert (report.strategy, report.exact, report.samples) == ("auto", True, 0)
             expected_rows = {row + (p,) for row, p in truth.items()}
+            entries = session.cache_stats["entries"]
             assert {v for _, v in session.query(f"conf[P]({text})").relation.rows} == expected_rows
+            assert session.cache_stats["entries"] == entries + 1  # the query; the plan hit
             assert {v for _, v in session.confidence(text).relation.rows} == expected_rows
             result = session.query(text)
             assert result.confidences() == reports

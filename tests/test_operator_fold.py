@@ -1,7 +1,8 @@
 """The one fold over the operator AST and the seven handler tables on it.
 
 "Added an operator, forgot a walker" must fail here, in tier-1, not at
-query time: every concrete node class needs an entry in every table;
+query time: every concrete node class needs an entry in every table —
+the pushdown routes included, where it says whether a selection passes;
 an unknown node class gets the fold's one ``TypeError`` from every
 walker; and every evaluator agrees with ``output_schema`` on the
 columns of every operator's result.
@@ -17,6 +18,8 @@ from repro.algebra.builder import literal, rel
 from repro.algebra.expressions import col, lit
 from repro.algebra.operators import Query, Select, fold, output_schema
 from repro.algebra.printer import _QUERY_HANDLERS, unparse_query
+from repro.algebra.pushdown import _ROUTES as PUSHDOWN_ROUTES
+from repro.algebra.pushdown import push
 from repro.algebra.relations import Relation
 from repro.core.approx_select import ApproxQueryEvaluator
 from repro.engine.plan import _PlanPass, explain_plan
@@ -55,6 +58,7 @@ TABLES = {
     "ApproxQueryEvaluator": ApproxQueryEvaluator.HANDLERS,
     "explain": _PlanPass.HANDLERS,
     "evaluate_with_provenance": PROVENANCE_HANDLERS,
+    "pushdown": PUSHDOWN_ROUTES,
 }
 
 # Operators outside positive UA[σ̂]: provenance documents a TypeError.
@@ -129,6 +133,7 @@ class TestUnknownNodeType:
         ).evaluate(q),
         "explain": lambda q: explain_plan(q, UEvaluator(_udb()), resolve_strategy("auto")),
         "evaluate_with_provenance": lambda q: evaluate_with_provenance(q, _relations()),
+        "pushdown": lambda q: push(q, {"R": ("A", "B")}.__getitem__),
     }
 
     def test_walkers_match_the_tables(self):

@@ -1,7 +1,7 @@
 """Transcript digest of one fixed script — are two checkouts' answers the same?
 
-    PYTHONHASHSEED=0 PYTHONPATH=<checkout>/src python tools/transcript_digest.py <workers> [--warm]
-    PYTHONPATH=<checkout>/src python tools/transcript_digest.py <workers> --lifted <backend>
+    PYTHONHASHSEED=0 PYTHONPATH=<checkout>/src python tools/transcript_digest.py <workers> [--warm] [--check]
+    PYTHONPATH=<checkout>/src python tools/transcript_digest.py <workers> --lifted <backend> [--check]
 
 ``workers`` is ``none`` (the session omits the argument), an int, or
 ``custom`` (a ``ShardExecutor(2)`` with small plan parameters).  The
@@ -45,6 +45,12 @@ section (``--sections``) and five totals:
 session with the session RNG re-seeded and digests the second pass: the
 totals must equal the cold ones, whatever the session remembered.
 
+``--check`` also compares every printed total with its committed value
+in ``tools/transcript_digests.txt`` and exits 1 on a difference, so an
+answer that moves on every worker count at once still fails; a Python
+version that prints another value for some total pins it there under
+``<total>@<major>.<minor>``.
+
 Pin ``PYTHONHASHSEED`` for the first four: their transcripts embed
 ``repr`` of conditions.  Written for PR 14 (CHANGES.md records the
 digests of both commits) and extended for PRs 17, 18 and 19; the first
@@ -53,6 +59,7 @@ four totals use only names that exist on either side of those changes.
 
 import hashlib
 import math
+import pathlib
 import random
 import sys
 from fractions import Fraction
@@ -361,10 +368,44 @@ def digest(obj):
     return hashlib.sha256(repr(obj).encode()).hexdigest()[:16]
 
 
+PINS = pathlib.Path(__file__).with_name("transcript_digests.txt")
+
+
+def pinned(path=PINS):
+    """The committed value of every total for the running Python.
+
+    A line ``<total> <value>`` pins a total; ``<total>@<major>.<minor>
+    <value>`` overrides it for that Python version only.
+    """
+    version = f"{sys.version_info.major}.{sys.version_info.minor}"
+    pins, overrides = {}, {}
+    for line in path.read_text().splitlines():
+        if line.strip() and not line.startswith("#"):
+            key, value = line.split()
+            name, _, only = key.partition("@")
+            if not only:
+                pins[name] = value
+            elif only == version:
+                overrides[name] = value
+    return {**pins, **overrides}
+
+
+def report(totals):
+    """Print ``totals``; under ``--check``, exit 1 unless each equals its pin."""
+    for name, value in totals.items():
+        print(name, value)
+    if "--check" in sys.argv:
+        pins = pinned()
+        wrong = [name for name, value in totals.items() if pins.get(name) != value]
+        for name in wrong:
+            print(f"{name}: printed {totals[name]}, pinned {pins.get(name)}", file=sys.stderr)
+        sys.exit(1 if wrong else 0)
+
+
 if __name__ == "__main__":
     if "--lifted" in sys.argv:
         only = lifted_transcript(sys.argv[1], sys.argv[sys.argv.index("--lifted") + 1])
-        print("lifted", digest(sorted(only.items())))
+        report({"lifted": digest(sorted(only.items()))})
         sys.exit(0)
     sections = transcript(sys.argv[1])
     conf_sections = conf_operator_transcript(sys.argv[1])
@@ -375,8 +416,12 @@ if __name__ == "__main__":
         for name, value in every.items():
             print(f"{name:24s} {digest(value)}")
     compat = {k: v for k, v in sections.items() if not k.endswith(("conf-long", "sigma-wide"))}
-    print("top-level-sampling", digest(sorted(compat.items())))
-    print("all", digest(sorted(sections.items())))
-    print("conf-operators", digest(sorted(conf_sections.items())))
-    print("enclosures", digest(sorted(enclosure_sections.items())))
-    print("lifted", digest(sorted(lifted_sections.items())))
+    report(
+        {
+            "top-level-sampling": digest(sorted(compat.items())),
+            "all": digest(sorted(sections.items())),
+            "conf-operators": digest(sorted(conf_sections.items())),
+            "enclosures": digest(sorted(enclosure_sections.items())),
+            "lifted": digest(sorted(lifted_sections.items())),
+        }
+    )
