@@ -65,6 +65,7 @@ from repro.util.backends import (
 )
 from repro.util.parallel import SERIAL_EXECUTOR, ShardExecutor, shard_seed
 from repro.util.rng import ensure_rng
+from repro.worlds.database import Prob
 
 __all__ = [
     "HAS_NUMPY",
@@ -75,6 +76,7 @@ __all__ = [
     "BatchKarpLubySampler",
     "batch_approximate_confidence",
     "batch_naive_confidence",
+    "karp_luby_ratio",
     "shared_block_confidences",
 ]
 
@@ -399,6 +401,22 @@ class BatchKarpLubySampler:
         )
 
 
+def karp_luby_ratio(dnf: Dnf, lower: Prob | None = None) -> float:
+    """A proven bound r ≥ M/p on ``dnf``, the third argument of the budget.
+
+    Without ``lower`` this is the paper's |F|.  With a guaranteed lower
+    bound L ≤ p it is M / max(L, max_f p_f): p ≥ max_f p_f always holds,
+    and M ≤ |F|·max_f p_f, so the ratio never exceeds |F| and the trial
+    budget it sizes is never larger than Proposition 4.2's.
+    """
+    if lower is None or dnf.is_empty:
+        return dnf.size
+    floor = max(lower, max(dnf.weights))
+    if floor <= 0:
+        return dnf.size
+    return min(float(dnf.total_weight / floor), dnf.size)
+
+
 def batch_approximate_confidence(
     dnf: Dnf,
     eps: float,
@@ -406,6 +424,7 @@ def batch_approximate_confidence(
     rng: random.Random | int | None = None,
     backend: str | None = None,
     executor: "ShardExecutor | None" = None,
+    lower: Prob | None = None,
 ) -> KarpLubyEstimate:
     """The Proposition 4.2 FPRAS with the trial budget drawn in blocks.
 
@@ -414,12 +433,14 @@ def batch_approximate_confidence(
     m = ⌈3·|F|·ln(2/δ)/ε²⌉ trials come from the same estimator, merely
     drawn together — at a fraction of the interpreter overhead.  The
     budget runs as per-block draws whose statistics merge by trial-count
-    weighting (see :class:`BatchKarpLubySampler`).
+    weighting (see :class:`BatchKarpLubySampler`).  A guaranteed lower
+    bound ``lower`` ≤ p shrinks |F| in m to :func:`karp_luby_ratio`, at
+    the same (ε, δ).
     """
     sampler = BatchKarpLubySampler(dnf, rng, backend=backend, executor=executor)
     if sampler.is_exact:
         return sampler.snapshot(eps, delta)
-    sampler.run(bounds.karp_luby_sample_size(eps, delta, dnf.size))
+    sampler.run(bounds.karp_luby_sample_size(eps, delta, karp_luby_ratio(dnf, lower)))
     return sampler.snapshot(eps, delta)
 
 

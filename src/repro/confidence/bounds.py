@@ -48,8 +48,15 @@ def karp_luby_error_bound(eps: float, m: int, size_f: int) -> float:
     return min(1.0, 2.0 * math.exp(-(m * eps * eps) / (3.0 * size_f)))
 
 
-def karp_luby_sample_size(eps: float, delta: float, size_f: int) -> int:
-    """m = ⌈3·|F|·ln(2/δ) / ε²⌉: trials for an (ε, δ) guarantee (Section 4)."""
+def karp_luby_sample_size(eps: float, delta: float, size_f: float) -> int:
+    """m = ⌈3·r·ln(2/δ) / ε²⌉: trials for an (ε, δ) guarantee (Section 4).
+
+    ``size_f`` is r, any proven bound on M/p (M = Σ p_f): the Chernoff
+    argument needs only that the trial mean p/M is at least 1/r.  The
+    paper takes r = |F|, since p ≥ max_f p_f ≥ M/|F|; a guaranteed lower
+    bound L ≤ p gives the smaller r = M/L
+    (:func:`repro.confidence.batch.karp_luby_ratio`).
+    """
     if not 0 < eps:
         raise ValueError(f"eps must be positive, got {eps}")
     if not 0 < delta < 1:

@@ -47,20 +47,23 @@ count either way.
 
 from __future__ import annotations
 
+import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from collections.abc import Sequence
 
 from repro.confidence.batch import (
     batch_approximate_confidence,
     batch_naive_confidence,
+    karp_luby_ratio,
     resolve_backend,
     shared_block_confidences,
 )
 from repro.confidence.bounds import karp_luby_sample_size
 from repro.confidence.dissociation import (
     DEFAULT_BOUND_BUDGET,
+    BoundInterval,
     dissociation_interval,
     dissociation_intervals,
 )
@@ -112,6 +115,11 @@ class ConfidenceReport:
     ``lower``/``upper`` carry a *guaranteed* enclosing interval when the
     method produced one (dissociation bounds); unlike (ε, δ) error bars
     they hold with certainty, and ``lower == upper`` implies ``exact``.
+    ``auto``'s sampled reports carry the pair too: it is the step-4
+    enclosure that sized the Karp–Luby run (``samples`` follows from
+    ``lower``, see :class:`AutoStrategy`) and that the estimate is
+    clipped into.  A sampled report without it ran the paper's |F|
+    budget.
     """
 
     value: Prob
@@ -206,29 +214,36 @@ class ConfidenceStrategy:
         Sampling strategies override this to amortize trial drawing
         across the batch (shared world blocks).
         """
+        return self._map_items(self.compute, dnfs, rng, executor)
+
+    def _map_items(self, compute, items: Sequence, rng: random.Random, executor) -> list:
+        """``compute(item, rng, executor=…)`` per item: the sharding of :meth:`compute_batch`.
+
+        ``compute`` is a bound method of this (picklable) strategy, so it
+        travels to the workers with the shard; the items are whatever it
+        takes — a ``Dnf``, or a DNF with what routing learned about it.
+        """
         executor = executor or SERIAL_EXECUTOR
-        if len(executor.plan_items(len(dnfs))) > 1:
+        if len(executor.plan_items(len(items))) > 1:
             # A strategy that never samples needs no shard entropy; a
             # fixed base keeps the shard-seed derivation uniform without
             # touching the session stream (the workers ignore their
             # generators).
             base = rng.getrandbits(64) if self.consumes_rng else 0
             return executor.map_items(
-                _strategy_shard_task, list(dnfs), self, seed_base=base
+                _strategy_shard_task, list(items), compute, seed_base=base
             )
-        return [self.compute(dnf, rng, executor=executor) for dnf in dnfs]
+        return [compute(item, rng, executor=executor) for item in items]
 
     def __repr__(self) -> str:
         """Return ``<strategy 'name'>``."""
         return f"<strategy {self.name!r}>"
 
 
-def _strategy_shard_task(
-    dnfs: list[Dnf], strategy: ConfidenceStrategy, seed: int
-) -> list[ConfidenceReport]:
+def _strategy_shard_task(items: list, compute, seed: int) -> list[ConfidenceReport]:
     """One shard of a sharded ``compute_batch`` (module level: pickles)."""
     rng = random.Random(seed)
-    return [strategy.compute(dnf, rng) for dnf in dnfs]
+    return [compute(item, rng) for item in items]
 
 
 # Kept for the frozen ``benchmarks/e2e`` harness, which imports these two
@@ -371,14 +386,17 @@ def is_exact_solver(strategy: ConfidenceStrategy) -> bool:
 
 @register_strategy
 class KarpLuby(ConfidenceStrategy):
-    """The (ε, δ) FPRAS of Proposition 4.2 / Corollary 4.3.
+    """The (ε, δ) FPRAS of Proposition 4.2 / Corollary 4.3 — the paper baseline.
 
     ``backend`` selects the trial engine behind
     :func:`repro.confidence.batch.batch_approximate_confidence`, which
     draws the m = ⌈3·|F|·ln(2/δ)/ε²⌉ budget in blocks:
     ``"numpy"`` vectorizes it, ``"python"`` is the dependency-free
     fallback, and ``None`` / ``"auto"`` picks numpy when importable.
-    The statistical guarantee is identical either way.
+    The statistical guarantee is identical either way.  This strategy
+    always spends the paper's |F|-sized budget, whatever is known about
+    the DNF; ``auto`` runs the same estimator with a budget sized by its
+    enclosure instead.
     """
 
     name = "karp-luby"
@@ -596,13 +614,22 @@ class AutoStrategy(ConfidenceStrategy):
        this strategy's ``bounds_budget``) — e.g. mutually-exclusive
        clause sets of any size — the bound *is* the exact answer, no
        trial drawn;
-    5. otherwise — the Karp–Luby FPRAS with this strategy's (ε, δ).
+    5. otherwise — Karp–Luby, sized by the step-4 enclosure: with L the
+       interval's lower bound and M = Σ p_f, m = ⌈3·r·ln(2/δ)/ε²⌉ for
+       r = M / max(L, max_f p_f) (:func:`~repro.confidence.batch.karp_luby_ratio`)
+       instead of Proposition 4.2's r = |F|.  L ≤ p, so the (ε, δ)
+       guarantee is the paper's; max_f p_f ≥ M/|F|, so the budget is
+       never larger.  The estimate is clipped into [L, U] (which only
+       moves it towards p) and the report carries ``lower``/``upper``.
 
     Step 4 only fires on exact intervals: certifying against a threshold
     with a *loose* interval is the driver's job (it knows the
     predicate), not the strategy's.  Every routed computation still
     reports ``strategy="auto"`` and the concrete ``method`` chosen, so
-    :meth:`ProbDB.explain` can show the decision.
+    :meth:`ProbDB.explain` can show the decision.  The budget is an
+    a-priori function of the DNF and ``bounds_budget`` — no sequential
+    stopping — so sampled answers stay bit-identical across worker
+    counts.
     """
 
     name = "auto"
@@ -617,7 +644,7 @@ class AutoStrategy(ConfidenceStrategy):
         max_exact_variables: int = 24,
         bounds_budget: int = DEFAULT_BOUND_BUDGET,
     ):
-        """Fix the routing thresholds and build the three backends."""
+        """Fix the (ε, δ) target, the trial backend and the routing thresholds."""
         self.eps = DEFAULT_EPS if eps is None else eps
         self.delta = DEFAULT_DELTA if delta is None else delta
         self.backend = resolve_backend(backend)
@@ -625,8 +652,6 @@ class AutoStrategy(ConfidenceStrategy):
         self.max_exact_variables = max_exact_variables
         self.bounds_budget = bounds_budget
         self._exact = ExactDecomposition()
-        self._bounds = DissociationBounds(budget=bounds_budget)
-        self._sampler = KarpLuby(self.eps, self.delta, backend=self.backend)
 
     @property
     def cache_token(self) -> tuple:
@@ -641,35 +666,71 @@ class AutoStrategy(ConfidenceStrategy):
             self.bounds_budget,
         )
 
+    def _route(self, dnf: Dnf) -> tuple[str, BoundInterval | None]:
+        """The class docstring's decision for ``dnf``, with its step-4 enclosure.
+
+        The interval is ``None`` for DNFs settled before step 4.
+        """
+        if dnf.is_empty or dnf.is_trivially_true or dnf.size == 1:
+            return ExactDecomposition.name, None
+        if dnf_is_read_once(dnf):
+            return ExactDecomposition.name, None
+        if dnf.size <= self.max_exact_size and len(dnf.variables) <= self.max_exact_variables:
+            return ExactDecomposition.name, None
+        interval = dissociation_interval(dnf, self.bounds_budget)
+        if interval.is_exact:
+            return DissociationBounds.name, interval
+        return KarpLuby.name, interval
+
     def choose(self, dnf: Dnf) -> str:
         """Apply the class docstring's decision rule to ``dnf``."""
-        if dnf.is_empty or dnf.is_trivially_true or dnf.size == 1:
-            return self._exact.name
-        if dnf_is_read_once(dnf):
-            return self._exact.name
-        if dnf.size <= self.max_exact_size and len(dnf.variables) <= self.max_exact_variables:
-            return self._exact.name
-        if dissociation_interval(dnf, self.bounds_budget).is_exact:
-            return self._bounds.name
-        return self._sampler.name
+        return self._route(dnf)[0]
 
     def trial_budget(self, dnf: Dnf) -> int:
-        """The sampler's budget where ``dnf`` routes to it, else 0."""
-        if self.choose(dnf) != self._sampler.name:
+        """The enclosure-sized budget where ``dnf`` routes to step 5, else 0."""
+        method, interval = self._route(dnf)
+        if method != KarpLuby.name:
             return 0
-        return self._sampler.trial_budget(dnf)
+        return karp_luby_sample_size(self.eps, self.delta, karp_luby_ratio(dnf, interval.lower))
 
-    def _rebrand(self, report: ConfidenceReport, method: str) -> ConfidenceReport:
+    def _sample(
+        self,
+        routed: tuple[Dnf, BoundInterval],
+        rng: random.Random,
+        executor: "ShardExecutor | None" = None,
+    ) -> ConfidenceReport:
+        """Step 5 on a ``(dnf, enclosure)`` pair: sized by, and clipped into, the enclosure."""
+        dnf, interval = routed
+        estimate = batch_approximate_confidence(
+            dnf,
+            self.eps,
+            self.delta,
+            rng,
+            backend=self.backend,
+            executor=executor,
+            lower=interval.lower,
+        )
         return ConfidenceReport(
-            report.value,
+            _clip(estimate.estimate, interval),
             self.name,
-            method,
-            exact=report.exact,
-            samples=report.samples,
-            eps=report.eps,
-            delta=report.delta,
-            lower=report.lower,
-            upper=report.upper,
+            KarpLuby.name,
+            exact=False,
+            samples=estimate.samples,
+            eps=self.eps,
+            delta=self.delta,
+            lower=interval.lower,
+            upper=interval.upper,
+        )
+
+    def _enclosed(self, interval: BoundInterval) -> ConfidenceReport:
+        """Step 4's report: the point enclosure is the answer."""
+        return ConfidenceReport(
+            interval.lower,
+            self.name,
+            DissociationBounds.name,
+            exact=True,
+            lower=interval.lower,
+            upper=interval.upper,
         )
 
     def compute(
@@ -679,14 +740,12 @@ class AutoStrategy(ConfidenceStrategy):
         executor: "ShardExecutor | None" = None,
     ) -> ConfidenceReport:
         """Route ``dnf`` and run the chosen backend on it."""
-        method = self.choose(dnf)
-        if method == self._exact.name:
-            return self._rebrand(self._exact.compute(dnf, rng), method)
-        if method == self._bounds.name:
-            return self._rebrand(self._bounds.compute(dnf, rng), method)
-        return self._rebrand(
-            self._sampler.compute(dnf, rng, executor=executor), method
-        )
+        method, interval = self._route(dnf)
+        if method == KarpLuby.name:
+            return self._sample((dnf, interval), rng, executor=executor)
+        if method == DissociationBounds.name:
+            return self._enclosed(interval)
+        return replace(self._exact.compute(dnf, rng), strategy=self.name)
 
     def compute_batch(
         self,
@@ -697,33 +756,48 @@ class AutoStrategy(ConfidenceStrategy):
         """Route the batch per tuple, then run each backend's batched path.
 
         All exact-routed tuples go through the exact strategy's (list-
-        sharding) batch, all sampler-routed tuples through the sampler's
-        :meth:`compute_batch`, so trial drawing is amortized and both
-        sub-batches fan out over the executor.  Routing itself is
-        deterministic (:meth:`choose` never samples), so the split — and
-        with it every shard plan downstream — is worker-count invariant.
+        sharding) batch, all sampler-routed tuples through one sampled
+        batch whose items are ``(dnf, enclosure)`` pairs, so each DNF's
+        enclosure is solved once per call and both sub-batches fan out
+        over the executor.  Routing itself is deterministic (it never
+        samples), so the split — and with it every shard plan downstream
+        — is worker-count invariant.
         """
-        methods = [self.choose(dnf) for dnf in dnfs]
+        routes = [self._route(dnf) for dnf in dnfs]
         reports: list[ConfidenceReport | None] = [None] * len(dnfs)
-        exact = [i for i, m in enumerate(methods) if m == self._exact.name]
-        bounded = [i for i, m in enumerate(methods) if m == self._bounds.name]
-        sampled = [i for i, m in enumerate(methods) if m == self._sampler.name]
+        exact = [i for i, (m, _) in enumerate(routes) if m == ExactDecomposition.name]
+        sampled = [i for i, (m, _) in enumerate(routes) if m == KarpLuby.name]
         if exact:
             batch = self._exact.compute_batch(
                 [dnfs[i] for i in exact], rng, executor=executor
             )
             for i, report in zip(exact, batch):
-                reports[i] = self._rebrand(report, self._exact.name)
-        if bounded:
-            batch = self._bounds.compute_batch(
-                [dnfs[i] for i in bounded], rng, executor=executor
-            )
-            for i, report in zip(bounded, batch):
-                reports[i] = self._rebrand(report, self._bounds.name)
+                reports[i] = replace(report, strategy=self.name)
         if sampled:
-            batch = self._sampler.compute_batch(
-                [dnfs[i] for i in sampled], rng, executor=executor
+            batch = self._map_items(
+                self._sample, [(dnfs[i], routes[i][1]) for i in sampled], rng, executor
             )
             for i, report in zip(sampled, batch):
-                reports[i] = self._rebrand(report, self._sampler.name)
+                reports[i] = report
+        for i, (method, interval) in enumerate(routes):
+            if method == DissociationBounds.name:
+                reports[i] = self._enclosed(interval)
         return reports
+
+
+def _clip(value: float, interval: BoundInterval) -> Prob:
+    """``value`` moved into ``interval``, as the nearest float inside it.
+
+    Only an interval narrower than a float's spacing keeps its exact
+    bound instead.
+    """
+    lower, upper = interval.lower, interval.upper
+    if lower <= value <= upper:
+        return value
+    bound = lower if value < lower else upper
+    nearest = float(bound)
+    if nearest < lower:
+        nearest = math.nextafter(nearest, math.inf)
+    elif nearest > upper:
+        nearest = math.nextafter(nearest, -math.inf)
+    return nearest if lower <= nearest <= upper else bound

@@ -15,6 +15,7 @@ polynomial Karp–Luby scaling shape claimed by Theorem 3.4 / Cor. 4.3.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 from repro.confidence.dnf import Dnf
 from repro.urel.conditions import Condition
@@ -23,7 +24,7 @@ from repro.urel.urelation import URelation
 from repro.urel.variables import VariableTable
 from repro.util.rng import ensure_rng
 
-__all__ = ["bipartite_2dnf", "bipartite_2dnf_database", "chain_dnf"]
+__all__ = ["bipartite_2dnf", "bipartite_2dnf_database", "chain_dnf", "circulant_2dnf"]
 
 
 def _bipartite_edges(
@@ -79,6 +80,40 @@ def bipartite_2dnf_database(
     rows = frozenset((clause, ()) for clause in dnf.members)
     urel = URelation((), rows)
     return UDatabase({relation_name: urel}, dnf.w, set())
+
+
+def circulant_2dnf(
+    side: int,
+    offsets: tuple[int, ...] = (0, 1, 3),
+    rng: random.Random | int | None = None,
+    w: VariableTable | None = None,
+    tag: object = "c",
+) -> Dnf:
+    """A circulant bipartite 2-DNF over ``2·side`` variables.
+
+    xᵢ is joined to y_{π(i+d)} for each d in ``offsets``, so
+    |F| = side·|offsets| and the shape are fixed; ``rng`` draws the relabelling π and each
+    variable's probability (a percentage in [20, 60]).  Variables are
+    named ``(tag, "x"|"y", i)`` and added to ``w`` (a fresh table by
+    default), so several such disjunctions can share one database.
+    Unlike small :func:`bipartite_2dnf` instances, the default offsets
+    leave the bound solver loose at its default budget once side ≥ 8
+    (consecutive offsets do not: it solves those exactly).
+    """
+    generator = ensure_rng(rng)
+    w = VariableTable() if w is None else w
+    for half in ("x", "y"):
+        for i in range(side):
+            p = Fraction(generator.randint(20, 60), 100)
+            w.add((tag, half, i), {1: p, 0: 1 - p})
+    relabel = list(range(side))
+    generator.shuffle(relabel)
+    clauses = [
+        Condition({(tag, "x", i): 1, (tag, "y", relabel[(i + d) % side]): 1})
+        for i in range(side)
+        for d in offsets
+    ]
+    return Dnf(clauses, w)
 
 
 def chain_dnf(

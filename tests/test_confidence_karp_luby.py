@@ -4,16 +4,21 @@ from __future__ import annotations
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
+import repro
 from repro.confidence import (
+    DEFAULT_BOUND_BUDGET,
+    BoundInterval,
     Dnf,
     KarpLubySampler,
     approximate_confidence,
     combine_independent,
     combine_union,
     delta_prime,
+    dissociation_interval,
     eps_for_rounds,
     karp_luby_error_bound,
     karp_luby_sample_size,
@@ -22,9 +27,18 @@ from repro.confidence import (
     probability_by_decomposition,
     rounds_for,
 )
-from repro.generators.hard import bipartite_2dnf, chain_dnf
+from repro.confidence.batch import (
+    available_backends,
+    batch_approximate_confidence,
+    karp_luby_ratio,
+)
+from repro.confidence.strategies import AutoStrategy, KarpLuby, _clip
+from repro.generators.hard import bipartite_2dnf, chain_dnf, circulant_2dnf
 from repro.urel.conditions import Condition
+from repro.urel.udatabase import UDatabase
+from repro.urel.urelation import URelation
 from repro.urel.variables import VariableTable
+from repro.util.parallel import ShardExecutor
 
 
 def _bool_table(n: int, p: float = 0.5) -> VariableTable:
@@ -220,3 +234,139 @@ class TestNaiveBaseline:
             mc = naive_confidence(d, budget, rng=1000 + seed)
             mc_errors.append(abs(mc.estimate - truth) / truth)
         assert sum(kl_errors) < sum(mc_errors)
+
+
+def _loose_dnfs() -> list[Dnf]:
+    """DNFs whose enclosure stays loose, so ``auto`` samples them."""
+    return [circulant_2dnf(8, rng=seed) for seed in range(3)] + [
+        bipartite_2dnf(6, 6, 0.5, var_probability=Fraction(3, 10), rng=seed)
+        for seed in range(3)
+    ]
+
+
+def _circulant_db(n_tuples: int = 3) -> UDatabase:
+    """H(T): one loose circulant 2-DNF per tuple over one W — ``sampled_conf``'s shape."""
+    w = VariableTable()
+    rows = []
+    for t in range(n_tuples):
+        dnf = circulant_2dnf(8, rng=t, w=w, tag=t)
+        rows += [(clause, (t,)) for clause in dnf.members]
+    db = UDatabase(w=w)
+    db.set_relation("H", URelation.from_rows(("T",), rows))
+    return db
+
+
+def _sampling_auto(eps=0.3, delta=0.2, backend=None) -> AutoStrategy:
+    """``auto`` with steps 3 and 4 starved, so small DNFs reach step 5."""
+    return AutoStrategy(eps, delta, backend=backend, max_exact_size=0, bounds_budget=0)
+
+
+class TestEnclosureSizedBudget:
+    """``auto``'s step 5: Karp–Luby sized by M / max(L, max p_f), clipped into [L, U]."""
+
+    def test_ratio_never_exceeds_size(self):
+        for dnf in _loose_dnfs():
+            assert karp_luby_ratio(dnf) == dnf.size
+            assert karp_luby_ratio(dnf, Fraction(0)) <= dnf.size
+            for budget in (0, DEFAULT_BOUND_BUDGET):
+                lower = dissociation_interval(dnf, budget).lower
+                ratio = karp_luby_ratio(dnf, lower)
+                assert 1 <= ratio <= dnf.size
+                assert karp_luby_sample_size(0.1, 0.01, ratio) <= karp_luby_sample_size(
+                    0.1, 0.01, dnf.size
+                )
+
+    def test_degenerate_dnfs_draw_no_trials(self):
+        w = _bool_table(2, 0.3)
+        for dnf in (
+            Dnf([], w),
+            Dnf([Condition()], w),
+            Dnf([Condition({("x", 0): 1, ("x", 1): 1})], w),
+        ):
+            auto = _sampling_auto()
+            assert auto.trial_budget(dnf) == 0
+            assert auto.compute(dnf, random.Random(0)).samples == 0
+            estimate = batch_approximate_confidence(dnf, 0.3, 0.2, 0, lower=Fraction(0))
+            assert estimate.samples == 0 and estimate.exact
+
+    @pytest.mark.parametrize("backend", available_backends())
+    def test_clipped_estimates_lie_in_enclosure(self, backend):
+        """Few trials scatter the raw estimate; the report is it, moved into [L, U]."""
+        auto = AutoStrategy(0.9, 0.5, backend=backend, max_exact_size=0, bounds_budget=0)
+        dnf = bipartite_2dnf(6, 6, 0.5, var_probability=Fraction(7, 10), rng=3)
+        interval = dissociation_interval(dnf, 0)
+        clipped = 0
+        for seed in range(40):
+            report = auto.compute(dnf, random.Random(seed))
+            raw = batch_approximate_confidence(
+                dnf, 0.9, 0.5, random.Random(seed), backend=backend, lower=interval.lower
+            ).estimate
+            assert (report.lower, report.upper) == (interval.lower, interval.upper)
+            assert report.lower <= report.value <= report.upper
+            if raw in interval:
+                assert report.value == raw
+            else:
+                clipped += 1
+                bound = interval.upper if raw > interval.upper else interval.lower
+                assert report.value == pytest.approx(float(bound))
+        assert clipped > 0
+
+    def test_clip_keeps_exact_bound_for_subfloat_interval(self):
+        lower = Fraction(1, 3)
+        interval = BoundInterval(lower, lower + Fraction(1, 10**30))
+        assert _clip(0.5, interval) in interval
+        assert _clip(0.1, interval) in interval
+        assert _clip(0.25, BoundInterval(Fraction(1, 10), Fraction(1, 2))) == 0.25
+
+    def test_karp_luby_strategy_keeps_paper_budget(self):
+        strategy = KarpLuby(0.1, 0.05)
+        for dnf in _loose_dnfs():
+            report = strategy.compute(dnf, random.Random(1))
+            assert report.samples == karp_luby_sample_size(0.1, 0.05, dnf.size)
+            assert report.samples == strategy.trial_budget(dnf)
+            assert report.lower is None and report.upper is None
+
+    def test_auto_sizes_by_its_enclosure(self):
+        auto, paper = AutoStrategy(0.1, 0.05), KarpLuby(0.1, 0.05)
+        for dnf in _loose_dnfs()[:3]:
+            interval = dissociation_interval(dnf, auto.bounds_budget)
+            report = auto.compute(dnf, random.Random(1))
+            assert report.method == "karp-luby"
+            assert (report.lower, report.upper) == (interval.lower, interval.upper)
+            assert report.samples == auto.trial_budget(dnf) == karp_luby_sample_size(
+                0.1, 0.05, karp_luby_ratio(dnf, interval.lower)
+            )
+            assert report.samples < paper.trial_budget(dnf)
+
+    def test_results_bit_identical_across_workers(self):
+        """Unsharded, trial-sharded and item-sharded (``(dnf, enclosure)`` pairs) runs."""
+        db = _circulant_db(4)
+        answers = []
+        for workers in (None, 2):
+            with repro.connect(db, workers=workers, rng=5, eps=0.2, delta=0.1) as session:
+                answers.append(session.confidence_all("H"))
+        for workers in (1, 2):
+            executor = ShardExecutor(workers, min_shard_items=1, min_shard_trials=512)
+            with executor, repro.connect(
+                db, workers=executor, rng=5, eps=0.2, delta=0.1
+            ) as session:
+                answers.append(session.confidence_all("H"))
+        assert all(r.method == "karp-luby" for r in answers[0].values())
+        assert answers[0] == answers[1]
+        assert answers[2] == answers[3]
+
+    def test_explain_rates_the_budget_that_runs(self, monkeypatch):
+        """``explain``'s shard rating asks ``plan_trials`` for each report's ``samples``."""
+        with repro.connect(_circulant_db(3), workers=2, rng=2) as db:
+            rated = []
+
+            def plan_trials(n_trials):
+                rated.append(n_trials)
+                return [n_trials]  # one block: the rating visits every DNF
+
+            monkeypatch.setattr(db.executor, "plan_trials", plan_trials)
+            db.explain("conf[P](H)")
+            monkeypatch.undo()
+            reports = db.confidence_all("H")
+        assert rated == [reports[row].samples for row in sorted(reports)]
+        assert all(0 < m < karp_luby_sample_size(0.1, 0.01, 24) for m in rated)

@@ -12,9 +12,15 @@ import math
 import random
 from fractions import Fraction
 
+import pytest
+
 import repro
+from repro.confidence.batch import available_backends
+from repro.confidence.dissociation import DEFAULT_BOUND_BUDGET, dissociation_interval
 from repro.confidence.dnf import Dnf
 from repro.confidence.exact import probability_by_decomposition
+from repro.confidence.strategies import AutoStrategy, KarpLuby
+from repro.generators.hard import bipartite_2dnf, circulant_2dnf
 from repro.urel.conditions import Condition
 from repro.urel.udatabase import UDatabase
 from repro.urel.urelation import URelation
@@ -93,3 +99,110 @@ def test_driver_membership_error_stays_within_delta():
     tolerance = 3 * math.sqrt(DELTA * (1 - DELTA) / replications)
     for key, count in misplaced.items():
         assert count / replications <= DELTA + tolerance, (key, count)
+
+
+# ------------------------------------------------ Proposition 4.2's (ε, δ)
+KL_EPS, KL_DELTA = 0.3, 0.1
+
+
+def _kl_instances():
+    """name → (dnf, the ``auto`` thresholds that send it to step 5).
+
+    ``hard`` is a :mod:`repro.generators.hard` bipartite 2-DNF that the
+    default thresholds would solve exactly, so ``auto`` runs with step 3
+    off and an 8-expansion enclosure: L = 0.586 against p = 0.600, the
+    near-tight case where the budget shrinks most (M/L ≈ 2.2, |F| = 14);
+    ``circulant`` has ``sampled_conf``'s shape and reaches step 5 under
+    the default thresholds (M/L ≈ 5.0, |F| = 24).
+    """
+    return {
+        "hard": (
+            bipartite_2dnf(6, 6, 0.5, var_probability=Fraction(3, 10), rng=0),
+            {"max_exact_size": 0, "bounds_budget": 8},
+        ),
+        "circulant": (circulant_2dnf(8, rng=1), {}),
+    }
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("backend", available_backends())
+@pytest.mark.parametrize("strategy", ["karp-luby", "auto"])
+@pytest.mark.parametrize("instance", ["hard", "circulant"])
+def test_karp_luby_relative_error_stays_within_delta(instance, strategy, backend):
+    """Proposition 4.2: Pr[|p̂ − p| ≥ ε·p] ≤ δ, for the paper's budget and auto's.
+
+    300 seeded runs against the exact-decomposition truth.  ``karp-luby``
+    spends m = ⌈3·|F|·ln(2/δ)/ε²⌉ trials; ``auto`` spends the same with
+    |F| replaced by M / max(L, max p_f) and clips into its enclosure.
+    """
+    replications = 300
+    dnf, thresholds = _kl_instances()[instance]
+    truth = probability_by_decomposition(dnf)
+    if strategy == "auto":
+        sampler = AutoStrategy(KL_EPS, KL_DELTA, backend=backend, **thresholds)
+    else:
+        sampler = KarpLuby(KL_EPS, KL_DELTA, backend=backend)
+    misses = 0
+    for seed in range(replications):
+        report = sampler.compute(dnf, random.Random(seed))
+        assert report.method == "karp-luby" and report.samples > 0
+        if strategy == "auto":
+            assert report.lower <= truth <= report.upper
+            assert report.lower <= report.value <= report.upper
+        misses += abs(report.value / truth - 1) > KL_EPS
+    tolerance = 3 * math.sqrt(KL_DELTA * (1 - KL_DELTA) / replications)
+    assert misses / replications <= KL_DELTA + tolerance, misses
+
+
+# ----------------------------------------------------- Lemma 5.1 soundness
+def _random_dnf(rng: random.Random) -> Dnf:
+    """A small DNF over multi-valued variables with rational weights."""
+    w = VariableTable()
+    n_vars = rng.randint(2, 7)
+    for v in range(n_vars):
+        cuts = sorted(rng.sample(range(1, 20), rng.randint(1, 3)))
+        edges = [0, *cuts, 20]
+        w.add(("v", v), {k: Fraction(b - a, 20) for k, (a, b) in enumerate(zip(edges, edges[1:]))})
+    clauses = []
+    for _ in range(rng.randint(1, 9)):
+        chosen = rng.sample(range(n_vars), rng.randint(1, min(3, n_vars)))
+        clauses.append(
+            Condition({("v", v): rng.randrange(len(w.distribution(("v", v)))) for v in chosen})
+        )
+    return Dnf(clauses, w)
+
+
+def _enclosure_instances(seeds):
+    """Per seed: a random DNF, a ``hard.py`` bipartite 2-DNF, a circulant one."""
+    for seed in seeds:
+        rng = random.Random(seed)
+        yield _random_dnf(rng)
+        yield bipartite_2dnf(
+            rng.randint(2, 6),
+            rng.randint(2, 6),
+            rng.uniform(0.3, 0.8),
+            var_probability=Fraction(rng.randint(1, 9), 10),
+            rng=rng,
+        )
+        if seed % 4 == 0:
+            yield circulant_2dnf(8, rng=seed)
+
+
+def _assert_enclosures_sound(seeds) -> None:
+    """Lemma 5.1's premise: ``lower ≤ exact ≤ upper`` at budgets 0 and default."""
+    for dnf in _enclosure_instances(seeds):
+        exact = probability_by_decomposition(dnf)
+        for budget in (0, DEFAULT_BOUND_BUDGET):
+            interval = dissociation_interval(dnf, budget)
+            assert interval.lower <= exact <= interval.upper, (dnf.members, budget)
+
+
+def test_enclosures_contain_the_exact_confidence():
+    """The enclosure-sized budget is sound only while L ≤ p: a seeded sweep."""
+    _assert_enclosures_sound(range(40))
+
+
+@pytest.mark.slow
+def test_enclosures_contain_the_exact_confidence_wide():
+    """The same sweep over a thousand more seeds."""
+    _assert_enclosures_sound(range(40, 1040))

@@ -5,7 +5,9 @@
 
 ``workers`` is ``none`` (the session omits the argument), an int, or
 ``custom`` (a ``ShardExecutor(2)`` with small plan parameters).  The
-script runs ``query``, ``confidence_all`` (karp-luby / naive-mc / auto),
+script runs ``query``, ``confidence_all`` (karp-luby / naive-mc / auto, and
+an ``auto`` whose thresholds send most DNFs to its enclosure-sized
+sampler),
 a single-tuple confidence, ``topk`` and ``evaluate_with_guarantee`` on
 both trial backends with fixed seeds and prints a SHA-256 prefix per
 section (``--sections``) and five totals:
@@ -67,6 +69,7 @@ from fractions import Fraction
 import repro
 from repro.algebra.builder import literal, rel
 from repro.algebra.expressions import col, lit
+from repro.confidence.strategies import AutoStrategy
 from repro.generators.tpdb import add_tuple_independent
 from repro.urel.conditions import Condition
 from repro.urel.evaluate import UEvaluator
@@ -132,6 +135,11 @@ def sigma_db(n_groups, clauses=3, seed=5):
     return db
 
 
+def sampling_auto(eps, backend):
+    """``auto`` with steps 3 and 4 starved, so ``sampled_db``'s DNFs reach step 5."""
+    return AutoStrategy(eps, 0.2, backend=backend, max_exact_size=0, bounds_budget=0)
+
+
 def connect(db, workers, **kw):
     if workers == "none":
         return repro.connect(db, **kw)
@@ -188,7 +196,7 @@ def transcript(workers):
     for backend in ("numpy", "python"):
         # -- query + confidence_all on a SHORT list (4 tuples: per-tuple trial sharding)
         out = []
-        for strategy in ("karp-luby", "naive-mc", "auto"):
+        for strategy in ("karp-luby", "naive-mc", "auto", sampling_auto(0.3, backend)):
             with connect(sampled_db(6), workers, strategy=strategy, eps=0.3, delta=0.2,
                          rng=11, backend=backend) as db:
                 q = db.query(rel("R").join(rel("S")).project(["A"]))
@@ -199,7 +207,7 @@ def transcript(workers):
         sections[f"{backend}/conf-short"] = out
         # -- confidence_all on a LONG list (48 tuples: the DNF list itself shards)
         out = []
-        for strategy in ("karp-luby", "naive-mc", "auto"):
+        for strategy in ("karp-luby", "naive-mc", "auto", sampling_auto(0.4, backend)):
             with connect(sampled_db(48), workers, strategy=strategy, eps=0.4, delta=0.2,
                          rng=11, backend=backend) as db:
                 out.append(sorted((r, report_key(p)) for r, p in db.confidence_all("R").items()))
