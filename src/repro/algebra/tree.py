@@ -11,10 +11,11 @@ both sit above this module) share them.
 from __future__ import annotations
 
 from collections.abc import Callable, Mapping
+from functools import partial
 from itertools import islice
 from typing import Any
 
-__all__ = ["children", "walk", "fold", "rebuild"]
+__all__ = ["children", "walk", "fold", "lazy", "rebuild"]
 
 
 def children(node) -> tuple:
@@ -41,14 +42,24 @@ def fold(node, handlers: Mapping[type, Callable[..., Any]], walker: str, *contex
     already-folded children of ``node``, computed depth-first, left to
     right.  Handlers never recurse.  A node type missing from the table
     raises ``TypeError`` naming ``walker``, before any of the node's
-    children is folded.
+    children is folded.  A handler marked :func:`lazy` receives, in place
+    of each result, a thunk that folds that child when called.
     """
     handler = handlers.get(type(node))
     if handler is None:
         kind = getattr(node, "kind", "tree")
         raise TypeError(f"{walker}: no handler for {kind} node {type(node).__name__}")
-    results = [fold(child, handlers, walker, *context) for child in children(node)]
+    if getattr(handler, "lazy", False):
+        results = [partial(fold, child, handlers, walker, *context) for child in children(node)]
+    else:
+        results = [fold(child, handlers, walker, *context) for child in children(node)]
     return handler(*context, node, *results)
+
+
+def lazy(handler: Callable[..., Any]) -> Callable[..., Any]:
+    """Mark a :func:`fold` handler to get a thunk per child: it folds what it asks for."""
+    handler.lazy = True
+    return handler
 
 
 def rebuild(node, *new_children):

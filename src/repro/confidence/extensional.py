@@ -377,7 +377,10 @@ def lift(query: Query, db: "UDatabase") -> SafePlan | None:
     Plan screen first (no data is touched), then the data screen (one
     cached verdict per relation); nothing here builds a DNF.
     """
-    cq = fold(query, _CQ_HANDLERS, "extensional", db)
+    try:
+        cq = fold(query, _CQ_HANDLERS, "extensional", db)
+    except TypeError:  # a node nobody knows: the evaluator names it
+        return None
     resolved = None if cq is None else _resolve(cq)
     if resolved is None:
         return None

@@ -153,14 +153,21 @@ class ApproxQueryEvaluator(UEvaluator):
     def _above_sigma(self, node: Query, *operands):
         """Every operator but σ̂: annotated only once a σ̂ has been crossed."""
         if not any(isinstance(operand, AnnotatedRelation) for operand in operands):
-            return UEvaluator.HANDLERS[type(node)](self, node, *operands)
+            return self._inherited(node, *operands)
         return self.ANNOTATED[type(node)](self, node, *map(self._annotated, operands))
+
+    def _inherited(self, node: Query, *operands):
+        """The plain evaluator's handler, on operands this one has folded."""
+        handler = UEvaluator.HANDLERS[type(node)]
+        if getattr(handler, "lazy", False):
+            operands = tuple((lambda value=operand: value) for operand in operands)
+        return handler(self, node, *operands)
 
     def _reliable_only(self, node: Query, child: AnnotatedRelation):
         """repair-key / conf / aconf / cert: inherited, on reliable input only."""
         if not child.reliable:
             raise UnreliableInputError(_UNRELIABLE[type(node)])
-        return UEvaluator.HANDLERS[type(node)](self, node, (child.relation, child.complete))
+        return self._inherited(node, (child.relation, child.complete))
 
     # --------------------------------------------- annotated algebra (above σ̂)
     def _select(self, node: Select, child: AnnotatedRelation) -> AnnotatedRelation:

@@ -37,6 +37,7 @@ from repro.algebra.operators import (
 )
 from repro.algebra.printer import unparse_expression
 from repro.algebra.pushdown import strip
+from repro.algebra.tree import lazy
 from repro.confidence.dissociation import DEFAULT_BOUND_BUDGET
 from repro.confidence.extensional import EXTENSIONAL
 
@@ -52,6 +53,7 @@ __all__ = [
     "topk_plan",
     "BELOW_THRESHOLD",
     "BOUNDS_PRUNED",
+    "DEFERRED",
     "PUSHED",
 ]
 
@@ -62,7 +64,8 @@ class PlanNode:
 
     ``path`` names the operator engine the relational operators of this
     node run on — ``columnar[numpy]`` for the vectorized integer-coded
-    path, ``scalar[indexed]`` for the pure-Python indexed path — so a
+    path, ``scalar[indexed]`` for the pure-Python indexed path,
+    ``deferred`` where step 0 answers without running it — so a
     plan shows not only *which confidence method* each conf operator
     picked but also *which algebra implementation* executes the tree.
     """
@@ -130,10 +133,12 @@ def explain_plan(
     when its executor has two or more workers, the operators it fans
     out over them are annotated ``·sharded[n]`` (n = configured workers).
     The tree is the one the evaluator runs: selection copies the
-    pushdown pass placed render as ``select[φ]  ·pushed``.
+    pushdown pass placed render as ``select[φ]  ·pushed``, and the
+    operators of a plan step 0 answers as ``·deferred``.
     """
+    deferred = evaluator.plan_confidences(node, strategy) is not None
     plan = evaluator._pushed(node)
-    return ExplainReport(_PlanPass(evaluator, strategy).build(plan), strategy.name)
+    return ExplainReport(_PlanPass(evaluator, strategy, deferred).build(plan), strategy.name)
 
 
 BELOW_THRESHOLD = "below-threshold"
@@ -151,6 +156,11 @@ PUSHED = "pushed"
 """Annotation of a selection copy the pushdown pass placed
 (:mod:`repro.algebra.pushdown`): the evaluator filters this operand
 before the merge above it, and the ``select`` as written still runs."""
+
+
+DEFERRED = "deferred"
+"""Annotation of an operator below a step-0 answer: it runs only if a
+caller asks for the intensional relation itself."""
 
 
 BOUNDS_PRUNED = "bounds-pruned"
@@ -220,14 +230,15 @@ class _PlanPass:
     identity: the tree root keeps every node alive for the pass.
     """
 
-    def __init__(self, evaluator: "UEvaluator", strategy: "ConfidenceStrategy"):
+    def __init__(self, evaluator: "UEvaluator", strategy: "ConfidenceStrategy", deferred=False):
         self.evaluator = evaluator
         self.strategy = strategy
         self.executor = evaluator.executor
         # Names the configured engine; at runtime individual relations
         # outside the columnar envelope (tiny, or too many condition
         # variables) fall back to the indexed scalar operators.
-        self.path = "columnar[numpy]" if evaluator.backend == "numpy" else "scalar[indexed]"
+        engine = "columnar[numpy]" if evaluator.backend == "numpy" else "scalar[indexed]"
+        self.path = DEFERRED if deferred else engine
         self._reps: dict[int, object] = {}
 
     def build(self, node: Query) -> PlanNode:
@@ -336,13 +347,16 @@ class _PlanPass:
     def _poss(self, node: Poss, child: PlanNode) -> PlanNode:
         return PlanNode("poss", children=(child,))
 
-    def _conf(self, node: Conf, child: PlanNode) -> PlanNode:
+    @lazy
+    def _conf(self, node: Conf, child) -> PlanNode:
         lifted = self.evaluator.plan_confidences(strip(node.child), self.strategy)
         if lifted is not None:
             # Step 0 answers the whole node: there is no per-DNF routing
-            # to take a census of, and nothing to fan out.
+            # to take a census of, nothing to fan out, and no child to run.
             methods, path = {EXTENSIONAL: len(lifted)}, EXTENSIONAL
+            below = _PlanPass(self.evaluator, self.strategy, deferred=True).build(node.child)
         else:
+            below = child()
             dnfs = self.tuple_dnfs(node.child)
             methods = _tally(self.strategy, dnfs)
             path = _conf_path(self.executor, self.strategy, dnfs)
@@ -351,7 +365,7 @@ class _PlanPass:
             node.p_name,
             strategy=self.strategy.name,
             methods=methods,
-            children=(child,),
+            children=(below,),
             path=path,
         )
 
@@ -461,12 +475,12 @@ def topk_plan(
     drawing a single trial — plus the usual ``sharded[w]`` marker when
     the session fans rounds out.  Where the plan lifts (step 0 of the
     conf seam) there is no race and no DNF: the root says
-    ``topk[k]·extensional``.
+    ``topk[k]·extensional`` and the operators below it ``·deferred``.
     """
-    plan_pass = _PlanPass(evaluator, strategy)
+    lifted = evaluator.plan_confidences(node, strategy)
+    plan_pass = _PlanPass(evaluator, strategy, deferred=lifted is not None)
     plan = evaluator._pushed(node)
     child = plan_pass.build(plan)
-    lifted = evaluator.plan_confidences(node, strategy)
     if lifted is not None:
         # No race: the ranking is read off the lifted plan's exact values.
         methods, path = {EXTENSIONAL: len(lifted)}, f"topk[{k}]·{EXTENSIONAL}"

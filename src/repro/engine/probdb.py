@@ -36,9 +36,10 @@ import random
 import threading
 import time
 from collections.abc import Mapping, Sequence
+from functools import partial
 
 from repro.algebra.builder import Q
-from repro.algebra.operators import BaseRel, Conf, Query
+from repro.algebra.operators import BaseRel, Conf, Query, children, output_schema, walk
 from repro.algebra.parser import parse_query, parse_session
 from repro.algebra.relations import Relation
 from repro.confidence.batch import resolve_backend
@@ -57,6 +58,7 @@ from repro.engine.cache import MemoCache, query_fingerprint
 from repro.engine.plan import ExplainReport, explain_plan, topk_plan
 from repro.engine.result import EngineResult
 from repro.urel.evaluate import UEvaluator
+from repro.urel.translate import confidence_relation
 from repro.urel.udatabase import UDatabase
 from repro.urel.urelation import URelation
 from repro.util.parallel import ShardExecutor, as_executor
@@ -366,38 +368,58 @@ class ProbDB:
 
             db.query("select[CoinType = 'fair'](Coins)")
             db.query(repro.rel("Coins").select(repro.col("CoinType") == "fair"))
+
+        Step 0 of the conf seam is asked first: where it answers, nothing
+        is evaluated until the result's ``relation`` is first used.
         """
         node, source = self._resolve(query)
         started = time.perf_counter()
-        if self._cache.enabled:
-            fingerprint = query_fingerprint(node)
-            token = self._plan_cache_token(self.strategy)
-            cached = self._cache.get(
-                ("query", fingerprint, token, self.db.version, self.db.w.version)
-            )
-            if cached is None:
-                # A query whose evaluation *drew* from the session RNG
-                # (a sampled conf operator missing the conf cache) is
-                # volatile: recomputing it after a cross-session budget
-                # eviction would redraw from a later stream position, so
-                # the global evictor must leave it alone.  Comparing RNG
-                # state before/after captures exactly "did this draw".
-                rng_before = self._rng.getstate()
-                cached = self._evaluator.eval(node)
-                # Key on the *post*-evaluation versions: a repair-key query
-                # extends W on its first run but is idempotent afterwards
-                # (``ensure`` + fixed op_ids), so the next identical call
-                # sees exactly these versions and hits.
-                self._cache.put(
-                    ("query", fingerprint, token, self.db.version, self.db.w.version),
-                    cached,
-                    volatile=self._rng.getstate() != rng_before,
-                )
-        else:
-            cached = self._evaluator.eval(node)
-        relation, complete = cached
+        answers, columns = self._evaluator.plan_confidences(node), None
+        if answers is None:
+            relation, complete = self._evaluate(node)
+        else:  # a lifted plan reads base relations only: they are its leaves
+            bases = {n.name: self.db.relation(n.name) for n in walk(node) if not children(n)}
+            columns = output_schema(node, {name: base.columns for name, base in bases.items()})
+            complete = all(self.db.is_complete(name) for name in bases)
+            relation = partial(self._relation_of, node, bases, self.db.version)
         elapsed = time.perf_counter() - started
-        return EngineResult(relation, complete, node, self, elapsed, source)
+        return EngineResult(relation, complete, node, self, elapsed, source, answers, columns)
+
+    def _evaluate(self, node: Query) -> tuple[URelation, bool]:
+        """``node``'s relation and completeness, through the ``("query", …)`` memo."""
+        if not self._cache.enabled:
+            return self._evaluator.eval(node)
+        fingerprint = query_fingerprint(node)
+        token = self._plan_cache_token(self.strategy)
+        cached = self._cache.get(("query", fingerprint, token, self.db.version, self.db.w.version))
+        if cached is None:
+            # A query whose evaluation *drew* from the session RNG
+            # (a sampled conf operator missing the conf cache) is
+            # volatile: recomputing it after a cross-session budget
+            # eviction would redraw from a later stream position, so
+            # the global evictor must leave it alone.  Comparing RNG
+            # state before/after captures exactly "did this draw".
+            rng_before = self._rng.getstate()
+            cached = self._evaluator.eval(node)
+            # Key on the *post*-evaluation versions: a repair-key query
+            # extends W on its first run but is idempotent afterwards
+            # (``ensure`` + fixed op_ids), so the next identical call
+            # sees exactly these versions and hits.
+            self._cache.put(
+                ("query", fingerprint, token, self.db.version, self.db.w.version),
+                cached,
+                volatile=self._rng.getstate() != rng_before,
+            )
+        return cached
+
+    def _relation_of(self, node: Query, bases: dict[str, URelation], version: int) -> URelation:
+        """A lifted query's relation: through the memo while ``db.version`` is
+        ``version``, else over the ``bases`` it read then (W only grows)."""
+        if self.db.version == version:
+            return self._evaluate(node)[0]
+        db = UDatabase(bases, self.db.w, condition_pool=self.db.condition_pool)
+        evaluator = UEvaluator(db, copy_db=False, backend=self.backend, executor=self.executor)
+        return evaluator.eval(node)[0]
 
     def assign(self, name: str, query: "Query | Q | str") -> EngineResult:
         """``name := query`` — evaluate and store (Example 2.2 session style).
@@ -407,9 +429,11 @@ class ProbDB:
             db.assign("R", "repair-key[@ Count](Coins)")   # draw a coin
             db.query("project[CoinType](R)")
         """
-        result = self.query(query)
-        self.db.set_relation(name, result.relation, complete=result.complete)
-        return result
+        node, source = self._resolve(query)
+        started = time.perf_counter()
+        relation, complete = self._evaluate(node)
+        self.db.set_relation(name, relation, complete=complete)
+        return EngineResult(relation, complete, node, self, time.perf_counter() - started, source)
 
     def run_script(self, script: str) -> dict[str, EngineResult]:
         """Run a ``Name := query;`` script; returns the named results in order.
@@ -446,9 +470,9 @@ class ProbDB:
         node, source = self._resolve(query)
         inner = self.query(node)
         started = time.perf_counter()
-        relation = self._evaluator.conf(
-            inner.relation, p_name, self._override(strategy), query=node
-        )
+        reports = self._all_confidences(inner, self._override(strategy))
+        values = [report.value for report in reports.values()]
+        relation = confidence_relation(inner.columns, p_name, list(reports), values)
         elapsed = time.perf_counter() - started
         # The result's plan is the conf *of* the query: what its rows are
         # tuples of, and so what a later step 0 on it would have to lift.
@@ -577,7 +601,7 @@ class ProbDB:
         # entry is freely evictable.  Two ways to have them: the plan
         # lifts (step 0: not a DNF built), or the session's strategy is
         # an exact solver and owes exact answers.
-        lifted = self._evaluator.plan_confidences(result.query)
+        lifted = result._answered()
         if lifted is not None:
             return rank_exact(
                 list(lifted), [report.value for report in lifted.values()], k, eps, delta
@@ -695,9 +719,11 @@ class ProbDB:
             for row, report in sorted(db.confidence_all("T").items()):
                 print(row, report.value, report.exact)
         """
-        result = self.query(query)
-        override = self._override(strategy)
-        lifted = self._evaluator.plan_confidences(result.query, override)
+        return self._all_confidences(self.query(query), self._override(strategy))
+
+    def _all_confidences(self, result: EngineResult, override) -> dict[tuple, ConfidenceReport]:
+        """``result``'s reports: step 0's where they serve, else its lineage in one batch."""
+        lifted = result._answered(override)
         if lifted is not None:
             return dict(lifted)
         rows, dnfs = self._evaluator.lineage(result.relation, result.rows)

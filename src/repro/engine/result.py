@@ -8,7 +8,7 @@ computation goes through the session's strategy and memo cache.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from typing import TYPE_CHECKING
 
 from repro.algebra.operators import Query
@@ -18,7 +18,7 @@ from repro.urel.urelation import URelation
 
 if TYPE_CHECKING:
     from repro.engine.probdb import ProbDB
-    from repro.confidence.strategies import ConfidenceReport
+    from repro.confidence.strategies import ConfidenceReport, ConfidenceStrategy
 
 __all__ = ["EngineResult"]
 
@@ -39,45 +39,57 @@ class EngineResult:
             result.confidence(row)             # ConfidenceReport for the row
             result.provenance(row)             # the row's conditions
         result.confidences()                   # all rows, one batched pass
+
+    ``relation`` is lazy on a plan step 0 of the conf seam answers: it is
+    built on first use (of ``relation``, ``provenance`` or ``str()``) over
+    the relations the plan read when it was asked.
     """
 
     __slots__ = (
-        "relation",
+        "columns",
         "complete",
         "query",
         "source",
         "elapsed",
         "_engine",
-        "_db_version",
+        "_relation",
+        "_answers",
+        "_strategy",
         "_conf",
         "_rows",
     )
 
     def __init__(
         self,
-        relation: URelation,
+        relation: "URelation | Callable[[], URelation]",
         complete: bool,
         query: Query,
         engine: "ProbDB",
         elapsed: float,
         source: str | None = None,
+        answers: "dict[tuple, ConfidenceReport] | None" = None,
+        columns: tuple[str, ...] | None = None,
     ):
-        self.relation = relation
+        # Given step 0's ``answers`` (poss(result) → report, in ``repr``
+        # order), ``relation`` may be a thunk: then ``columns`` is given.
+        self._relation = relation
+        self.columns = relation.columns if columns is None else columns
         self.complete = complete
         self.query = query
         self.source = source
         self.elapsed = elapsed
         self._engine = engine
-        # ``query`` describes ``relation`` only while the relations it
-        # names are the ones it was evaluated on.
-        self._db_version = engine.db.version
+        self._answers, self._strategy = answers, engine.strategy
         self._conf: dict[tuple, "ConfidenceReport"] = {}
-        self._rows: list[tuple] | None = None
+        self._rows: list[tuple] | None = None if answers is None else list(answers)
 
     # ------------------------------------------------------------ data access
     @property
-    def columns(self) -> tuple[str, ...]:
-        return self.relation.columns
+    def relation(self) -> URelation:
+        """The result U-relation (on a lifted plan: built on first access)."""
+        if callable(self._relation):
+            self._relation = self._relation()
+        return self._relation
 
     @property
     def rows(self) -> list[tuple]:
@@ -109,21 +121,24 @@ class EngineResult:
             report = self._conf[key] = self._reports([key])[0]
         return report
 
-    def _reports(self, rows: list[tuple]) -> list["ConfidenceReport"]:
-        """Reports for ``rows``: off the plan where it lifts, else off the lineage.
+    def _answered(self, strategy: "ConfidenceStrategy | None" = None):
+        """Step 0's reports: captured, while ``db.strategy`` is the object they were
+        computed under, or asked anew under an override ``strategy``; else ``None``."""
+        if strategy is not None:
+            return self._engine._evaluator.plan_confidences(self.query, strategy)
+        return self._answers if self._engine.strategy is self._strategy else None
 
-        Step 0 of the conf seam needs the plan to still describe
-        ``relation``: an ``assign`` since the evaluation (another
-        ``db.version``) may have replaced a relation the plan reads, so
-        then — and for a row that is not a result tuple, whose confidence
-        is 0 — the held relation's own lineage answers.
-        """
-        engine = self._engine
-        if engine.db.version == self._db_version:
-            lifted = engine._evaluator.plan_confidences(self.query)
-            if lifted is not None and all(row in lifted for row in rows):
-                return [lifted[row] for row in rows]
-        return engine.relation_confidences(self.relation, rows)
+    def _reports(self, rows: list[tuple]) -> list["ConfidenceReport"]:
+        """Reports for ``rows``: the captured answers where they serve, else lineage."""
+        engine, answers = self._engine, self._answered()
+        if answers is None:
+            return engine.relation_confidences(self.relation, rows)
+        # A row step 0 did not answer is no result tuple: its lineage is empty.
+        absent = [row for row in rows if row not in answers]
+        if absent:
+            empty = URelation(self.columns)
+            answers = {**answers, **dict(zip(absent, engine.relation_confidences(empty, absent)))}
+        return [answers[row] for row in rows]
 
     def topk(self, k: int, eps=None, delta=None, bounds_budget=None):
         """The ``k`` most probable tuples, by confidence-interval racing.

@@ -52,8 +52,9 @@ pushdown, a join's operand is the filtered relation.
 Tuple-independent inputs, one variable per row, are the shape that
 exceeds ``max_vars`` — and the shape step 0 exists for: the
 *confidences* of a safe plan over them are read off the plan, on one
-pure-Python path whatever the backend, and never wait for this
-intensional result.
+pure-Python path whatever the backend, and this intensional result is
+never built: ``db.query`` and the ``conf`` handler (a
+:func:`~repro.algebra.tree.lazy` one) ask step 0 before evaluating.
 
 For the paper's session style (``R := query``, one growing W table
 threaded through consecutive assignments) use ``repro.connect(db)``.
@@ -85,11 +86,13 @@ from repro.algebra.operators import (
     Select,
     Union,
     fold,
+    output_schema,
 )
 from repro.algebra import schema as _schema
 from repro.algebra.expressions import Attr, Cmp, Const
 from repro.algebra.pushdown import PUSH_ERRORS, push, strip
 from repro.algebra.relations import Relation
+from repro.algebra.tree import lazy
 from repro.urel.columnar import ColumnarContext, ColumnarURelation
 from repro.util.backends import resolve_backend
 from repro.urel.translate import confidence_relation, translate_repair_key
@@ -135,7 +138,7 @@ class UEvaluator:
 
     A handler table over :func:`repro.algebra.operators.fold`: one
     method per operator, receiving the node and its operands'
-    ``(representation, complete)`` results.
+    ``(representation, complete)`` results (``conf``: thunks of them).
 
     ``strategy`` is the :class:`~repro.confidence.strategies.ConfidenceStrategy`
     object ``conf`` runs (``None``: exact decomposition, the Theorem 3.4
@@ -349,9 +352,15 @@ class UEvaluator:
         )
         return result, False
 
+    @lazy
     def _conf(self, node: Conf, child):
-        plan = strip(node.child)
-        return self.conf(self._materialize(child[0]), node.p_name, query=plan), True
+        # Step 0 first: a child it answers is never evaluated.
+        lifted = self.plan_confidences(strip(node.child))
+        if lifted is None:
+            return self.conf(self._materialize(child()[0]), node.p_name), True
+        columns = output_schema(node.child, {n: r.columns for n, r in self.db.relations.items()})
+        values = [report.value for report in lifted.values()]
+        return confidence_relation(columns, node.p_name, list(lifted), values), True
 
     def _approx_conf(self, node: ApproxConf, child):
         urel = self._materialize(child[0])
@@ -364,7 +373,7 @@ class UEvaluator:
         # the last also one that repeats.
         sampler = self.aconf_strategy(node)
         values = [sampler.compute(dnf, self.rng, executor=self.executor).value for dnf in dnfs]
-        return confidence_relation(urel, node.p_name, rows, values), True
+        return confidence_relation(urel.columns, node.p_name, rows, values), True
 
     def _poss(self, node: Poss, child):
         return URelation.from_complete(self._materialize(child[0]).possible_tuples()), True
@@ -499,24 +508,12 @@ class UEvaluator:
         }
 
     def conf(
-        self,
-        urel: URelation,
-        p_name: str,
-        strategy: ConfidenceStrategy | None = None,
-        query: Query | None = None,
+        self, urel: URelation, p_name: str, strategy: ConfidenceStrategy | None = None
     ) -> URelation:
-        """[[conf(R)]]: lineage → confidences → the complete relation ⟨t, P⟩.
-
-        ``query`` is the plan ``urel`` came from, when the caller has it:
-        step 0 is asked first and replaces the first two steps.
-        """
-        lifted = None if query is None else self.plan_confidences(query, strategy)
-        if lifted is not None:
-            rows, values = list(lifted), [report.value for report in lifted.values()]
-        else:
-            rows, dnfs = self.lineage(urel)
-            values = [report.value for report in self.confidences(dnfs, strategy)]
-        return confidence_relation(urel, p_name, rows, values)
+        """[[conf(R)]]: lineage → confidences → the complete relation ⟨t, P⟩."""
+        rows, dnfs = self.lineage(urel)
+        values = [report.value for report in self.confidences(dnfs, strategy)]
+        return confidence_relation(urel.columns, p_name, rows, values)
 
     def sigma_candidates(
         self, node: ApproxSelect, child: URelation, phantom_rows=()

@@ -95,16 +95,16 @@ def translate_repair_key(
 
 
 def confidence_relation(
-    urel: URelation, p_name: str, rows: Sequence[tuple], values: Sequence[Prob]
+    cols: tuple[str, ...], p_name: str, rows: Sequence[tuple], values: Sequence[Prob]
 ) -> URelation:
     """[[conf(R)]] from its parts: the complete relation of ⟨t, P⟩.
 
-    ``rows`` are the data tuples of ``urel`` and ``values`` their
-    confidences, exact or estimated, in the same order.  Every
+    ``cols`` is R's schema, ``rows`` are its data tuples and ``values``
+    their confidences, exact or estimated, in the same order — read off
+    U_R's lineage, or off a lifted plan that never built U_R.  Every
     confidence-closing operator ends here, so this is the one place the
     P column can collide with the schema.
     """
-    cols = urel.columns
     if p_name in cols:
         raise _schema.SchemaError(f"conf column {p_name!r} collides with schema {cols}")
     out = frozenset((TOP, tuple(row) + (value,)) for row, value in zip(rows, values))

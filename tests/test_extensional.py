@@ -396,9 +396,9 @@ class TestContract:
         with repro.connect(db) as session:
             result = session.query(text)
             entries = session.cache_stats["entries"]
-            assert entries == 1  # the query entry
+            assert entries == 1  # the plan entry; no relation was built
             reports = result.confidences()
-            assert session.cache_stats["entries"] == entries + 1
+            assert session.cache_stats["entries"] == entries  # served from the query's answers
             assert session.confidence_all(text) == reports
             assert session.query(f"conf[P]({text})").relation.rows
             assert session.topk(text, 2).candidates == len(reports)
@@ -415,7 +415,7 @@ class TestContract:
             freed = 0
             while session._cache.evict_lru():  # what a cross-session budget does
                 freed += 1
-            assert freed == 2 and session.cache_stats["entries"] == 0
+            assert freed == 1 and session.cache_stats["entries"] == 0  # the plan entry alone
             assert session.confidence_all(text) == first
 
     def test_cold_warm_backend_and_workers_agree_bit_for_bit(self):
@@ -485,9 +485,11 @@ class TestContract:
             truth = session.confidence_all(text, strategy="exact-enumeration")
             assert values(after) == values(truth)
             assert methods(after) <= {"extensional"}
-            # a result evaluated before the assign answers for the relation it holds
+            # a result asked before the assign answers for the data it was asked on:
+            # its captured answers, and a relation built over the relations it read
             assert values(stale_result.confidences()) == values(before)
-            assert methods(stale_result.confidences()) == {"exact-decomposition"}
+            assert methods(stale_result.confidences()) == {"extensional"}
+            assert stale_result.relation == UEvaluator(db).evaluate(parse_query(text)).relation
 
     def test_nothing_is_drawn_from_the_session_rng(self):
         db, text = ti_database(3, n_rows=(5, 7)), "project[B](join(R, S))"

@@ -327,7 +327,11 @@ class TestPairBlockBounds:
         db.set_relation("M", mixed)
         db.set_relation("P", probe)
         executor = ShardExecutor(4, min_shard_pairs=64)
-        session = repro.connect(db, rng=1, backend="numpy", workers=executor)
+        # Not `auto`: step 0 would answer this all-certain plan, and a
+        # plan it answers runs no join (`·deferred`).
+        session = repro.connect(
+            db, rng=1, backend="numpy", workers=executor, strategy="exact-decomposition"
+        )
         plan = session.explain(rel("M").join(rel("P")))
         assert plan.root.operator == "join"
         assert plan.root.path == "scalar[indexed]", plan.root.path

@@ -19,9 +19,10 @@ from repro.confidence.batch import available_backends
 from repro.confidence.dissociation import DEFAULT_BOUND_BUDGET, dissociation_interval
 from repro.confidence.dnf import Dnf
 from repro.confidence.exact import probability_by_decomposition
-from repro.confidence.strategies import AutoStrategy, KarpLuby
+from repro.confidence.strategies import AutoStrategy, KarpLuby, NaiveMonteCarlo
 from repro.generators.hard import bipartite_2dnf, circulant_2dnf
 from repro.urel.conditions import Condition
+from repro.urel.evaluate import UEvaluator
 from repro.urel.udatabase import UDatabase
 from repro.urel.urelation import URelation
 from repro.urel.variables import VariableTable
@@ -152,6 +153,42 @@ def test_karp_luby_relative_error_stays_within_delta(instance, strategy, backend
         misses += abs(report.value / truth - 1) > KL_EPS
     tolerance = 3 * math.sqrt(KL_DELTA * (1 - KL_DELTA) / replications)
     assert misses / replications <= KL_DELTA + tolerance, misses
+
+
+NAIVE_EPS, NAIVE_DELTA = 0.05, 0.1
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("backend", available_backends())
+@pytest.mark.parametrize("batched", [False, True], ids=["compute", "compute_batch"])
+def test_naive_mc_additive_error_stays_within_delta(batched, backend):
+    """The ``naive-mc`` baseline's guarantee: Pr[|p̂ − p| > ε] ≤ δ, additive.
+
+    300 seeded runs over the six tuples of ``_contested_selection_db``
+    (repair-key groups and the K₃,₃ candidates, one W), Hoeffding's
+    m = ⌈ln(2/δ)/(2ε²)⌉ worlds per estimate.  ``compute`` draws each
+    tuple its own worlds; ``compute_batch`` weighs every tuple against
+    one shared block, so the estimates are correlated across tuples
+    and the guarantee is checked marginally, per tuple.
+    """
+    replications = 300
+    db = _contested_selection_db()
+    _rows, dnfs = UEvaluator(db).lineage(db.relation("G"))
+    truths = [probability_by_decomposition(dnf) for dnf in dnfs]
+    sampler = NaiveMonteCarlo(NAIVE_EPS, NAIVE_DELTA, backend=backend)
+    misses = [0] * len(dnfs)
+    for seed in range(replications):
+        rng = random.Random(seed)
+        if batched:
+            reports = sampler.compute_batch(dnfs, rng)
+        else:
+            reports = [sampler.compute(dnf, rng) for dnf in dnfs]
+        for i, (report, truth) in enumerate(zip(reports, truths)):
+            assert report.method == "naive-mc" and report.samples > 0
+            misses[i] += abs(report.value - truth) > NAIVE_EPS
+    tolerance = 3 * math.sqrt(NAIVE_DELTA * (1 - NAIVE_DELTA) / replications)
+    for i, count in enumerate(misses):
+        assert count / replications <= NAIVE_DELTA + tolerance, (i, count)
 
 
 # ----------------------------------------------------- Lemma 5.1 soundness

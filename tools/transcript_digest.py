@@ -33,10 +33,12 @@ section (``--sections``) and five totals:
   plans over float- and ``Fraction``-weighted tuple-independent
   relations through every entry point that has the plan in hand
   (``conf`` inside a query, ``db.confidence``, ``confidence_all``,
-  ``result.confidences()``, ``result.confidence(row)``, ``topk``), each
-  asked cold and then warm on one session.  The safe ones are answered
-  extensionally (step 0 of the conf seam), in a canonical multiplication
-  order, so this total embeds no condition and must not move with
+  ``result.confidences()``, ``result.confidence(row)``, ``topk``) and
+  what a fresh ``db.query`` shows (``rows``, ``columns``, ``complete``,
+  then its relation's rows), each asked cold and then warm on one
+  session.  The safe ones are answered extensionally (step 0 of the conf
+  seam), in a canonical multiplication order, and conditions print in
+  sorted order, so this total must not move with
   ``PYTHONHASHSEED``, the backend or the worker count:
   ``--lifted <backend>`` (``numpy`` / ``python`` / ``auto``) prints it
   alone, at that backend, in a fraction of a second — CI compares the
@@ -362,6 +364,10 @@ def lifted_transcript(workers, backend):
                     report_key(result.confidence(("absent",) * len(result.columns))),
                     topk_key(db.topk(q, 3)),
                 ]
+                # what a fresh result shows before and after its relation is built
+                fresh = db.query(q)
+                out.append((fresh.rows, fresh.columns, fresh.complete))
+                out.append(sorted(map(repr, fresh.relation.rows)))
                 return out
 
             for q in plans:
