@@ -10,12 +10,13 @@ once and evaluates every clause against the whole block with boolean
 array operations:
 
 * variables are integer-coded against their W-table domains, so a block
-  of m world assignments is an (m × |vars(F)|) integer matrix sampled
-  column-by-column through each variable's cumulative distribution;
-* clause satisfaction is one equality comparison per (variable, value)
-  pair, AND-reduced per clause over the whole block — the Definition 4.1
-  "smallest-index consistent member" test becomes an ``argmax`` over the
-  (m × |F|) satisfaction matrix;
+  of m world assignments is an (m × |vars(F)|) matrix of narrow codes,
+  sampled column-by-column through each variable's cumulative distribution;
+* Definition 4.1's extension step is one gather of the (|F| × |vars(F)|)
+  clause-code table by the chosen clauses;
+* clause satisfaction is one (m × literals) equality matrix, its columns
+  ANDed per clause length — the "smallest-index consistent member" test
+  becomes an ``argmax`` over the (m × |F|) satisfaction matrix;
 * the estimator's statistics (X positives out of m trials) accumulate
   across blocks, preserving the *incremental* draw-more-trials contract
   that the Figure 3 predicate-approximation algorithm depends on.
@@ -96,6 +97,12 @@ class _EncodedDnf:
     (column, code) pairs; a value outside its variable's domain gets the
     sentinel code −1, which no sampled world ever matches (the clause
     has weight 0 and is unsatisfiable, exactly as in the scalar path).
+
+    With numpy come the block kernels' tables, ``int8``-coded unless some
+    domain has 127 values or more: ``fixed`` (clause codes, −2 where a
+    clause leaves the column free), the distinct ``literal_*``, ``groups``
+    (per clause length ℓ, clause indices and (ℓ × clauses) literal
+    indices), and the cumulative ``edges`` / ``weight_edges`` less the last.
     """
 
     __slots__ = (
@@ -103,9 +110,14 @@ class _EncodedDnf:
         "variables",
         "cumulative_probs",
         "member_pairs",
-        "weights",
         "cumulative_weights",
         "total_weight",
+        "fixed",
+        "edges",
+        "weight_edges",
+        "literal_columns",
+        "literal_codes",
+        "groups",
     )
 
     def __init__(self, dnf: Dnf, variables: Sequence[Var] | None = None):
@@ -128,9 +140,30 @@ class _EncodedDnf:
                 for var, value in sorted(member.items(), key=repr)
             )
             self.member_pairs.append(pairs)
-        self.weights = [float(p) for p in dnf.weights]
-        self.cumulative_weights = list(accumulate(self.weights))
+        self.cumulative_weights = list(accumulate(float(p) for p in dnf.weights))
         self.total_weight = self.cumulative_weights[-1] if self.cumulative_weights else 0.0
+        if _np is not None:
+            self._build_tables()
+
+    def _build_tables(self) -> None:
+        dtype = _np.int8 if all(len(cum) < 127 for cum in self.cumulative_probs) else _np.int64
+        self.edges = [_np.array(cum[:-1]) for cum in self.cumulative_probs]
+        self.weight_edges = _np.array(self.cumulative_weights[:-1])
+        self.fixed = _np.full((len(self.member_pairs), len(self.variables)), -2, dtype=dtype)
+        literals: dict[tuple[int, int], int] = {}
+        by_length: dict[int, tuple[list[int], list[list[int]]]] = {}
+        for j, pairs in enumerate(self.member_pairs):
+            for column, code in pairs:
+                self.fixed[j, column] = code
+            clauses, indices = by_length.setdefault(len(pairs), ([], []))
+            clauses.append(j)
+            indices.append([literals.setdefault(pair, len(literals)) for pair in pairs])
+        self.literal_columns = _np.array([column for column, _ in literals], dtype=_np.intp)
+        self.literal_codes = _np.array([code for _, code in literals], dtype=dtype)
+        self.groups = [
+            (_np.array(clauses, dtype=_np.intp), _np.array(indices, dtype=_np.intp).T)
+            for _, (clauses, indices) in sorted(by_length.items())
+        ]
 
 
 # --------------------------------------------------------------------------
@@ -139,28 +172,32 @@ class _EncodedDnf:
 
 
 def _np_sample_block(enc: _EncodedDnf, n: int, nrng):
-    """An (n × |vars|) block of world assignments, one inverse-CDF per column."""
-    block = _np.empty((n, len(enc.variables)), dtype=_np.int64)
-    for column, cum in enumerate(enc.cumulative_probs):
+    """An (n × |vars|) block of world assignments, one inverse-CDF per column.
+
+    A code counts the column's edges at or below u; the dropped last edge clamps it.
+    """
+    block = _np.empty((n, len(enc.edges)), dtype=enc.fixed.dtype)
+    for column, edges in enumerate(enc.edges):
         u = nrng.random(n)
-        codes = _np.searchsorted(_np.asarray(cum), u, side="right")
-        block[:, column] = _np.minimum(codes, len(cum) - 1)
+        if len(edges) == 1:
+            block[:, column] = u >= edges[0]
+        else:
+            block[:, column] = _np.searchsorted(edges, u, side="right")
     return block
 
 
 def _np_satisfaction(enc: _EncodedDnf, block):
     """The (n × |F|) clause-satisfaction matrix for a block of worlds."""
     n = block.shape[0]
-    size = len(enc.member_pairs)
-    sat = _np.empty((n, size), dtype=bool)
-    for j, pairs in enumerate(enc.member_pairs):
-        if not pairs:
-            sat[:, j] = True
-            continue
-        m = block[:, pairs[0][0]] == pairs[0][1]
-        for column, code in pairs[1:]:
-            m &= block[:, column] == code
-        sat[:, j] = m
+    equal = block[:, enc.literal_columns] == enc.literal_codes
+    sat = None if len(enc.groups) == 1 else _np.empty((n, len(enc.member_pairs)), dtype=bool)
+    for clauses, literals in enc.groups:
+        group = equal[:, literals[0]] if len(literals) else _np.ones((n, len(clauses)), bool)
+        for row in literals[1:]:
+            group &= equal[:, row]
+        if sat is None:
+            return group
+        sat[:, clauses] = group
     return sat
 
 
@@ -169,23 +206,18 @@ def _np_karp_luby_block(enc: _EncodedDnf, n: int, nrng) -> int:
 
     Step 1 (member choice ∝ p_f) is an inverse-CDF over the clause
     weights; step 2 (extension sampling) draws the full block and then
-    overwrites each row's chosen-clause columns with the clause's fixed
-    codes; step 3 is ``argmax`` over the satisfaction matrix — the row's
-    chosen clause is consistent by construction, so the first ``True``
-    index always exists and the trial succeeds iff it equals the choice.
+    copies the chosen clauses' codes over it, one gather of ``fixed``;
+    step 3 is ``argmax`` over the satisfaction matrix — the row's chosen
+    clause is consistent by construction, so the first ``True`` index
+    always exists and the trial succeeds iff it equals the choice.
     """
-    cum = _np.asarray(enc.cumulative_weights)
     u = nrng.random(n) * enc.total_weight
-    choice = _np.minimum(_np.searchsorted(cum, u, side="right"), len(cum) - 1)
+    choice = _np.searchsorted(enc.weight_edges, u, side="right")
     block = _np_sample_block(enc, n, nrng)
-    for j, pairs in enumerate(enc.member_pairs):
-        rows = choice == j
-        if not rows.any():
-            continue
-        for column, code in pairs:
-            block[rows, column] = code
-    sat = _np_satisfaction(enc, block)
-    first = sat.argmax(axis=1)
+    fixed = enc.fixed[choice]
+    _np.copyto(block, fixed, where=fixed != -2)
+    del fixed
+    first = _np_satisfaction(enc, block).argmax(axis=1)
     return int((first == choice).sum())
 
 

@@ -30,7 +30,8 @@ node budget bolted on:
 3. **Base-case component bounds** at budget exhaustion, from the clause
    weights ``p_i`` and the pairwise intersection weights
    ``q_ij = weight(c_i ∪ c_j)`` (0 for inconsistent pairs — their world
-   sets are disjoint):
+   sets are disjoint; q_ij continues p_i's product over the items c_j
+   adds, in the order ``weight(c_i ∪ c_j)`` takes, so no union is built):
 
    * lower: ``max(max_i p_i, Σp_i − Σ_{i<j} q_ij)`` — the degree-2
      Bonferroni (Kounias) inequality, always valid;
@@ -48,8 +49,9 @@ node budget bolted on:
    ``q_ij = 0`` — repair-key alternatives) make Bonferroni and Hunter
    coincide at ``Σp_i``: an exact answer without a single expansion.
 
-Everything is computed in exact :class:`~fractions.Fraction` arithmetic,
-so an interval is a pure function of the clause set — identical across
+Every sum and product is taken in one fixed order (and is exact for
+:class:`~fractions.Fraction` weights), so an interval is a pure function
+of the clause set — identical across
 trial backends, worker counts, and hash seeds, which is what lets the
 ``auto`` policy route on it without breaking the engine's differential
 determinism contracts.  The pairwise consistency screen is vectorized
@@ -331,14 +333,11 @@ class _BoundSolver:
             return best, min(Fraction(1), total)
 
         consistent = _consistent_pairs(members)
-        pair_weight: dict[tuple[int, int], Prob] = {}
+        pair_weight: list[list[Prob]] = [[Fraction(0)] * k for _ in range(k)]
         s2: Prob = Fraction(0)
         for i, j in consistent:
-            union = members[i].union(members[j])
-            # Consistency was established by the screen, so the union
-            # exists; its weight is P(A_i ∩ A_j) exactly.
-            q = self.w.weight(union)
-            pair_weight[(i, j)] = q
+            q = _pair_weight(self.w, weights[i], members[i], members[j])
+            pair_weight[i][j] = pair_weight[j][i] = q
             s2 = s2 + q
 
         lower = max(best, total - s2, Fraction(0))
@@ -391,22 +390,38 @@ def _consistent_pairs(members: list[Condition]) -> list[tuple[int, int]]:
     ]
 
 
-def _max_spanning_tree_weight(k: int, pair_weight: dict[tuple[int, int], Prob]) -> Prob:
+def _pair_weight(w: VariableTable, weight_i: Prob, c_i: Condition, c_j: Condition) -> Prob:
+    """q_ij = ``w.weight(c_i.union(c_j))`` of two consistent clauses, no union built.
+
+    That weight folds c_i's factors (``weight_i``), then those of the items
+    c_j adds, in c_j's order, answering ``Fraction(0)`` at a zero factor;
+    continuing ``weight_i`` repeats it exactly, in value and in type.
+    """
+    if weight_i == 0 and type(weight_i) is Fraction:  # c_i's fold stopped at a zero
+        return weight_i
+    q = weight_i
+    seen = c_i.items()
+    for item in c_j.items():
+        if item not in seen:
+            p = w.prob(*item)
+            if p == 0:
+                return Fraction(0)
+            q = q * p
+    return q
+
+
+def _max_spanning_tree_weight(k: int, pair_weight: list[list[Prob]]) -> Prob:
     """Weight of a maximum spanning tree on k clauses (Prim, O(k²)).
 
-    Missing pairs weigh 0 (inconsistent clauses intersect nowhere), so
-    the graph is always complete and the tree always spans; the maximum
+    Inconsistent pairs weigh 0 in the q_ij matrix (they intersect nowhere),
+    so the graph is always complete and the tree always spans; the maximum
     *weight* is unique even when the maximizing tree is not.
     """
     if k <= 1:
         return Fraction(0)
-
-    def edge(i: int, j: int) -> Prob:
-        return pair_weight.get((i, j) if i < j else (j, i), Fraction(0))
-
     in_tree = [False] * k
     in_tree[0] = True
-    best = [edge(0, i) for i in range(k)]
+    best = list(pair_weight[0])
     total: Prob = Fraction(0)
     for _ in range(k - 1):
         pick = -1
@@ -415,9 +430,8 @@ def _max_spanning_tree_weight(k: int, pair_weight: dict[tuple[int, int], Prob]) 
                 pick = i
         in_tree[pick] = True
         total = total + best[pick]
+        row = pair_weight[pick]
         for i in range(k):
-            if not in_tree[i]:
-                w = edge(pick, i)
-                if w > best[i]:
-                    best[i] = w
+            if not in_tree[i] and row[i] > best[i]:
+                best[i] = row[i]
     return total

@@ -10,7 +10,7 @@ an ``auto`` whose thresholds send most DNFs to its enclosure-sized
 sampler),
 a single-tuple confidence, ``topk`` and ``evaluate_with_guarantee`` on
 both trial backends with fixed seeds and prints a SHA-256 prefix per
-section (``--sections``) and five totals:
+section (``--sections``) and six totals:
 
 * ``top-level-sampling`` — sections whose trials are drawn by the
   session's executor (short DNF lists, narrow σ̂, top-k);
@@ -43,6 +43,12 @@ section (``--sections``) and five totals:
   ``--lifted <backend>`` (``numpy`` / ``python`` / ``auto``) prints it
   alone, at that backend, in a fraction of a second — CI compares the
   eight combinations of hash seed 0 / 1 × backend × workers none / 2.
+* ``float-bounds`` — a fifth script (in no other total): ``confidence_all``
+  under ``auto`` and ``karp-luby`` on both backends over float-weighted
+  bipartite 2-DNFs that exhaust the bound budget, printing each report's
+  value, trial count and enclosure.  The other enclosure scripts weigh
+  clauses in ``Fraction``s, where the order of the pairwise base case's
+  multiplications cannot show; here the last bit of each q_ij can.
 
 ``--warm`` asks every bounds-consuming section (top-k, σ̂ narrow and
 20-candidate, the ``enclosures`` script) a second time on the same
@@ -55,10 +61,11 @@ answer that moves on every worker count at once still fails; a Python
 version that prints another value for some total pins it there under
 ``<total>@<major>.<minor>``.
 
-Pin ``PYTHONHASHSEED`` for the first four: their transcripts embed
-``repr`` of conditions.  Written for PR 14 (CHANGES.md records the
-digests of both commits) and extended for PRs 17, 18 and 19; the first
-four totals use only names that exist on either side of those changes.
+Pin ``PYTHONHASHSEED`` for every total but ``lifted``: the first four
+transcripts embed ``repr`` of conditions, and ``float-bounds`` samples
+clauses in the relation's stored order.  Each total uses only names that
+exist on both sides of the change it was written to check (CHANGES.md
+records the digests of both commits).
 """
 
 import hashlib
@@ -322,6 +329,54 @@ def enclosure_transcript(workers):
     return sections
 
 
+def float_bounds_db(n_tuples=3, side=9, offsets=(0, 1, 3), seed=21):
+    """Float-weighted circulant bipartite 2-DNFs that exhaust the default bound
+    budget, so their enclosures come from the pairwise base case in float
+    arithmetic; the variable probabilities are low enough that Bonferroni's
+    Σp_i − Σq_ij, and with it the last bit of every q_ij, reaches the
+    printed lower bounds.  Tuple 0 also carries a three-valued variable,
+    one of whose clauses asks for a value outside its domain (weight 0)."""
+    rng = random.Random(seed)
+    w = VariableTable()
+    rows = []
+    for t in range(n_tuples):
+        for half in "xy":
+            for i in range(side):
+                p = round(rng.uniform(0.1, 0.3), 3)
+                w.add((t, half, i), {1: p, 0: 1 - p})
+        relabel = list(range(side))
+        rng.shuffle(relabel)
+        rows += [
+            (Condition({(t, "x", i): 1, (t, "y", relabel[(i + d) % side]): 1}), (t,))
+            for i in range(side)
+            for d in offsets
+        ]
+    w.add("m", {"a": 0.25, "b": 0.35, "c": 0.4})
+    rows += [
+        (Condition({"m": value, (0, half, i): 1}), (0,))
+        for value, half, i in (("a", "x", 0), ("b", "y", 1), ("c", "x", 2), ("z", "y", 3))
+    ]
+    db = UDatabase(w=w)
+    db.set_relation("R", URelation.from_rows(("A",), rows))
+    return db
+
+
+def float_bounds_transcript(workers):
+    sections = {}
+    for backend in ("numpy", "python"):
+        for strategy in ("auto", "karp-luby"):
+            with connect(float_bounds_db(), workers, strategy=strategy, eps=0.3, delta=0.2,
+                         rng=23, backend=backend) as db:
+                reports = db.confidence_all("R")
+                if strategy == "auto":
+                    assert all(rep.lower < rep.upper for rep in reports.values())
+                sections[f"{backend}/{strategy}"] = sorted(
+                    (row, repr(rep.value), rep.samples, repr(rep.lower), repr(rep.upper))
+                    for row, rep in reports.items()
+                )
+    return sections
+
+
 def tuple_independent_db(floats, n_rows=40, n_keys=7, seed=17):
     """R(A,B), S(B,C), T(C,D), one variable per row, some rows certain."""
     rng = random.Random(seed)
@@ -425,8 +480,10 @@ if __name__ == "__main__":
     conf_sections = conf_operator_transcript(sys.argv[1])
     enclosure_sections = enclosure_transcript(sys.argv[1])
     lifted_sections = lifted_transcript(sys.argv[1], "auto")
+    float_sections = float_bounds_transcript(sys.argv[1])
     if "--sections" in sys.argv:
         every = {**sections, **conf_sections, **enclosure_sections, **lifted_sections}
+        every.update({f"float-bounds/{name}": value for name, value in float_sections.items()})
         for name, value in every.items():
             print(f"{name:24s} {digest(value)}")
     compat = {k: v for k, v in sections.items() if not k.endswith(("conf-long", "sigma-wide"))}
@@ -437,5 +494,6 @@ if __name__ == "__main__":
             "conf-operators": digest(sorted(conf_sections.items())),
             "enclosures": digest(sorted(enclosure_sections.items())),
             "lifted": digest(sorted(lifted_sections.items())),
+            "float-bounds": digest(sorted(float_sections.items())),
         }
     )
