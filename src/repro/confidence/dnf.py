@@ -3,9 +3,10 @@
 "The confidence of tuple t for relation R represented in a U-relational
 database is the weight of F = {f | ⟨f, t⟩ ∈ U_R}" (Section 4): the
 probability that at least one of the partial functions in F is satisfied
-by the random world.  This module packages F together with the W table,
-precomputing the quantities the Karp–Luby estimator needs (the member
-weights p_f, their sum M, and the fixed member order).
+by the random world.  This module packages F, in a fixed member order,
+with the W table; the member weights p_f and their sum M that the
+Karp–Luby estimator needs are computed on first read (exact and bound
+solvers never read them).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ class Dnf:
     removed, preserving first occurrence.
     """
 
-    __slots__ = ("w", "members", "weights", "_variables", "_bounds")
+    __slots__ = ("w", "members", "_weights", "_variables", "_bounds")
 
     def __init__(self, conditions: Iterable[Condition], w: VariableTable):
         """Build the disjunction from ``conditions`` over W table ``w``."""
@@ -44,7 +45,6 @@ class Dnf:
                 seen.add(cond)
                 members.append(cond)
         self.members: tuple[Condition, ...] = tuple(members)
-        self.weights: tuple[Prob, ...] = tuple(w.weight(f) for f in self.members)
         variables: set[Var] = set()
         for f in self.members:
             variables |= f.variables
@@ -64,6 +64,18 @@ class Dnf:
     def variables(self) -> frozenset[Var]:
         """The variables mentioned by any member condition."""
         return self._variables
+
+    @property
+    def weights(self) -> tuple[Prob, ...]:
+        """The member weights p_f in member order, computed on first read.
+
+        Pure: racing threads build equal tuples, an unpickled copy its own.
+        """
+        try:
+            return self._weights
+        except AttributeError:
+            self._weights = tuple(self.w.weight(f) for f in self.members)
+            return self._weights
 
     @property
     def total_weight(self) -> Prob:

@@ -28,7 +28,11 @@ server multiplexing many sessions registers each session's cache with
 one :class:`~repro.server.budget.CacheBudget` and evicts *across* the
 caches, globally least-recently-used first, until the summed
 ``approx_bytes`` fits the budget.  Recency is therefore tracked on a
-process-wide clock (:func:`_next_tick`), not per cache.
+process-wide clock (:func:`_next_tick`), not per cache.  Sizing is paid
+**on demand**: ``put`` sizes an entry only while a budget is attached.
+Otherwise the first read of ``approx_bytes``/``stats``/``snapshot()``,
+``evict_lru`` or ``set_budget`` sizes it, once, at what it holds by
+then (a cached relation may have grown lazy indexes since the put).
 
 **Volatile entries.**  ``put(..., volatile=True)`` marks an entry whose
 recomputation would consume session RNG state (a sampled confidence, or
@@ -83,7 +87,7 @@ _ATOMIC = (str, bytes, bytearray, int, float, complex, bool, type(None))
 _SIZE_NODE_CAP = 4096
 """Traversal cap per :func:`approx_size` call.
 
-Estimation runs on the caller's put path, so it must stay cheap even
+Estimation runs on a caller's put or read, so it must stay cheap even
 for pathological values; past the cap the estimate is a documented
 *under*count (still monotone enough for budget eviction, which only
 needs relative magnitudes)."""
@@ -152,7 +156,8 @@ class CacheStats:
     ``approx_bytes`` is the summed :func:`approx_size` of the live
     entries (keys and values) — the observability hook the global
     cache-budget evictor consumes, useful standalone for sizing
-    ``maxsize`` against real workloads.
+    ``maxsize`` against real workloads.  Read it through
+    :attr:`MemoCache.stats`, which sizes pending entries first.
     """
 
     __slots__ = ("hits", "misses", "entries", "approx_bytes")
@@ -181,7 +186,7 @@ class CacheStats:
 class _Entry:
     __slots__ = ("value", "nbytes", "tick", "volatile")
 
-    def __init__(self, value, nbytes: int, tick: int, volatile: bool):
+    def __init__(self, value, nbytes: int | None, tick: int, volatile: bool):
         self.value = value
         self.nbytes = nbytes
         self.tick = tick
@@ -202,10 +207,10 @@ class MemoCache:
     the underlying ordered dict mid-eviction.  The lock covers the stats
     counters too, so hit/miss accounting stays consistent.
 
-    Every entry carries its approximate byte size and a process-wide
-    recency tick; :meth:`lru_tick`/:meth:`evict_lru` are the primitives
-    a :class:`~repro.server.budget.CacheBudget` uses to evict globally
-    LRU across many sessions' caches.  A budget attached with
+    Every entry carries its byte size (``None`` until sized) and a
+    process-wide recency tick; :meth:`lru_tick`/:meth:`evict_lru` are
+    the primitives a :class:`~repro.server.budget.CacheBudget` uses to
+    evict globally LRU across many sessions' caches.  A budget attached with
     :meth:`set_budget` is poked (outside the cache lock — the budget
     takes its own lock and calls back into caches, so ordering is
     always budget → cache) after every insertion that grows the cache.
@@ -214,7 +219,8 @@ class MemoCache:
     def __init__(self, maxsize: int | None = 1024):
         self.maxsize = maxsize
         self._data: OrderedDict = OrderedDict()  # detlint: guarded-by(_lock)
-        self.stats = CacheStats()  # detlint: guarded-by(_lock)
+        self._stats = CacheStats()  # detlint: guarded-by(_lock)
+        self._pending = False  # detlint: guarded-by(_lock)
         self._lock = threading.Lock()
         self._budget = None
 
@@ -223,10 +229,31 @@ class MemoCache:
         return self.maxsize is None or self.maxsize > 0
 
     @property
+    def stats(self) -> CacheStats:
+        """The live counters, every pending entry sized first."""
+        with self._lock:
+            self._settle()
+            return self._stats
+
+    def snapshot(self) -> dict[str, int]:
+        """The counters as a dict, sized and read under one lock hold."""
+        with self._lock:
+            self._settle()
+            return self._stats.as_dict()
+
+    @property
     def approx_bytes(self) -> int:
         """Summed approximate size of the live entries, in bytes."""
-        with self._lock:
-            return self.stats.approx_bytes
+        return self.snapshot()["approx_bytes"]
+
+    def _settle(self) -> None:  # detlint: holds(_lock)
+        """Size, once, every entry put while no budget was attached."""
+        if self._pending:
+            for key, entry in self._data.items():
+                if entry.nbytes is None:
+                    entry.nbytes = approx_size(key) + approx_size(entry.value)
+                    self._stats.approx_bytes += entry.nbytes
+            self._pending = False
 
     def set_budget(self, budget) -> None:
         """Attach/detach the global budget poked after growing puts.
@@ -235,8 +262,10 @@ class MemoCache:
         that starts after a detach returns can never poke the old
         budget (see :meth:`~repro.server.budget.CacheBudget.unregister`
         for the ordering that makes in-flight pokes harmless too).
+        Pending entries are sized first: no budget sees an unsized one.
         """
         with self._lock:
+            self._settle()
             self._budget = budget
 
     def get(self, key):
@@ -245,11 +274,11 @@ class MemoCache:
             try:
                 entry = self._data[key]
             except KeyError:
-                self.stats.misses += 1
+                self._stats.misses += 1
                 return None
             self._data.move_to_end(key)
             entry.tick = _next_tick()
-            self.stats.hits += 1
+            self._stats.hits += 1
             return entry.value
 
     def put(self, key, value, volatile: bool = False) -> None:
@@ -258,18 +287,20 @@ class MemoCache:
         from the session RNG)."""
         if self.maxsize is not None and self.maxsize <= 0:
             return
-        # Size estimation walks the value graph; do it outside the lock.
-        nbytes = approx_size(key) + approx_size(value)
+        # Only a budget reads sizes (walked unlocked; re-checked locked).
+        nbytes = approx_size(key) + approx_size(value) if self._budget is not None else None
         with self._lock:
+            if nbytes is None and self._budget is not None:
+                nbytes = approx_size(key) + approx_size(value)
             old = self._data.pop(key, None)
-            if old is not None:
-                self.stats.approx_bytes -= old.nbytes
-            elif self.maxsize is not None and len(self._data) >= self.maxsize:
-                _, evicted = self._data.popitem(last=False)
-                self.stats.approx_bytes -= evicted.nbytes
+            if old is None and self.maxsize is not None and len(self._data) >= self.maxsize:
+                _, old = self._data.popitem(last=False)
+            if old is not None and old.nbytes is not None:
+                self._stats.approx_bytes -= old.nbytes
             self._data[key] = _Entry(value, nbytes, _next_tick(), volatile)
-            self.stats.approx_bytes += nbytes
-            self.stats.entries = len(self._data)
+            self._pending |= nbytes is None
+            self._stats.approx_bytes += nbytes or 0
+            self._stats.entries = len(self._data)
             # Read the attachment under the same lock set_budget writes
             # it: a put racing a detach either sees None (no poke) or
             # the budget it was attached to at insertion time.  The
@@ -303,26 +334,22 @@ class MemoCache:
         is a no-op returning 0, and the caller re-picks its victim.
         """
         with self._lock:
-            victim = None
-            victim_entry = None
-            for key, entry in self._data.items():
-                if not entry.volatile:
-                    victim, victim_entry = key, entry
-                    break
-            if victim is None:
+            self._settle()
+            evictable = ((k, e) for k, e in self._data.items() if not e.volatile)
+            key, entry = next(evictable, (None, None))
+            if entry is None or (expected_tick is not None and entry.tick != expected_tick):
                 return 0
-            if expected_tick is not None and victim_entry.tick != expected_tick:
-                return 0
-            entry = self._data.pop(victim)
-            self.stats.approx_bytes -= entry.nbytes
-            self.stats.entries = len(self._data)
+            del self._data[key]
+            self._stats.approx_bytes -= entry.nbytes
+            self._stats.entries = len(self._data)
             return entry.nbytes
 
     def clear(self) -> None:
         with self._lock:
             self._data.clear()
-            self.stats.entries = 0
-            self.stats.approx_bytes = 0
+            self._pending = False
+            self._stats.entries = 0
+            self._stats.approx_bytes = 0
 
     def __len__(self) -> int:
         with self._lock:

@@ -763,8 +763,8 @@ class ProbDB:
 
     @property
     def cache_stats(self) -> dict[str, int]:
-        """Memo-cache counters: entries, hits, misses, bytes, evictions."""
-        return self._cache.stats.as_dict()
+        """Memo-cache ``hits``, ``misses``, ``entries``, ``approx_bytes`` (one snapshot)."""
+        return self._cache.snapshot()
 
     def clear_cache(self) -> None:
         """Drop every memo-cache entry (confidence and query results)."""
