@@ -15,7 +15,8 @@ finish) come back as exact point intervals; hard instances come back
 with the interval the budget could afford.
 
 The solver mirrors the exact decomposition solver's structure with a
-node budget bolted on:
+node budget bolted on, and walks the same integer-coded clauses
+(:class:`~repro.confidence.exact.ClauseKernel`, built once per solve):
 
 1. **Independent-component factoring** (free — no budget spent):
    clauses over disjoint variable sets are independent, and
@@ -50,14 +51,15 @@ node budget bolted on:
    coincide at ``Σp_i``: an exact answer without a single expansion.
 
 Every sum and product is taken in one fixed order (and is exact for
-:class:`~fractions.Fraction` weights), so an interval is a pure function
-of the clause set — identical across
-trial backends, worker counts, and hash seeds, which is what lets the
-``auto`` policy route on it without breaking the engine's differential
-determinism contracts.  The pairwise consistency screen is vectorized
-with numpy when importable (the same integer-coding idea as
-:mod:`repro.confidence.batch`); the screened result is integer-exact, so
-both code paths produce identical intervals.
+:class:`~fractions.Fraction` weights): components and base-case members
+by clause text, branches in domain order, each clause weight in the
+item order of the condition it came from.  So an interval is a pure
+function of the clause set — identical across trial backends, worker
+counts, and hash seeds, which is what lets the ``auto`` policy route on
+it without breaking the engine's differential determinism contracts.
+The pairwise consistency screen compares literal ids, vectorized with
+numpy when importable; the comparison is integer-exact, so both code
+paths produce identical intervals.
 """
 
 from __future__ import annotations
@@ -67,15 +69,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from repro.confidence.dnf import Dnf
-from repro.confidence.exact import (
-    _SATISFIED,
-    _Decomposition,
-    _SortKeys,
-    _branching_variable,
-    _connected_components,
-)
-from repro.urel.conditions import Condition
-from repro.urel.variables import VariableTable
+from repro.confidence.exact import ClauseKernel, _Clause
 from repro.util.backends import np as _np
 from repro.util.parallel import SERIAL_EXECUTOR
 from repro.worlds.database import Prob
@@ -160,7 +154,8 @@ def _compute_interval(dnf: Dnf, budget: int) -> BoundInterval:
         return BoundInterval(Fraction(0), Fraction(0))
     if dnf.is_trivially_true:
         return BoundInterval(Fraction(1), Fraction(1))
-    lower, upper = _BoundSolver(dnf.w, budget).solve(frozenset(dnf.members))
+    kernel = ClauseKernel(dnf)
+    lower, upper = _BoundSolver(kernel, budget).solve(kernel.clauses)
     return BoundInterval(lower, upper)
 
 
@@ -257,36 +252,35 @@ class EnclosureMemo:
 class _BoundSolver:
     """Budget-limited interval analogue of the exact decomposition solver.
 
-    Traversal order is made deterministic (components and clauses sorted
-    by repr) because the budget drains as the solver walks: a
-    hash-seed-dependent order could exhaust it on different subproblems
-    and return different — still valid, but different — intervals.
+    It walks the same :class:`~repro.confidence.exact.ClauseKernel` in the
+    same deterministic order (components and base-case members by clause
+    text, branches in domain order) because the budget drains as the
+    solver walks: a hash-seed-dependent order could exhaust it on
+    different subproblems and return different — still valid, but
+    different — intervals.
     """
 
-    __slots__ = ("w", "budget", "_memo", "_keys")
+    __slots__ = ("kernel", "budget", "_memo")
 
-    def __init__(self, w: VariableTable, budget: int):
-        """Bind the W table and the node budget the traversal may spend."""
-        self.w = w
+    def __init__(self, kernel: ClauseKernel, budget: int):
+        """Bind the coded DNF and the node budget the traversal may spend."""
+        self.kernel = kernel
         self.budget = budget
-        self._memo: dict[frozenset[Condition], tuple[Prob, Prob]] = {}
-        self._keys = _SortKeys()
+        self._memo: dict[frozenset[_Clause], tuple[Prob, Prob]] = {}
 
-    def solve(self, clauses: frozenset[Condition]) -> tuple[Prob, Prob]:
+    def solve(self, clauses: frozenset[_Clause]) -> tuple[Prob, Prob]:
         """Return (lower, upper) confidence bounds for ``clauses``."""
         if not clauses:
             return Fraction(0), Fraction(0)
-        if any(c.is_empty for c in clauses):
-            return Fraction(1), Fraction(1)
         cached = self._memo.get(clauses)
         if cached is not None:
             return cached
 
-        components = _connected_components(clauses, self._keys)
+        kernel = self.kernel
+        components = kernel.components(clauses)
         if len(components) > 1:
             # Disjoint variable sets: 1 − ∏(1 − x) is monotone in every
             # component probability, so the interval product is tight.
-            components.sort(key=lambda comp: min(map(self._keys.__getitem__, comp)))
             miss_lower: Prob = Fraction(1)  # ∏(1 − upper_c)
             miss_upper: Prob = Fraction(1)  # ∏(1 − lower_c)
             for component in components:
@@ -296,20 +290,16 @@ class _BoundSolver:
             result = (1 - miss_upper, 1 - miss_lower)
         elif len(clauses) == 1:
             (clause,) = clauses
-            p = self.w.weight(clause)
+            p = kernel.weight(clause)
             result = (p, p)
         elif self.budget > 0:
             self.budget -= 1
-            var = _branching_variable(clauses, self._keys)
+            v = kernel.branching_variable(clauses)
             lower: Prob = Fraction(0)
             upper: Prob = Fraction(0)
-            for value in self.w.domain(var):
-                reduced = _Decomposition._condition_on(clauses, var, value)
-                if reduced is _SATISFIED:
-                    branch = (Fraction(1), Fraction(1))
-                else:
-                    branch = self.solve(reduced)
-                p = self.w.prob(var, value)
+            for p, lit in kernel.branches[v]:
+                reduced = kernel.condition(clauses, v, lit)
+                branch = (Fraction(1), Fraction(1)) if reduced is None else self.solve(reduced)
                 lower = lower + p * branch[0]
                 upper = upper + p * branch[1]
             result = (lower, upper)
@@ -320,10 +310,11 @@ class _BoundSolver:
         return result
 
     # -------------------------------------------------- base-case bounds
-    def _component_bounds(self, clauses: frozenset[Condition]) -> tuple[Prob, Prob]:
+    def _component_bounds(self, clauses: frozenset[_Clause]) -> tuple[Prob, Prob]:
         """Pairwise bounds for one connected component, budget exhausted."""
-        members = sorted(clauses, key=self._keys.__getitem__)
-        weights = [self.w.weight(c) for c in members]
+        kernel = self.kernel
+        members = sorted(clauses, key=kernel.texts.__getitem__)
+        weights = [kernel.weight(c) for c in members]
         k = len(members)
         total: Prob = Fraction(0)
         for p in weights:
@@ -332,11 +323,12 @@ class _BoundSolver:
         if k > PAIR_CAP:
             return best, min(Fraction(1), total)
 
-        consistent = _consistent_pairs(members)
+        consistent = self._pair_screen(members)
         pair_weight: list[list[Prob]] = [[Fraction(0)] * k for _ in range(k)]
         s2: Prob = Fraction(0)
         for i, j in consistent:
-            q = _pair_weight(self.w, weights[i], members[i], members[j])
+            # q_ij continues p_i's fold over the items c_j adds, in c_j's order
+            q = kernel.weight(members[j], weights[i], members[i])
             pair_weight[i][j] = pair_weight[j][i] = q
             s2 = s2 + q
 
@@ -355,59 +347,39 @@ class _BoundSolver:
             upper = min(upper, 1 - miss)
         return lower, upper
 
+    def _pair_screen(self, members: list[_Clause]) -> list[tuple[int, int]]:
+        """Indices (i < j) of clause pairs whose partial functions agree.
 
-def _consistent_pairs(members: list[Condition]) -> list[tuple[int, int]]:
-    """Indices (i < j) of clause pairs whose partial functions agree.
+        Two clauses conflict where they hold different literals of one
+        variable.  The numpy screen lays the literal ids out by variable
+        (−1 for "not in this clause") and tests all pairs with one
+        boolean-array program; id comparisons are exact, so both paths
+        return the same pairs in the same order.
+        """
+        k, lit_var = len(members), self.kernel.lit_var
+        if _np is not None and k >= 8:
+            column: dict[int, int] = {}
+            rows, columns, lits = [], [], []
+            for row, clause in enumerate(members):
+                for lit in clause:
+                    rows.append(row)
+                    columns.append(column.setdefault(lit_var[lit], len(column)))
+                    lits.append(lit)
+            matrix = _np.full((k, len(column)), -1, dtype=_np.int64)
+            matrix[rows, columns] = lits
+            a = matrix[:, None, :]
+            b = matrix[None, :, :]
+            conflict = ((a >= 0) & (b >= 0) & (a != b)).any(axis=2)
+            i_idx, j_idx = _np.nonzero(_np.triu(~conflict, 1))
+            return list(zip(i_idx.tolist(), j_idx.tolist()))
 
-    The numpy screen integer-codes the clauses against the variables
-    they mention (sentinel −1 for "not in this clause"), then tests all
-    pairs with one boolean-array program — the
-    :mod:`repro.confidence.batch` coding idea.  Integer comparisons are
-    exact, so both paths return identical pair sets.
-    """
-    k = len(members)
-    if _np is not None and k >= 8:
-        variables = sorted({v for c in members for v in c.variables}, key=repr)
-        column = {var: i for i, var in enumerate(variables)}
-        codes: dict[int, dict[object, int]] = {i: {} for i in range(len(variables))}
-        matrix = _np.full((k, len(variables)), -1, dtype=_np.int64)
-        for row, clause in enumerate(members):
-            for var, value in clause.items():
-                col = column[var]
-                table = codes[col]
-                code = table.setdefault(value, len(table))
-                matrix[row, col] = code
-        a = matrix[:, None, :]
-        b = matrix[None, :, :]
-        conflict = ((a >= 0) & (b >= 0) & (a != b)).any(axis=2)
-        i_idx, j_idx = _np.nonzero(~conflict)
-        return [(int(i), int(j)) for i, j in zip(i_idx, j_idx) if i < j]
-    return [
-        (i, j)
-        for i in range(k)
-        for j in range(i + 1, k)
-        if members[i].consistent_with(members[j])
-    ]
+        masks = self.kernel.masks
 
+        def agree(c_i: _Clause, c_j: _Clause) -> bool:
+            shared = masks[c_i] & masks[c_j]
+            return not shared or all(lit in c_i for lit in c_j if 1 << lit_var[lit] & shared)
 
-def _pair_weight(w: VariableTable, weight_i: Prob, c_i: Condition, c_j: Condition) -> Prob:
-    """q_ij = ``w.weight(c_i.union(c_j))`` of two consistent clauses, no union built.
-
-    That weight folds c_i's factors (``weight_i``), then those of the items
-    c_j adds, in c_j's order, answering ``Fraction(0)`` at a zero factor;
-    continuing ``weight_i`` repeats it exactly, in value and in type.
-    """
-    if weight_i == 0 and type(weight_i) is Fraction:  # c_i's fold stopped at a zero
-        return weight_i
-    q = weight_i
-    seen = c_i.items()
-    for item in c_j.items():
-        if item not in seen:
-            p = w.prob(*item)
-            if p == 0:
-                return Fraction(0)
-            q = q * p
-    return q
+        return [(i, j) for i in range(k) for j in range(i + 1, k) if agree(members[i], members[j])]
 
 
 def _max_spanning_tree_weight(k: int, pair_weight: list[list[Prob]]) -> Prob:

@@ -14,11 +14,21 @@ Two implementations:
 ``probability_by_decomposition``
     A variable-elimination solver: Shannon expansion on a branching
     variable, with two standard optimizations — independent-component
-    factoring (clauses on disjoint variables are independent, so the
+    factoring (clauses on disjoint variable sets are independent, so the
     disjunction's failure probability factors) and memoization.  Still
     exponential in the worst case (it must be, unless #P collapses) but
     fast on practically-structured inputs; this is the ablation subject
     of experiment E17.
+
+Both Shannon solvers — this one and the budgeted bound solver of
+:mod:`repro.confidence.dissociation` — walk a :class:`ClauseKernel`: the
+DNF's members integer-coded once per solve, so conditioning filters
+tuples of literal ids and component splitting merges variable bitmasks.
+The coding keeps every order the ``Condition``-level solvers had, so
+answers do not move: components and base-case members in the order of
+the clauses' ``repr`` text, branches in ``w.domain(var)`` order, the
+branching tie broken by the variables' ``repr``, and each clause's
+weight folded in the item order of the condition it came from.
 
 Both preserve exact rational arithmetic when the W table holds Fractions.
 Callers choose between them by strategy object
@@ -28,12 +38,12 @@ Callers choose between them by strategy object
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
+from itertools import chain
 from itertools import product as iter_product
 
 from repro.confidence.dnf import Dnf
-from repro.urel.conditions import Condition, Var
-from repro.urel.variables import VariableTable
 from repro.worlds.database import Prob
 
 __all__ = [
@@ -80,48 +90,177 @@ def probability_by_decomposition(dnf: Dnf) -> Prob:
         return Fraction(0)
     if dnf.is_trivially_true:
         return Fraction(1)
-    solver = _Decomposition(dnf.w)
-    return solver.solve(frozenset(dnf.members))
+    kernel = ClauseKernel(dnf)
+    return _Decomposition(kernel).solve(kernel.clauses)
 
 
-class _SortKeys(dict):
-    """``repr`` of each clause or variable, formatted once per solver run.
+_ONE = Fraction(1)
 
-    Every traversal order in the solvers is "sorted by ``repr``", and
-    ``Condition.__repr__`` re-sorts and re-formats its pairs on each
-    call.  The memo lives and dies with one solver: conditions stay two
-    slots wide however many of them a relation holds.
+
+class _Clause(tuple):
+    """A coded clause: its literal ids, ascending, which is its ``repr`` order.
+
+    Equal clauses are equal tuples whatever their history.  ``fold`` is
+    the item order of the condition the clause came from (the order
+    ``VariableTable.weight`` multiplies in) where that is not the
+    ascending one; ``None`` otherwise, and then the object needs no
+    ``__dict__``.
     """
 
-    __slots__ = ()
+    fold = None
 
-    def __missing__(self, item) -> str:
-        key = self[item] = repr(item)
-        return key
+
+def _clause(ids, fold: tuple[int, ...] | None) -> _Clause:
+    """The clause of ``ids``, keeping ``fold`` only where it is not their order."""
+    clause = _Clause(ids)
+    if fold is not None and fold != clause:
+        clause.fold = fold
+    return clause
+
+
+class _Memo(dict):
+    """A dict that fills a missing entry with ``make(key)``."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make):
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
+class ClauseKernel:
+    """A DNF's member conditions, integer-coded once per solve.
+
+    Each distinct ``(var, value)`` is a literal id, ranked by ``repr`` of
+    the pair, so a clause's ascending ids list its items in the order
+    ``Condition.__repr__`` prints them; variables are ranked by ``repr``.
+    A literal's probability (one ``w.prob`` read), a clause's text and
+    variable bitmask, and a variable's branch table are filled on first
+    use.  A clause set is a ``frozenset`` of :class:`_Clause` tuples,
+    which is also the memo key.
+    """
+
+    __slots__ = ("clauses", "lit_var", "probs", "texts", "masks", "branches")
+
+    def __init__(self, dnf: Dnf):
+        """Code ``dnf.members`` over ``dnf.w``."""
+        w = dnf.w
+        items = sorted({item for cond in dnf.members for item in cond.items()}, key=repr)
+        ids = {item: lit for lit, item in enumerate(items)}
+        variables = sorted({var for var, _ in items}, key=repr)
+        rank = {var: i for i, var in enumerate(variables)}
+        lit_var = self.lit_var = [rank[var] for var, _ in items]
+        text = [f"{var!r}↦{value!r}" for var, value in items]
+        probs = self.probs = _Memo(lambda lit: w.prob(*items[lit]))
+        self.texts = _Memo(lambda clause: "{" + ", ".join(map(text.__getitem__, clause)) + "}")
+        self.masks = _Memo(lambda clause: sum(1 << lit_var[lit] for lit in clause))
+
+        def branch_table(v: int) -> list[tuple[Prob, int]]:
+            # (Pr[X = x], literal id of X ↦ x or −1) for each x, in domain order
+            var, table = variables[v], []
+            for value in w.domain(var):
+                lit = ids.get((var, value), -1)
+                table.append((probs[lit] if lit >= 0 else w.prob(var, value), lit))
+            return table
+
+        self.branches = _Memo(branch_table)
+        members = []
+        for cond in dnf.members:
+            fold = tuple(ids[item] for item in cond.items())
+            members.append(_clause(sorted(fold), fold))
+        self.clauses = frozenset(members)
+
+    def weight(self, clause: _Clause, start: Prob = _ONE, given=()) -> Prob:
+        """``w.weight`` of the clause's condition, folded in its item order.
+
+        From ``start`` = the weight of clause ``given``, the items
+        ``given`` lacks continue that fold: the weight of the union.
+        """
+        if start == 0 and type(start) is Fraction:  # given's fold stopped at a zero
+            return start
+        p, probs = start, self.probs
+        for lit in clause.fold or clause:
+            if lit not in given:
+                q = probs[lit]
+                if q == 0:
+                    return Fraction(0)
+                # Fraction(1) * q is q itself for a float q: skip the slow path
+                p = q if p is _ONE and type(q) is float else p * q
+        return p
+
+    def components(self, clauses: frozenset[_Clause]) -> list[frozenset[_Clause]]:
+        """Groups of clauses sharing no variable, ordered by their least text.
+
+        Each group floods out from one clause, absorbing every clause whose
+        variable bitmask meets the group's until none does.
+        """
+        masks, rest, groups = self.masks, set(clauses), []
+        while rest:
+            seed = rest.pop()
+            members, reach = {seed}, masks[seed]
+            grown = {c for c in rest if masks[c] & reach}
+            while grown:
+                rest -= grown
+                members |= grown
+                for clause in grown:
+                    reach |= masks[clause]
+                grown = {c for c in rest if masks[c] & reach}
+            if not groups and not rest:
+                return [clauses]
+            groups.append(frozenset(members))
+        least = self.texts.__getitem__
+        return sorted(groups, key=lambda group: min(map(least, group)))
+
+    def branching_variable(self, clauses: frozenset[_Clause]) -> int:
+        """The most frequent variable; a tie goes to the least ``repr``."""
+        counts = Counter(map(self.lit_var.__getitem__, chain.from_iterable(clauses)))
+        top = max(counts.values())
+        return min(v for v, n in counts.items() if n == top)
+
+    def condition(self, clauses: frozenset[_Clause], v: int, lit: int):
+        """The clause set under variable ``v`` := the value of literal ``lit``.
+
+        Clauses demanding another value die; clauses demanding this one
+        lose the literal.  ``None`` when that empties a clause (the set
+        holds in every world).  A shortened clause equal to one that does
+        not mention ``v`` gives way to it.
+        """
+        bit, masks = 1 << v, self.masks
+        hit = {c for c in clauses if masks[c] & bit}
+        shortened: set[_Clause] = set()
+        keep = lit.__ne__
+        for clause in hit:
+            if lit in clause:
+                if len(clause) == 1:
+                    return None
+                fold = clause.fold and tuple(filter(keep, clause.fold))
+                shortened.add(_clause(filter(keep, clause), fold))
+        return (clauses - hit) | shortened
 
 
 class _Decomposition:
-    """Memoized Shannon-expansion solver over clause sets."""
+    """Memoized Shannon-expansion solver over coded clause sets."""
 
-    __slots__ = ("w", "_memo", "_keys")
+    __slots__ = ("kernel", "_memo")
 
-    def __init__(self, w: VariableTable):
-        """Bind the W table; the memo starts empty."""
-        self.w = w
-        self._memo: dict[frozenset[Condition], Prob] = {}
-        self._keys = _SortKeys()
+    def __init__(self, kernel: ClauseKernel):
+        """Bind the coded DNF; the memo starts empty."""
+        self.kernel = kernel
+        self._memo: dict[frozenset[_Clause], Prob] = {}
 
-    def solve(self, clauses: frozenset[Condition]) -> Prob:
+    def solve(self, clauses: frozenset[_Clause]) -> Prob:
         """The exact probability that some clause in ``clauses`` holds."""
         if not clauses:
             return Fraction(0)
-        if any(c.is_empty for c in clauses):
-            return Fraction(1)
         cached = self._memo.get(clauses)
         if cached is not None:
             return cached
 
-        components = _connected_components(clauses, self._keys)
+        kernel = self.kernel
+        components = kernel.components(clauses)
         if len(components) > 1:
             # Disjoint variable sets: the events "some clause of component i
             # holds" are independent, so the union's complement factors.
@@ -130,85 +269,12 @@ class _Decomposition:
                 miss = miss * (1 - self.solve(component))
             result: Prob = 1 - miss
         else:
-            var = _branching_variable(clauses, self._keys)
+            v = kernel.branching_variable(clauses)
             result = Fraction(0)
-            for value in self.w.domain(var):
-                reduced = self._condition_on(clauses, var, value)
-                if reduced is _SATISFIED:
-                    branch: Prob = Fraction(1)
-                else:
-                    branch = self.solve(reduced)
-                result = result + self.w.prob(var, value) * branch
+            for p, lit in kernel.branches[v]:
+                reduced = kernel.condition(clauses, v, lit)
+                branch = Fraction(1) if reduced is None else self.solve(reduced)
+                result = result + p * branch
 
         self._memo[clauses] = result
         return result
-
-    @staticmethod
-    def _condition_on(clauses: frozenset[Condition], var: Var, value):
-        """Simplify the clause set under X := value.
-
-        Clauses requiring a different value die; clauses requiring this
-        value lose the variable (an emptied clause satisfies everything).
-        """
-        out: set[Condition] = set()
-        for clause in clauses:
-            if var in clause:
-                if clause[var] != value:
-                    continue
-                rest = clause.restricted_to(clause.variables - {var})
-                if rest.is_empty:
-                    return _SATISFIED
-                out.add(rest)
-            else:
-                out.add(clause)
-        return frozenset(out)
-
-
-class _Satisfied:
-    """Sentinel: conditioning made some clause trivially true."""
-
-    __slots__ = ()
-
-
-_SATISFIED = _Satisfied()
-
-
-def _connected_components(
-    clauses: frozenset[Condition], keys: _SortKeys
-) -> list[frozenset[Condition]]:
-    """Partition clauses into groups sharing no variables (union-find)."""
-    clause_list = sorted(clauses, key=keys.__getitem__)
-    parent = list(range(len(clause_list)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i: int, j: int) -> None:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-
-    owner: dict[Var, int] = {}
-    for i, clause in enumerate(clause_list):
-        for var in clause.variables:
-            if var in owner:
-                union(i, owner[var])
-            else:
-                owner[var] = i
-
-    groups: dict[int, set[Condition]] = {}
-    for i, clause in enumerate(clause_list):
-        groups.setdefault(find(i), set()).add(clause)
-    return [frozenset(g) for g in groups.values()]
-
-
-def _branching_variable(clauses: frozenset[Condition], keys: _SortKeys) -> Var:
-    """Most frequently-occurring variable (ties broken by repr for determinism)."""
-    counts: dict[Var, int] = {}
-    for clause in clauses:
-        for var in clause.variables:
-            counts[var] = counts.get(var, 0) + 1
-    return max(sorted(counts, key=keys.__getitem__), key=lambda v: counts[v])

@@ -8,9 +8,11 @@ must compute *the same numbers in the same order*:
   table instead of one mask and one write per clause, one equality
   matrix over the distinct literals ANDed per clause length instead of a
   per-clause AND loop, narrow codes drawn one column at a time;
-* the pairwise base case of :mod:`repro.confidence.dissociation` — q_ij
-  folded on from p_i over the items c_j adds instead of re-weighing a
-  built union, the pair weights in a k × k matrix instead of a dict.
+* the pairwise base case of :mod:`repro.confidence.dissociation` — over
+  integer-coded clauses (:class:`~repro.confidence.exact.ClauseKernel`),
+  q_ij folded on from p_i over the literals c_j adds instead of
+  re-weighing a built union, the pair weights in a k × k matrix instead
+  of a dict, the consistency screen over literal ids.
 
 The loop bodies the library used before are copied below as the
 reference (``_ref_*``); the library keeps no second kernel.  Equal means
@@ -39,8 +41,9 @@ from repro.confidence.batch import (
     _np_sample_block,
     _shared_trial_block,
 )
-from repro.confidence.dissociation import PAIR_CAP, _BoundSolver, _consistent_pairs
+from repro.confidence.dissociation import PAIR_CAP, _BoundSolver
 from repro.confidence.dnf import Dnf
+from repro.confidence.exact import ClauseKernel
 from repro.generators.hard import circulant_2dnf
 from repro.urel.conditions import Condition
 from repro.urel.variables import VariableTable
@@ -321,9 +324,19 @@ def _ref_max_spanning_tree_weight(k, pair_weight):
     return total
 
 
-def _ref_component_bounds(solver, clauses):
-    members = sorted(clauses, key=solver._keys.__getitem__)
-    weights = [solver.w.weight(c) for c in members]
+def _ref_consistent_pairs(members):
+    k = len(members)
+    return [
+        (i, j)
+        for i in range(k)
+        for j in range(i + 1, k)
+        if members[i].consistent_with(members[j])
+    ]
+
+
+def _ref_component_bounds(w, clauses):
+    members = sorted(clauses, key=repr)
+    weights = [w.weight(c) for c in members]
     k = len(members)
     total = Fraction(0)
     for p in weights:
@@ -332,11 +345,11 @@ def _ref_component_bounds(solver, clauses):
     if k > PAIR_CAP:
         return best, min(Fraction(1), total)
 
-    consistent = _consistent_pairs(members)
+    consistent = _ref_consistent_pairs(members)
     pair_weight = {}
     s2 = Fraction(0)
     for i, j in consistent:
-        q = solver.w.weight(members[i].union(members[j]))
+        q = w.weight(members[i].union(members[j]))
         pair_weight[(i, j)] = q
         s2 = s2 + q
 
@@ -352,8 +365,9 @@ def _ref_component_bounds(solver, clauses):
 
 def _assert_same_bounds(w, clauses):
     clauses = frozenset(clauses)
-    ours = _BoundSolver(w, 0)._component_bounds(clauses)
-    theirs = _ref_component_bounds(_BoundSolver(w, 0), clauses)
+    kernel = ClauseKernel(Dnf(clauses, w))
+    ours = _BoundSolver(kernel, 0)._component_bounds(kernel.clauses)
+    theirs = _ref_component_bounds(w, clauses)
     # repr tells Fraction(1, 2) from 0.5: values and types must both agree.
     assert list(map(repr, ours)) == list(map(repr, theirs))
 

@@ -20,6 +20,7 @@ from repro.confidence.dissociation import DEFAULT_BOUND_BUDGET, dissociation_int
 from repro.confidence.dnf import Dnf
 from repro.confidence.exact import probability_by_decomposition
 from repro.confidence.strategies import AutoStrategy, KarpLuby, NaiveMonteCarlo
+from repro.core.topk import race_topk
 from repro.generators.hard import bipartite_2dnf, circulant_2dnf
 from repro.urel.conditions import Condition
 from repro.urel.evaluate import UEvaluator
@@ -243,3 +244,83 @@ def test_enclosures_contain_the_exact_confidence():
 def test_enclosures_contain_the_exact_confidence_wide():
     """The same sweep over a thousand more seeds."""
     _assert_enclosures_sound(range(40, 1040))
+
+
+# ------------------------------------------------------- top-k racing's set
+TOPK_EPS, TOPK_DELTA = 0.2, 0.1
+TOPK_KS = (1, 3, 4)
+
+
+def _topk_instance():
+    """Rows, DNFs and exact confidences: four circulant 2-DNFs plus two groups.
+
+    Each :func:`~repro.generators.hard.circulant_2dnf` is conjoined with a
+    private variable z that places its confidence at 0.80, 0.50, 0.30 or
+    0.18; the two repair-key groups hold two of four alternatives (0.62
+    and 0.12, mutually exclusive clauses, so their enclosures are points).
+    """
+    w = VariableTable()
+    dnfs = []
+    for t, target in enumerate((0.80, 0.50, 0.30, 0.18)):
+        base = circulant_2dnf(8, rng=t, w=w, tag=("c", t))
+        p_z = Fraction(target).limit_denominator(1000) / probability_by_decomposition(base)
+        w.add(("z", t), {1: p_z, 0: 1 - p_z})
+        dnfs.append(Dnf([Condition({**dict(c.items()), ("z", t): 1}) for c in base.members], w))
+    for g, alternatives in enumerate(((30, 32, 20, 18), (5, 7, 40, 48))):
+        w.add(("rk", g), {v: Fraction(a, 100) for v, a in enumerate(alternatives)})
+        dnfs.append(Dnf([Condition({("rk", g): 0}), Condition({("rk", g): 1})], w))
+    rows = [(i,) for i in range(len(dnfs))]
+    return rows, dnfs, [probability_by_decomposition(dnf) for dnf in dnfs]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("bounds_budget", [0, DEFAULT_BOUND_BUDGET])
+def test_race_topk_returns_the_true_top_k(bounds_budget):
+    """``race_topk``: each estimate within its ε w.p. ≥ 1 − δ, and the right set.
+
+    240 seeded races per k on the default trial backend (the pure-Python
+    one takes minutes here).  Stage 1 admits and eliminates on the
+    dissociation enclosures; at budget 0 they are loose and the race
+    samples, at the default budget they decide every candidate.  A
+    sampled entry's ε is the one its trial count justifies (the target ε
+    once it ran its full Proposition 4.2 budget).  Where the true k-th
+    and (k+1)-th confidences are farther apart than their ε bands, the
+    returned set is the true top k except with probability at most δ per
+    sampled candidate (the union bound).
+    """
+    replications = 240
+    rows, dnfs, truths = _topk_instance()
+    ranked = sorted(range(len(rows)), key=lambda i: -truths[i])
+    misses: dict[int, list[int]] = {i: [0, 0] for i in range(len(rows))}  # [misses, seen]
+    sampled_any = False
+    for k in TOPK_KS:
+        kth, next_ = truths[ranked[k - 1]], truths[ranked[k]]
+        clears = kth * (1 - TOPK_EPS) > next_ * (1 + TOPK_EPS)
+        wrong, allowance = 0, 0.0
+        for seed in range(replications):
+            report = race_topk(
+                rows, dnfs, k, TOPK_EPS, TOPK_DELTA, rng=seed, bounds_budget=bounds_budget
+            )
+            for entry in report.entries:
+                if entry.trials:
+                    sampled_any = True
+                    i = entry.row[0]
+                    size = dnfs[i].size
+                    eps_i = math.sqrt(3 * size * math.log(2 / TOPK_DELTA) / entry.trials)
+                    misses[i][0] += abs(entry.value / truths[i] - 1) > eps_i
+                    misses[i][1] += 1
+            wrong += {row[0] for row in report.rows} != set(ranked[:k])
+            allowance += min(1.0, TOPK_DELTA * report.sampled)
+        if clears:
+            allowance /= replications
+            tolerance = 3 * math.sqrt(allowance * (1 - allowance) / replications)
+            assert wrong / replications <= allowance + tolerance, (k, wrong)
+    assert any(
+        truths[ranked[k - 1]] * (1 - TOPK_EPS) > truths[ranked[k]] * (1 + TOPK_EPS)
+        for k in TOPK_KS
+    )
+    assert sampled_any == (bounds_budget == 0)
+    for i, (count, seen) in misses.items():
+        if seen:
+            tolerance = 3 * math.sqrt(TOPK_DELTA * (1 - TOPK_DELTA) / seen)
+            assert count / seen <= TOPK_DELTA + tolerance, (i, count, seen)

@@ -46,9 +46,12 @@ section (``--sections``) and six totals:
 * ``float-bounds`` — a fifth script (in no other total): ``confidence_all``
   under ``auto`` and ``karp-luby`` on both backends over float-weighted
   bipartite 2-DNFs that exhaust the bound budget, printing each report's
-  value, trial count and enclosure.  The other enclosure scripts weigh
-  clauses in ``Fraction``s, where the order of the pairwise base case's
-  multiplications cannot show; here the last bit of each q_ij can.
+  value, trial count and enclosure; then under ``exact-decomposition``
+  and ``dissociation-bounds`` at budgets 0 and default over
+  float-weighted clauses of three and four literals written in shuffled
+  item orders.  The other enclosure scripts weigh clauses in
+  ``Fraction``s, where the order of the solvers' multiplications cannot
+  show; here the last bit of each clause weight and q_ij can.
 
 ``--warm`` asks every bounds-consuming section (top-k, σ̂ narrow and
 20-candidate, the ``enclosures`` script) a second time on the same
@@ -78,7 +81,7 @@ from fractions import Fraction
 import repro
 from repro.algebra.builder import literal, rel
 from repro.algebra.expressions import col, lit
-from repro.confidence.strategies import AutoStrategy
+from repro.confidence.strategies import AutoStrategy, DissociationBounds
 from repro.generators.tpdb import add_tuple_independent
 from repro.urel.conditions import Condition
 from repro.urel.evaluate import UEvaluator
@@ -361,7 +364,37 @@ def float_bounds_db(n_tuples=3, side=9, offsets=(0, 1, 3), seed=21):
     return db
 
 
+def long_clauses_db(n_tuples=4, n_vars=9, n_clauses=10, seed=29):
+    """Float-weighted clauses of three and four literals, each written in a
+    shuffled item order, over shared two- and three-valued variables: a
+    clause weight is a product whose last bit depends on the order it is
+    folded in, which two-literal clauses cannot show."""
+    rng = random.Random(seed)
+    w = VariableTable()
+    for i in range(n_vars):
+        if i % 3 == 2:
+            a, b = rng.uniform(0.1, 0.4), rng.uniform(0.1, 0.4)
+            w.add(("v", i), {0: a, 1: b, 2: 1 - a - b})
+        else:
+            p = rng.uniform(0.1, 0.9)
+            w.add(("v", i), {1: p, 0: 1 - p})
+    rows = []
+    for t in range(n_tuples):
+        for _ in range(n_clauses):
+            chosen = rng.sample(range(n_vars), rng.choice((3, 4)))
+            rows.append((Condition([(("v", i), rng.randint(0, 1)) for i in chosen]), (t,)))
+    db = UDatabase(w=w)
+    db.set_relation("R", URelation.from_rows(("A",), rows))
+    return db
+
+
 def float_bounds_transcript(workers):
+    def reports_key(reports):
+        return sorted(
+            (row, repr(rep.value), rep.samples, repr(rep.lower), repr(rep.upper))
+            for row, rep in reports.items()
+        )
+
     sections = {}
     for backend in ("numpy", "python"):
         for strategy in ("auto", "karp-luby"):
@@ -370,10 +403,15 @@ def float_bounds_transcript(workers):
                 reports = db.confidence_all("R")
                 if strategy == "auto":
                     assert all(rep.lower < rep.upper for rep in reports.values())
-                sections[f"{backend}/{strategy}"] = sorted(
-                    (row, repr(rep.value), rep.samples, repr(rep.lower), repr(rep.upper))
-                    for row, rep in reports.items()
-                )
+                sections[f"{backend}/{strategy}"] = reports_key(reports)
+    solvers = {
+        "exact-decomposition": "exact-decomposition",
+        "bounds-0": DissociationBounds(budget=0),
+        "bounds-default": "dissociation-bounds",
+    }
+    for label, strategy in solvers.items():
+        with connect(long_clauses_db(), workers, strategy=strategy) as db:
+            sections[f"long-clauses/{label}"] = reports_key(db.confidence_all("R"))
     return sections
 
 
