@@ -44,7 +44,7 @@ setup(
         # (confidence/batch.py); without it the engine falls back to the
         # dependency-free pure-Python trial loop.
         "fast": ["numpy"],
-        "test": ["pytest", "pytest-benchmark", "hypothesis"],
+        "test": ["pytest", "hypothesis"],
     },
     classifiers=[
         "Development Status :: 4 - Beta",

@@ -4,10 +4,13 @@ from repro.confidence.batch import (
     HAS_NUMPY,
     BackendUnavailableError,
     BatchKarpLubySampler,
+    KarpLubyEstimate,
+    NaiveEstimate,
     available_backends,
     batch_approximate_confidence,
     batch_naive_confidence,
     default_backend,
+    naive_sample_size_additive,
     resolve_backend,
     shared_block_confidences,
 )
@@ -34,16 +37,6 @@ from repro.confidence.exact import (
     probability_by_enumeration,
 )
 from repro.confidence.extensional import EXTENSIONAL, SafePlan, lift
-from repro.confidence.karp_luby import (
-    KarpLubyEstimate,
-    KarpLubySampler,
-    approximate_confidence,
-)
-from repro.confidence.naive_mc import (
-    NaiveEstimate,
-    naive_confidence,
-    naive_sample_size_additive,
-)
 from repro.confidence.strategies import (
     ConfidenceReport,
     ConfidenceStrategy,
@@ -82,11 +75,8 @@ __all__ = [
     "probability_by_enumeration",
     "probability_by_decomposition",
     "EnumerationLimitError",
-    "KarpLubySampler",
     "KarpLubyEstimate",
-    "approximate_confidence",
     "NaiveEstimate",
-    "naive_confidence",
     "naive_sample_size_additive",
     "karp_luby_error_bound",
     "karp_luby_sample_size",

@@ -2,12 +2,10 @@
 
 The Karp–Luby FPRAS (Proposition 4.2: m = ⌈3·|F|·ln(2/δ)/ε²⌉ trials give
 Pr[|p̂ − p| ≥ ε·p] ≤ δ) and the naive world-sampling baseline both reduce
-to drawing many independent trials over the same disjunction F.  The
-scalar reference samplers in :mod:`repro.confidence.karp_luby` and
-:mod:`repro.confidence.naive_mc` draw one trial per Python iteration;
-this module — the engine's only sampler — draws a *block* of trials at
-once and evaluates every clause against the whole block with boolean
-array operations:
+to drawing many independent trials over the same disjunction F.  This
+module — the engine's only sampler — draws a *block* of trials at once
+and evaluates every clause against the whole block with boolean array
+operations:
 
 * variables are integer-coded against their W-table domains, so a block
   of m world assignments is an (m × |vars(F)|) matrix of narrow codes,
@@ -29,9 +27,15 @@ fixed seed, though their streams differ; estimates agree exactly on
 degenerate disjunctions and within the Proposition 4.2 (ε, δ) bounds on
 sampled ones.
 
-:func:`shared_block_confidences` additionally evaluates *many*
-disjunctions against one shared block of world samples — the draw-once,
-evaluate-everything pattern behind ``ProbDB.confidence_all``.
+The naive baseline samples whole worlds and checks whether any member
+of F holds.  Its guarantee is only *additive* (Hoeffding): certifying a
+relative error ε on a tuple of confidence p takes m = Θ(1/(p·ε²)) worlds,
+unbounded as p → 0, whereas Karp–Luby needs m = O(|F|·ln(2/δ)/ε²)
+independent of p — the reason the paper adopts Karp–Luby.
+:func:`shared_block_confidences` evaluates *many* disjunctions against
+one shared block of world samples — the draw-once, evaluate-everything
+pattern behind ``ProbDB.confidence_all``; :func:`batch_naive_confidence`
+is its one-disjunction case.
 
 Every block entry point runs on a
 :class:`~repro.util.parallel.ShardExecutor` (the process-wide serial one
@@ -46,15 +50,15 @@ are bit-identical for any worker count.
 
 from __future__ import annotations
 
+import math
 import random
 from bisect import bisect_right
 from collections.abc import Sequence
+from dataclasses import dataclass
 from itertools import accumulate
 
 from repro.confidence import bounds
 from repro.confidence.dnf import Dnf
-from repro.confidence.karp_luby import KarpLubyEstimate
-from repro.confidence.naive_mc import NaiveEstimate
 from repro.urel.conditions import Var
 from repro.util.backends import (
     HAS_NUMPY,
@@ -75,11 +79,69 @@ __all__ = [
     "default_backend",
     "resolve_backend",
     "BatchKarpLubySampler",
+    "KarpLubyEstimate",
+    "NaiveEstimate",
     "batch_approximate_confidence",
     "batch_naive_confidence",
     "karp_luby_ratio",
+    "naive_sample_size_additive",
     "shared_block_confidences",
 ]
+
+
+# --------------------------------------------------------------------------
+# Result types
+# --------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class KarpLubyEstimate:
+    """Result of a Karp–Luby run.
+
+    ``estimate`` is p̂ = X·M/m; ``eps``/``delta`` echo the requested
+    guarantee when the run came from :func:`batch_approximate_confidence`
+    (``None`` for manual runs); ``exact`` marks degenerate disjunctions
+    (empty, trivially true, or single-member) where p̂ is exactly p.
+    """
+
+    estimate: float
+    samples: int
+    positives: int
+    total_weight: float
+    size: int
+    eps: float | None = None
+    delta: float | None = None
+    exact: bool = False
+
+    def error_bound(self, eps: float) -> float:
+        """δ(ε) for this run's sample count (0 when the value is exact)."""
+        if self.exact:
+            return 0.0
+        return bounds.karp_luby_error_bound(eps, self.samples, self.size)
+
+
+@dataclass(frozen=True)
+class NaiveEstimate:
+    """Result of a naive Monte-Carlo run."""
+
+    estimate: float
+    samples: int
+    positives: int
+
+    def additive_error_bound(self, eps_abs: float) -> float:
+        """Hoeffding: Pr[|p̂ − p| ≥ ε_abs] ≤ 2·e^{−2·m·ε_abs²}."""
+        if eps_abs <= 0 or self.samples <= 0:
+            return 1.0
+        return min(1.0, 2.0 * math.exp(-2.0 * self.samples * eps_abs * eps_abs))
+
+
+def naive_sample_size_additive(eps_abs: float, delta: float) -> int:
+    """m = ⌈ln(2/δ) / (2·ε_abs²)⌉ for an additive (ε_abs, δ) guarantee."""
+    if eps_abs <= 0:
+        raise ValueError("eps_abs must be positive")
+    if not 0 < delta < 1:
+        raise ValueError("delta must be in (0,1)")
+    return math.ceil(math.log(2.0 / delta) / (2.0 * eps_abs * eps_abs))
 
 
 # --------------------------------------------------------------------------
@@ -90,13 +152,13 @@ __all__ = [
 class _EncodedDnf:
     """A :class:`Dnf` lowered to integer codes for block evaluation.
 
-    ``variables`` fixes a column order (sorted by ``repr``, matching the
-    scalar samplers); each variable's domain values map to codes
-    ``0..k−1`` in the W table's iteration order, so sampling a value is
-    one inverse-CDF lookup.  Clause (variable, value) pairs become
-    (column, code) pairs; a value outside its variable's domain gets the
-    sentinel code −1, which no sampled world ever matches (the clause
-    has weight 0 and is unsatisfiable, exactly as in the scalar path).
+    ``variables`` fixes a column order (sorted by ``repr``); each
+    variable's domain values map to codes ``0..k−1`` in the W table's
+    iteration order, so sampling a value is one inverse-CDF lookup.
+    Clause (variable, value) pairs become (column, code) pairs; a value
+    outside its variable's domain gets the sentinel code −1, which no
+    sampled world ever matches (the clause has weight 0 and is
+    unsatisfiable).
 
     With numpy come the block kernels' tables, ``int8``-coded unless some
     domain has 127 values or more: ``fixed`` (clause codes, −2 where a
@@ -221,12 +283,6 @@ def _np_karp_luby_block(enc: _EncodedDnf, n: int, nrng) -> int:
     return int((first == choice).sum())
 
 
-def _np_naive_block(enc: _EncodedDnf, n: int, nrng) -> int:
-    """Count the worlds (out of ``n`` sampled) satisfying some clause."""
-    block = _np_sample_block(enc, n, nrng)
-    return int(_np_satisfaction(enc, block).any(axis=1).sum())
-
-
 # --------------------------------------------------------------------------
 # Pure-Python block primitives (same statistics, one trial per iteration)
 # --------------------------------------------------------------------------
@@ -263,15 +319,6 @@ def _py_karp_luby_block(enc: _EncodedDnf, n: int, rng: random.Random) -> int:
     return positives
 
 
-def _py_naive_block(enc: _EncodedDnf, n: int, rng: random.Random) -> int:
-    positives = 0
-    for _ in range(n):
-        codes = _py_sample_codes(enc, rng)
-        if any(_py_satisfied(pairs, codes) for pairs in enc.member_pairs):
-            positives += 1
-    return positives
-
-
 # --------------------------------------------------------------------------
 # Shard tasks: per-block trial workers (module level, so they pickle)
 # --------------------------------------------------------------------------
@@ -282,13 +329,6 @@ def _karp_luby_trial_block(enc: _EncodedDnf, n: int, seed: int, backend: str) ->
     if backend == "numpy":
         return _np_karp_luby_block(enc, n, _np.random.default_rng(seed))
     return _py_karp_luby_block(enc, n, random.Random(seed))
-
-
-def _naive_trial_block(enc: _EncodedDnf, n: int, seed: int, backend: str) -> int:
-    """Satisfying worlds among ``n`` sampled, from a seeded block."""
-    if backend == "numpy":
-        return _np_naive_block(enc, n, _np.random.default_rng(seed))
-    return _py_naive_block(enc, n, random.Random(seed))
 
 
 def _shared_trial_block(
@@ -343,13 +383,12 @@ def _map_trial_blocks(
 class BatchKarpLubySampler:
     """Incremental Karp–Luby estimation with block-drawn trials.
 
-    Drop-in counterpart of
-    :class:`~repro.confidence.karp_luby.KarpLubySampler`: same degenerate
-    handling (empty F → 0, trivially-true F → 1, |F| = 1 → p_f, all
-    exact), same readout API (``estimate``/``trials``/``positives``/
-    ``error_bound``/``snapshot``), but :meth:`run` materializes the
-    requested trials as vectorized blocks instead of a Python loop.
-    The Figure 3 algorithm refines by repeatedly calling ``run(|F|)``.
+    Degenerate disjunctions are exact without sampling: empty F → 0,
+    trivially-true F → 1, |F| = 1 → p_f (the estimator would always
+    return 1, so p̂ = M = p_f).  Otherwise :meth:`run` draws the
+    requested trials as blocks and ``estimate`` / ``error_bound`` /
+    ``snapshot`` read the statistics so far.  The Figure 3 algorithm
+    refines by repeatedly calling ``run(|F|)``.
 
     :meth:`run` cuts each requested budget into blocks by the
     executor's (worker-count-independent) trial plan, seeds block ``i``
@@ -397,12 +436,6 @@ class BatchKarpLubySampler:
         )
         self.positives += sum(blocks)
         self.trials += n_trials
-
-    def draw(self) -> int:
-        """One trial (block of size 1) — parity with the scalar sampler."""
-        before = self.positives
-        self.run(1)
-        return self.positives - before
 
     @property
     def estimate(self) -> float:
@@ -458,14 +491,14 @@ def batch_approximate_confidence(
     executor: "ShardExecutor | None" = None,
     lower: Prob | None = None,
 ) -> KarpLubyEstimate:
-    """The Proposition 4.2 FPRAS with the trial budget drawn in blocks.
+    """The (ε, δ) FPRAS of Proposition 4.2, its trial budget drawn in blocks.
 
-    Identical guarantee to
-    :func:`~repro.confidence.karp_luby.approximate_confidence` — the
-    m = ⌈3·|F|·ln(2/δ)/ε²⌉ trials come from the same estimator, merely
-    drawn together — at a fraction of the interpreter overhead.  The
-    budget runs as per-block draws whose statistics merge by trial-count
-    weighting (see :class:`BatchKarpLubySampler`).  A guaranteed lower
+    Runs m = ⌈3·|F|·ln(2/δ)/ε²⌉ Definition 4.1 trials and returns p̂
+    with Pr[|p̂ − p| ≥ ε·p] ≤ δ: the mean of the trials is an unbiased
+    estimator of p/M and p/M ≥ 1/|F|, so the Chernoff bound gives
+    δ(ε) ≤ 2·e^{−m·ε²/(3|F|)}.  The budget runs as per-block draws whose
+    statistics merge by trial-count weighting (see
+    :class:`BatchKarpLubySampler`).  A guaranteed lower
     bound ``lower`` ≤ p shrinks |F| in m to :func:`karp_luby_ratio`, at
     the same (ε, δ).
     """
@@ -483,25 +516,8 @@ def batch_naive_confidence(
     backend: str | None = None,
     executor: "ShardExecutor | None" = None,
 ) -> NaiveEstimate:
-    """Naive world-sampling estimate of p with trials drawn in blocks."""
-    generator = ensure_rng(rng)
-    if dnf.is_trivially_true:
-        return NaiveEstimate(1.0, 0, 0)
-    if dnf.is_empty:
-        return NaiveEstimate(0.0, 0, 0)
-    enc = _EncodedDnf(dnf)
-    if samples <= 0:
-        return NaiveEstimate(0.0, 0, 0)
-    blocks = _map_trial_blocks(
-        executor or SERIAL_EXECUTOR,
-        _naive_trial_block,
-        enc,
-        samples,
-        generator,
-        resolve_backend(backend),
-    )
-    positives = sum(blocks)
-    return NaiveEstimate(positives / samples, samples, positives)
+    """Naive world-sampling estimate of p: ``samples`` worlds over vars(F)."""
+    return shared_block_confidences([dnf], samples, rng, backend, executor)[0]
 
 
 def shared_block_confidences(
@@ -518,8 +534,7 @@ def shared_block_confidences(
     against the whole block — the batched-query pattern of
     ``ProbDB.confidence_all``: the sampling cost is paid once per query,
     not once per result tuple.  Estimates for degenerate disjunctions
-    are exact, as in the scalar path.  All disjunctions must share one
-    W table.
+    are exact and draw nothing.  All disjunctions must share one W table.
 
     The sample budget is cut into blocks by the executor's trial plan
     (each still shared by every DNF *within* the block, so the per-block

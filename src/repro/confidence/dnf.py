@@ -100,13 +100,6 @@ class Dnf:
         """Is the disjunction satisfied by total assignment ``world``?"""
         return any(f.evaluate(world) for f in self.members)
 
-    def first_consistent_index(self, world: Mapping[Var, object]) -> int | None:
-        """Index of the smallest-index member consistent with ``world``."""
-        for i, f in enumerate(self.members):
-            if f.evaluate(world):
-                return i
-        return None
-
     def __repr__(self) -> str:
         """Summary form; members are intentionally elided (can be huge)."""
         return f"Dnf({len(self.members)} members over {len(self._variables)} vars)"

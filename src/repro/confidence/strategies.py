@@ -57,6 +57,7 @@ from repro.confidence.batch import (
     batch_approximate_confidence,
     batch_naive_confidence,
     karp_luby_ratio,
+    naive_sample_size_additive,
     resolve_backend,
     shared_block_confidences,
 )
@@ -72,7 +73,6 @@ from repro.confidence.exact import (
     probability_by_decomposition,
     probability_by_enumeration,
 )
-from repro.confidence.naive_mc import naive_sample_size_additive
 from repro.util.parallel import SERIAL_EXECUTOR, ShardExecutor
 from repro.worlds.database import Prob
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import random
 import threading
-from collections.abc import Iterable, Mapping
+from collections.abc import Mapping
 from fractions import Fraction
 from numbers import Rational
 
@@ -157,24 +157,6 @@ class VariableTable:
             if u < acc:
                 return value
         return last  # numeric slack lands on the final value
-
-    def sample_extension(
-        self,
-        condition: Condition,
-        variables: Iterable[Var],
-        rng: random.Random,
-    ) -> dict[Var, DomValue]:
-        """Sample a total assignment on ``variables`` consistent with ``condition``.
-
-        This is step 2 of the Karp–Luby estimator: "on each variable Y on
-        which f is undefined, choose alternative y with probability
-        Pr[Y = y] according to W".
-        """
-        world: dict[Var, DomValue] = {}
-        for var in variables:
-            existing = condition.get(var)
-            world[var] = existing if var in condition else self.sample_value(var, rng)
-        return world
 
     # ------------------------------------------------------------- plumbing
     def copy(self) -> "VariableTable":

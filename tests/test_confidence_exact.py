@@ -53,15 +53,6 @@ class TestDnf:
         assert d.evaluate({("x", 0): 1, ("x", 1): 1})
         assert not d.evaluate({("x", 0): 1, ("x", 1): 0})
 
-    def test_first_consistent_index(self):
-        w = _bool_table(2)
-        c1 = Condition({("x", 0): 1})
-        c2 = Condition({("x", 1): 1})
-        d = Dnf([c1, c2], w)
-        assert d.first_consistent_index({("x", 0): 1, ("x", 1): 1}) == 0
-        assert d.first_consistent_index({("x", 0): 0, ("x", 1): 1}) == 1
-        assert d.first_consistent_index({("x", 0): 0, ("x", 1): 0}) is None
-
 
 class TestKnownValues:
     def test_single_variable(self):

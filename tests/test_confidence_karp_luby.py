@@ -1,4 +1,8 @@
-"""Tests for the Karp–Luby estimator, the FPRAS, bounds, and the naive baseline."""
+"""Tests for the Karp–Luby estimator, the FPRAS, bounds, and the naive baseline.
+
+The samplers are the engine's (:mod:`repro.confidence.batch`), checked on
+every available trial backend.
+"""
 
 from __future__ import annotations
 
@@ -13,8 +17,6 @@ from repro.confidence import (
     DEFAULT_BOUND_BUDGET,
     BoundInterval,
     Dnf,
-    KarpLubySampler,
-    approximate_confidence,
     combine_independent,
     combine_union,
     delta_prime,
@@ -22,14 +24,15 @@ from repro.confidence import (
     eps_for_rounds,
     karp_luby_error_bound,
     karp_luby_sample_size,
-    naive_confidence,
     naive_sample_size_additive,
     probability_by_decomposition,
     rounds_for,
 )
 from repro.confidence.batch import (
+    BatchKarpLubySampler,
     available_backends,
     batch_approximate_confidence,
+    batch_naive_confidence,
     karp_luby_ratio,
 )
 from repro.confidence.strategies import AutoStrategy, KarpLuby, _clip
@@ -39,6 +42,8 @@ from repro.urel.udatabase import UDatabase
 from repro.urel.urelation import URelation
 from repro.urel.variables import VariableTable
 from repro.util.parallel import ShardExecutor
+
+BACKENDS = available_backends()
 
 
 def _bool_table(n: int, p: float = 0.5) -> VariableTable:
@@ -90,6 +95,10 @@ class TestBounds:
         eps = eps_for_rounds(0.05, 400)
         assert delta_prime(eps, 400) == pytest.approx(0.05, rel=1e-9)
 
+    def test_naive_sample_size(self):
+        m = naive_sample_size_additive(0.01, 0.05)
+        assert m == math.ceil(math.log(2 / 0.05) / (2 * 0.0001))
+
     def test_combiners(self):
         assert combine_union([0.1, 0.2]) == pytest.approx(0.3)
         assert combine_union([0.9, 0.9]) == 1.0
@@ -97,73 +106,66 @@ class TestBounds:
         assert combine_independent([0.1]) <= combine_union([0.1]) + 1e-12
 
 
+@pytest.mark.parametrize("backend", BACKENDS)
 class TestSamplerDegenerateCases:
-    def test_empty_dnf_is_exact_zero(self):
+    def test_empty_dnf_is_exact_zero(self, backend):
         w = _bool_table(1)
-        sampler = KarpLubySampler(Dnf([], w), rng=0)
+        sampler = BatchKarpLubySampler(Dnf([], w), rng=0, backend=backend)
         assert sampler.is_exact
         assert sampler.estimate == 0.0
         assert sampler.error_bound(0.1) == 0.0
 
-    def test_trivially_true_is_exact_one(self):
+    def test_trivially_true_is_exact_one(self, backend):
         w = _bool_table(1)
-        sampler = KarpLubySampler(Dnf([Condition()], w), rng=0)
+        sampler = BatchKarpLubySampler(Dnf([Condition()], w), rng=0, backend=backend)
         assert sampler.is_exact
         assert sampler.estimate == 1.0
 
-    def test_singleton_is_exact_weight(self):
+    def test_singleton_is_exact_weight(self, backend):
         w = _bool_table(2, 0.3)
         d = Dnf([Condition({("x", 0): 1, ("x", 1): 1})], w)
-        sampler = KarpLubySampler(d, rng=0)
+        sampler = BatchKarpLubySampler(d, rng=0, backend=backend)
         assert sampler.is_exact
         assert sampler.estimate == pytest.approx(0.09)
 
-    def test_no_trials_error(self):
+    def test_no_trials_error(self, backend):
         w = _bool_table(2)
         d = Dnf([Condition({("x", 0): 1}), Condition({("x", 1): 1})], w)
-        sampler = KarpLubySampler(d, rng=0)
+        sampler = BatchKarpLubySampler(d, rng=0, backend=backend)
         with pytest.raises(RuntimeError, match="no trials"):
             _ = sampler.estimate
 
 
+@pytest.mark.parametrize("backend", BACKENDS)
 class TestUnbiasedness:
     """E[X·M/m] = p — the Section 4 derivation, checked statistically."""
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_estimate_converges_on_2dnf(self, seed):
+    def test_estimate_converges_on_2dnf(self, seed, backend):
         d = bipartite_2dnf(4, 4, edge_probability=0.5, rng=seed)
         truth = float(probability_by_decomposition(d))
-        sampler = KarpLubySampler(d, rng=seed + 100)
+        sampler = BatchKarpLubySampler(d, rng=seed + 100, backend=backend)
         sampler.run(30_000)
         assert sampler.estimate == pytest.approx(truth, rel=0.05)
 
-    def test_estimate_converges_on_chain(self):
+    def test_estimate_converges_on_chain(self, backend):
         d = chain_dnf(6)
         truth = float(probability_by_decomposition(d))
-        sampler = KarpLubySampler(d, rng=9)
+        sampler = BatchKarpLubySampler(d, rng=9, backend=backend)
         sampler.run(30_000)
         assert sampler.estimate == pytest.approx(truth, rel=0.05)
 
-    def test_incremental_equals_batch_distributionally(self):
-        d = chain_dnf(4)
-        a = KarpLubySampler(d, rng=5)
-        a.run(5000)
-        b = KarpLubySampler(d, rng=5)
-        for _ in range(5):
-            b.run(1000)
-        assert a.trials == b.trials == 5000
-        assert a.estimate == b.estimate  # same rng stream, same draws
-
-    def test_estimate_within_m_over_f_range(self):
+    def test_estimate_within_m_over_f_range(self, backend):
         """Each trial is 0/1, so p̂ ∈ [0, M]."""
         d = chain_dnf(5)
-        sampler = KarpLubySampler(d, rng=3)
+        sampler = BatchKarpLubySampler(d, rng=3, backend=backend)
         sampler.run(500)
         assert 0.0 <= sampler.estimate <= float(d.total_weight)
 
 
+@pytest.mark.parametrize("backend", BACKENDS)
 class TestFpras:
-    def test_guarantee_holds_empirically(self):
+    def test_guarantee_holds_empirically(self, backend):
         """Repeat (ε, δ) runs; relative-error failures must be ≤ δ-ish."""
         d = bipartite_2dnf(3, 3, edge_probability=0.6, rng=77)
         truth = float(probability_by_decomposition(d))
@@ -172,51 +174,49 @@ class TestFpras:
         failures = 0
         runs = 60
         for _ in range(runs):
-            est = approximate_confidence(d, eps, delta, rng)
+            est = batch_approximate_confidence(d, eps, delta, rng, backend=backend)
             if abs(est.estimate - truth) >= eps * truth:
                 failures += 1
         # Chernoff is conservative; allow generous slack over δ·runs.
         assert failures <= max(3, int(2 * delta * runs))
 
-    def test_metadata(self):
+    def test_metadata(self, backend):
         d = chain_dnf(3)
-        est = approximate_confidence(d, 0.3, 0.3, rng=1)
+        est = batch_approximate_confidence(d, 0.3, 0.3, rng=1, backend=backend)
         assert est.samples == karp_luby_sample_size(0.3, 0.3, d.size)
         assert est.size == d.size
         assert est.eps == 0.3 and est.delta == 0.3
         assert not est.exact
 
-    def test_exact_shortcut(self):
+    def test_exact_shortcut(self, backend):
         w = _bool_table(1, 0.4)
-        est = approximate_confidence(Dnf([Condition({("x", 0): 1})], w), 0.1, 0.1, 1)
+        d = Dnf([Condition({("x", 0): 1})], w)
+        est = batch_approximate_confidence(d, 0.1, 0.1, 1, backend=backend)
         assert est.exact
         assert est.estimate == pytest.approx(0.4)
         assert est.error_bound(0.01) == 0.0
 
 
+@pytest.mark.parametrize("backend", BACKENDS)
 class TestNaiveBaseline:
-    def test_converges(self):
+    def test_converges(self, backend):
         d = chain_dnf(4)
         truth = float(probability_by_decomposition(d))
-        est = naive_confidence(d, 40_000, rng=11)
+        est = batch_naive_confidence(d, 40_000, rng=11, backend=backend)
         assert est.estimate == pytest.approx(truth, abs=0.02)
 
-    def test_additive_bound(self):
-        est = naive_confidence(chain_dnf(3), 1000, rng=2)
+    def test_additive_bound(self, backend):
+        est = batch_naive_confidence(chain_dnf(3), 1000, rng=2, backend=backend)
         assert est.additive_error_bound(0.05) == pytest.approx(
             2 * math.exp(-2 * 1000 * 0.0025)
         )
 
-    def test_sample_size(self):
-        m = naive_sample_size_additive(0.01, 0.05)
-        assert m == math.ceil(math.log(2 / 0.05) / (2 * 0.0001))
-
-    def test_degenerate(self):
+    def test_degenerate(self, backend):
         w = _bool_table(1)
-        assert naive_confidence(Dnf([], w), 10, 1).estimate == 0.0
-        assert naive_confidence(Dnf([Condition()], w), 10, 1).estimate == 1.0
+        assert batch_naive_confidence(Dnf([], w), 10, 1, backend).estimate == 0.0
+        assert batch_naive_confidence(Dnf([Condition()], w), 10, 1, backend).estimate == 1.0
 
-    def test_relative_error_worse_than_karp_luby_for_rare_events(self):
+    def test_relative_error_worse_than_karp_luby_for_rare_events(self, backend):
         """The motivating gap: at equal budget, KL has far smaller relative
         error on a low-probability disjunction."""
         w = VariableTable()
@@ -228,10 +228,10 @@ class TestNaiveBaseline:
         budget = 4000
         kl_errors, mc_errors = [], []
         for seed in range(15):
-            kl = KarpLubySampler(d, rng=seed)
+            kl = BatchKarpLubySampler(d, rng=seed, backend=backend)
             kl.run(budget)
             kl_errors.append(abs(kl.estimate - truth) / truth)
-            mc = naive_confidence(d, budget, rng=1000 + seed)
+            mc = batch_naive_confidence(d, budget, rng=1000 + seed, backend=backend)
             mc_errors.append(abs(mc.estimate - truth) / truth)
         assert sum(kl_errors) < sum(mc_errors)
 
@@ -289,7 +289,7 @@ class TestEnclosureSizedBudget:
             estimate = batch_approximate_confidence(dnf, 0.3, 0.2, 0, lower=Fraction(0))
             assert estimate.samples == 0 and estimate.exact
 
-    @pytest.mark.parametrize("backend", available_backends())
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_clipped_estimates_lie_in_enclosure(self, backend):
         """Few trials scatter the raw estimate; the report is it, moved into [L, U]."""
         auto = AutoStrategy(0.9, 0.5, backend=backend, max_exact_size=0, bounds_budget=0)

@@ -28,8 +28,13 @@ def _gap_series():
         truth = example_63_true_probability(delta, e)
         modeled = example_63_modeled_probability(delta)
         rows.append(
-            {"delta": delta, "e": e, "true": truth, "modeled": modeled,
-             "overestimate": modeled - truth}
+            {
+                "delta": delta,
+                "e": e,
+                "true": truth,
+                "modeled": modeled,
+                "overestimate": modeled - truth,
+            }
         )
     return rows
 
@@ -54,20 +59,3 @@ def test_modeled_value_via_engine():
     out = UEvaluator(db, copy_db=True).evaluate(query(rel("R").project([]).conf()))
     ((_, vals),) = out.relation.rows
     assert float(vals[0]) == pytest.approx(example_63_modeled_probability(delta))
-
-
-def test_benchmark_unreliable_model_roundtrip(benchmark):
-    tuples = [
-        UnreliableTuple((f"t{i}",), selected=i % 2 == 0, error_probability=0.1)
-        for i in range(60)
-    ]
-
-    def run():
-        db = unreliable_relation_as_uncertain("R", ("A",), tuples)
-        return UEvaluator(db, copy_db=True).evaluate(
-            query(rel("R").project([]).conf())
-        )
-
-    out = benchmark(run)
-    ((_, vals),) = out.relation.rows
-    benchmark.extra_info["pr_nonempty"] = round(float(vals[0]), 6)

@@ -15,10 +15,10 @@ import pytest
 
 from repro.algebra.builder import query, rel
 from repro.algebra.expressions import col, lit
+from repro.algebra.relations import Relation
 from repro.core import ApproxQueryEvaluator
 from repro.generators.tpdb import tuple_independent
 from repro.provenance import evaluate_with_provenance
-from repro.algebra.relations import Relation
 
 
 def _accounted_bound(n: int, rounds: int = 40, seed: int = 1):
@@ -52,12 +52,9 @@ def test_true_flip_probability_below_union_bound():
     flips = 0
     runs = 4000
     for _ in range(runs):
-        # tuple i's membership is wrong independently with probability µ;
-        # the projection output flips iff all n memberships flip... no:
-        # iff the *set* of contributors present changes from {all} to {};
-        # with all tuples selected, output flips iff every tuple drops out.
-        # The general bound covers the worst wiring: any single flip can
-        # change the output, so Pr[flip] ≤ 1 − (1−µ)ⁿ ≤ µ·n.
+        # With every tuple selected the worst wiring lets any single
+        # membership flip change the output, so
+        # Pr[flip] ≤ 1 − (1−µ)ⁿ ≤ µ·n.
         any_flip = any(rng.random() < mu for _ in range(n))
         flips += any_flip
     observed = flips / runs
@@ -70,12 +67,3 @@ def test_provenance_trail_size_matches_n():
     db = {"R": Relation.from_rows(("A", "B"), [("a", i) for i in range(n)])}
     result = evaluate_with_provenance(rel("R").project(["A"]), db)
     assert result.trail_size(("a",)) == n
-
-
-def test_benchmark_accounting_n16(benchmark):
-    def run():
-        return _accounted_bound(16, rounds=20)
-
-    bound, per_decision = benchmark(run)
-    benchmark.extra_info["bound"] = round(bound, 6)
-    benchmark.extra_info["decisions"] = len(per_decision)

@@ -4,19 +4,15 @@ Paper artifact: Figure 1(a) (U_R and W after R) and Figure 1(b) (U_S and
 the extended W; U_T after T).  Shape assertions check the row counts,
 the condition sizes, and the Figure 1(b) detail that deterministic
 repair choices (the double-headed coin's tosses) carry *empty*
-conditions.  The benchmark times the repair-key translation.
+conditions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from repro.generators.coins import coin_database, pick_coin_query, toss_query, evidence_query
 import repro
-from repro.urel.translate import translate_repair_key
-from repro.urel.urelation import URelation
-from repro.urel.variables import VariableTable
-from repro.algebra.relations import Relation
+from repro.generators.coins import coin_database, evidence_query, pick_coin_query, toss_query
 
 
 def test_figure_1a_shapes():
@@ -44,23 +40,3 @@ def test_figure_1b_shapes():
     u_t = session.assign("T", evidence_query(["H", "H"])).relation
     sizes = {vals[0]: len(cond) for cond, vals in u_t.rows}
     assert sizes == {"fair": 3, "2headed": 1}
-
-
-def _big_dirty_relation(n_groups: int = 200, per_group: int = 4) -> URelation:
-    rows = [
-        (g, f"v{i}", i + 1) for g in range(n_groups) for i in range(per_group)
-    ]
-    return URelation.from_complete(Relation.from_rows(("K", "V", "Wt"), rows))
-
-
-def test_benchmark_repair_key_translation(benchmark):
-    urel = _big_dirty_relation()
-
-    def translate():
-        w = VariableTable()
-        return translate_repair_key(urel, ("K",), "Wt", op_id=1, w=w)
-
-    out = benchmark(translate)
-    assert len(out) == 800
-    benchmark.extra_info["groups"] = 200
-    benchmark.extra_info["rows"] = 800

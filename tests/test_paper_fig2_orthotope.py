@@ -47,9 +47,3 @@ def test_eps_field_shape():
     # ε increases moving away from the hyperplane at fixed x2
     row = [field[(i / 20, 1.0)] for i in range(11, 21)]
     assert all(a <= b + 1e-12 for a, b in zip(row, row[1:]))
-
-
-def test_benchmark_eps_field(benchmark):
-    field = benchmark(_eps_field)
-    assert len(field) == 400
-    benchmark.extra_info["grid"] = "20x20 over (0,1]^2"

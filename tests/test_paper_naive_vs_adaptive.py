@@ -10,7 +10,6 @@ saved fraction must track the predicted factor as the margin grows.
 
 from __future__ import annotations
 
-
 from repro.algebra.expressions import col, lit
 from repro.confidence import probability_by_decomposition
 from repro.core import approximate_predicate, epsilon_for_predicate, naive_decide
@@ -55,17 +54,3 @@ def test_saved_fraction_tracks_paper_factor():
     # monotone: larger margin → more savings
     saved = [r["saved_fraction"] for r in rows]
     assert saved == sorted(saved)
-
-
-def test_benchmark_adaptive(benchmark):
-    pred = col("p") >= lit(TRUTH * 0.5)
-    decision = benchmark(
-        approximate_predicate, pred, {"p": DNF}, EPS0, DELTA, 31
-    )
-    benchmark.extra_info["trials"] = decision.total_trials
-
-
-def test_benchmark_naive(benchmark):
-    pred = col("p") >= lit(TRUTH * 0.5)
-    decision = benchmark(naive_decide, pred, {"p": DNF}, EPS0, DELTA, 32)
-    benchmark.extra_info["trials"] = decision.total_trials

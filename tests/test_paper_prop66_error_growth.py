@@ -26,13 +26,12 @@ def _nested_db():
     return db
 
 
-def _depth1(db):
+def _depth1():
     return rel("R").approx_select(col("P1") >= lit(0.2), groups=[["A", "B"]])
 
 
-def _depth2(db):
-    inner = _depth1(db).project(["A", "B"])
-    joined = inner.join(rel("S"))
+def _depth2():
+    joined = _depth1().project(["A", "B"]).join(rel("S"))
     return joined.approx_select(col("Q1") >= lit(0.3), groups=[["B"]], p_names=["Q1"])
 
 
@@ -52,8 +51,8 @@ def test_closed_form_shape():
 def test_nested_bounds_grow_with_depth_and_respect_ceiling():
     db = _nested_db()
     rounds = 400
-    b1 = _worst_bound(_depth1(db), db, rounds, seed=5)
-    b2 = _worst_bound(_depth2(db), db, rounds, seed=5)
+    b1 = _worst_bound(_depth1(), db, rounds, seed=5)
+    b2 = _worst_bound(_depth2(), db, rounds, seed=5)
     assert b2 >= b1  # deeper provenance accumulates more error mass
     n = 12  # active domain upper bound for this database
     ceiling_d2 = proposition_66_bound(2, 2, n, 0.08, rounds)
@@ -62,22 +61,6 @@ def test_nested_bounds_grow_with_depth_and_respect_ceiling():
 
 def test_bounds_shrink_with_rounds():
     db = _nested_db()
-    q = _depth2(db)
-    loose = _worst_bound(q, db, rounds=50, seed=7)
-    tight = _worst_bound(q, db, rounds=800, seed=7)
+    loose = _worst_bound(_depth2(), db, rounds=50, seed=7)
+    tight = _worst_bound(_depth2(), db, rounds=800, seed=7)
     assert tight <= loose
-
-
-def test_benchmark_depth2_evaluation(benchmark):
-    db = _nested_db()
-    q = _depth2(db)
-
-    def run():
-        evaluator = ApproxQueryEvaluator(db, eps0=0.08, rounds=100, rng=9)
-        return evaluator.evaluate(query(q))
-
-    out = benchmark(run)
-    benchmark.extra_info["present_rows"] = len(out.relation)
-    benchmark.extra_info["worst_bound"] = round(
-        out.worst_bound(include_singular=True), 6
-    )

@@ -1,8 +1,7 @@
 """E3 — Theorem 3.1: U-relational databases are a complete representation.
 
 Round-trip: explicit possible worlds → U-relational database → unfolded
-worlds; all tuple confidences must survive exactly.  The benchmark times
-the round trip on a database with many worlds.
+worlds; all tuple confidences must survive exactly.
 """
 
 from __future__ import annotations
@@ -31,21 +30,9 @@ def _random_pwdb(seed: int, n_worlds: int) -> PossibleWorldsDB:
     return PossibleWorldsDB(tuple(worlds))
 
 
-def _round_trip(pwdb: PossibleWorldsDB):
-    udb = from_possible_worlds(pwdb)
-    return enumerate_worlds(udb)
-
-
 def test_round_trip_exact_for_many_seeds():
     for seed in range(10):
         pwdb = _random_pwdb(seed, n_worlds=6)
-        back = _round_trip(pwdb)
+        back = enumerate_worlds(from_possible_worlds(pwdb))
         for t in pwdb.possible_tuples("R").rows:
             assert back.tuple_confidence("R", t) == pwdb.tuple_confidence("R", t)
-
-
-def test_benchmark_round_trip(benchmark):
-    pwdb = _random_pwdb(42, n_worlds=64)
-    back = benchmark(_round_trip, pwdb)
-    assert back.n_worlds() == 64
-    benchmark.extra_info["n_worlds"] = 64

@@ -2,12 +2,12 @@
 
 Shape claims: the rewriting Pr[φ∧ψ] = Pr[φ] − Pr[φ∧¬ψ] equals the
 brute-force possible-worlds value exactly, on the coin database with the
-"all observed tosses show the same face" dependency; benchmark times the
-full rewriting pipeline (compilation + two confidence computations).
+"all observed tosses show the same face" dependency.
 """
 
 from __future__ import annotations
 
+import repro
 from repro.algebra.expressions import col
 from repro.calculus import (
     Atom,
@@ -19,7 +19,6 @@ from repro.calculus import (
     theorem_44_probability,
 )
 from repro.generators.coins import coin_database, pick_coin_query, toss_query
-import repro
 from repro.urel import enumerate_worlds
 
 
@@ -69,10 +68,3 @@ def test_conditional_probability_value():
     given = probability(egd, pw)
     conditional = joint / given
     assert 0 < conditional <= 1
-
-
-def test_benchmark_theorem44_pipeline(benchmark):
-    db = _db()
-    phi, egd = _phi(), _same_face_egd()
-    value = benchmark(theorem_44_probability, phi, [egd], db)
-    benchmark.extra_info["joint_probability"] = str(value)

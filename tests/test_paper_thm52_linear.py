@@ -2,9 +2,7 @@
 
 Shape claims: for random satisfied atoms, (a) the ε-orthotope is
 homogeneous, (b) ε is maximal (growing it 5% breaks a corner), and (c)
-both the b = 0 and quadratic branches are exercised.  The benchmark
-times the closed form, which must be orders of magnitude cheaper than
-the corner-search fallback (see E10).
+both the b = 0 and quadratic branches are exercised.
 """
 
 from __future__ import annotations
@@ -30,7 +28,7 @@ def _random_case(rng: random.Random):
 
 def test_homogeneity_and_maximality_randomized():
     rng = random.Random(2024)
-    checked_zero_b = checked_quadratic = 0
+    checked_quadratic = 0
     for _ in range(500):
         pred, point = _random_case(rng)
         truth = pred.evaluate(point)
@@ -45,27 +43,9 @@ def test_homogeneity_and_maximality_randomized():
             assert any(pred.evaluate(c) != truth for c in outer.corners())
         checked_quadratic += 1
     assert checked_quadratic > 200
-    del checked_zero_b
 
 
 def test_b_zero_branch_value():
     pred = (col("x") - col("y")) >= lit(0)
     eps = epsilon_for_predicate(pred, {"x": 0.75, "y": 0.25})
     assert eps == (0.75 - 0.25) / (0.75 + 0.25)
-
-
-def test_benchmark_closed_form(benchmark):
-    rng = random.Random(7)
-    cases = [_random_case(rng) for _ in range(200)]
-
-    def run():
-        total = 0.0
-        for pred, point in cases:
-            e = epsilon_for_predicate(pred, point)
-            if not math.isinf(e):
-                total += e
-        return total
-
-    total = benchmark(run)
-    benchmark.extra_info["cases_per_round"] = 200
-    assert total >= 0

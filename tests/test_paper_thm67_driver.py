@@ -8,7 +8,6 @@ is within a constant factor of the final evaluation (geometric series).
 
 from __future__ import annotations
 
-
 import repro
 from repro.algebra.builder import rel
 from repro.algebra.expressions import col, lit
@@ -20,13 +19,11 @@ def _query():
     )
 
 
-def test_achieves_shrinking_deltas(coin_db_T):
-    engine = repro.connect(coin_db_T)
+def test_achieves_shrinking_deltas(coin_session_after_T):
+    engine = repro.connect(coin_session_after_T.db)
     rounds_used = []
     for delta in (0.2, 0.05, 0.0125):
-        report = engine.evaluate_with_guarantee(
-            _query(), delta=delta, eps0=0.05, rng=3
-        )
+        report = engine.evaluate_with_guarantee(_query(), delta=delta, eps0=0.05, rng=3)
         assert report.achieved
         non_singular = {
             r: b
@@ -40,30 +37,16 @@ def test_achieves_shrinking_deltas(coin_db_T):
     assert rounds_used == sorted(rounds_used)
 
 
-def test_doubling_total_work_geometric(coin_db_T):
-    report = repro.connect(coin_db_T).evaluate_with_guarantee(
+def test_doubling_total_work_geometric(coin_session_after_T):
+    report = repro.connect(coin_session_after_T.db).evaluate_with_guarantee(
         _query(), delta=0.02, eps0=0.05, rng=4
     )
     total_rounds = sum(l for l, _ in report.history)
     assert total_rounds <= 2 * report.rounds + report.evaluations
 
 
-def test_selects_fair_only(coin_db_T):
-    report = repro.connect(coin_db_T).evaluate_with_guarantee(
+def test_selects_fair_only(coin_session_after_T):
+    report = repro.connect(coin_session_after_T.db).evaluate_with_guarantee(
         _query(), delta=0.05, eps0=0.05, rng=5
     )
     assert {vals[0] for _, vals in report.relation.rows} == {"fair"}
-
-
-def test_benchmark_driver_delta005(benchmark, coin_db_T):
-    engine = repro.connect(coin_db_T)
-
-    def run():
-        return engine.evaluate_with_guarantee(
-            _query(), delta=0.05, eps0=0.05, rng=6
-        )
-
-    report = benchmark(run)
-    benchmark.extra_info["rounds"] = report.rounds
-    benchmark.extra_info["evaluations"] = report.evaluations
-    assert report.achieved

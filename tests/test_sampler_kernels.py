@@ -3,8 +3,9 @@
 Two array programs compute what per-clause Python loops used to, and
 must compute *the same numbers in the same order*:
 
-* the numpy trial blocks of :mod:`repro.confidence.batch` (Karp–Luby,
-  naive and shared-world blocks) — a gather of the dense clause-code
+* the numpy trial blocks of :mod:`repro.confidence.batch` (Karp–Luby
+  and shared-world blocks; the naive estimate is a shared-world block of
+  one disjunction) — a gather of the dense clause-code
   table instead of one mask and one write per clause, one equality
   matrix over the distinct literals ANDed per clause length instead of a
   per-clause AND loop, narrow codes drawn one column at a time;
@@ -35,9 +36,7 @@ from repro.confidence.batch import (
     HAS_NUMPY,
     _EncodedDnf,
     _karp_luby_trial_block,
-    _naive_trial_block,
     _np_karp_luby_block,
-    _np_naive_block,
     _np_sample_block,
     _shared_trial_block,
 )
@@ -200,7 +199,7 @@ class TestTrialKernels:
         enc = _EncodedDnf(KERNEL_CORPUS[name]())
         for seed in (0, 17):
             expected = _ref_naive_block(enc, n, np.random.default_rng(seed))
-            assert _naive_trial_block(enc, n, seed, "numpy") == expected
+            assert _shared_trial_block([enc], n, seed, "numpy") == [expected]
 
     @pytest.mark.parametrize("n", BLOCK_SIZES)
     def test_shared_block(self, n):
@@ -220,13 +219,12 @@ class TestTrialKernels:
     @pytest.mark.parametrize("name", sorted(KERNEL_CORPUS))
     def test_draws_leave_the_stream_where_the_loops_left_it(self, name):
         enc = _EncodedDnf(KERNEL_CORPUS[name]())
-        for kernel, reference in (
-            (_np_karp_luby_block, _ref_karp_luby_block),
-            (_np_naive_block, _ref_naive_block),
-        ):
-            ours, theirs = np.random.default_rng(9), np.random.default_rng(9)
-            assert kernel(enc, 257, ours) == reference(enc, 257, theirs)
-            assert ours.random() == theirs.random()
+        ours, theirs = np.random.default_rng(9), np.random.default_rng(9)
+        assert _np_karp_luby_block(enc, 257, ours) == _ref_karp_luby_block(enc, 257, theirs)
+        assert ours.random() == theirs.random()
+        # A naive (shared-world) block draws through the world sampler alone.
+        assert (_np_sample_block(enc, 257, ours) == _ref_sample_block(enc, 257, theirs)).all()
+        assert ours.random() == theirs.random()
 
     def test_sampled_codes_equal_the_clamped_searchsorted(self):
         for name in sorted(KERNEL_CORPUS):
@@ -267,7 +265,7 @@ class TestTrialKernels:
         expected = _ref_karp_luby_block(enc, n, np.random.default_rng(seed))
         assert _karp_luby_trial_block(enc, n, seed, "numpy") == expected
         expected = _ref_naive_block(enc, n, np.random.default_rng(seed))
-        assert _naive_trial_block(enc, n, seed, "numpy") == expected
+        assert _shared_trial_block([enc], n, seed, "numpy") == [expected]
 
 
 @needs_numpy

@@ -145,16 +145,6 @@ class TestVariableTable:
         share = sum(draws) / len(draws)
         assert abs(share - 0.25) < 0.05
 
-    def test_sample_extension_respects_condition(self, rng):
-        w = VariableTable()
-        w.add("X", {1: Fraction(1, 2), 0: Fraction(1, 2)})
-        w.add("Y", {1: Fraction(1, 2), 0: Fraction(1, 2)})
-        f = Condition({"X": 1})
-        for _ in range(20):
-            world = w.sample_extension(f, ["X", "Y"], rng)
-            assert world["X"] == 1
-            assert world["Y"] in (0, 1)
-
     def test_copy_is_independent(self):
         w = VariableTable()
         w.add("X", {1: 1})

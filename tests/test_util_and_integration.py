@@ -9,7 +9,11 @@ import pytest
 
 from repro.algebra.expressions import col, lit
 from repro.algebra.relations import Relation
-from repro.confidence import KarpLubySampler, probability_by_decomposition
+from repro.confidence import (
+    BatchKarpLubySampler,
+    available_backends,
+    probability_by_decomposition,
+)
 from repro.core import Orthotope, epsilon_for_predicate, clamp_epsilon
 from repro.generators.hard import chain_dnf
 from repro.util.rng import ensure_rng, spawn_rng
@@ -63,6 +67,7 @@ class TestTables:
         assert "A" in str(rel_)
 
 
+@pytest.mark.parametrize("backend", available_backends())
 class TestLemma51Statistically:
     """The error bound of Lemma 5.1, validated end to end on real samplers.
 
@@ -71,14 +76,14 @@ class TestLemma51Statistically:
     for the conservativeness of the Chernoff bound).
     """
 
-    def test_decision_error_within_bound(self):
+    def test_decision_error_within_bound(self, backend):
         d = chain_dnf(4)
         truth = float(probability_by_decomposition(d))
         threshold = truth * 0.75
         pred = col("p") >= lit(threshold)
         runs, wrong, bounds = 60, 0, []
         for seed in range(runs):
-            sampler = KarpLubySampler(d, rng=seed)
+            sampler = BatchKarpLubySampler(d, rng=seed, backend=backend)
             sampler.run(400)
             p_hat = sampler.estimate
             eps = clamp_epsilon(epsilon_for_predicate(pred, {"p": p_hat}))
@@ -88,7 +93,7 @@ class TestLemma51Statistically:
         mean_bound = sum(bounds) / len(bounds)
         assert wrong / runs <= max(0.15, 3 * mean_bound)
 
-    def test_orthotope_captures_truth_at_rate(self):
+    def test_orthotope_captures_truth_at_rate(self, backend):
         """Pr[p ∉ orthotope(ε)] ≤ δ(ε) empirically."""
         d = chain_dnf(4)
         truth = float(probability_by_decomposition(d))
@@ -96,7 +101,7 @@ class TestLemma51Statistically:
         runs, misses = 80, 0
         deltas = []
         for seed in range(runs):
-            sampler = KarpLubySampler(d, rng=1000 + seed)
+            sampler = BatchKarpLubySampler(d, rng=1000 + seed, backend=backend)
             sampler.run(600)
             deltas.append(sampler.error_bound(eps))
             box = Orthotope({"p": sampler.estimate}, eps)
