@@ -168,7 +168,6 @@ class _EncodedDnf:
     """
 
     __slots__ = (
-        "dnf",
         "variables",
         "cumulative_probs",
         "member_pairs",
@@ -184,7 +183,6 @@ class _EncodedDnf:
 
     def __init__(self, dnf: Dnf, variables: Sequence[Var] | None = None):
         """Encode ``dnf``; ``variables`` overrides the sorted column order."""
-        self.dnf = dnf
         self.variables = (
             sorted(dnf.variables, key=repr) if variables is None else list(variables)
         )
@@ -412,15 +410,29 @@ class BatchKarpLubySampler:
         self.executor = executor or SERIAL_EXECUTOR
         self.trials = 0
         self.positives = 0
-        self._enc = _EncodedDnf(dnf)
         if dnf.is_trivially_true:
             self._exact_value: float | None = 1.0
         elif dnf.is_empty:
             self._exact_value = 0.0
         elif dnf.size == 1:
-            self._exact_value = self._enc.total_weight
+            self._exact_value = float(dnf.weights[0])
         else:
             self._exact_value = None
+
+    @property
+    def _enc(self) -> _EncodedDnf:
+        """The disjunction's block encoding, built on first use and kept on it.
+
+        A pure function of the ordered members and W, so every sampler of
+        one ``Dnf`` shares it.  Racing threads may each build one; they
+        are equal and the last write wins, like :attr:`Dnf.weights`.
+        An unpickled copy carries the encoding if the original had it.
+        """
+        try:
+            return self.dnf._encoded
+        except AttributeError:
+            enc = self.dnf._encoded = _EncodedDnf(self.dnf)
+            return enc
 
     @property
     def is_exact(self) -> bool:

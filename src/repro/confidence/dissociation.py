@@ -212,6 +212,13 @@ class EnclosureMemo:
     (its W table and copies of it).  Calling it is the enclosure seam,
     ``memo(dnfs, budget) -> list[BoundInterval]``; ``computed`` counts
     the disjunctions it had to hand to the solver.
+
+    Two more tables hold what else a round budget cannot change, for
+    the approximate σ̂ evaluators of the run: :meth:`intern` keeps the
+    first disjunction seen with each ordered member tuple (and with it
+    the weights and trial encoding built on it), and ``settled`` holds
+    the σ̂ decisions that drew no trial, under keys the evaluator picks.
+    Neither table reaches a longer-lived store.
     """
 
     def __init__(self, executor=None):
@@ -219,6 +226,16 @@ class EnclosureMemo:
         self.executor = executor
         self.computed = 0
         self._intervals: dict[tuple, BoundInterval] = {}
+        self._dnfs: dict[tuple, Dnf] = {}
+        self.settled: dict[tuple, object] = {}
+
+    def intern(self, dnf: Dnf) -> Dnf:
+        """The first disjunction of the run with ``dnf``'s members, in order.
+
+        The order is part of the key: it is Definition 4.1's tie-break,
+        so a reordered disjunction samples differently.
+        """
+        return self._dnfs.setdefault(dnf.members, dnf)
 
     def _shared_get(self, key: tuple) -> BoundInterval | None:
         """A longer-lived store's answer for ``key`` (here: there is none)."""

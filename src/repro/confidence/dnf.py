@@ -4,9 +4,14 @@
 database is the weight of F = {f | ⟨f, t⟩ ∈ U_R}" (Section 4): the
 probability that at least one of the partial functions in F is satisfied
 by the random world.  This module packages F, in a fixed member order,
-with the W table; the member weights p_f and their sum M that the
-Karp–Luby estimator needs are computed on first read (exact and bound
-solvers never read them).
+with the W table.  What the samplers need is built on first use and
+kept on the object: the member weights p_f and their sum M on first
+read, the integer block encoding
+(:class:`repro.confidence.batch._EncodedDnf`) on the first Karp–Luby
+draw.  Exact and bound solvers read neither, and a value a point
+enclosure or a certified predicate settles never draws.  Both are pure
+functions of the ordered members and W, so a disjunction the Theorem 6.7
+driver reuses across its doublings pays for them once.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ class Dnf:
     removed, preserving first occurrence.
     """
 
-    __slots__ = ("w", "members", "_weights", "_variables", "_bounds")
+    __slots__ = ("w", "members", "_weights", "_encoded", "_variables", "_bounds")
 
     def __init__(self, conditions: Iterable[Condition], w: VariableTable):
         """Build the disjunction from ``conditions`` over W table ``w``."""

@@ -47,7 +47,7 @@ from repro.algebra.operators import (
 from repro.algebra import schema as _schema
 from repro.algebra.builder import Q
 from repro.algebra.pushdown import PUSH_ERRORS
-from repro.confidence.dissociation import BoundInterval
+from repro.confidence.dissociation import BoundInterval, EnclosureMemo
 from repro.confidence.dnf import Dnf
 from repro.core.approximator import (
     PredicateApproximator,
@@ -324,10 +324,14 @@ class ApproxQueryEvaluator(UEvaluator):
         child = self._annotated(child)
         # Candidate tuples: natural join over present ∪ phantom group keys.
         joined, group_dnfs = self.sigma_candidates(node, child.relation, child.phantom.rows)
+        empty = Dnf((), self.db.w)
+        run = self._run_scope
+        if run is not None:
+            group_dnfs = [{key: run.intern(dnf) for key, dnf in m.items()} for m in group_dnfs]
+            empty = run.intern(empty)
 
         provenance_bound = self._provenance_bounds(node, child)
         out_cols = node.output_columns()
-        empty = Dnf((), self.db.w)
         specs: list[tuple[tuple, dict, dict[str, Dnf]]] = []
         for cand in sorted(joined.rows, key=repr):
             cand_env = dict(zip(joined.columns, cand))
@@ -347,6 +351,16 @@ class ApproxQueryEvaluator(UEvaluator):
             singular = decision.suspected_singularity or tainted
             entries.append((row, cap(decision.error_bound + prov_mu), singular, decision.value))
         return self._regroup(out_cols, entries, True)
+
+    @property
+    def _run_scope(self) -> EnclosureMemo | None:
+        """The driver run this evaluator works for, if its seam is one.
+
+        It holds what a round budget l cannot change: one ``Dnf`` per
+        ordered member tuple, and every σ̂ decision that drew no trial.
+        """
+        run = self._enclosures
+        return run if isinstance(run, EnclosureMemo) else None
 
     def _candidate_intervals(
         self, candidate_dnfs: list[dict[str, Dnf]]
@@ -432,16 +446,28 @@ class ApproxQueryEvaluator(UEvaluator):
         (wide path) or burned per candidate in order (sequential path),
         so pruning some candidates never shifts the streams of the
         candidates that still sample.
+
+        A decision that drew no trial (exact, or certified by bounds)
+        does not depend on l: within a driver run it is made once and
+        handed back at every later doubling, its stream still burned.
         """
+        run = self._run_scope
+        settled = (
+            {}
+            if run is None
+            else run.settled.setdefault(
+                (node, self.eps0, self.epsilon_method, self.bounds_budget), {}
+            )
+        )
+        keys = [(cand, tuple(map(id, dnfs.values()))) for cand, _env, dnfs in specs]
+        decisions: list[PredicateDecision | None] = [settled.get(key) for key in keys]
         executor = self.executor
         if len(executor.plan_items(len(specs))) > 1:
             base = self.rng.getrandbits(64)
-            return executor.map_items(
+            open_ = [i for i, decision in enumerate(decisions) if decision is None]
+            fresh = executor.map_items(
                 decide_candidates_shard,
-                [
-                    (dnfs, cand_env, shard_seed(base, i), boxes)
-                    for i, ((_cand, cand_env, dnfs), boxes) in enumerate(zip(specs, intervals))
-                ],
+                [(specs[i][2], specs[i][1], shard_seed(base, i), intervals[i]) for i in open_],
                 node.predicate,
                 self.eps0,
                 self.rounds,
@@ -450,24 +476,32 @@ class ApproxQueryEvaluator(UEvaluator):
                 self.backend,
                 self.bounds_budget,
             )
-        decisions = []
-        for (_cand, cand_env, dnfs), boxes in zip(specs, intervals):
-            approximator = PredicateApproximator(
-                node.predicate,
-                dnfs,
-                self.eps0,
-                spawn_rng(self.rng),
-                constants=cand_env,
-                epsilon_method=self.epsilon_method,
-                backend=self.backend,
-                executor=executor,
-                bounds_budget=self.bounds_budget,
-                intervals=boxes,
-            )
-            if self.rounds is not None:
-                decisions.append(approximator.run_rounds(self.rounds))
-            else:
-                decisions.append(approximator.decide(self.decision_delta))
+            for i, decision in zip(open_, fresh):
+                decisions[i] = decision
+        else:
+            for i, ((_cand, cand_env, dnfs), boxes) in enumerate(zip(specs, intervals)):
+                rng = spawn_rng(self.rng)
+                if decisions[i] is not None:
+                    continue
+                approximator = PredicateApproximator(
+                    node.predicate,
+                    dnfs,
+                    self.eps0,
+                    rng,
+                    constants=cand_env,
+                    epsilon_method=self.epsilon_method,
+                    backend=self.backend,
+                    executor=executor,
+                    bounds_budget=self.bounds_budget,
+                    intervals=boxes,
+                )
+                if self.rounds is not None:
+                    decisions[i] = approximator.run_rounds(self.rounds)
+                else:
+                    decisions[i] = approximator.decide(self.decision_delta)
+        for key, decision in zip(keys, decisions):
+            if decision.exact or decision.certified_by_bounds:
+                settled[key] = decision
         return decisions
 
     # ------------------------------------------------------------- helpers

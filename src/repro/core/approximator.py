@@ -327,12 +327,14 @@ class PredicateApproximator:
     def _decision(self, rounds: int) -> PredicateDecision:
         point = self._point()
         value = bool(self.predicate.evaluate(point))
-        eps_psi = self._epsilon_psi(point)
+        stochastic = self._stochastic
+        # With every value pinned the predicate is constant: ε_ψ = ∞.
+        eps_psi = self._epsilon_psi(point) if stochastic else math.inf
         eps = max(self.eps0, clamp_epsilon(eps_psi))
-        error = 0.0 if not self._stochastic else min(0.5, self._error_sum(eps))
+        error = 0.0 if not stochastic else min(0.5, self._error_sum(eps))
         # A decision whose every stochastic value collapsed to an exact
         # dissociation bound was decided by bounds alone — no trial drawn.
-        certified = self._bounds_substituted and not self._stochastic
+        certified = self._bounds_substituted and not stochastic
         return PredicateDecision(
             value=value,
             error_bound=error,
@@ -341,8 +343,8 @@ class PredicateApproximator:
             rounds=rounds,
             total_trials=sum(s.trials for s in self.samplers.values()),
             estimates={n: float(s.estimate) for n, s in self.samplers.items()},
-            suspected_singularity=bool(self._stochastic) and eps_psi < self.eps0,
-            exact=not self._stochastic,
+            suspected_singularity=bool(stochastic) and eps_psi < self.eps0,
+            exact=not stochastic,
             certified_by_bounds=certified,
         )
 

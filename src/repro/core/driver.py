@@ -128,7 +128,10 @@ def evaluate_with_guarantee(
     :class:`~repro.confidence.dissociation.EnclosureMemo` serves every
     evaluation of the run and each distinct candidate disjunction is
     solved once, not once per doubling
-    (``DriverReport.bounds_computed``).  ``enclosures`` is that memo
+    (``DriverReport.bounds_computed``).  The same memo interns the
+    candidate disjunctions, so their weights and trial encodings are
+    built once per run, and keeps the σ̂ decisions that drew no trial.
+    ``enclosures`` is that memo
     when the caller owns a longer-lived one — a session passes the run
     scope in front of its cache; nobody else needs to.
     """

@@ -9,7 +9,10 @@ first read, with the same numbers wherever they are read:
   ``evict_lru``, or by a budget attaching;
 * a disjunction's member weights — :attr:`Dnf.weights` is computed the
   first time a sampler (or anything else) reads it; exact and bound
-  solvers never do.
+  solvers never do;
+* a disjunction's trial encoding — ``BatchKarpLubySampler._enc`` builds
+  it on the first draw and keeps it on the ``Dnf``; a value settled by a
+  point enclosure or a certified predicate never builds it.
 
 The old eager ``put`` is copied below as the reference (``_EagerCache``);
 the library keeps no second path.
@@ -28,10 +31,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
-from repro.confidence import available_backends
+from repro.algebra.expressions import col, lit
+from repro.confidence import available_backends, dissociation_interval
+from repro.confidence.batch import BatchKarpLubySampler, _EncodedDnf
 from repro.confidence.dnf import Dnf
 from repro.confidence.strategies import resolve_strategy
 from repro.engine import cache as cache_module
+from repro.core.approximator import PredicateApproximator
 from repro.engine.cache import MemoCache, _Entry, _next_tick, approx_size
 from repro.generators.hard import bipartite_2dnf, chain_dnf, circulant_2dnf
 from repro.generators.tpdb import add_tuple_independent
@@ -401,6 +407,110 @@ class TestWeighOnFirstUse:
         for thread in threads:
             thread.join()
         assert len(seen) == 8 and all(typed(w) == typed(eager_weights(dnf)) for w in seen)
+
+
+# --------------------------------------------------------------------------
+# Dnf: encode on first draw
+# --------------------------------------------------------------------------
+
+
+def encoding_state(enc: _EncodedDnf) -> list:
+    """Every slot of an encoding, numpy tables as nested lists."""
+    state = []
+    for slot in _EncodedDnf.__slots__:
+        value = getattr(enc, slot, None)
+        if slot == "groups" and value is not None:
+            value = [(clauses.tolist(), literals.tolist()) for clauses, literals in value]
+        elif slot == "edges" and value is not None:
+            value = [edges.tolist() for edges in value]
+        elif hasattr(value, "tolist"):
+            value = (str(value.dtype), value.tolist())
+        state.append(value)
+    return state
+
+
+def exclusive_pair() -> Dnf:
+    """Two alternatives of one variable: a point enclosure (P = 7/10)."""
+    w = VariableTable()
+    w.add(0, {0: Fraction(3, 10), 1: Fraction(4, 10), 2: Fraction(3, 10)})
+    return Dnf([Condition({0: 0}), Condition({0: 1})], w)
+
+
+class TestEncodeOnFirstDraw:
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("how", ["run_rounds", "decide"])
+    def test_settled_values_never_encode_or_weigh(self, how, backend, weight_calls):
+        point = exclusive_pair()
+        loose = circulant_2dnf(12, rng=3)
+        box = dissociation_interval(loose, 64)
+        assert not box.is_exact and box.lower > Fraction(1, 10)
+        approximator = PredicateApproximator(
+            col("P") + col("Q") > lit(0.1),
+            {"P": point, "Q": loose},
+            0.1,
+            rng=1,
+            backend=backend,
+            bounds_budget=64,
+        )
+        decision = approximator.run_rounds(4) if how == "run_rounds" else approximator.decide(0.1)
+        assert decision.certified_by_bounds and decision.value and decision.total_trials == 0
+        for dnf in (point, loose):
+            assert not hasattr(dnf, "_encoded") and not hasattr(dnf, "_weights")
+        assert weight_calls == []
+
+    @pytest.mark.parametrize("kind", ["fraction", "float", "mixed"])
+    def test_single_member_keeps_its_exact_float(self, kind):
+        for member in MEMBERS:
+            dnf = Dnf([member], mixed_table(kind))
+            sampler = BatchKarpLubySampler(dnf)
+            want = _EncodedDnf(Dnf([member], mixed_table(kind))).total_weight
+            assert sampler.is_exact and typed([sampler.estimate]) == typed([want])
+            assert not hasattr(dnf, "_encoded")
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_first_draw_encodes_once_per_dnf(self, backend):
+        dnf = circulant_2dnf(8, rng=11)
+        first = BatchKarpLubySampler(dnf, 3, backend=backend)
+        assert not hasattr(dnf, "_encoded")
+        first.run(50)
+        second = BatchKarpLubySampler(dnf, 3, backend=backend)
+        assert second._enc is first._enc is dnf._encoded
+        second.run(50)
+        assert (first.positives, first.estimate) == (second.positives, second.estimate)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_pickle_round_trip(self, backend):
+        dnf = circulant_2dnf(8, rng=11)
+        BatchKarpLubySampler(dnf, 3, backend=backend).run(10)
+        clone = pickle.loads(pickle.dumps(dnf))
+        assert clone.members == dnf.members
+        assert encoding_state(clone._encoded) == encoding_state(_EncodedDnf(dnf))
+        samplers = [BatchKarpLubySampler(d, 7, backend=backend) for d in (dnf, clone)]
+        for sampler in samplers:
+            sampler.run(300)
+        assert samplers[0].snapshot() == samplers[1].snapshot()
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_threads_racing_the_first_encode_agree(self, backend):
+        dnf = circulant_2dnf(12, rng=3)
+        samplers = [BatchKarpLubySampler(dnf, 5, backend=backend) for _ in range(8)]
+        barrier = threading.Barrier(len(samplers))
+        seen = []
+
+        def draw(sampler):
+            barrier.wait()
+            sampler.run(200)
+            seen.append((encoding_state(sampler._enc), sampler.estimate))
+
+        threads = [threading.Thread(target=draw, args=(s,)) for s in samplers]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        want = BatchKarpLubySampler(circulant_2dnf(12, rng=3), 5, backend=backend)
+        want.run(200)
+        expected = (encoding_state(want._enc), want.estimate)
+        assert len(seen) == len(samplers) and all(got == expected for got in seen)
 
 
 # Karp–Luby on generators/hard.py instances at (ε, δ) = (0.2, 0.1), rng

@@ -18,7 +18,6 @@ performance change:
 from __future__ import annotations
 
 import random
-import time
 from fractions import Fraction
 
 import pytest
@@ -609,30 +608,35 @@ class TestURelationCaches:
 
 # --------------------------------------------------- confidence_all scaling
 class TestConfidenceAllScaling:
-    """Satellite: doubling rows must not quadruple confidence_all time."""
+    """Satellite: 4× the rows must not cost confidence_all 16× the work.
+
+    Counted, not timed: every DNF is read off the relation's tuple index
+    (``URelation._tuple_index``), built by one grouping pass per
+    relation; the seed's per-tuple scan of U_R was quadratic.
+    """
 
     @staticmethod
-    def _confidence_all_time(n_rows: int) -> float:
+    def _rows_grouped(n_rows: int, monkeypatch) -> int:
         from repro.generators.tpdb import tuple_independent
 
-        rows = [((i, i % 7), Fraction(1, 3)) for i in range(n_rows)]
-        best = float("inf")
-        for _ in range(3):
-            db = tuple_independent("R", ("A", "B"), rows)
-            session = repro.connect(db, strategy="exact-decomposition")
-            start = time.perf_counter()
-            session.confidence_all("R")
-            best = min(best, time.perf_counter() - start)
-        return best
+        grouped = []
+        tuple_index = URelation._tuple_index
 
-    def test_confidence_all_scales_near_linearly(self):
-        t_small = self._confidence_all_time(500)
-        t_large = self._confidence_all_time(2000)
-        # 4x the rows: linear ≈ 4x, the seed's quadratic scan ≈ 16x.
-        # The generous factor keeps timer noise from flaking the test
-        # while still failing any quadratic regression by a wide margin.
-        assert t_large <= 10 * max(t_small, 1e-4), (
-            f"confidence_all scaled {t_large / t_small:.1f}x for 4x rows "
-            f"({t_small * 1e3:.1f}ms -> {t_large * 1e3:.1f}ms); "
-            "expected near-linear"
+        def counted(self):
+            if "_conds_by_tuple" not in self.__dict__:
+                grouped.append(len(self.rows))
+            return tuple_index(self)
+
+        monkeypatch.setattr(URelation, "_tuple_index", counted)
+        rows = [((i, i % 7), Fraction(1, 3)) for i in range(n_rows)]
+        session = repro.connect(
+            tuple_independent("R", ("A", "B"), rows), strategy="exact-decomposition"
         )
+        assert len(session.confidence_all("R")) == n_rows
+        assert len(grouped) == 1  # one grouping pass over the one relation
+        return sum(grouped)
+
+    def test_confidence_all_scales_near_linearly(self, monkeypatch):
+        small = self._rows_grouped(500, monkeypatch)
+        large = self._rows_grouped(2000, monkeypatch)
+        assert small == 500 and large <= 5 * small
