@@ -38,12 +38,10 @@ setup(
     python_requires=">=3.10",
     packages=find_packages("src"),
     package_dir={"": "src"},
-    install_requires=[],
+    # numpy runs the Monte Carlo trial blocks (confidence/batch.py) and
+    # the columnar algebra (urel/columnar.py).
+    install_requires=["numpy"],
     extras_require={
-        # `fast` enables the vectorized batch Monte Carlo backend
-        # (confidence/batch.py); without it the engine falls back to the
-        # dependency-free pure-Python trial loop.
-        "fast": ["numpy"],
         "test": ["pytest", "hypothesis"],
     },
     classifiers=[

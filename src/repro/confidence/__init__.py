@@ -1,17 +1,12 @@
 """Confidence computation (Section 4): exact #P solvers and the Karp–Luby FPRAS."""
 
 from repro.confidence.batch import (
-    HAS_NUMPY,
-    BackendUnavailableError,
     BatchKarpLubySampler,
     KarpLubyEstimate,
     NaiveEstimate,
-    available_backends,
     batch_approximate_confidence,
     batch_naive_confidence,
-    default_backend,
     naive_sample_size_additive,
-    resolve_backend,
     shared_block_confidences,
 )
 from repro.confidence.bounds import (
@@ -63,14 +58,9 @@ __all__ = [
     "DEFAULT_BOUND_BUDGET",
     "dissociation_interval",
     "dissociation_intervals",
-    "HAS_NUMPY",
-    "BackendUnavailableError",
     "BatchKarpLubySampler",
-    "available_backends",
     "batch_approximate_confidence",
     "batch_naive_confidence",
-    "default_backend",
-    "resolve_backend",
     "shared_block_confidences",
     "probability_by_enumeration",
     "probability_by_decomposition",

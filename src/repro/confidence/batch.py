@@ -19,13 +19,8 @@ operations:
   across blocks, preserving the *incremental* draw-more-trials contract
   that the Figure 3 predicate-approximation algorithm depends on.
 
-Two interchangeable backends implement the block primitives: ``numpy``
-(used automatically when NumPy is importable — install the package's
-``fast`` extra) and a dependency-free ``python`` fallback that produces
-the same statistics one trial at a time.  Both are deterministic under a
-fixed seed, though their streams differ; estimates agree exactly on
-degenerate disjunctions and within the Proposition 4.2 (ε, δ) bounds on
-sampled ones.
+The block primitives are numpy array programs, deterministic under a
+fixed seed.
 
 The naive baseline samples whole worlds and checks whether any member
 of F holds.  Its guarantee is only *additive* (Hoeffding): certifying a
@@ -52,32 +47,20 @@ from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import accumulate
 
+import numpy as np
+
 from repro.confidence import bounds
 from repro.confidence.dnf import Dnf
 from repro.urel.conditions import Var
-from repro.util.backends import (
-    HAS_NUMPY,
-    BackendUnavailableError,
-    available_backends,
-    default_backend,
-    np as _np,
-    resolve_backend,
-)
 from repro.util.parallel import SERIAL_EXECUTOR, ShardExecutor, shard_seed
 from repro.util.rng import ensure_rng
 from repro.worlds.database import Prob
 
 __all__ = [
-    "HAS_NUMPY",
-    "BackendUnavailableError",
-    "available_backends",
-    "default_backend",
-    "resolve_backend",
     "BatchKarpLubySampler",
     "KarpLubyEstimate",
     "NaiveEstimate",
@@ -160,11 +143,12 @@ class _EncodedDnf:
     sampled world ever matches (the clause has weight 0 and is
     unsatisfiable).
 
-    With numpy come the block kernels' tables, ``int8``-coded unless some
-    domain has 127 values or more: ``fixed`` (clause codes, −2 where a
-    clause leaves the column free), the distinct ``literal_*``, ``groups``
-    (per clause length ℓ, clause indices and (ℓ × clauses) literal
-    indices), and the cumulative ``edges`` / ``weight_edges`` less the last.
+    The block kernels read numpy tables built from those, ``int8``-coded
+    unless some domain has 127 values or more: ``fixed`` (clause codes, −2
+    where a clause leaves the column free), the distinct ``literal_*``,
+    ``groups`` (per clause length ℓ, clause indices and (ℓ × clauses)
+    literal indices), and the cumulative ``edges`` / ``weight_edges`` less
+    the last.
     """
 
     __slots__ = (
@@ -202,14 +186,10 @@ class _EncodedDnf:
             self.member_pairs.append(pairs)
         self.cumulative_weights = list(accumulate(float(p) for p in dnf.weights))
         self.total_weight = self.cumulative_weights[-1] if self.cumulative_weights else 0.0
-        if _np is not None:
-            self._build_tables()
-
-    def _build_tables(self) -> None:
-        dtype = _np.int8 if all(len(cum) < 127 for cum in self.cumulative_probs) else _np.int64
-        self.edges = [_np.array(cum[:-1]) for cum in self.cumulative_probs]
-        self.weight_edges = _np.array(self.cumulative_weights[:-1])
-        self.fixed = _np.full((len(self.member_pairs), len(self.variables)), -2, dtype=dtype)
+        dtype = np.int8 if all(len(cum) < 127 for cum in self.cumulative_probs) else np.int64
+        self.edges = [np.array(cum[:-1]) for cum in self.cumulative_probs]
+        self.weight_edges = np.array(self.cumulative_weights[:-1])
+        self.fixed = np.full((len(self.member_pairs), len(self.variables)), -2, dtype=dtype)
         literals: dict[tuple[int, int], int] = {}
         by_length: dict[int, tuple[list[int], list[list[int]]]] = {}
         for j, pairs in enumerate(self.member_pairs):
@@ -218,10 +198,10 @@ class _EncodedDnf:
             clauses, indices = by_length.setdefault(len(pairs), ([], []))
             clauses.append(j)
             indices.append([literals.setdefault(pair, len(literals)) for pair in pairs])
-        self.literal_columns = _np.array([column for column, _ in literals], dtype=_np.intp)
-        self.literal_codes = _np.array([code for _, code in literals], dtype=dtype)
+        self.literal_columns = np.array([column for column, _ in literals], dtype=np.intp)
+        self.literal_codes = np.array([code for _, code in literals], dtype=dtype)
         self.groups = [
-            (_np.array(clauses, dtype=_np.intp), _np.array(indices, dtype=_np.intp).T)
+            (np.array(clauses, dtype=np.intp), np.array(indices, dtype=np.intp).T)
             for _, (clauses, indices) in sorted(by_length.items())
         ]
 
@@ -236,13 +216,13 @@ def _np_sample_block(enc: _EncodedDnf, n: int, nrng):
 
     A code counts the column's edges at or below u; the dropped last edge clamps it.
     """
-    block = _np.empty((n, len(enc.edges)), dtype=enc.fixed.dtype)
+    block = np.empty((n, len(enc.edges)), dtype=enc.fixed.dtype)
     for column, edges in enumerate(enc.edges):
         u = nrng.random(n)
         if len(edges) == 1:
             block[:, column] = u >= edges[0]
         else:
-            block[:, column] = _np.searchsorted(edges, u, side="right")
+            block[:, column] = np.searchsorted(edges, u, side="right")
     return block
 
 
@@ -250,9 +230,9 @@ def _np_satisfaction(enc: _EncodedDnf, block):
     """The (n × |F|) clause-satisfaction matrix for a block of worlds."""
     n = block.shape[0]
     equal = block[:, enc.literal_columns] == enc.literal_codes
-    sat = None if len(enc.groups) == 1 else _np.empty((n, len(enc.member_pairs)), dtype=bool)
+    sat = None if len(enc.groups) == 1 else np.empty((n, len(enc.member_pairs)), dtype=bool)
     for clauses, literals in enc.groups:
-        group = equal[:, literals[0]] if len(literals) else _np.ones((n, len(clauses)), bool)
+        group = equal[:, literals[0]] if len(literals) else np.ones((n, len(clauses)), bool)
         for row in literals[1:]:
             group &= equal[:, row]
         if sat is None:
@@ -272,49 +252,13 @@ def _np_karp_luby_block(enc: _EncodedDnf, n: int, nrng) -> int:
     always exists and the trial succeeds iff it equals the choice.
     """
     u = nrng.random(n) * enc.total_weight
-    choice = _np.searchsorted(enc.weight_edges, u, side="right")
+    choice = np.searchsorted(enc.weight_edges, u, side="right")
     block = _np_sample_block(enc, n, nrng)
     fixed = enc.fixed[choice]
-    _np.copyto(block, fixed, where=fixed != -2)
+    np.copyto(block, fixed, where=fixed != -2)
     del fixed
     first = _np_satisfaction(enc, block).argmax(axis=1)
     return int((first == choice).sum())
-
-
-# --------------------------------------------------------------------------
-# Pure-Python block primitives (same statistics, one trial per iteration)
-# --------------------------------------------------------------------------
-
-
-def _py_sample_codes(enc: _EncodedDnf, rng: random.Random) -> list[int]:
-    codes = []
-    for cum in enc.cumulative_probs:
-        u = rng.random()
-        code = bisect_right(cum, u)
-        codes.append(min(code, len(cum) - 1))
-    return codes
-
-
-def _py_satisfied(pairs: tuple[tuple[int, int], ...], codes: list[int]) -> bool:
-    return all(codes[column] == code for column, code in pairs)
-
-
-def _py_karp_luby_block(enc: _EncodedDnf, n: int, rng: random.Random) -> int:
-    positives = 0
-    size = len(enc.member_pairs)
-    for _ in range(n):
-        u = rng.random() * enc.total_weight
-        choice = min(bisect_right(enc.cumulative_weights, u), size - 1)
-        codes = _py_sample_codes(enc, rng)
-        for column, code in enc.member_pairs[choice]:
-            codes[column] = code
-        first = next(
-            (j for j, pairs in enumerate(enc.member_pairs) if _py_satisfied(pairs, codes)),
-            -1,
-        )
-        if first == choice:
-            positives += 1
-    return positives
 
 
 # --------------------------------------------------------------------------
@@ -322,16 +266,12 @@ def _py_karp_luby_block(enc: _EncodedDnf, n: int, rng: random.Random) -> int:
 # --------------------------------------------------------------------------
 
 
-def _karp_luby_trial_block(enc: _EncodedDnf, n: int, seed: int, backend: str) -> int:
+def _karp_luby_trial_block(enc: _EncodedDnf, n: int, seed: int) -> int:
     """Count positives among ``n`` Definition 4.1 trials from a seeded block."""
-    if backend == "numpy":
-        return _np_karp_luby_block(enc, n, _np.random.default_rng(seed))
-    return _py_karp_luby_block(enc, n, random.Random(seed))
+    return _np_karp_luby_block(enc, n, np.random.default_rng(seed))
 
 
-def _shared_trial_block(
-    encoders: list[_EncodedDnf], n: int, seed: int, backend: str
-) -> list[int]:
+def _shared_trial_block(encoders: list[_EncodedDnf], n: int, seed: int) -> list[int]:
     """Per-disjunction positives against ONE seeded block of ``n`` worlds.
 
     The block is shared *within* the task (every DNF sees the same
@@ -339,23 +279,12 @@ def _shared_trial_block(
     :func:`shared_block_confidences`); across tasks the blocks are
     independent and their counts merge by trial-count weighting.
     """
-    if backend == "numpy":
-        block = _np_sample_block(encoders[0], n, _np.random.default_rng(seed))
-        return [
-            int(_np_satisfaction(enc, block).any(axis=1).sum()) for enc in encoders
-        ]
-    rng = random.Random(seed)
-    counts = [0] * len(encoders)
-    for _ in range(n):
-        codes = _py_sample_codes(encoders[0], rng)
-        for k, enc in enumerate(encoders):
-            if any(_py_satisfied(pairs, codes) for pairs in enc.member_pairs):
-                counts[k] += 1
-    return counts
+    block = _np_sample_block(encoders[0], n, np.random.default_rng(seed))
+    return [int(_np_satisfaction(enc, block).any(axis=1).sum()) for enc in encoders]
 
 
 def _map_trial_blocks(
-    executor: ShardExecutor, kernel, enc, n_trials: int, rng: random.Random, backend: str
+    executor: ShardExecutor, kernel, enc, n_trials: int, rng: random.Random
 ) -> list:
     """Per-block ``kernel`` results for a budget cut by ``executor.plan_trials``.
 
@@ -367,7 +296,7 @@ def _map_trial_blocks(
     return executor.map(
         kernel,
         [
-            (enc, count, shard_seed(base, i), backend)
+            (enc, count, shard_seed(base, i))
             for i, count in enumerate(executor.plan_trials(n_trials))
         ],
     )
@@ -400,12 +329,10 @@ class BatchKarpLubySampler:
         self,
         dnf: Dnf,
         rng: random.Random | int | None = None,
-        backend: str | None = None,
         executor: "ShardExecutor | None" = None,
     ):
-        """Set up block sampling for ``dnf`` on ``backend`` and ``executor``."""
+        """Set up block sampling for ``dnf`` on ``executor``."""
         self.dnf = dnf
-        self.backend = resolve_backend(backend)
         self.rng = ensure_rng(rng)
         self.executor = executor or SERIAL_EXECUTOR
         self.trials = 0
@@ -444,7 +371,7 @@ class BatchKarpLubySampler:
         if n_trials <= 0 or self.is_exact:
             return
         blocks = _map_trial_blocks(
-            self.executor, _karp_luby_trial_block, self._enc, n_trials, self.rng, self.backend
+            self.executor, _karp_luby_trial_block, self._enc, n_trials, self.rng
         )
         self.positives += sum(blocks)
         self.trials += n_trials
@@ -499,7 +426,6 @@ def batch_approximate_confidence(
     eps: float,
     delta: float,
     rng: random.Random | int | None = None,
-    backend: str | None = None,
     executor: "ShardExecutor | None" = None,
     lower: Prob | None = None,
 ) -> KarpLubyEstimate:
@@ -514,7 +440,7 @@ def batch_approximate_confidence(
     bound ``lower`` ≤ p shrinks |F| in m to :func:`karp_luby_ratio`, at
     the same (ε, δ).
     """
-    sampler = BatchKarpLubySampler(dnf, rng, backend=backend, executor=executor)
+    sampler = BatchKarpLubySampler(dnf, rng, executor=executor)
     if sampler.is_exact:
         return sampler.snapshot(eps, delta)
     sampler.run(bounds.karp_luby_sample_size(eps, delta, karp_luby_ratio(dnf, lower)))
@@ -525,18 +451,16 @@ def batch_naive_confidence(
     dnf: Dnf,
     samples: int,
     rng: random.Random | int | None = None,
-    backend: str | None = None,
     executor: "ShardExecutor | None" = None,
 ) -> NaiveEstimate:
     """Naive world-sampling estimate of p: ``samples`` worlds over vars(F)."""
-    return shared_block_confidences([dnf], samples, rng, backend, executor)[0]
+    return shared_block_confidences([dnf], samples, rng, executor)[0]
 
 
 def shared_block_confidences(
     dnfs: Sequence[Dnf],
     samples: int,
     rng: random.Random | int | None = None,
-    backend: str | None = None,
     executor: "ShardExecutor | None" = None,
 ) -> list[NaiveEstimate]:
     """Estimate every disjunction against ONE shared block of worlds.
@@ -554,7 +478,6 @@ def shared_block_confidences(
     blocks — the trial-count-weighted merge.
     """
     generator = ensure_rng(rng)
-    concrete = resolve_backend(backend)
     results: list[NaiveEstimate | None] = [None] * len(dnfs)
     sampled: list[int] = []
     for i, dnf in enumerate(dnfs):
@@ -577,7 +500,7 @@ def shared_block_confidences(
     encoders = [_EncodedDnf(dnfs[i], variables) for i in sampled]
 
     per_block = _map_trial_blocks(
-        executor or SERIAL_EXECUTOR, _shared_trial_block, encoders, samples, generator, concrete
+        executor or SERIAL_EXECUTOR, _shared_trial_block, encoders, samples, generator
     )
     for k, i in enumerate(sampled):
         positives = sum(block[k] for block in per_block)

@@ -54,12 +54,12 @@ Every sum and product is taken in one fixed order (and is exact for
 :class:`~fractions.Fraction` weights): components and base-case members
 by clause text, branches in domain order, each clause weight in the
 item order of the condition it came from.  So an interval is a pure
-function of the clause set — identical across trial backends, worker
-counts, and hash seeds, which is what lets the ``auto`` policy route on
-it without breaking the engine's differential determinism contracts.
-The pairwise consistency screen compares literal ids, vectorized with
-numpy when importable; the comparison is integer-exact, so both code
-paths produce identical intervals.
+function of the clause set — identical across worker counts and hash
+seeds, which is what lets the ``auto`` policy route on it without
+breaking the engine's differential determinism contracts.  The pairwise
+consistency screen compares literal ids, vectorized with numpy from
+:data:`_NUMPY_SCREEN_MIN` clauses up; the comparison is integer-exact,
+so both screens produce identical intervals.
 """
 
 from __future__ import annotations
@@ -68,9 +68,10 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from repro.confidence.dnf import Dnf
 from repro.confidence.exact import ClauseKernel, _Clause
-from repro.util.backends import np as _np
 from repro.util.parallel import SERIAL_EXECUTOR
 from repro.worlds.database import Prob
 
@@ -93,6 +94,10 @@ PAIR_CAP = 48
 """Components larger than this skip the O(k²) pairwise bounds and fall
 back to ``max p_i`` / union-bound — keeping the worst-case base cost
 linear in the clause count."""
+
+_NUMPY_SCREEN_MIN = 8
+"""Components with at least this many clauses screen their pairs with one
+numpy array program; smaller ones loop over the pairs in Python."""
 
 
 @dataclass(frozen=True)
@@ -374,7 +379,7 @@ class _BoundSolver:
         return the same pairs in the same order.
         """
         k, lit_var = len(members), self.kernel.lit_var
-        if _np is not None and k >= 8:
+        if k >= _NUMPY_SCREEN_MIN:
             column: dict[int, int] = {}
             rows, columns, lits = [], [], []
             for row, clause in enumerate(members):
@@ -382,12 +387,12 @@ class _BoundSolver:
                     rows.append(row)
                     columns.append(column.setdefault(lit_var[lit], len(column)))
                     lits.append(lit)
-            matrix = _np.full((k, len(column)), -1, dtype=_np.int64)
+            matrix = np.full((k, len(column)), -1, dtype=np.int64)
             matrix[rows, columns] = lits
             a = matrix[:, None, :]
             b = matrix[None, :, :]
             conflict = ((a >= 0) & (b >= 0) & (a != b)).any(axis=2)
-            i_idx, j_idx = _np.nonzero(_np.triu(~conflict, 1))
+            i_idx, j_idx = np.nonzero(np.triu(~conflict, 1))
             return list(zip(i_idx.tolist(), j_idx.tolist()))
 
         masks = self.kernel.masks

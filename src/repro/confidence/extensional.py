@@ -41,8 +41,8 @@ case only the data can show: a selection that cannot be evaluated on a
 base row the plan's own join would have dropped).
 Rows are visited in ``repr`` order and every table is built in visit
 order, so the order of each product is a function of the data alone:
-float answers are identical at every hash seed, backend and worker
-count, and ``Fraction`` answers equal exact enumeration.
+float answers are identical at every hash seed and worker count,
+and ``Fraction`` answers equal exact enumeration.
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ functions into a probability: the exact #P solvers behind ``conf``
 (Theorem 3.4), the Karp–Luby FPRAS behind ``conf_{ε,δ}`` (Corollary
 4.3), and the naive Monte-Carlo baseline it beats.  Each is a named
 :class:`ConfidenceStrategy` in a registry, so sessions can switch
-backends without touching query code, plus ``auto``: a per-tuple policy
+methods without touching query code, plus ``auto``: a per-tuple policy
 that inspects the DNF — degenerate cases, read-once structure (pairwise
 variable-disjoint clauses), and size — and routes each tuple to the
 cheapest method that is still sound.  ``auto`` is also the one strategy
@@ -24,17 +24,16 @@ the engine; :mod:`repro.engine.strategies` re-exports it unchanged.
 
 Registry protocol — two methods, one signature::
 
-    strategy = resolve_strategy("auto", eps=0.1, delta=0.01, backend="numpy")
+    strategy = resolve_strategy("auto", eps=0.1, delta=0.01)
     report = strategy.compute(dnf, rng, executor=None)      # -> ConfidenceReport
     reports = strategy.compute_batch(dnfs, rng, executor=None)   # batched
     method = strategy.choose(dnf)           # what compute() would run
 
-Sampling strategies additionally take a trial ``backend``
-(``"numpy"``/``"python"``/``"auto"``, see :mod:`repro.confidence.batch`)
-and may override :meth:`ConfidenceStrategy.compute_batch` to draw trials
-in blocks shared across a whole batch of tuples.  Third parties register
-their own strategies with :func:`register_strategy`; strategy classes
-are instantiated as ``cls(eps=..., delta=..., backend=...)``.
+Sampling strategies may override :meth:`ConfidenceStrategy.compute_batch`
+to draw trials in blocks shared across a whole batch of tuples (see
+:mod:`repro.confidence.batch`).  Third parties register their own
+strategies with :func:`register_strategy`; strategy classes are
+instantiated as ``cls(eps=..., delta=...)``.
 
 ``executor`` is the session's :class:`~repro.util.parallel.ShardExecutor`
 (``None`` means the process-wide serial one): a per-tuple DNF list long
@@ -58,7 +57,6 @@ from repro.confidence.batch import (
     batch_naive_confidence,
     karp_luby_ratio,
     naive_sample_size_additive,
-    resolve_backend,
     shared_block_confidences,
 )
 from repro.confidence.bounds import karp_luby_sample_size
@@ -110,7 +108,7 @@ class ConfidenceReport:
     """One tuple-confidence computation, with its audit trail.
 
     ``strategy`` is the registry name the session asked for; ``method``
-    is the concrete backend that actually ran (they differ under
+    is the concrete method that actually ran (they differ under
     ``auto``).  ``exact`` marks values free of sampling error.
     ``lower``/``upper`` carry a *guaranteed* enclosing interval when the
     method produced one (dissociation bounds); unlike (ε, δ) error bars
@@ -301,13 +299,11 @@ def resolve_strategy(
     spec: str | ConfidenceStrategy,
     eps: float | None = None,
     delta: float | None = None,
-    backend: str | None = None,
 ) -> ConfidenceStrategy:
     """Turn a name (or an instance, passed through) into a strategy.
 
-    ``eps``/``delta`` parameterize the approximate backends, ``backend``
-    selects their trial engine (``"numpy"``/``"python"``/``"auto"``);
-    exact strategies ignore all three.
+    ``eps``/``delta`` parameterize the approximate strategies; exact
+    strategies ignore both.
     """
     if isinstance(spec, ConfidenceStrategy):
         return spec
@@ -317,7 +313,7 @@ def resolve_strategy(
         raise UnknownStrategyError(
             f"unknown confidence strategy {spec!r}; registered: {strategy_names()}"
         ) from None
-    return cls(eps=eps, delta=delta, backend=backend)
+    return cls(eps=eps, delta=delta)
 
 
 @register_strategy
@@ -327,12 +323,7 @@ class ExactDecomposition(ConfidenceStrategy):
     name = "exact-decomposition"
     consumes_rng = False
 
-    def __init__(
-        self,
-        eps: float | None = None,
-        delta: float | None = None,
-        backend: str | None = None,
-    ):
+    def __init__(self, eps: float | None = None, delta: float | None = None):
         """Accept and ignore the registry-uniform arguments."""
 
     def compute(
@@ -353,12 +344,7 @@ class ExactEnumeration(ConfidenceStrategy):
     name = "exact-enumeration"
     consumes_rng = False
 
-    def __init__(
-        self,
-        eps: float | None = None,
-        delta: float | None = None,
-        backend: str | None = None,
-    ):
+    def __init__(self, eps: float | None = None, delta: float | None = None):
         """Accept and ignore the registry-uniform arguments."""
 
     def compute(
@@ -388,34 +374,24 @@ def is_exact_solver(strategy: ConfidenceStrategy) -> bool:
 class KarpLuby(ConfidenceStrategy):
     """The (ε, δ) FPRAS of Proposition 4.2 / Corollary 4.3 — the paper baseline.
 
-    ``backend`` selects the trial engine behind
-    :func:`repro.confidence.batch.batch_approximate_confidence`, which
-    draws the m = ⌈3·|F|·ln(2/δ)/ε²⌉ budget in blocks:
-    ``"numpy"`` vectorizes it, ``"python"`` is the dependency-free
-    fallback, and ``None`` / ``"auto"`` picks numpy when importable.
-    The statistical guarantee is identical either way.  This strategy
-    always spends the paper's |F|-sized budget, whatever is known about
-    the DNF; ``auto`` runs the same estimator with a budget sized by its
-    enclosure instead.
+    :func:`repro.confidence.batch.batch_approximate_confidence` draws
+    the m = ⌈3·|F|·ln(2/δ)/ε²⌉ budget in vectorized blocks.  This
+    strategy always spends the paper's |F|-sized budget, whatever is
+    known about the DNF; ``auto`` runs the same estimator with a budget
+    sized by its enclosure instead.
     """
 
     name = "karp-luby"
 
-    def __init__(
-        self,
-        eps: float | None = None,
-        delta: float | None = None,
-        backend: str | None = None,
-    ):
-        """Fix the (ε, δ) target and the trial backend."""
+    def __init__(self, eps: float | None = None, delta: float | None = None):
+        """Fix the (ε, δ) target."""
         self.eps = DEFAULT_EPS if eps is None else eps
         self.delta = DEFAULT_DELTA if delta is None else delta
-        self.backend = resolve_backend(backend)
 
     @property
     def cache_token(self) -> tuple:
-        """Name, (ε, δ) and trial backend."""
-        return (self.name, self.eps, self.delta, self.backend)
+        """Name and (ε, δ)."""
+        return (self.name, self.eps, self.delta)
 
     def trial_budget(self, dnf: Dnf) -> int:
         """Proposition 4.2's m for ``dnf`` (0 on degenerate disjunctions)."""
@@ -434,7 +410,7 @@ class KarpLuby(ConfidenceStrategy):
     ) -> ConfidenceReport:
         """Draw ``dnf``'s whole Proposition 4.2 budget from ``rng``."""
         estimate = batch_approximate_confidence(
-            dnf, self.eps, self.delta, rng, backend=self.backend, executor=executor
+            dnf, self.eps, self.delta, rng, executor=executor
         )
         return ConfidenceReport(
             estimate.estimate,
@@ -451,30 +427,24 @@ class KarpLuby(ConfidenceStrategy):
 class NaiveMonteCarlo(ConfidenceStrategy):
     """World-sampling baseline with an additive Hoeffding guarantee only.
 
-    With ``backend="numpy"`` the sample worlds are drawn as one block;
-    :meth:`compute_batch` goes further and draws ONE shared block for
-    the whole batch of tuples, evaluating every tuple's DNF against the
-    same worlds (the per-tuple additive Hoeffding bound holds marginally
-    for each tuple; estimates across tuples become correlated).
+    The sample worlds are drawn as one block; :meth:`compute_batch` goes
+    further and draws ONE shared block for the whole batch of tuples,
+    evaluating every tuple's DNF against the same worlds (the per-tuple
+    additive Hoeffding bound holds marginally for each tuple; estimates
+    across tuples become correlated).
     """
 
     name = "naive-mc"
 
-    def __init__(
-        self,
-        eps: float | None = None,
-        delta: float | None = None,
-        backend: str | None = None,
-    ):
-        """Fix the additive (ε, δ) target and the trial backend."""
+    def __init__(self, eps: float | None = None, delta: float | None = None):
+        """Fix the additive (ε, δ) target."""
         self.eps = DEFAULT_EPS if eps is None else eps
         self.delta = DEFAULT_DELTA if delta is None else delta
-        self.backend = resolve_backend(backend)
 
     @property
     def cache_token(self) -> tuple:
-        """Name, (ε, δ) and trial backend."""
-        return (self.name, self.eps, self.delta, self.backend)
+        """Name and (ε, δ)."""
+        return (self.name, self.eps, self.delta)
 
     def trial_budget(self, dnf: Dnf) -> int:
         """The Hoeffding sample size (0 on degenerate disjunctions)."""
@@ -502,9 +472,7 @@ class NaiveMonteCarlo(ConfidenceStrategy):
     ) -> ConfidenceReport:
         """Estimate ``dnf`` against its own block of sampled worlds."""
         samples = naive_sample_size_additive(self.eps, self.delta)
-        estimate = batch_naive_confidence(
-            dnf, samples, rng, backend=self.backend, executor=executor
-        )
+        estimate = batch_naive_confidence(dnf, samples, rng, executor=executor)
         return self._report(dnf, estimate)
 
     def compute_batch(
@@ -520,9 +488,7 @@ class NaiveMonteCarlo(ConfidenceStrategy):
         trial-count weighting.
         """
         samples = naive_sample_size_additive(self.eps, self.delta)
-        estimates = shared_block_confidences(
-            dnfs, samples, rng, backend=self.backend, executor=executor
-        )
+        estimates = shared_block_confidences(dnfs, samples, rng, executor=executor)
         return [self._report(dnf, est) for dnf, est in zip(dnfs, estimates)]
 
 
@@ -537,7 +503,7 @@ class DissociationBounds(ConfidenceStrategy):
     otherwise.  The reported ``value`` is the interval midpoint and
     ``exact`` is set iff the interval is a point; the interval itself
     rides along in ``lower``/``upper``.  All arithmetic is exact
-    Fractions, so results are backend- and worker-count-independent.
+    Fractions, so results are worker-count-independent.
     """
 
     name = "dissociation-bounds"
@@ -547,7 +513,6 @@ class DissociationBounds(ConfidenceStrategy):
         self,
         eps: float | None = None,
         delta: float | None = None,
-        backend: str | None = None,
         budget: int = DEFAULT_BOUND_BUDGET,
     ):
         """Fix the Shannon-expansion ``budget``; the rest is ignored."""
@@ -593,7 +558,7 @@ class DissociationBounds(ConfidenceStrategy):
 
 @register_strategy
 class AutoStrategy(ConfidenceStrategy):
-    """Routing to the cheapest sound backend: per plan, then per tuple.
+    """Routing to the cheapest sound method: per plan, then per tuple.
 
     Step 0 happens above this class, where the plan is still in hand
     (:attr:`lifts_safe_plans`; ``UEvaluator.plan_confidences``): a
@@ -639,15 +604,13 @@ class AutoStrategy(ConfidenceStrategy):
         self,
         eps: float | None = None,
         delta: float | None = None,
-        backend: str | None = None,
         max_exact_size: int = 16,
         max_exact_variables: int = 24,
         bounds_budget: int = DEFAULT_BOUND_BUDGET,
     ):
-        """Fix the (ε, δ) target, the trial backend and the routing thresholds."""
+        """Fix the (ε, δ) target and the routing thresholds."""
         self.eps = DEFAULT_EPS if eps is None else eps
         self.delta = DEFAULT_DELTA if delta is None else delta
-        self.backend = resolve_backend(backend)
         self.max_exact_size = max_exact_size
         self.max_exact_variables = max_exact_variables
         self.bounds_budget = bounds_budget
@@ -655,12 +618,11 @@ class AutoStrategy(ConfidenceStrategy):
 
     @property
     def cache_token(self) -> tuple:
-        """Name, (ε, δ), trial backend and every routing threshold."""
+        """Name, (ε, δ) and every routing threshold."""
         return (
             self.name,
             self.eps,
             self.delta,
-            self.backend,
             self.max_exact_size,
             self.max_exact_variables,
             self.bounds_budget,
@@ -706,7 +668,6 @@ class AutoStrategy(ConfidenceStrategy):
             self.eps,
             self.delta,
             rng,
-            backend=self.backend,
             executor=executor,
             lower=interval.lower,
         )
@@ -739,7 +700,7 @@ class AutoStrategy(ConfidenceStrategy):
         rng: random.Random,
         executor: "ShardExecutor | None" = None,
     ) -> ConfidenceReport:
-        """Route ``dnf`` and run the chosen backend on it."""
+        """Route ``dnf`` and run the chosen method on it."""
         method, interval = self._route(dnf)
         if method == KarpLuby.name:
             return self._sample((dnf, interval), rng, executor=executor)
@@ -753,7 +714,7 @@ class AutoStrategy(ConfidenceStrategy):
         rng: random.Random,
         executor: "ShardExecutor | None" = None,
     ) -> list[ConfidenceReport]:
-        """Route the batch per tuple, then run each backend's batched path.
+        """Route the batch per tuple, then run each method's batched path.
 
         All exact-routed tuples go through the exact strategy's (list-
         sharding) batch, all sampler-routed tuples through one sampled

@@ -114,7 +114,6 @@ class ApproxQueryEvaluator(UEvaluator):
         rng: random.Random | int | None = None,
         epsilon_method: str = "auto",
         copy_db: bool = True,
-        backend: str | None = None,
         executor=None,
         bounds_budget: int | None = None,
         enclosures=None,
@@ -125,7 +124,6 @@ class ApproxQueryEvaluator(UEvaluator):
             db,
             rng=rng,
             copy_db=copy_db,
-            backend=backend,
             executor=executor,
             enclosures=enclosures,
         )
@@ -473,7 +471,6 @@ class ApproxQueryEvaluator(UEvaluator):
                 self.rounds,
                 self.decision_delta,
                 self.epsilon_method,
-                self.backend,
                 self.bounds_budget,
             )
             for i, decision in zip(open_, fresh):
@@ -490,7 +487,6 @@ class ApproxQueryEvaluator(UEvaluator):
                     rng,
                     constants=cand_env,
                     epsilon_method=self.epsilon_method,
-                    backend=self.backend,
                     executor=executor,
                     bounds_budget=self.bounds_budget,
                     intervals=boxes,

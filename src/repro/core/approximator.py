@@ -141,7 +141,6 @@ class PredicateApproximator:
         rng: random.Random | int | None = None,
         constants: Mapping[str, object] | None = None,
         epsilon_method: str = "auto",
-        backend: str | None = None,
         executor=None,
         bounds_budget: int | None = None,
         intervals: Mapping[str, BoundInterval] | None = None,
@@ -162,9 +161,7 @@ class PredicateApproximator:
                 f"predicate mentions {sorted(missing)} but no values/constants given"
             )
         self.samplers: dict[str, ApproximableValue] = {
-            name: as_approximable(
-                value, spawn_rng(generator), backend=backend, executor=executor
-            )
+            name: as_approximable(value, spawn_rng(generator), executor=executor)
             for name, value in sorted(values.items())
         }
         self.aliases: dict[str, str] = {}
@@ -410,7 +407,6 @@ def decide_candidates_shard(
     rounds: int | None,
     decision_delta: float | None,
     epsilon_method: str,
-    backend: str | None,
     bounds_budget: int | None = None,
 ) -> list[PredicateDecision]:
     """Decide one shard of σ̂ candidate tuples (module level: pickles).
@@ -437,7 +433,6 @@ def decide_candidates_shard(
             random.Random(seed),
             constants=constants,
             epsilon_method=epsilon_method,
-            backend=backend,
             bounds_budget=bounds_budget,
             intervals=intervals,
         )
@@ -456,7 +451,6 @@ def approximate_predicate(
     rng: random.Random | int | None = None,
     constants: Mapping[str, object] | None = None,
     epsilon_method: str = "auto",
-    backend: str | None = None,
     executor=None,
     bounds_budget: int | None = None,
 ) -> PredicateDecision:
@@ -468,7 +462,6 @@ def approximate_predicate(
         rng,
         constants,
         epsilon_method,
-        backend=backend,
         executor=executor,
         bounds_budget=bounds_budget,
     )

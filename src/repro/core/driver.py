@@ -102,9 +102,8 @@ def evaluate_with_guarantee(
     slack — a loose but finite ceiling; the loop almost always stops far
     earlier because per-tuple ε_ψ values exceed ε₀.
 
-    ``backend`` selects the Monte-Carlo trial engine for the σ̂
-    decisions.  Each evaluation at round budget l runs fixed-budget
-    Figure 3 decisions, so every stochastic value's whole (ε, δ)-derived
+    Each evaluation at round budget l runs fixed-budget Figure 3
+    decisions, so every stochastic value's whole (ε, δ)-derived
     allocation of l·|Fᵢ| Karp–Luby trials is drawn as one vectorized
     block rather than trial by trial.  An ``executor``
     (:class:`~repro.util.parallel.ShardExecutor`) fans the σ̂ work out
@@ -135,6 +134,10 @@ def evaluate_with_guarantee(
     when the caller owns a longer-lived one — a session passes the run
     scope in front of its cache; nobody else needs to.
     """
+    # Kept for the frozen ``benchmarks/e2e`` harness, which passes
+    # ``backend=db.backend``; numpy is the only trial engine.
+    if backend not in (None, "numpy"):
+        raise ValueError(f"unknown backend {backend!r}; numpy is the only one")
     node = query.q if isinstance(query, Q) else query
     if not 0 < delta < 1:
         raise ValueError(f"delta must be in (0,1), got {delta}")
@@ -155,7 +158,6 @@ def evaluate_with_guarantee(
             rounds=rounds,
             rng=spawn_rng(generator),
             epsilon_method=epsilon_method,
-            backend=backend,
             executor=executor,
             bounds_budget=bounds_budget,
             enclosures=memo,

@@ -55,11 +55,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from repro.confidence import bounds
-from repro.confidence.batch import (
-    BatchKarpLubySampler,
-    _karp_luby_trial_block,
-    resolve_backend,
-)
+from repro.confidence.batch import BatchKarpLubySampler, _karp_luby_trial_block
 from repro.confidence.dissociation import DEFAULT_BOUND_BUDGET, dissociation_intervals
 from repro.confidence.dnf import Dnf
 from repro.core.intervals import relative_interval
@@ -197,7 +193,7 @@ def _kth_excluding(sorted_desc: list, own, k: int):
     return sorted_desc[k - 1]
 
 
-def _race_shard_task(items: list[tuple], backend: str) -> list[int]:
+def _race_shard_task(items: list[tuple]) -> list[int]:
     """One shard of a refinement round: per-candidate seeded trial blocks.
 
     ``items`` holds ``(encoded dnf, n_trials, seed)`` triples; each
@@ -205,7 +201,7 @@ def _race_shard_task(items: list[tuple], backend: str) -> list[int]:
     concatenated results are independent of how the round was sharded.
     (Module level so the process pool can pickle it.)
     """
-    return [_karp_luby_trial_block(enc, count, seed, backend) for enc, count, seed in items]
+    return [_karp_luby_trial_block(enc, count, seed) for enc, count, seed in items]
 
 
 def race_topk(
@@ -215,7 +211,6 @@ def race_topk(
     eps: float,
     delta: float,
     rng: random.Random | int | None = None,
-    backend: str | None = None,
     executor: "ShardExecutor | None" = None,
     bounds_budget: int = DEFAULT_BOUND_BUDGET,
     enclosures=None,
@@ -237,7 +232,6 @@ def race_topk(
     if len(rows) != len(dnfs):
         raise ValueError(f"{len(rows)} rows but {len(dnfs)} disjunctions")
     n = len(rows)
-    concrete = resolve_backend(backend)
     executor = executor or SERIAL_EXECUTOR
     generator = ensure_rng(rng)
     full_trials = sum(
@@ -283,7 +277,7 @@ def race_topk(
     samplers: dict[int, BatchKarpLubySampler] = {}
     base = generator.getrandbits(64) if survivors else 0
     for i in survivors:
-        sampler = BatchKarpLubySampler(dnfs[i], rng=shard_seed(base, i), backend=concrete)
+        sampler = BatchKarpLubySampler(dnfs[i], rng=shard_seed(base, i))
         if sampler.is_exact:  # degenerate DNFs have exact enclosures; belt+braces
             status[i] = _RESOLVED
             value[i] = sampler.estimate
@@ -312,7 +306,7 @@ def race_topk(
             (samplers[i]._enc, count, shard_seed(shard_seed(base, i), rounds))
             for i, count in allocations
         ]
-        positives = executor.map_items(_race_shard_task, items, concrete)
+        positives = executor.map_items(_race_shard_task, items)
         for (i, count), won in zip(allocations, positives):
             sampler = samplers[i]
             # Trial-count-weighted merge, exactly the sampler's own

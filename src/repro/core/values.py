@@ -103,18 +103,16 @@ class KarpLubyValue(ApproximableValue):
 
     A :class:`~repro.confidence.batch.BatchKarpLubySampler` draws each
     refinement round's |F| trials (and multi-round allocations, see
-    :meth:`refine_many`) in blocks on the trial ``backend``
-    (``None``/``"auto"`` picks numpy when importable) and the
-    ``executor`` (:class:`~repro.util.parallel.ShardExecutor`; default:
-    the process-wide serial one), which cuts each allocation into
-    per-block budgets merged by trial-count weighting.
+    :meth:`refine_many`) in vectorized blocks on the ``executor``
+    (:class:`~repro.util.parallel.ShardExecutor`; default: the
+    process-wide serial one), which cuts each allocation into per-block
+    budgets merged by trial-count weighting.
     """
 
     def __init__(
         self,
         dnf: Dnf,
         rng: random.Random | int | None = None,
-        backend: str | None = None,
         executor=None,
     ):
         #: Guaranteed enclosing bound interval
@@ -124,9 +122,7 @@ class KarpLubyValue(ApproximableValue):
         #: stream, so sampled transcripts stay bit-identical with and
         #: without it.
         self.interval = None
-        self._sampler = BatchKarpLubySampler(
-            dnf, rng, backend=backend, executor=executor
-        )
+        self._sampler = BatchKarpLubySampler(dnf, rng, executor=executor)
 
     @property
     def dnf(self) -> Dnf:
@@ -164,9 +160,7 @@ class KarpLubyValue(ApproximableValue):
 
     def clone(self, rng: random.Random | int | None = None) -> "KarpLubyValue":
         sampler = self._sampler
-        fresh = KarpLubyValue(
-            sampler.dnf, rng, backend=sampler.backend, executor=sampler.executor
-        )
+        fresh = KarpLubyValue(sampler.dnf, rng, executor=sampler.executor)
         fresh.interval = self.interval
         return fresh
 
@@ -274,23 +268,21 @@ class ExactValue(ApproximableValue):
 def as_approximable(
     value: "ApproximableValue | Dnf | float | int",
     rng: random.Random | int | None = None,
-    backend: str | None = None,
     executor=None,
 ) -> ApproximableValue:
     """Coerce user input into an :class:`ApproximableValue`.
 
     Disjunctions become Karp–Luby values (the paper's case) on the given
-    trial ``backend`` and shard ``executor``; numbers — including exact
-    rationals like the :class:`~fractions.Fraction` confidences the
-    exact solvers produce — become exact constants; existing values pass
-    through.  ``bool`` is rejected: a truth value is a predicate's
-    *output*, and silently reading one as the constant 0.0/1.0 would
-    mask a caller bug.
+    shard ``executor``; numbers — including exact rationals like the
+    :class:`~fractions.Fraction` confidences the exact solvers produce —
+    become exact constants; existing values pass through.  ``bool`` is
+    rejected: a truth value is a predicate's *output*, and silently
+    reading one as the constant 0.0/1.0 would mask a caller bug.
     """
     if isinstance(value, ApproximableValue):
         return value
     if isinstance(value, Dnf):
-        return KarpLubyValue(value, rng, backend=backend, executor=executor)
+        return KarpLubyValue(value, rng, executor=executor)
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
         return ExactValue(value)
     raise TypeError(f"cannot treat {value!r} as an approximable value")

@@ -3,7 +3,7 @@
 The UA algebra has exactly one expensive operator family — the
 confidence closures (``conf``, ``conf_{ε,δ}``, ``cert``, and the conf
 groups inside σ̂) — so an explain plan is the operator tree annotated, at
-those nodes, with the confidence backend the session strategy picks.
+those nodes, with the confidence method the session strategy picks.
 Because the ``auto`` policy decides *per tuple* (it inspects each
 tuple's DNF), explain runs the sub-plans feeding confidence operators
 against a throwaway copy of the database and reports the per-method
@@ -64,7 +64,8 @@ class PlanNode:
 
     ``path`` names the operator engine the relational operators of this
     node run on — ``columnar[numpy]`` for the vectorized integer-coded
-    path, ``scalar[indexed]`` for the pure-Python indexed path,
+    path, ``scalar[indexed]`` where a product/join's operands stay on
+    the pure-Python indexed path,
     ``deferred`` where step 0 answers without running it — so a
     plan shows not only *which confidence method* each conf operator
     picked but also *which algebra implementation* executes the tree.
@@ -128,10 +129,10 @@ def explain_plan(
 
     ``evaluator`` must wrap a throwaway copy of the session database —
     explain executes repair-keys (extending that copy's W) to see the
-    DNFs that confidence operators will face.  The evaluator's operator
-    backend determines the ``path`` annotation of the relational nodes;
-    when its executor has two or more workers, the operators it fans
-    out over them are annotated ``·sharded[n]`` (n = configured workers).
+    DNFs that confidence operators will face.  Relational nodes are
+    annotated with the columnar engine (``path``); when the evaluator's
+    executor has two or more workers, the operators it fans out over
+    them are annotated ``·sharded[n]`` (n = configured workers).
     The tree is the one the evaluator runs: selection copies the
     pushdown pass placed render as ``select[φ]  ·pushed``, and the
     operators of a plan step 0 answers as ``·deferred``.
@@ -223,8 +224,8 @@ class _PlanPass:
 
     Explain inspects actual data at every conf *and* product/join node,
     so the pass memoizes the evaluator's *in-flight* representation of
-    each inspected sub-query (columnar on the numpy path, scalar
-    otherwise) — the very object the runtime's lift test inspects, so
+    each inspected sub-query (columnar inside the envelope, scalar
+    outside it) — the very object the runtime's lift test inspects, so
     the cost-model annotations cannot diverge from what the evaluator
     would actually do with that node's children.  Keyed by node
     identity: the tree root keeps every node alive for the pass.
@@ -237,8 +238,7 @@ class _PlanPass:
         # Names the configured engine; at runtime individual relations
         # outside the columnar envelope (tiny, or too many condition
         # variables) fall back to the indexed scalar operators.
-        engine = "columnar[numpy]" if evaluator.backend == "numpy" else "scalar[indexed]"
-        self.path = DEFERRED if deferred else engine
+        self.path = DEFERRED if deferred else "columnar[numpy]"
         self._reps: dict[int, object] = {}
 
     def build(self, node: Query) -> PlanNode:

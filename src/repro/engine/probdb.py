@@ -42,7 +42,6 @@ from repro.algebra.builder import Q
 from repro.algebra.operators import BaseRel, Conf, Query, children, output_schema, walk
 from repro.algebra.parser import parse_query, parse_session
 from repro.algebra.relations import Relation
-from repro.confidence.batch import resolve_backend
 from repro.confidence.dissociation import DEFAULT_BOUND_BUDGET, BoundInterval, EnclosureMemo
 from repro.confidence.dnf import Dnf
 from repro.confidence.extensional import EXTENSIONAL
@@ -92,7 +91,6 @@ def connect(
     delta: float | None = None,
     rng: random.Random | int | None = None,
     copy: bool = False,
-    backend: str | None = None,
     workers: "int | ShardExecutor | None" = None,
 ) -> "ProbDB":
     """Open a :class:`ProbDB` session on ``source``.
@@ -100,14 +98,9 @@ def connect(
     ``source`` may be a :class:`UDatabase`, a mapping of names to
     complete :class:`Relation` objects (lifted with every relation
     marked complete), or another session (reuses its database).
-    ``strategy`` names the confidence backend (default ``auto``);
+    ``strategy`` names the confidence strategy (default ``auto``);
     ``eps``/``delta`` parameterize its approximate methods; ``rng``
-    seeds every stochastic subroutine of the session; ``backend``
-    selects both the Monte-Carlo trial engine *and* the relational
-    operator engine (``"numpy"`` draws trials as vectorized blocks and
-    runs the algebra on the columnar U-relation representation,
-    ``"python"`` is the dependency-free scalar path; default
-    auto-detection — see :mod:`repro.util.backends`).  With ``copy``
+    seeds every stochastic subroutine of the session.  With ``copy``
     the session works on a private copy of the database.
 
     Every session runs the one shard plan (:mod:`repro.util.parallel`):
@@ -141,7 +134,6 @@ def connect(
         delta=delta,
         rng=rng,
         copy=copy,
-        backend=backend,
         workers=workers,
     )
 
@@ -183,7 +175,6 @@ class _EngineEvaluator(UEvaluator):
             engine.db,
             rng=engine.rng,
             copy_db=False,
-            backend=engine.backend,
             executor=engine.executor,
         )
 
@@ -284,6 +275,10 @@ class ProbDB:
     objects throughout.
     """
 
+    # Kept for the frozen ``benchmarks/e2e`` harness, which passes it on
+    # to ``repro.core.driver.evaluate_with_guarantee``.
+    backend = "numpy"
+
     def __init__(
         self,
         source: "UDatabase | Mapping[str, Relation] | ProbDB",
@@ -293,7 +288,6 @@ class ProbDB:
         rng: random.Random | int | None = None,
         copy: bool = False,
         cache_size: int | None = 1024,
-        backend: str | None = None,
         workers: "int | ShardExecutor | None" = None,
     ):
         self.db = self._coerce(source, copy)
@@ -303,10 +297,7 @@ class ProbDB:
         self._rng = ensure_rng(rng)
         self._eps = eps
         self._delta = delta
-        self.backend = resolve_backend(backend)
-        self.strategy = resolve_strategy(
-            strategy, eps=eps, delta=delta, backend=self.backend
-        )
+        self.strategy = resolve_strategy(strategy, eps=eps, delta=delta)
         # The session's one fan-out primitive.  The pool itself is lazy —
         # sessions that never fan a workload out never fork.  An existing
         # ShardExecutor is accepted as-is but *borrowed* (custom plan
@@ -418,7 +409,7 @@ class ProbDB:
         if self.db.version == version:
             return self._evaluate(node)[0]
         db = UDatabase(bases, self.db.w, condition_pool=self.db.condition_pool)
-        evaluator = UEvaluator(db, copy_db=False, backend=self.backend, executor=self.executor)
+        evaluator = UEvaluator(db, copy_db=False, executor=self.executor)
         return evaluator.eval(node)[0]
 
     def assign(self, name: str, query: "Query | Q | str") -> EngineResult:
@@ -491,9 +482,8 @@ class ProbDB:
 
         Returns a :class:`repro.core.driver.DriverReport`; the driver
         works on a private copy of the database.  ``rng`` defaults to a
-        stream derived from the session seed; the session's trial
-        ``backend`` and shard ``executor`` are used unless overridden
-        via ``backend=...`` / ``executor=...``.
+        stream derived from the session seed; the session's shard
+        ``executor`` is used unless overridden via ``executor=...``.
 
         Dissociation bound pruning is ON by default: σ̂ candidates whose
         guaranteed bound intervals already decide the predicate are
@@ -517,7 +507,6 @@ class ProbDB:
 
         node, _source = self._resolve(query)
         generator = spawn_rng(self._rng) if rng is None else ensure_rng(rng)
-        kwargs.setdefault("backend", self.backend)
         kwargs.setdefault("executor", self.executor)
         kwargs.setdefault("bounds_budget", DEFAULT_BOUND_BUDGET)
         return _driver(
@@ -617,7 +606,6 @@ class ProbDB:
             eps,
             delta,
             rng=self._rng,
-            backend=self.backend,
             executor=self.executor,
             bounds_budget=bounds_budget,
             enclosures=self._evaluator.enclosures,
@@ -652,7 +640,6 @@ class ProbDB:
             strategy=self.strategy,
             rng=random.Random(0),
             copy_db=True,
-            backend=self.backend,
             executor=self.executor,
             enclosures=self._evaluator.enclosures,
         )
@@ -687,7 +674,7 @@ class ProbDB:
         """A per-call ``strategy=`` as an object; ``None`` stays the session's."""
         if strategy is None:
             return None
-        return resolve_strategy(strategy, eps=self._eps, delta=self._delta, backend=self.backend)
+        return resolve_strategy(strategy, eps=self._eps, delta=self._delta)
 
     def _plan_cache_token(self, strategy: ConfidenceStrategy) -> tuple:
         # Answers are bit-identical at any worker count *given the plan*

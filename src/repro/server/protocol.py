@@ -286,7 +286,7 @@ def validate_request(req) -> dict:
     if req.get("v") != PROTOCOL_VERSION:
         raise ProtocolError(f"unsupported protocol version {req.get('v')!r}")
     op = req.get("op")
-    if op not in OPS:
+    if not isinstance(op, str) or op not in OPS:
         raise ProtocolError(f"unknown op {op!r}; expected one of {sorted(OPS)}")
     tenant = req.get("tenant")
     if not isinstance(tenant, str) or not tenant:
@@ -294,6 +294,8 @@ def validate_request(req) -> dict:
     if op in COMPUTE_OPS or op == "close_session":
         if not isinstance(req.get("session"), str):
             raise ProtocolError(f"op {op!r} needs a session id")
+    if not isinstance(req.get("params"), (dict, type(None))):
+        raise ProtocolError("request params must be an object (or absent)")
     return req
 
 

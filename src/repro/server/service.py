@@ -110,6 +110,31 @@ class _Pending:
         self.timer = None
 
 
+def _numeric(params: dict, op: str, name: str):
+    """``params[name]`` as a real number; a bool or a non-number is a protocol error."""
+    value = params.get(name)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ProtocolError(f"{op} param {name!r} must be numeric")
+    return value
+
+
+def _bounds_budget(params: dict, op: str, allow_none: bool) -> dict:
+    """``{"bounds_budget": b}`` if the request names one, else ``{}``.
+
+    ``b`` must be an int ≥ 0 that is not a bool (``true`` is not budget
+    1), or ``None`` where the op takes it (no pruning).
+    """
+    if "bounds_budget" not in params:
+        return {}
+    budget = params["bounds_budget"]
+    if budget is None and allow_none:
+        return {"bounds_budget": None}
+    if isinstance(budget, bool) or not isinstance(budget, int) or budget < 0:
+        allowed = "a non-negative int or null" if allow_none else "a non-negative int"
+        raise ProtocolError(f"{op} param 'bounds_budget' must be {allowed}")
+    return {"bounds_budget": budget}
+
+
 def serve(
     source,
     workers: "int | ShardExecutor | None" = None,
@@ -154,7 +179,6 @@ class Server:
         strategy: str = "auto",
         eps: float | None = None,
         delta: float | None = None,
-        backend: str | None = None,
         tenant_quota: int = 2,
         max_in_flight: int = 8,
         max_queue: int = 64,
@@ -166,7 +190,6 @@ class Server:
         self._strategy = strategy
         self._eps = eps
         self._delta = delta
-        self._backend = backend
         self._cache_size = cache_size
         self._executor, self._owns_executor = as_executor(workers)
         # Warm the shard pool before any compute thread exists: under the
@@ -244,7 +267,6 @@ class Server:
             rng=params.get("seed", 0),
             copy=True,
             cache_size=params.get("cache_size", self._cache_size),
-            backend=self._backend,
             workers=self._executor,
         )
         session = _Session(session_id, req["tenant"], db)
@@ -359,9 +381,10 @@ class Server:
                 "complete": bool(result.complete),
             }
         if op == "confidence_all":
-            reports = db.confidence_all(
-                self._query_text(params), strategy=params.get("strategy")
-            )
+            strategy = params.get("strategy")
+            if not isinstance(strategy, (str, type(None))):
+                raise ProtocolError("confidence_all param 'strategy' must be a name")
+            reports = db.confidence_all(self._query_text(params), strategy=strategy)
             return {
                 "tuples": [
                     [encode_value(row), encode_report(report)]
@@ -369,20 +392,11 @@ class Server:
                 ]
             }
         if op == "evaluate_with_guarantee":
-            for name in ("delta", "eps0"):
-                if not isinstance(params.get(name), (int, float)):
-                    raise ProtocolError(f"evaluate_with_guarantee needs numeric {name!r}")
-            kwargs = {}
-            if "bounds_budget" in params:
-                budget = params["bounds_budget"]
-                if budget is not None and not isinstance(budget, int):
-                    raise ProtocolError("bounds_budget must be an int or None")
-                kwargs["bounds_budget"] = budget
             report = db.evaluate_with_guarantee(
                 self._query_text(params),
-                delta=params["delta"],
-                eps0=params["eps0"],
-                **kwargs,
+                delta=_numeric(params, op, "delta"),
+                eps0=_numeric(params, op, "eps0"),
+                **_bounds_budget(params, op, allow_none=True),
             )
             self._bounds_certified += report.bounds_certified
             return encode_driver_report(report)
@@ -390,18 +404,10 @@ class Server:
             k = params.get("k")
             if isinstance(k, bool) or not isinstance(k, int) or k < 1:
                 raise ProtocolError("topk needs a positive integer 'k' param")
-            kwargs = {}
+            kwargs = _bounds_budget(params, op, allow_none=False)
             for name in ("eps", "delta"):
-                if name in params and params[name] is not None:
-                    value = params[name]
-                    if isinstance(value, bool) or not isinstance(value, (int, float)):
-                        raise ProtocolError(f"topk param {name!r} must be numeric")
-                    kwargs[name] = value
-            if "bounds_budget" in params:
-                budget = params["bounds_budget"]
-                if isinstance(budget, bool) or not isinstance(budget, int):
-                    raise ProtocolError("bounds_budget must be an int")
-                kwargs["bounds_budget"] = budget
+                if params.get(name) is not None:
+                    kwargs[name] = _numeric(params, op, name)
             report = db.topk(self._query_text(params), k, **kwargs)
             return encode_topk_report(report)
         if op == "explain":

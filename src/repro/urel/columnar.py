@@ -35,9 +35,7 @@ A :class:`ColumnarURelation` decodes back to an exactly equal
 :class:`URelation` (original value objects, interned conditions) via
 :meth:`to_urelation`; the evaluator keeps intermediates columnar through
 algebra subtrees and materializes only at confidence / repair-key /
-result boundaries.  This module imports NumPy lazily-gated like
-:mod:`repro.confidence.batch`: without NumPy the evaluator simply stays
-on the indexed scalar path.
+result boundaries.
 """
 
 from __future__ import annotations
@@ -47,6 +45,8 @@ import threading
 from collections.abc import Mapping, Sequence
 from functools import partial, reduce
 from typing import Optional
+
+import numpy as np
 
 from repro.algebra import schema as _schema
 from repro.algebra.expressions import (
@@ -68,10 +68,9 @@ from repro.algebra.tree import fold
 from repro.urel.conditions import TOP, Condition, ConditionPool, Var
 from repro.urel.urelation import URelation
 from repro.urel.variables import VariableTable
-from repro.util.backends import HAS_NUMPY, np as _np
 from repro.util.parallel import SERIAL_EXECUTOR
 
-__all__ = ["HAS_NUMPY", "ValueCodec", "ColumnarContext", "ColumnarURelation"]
+__all__ = ["ValueCodec", "ColumnarContext", "ColumnarURelation"]
 
 _PAIR_MERGE_BUDGET = 1 << 24
 """Int64 cells a product/join pair-merge may gather per block (~128 MB)."""
@@ -108,7 +107,7 @@ class ValueCodec:
         # True once any coded value is not equal to itself (NaN): dict
         # lookup then uses identity-or-== semantics while the scalar
         # operators use pure ==, so integer-code comparisons must be
-        # disabled to keep the two backends setwise identical.
+        # disabled to keep the two engines setwise identical.
         self.has_nonreflexive = False  # detlint: guarded-by(_CODEC_LOCK)
         # Incremented whenever a coded value lands in an ==-equality
         # class already holding a *different type* (3 vs 3.0 vs
@@ -159,12 +158,11 @@ class ValueCodec:
 
         Memoized and rebuilt only when the codec has grown since the
         last call, so decode cost is amortized O(new values) rather than
-        O(all values ever coded) per materialization.  (Only called on
-        the numpy path — the codec itself never requires numpy.)
+        O(all values ever coded) per materialization.
         """
         arr = self._lookup
         if arr is None or arr.shape[0] < len(self.values):
-            arr = _np.fromiter(self.values, dtype=object, count=len(self.values))
+            arr = np.fromiter(self.values, dtype=object, count=len(self.values))
             self._lookup = arr
         return arr
 
@@ -220,11 +218,6 @@ class ColumnarContext:
         min_rows: int = 32,
         max_vars: int = 64,
     ):
-        if not HAS_NUMPY:
-            raise RuntimeError(
-                "the columnar U-relation engine requires numpy; "
-                "use the scalar backend instead"
-            )
         self.w = w
         self.pool = pool if pool is not None else ConditionPool()
         self.values = ValueCodec()
@@ -301,8 +294,8 @@ class ColumnarContext:
         events_before = self.values.conflation_events
         cond_vars = tuple(sorted(urel.variables(), key=repr))
         n, k, v = len(urel.rows), len(urel.columns), len(cond_vars)
-        data = _np.empty((n, k), dtype=_np.int64)
-        conds = _np.full((n, v), -1, dtype=_np.int64)
+        data = np.empty((n, k), dtype=np.int64)
+        conds = np.full((n, v), -1, dtype=np.int64)
         var_pos = {var: j for j, var in enumerate(cond_vars)}
         var_codecs = [self.var_codec(var) for var in cond_vars]
         code = self.values.code
@@ -398,7 +391,7 @@ class ColumnarURelation:
         Joins require code equality to mirror value equality, so values
         that compare equal across types (``3 == 3.0 == Fraction(3)``)
         necessarily share one code — decoded results are always ``==``
-        to the scalar backend's (the invariant the differential suite
+        to the scalar operators' (the invariant the differential suite
         asserts) but may carry a different equal representative than the
         per-relation objects the scalar path preserves.  Conditions are
         interned through the context pool.  Memoized — repeated
@@ -426,8 +419,8 @@ class ColumnarURelation:
             return [TOP] * n
         ids = _group_ids(self.conds)
         n_groups = int(ids.max()) + 1
-        representatives = _np.empty(n_groups, dtype=_np.int64)
-        representatives[ids] = _np.arange(n)
+        representatives = np.empty(n_groups, dtype=np.int64)
+        representatives[ids] = np.arange(n)
         var_values = [self.ctx.var_codec(var).values for var in self.cond_vars]
         cond_vars = self.cond_vars
         intern = self.ctx.pool.intern
@@ -437,7 +430,7 @@ class ColumnarURelation:
                 cond_vars[j]: var_values[j][c] for j, c in enumerate(row) if c >= 0
             }
             group_conds.append(intern(Condition._from_map(mapping)) if mapping else TOP)
-        gathered = _np.fromiter(group_conds, dtype=object, count=n_groups)
+        gathered = np.fromiter(group_conds, dtype=object, count=n_groups)
         return gathered[ids].tolist()
 
     # ------------------------------------------------------------ internals
@@ -464,7 +457,7 @@ class ColumnarURelation:
                 data, conds = data[:1], conds[:1]
             else:
                 v = conds.shape[1]
-                merged = _unique_rows(_np.hstack([conds, data]))
+                merged = _unique_rows(np.hstack([conds, data]))
                 conds, data = merged[:, :v], merged[:, v:]
         return self._replace(columns, data, cond_vars, conds, tainted=tainted)
 
@@ -474,7 +467,7 @@ class ColumnarURelation:
         if cached is None:
             values = self.ctx.values.values
             codes = self.data[:, position].tolist()
-            cached = _np.fromiter(
+            cached = np.fromiter(
                 (values[c] for c in codes), dtype=object, count=len(codes)
             )
             self._columns_cache[position] = cached
@@ -576,14 +569,14 @@ class ColumnarURelation:
         except Exception:
             # The vectorized path evaluates every operand eagerly over
             # all rows, so a guarded expression (``B != 0 and A/B > 1``)
-            # can raise where the scalar backend's short-circuit would
+            # can raise where the scalar operators' short-circuit would
             # not.  Row-at-a-time evaluation below shares the scalar
             # semantics exactly — including *propagating* whatever an
             # unguarded predicate raises.
             mask = None
         if mask is None:
             envs = self._row_envs()
-            mask = _np.fromiter(
+            mask = np.fromiter(
                 (condition.evaluate(env) for env in envs), dtype=bool, count=len(envs)
             )
         return self._replace(
@@ -609,7 +602,7 @@ class ColumnarURelation:
             envs = self._row_envs()
             code = self.ctx.values.code
             events_before = self.ctx.values.conflation_events
-            data = _np.empty((len(envs), len(normalized)), dtype=_np.int64)
+            data = np.empty((len(envs), len(normalized)), dtype=np.int64)
             for i, env in enumerate(envs):
                 for j, (expr, _) in enumerate(normalized):
                     data[i, j] = code(expr.evaluate(env))
@@ -645,9 +638,9 @@ class ColumnarURelation:
         out_vars, mine, theirs = self._aligned_conds(other)
         return self._deduped(
             self.columns,
-            _np.vstack([self.data, odata]),
+            np.vstack([self.data, odata]),
             out_vars,
-            _np.vstack([mine, theirs]),
+            np.vstack([mine, theirs]),
             tainted=self.tainted or other.tainted,
         )
 
@@ -737,19 +730,19 @@ class ColumnarURelation:
             return self._all_pairs_merge(other, out_cols, rkeep, executor)
         lpos = list(_schema.positions(self.columns, shared))
         rpos = list(_schema.positions(other.columns, shared))
-        stacked = _np.vstack([self.data[:, lpos], other.data[:, rpos]])
+        stacked = np.vstack([self.data[:, lpos], other.data[:, rpos]])
         inverse = _group_ids(stacked)
         left_ids, right_ids = inverse[:n1], inverse[n1:]
-        order = _np.argsort(right_ids, kind="stable")
+        order = np.argsort(right_ids, kind="stable")
         sorted_ids = right_ids[order]
-        starts = _np.searchsorted(sorted_ids, left_ids, side="left")
-        ends = _np.searchsorted(sorted_ids, left_ids, side="right")
+        starts = np.searchsorted(sorted_ids, left_ids, side="left")
+        ends = np.searchsorted(sorted_ids, left_ids, side="right")
         counts = ends - starts
         total = int(counts.sum())
-        li = _np.repeat(_np.arange(n1), counts)
-        offsets = _np.concatenate(([0], _np.cumsum(counts)))[:-1]
-        within = _np.arange(total) - _np.repeat(offsets, counts)
-        ri = order[_np.repeat(starts, counts) + within]
+        li = np.repeat(np.arange(n1), counts)
+        offsets = np.concatenate(([0], np.cumsum(counts)))[:-1]
+        within = np.arange(total) - np.repeat(offsets, counts)
+        ri = order[np.repeat(starts, counts) + within]
         return self._pair_merge(other, out_cols, li, ri, rkeep, executor)
 
 
@@ -779,15 +772,15 @@ def _merge_pair_block(left_conds, right_conds, left_data, right_data, rkeep, bl,
     if not ok.all():
         bl, br = bl[ok], br[ok]
         left, right, left_undef = left[ok], right[ok], left_undef[ok]
-    conds = _np.where(left_undef, right, left)
-    data = _np.hstack([left_data[bl], right_data[br][:, rkeep]])
+    conds = np.where(left_undef, right, left)
+    data = np.hstack([left_data[bl], right_data[br][:, rkeep]])
     return data, conds
 
 
 def _stack_parts(data_parts, cond_parts):
     if len(data_parts) == 1:
         return data_parts[0], cond_parts[0]
-    return _np.vstack(data_parts), _np.vstack(cond_parts)
+    return np.vstack(data_parts), np.vstack(cond_parts)
 
 
 def _indexed_pairs_shard(
@@ -833,8 +826,8 @@ def _all_pairs_shard(
     start = row_start
     while True:
         stop = min(start + rows_per_block, row_stop)
-        li = _np.repeat(_np.arange(start, stop), n_right)
-        ri = _np.tile(_np.arange(n_right), max(stop - start, 0))
+        li = np.repeat(np.arange(start, stop), n_right)
+        ri = np.tile(np.arange(n_right), max(stop - start, 0))
         data, conds = _indexed_pairs_shard(
             left_conds, right_conds, left_data, right_data, rkeep, li, ri, block
         )
@@ -849,7 +842,7 @@ def _all_pairs_shard(
 def _row_order(matrix):
     """A lexicographic row ordering (last column is the primary key —
     any total order works, set semantics only needs grouping)."""
-    return _np.lexsort(matrix.T)
+    return np.lexsort(matrix.T)
 
 
 def _unique_rows(matrix):
@@ -860,9 +853,9 @@ def _unique_rows(matrix):
     comparison loop in int64 C code.
     """
     sorted_rows = matrix[_row_order(matrix)]
-    keep = _np.empty(sorted_rows.shape[0], dtype=bool)
+    keep = np.empty(sorted_rows.shape[0], dtype=bool)
     keep[0] = True
-    _np.any(sorted_rows[1:] != sorted_rows[:-1], axis=1, out=keep[1:])
+    np.any(sorted_rows[1:] != sorted_rows[:-1], axis=1, out=keep[1:])
     return sorted_rows[keep]
 
 
@@ -870,21 +863,21 @@ def _group_ids(matrix):
     """One integer id per row, equal rows sharing an id (≥1 column)."""
     n = matrix.shape[0]
     if n == 0:
-        return _np.empty(0, dtype=_np.int64)
+        return np.empty(0, dtype=np.int64)
     order = _row_order(matrix)
     sorted_rows = matrix[order]
-    boundary = _np.empty(n, dtype=bool)
+    boundary = np.empty(n, dtype=bool)
     boundary[0] = True
-    _np.any(sorted_rows[1:] != sorted_rows[:-1], axis=1, out=boundary[1:])
-    ids = _np.empty(n, dtype=_np.int64)
-    ids[order] = _np.cumsum(boundary) - 1
+    np.any(sorted_rows[1:] != sorted_rows[:-1], axis=1, out=boundary[1:])
+    ids = np.empty(n, dtype=np.int64)
+    ids[order] = np.cumsum(boundary) - 1
     return ids
 
 
 def _project_conds(rel: ColumnarURelation, out_vars: tuple[Var, ...]):
     """``rel``'s condition matrix re-laid-out over ``out_vars``."""
     pos = {var: j for j, var in enumerate(rel.cond_vars)}
-    out = _np.full((len(rel), len(out_vars)), -1, dtype=_np.int64)
+    out = np.full((len(rel), len(out_vars)), -1, dtype=np.int64)
     for j, var in enumerate(out_vars):
         source = pos.get(var)
         if source is not None:
@@ -945,7 +938,7 @@ def _cmp_mask(rel: ColumnarURelation, atom: Cmp, left, right):
     # the codec has not seen share the sentinel and would spuriously
     # compare equal.  With a NaN anywhere in the codec, code equality no
     # longer implies value == value; the decoded path's elementwise ==
-    # matches the scalar backend.
+    # matches the scalar operators.
     if (
         atom.op in ("=", "!=")
         and left[0] is not None
@@ -960,9 +953,9 @@ def _cmp_mask(rel: ColumnarURelation, atom: Cmp, left, right):
 
 def _as_mask(mask, n: int):
     """Broadcast a constant truth value (constant atom, Boolean literal) to a full mask."""
-    if isinstance(mask, _np.ndarray) and mask.shape:
+    if isinstance(mask, np.ndarray) and mask.shape:
         return mask.astype(bool, copy=False)
-    return _np.full(n, bool(mask), dtype=bool)
+    return np.full(n, bool(mask), dtype=bool)
 
 
 def _junction_mask(combine, rel: ColumnarURelation, node, *masks):

@@ -34,25 +34,22 @@ the ``select`` as written still runs, and a copy whose predicate raises
 on its operand is skipped.  The rewritten tree stays in here: the
 ``conf`` handler hands step 0 the plan as written.
 
-``backend`` selects the operator engine for the purely-relational
-subtrees, through the same ``resolve_backend("auto"|"numpy"|"python")``
-switch as the Monte Carlo trial backends: ``numpy`` runs
+The purely-relational subtrees run
 ``select``/``project``/``rename``/``union``/``product``/``natural_join``
 on the columnar integer-coded representation
 (:mod:`repro.urel.columnar`), keeping intermediates columnar across the
 subtree and materializing a scalar :class:`URelation` only at
-confidence / repair-key / possibility boundaries; ``python`` (and any
-environment without NumPy) uses the indexed scalar operators of
-:class:`URelation` directly.  Relations outside the columnar envelope
-(fewer than ``ColumnarContext.min_rows`` rows, or more than
-``max_vars`` condition variables) run the indexed scalar operators even
-under ``numpy``; both paths produce setwise-identical relations.  The
+confidence / repair-key / possibility boundaries.  Relations outside
+the columnar envelope (fewer than ``ColumnarContext.min_rows`` rows, or
+more than ``max_vars`` condition variables) run the indexed scalar
+operators of :class:`URelation` instead; both paths produce
+setwise-identical relations.  The
 envelope is asked about what the operators actually meet — after
 pushdown, a join's operand is the filtered relation.
 Tuple-independent inputs, one variable per row, are the shape that
 exceeds ``max_vars`` — and the shape step 0 exists for: the
 *confidences* of a safe plan over them are read off the plan, on one
-pure-Python path whatever the backend, and this intensional result is
+pure-Python path, and this intensional result is
 never built: ``db.query`` and the ``conf`` handler (a
 :func:`~repro.algebra.tree.lazy` one) ask step 0 before evaluating.
 
@@ -94,7 +91,6 @@ from repro.algebra.pushdown import PUSH_ERRORS, push, strip
 from repro.algebra.relations import Relation
 from repro.algebra.tree import lazy
 from repro.urel.columnar import ColumnarContext, ColumnarURelation
-from repro.util.backends import resolve_backend
 from repro.urel.translate import confidence_relation, translate_repair_key
 from repro.urel.udatabase import UDatabase
 from repro.urel.urelation import URelation
@@ -122,7 +118,7 @@ def _confidence():
 
 
 _Rep = _Union[URelation, ColumnarURelation]
-"""An intermediate result: scalar, or columnar on the numpy path."""
+"""An intermediate result: scalar, or columnar inside the envelope."""
 
 
 @dataclass
@@ -142,10 +138,7 @@ class UEvaluator:
 
     ``strategy`` is the :class:`~repro.confidence.strategies.ConfidenceStrategy`
     object ``conf`` runs (``None``: exact decomposition, the Theorem 3.4
-    subprocedure); ``rng`` seeds all approximate operators; ``backend``
-    selects the relational-operator engine (``"numpy"`` columnar /
-    ``"python"`` scalar; ``None``/``"auto"`` picks numpy when
-    importable); ``executor`` (a
+    subprocedure); ``rng`` seeds all approximate operators; ``executor`` (a
     :class:`~repro.util.parallel.ShardExecutor`; default: the
     process-wide serial one) runs the columnar product/join pair merges
     and the ``aconf`` trial budgets, bit-identically at every worker
@@ -163,7 +156,6 @@ class UEvaluator:
         strategy: ConfidenceStrategy | None = None,
         rng: random.Random | int | None = None,
         copy_db: bool = True,
-        backend: str | None = None,
         executor=None,
         enclosures=None,
     ):
@@ -171,23 +163,19 @@ class UEvaluator:
         self._strategy = _confidence().ExactDecomposition() if strategy is None else strategy
         self._enclosures = enclosures
         self.rng = ensure_rng(rng)
-        self.backend = resolve_backend(backend)
         # Columnar product/join pair merges and aconf trial budgets run
         # on it; the shard plan is a function of row and trial counts
         # only, so results are bit-identical at every worker count.
         self.executor = executor or SERIAL_EXECUTOR
         self._pool = self.db.condition_pool
-        if self.backend == "numpy":
-            # One coding context per database family (shared through
-            # UDatabase.copy, like the pool), so per-relation encoding
-            # memos hit across session and scratch evaluators alike.
-            # Attached under the database lock: evaluators on different
-            # threads must agree on one context.
-            self._ctx = self.db.ensure_columnar_context(
-                lambda: ColumnarContext(self.db.w, self._pool)
-            )
-        else:
-            self._ctx = None
+        # One coding context per database family (shared through
+        # UDatabase.copy, like the pool), so per-relation encoding memos
+        # hit across session and scratch evaluators alike.  Attached
+        # under the database lock: evaluators on different threads must
+        # agree on one context.
+        self._ctx = self.db.ensure_columnar_context(
+            lambda: ColumnarContext(self.db.w, self._pool)
+        )
 
     # ------------------------------------------------------------------
     def evaluate(self, query: Query) -> UResult:
@@ -217,18 +205,14 @@ class UEvaluator:
         return rep if isinstance(rep, URelation) else rep.to_urelation()
 
     def _lift(self, rep: _Rep) -> _Rep:
-        """The operator-engine form of ``rep``: columnar on the numpy path.
+        """The operator-engine form of ``rep``: columnar where it pays.
 
         Scalar relations outside the columnar envelope (too small to
         amortize array setup, or too many condition variables for the
         dense matrix — see :meth:`ColumnarContext.worth_encoding`) are
         returned unchanged and run the indexed scalar operators instead.
         """
-        if (
-            self._ctx is not None
-            and isinstance(rep, URelation)
-            and self._ctx.worth_encoding(rep)
-        ):
+        if isinstance(rep, URelation) and self._ctx.worth_encoding(rep):
             encoded = self._ctx.encode(rep)
             if encoded.tainted:
                 # Encoding this relation collided cross-type with an
@@ -246,8 +230,6 @@ class UEvaluator:
         columnar; if one side is already columnar, the other follows it
         unless its variable set would blow out the dense matrix.
         """
-        if self._ctx is None:
-            return None
         left_c = isinstance(left, ColumnarURelation)
         right_c = isinstance(right, ColumnarURelation)
         if left_c and right_c:
@@ -443,7 +425,7 @@ class UEvaluator:
 
     def aconf_strategy(self, node: ApproxConf) -> ConfidenceStrategy:
         """What ``conf_{ε,δ}`` runs: Karp–Luby at the node's own (ε, δ)."""
-        return _confidence().KarpLuby(node.eps, node.delta, backend=self.backend)
+        return _confidence().KarpLuby(node.eps, node.delta)
 
     def lineage(
         self, urel: URelation, rows: Sequence[tuple] | None = None

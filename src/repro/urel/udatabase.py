@@ -46,8 +46,8 @@ class UDatabase:
         # algebra never consults W, so pooled entries are pure caches and
         # copies of the database can safely share the pool.
         self.condition_pool = condition_pool if condition_pool is not None else ConditionPool()
-        # Lazily-attached ColumnarContext (set by the numpy evaluator;
-        # kept untyped so this module needs no numpy-gated import).
+        # Lazily-attached ColumnarContext (set by the first evaluator;
+        # kept untyped so this module does not import the columnar one).
         # Private per database: a context codes against *this* database's
         # W table, and ``copy()`` hands copies their own snapshot rather
         # than sharing mutable coding state across sessions.

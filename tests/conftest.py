@@ -1,8 +1,13 @@
-"""Shared fixtures: the paper's coin database on both engines, seeded RNGs."""
+"""Shared fixtures: the paper's coin database on both engines, seeded RNGs.
+
+Also :func:`scalar_only` / :func:`on_engine`, the scalar-vs-columnar
+differentials' switch.
+"""
 
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -18,7 +23,28 @@ from repro.generators.coins import (
     toss_query,
 )
 from repro.urel import UDatabase
+from repro.urel.columnar import ColumnarContext
 from repro.worlds import PossibleWorldsDB
+
+
+def scalar_only(db: UDatabase) -> UDatabase:
+    """``db`` with a columnar context no relation is worth encoding.
+
+    Attach it before building an evaluator or session on ``db``: every
+    operator then runs the indexed scalar path, the reference the
+    columnar engine is compared against.  Copies of ``db`` (a driver's,
+    ``connect(copy=True)``) inherit the context's ``min_rows``.
+    """
+    db.columnar_context = ColumnarContext(db.w, db.condition_pool, min_rows=sys.maxsize)
+    return db
+
+
+ENGINES = ("columnar", "scalar")
+
+
+def on_engine(engine: str, db: UDatabase) -> UDatabase:
+    """``db`` itself for ``"columnar"``, a :func:`scalar_only` copy for ``"scalar"``."""
+    return scalar_only(db.copy()) if engine == "scalar" else db
 
 
 @pytest.fixture

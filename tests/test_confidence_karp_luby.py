@@ -1,7 +1,6 @@
 """Tests for the Karp–Luby estimator, the FPRAS, bounds, and the naive baseline.
 
-The samplers are the engine's (:mod:`repro.confidence.batch`), checked on
-every available trial backend.
+The samplers are the engine's (:mod:`repro.confidence.batch`).
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ from repro.confidence import (
 )
 from repro.confidence.batch import (
     BatchKarpLubySampler,
-    available_backends,
     batch_approximate_confidence,
     batch_naive_confidence,
     karp_luby_ratio,
@@ -42,9 +40,6 @@ from repro.urel.udatabase import UDatabase
 from repro.urel.urelation import URelation
 from repro.urel.variables import VariableTable
 from repro.util.parallel import ShardExecutor
-
-BACKENDS = available_backends()
-
 
 def _bool_table(n: int, p: float = 0.5) -> VariableTable:
     w = VariableTable()
@@ -106,66 +101,63 @@ class TestBounds:
         assert combine_independent([0.1]) <= combine_union([0.1]) + 1e-12
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 class TestSamplerDegenerateCases:
-    def test_empty_dnf_is_exact_zero(self, backend):
+    def test_empty_dnf_is_exact_zero(self):
         w = _bool_table(1)
-        sampler = BatchKarpLubySampler(Dnf([], w), rng=0, backend=backend)
+        sampler = BatchKarpLubySampler(Dnf([], w), rng=0)
         assert sampler.is_exact
         assert sampler.estimate == 0.0
         assert sampler.error_bound(0.1) == 0.0
 
-    def test_trivially_true_is_exact_one(self, backend):
+    def test_trivially_true_is_exact_one(self):
         w = _bool_table(1)
-        sampler = BatchKarpLubySampler(Dnf([Condition()], w), rng=0, backend=backend)
+        sampler = BatchKarpLubySampler(Dnf([Condition()], w), rng=0)
         assert sampler.is_exact
         assert sampler.estimate == 1.0
 
-    def test_singleton_is_exact_weight(self, backend):
+    def test_singleton_is_exact_weight(self):
         w = _bool_table(2, 0.3)
         d = Dnf([Condition({("x", 0): 1, ("x", 1): 1})], w)
-        sampler = BatchKarpLubySampler(d, rng=0, backend=backend)
+        sampler = BatchKarpLubySampler(d, rng=0)
         assert sampler.is_exact
         assert sampler.estimate == pytest.approx(0.09)
 
-    def test_no_trials_error(self, backend):
+    def test_no_trials_error(self):
         w = _bool_table(2)
         d = Dnf([Condition({("x", 0): 1}), Condition({("x", 1): 1})], w)
-        sampler = BatchKarpLubySampler(d, rng=0, backend=backend)
+        sampler = BatchKarpLubySampler(d, rng=0)
         with pytest.raises(RuntimeError, match="no trials"):
             _ = sampler.estimate
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 class TestUnbiasedness:
     """E[X·M/m] = p — the Section 4 derivation, checked statistically."""
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_estimate_converges_on_2dnf(self, seed, backend):
+    def test_estimate_converges_on_2dnf(self, seed):
         d = bipartite_2dnf(4, 4, edge_probability=0.5, rng=seed)
         truth = float(probability_by_decomposition(d))
-        sampler = BatchKarpLubySampler(d, rng=seed + 100, backend=backend)
+        sampler = BatchKarpLubySampler(d, rng=seed + 100)
         sampler.run(30_000)
         assert sampler.estimate == pytest.approx(truth, rel=0.05)
 
-    def test_estimate_converges_on_chain(self, backend):
+    def test_estimate_converges_on_chain(self):
         d = chain_dnf(6)
         truth = float(probability_by_decomposition(d))
-        sampler = BatchKarpLubySampler(d, rng=9, backend=backend)
+        sampler = BatchKarpLubySampler(d, rng=9)
         sampler.run(30_000)
         assert sampler.estimate == pytest.approx(truth, rel=0.05)
 
-    def test_estimate_within_m_over_f_range(self, backend):
+    def test_estimate_within_m_over_f_range(self):
         """Each trial is 0/1, so p̂ ∈ [0, M]."""
         d = chain_dnf(5)
-        sampler = BatchKarpLubySampler(d, rng=3, backend=backend)
+        sampler = BatchKarpLubySampler(d, rng=3)
         sampler.run(500)
         assert 0.0 <= sampler.estimate <= float(d.total_weight)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 class TestFpras:
-    def test_guarantee_holds_empirically(self, backend):
+    def test_guarantee_holds_empirically(self):
         """Repeat (ε, δ) runs; relative-error failures must be ≤ δ-ish."""
         d = bipartite_2dnf(3, 3, edge_probability=0.6, rng=77)
         truth = float(probability_by_decomposition(d))
@@ -174,49 +166,48 @@ class TestFpras:
         failures = 0
         runs = 60
         for _ in range(runs):
-            est = batch_approximate_confidence(d, eps, delta, rng, backend=backend)
+            est = batch_approximate_confidence(d, eps, delta, rng)
             if abs(est.estimate - truth) >= eps * truth:
                 failures += 1
         # Chernoff is conservative; allow generous slack over δ·runs.
         assert failures <= max(3, int(2 * delta * runs))
 
-    def test_metadata(self, backend):
+    def test_metadata(self):
         d = chain_dnf(3)
-        est = batch_approximate_confidence(d, 0.3, 0.3, rng=1, backend=backend)
+        est = batch_approximate_confidence(d, 0.3, 0.3, rng=1)
         assert est.samples == karp_luby_sample_size(0.3, 0.3, d.size)
         assert est.size == d.size
         assert est.eps == 0.3 and est.delta == 0.3
         assert not est.exact
 
-    def test_exact_shortcut(self, backend):
+    def test_exact_shortcut(self):
         w = _bool_table(1, 0.4)
         d = Dnf([Condition({("x", 0): 1})], w)
-        est = batch_approximate_confidence(d, 0.1, 0.1, 1, backend=backend)
+        est = batch_approximate_confidence(d, 0.1, 0.1, 1)
         assert est.exact
         assert est.estimate == pytest.approx(0.4)
         assert est.error_bound(0.01) == 0.0
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 class TestNaiveBaseline:
-    def test_converges(self, backend):
+    def test_converges(self):
         d = chain_dnf(4)
         truth = float(probability_by_decomposition(d))
-        est = batch_naive_confidence(d, 40_000, rng=11, backend=backend)
+        est = batch_naive_confidence(d, 40_000, rng=11)
         assert est.estimate == pytest.approx(truth, abs=0.02)
 
-    def test_additive_bound(self, backend):
-        est = batch_naive_confidence(chain_dnf(3), 1000, rng=2, backend=backend)
+    def test_additive_bound(self):
+        est = batch_naive_confidence(chain_dnf(3), 1000, rng=2)
         assert est.additive_error_bound(0.05) == pytest.approx(
             2 * math.exp(-2 * 1000 * 0.0025)
         )
 
-    def test_degenerate(self, backend):
+    def test_degenerate(self):
         w = _bool_table(1)
-        assert batch_naive_confidence(Dnf([], w), 10, 1, backend).estimate == 0.0
-        assert batch_naive_confidence(Dnf([Condition()], w), 10, 1, backend).estimate == 1.0
+        assert batch_naive_confidence(Dnf([], w), 10, 1).estimate == 0.0
+        assert batch_naive_confidence(Dnf([Condition()], w), 10, 1).estimate == 1.0
 
-    def test_relative_error_worse_than_karp_luby_for_rare_events(self, backend):
+    def test_relative_error_worse_than_karp_luby_for_rare_events(self):
         """The motivating gap: at equal budget, KL has far smaller relative
         error on a low-probability disjunction."""
         w = VariableTable()
@@ -228,10 +219,10 @@ class TestNaiveBaseline:
         budget = 4000
         kl_errors, mc_errors = [], []
         for seed in range(15):
-            kl = BatchKarpLubySampler(d, rng=seed, backend=backend)
+            kl = BatchKarpLubySampler(d, rng=seed)
             kl.run(budget)
             kl_errors.append(abs(kl.estimate - truth) / truth)
-            mc = batch_naive_confidence(d, budget, rng=1000 + seed, backend=backend)
+            mc = batch_naive_confidence(d, budget, rng=1000 + seed)
             mc_errors.append(abs(mc.estimate - truth) / truth)
         assert sum(kl_errors) < sum(mc_errors)
 
@@ -256,9 +247,9 @@ def _circulant_db(n_tuples: int = 3) -> UDatabase:
     return db
 
 
-def _sampling_auto(eps=0.3, delta=0.2, backend=None) -> AutoStrategy:
+def _sampling_auto(eps=0.3, delta=0.2) -> AutoStrategy:
     """``auto`` with steps 3 and 4 starved, so small DNFs reach step 5."""
-    return AutoStrategy(eps, delta, backend=backend, max_exact_size=0, bounds_budget=0)
+    return AutoStrategy(eps, delta, max_exact_size=0, bounds_budget=0)
 
 
 class TestEnclosureSizedBudget:
@@ -289,17 +280,16 @@ class TestEnclosureSizedBudget:
             estimate = batch_approximate_confidence(dnf, 0.3, 0.2, 0, lower=Fraction(0))
             assert estimate.samples == 0 and estimate.exact
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_clipped_estimates_lie_in_enclosure(self, backend):
+    def test_clipped_estimates_lie_in_enclosure(self):
         """Few trials scatter the raw estimate; the report is it, moved into [L, U]."""
-        auto = AutoStrategy(0.9, 0.5, backend=backend, max_exact_size=0, bounds_budget=0)
+        auto = AutoStrategy(0.9, 0.5, max_exact_size=0, bounds_budget=0)
         dnf = bipartite_2dnf(6, 6, 0.5, var_probability=Fraction(7, 10), rng=3)
         interval = dissociation_interval(dnf, 0)
         clipped = 0
         for seed in range(40):
             report = auto.compute(dnf, random.Random(seed))
             raw = batch_approximate_confidence(
-                dnf, 0.9, 0.5, random.Random(seed), backend=backend, lower=interval.lower
+                dnf, 0.9, 0.5, random.Random(seed), lower=interval.lower
             ).estimate
             assert (report.lower, report.upper) == (interval.lower, interval.upper)
             assert report.lower <= report.value <= report.upper

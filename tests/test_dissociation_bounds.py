@@ -15,7 +15,9 @@ Covers, in one place:
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -126,17 +128,16 @@ class TestBoundInvariant:
 
     @given(random_dnfs())
     @settings(max_examples=40, deadline=None)
-    def test_pair_screen_backends_agree(self, dnf):
+    def test_pair_screens_agree(self, dnf):
         """The numpy pair screen and the pure-python one produce identical
-        intervals (fresh Dnf objects: the memo must not leak across)."""
-        with_numpy = dissociation_interval(Dnf(list(dnf.members), dnf.w), 0)
-        original = dissociation_module._np
-        dissociation_module._np = None
-        try:
-            without_numpy = dissociation_interval(Dnf(list(dnf.members), dnf.w), 0)
-        finally:
-            dissociation_module._np = original
-        assert with_numpy == without_numpy
+        intervals, whatever the component size (fresh Dnf objects: the
+        memo must not leak across)."""
+
+        def interval(screen_min):
+            with mock.patch.object(dissociation_module, "_NUMPY_SCREEN_MIN", screen_min):
+                return dissociation_interval(Dnf(list(dnf.members), dnf.w), 0)
+
+        assert interval(2) == interval(sys.maxsize)
 
     def test_budget_zero_is_exact_for_read_once(self):
         w = _table(3, Fraction(1, 3))
@@ -259,7 +260,7 @@ class TestMixedWorkload:
             executor = ShardExecutor(workers) if workers > 1 else None
             evaluator = ApproxQueryEvaluator(
                 _mixed_sigma_db(), eps0=0.1, rounds=40, rng=23,
-                backend="python", executor=executor,
+                executor=executor,
                 bounds_budget=bounds_budget,
             )
             evaluator.evaluate(query(_SIGMA_QUERY))

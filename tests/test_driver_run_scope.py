@@ -10,7 +10,7 @@ it serve every doubling, and it keeps each σ̂ decision that drew no trial
 * reports equal, field for field, those of a driver whose per-l
   evaluators have no run scope (``enclosures=None``) and draw the same
   spawned streams — narrow and wide selections, pruning off and on,
-  every trial backend, serial and two-worker executors;
+  serial and two-worker executors;
 * the work of one ``guarantee_select``-shaped run (26 candidates, 7
   doublings): 2 encodings, 38 approximators, 14 ε_ψ folds and 120 member
   weights, where rebuilding everything per doubling costs 182, 182, 182
@@ -29,7 +29,7 @@ import pytest
 import repro
 from repro.algebra.expressions import col, lit
 from repro.algebra.operators import ApproxSelect, walk
-from repro.confidence import Dnf, available_backends, batch
+from repro.confidence import Dnf, batch
 from repro.confidence.bounds import rounds_for
 from repro.confidence.dissociation import DEFAULT_BOUND_BUDGET, BoundInterval, EnclosureMemo
 from repro.core import approximator
@@ -102,10 +102,10 @@ def selection(n_groups: int, n_contested: int, side: int = 12, seed: int = 0) ->
 
 NARROW = (3, 1)  # 4 candidates: the sequential σ̂ path
 WIDE = (19, 2)  # 21 candidates: the sharded σ̂ path
-RNG = 4  # six or more doublings on every shape, budget and backend below
+RNG = 4  # six or more doublings on every shape and budget below
 
 
-def reference_driver(node, db, rng, backend, executor, bounds_budget):
+def reference_driver(node, db, rng, executor, bounds_budget):
     """``evaluate_with_guarantee``'s loop with no run scope.
 
     Every per-l evaluator is built with ``enclosures=None`` — it rebuilds
@@ -122,7 +122,6 @@ def reference_driver(node, db, rng, backend, executor, bounds_budget):
             EPS0,
             rounds=rounds,
             rng=spawn_rng(generator),
-            backend=backend,
             executor=executor,
             bounds_budget=bounds_budget,
         )
@@ -167,27 +166,23 @@ def two_workers():
 
 
 @pytest.mark.parametrize("workers", [None, 2])
-@pytest.mark.parametrize("backend", available_backends())
 @pytest.mark.parametrize("bounds_budget", [0, DEFAULT_BOUND_BUDGET])
 @pytest.mark.parametrize("shape", [NARROW, WIDE], ids=["narrow", "wide"])
-def test_reports_equal_a_driver_without_run_scope(
-    shape, bounds_budget, backend, workers, two_workers
-):
+def test_reports_equal_a_driver_without_run_scope(shape, bounds_budget, workers, two_workers):
     udb = selection(*shape)
     node = repro.parse_query(QUERY)
     executor = two_workers if workers else None
-    want = reference_driver(node, udb, RNG, backend, executor, bounds_budget)
+    want = reference_driver(node, udb, RNG, executor, bounds_budget)
     library = evaluate_with_guarantee(
         node,
         udb,
         delta=DELTA,
         eps0=EPS0,
         rng=RNG,
-        backend=backend,
         executor=executor,
         bounds_budget=bounds_budget,
     )
-    session = repro.connect(udb, rng=3, backend=backend, workers=executor)
+    session = repro.connect(udb, rng=3, workers=executor)
     try:
         served = session.evaluate_with_guarantee(
             QUERY, delta=DELTA, eps0=EPS0, rng=RNG, bounds_budget=bounds_budget
@@ -280,10 +275,9 @@ def coin_queries():
 def test_coin_reports_equal_a_driver_without_run_scope(name, bounds_budget, coin_session_after_T):
     udb = coin_session_after_T.db
     node = coin_queries()[name]
-    backend = coin_session_after_T.backend
-    want = reference_driver(node, udb, RNG, backend, None, bounds_budget)
+    want = reference_driver(node, udb, RNG, None, bounds_budget)
     got = evaluate_with_guarantee(
-        node, udb, delta=DELTA, eps0=EPS0, rng=RNG, backend=backend, bounds_budget=bounds_budget
+        node, udb, delta=DELTA, eps0=EPS0, rng=RNG, bounds_budget=bounds_budget
     )
     assert report_fields(got) == want
     trials = sum(r.decision.total_trials for r in got.decisions)

@@ -155,14 +155,12 @@ class TestReportsUnchanged:
         with repro.connect(udb, rng=3, workers=workers) as db:
             cold = _run(db)
             warm = _run(db)
-            backend = db.backend
         library = evaluate_with_guarantee(
             repro.parse_query(QUERY),
             udb,
             delta=DELTA,
             eps0=EPS0,
             rng=5,
-            backend=backend,
             bounds_budget=BUDGET,
         )
         assert cold.bounds_computed == library.bounds_computed == n_groups + 1
@@ -179,9 +177,7 @@ class TestReportsUnchanged:
             warm = db.topk("G", 2, eps=0.3, delta=0.2, bounds_budget=BUDGET)
             result = db.query("G")
             rows, dnfs = dnf_lineage(result.relation, udb.w, result.rows)
-            library = race_topk(
-                rows, dnfs, 2, 0.3, 0.2, rng=3, backend=db.backend, bounds_budget=BUDGET
-            )
+            library = race_topk(rows, dnfs, 2, 0.3, 0.2, rng=3, bounds_budget=BUDGET)
         assert cold == warm == library
 
 

@@ -349,12 +349,9 @@ class TestMemoCache:
         udb = bipartite_2dnf_database(10, 10, edge_probability=0.5, rng=4)
         db = repro.connect(udb, eps=0.3, delta=0.2, rng=0)
         db.confidence("Hard", strategy="karp-luby")
-        # The override resolves with the session's (ε, δ) and trial
-        # backend, not the defaults.
-        from repro.confidence.batch import default_backend
-
+        # The override resolves with the session's (ε, δ), not the defaults.
         cached_keys = [k for k in db._cache._data if k[0] == "conf"]
-        expected = ("karp-luby", 0.3, 0.2, default_backend())
+        expected = ("karp-luby", 0.3, 0.2)
         # Every session appends its merge schedule (the executor's plan
         # token) to the key; the strategy configuration is the prefix.
         assert any(k[-1][: len(expected)] == expected for k in cached_keys)
@@ -429,3 +426,36 @@ class TestDeprecatedShimsRemoved:
 
     def test_version_is_exposed(self):
         assert repro.__version__.count(".") == 2
+
+
+class TestOneNumericBackend:
+    """numpy is the only engine: no option selects another one."""
+
+    def test_no_entry_point_takes_a_backend(self, coin_udb):
+        from repro.core.approx_select import ApproxQueryEvaluator
+        from repro.urel.evaluate import UEvaluator
+
+        for build in (
+            lambda: repro.connect(coin_udb, backend="numpy"),
+            lambda: repro.serve(coin_udb, backend="numpy"),
+            lambda: resolve_strategy("karp-luby", backend="numpy"),
+            lambda: UEvaluator(coin_udb, backend="numpy"),
+            lambda: ApproxQueryEvaluator(coin_udb, 0.1, rounds=1, backend="numpy"),
+        ):
+            with pytest.raises(TypeError, match="backend"):
+                build()
+
+    def test_the_harness_compatibility_points(self, coin_udb):
+        from repro.core.driver import evaluate_with_guarantee
+
+        db = repro.connect(coin_udb, rng=0)
+        assert db.backend == "numpy"
+        query = parse_query("project[CoinType](repair-key[@ Count](Coins))")
+        reports = [
+            evaluate_with_guarantee(query, coin_udb, 0.1, 0.1, rng=3, backend=backend)
+            for backend in (None, "numpy")
+        ]
+        assert reports[0].relation == reports[1].relation
+        for backend in ("python", "auto"):
+            with pytest.raises(ValueError, match="backend"):
+                evaluate_with_guarantee(query, coin_udb, 0.1, 0.1, rng=3, backend=backend)

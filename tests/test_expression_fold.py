@@ -56,7 +56,7 @@ from repro.core.readonce import (
 )
 from repro.core.singularity import _atom_singularity_radius, singularity_radius
 from repro.urel import columnar
-from repro.urel.columnar import HAS_NUMPY, ColumnarContext
+from repro.urel.columnar import ColumnarContext
 from repro.urel.urelation import URelation
 from repro.urel.variables import VariableTable
 
@@ -201,7 +201,6 @@ class TestUnknownNodeType:
         with pytest.raises(TypeError, match="no handler for expression node _Twice"):
             check_read_once(repeated)
 
-    @pytest.mark.skipif(not HAS_NUMPY, reason="columnar lowering needs numpy")
     def test_columnar_lowering_raises_too(self):
         rel = _columnar_relation([(1, 2, 3, 4)])
         with pytest.raises(TypeError, match="columnar select: no handler for expression node"):
@@ -276,7 +275,6 @@ class TestWalkersAgreeWithEvaluate:
         assert attributes(renamed) == {mapping.get(a, a) for a in attributes(predicate)}
         assert rename_attributes(renamed, {}) == renamed
 
-    @pytest.mark.skipif(not HAS_NUMPY, reason="columnar lowering needs numpy")
     @given(predicates())
     @settings(max_examples=30, deadline=None)
     def test_columnar_mask_is_row_wise_evaluate(self, predicate):
@@ -285,7 +283,6 @@ class TestWalkersAgreeWithEvaluate:
         assert mask is not None  # every generated shape lowers
         assert mask.tolist() == [predicate.evaluate(env) for env in rel._row_envs()]
 
-    @pytest.mark.skipif(not HAS_NUMPY, reason="columnar lowering needs numpy")
     def test_unsupported_shape_is_a_handlers_answer(self):
         rel = _columnar_relation([(1, 2, 3, 4)])
         missing_column = col("Z") > lit(0)

@@ -23,12 +23,13 @@ import textwrap
 from fractions import Fraction
 
 import pytest
+from conftest import ENGINES, on_engine
 
 import repro
 from repro.algebra.operators import BaseRel, walk
 from repro.algebra.parser import parse_query
 from repro.algebra.relations import Relation
-from repro.confidence import Dnf, available_backends, lift
+from repro.confidence import Dnf, lift
 from repro.confidence.strategies import AutoStrategy, ConfidenceStrategy
 from repro.generators.coins import coin_database
 from repro.generators.tpdb import add_tuple_independent
@@ -418,14 +419,12 @@ class TestContract:
             assert freed == 1 and session.cache_stats["entries"] == 0  # the plan entry alone
             assert session.confidence_all(text) == first
 
-    def test_cold_warm_backend_and_workers_agree_bit_for_bit(self):
-        db = ti_database(4, floats=True, n_rows=(5, 7))
+    def test_cold_warm_engine_and_workers_agree_bit_for_bit(self):
         transcripts = set()
-        for backend in ("numpy", "python"):
-            if backend not in available_backends():
-                continue
+        for engine in ENGINES:
+            db = on_engine(engine, ti_database(4, floats=True, n_rows=(5, 7)))
             for workers in (None, 2):
-                with repro.connect(db, backend=backend, workers=workers, rng=0) as session:
+                with repro.connect(db, workers=workers, rng=0) as session:
                     for _pass in ("cold", "warm"):
                         out = [
                             sorted((row, repr(report.value)) for row, report in answer.items())

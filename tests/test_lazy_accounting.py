@@ -32,7 +32,7 @@ from hypothesis import strategies as st
 
 import repro
 from repro.algebra.expressions import col, lit
-from repro.confidence import available_backends, dissociation_interval
+from repro.confidence import dissociation_interval
 from repro.confidence.batch import BatchKarpLubySampler, _EncodedDnf
 from repro.confidence.dnf import Dnf
 from repro.confidence.strategies import resolve_strategy
@@ -47,9 +47,6 @@ from repro.urel.conditions import Condition
 from repro.urel.urelation import URelation
 from repro.urel.variables import VariableTable
 from repro.util.parallel import ShardExecutor
-
-BACKENDS = [b for b in ("numpy", "python") if b in available_backends()]
-
 
 # --------------------------------------------------------------------------
 # Fixtures and data
@@ -437,9 +434,8 @@ def exclusive_pair() -> Dnf:
 
 
 class TestEncodeOnFirstDraw:
-    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("how", ["run_rounds", "decide"])
-    def test_settled_values_never_encode_or_weigh(self, how, backend, weight_calls):
+    def test_settled_values_never_encode_or_weigh(self, how, weight_calls):
         point = exclusive_pair()
         loose = circulant_2dnf(12, rng=3)
         box = dissociation_interval(loose, 64)
@@ -449,7 +445,6 @@ class TestEncodeOnFirstDraw:
             {"P": point, "Q": loose},
             0.1,
             rng=1,
-            backend=backend,
             bounds_budget=64,
         )
         decision = approximator.run_rounds(4) if how == "run_rounds" else approximator.decide(0.1)
@@ -467,33 +462,30 @@ class TestEncodeOnFirstDraw:
             assert sampler.is_exact and typed([sampler.estimate]) == typed([want])
             assert not hasattr(dnf, "_encoded")
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_first_draw_encodes_once_per_dnf(self, backend):
+    def test_first_draw_encodes_once_per_dnf(self):
         dnf = circulant_2dnf(8, rng=11)
-        first = BatchKarpLubySampler(dnf, 3, backend=backend)
+        first = BatchKarpLubySampler(dnf, 3)
         assert not hasattr(dnf, "_encoded")
         first.run(50)
-        second = BatchKarpLubySampler(dnf, 3, backend=backend)
+        second = BatchKarpLubySampler(dnf, 3)
         assert second._enc is first._enc is dnf._encoded
         second.run(50)
         assert (first.positives, first.estimate) == (second.positives, second.estimate)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_pickle_round_trip(self, backend):
+    def test_pickle_round_trip(self):
         dnf = circulant_2dnf(8, rng=11)
-        BatchKarpLubySampler(dnf, 3, backend=backend).run(10)
+        BatchKarpLubySampler(dnf, 3).run(10)
         clone = pickle.loads(pickle.dumps(dnf))
         assert clone.members == dnf.members
         assert encoding_state(clone._encoded) == encoding_state(_EncodedDnf(dnf))
-        samplers = [BatchKarpLubySampler(d, 7, backend=backend) for d in (dnf, clone)]
+        samplers = [BatchKarpLubySampler(d, 7) for d in (dnf, clone)]
         for sampler in samplers:
             sampler.run(300)
         assert samplers[0].snapshot() == samplers[1].snapshot()
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_threads_racing_the_first_encode_agree(self, backend):
+    def test_threads_racing_the_first_encode_agree(self):
         dnf = circulant_2dnf(12, rng=3)
-        samplers = [BatchKarpLubySampler(dnf, 5, backend=backend) for _ in range(8)]
+        samplers = [BatchKarpLubySampler(dnf, 5) for _ in range(8)]
         barrier = threading.Barrier(len(samplers))
         seen = []
 
@@ -507,7 +499,7 @@ class TestEncodeOnFirstDraw:
             thread.start()
         for thread in threads:
             thread.join()
-        want = BatchKarpLubySampler(circulant_2dnf(12, rng=3), 5, backend=backend)
+        want = BatchKarpLubySampler(circulant_2dnf(12, rng=3), 5)
         want.run(200)
         expected = (encoding_state(want._enc), want.estimate)
         assert len(seen) == len(samplers) and all(got == expected for got in seen)
@@ -516,18 +508,10 @@ class TestEncodeOnFirstDraw:
 # Karp–Luby on generators/hard.py instances at (ε, δ) = (0.2, 0.1), rng
 # seed 5: (estimate, trials), recorded with eagerly computed weights.
 KARP_LUBY_PINS = {
-    "numpy": {
-        "bipartite": (0.8352694018783984, 2023),
-        "bipartite-float": (0.5959062592702463, 3371),
-        "circulant": (1.0371397737808268, 5393),
-        "chain": (0.7096786950074149, 2023),
-    },
-    "python": {
-        "bipartite": (0.8185862580326249, 2023),
-        "bipartite-float": (0.5818896469890241, 3371),
-        "circulant": (1.0053141850547003, 5393),
-        "chain": (0.6975778546712804, 2023),
-    },
+    "bipartite": (0.8352694018783984, 2023),
+    "bipartite-float": (0.5959062592702463, 3371),
+    "circulant": (1.0371397737808268, 5393),
+    "chain": (0.7096786950074149, 2023),
 }
 
 
@@ -540,12 +524,11 @@ def hard_instances() -> dict[str, Dnf]:
     }
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_karp_luby_reports_are_unchanged_on_hard_instances(backend):
-    strategy = resolve_strategy("karp-luby", eps=0.2, delta=0.1, backend=backend)
+def test_karp_luby_reports_are_unchanged_on_hard_instances():
+    strategy = resolve_strategy("karp-luby", eps=0.2, delta=0.1)
     for name, dnf in hard_instances().items():
         report = strategy.compute(dnf, random.Random(5))
-        assert (report.value, report.samples) == KARP_LUBY_PINS[backend][name], name
+        assert (report.value, report.samples) == KARP_LUBY_PINS[name], name
 
 
 def _weigh_shard(dnfs: list) -> list:

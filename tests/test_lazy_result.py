@@ -14,19 +14,19 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from conftest import ENGINES, on_engine
 
 import repro
 from repro.algebra.operators import BaseRel, Conf
 from repro.algebra.parser import parse_query
 from repro.algebra.tree import fold, lazy
-from repro.confidence import available_backends
 from repro.generators.tpdb import add_tuple_independent
 from repro.urel import UDatabase, UEvaluator
+from repro.urel.columnar import ColumnarURelation
 from repro.urel.urelation import URelation
 
 from test_extensional import methods, plans_for, ti_database, values
 
-BACKENDS = [b for b in ("numpy", "python") if b in available_backends()]
 OPERATORS = ("natural_join", "product", "project", "select")
 
 
@@ -34,12 +34,7 @@ OPERATORS = ("natural_join", "product", "project", "select")
 def operator_calls(monkeypatch):
     """Counts every scalar and columnar algebra operator call."""
     calls = []
-    classes = [URelation]
-    if "numpy" in available_backends():
-        from repro.urel.columnar import ColumnarURelation
-
-        classes.append(ColumnarURelation)
-    for cls in classes:
+    for cls in (URelation, ColumnarURelation):
         for name in OPERATORS:
             method = getattr(cls, name)
 
@@ -56,14 +51,12 @@ def lifting_plans(db):
 
 
 @pytest.mark.parametrize("workers", [None, 2])
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_a_deferred_result_equals_the_eager_one(backend, workers, operator_calls):
-    db = ti_database(6, n_rows=(4, 6))
-    with repro.connect(db, backend=backend, workers=workers) as session:
+@pytest.mark.parametrize("engine", ENGINES)
+def test_a_deferred_result_equals_the_eager_one(engine, workers, operator_calls):
+    db = on_engine(engine, ti_database(6, n_rows=(4, 6)))
+    with repro.connect(db, workers=workers) as session:
         for text in lifting_plans(db):
-            eager, complete = UEvaluator(db, copy_db=True, backend=backend).eval(
-                parse_query(text)
-            )
+            eager, complete = UEvaluator(db, copy_db=True).eval(parse_query(text))
             del operator_calls[:]
             result = session.query(text)
             shown = (result.rows, result.columns, result.complete, len(result))
@@ -80,10 +73,10 @@ def test_a_deferred_result_equals_the_eager_one(backend, workers, operator_calls
             assert result.relation == eager, text
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_no_confidence_entry_point_runs_an_operator(backend, operator_calls):
-    db, text = ti_database(3, n_rows=(5, 7)), "project[B](join(R, S))"
-    with repro.connect(db, backend=backend, workers=2) as session:
+@pytest.mark.parametrize("engine", ENGINES)
+def test_no_confidence_entry_point_runs_an_operator(engine, operator_calls):
+    db, text = on_engine(engine, ti_database(3, n_rows=(5, 7))), "project[B](join(R, S))"
+    with repro.connect(db, workers=2) as session:
         truth = values(session.confidence_all(text))
         assert len(truth) >= 2 and operator_calls == []
         entry_points = {
@@ -106,10 +99,11 @@ def test_no_confidence_entry_point_runs_an_operator(backend, operator_calls):
             assert operator_calls == [], name
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_explain_evaluates_no_join_under_a_lifted_conf(backend, operator_calls):
-    db, text = ti_database(3, n_rows=(5, 7)), "project[B](select[A < 2](join(R, S)))"
-    with repro.connect(db, backend=backend, workers=2) as session:
+@pytest.mark.parametrize("engine", ENGINES)
+def test_explain_evaluates_no_join_under_a_lifted_conf(engine, operator_calls):
+    db = on_engine(engine, ti_database(3, n_rows=(5, 7)))
+    text = "project[B](select[A < 2](join(R, S)))"
+    with repro.connect(db, workers=2) as session:
         plans = [
             session.explain(f"conf[P]({text})"),
             session.explain(text),
@@ -163,14 +157,14 @@ def _raised(ask):
     return None
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("zero_joins", [False, True])
-def test_query_raises_iff_the_eager_path_raises(backend, zero_joins):
-    db = _error_database(zero_joins)
+def test_query_raises_iff_the_eager_path_raises(engine, zero_joins):
+    db = on_engine(engine, _error_database(zero_joins))
     outcomes = set()
     for text in ERROR_CORPUS:
-        eager = _raised(lambda: UEvaluator(db, backend=backend).eval(parse_query(text)))
-        with repro.connect(db, backend=backend) as session:
+        eager = _raised(lambda: UEvaluator(db).eval(parse_query(text)))
+        with repro.connect(db) as session:
             assert _raised(lambda: session.query(text)) is eager, text
         outcomes.add(eager)
     assert outcomes == {None, TypeError} | ({ZeroDivisionError} if zero_joins else set())

@@ -11,6 +11,7 @@ columns of every operator's result.
 from __future__ import annotations
 
 import pytest
+from conftest import ENGINES, on_engine
 
 import repro
 from repro.algebra import operators
@@ -28,7 +29,6 @@ from repro.provenance.trails import _HANDLERS as PROVENANCE_HANDLERS
 from repro.provenance.trails import evaluate_with_provenance
 from repro.urel.evaluate import UEvaluator
 from repro.urel.udatabase import UDatabase
-from repro.util.backends import available_backends
 from repro.worlds.database import PossibleWorldsDB
 from repro.worlds.evaluate import _Engine, evaluate_worlds
 
@@ -188,8 +188,9 @@ class TestColumnsAgreeWithOutputSchema:
     def test_every_evaluator_emits_the_output_schema(self, label):
         q = _one_query_per_operator()[label].q
         expected = output_schema(q, {"R": ("A", "B"), "S": ("B", "C")})
-        for backend in available_backends():
-            assert UEvaluator(_udb(), backend=backend).evaluate(q).relation.columns == expected
+        for engine in ENGINES:
+            evaluator = UEvaluator(on_engine(engine, _udb()))
+            assert evaluator.evaluate(q).relation.columns == expected
         approx = ApproxQueryEvaluator(_udb(), eps0=0.1, rounds=4, rng=1).evaluate(q)
         assert approx.relation.columns == approx.phantom.columns == expected
         with repro.connect(_udb(), rng=1) as db:

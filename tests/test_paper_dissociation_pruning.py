@@ -67,7 +67,6 @@ def _run(bounds_budget, executor=None):
         delta=DELTA,
         eps0=EPS0,
         rng=7,
-        backend="python",
         executor=executor,
         bounds_budget=bounds_budget,
     )

@@ -19,9 +19,6 @@ from __future__ import annotations
 
 import math
 
-import pytest
-
-from repro.confidence import HAS_NUMPY
 from repro.confidence.dnf import Dnf
 from repro.core.topk import race_topk
 from repro.urel.conditions import Condition
@@ -77,13 +74,10 @@ def topk_workload(n_single: int, n_hard: int):
     return rows, dnfs
 
 
-@pytest.mark.skipif(not HAS_NUMPY, reason="the race runs on the numpy backend")
 def test_topk_draws_a_fraction_of_the_uniform_budget():
     """The race returns exactly the planted winners from ≤ 1/10 of the uniform trials."""
     rows, dnfs = topk_workload(N_SINGLE, N_HARD)
-    report = race_topk(
-        rows, dnfs, K, EPS, DELTA, rng=SEED, backend="numpy", bounds_budget=BOUNDS_BUDGET
-    )
+    report = race_topk(rows, dnfs, K, EPS, DELTA, rng=SEED, bounds_budget=BOUNDS_BUDGET)
     assert set(report.rows) == {(f"h{j}",) for j in range(N_TOP)}
     assert report.candidates == N_SINGLE + N_HARD
     assert report.bounds_decided >= N_SINGLE  # the bulk never sampled

@@ -5,8 +5,7 @@ Three claim families:
 * **Determinism matrix** — the tentpole contract: with one seed, every
   sharded entry point (``confidence_all``, ``evaluate_with_guarantee``,
   the Karp–Luby samplers) returns *bit-identical* results for
-  ``workers ∈ {1, 2, 4}``, on both the ``numpy`` and ``python`` trial
-  backends.  The shard plan and the per-shard generators are functions
+  ``workers ∈ {1, 2, 4}``.  The shard plan and the per-shard generators are functions
   of the workload and the shard index only — never of the worker count.
 * **Session safety** — the memo cache is LRU (a hot entry survives
   churn) and lock-protected; the U-database/W-table version counters
@@ -39,15 +38,8 @@ from repro.urel.conditions import Condition
 from repro.urel.udatabase import UDatabase
 from repro.urel.urelation import URelation
 from repro.urel.variables import VariableTable
-from repro.util.backends import HAS_NUMPY
 from repro.util.parallel import ShardExecutor, shard_seed, spawn_shard_rng
 
-needs_numpy = pytest.mark.skipif(not HAS_NUMPY, reason="numpy not available")
-
-BACKENDS = [
-    "python",
-    pytest.param("numpy", marks=needs_numpy),
-]
 # None is the session (or library call) that omits ``workers``: it runs
 # the same shard plan on the default serial executor.
 WORKER_MATRIX = (None, 1, 2, 4)
@@ -195,11 +187,10 @@ def _first_arg(x):
 
 # ------------------------------------------------------- determinism matrix
 class TestDeterminismMatrix:
-    """Same seed, workers ∈ {omitted, 1, 2, 4} ⇒ identical results, per backend."""
+    """Same seed, workers ∈ {omitted, 1, 2, 4} ⇒ identical results."""
 
-    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("strategy", ["karp-luby", "auto", "naive-mc"])
-    def test_confidence_all(self, backend, strategy):
+    def test_confidence_all(self, strategy):
         def run(workers):
             session = repro.connect(
                 _sampled_db(),
@@ -207,7 +198,6 @@ class TestDeterminismMatrix:
                 eps=0.4,
                 delta=0.2,
                 rng=11,
-                backend=backend,
                 workers=workers,
             )
             with session:
@@ -225,8 +215,7 @@ class TestDeterminismMatrix:
         if strategy != "auto":
             assert any(samples > 0 for _, samples, _, _ in results[0][1].values())
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_evaluate_with_guarantee(self, backend):
+    def test_evaluate_with_guarantee(self):
         from repro.algebra.builder import rel
         from repro.algebra.expressions import col, lit
         from repro.generators.coins import (
@@ -244,7 +233,6 @@ class TestDeterminismMatrix:
                 coin_database(),
                 strategy="exact-decomposition",
                 rng=5,
-                backend=backend,
                 workers=workers,
             )
             with session:
@@ -261,13 +249,12 @@ class TestDeterminismMatrix:
         results = [run(w) for w in WORKER_MATRIX]
         assert _all_equal(results)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_karp_luby_sampler_outputs(self, backend):
+    def test_karp_luby_sampler_outputs(self):
         dnf = _one_dnf()
 
         def run(workers):
             sampler = BatchKarpLubySampler(
-                dnf, rng=21, backend=backend, executor=_executor_for(workers)
+                dnf, rng=21, executor=_executor_for(workers)
             )
             sampler.run(20_000)
             return (sampler.estimate, sampler.positives, sampler.trials)
@@ -276,13 +263,12 @@ class TestDeterminismMatrix:
         assert _all_equal(results)
         assert results[0][2] == 20_000
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_one_shot_fpras_and_shared_block(self, backend):
+    def test_one_shot_fpras_and_shared_block(self):
         dnf = _one_dnf()
 
         def fpras(workers):
             est = batch_approximate_confidence(
-                dnf, 0.2, 0.1, rng=31, backend=backend, executor=_executor_for(workers)
+                dnf, 0.2, 0.1, rng=31, executor=_executor_for(workers)
             )
             return (est.estimate, est.positives, est.samples)
 
@@ -294,15 +280,14 @@ class TestDeterminismMatrix:
                 Dnf(_one_dnf(seed=1).members, w)
             ]
             ests = shared_block_confidences(
-                dnfs, 9000, rng=41, backend=backend, executor=_executor_for(workers)
+                dnfs, 9000, rng=41, executor=_executor_for(workers)
             )
             return [(e.estimate, e.positives, e.samples) for e in ests]
 
         assert _all_equal([fpras(w) for w in WORKER_MATRIX])
         assert _all_equal([shared(w) for w in WORKER_MATRIX])
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_single_tuple_confidence(self, backend):
+    def test_single_tuple_confidence(self):
         """result.confidence(row) / tuple_confidence also shards (its one
         tuple's trial budget) and stays identical across worker counts."""
 
@@ -313,7 +298,6 @@ class TestDeterminismMatrix:
                 eps=0.3,
                 delta=0.1,
                 rng=13,
-                backend=backend,
                 workers=workers,
             )
             with session:
@@ -324,15 +308,14 @@ class TestDeterminismMatrix:
         assert _all_equal(results)
         assert results[0][1] > 0  # genuinely sampled
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_aconf_operator_uses_session_backend_and_executor(self, backend):
+    def test_aconf_operator_uses_session_executor(self):
         """``aconf[ε, δ, P](R)`` draws each tuple's budget on the session's
-        trial backend and executor — the same call a strategy makes."""
+        executor — the same call a strategy makes."""
         eps, delta = 0.2, 0.1
 
         def run(workers):
             session = repro.connect(
-                _sampled_db(n_tuples=1), rng=13, backend=backend, workers=workers
+                _sampled_db(n_tuples=1), rng=13, workers=workers
             )
             with session:
                 result = session.query(f"aconf[{eps}, {delta}, P](R)")
@@ -343,29 +326,23 @@ class TestDeterminismMatrix:
 
         relation = _sampled_db(n_tuples=1).relation("R")
         dnf = Dnf.for_tuple(relation, (0,), _sampled_db(n_tuples=1).w)
-        expected = batch_approximate_confidence(dnf, eps, delta, rng=13, backend=backend)
+        expected = batch_approximate_confidence(dnf, eps, delta, rng=13)
         assert expected.samples > 0  # genuinely sampled
         assert results[0] == [(0, expected.estimate)]
-        if HAS_NUMPY:
-            other = "numpy" if backend == "python" else "python"
-            elsewhere = batch_approximate_confidence(dnf, eps, delta, rng=13, backend=other)
-            assert elsewhere.estimate != expected.estimate  # the backend shows
 
     def test_workers_one_merges_like_many(self):
         """The serial path IS the sharded plan: a hand-merged per-block
         rerun reproduces workers=1 exactly (trial-count weighting)."""
         dnf = _one_dnf()
         executor = ShardExecutor(1)
-        sampler = BatchKarpLubySampler(
-            dnf, rng=77, backend="python", executor=executor
-        )
+        sampler = BatchKarpLubySampler(dnf, rng=77, executor=executor)
         sampler.run(20_000)
 
         base = random.Random(77).getrandbits(64)
         from repro.confidence.batch import _karp_luby_trial_block
 
         positives = sum(
-            _karp_luby_trial_block(sampler._enc, count, shard_seed(base, i), "python")
+            _karp_luby_trial_block(sampler._enc, count, shard_seed(base, i))
             for i, count in enumerate(executor.plan_trials(20_000))
         )
         assert positives == sampler.positives
@@ -459,7 +436,6 @@ class TestThreadSafety:
         assert stats["entries"] <= 8
         assert len(session._cache) == stats["entries"]
 
-    @pytest.mark.skipif(not HAS_NUMPY, reason="numpy not available")
     def test_value_codec_concurrent_assignment_stays_bijective(self):
         """Eight threads racing ValueCodec.code on overlapping unseen
         values: the miss path is NOT idempotent (two racers would hand

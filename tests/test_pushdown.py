@@ -16,6 +16,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from conftest import ENGINES, on_engine
 from hypothesis import HealthCheck, given, settings, strategies as st
 from hypothesis import seed as fixed_seed
 
@@ -49,7 +50,6 @@ from repro.algebra.tree import children, fold, rebuild, walk
 from repro.urel import UDatabase, UEvaluator, URelation, enumerate_worlds
 from repro.urel.conditions import Condition
 from repro.urel.variables import VariableTable
-from repro.util.backends import available_backends
 from repro.util.parallel import ShardExecutor
 from repro.worlds import evaluate_worlds
 
@@ -302,12 +302,12 @@ def assert_engines_agree(query, seed):
     for relation, p in evaluate_worlds(query, enumerate_worlds(udb)):
         for row in relation.rows:
             truth[row] = truth.get(row, Fraction(0)) + p
-    for backend in available_backends():
-        pushed = UEvaluator(udb, backend=backend)
+    for engine in ENGINES:
+        pushed = UEvaluator(on_engine(engine, udb))
         relation = pushed.evaluate(query).relation
-        written = UEvaluator(udb, backend=backend)
-        assert relation == written._materialize(written._eval_rep(query)[0]), backend
-        assert confidences(pushed, relation) == truth, backend
+        written = UEvaluator(on_engine(engine, udb))
+        assert relation == written._materialize(written._eval_rep(query)[0]), engine
+        assert confidences(pushed, relation) == truth, engine
 
 
 def few_worlds(query):
@@ -413,19 +413,18 @@ ASKS = {
 }
 
 
-@pytest.mark.parametrize("backend", available_backends())
+@pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("bad", sorted(PREDICATES))
 @pytest.mark.parametrize("ask", sorted(ASKS))
 @pytest.mark.parametrize("joined", [False, True], ids=["dropped-row", "kept-row"])
-def test_a_copy_that_raises_changes_nothing(backend, bad, ask, joined, monkeypatch):
+def test_a_copy_that_raises_changes_nothing(engine, bad, ask, joined, monkeypatch):
     def run():
         with repro.connect(
-            error_database(bad, joined),
+            on_engine(engine, error_database(bad, joined)),
             strategy="karp-luby",
             eps=0.3,
             delta=0.3,
             rng=5,
-            backend=backend,
         ) as db:
             return _outcome(lambda: ASKS[ask](db, PREDICATES[bad])), db.rng.getstate()
 
@@ -439,11 +438,11 @@ def test_a_copy_that_raises_changes_nothing(backend, bad, ask, joined, monkeypat
         assert not isinstance(pushed, type) and pushed[0]
 
 
-@pytest.mark.parametrize("backend", available_backends())
+@pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("bad", sorted(PREDICATES))
-def test_the_copy_itself_is_what_raised(backend, bad):
+def test_the_copy_itself_is_what_raised(engine, bad):
     """On a dropped row the copy raised and was skipped: the pushed plan has one."""
-    evaluator = UEvaluator(error_database(bad, joined=False), backend=backend)
+    evaluator = UEvaluator(on_engine(engine, error_database(bad, joined=False)))
     query = parse_query(f"select[{PREDICATES[bad]}](join(R, S))")
     (copy,) = copies(evaluator._pushed(query))
     with pytest.raises(ERRORS[bad]):
@@ -491,7 +490,6 @@ def pipeline_database(n_rows: int = 400, n_vars: int = 12, seed: int = 1) -> UDa
 PIPELINE = "conf[P](project[B](select[A < 20](join(R, S))))"
 
 
-@pytest.mark.skipif("numpy" not in available_backends(), reason="columnar path needs numpy")
 def test_explain_gains_one_line_on_the_pipeline_shape(monkeypatch):
     def plan_text():
         with repro.connect(pipeline_database()) as db:
@@ -513,7 +511,6 @@ def test_explain_gains_one_line_on_the_pipeline_shape(monkeypatch):
     ]
 
 
-@pytest.mark.skipif("numpy" not in available_backends(), reason="columnar path needs numpy")
 def test_the_join_is_rated_on_its_filtered_operand():
     executor = ShardExecutor(2, min_shard_pairs=20_000)
     try:

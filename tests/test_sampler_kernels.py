@@ -24,16 +24,17 @@ equal positives for every block, and equal ``lower``/``upper`` values
 from __future__ import annotations
 
 import random
+import sys
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.confidence import dissociation
 from repro.confidence.batch import (
-    HAS_NUMPY,
     _EncodedDnf,
     _karp_luby_trial_block,
     _np_karp_luby_block,
@@ -43,12 +44,9 @@ from repro.confidence.batch import (
 from repro.confidence.dissociation import PAIR_CAP, _BoundSolver
 from repro.confidence.dnf import Dnf
 from repro.confidence.exact import ClauseKernel
-from repro.generators.hard import circulant_2dnf
+from repro.generators.hard import chain_dnf, circulant_2dnf
 from repro.urel.conditions import Condition
 from repro.urel.variables import VariableTable
-from repro.util.backends import np
-
-needs_numpy = pytest.mark.skipif(not HAS_NUMPY, reason="numpy not available")
 
 
 # --------------------------------------------------------------------------
@@ -168,6 +166,55 @@ def _zero_weight_dnf() -> Dnf:
     return Dnf([Condition({("v", 0): 5}), Condition({("v", 1): 1, ("v", 0): 9})], w)
 
 
+def _long_clause_dnf() -> Dnf:
+    """Clauses of five to nine literals: longer than any drawn below."""
+    w = _valued_table(3, 12, floats=True)
+    rng = random.Random(7)
+    clauses = [
+        Condition({("v", i): rng.randrange(3) for i in rng.sample(range(12), length)})
+        for length in (5, 9, 6, 7, 5, 8)
+    ]
+    return Dnf(clauses, w)
+
+
+def _subsumed_clause_dnf() -> Dnf:
+    """Clauses implying earlier or later ones: one world satisfies many.
+
+    A Karp–Luby trial counts only when its chosen clause is the first
+    satisfied one, so the kernels must break these ties by member index
+    exactly as the loops do.
+    """
+    w = _valued_table(2, 4, floats=False)
+    return Dnf(
+        [
+            Condition({("v", 0): 1, ("v", 1): 0, ("v", 2): 1}),
+            Condition({("v", 0): 1}),
+            Condition({("v", 0): 1, ("v", 1): 0}),
+            Condition({("v", 3): 0}),
+            Condition({("v", 3): 0, ("v", 2): 1}),
+        ],
+        w,
+    )
+
+
+def _mixed_weight_types_dnf() -> Dnf:
+    """One disjunction over ``Fraction``-weighted and float-weighted variables."""
+    w = VariableTable()
+    w.add(("v", 0), {0: Fraction(1, 6), 1: Fraction(1, 3), 2: Fraction(1, 2)})
+    w.add(("v", 1), {0: 0.25, 1: 0.75})
+    w.add(("v", 2), {v: Fraction(v + 1, 10) for v in range(4)})
+    w.add(("v", 3), {0: 0.5, 1: 0.3, 2: 0.2})
+    return Dnf(
+        [
+            Condition({("v", 0): 2, ("v", 1): 1}),
+            Condition({("v", 1): 0, ("v", 2): 3}),
+            Condition({("v", 3): 1}),
+            Condition({("v", 0): 0, ("v", 2): 1, ("v", 3): 2}),
+        ],
+        w,
+    )
+
+
 KERNEL_CORPUS = {
     "boolean-bipartite": _boolean_dnf,
     "boolean-mixed-lengths": lambda: _valued_dnf(2, seed=1),
@@ -177,11 +224,14 @@ KERNEL_CORPUS = {
     "empty-clause": _empty_clause_dnf,
     "single-clause": _single_clause_dnf,
     "zero-weight": _zero_weight_dnf,
+    "long-clauses": _long_clause_dnf,
+    "subsumed-clauses": _subsumed_clause_dnf,
+    "mixed-weight-types": _mixed_weight_types_dnf,
+    "chain": lambda: chain_dnf(8),
 }
 BLOCK_SIZES = (1, 4096, 40_000)
 
 
-@needs_numpy
 class TestTrialKernels:
     """Each numpy block kernel counts what the per-clause loops counted."""
 
@@ -191,7 +241,7 @@ class TestTrialKernels:
         enc = _EncodedDnf(KERNEL_CORPUS[name]())
         for seed in (0, 17):
             expected = _ref_karp_luby_block(enc, n, np.random.default_rng(seed))
-            assert _karp_luby_trial_block(enc, n, seed, "numpy") == expected
+            assert _karp_luby_trial_block(enc, n, seed) == expected
 
     @pytest.mark.parametrize("n", BLOCK_SIZES)
     @pytest.mark.parametrize("name", sorted(KERNEL_CORPUS))
@@ -199,7 +249,7 @@ class TestTrialKernels:
         enc = _EncodedDnf(KERNEL_CORPUS[name]())
         for seed in (0, 17):
             expected = _ref_naive_block(enc, n, np.random.default_rng(seed))
-            assert _shared_trial_block([enc], n, seed, "numpy") == [expected]
+            assert _shared_trial_block([enc], n, seed) == [expected]
 
     @pytest.mark.parametrize("n", BLOCK_SIZES)
     def test_shared_block(self, n):
@@ -214,7 +264,7 @@ class TestTrialKernels:
         encoders = [_EncodedDnf(dnf, variables) for dnf in dnfs]
         for seed in (0, 17):
             expected = _ref_shared_block(encoders, n, seed)
-            assert _shared_trial_block(encoders, n, seed, "numpy") == expected
+            assert _shared_trial_block(encoders, n, seed) == expected
 
     @pytest.mark.parametrize("name", sorted(KERNEL_CORPUS))
     def test_draws_leave_the_stream_where_the_loops_left_it(self, name):
@@ -263,12 +313,11 @@ class TestTrialKernels:
         ]
         enc = _EncodedDnf(Dnf(clauses, w))
         expected = _ref_karp_luby_block(enc, n, np.random.default_rng(seed))
-        assert _karp_luby_trial_block(enc, n, seed, "numpy") == expected
+        assert _karp_luby_trial_block(enc, n, seed) == expected
         expected = _ref_naive_block(enc, n, np.random.default_rng(seed))
-        assert _shared_trial_block([enc], n, seed, "numpy") == [expected]
+        assert _shared_trial_block([enc], n, seed) == [expected]
 
 
-@needs_numpy
 def test_block_peak_memory_is_no_higher_than_the_loops():
     """A 40 000-trial block of the ``sampled_conf`` shape: transient peak."""
     enc = _EncodedDnf(_boolean_dnf())
@@ -286,7 +335,7 @@ def test_block_peak_memory_is_no_higher_than_the_loops():
         return top - before
 
     reference = peak(lambda: _ref_karp_luby_block(enc, n, np.random.default_rng(1)))
-    ours = peak(lambda: _karp_luby_trial_block(enc, n, 1, "numpy"))
+    ours = peak(lambda: _karp_luby_trial_block(enc, n, 1))
     assert ours <= reference, (ours, reference)
     assert _np_sample_block(enc, n, np.random.default_rng(1)).dtype == np.int8
 
@@ -441,11 +490,8 @@ def _base_case(kind: str, shape: str):
 @pytest.fixture(params=["numpy-screen", "python-screen"])
 def screen(request, monkeypatch):
     """Run the base case over both consistency screens."""
-    if request.param == "numpy-screen":
-        if not HAS_NUMPY:
-            pytest.skip("numpy not available")
-    else:
-        monkeypatch.setattr(dissociation, "_np", None)
+    if request.param == "python-screen":
+        monkeypatch.setattr(dissociation, "_NUMPY_SCREEN_MIN", sys.maxsize)
     return request.param
 
 

@@ -24,6 +24,8 @@ import threading
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import repro
 from repro.engine.cache import MemoCache, approx_size
@@ -739,6 +741,186 @@ class TestServerBasics:
             result = db.query(ACONF_POSTERIOR)
             serial.append(protocol.decode_rows(protocol.encode_rows(result.rows)))
         assert run(concurrent()) == serial
+
+
+# =============================================================== wire validation
+class TestWireValidation:
+    """``bounds_budget``, ``delta``/``eps0`` and ``eps`` are checked at the wire.
+
+    A bool is not a number here (Python would read ``true`` as budget 1),
+    and a budget is never negative.
+    """
+
+    @staticmethod
+    def _call(op, params):
+        async def main():
+            server = serve(coin_database(), workers=1)
+            client = Client(server, tenant="t", wire=True)
+            session = await client.open_session()
+            try:
+                return await client.call(op, session=session.session_id, params=params)
+            finally:
+                await server.aclose()
+
+        return run(main())
+
+    @pytest.mark.parametrize("budget", [True, False, -5, 1.5, "64", [64]])
+    @pytest.mark.parametrize("op", ["evaluate_with_guarantee", "topk"])
+    def test_bad_bounds_budget_is_a_protocol_error(self, op, budget):
+        params = {"query": R_QUERY, "delta": 0.1, "eps0": 0.1, "k": 1, "bounds_budget": budget}
+        with pytest.raises(ProtocolError, match="bounds_budget"):
+            self._call(op, params)
+
+    def test_null_bounds_budget_only_where_the_op_takes_it(self):
+        params = {"query": R_QUERY, "delta": 0.1, "eps0": 0.1, "bounds_budget": None}
+        assert self._call("evaluate_with_guarantee", params)["bounds_certified"] == 0
+        with pytest.raises(ProtocolError, match="bounds_budget"):
+            self._call("topk", {"query": R_QUERY, "k": 1, "bounds_budget": None})
+
+    @pytest.mark.parametrize("op", ["evaluate_with_guarantee", "topk"])
+    def test_budget_zero_and_default_are_accepted(self, op):
+        for params in ({"bounds_budget": 0}, {}):
+            params = {"query": R_QUERY, "delta": 0.1, "eps0": 0.1, "k": 1, **params}
+            assert self._call(op, params) is not None
+
+    @pytest.mark.parametrize(
+        "op, name",
+        [
+            ("evaluate_with_guarantee", "delta"),
+            ("evaluate_with_guarantee", "eps0"),
+            ("topk", "delta"),
+            ("topk", "eps"),
+        ],
+    )
+    @pytest.mark.parametrize("value", [True, False, "0.1", None])
+    def test_bool_accuracy_is_a_protocol_error(self, op, name, value):
+        params = {"query": R_QUERY, "delta": 0.1, "eps0": 0.1, "eps": 0.1, "k": 1, name: value}
+        if op == "topk" and value is None:
+            assert self._call(op, params) is not None  # None: the session default
+            return
+        with pytest.raises(ProtocolError, match=name):
+            self._call(op, params)
+
+    def test_params_must_be_an_object(self):
+        with pytest.raises(ProtocolError, match="params"):
+            self._call("query", [R_QUERY])
+
+
+# ============================================================ hostile requests
+_GOOD_SESSION = "s1"  # the first session a fresh server opens
+_CHECK_QUERY = "conf[P](project[CoinType](repair-key[@ Count](Coins)))"
+_ERROR_CODES = {
+    cls.code
+    for cls in (
+        ProtocolError,
+        QueryError,
+        QuotaExceededError,
+        AdmissionTimeoutError,
+        UnknownSessionError,
+        SessionClosedError,
+        ServerClosedError,
+    )
+}
+_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.floats(),
+    st.text(max_size=8),
+    st.sampled_from(["Coins", R_QUERY, "select[*](Coins)", *repro.strategy_names()]),
+)
+_json = st.recursive(
+    _leaves,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.dictionaries(st.text(max_size=5), inner, max_size=3),
+        st.builds(lambda num, den: {"$frac": [num, den]}, inner, inner),
+        st.builds(lambda items: {"$tuple": items}, st.lists(inner, max_size=3)),
+    ),
+    max_leaves=6,
+)
+
+
+def _mostly(valid, weight=4):
+    """``valid`` ``weight`` times out of ``weight + 1``, else any JSON value."""
+    return st.sampled_from([True] * weight + [False]).flatmap(
+        lambda pick: valid if pick else _json
+    )
+
+
+_accuracy = _mostly(st.floats(0.01, 0.5), weight=1)
+_params = st.fixed_dictionaries(
+    {},
+    optional={
+        "query": _mostly(st.sampled_from(["Coins", R_QUERY, _CHECK_QUERY])),
+        "k": _mostly(st.integers(1, 3), weight=1),
+        "eps": _accuracy,
+        "delta": _accuracy,
+        "eps0": _accuracy,
+        "bounds_budget": _mostly(st.integers(0, 64), weight=1),
+        "strategy": _mostly(st.sampled_from(repro.strategy_names()), weight=1),
+        "seed": _json,
+        "cache_size": _json,
+        "": _json,
+    },
+)
+_fields = {
+    "v": _mostly(st.just(protocol.PROTOCOL_VERSION), weight=8),
+    "op": _mostly(st.sampled_from(sorted(protocol.OPS)), weight=8),
+    "tenant": _mostly(st.just("fuzz"), weight=8),
+    "session": _mostly(st.just(_GOOD_SESSION)),
+    "params": _mostly(_params, weight=8),
+}
+_hostile = st.one_of(
+    _json,
+    st.fixed_dictionaries(_fields),
+    st.fixed_dictionaries(_fields),
+    st.fixed_dictionaries({}, optional=_fields),
+)
+
+
+class TestHostileRequests:
+    """Arbitrary JSON-shaped requests end in a typed answer and a healthy server."""
+
+    @given(st.lists(_hostile, min_size=1, max_size=4))
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_any_request_answers_typed_and_leaves_the_server_healthy(self, requests):
+        async def main():
+            server = serve(coin_database(), workers=None)
+            client = Client(server, tenant="fuzz")
+            good = await client.open_session()
+            assert good.session_id == _GOOD_SESSION
+            open_ids = {_GOOD_SESSION}
+            for req in requests:
+                response = await asyncio.wait_for(server.handle(req), timeout=30)
+                assert isinstance(response, dict), response
+                if not response["ok"]:
+                    assert response["error"]["code"] in _ERROR_CODES, response
+                elif req["op"] == "open_session":
+                    open_ids.add(response["result"]["session"])
+                elif req["op"] == "close_session":
+                    open_ids.discard(response["result"]["session"])
+            stats = await client.stats()
+            check = await Client(server, tenant="check").open_session()
+            answer = await check.query(_CHECK_QUERY)
+            await server.aclose()
+            return stats, len(open_ids), answer
+
+        stats, n_open, answer = run(main())
+        assert stats["sessions"]["open"] == n_open
+        assert stats["scheduler"]["in_flight"] == 0 and stats["scheduler"]["queued"] == 0
+        assert answer == _fresh_answer()
+
+
+def _fresh_answer():
+    async def main():
+        server = serve(coin_database(), workers=None)
+        session = await Client(server, tenant="check").open_session()
+        answer = await session.query(_CHECK_QUERY)
+        await server.aclose()
+        return answer
+
+    return run(main())
 
 
 # ========================================================================== soak

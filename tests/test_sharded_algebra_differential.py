@@ -6,7 +6,7 @@ time, never answers*.  This suite attacks the claim differentially:
 
 * random query trees (joins / products / selects / projects / unions
   over generated U-databases) are evaluated on every cell of the
-  ``workers ∈ {omitted, 1, 2, 4} × backends {numpy, python}`` matrix, and
+  ``workers ∈ {omitted, 1, 2, 4} × engines {columnar, scalar}`` matrix, and
   every cell must produce identical decoded relations, identical
   (exact) confidences, and identical ``explain`` strategy choices;
 * a seed corpus of the worst shrunk failures — empty operands,
@@ -33,7 +33,9 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from conftest import ENGINES, on_engine, scalar_only
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import repro
@@ -44,12 +46,8 @@ from repro.urel.conditions import Condition
 from repro.urel.udatabase import UDatabase
 from repro.urel.urelation import URelation
 from repro.urel.variables import VariableTable
-from repro.util.backends import HAS_NUMPY
 from repro.util.parallel import ShardExecutor
 
-needs_numpy = pytest.mark.skipif(not HAS_NUMPY, reason="numpy not available")
-
-BACKENDS = ["python"] + (["numpy"] if HAS_NUMPY else [])
 WORKER_MATRIX = (1, 2, 4)
 N_VARS = 6
 
@@ -130,20 +128,19 @@ def _queries():
 
 
 def _matrix_cells():
-    for backend in BACKENDS:
+    for engine in ENGINES:
         for workers in (None,) + WORKER_MATRIX:
-            yield backend, workers
+            yield engine, workers
 
 
-def _run_cell(db: UDatabase, q, backend: str, workers: int | None):
+def _run_cell(db: UDatabase, q, engine: str, workers: int | None):
     """One matrix cell: decoded relation, exact confidences, explain choices."""
     session = repro.connect(
-        db,
+        on_engine(engine, db),
         strategy="auto",
         eps=0.3,
         delta=0.1,
         rng=17,
-        backend=backend,
         workers=_executor(workers),
     )
     relation = session.query(q).relation
@@ -158,19 +155,19 @@ def _run_cell(db: UDatabase, q, backend: str, workers: int | None):
 def _assert_matrix_agrees(seed: int, q_index: int):
     q = _queries()[q_index]
     reference = None
-    for backend, workers in _matrix_cells():
-        outcome = _run_cell(_make_db(seed), q, backend, workers)
+    for engine, workers in _matrix_cells():
+        outcome = _run_cell(_make_db(seed), q, engine, workers)
         if reference is None:
-            reference_cell, reference = (backend, workers), outcome
+            reference_cell, reference = (engine, workers), outcome
         else:
             assert outcome[0] == reference[0], (
-                f"relation diverged: {(backend, workers)} vs {reference_cell}"
+                f"relation diverged: {(engine, workers)} vs {reference_cell}"
             )
             assert outcome[1] == reference[1], (
-                f"confidences diverged: {(backend, workers)} vs {reference_cell}"
+                f"confidences diverged: {(engine, workers)} vs {reference_cell}"
             )
             assert outcome[2] == reference[2], (
-                f"explain choices diverged: {(backend, workers)} vs {reference_cell}"
+                f"explain choices diverged: {(engine, workers)} vs {reference_cell}"
             )
 
 
@@ -182,7 +179,7 @@ class TestShardedAlgebraDifferential:
         deadline=None,
         suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
     )
-    def test_random_trees_agree_across_workers_and_backends(self, seed, q_index):
+    def test_random_trees_agree_across_workers_and_engines(self, seed, q_index):
         _assert_matrix_agrees(seed, q_index)
 
 
@@ -204,10 +201,10 @@ class TestSeedCorpus:
 
     def test_empty_operand_edges(self):
         """Zero-row sides: the shard plan must degrade to clean no-ops."""
-        for backend, workers in _matrix_cells():
+        for engine, workers in _matrix_cells():
             db = _make_db(11)
             db.set_relation("S", URelation.from_rows(("B", "C"), []))
-            session = repro.connect(db, rng=1, backend=backend, workers=_executor(workers))
+            session = repro.connect(on_engine(engine, db), rng=1, workers=_executor(workers))
             assert session.query(rel("R").join(rel("S"))).relation.rows == frozenset()
             empty_product = rel("S").product(rel("T").rename({"C": "E", "D": "F"}))
             assert session.query(empty_product).relation.rows == frozenset()
@@ -223,25 +220,25 @@ class TestSeedCorpus:
         right = URelation.from_rows(
             ("B",), [(Condition({("k", 0): 1}), (i,)) for i in range(40)]
         )
-        for backend, workers in _matrix_cells():
+        for engine, workers in _matrix_cells():
             db = UDatabase(w=w.copy())
             db.set_relation("L", left)
             db.set_relation("Rt", right)
-            session = repro.connect(db, rng=1, backend=backend, workers=_executor(workers))
+            session = repro.connect(on_engine(engine, db), rng=1, workers=_executor(workers))
             assert session.query(rel("L").product(rel("Rt"))).relation.rows == frozenset()
 
     def test_duplicate_heavy_dedup_runs_once(self):
         """Many duplicate rows: the single merged-result lexsort must
         collapse them identically on every cell."""
         results = set()
-        for backend, workers in _matrix_cells():
+        for engine, workers in _matrix_cells():
             db = _make_db(5)
             dup = URelation.from_rows(
                 ("A", "B"),
                 [(Condition({}), (i % 3, i % 2)) for i in range(48)],
             )
             db.set_relation("R", dup)
-            session = repro.connect(db, rng=1, backend=backend, workers=_executor(workers))
+            session = repro.connect(on_engine(engine, db), rng=1, workers=_executor(workers))
             out = session.query(rel("R").join(rel("S"))).relation
             results.add((out.columns, out.rows))
         assert len(results) == 1
@@ -261,11 +258,11 @@ class TestSeedCorpus:
             ("B", "C"), [(Condition({}), (3, k)) for k in range(40)]
         )
         results = set()
-        for backend, workers in _matrix_cells():
+        for engine, workers in _matrix_cells():
             db = UDatabase(w=w.copy())
             db.set_relation("M", mixed)
             db.set_relation("P", probe)
-            session = repro.connect(db, rng=1, backend=backend, workers=_executor(workers))
+            session = repro.connect(on_engine(engine, db), rng=1, workers=_executor(workers))
             out = session.query(
                 rel("M").join(rel("P")).select(col("A") * col("B") >= lit(9))
             ).relation
@@ -273,14 +270,12 @@ class TestSeedCorpus:
         assert len(results) == 1
 
 
-@needs_numpy
 class TestPairBlockBounds:
     def test_all_pairs_shard_reblocks_when_right_exceeds_budget(self):
         """A right operand bigger than the pair budget must not defeat
         the ~128MB transient cap: one left row's pairs are re-cut by the
         inner block loop, and the output is identical either way."""
         from repro.urel.columnar import _all_pairs_shard
-        from repro.util.backends import np
 
         left_conds = np.array([[0], [1], [-1], [0], [1]], dtype=np.int64)
         right_conds = np.array([[i % 3 - 1] for i in range(10)], dtype=np.int64)
@@ -302,7 +297,7 @@ class TestPairBlockBounds:
         db = _make_db(4)
         tiny_left = rel("R").select(col("A").eq(1))  # far below min_rows
         executor = ShardExecutor(4, min_shard_pairs=16)
-        session = repro.connect(db, rng=1, backend="numpy", workers=executor)
+        session = repro.connect(db, rng=1, workers=executor)
         plan = session.explain(tiny_left.join(rel("S")))
         assert plan.root.operator == "join"
         assert plan.root.path.startswith("columnar[numpy]·sharded[4]"), plan.root.path
@@ -330,7 +325,7 @@ class TestPairBlockBounds:
         # Not `auto`: step 0 would answer this all-certain plan, and a
         # plan it answers runs no join (`·deferred`).
         session = repro.connect(
-            db, rng=1, backend="numpy", workers=executor, strategy="exact-decomposition"
+            db, rng=1, workers=executor, strategy="exact-decomposition"
         )
         plan = session.explain(rel("M").join(rel("P")))
         assert plan.root.operator == "join"
@@ -386,9 +381,8 @@ def _sigma_join_db() -> UDatabase:
 class TestCandidateFanOutDeterminism:
     """σ̂ decisions identical at workers ∈ {omitted, 1, 2, 4}, wide and narrow."""
 
-    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("n_groups", [20, 4])  # wide (fans out) / narrow
-    def test_evaluate_with_guarantee_across_workers(self, backend, n_groups):
+    def test_evaluate_with_guarantee_across_workers(self, n_groups):
         q = rel("R").approx_select(col("P1") > lit(0.4), groups=[["A"]])
 
         def run(workers):
@@ -396,7 +390,6 @@ class TestCandidateFanOutDeterminism:
                 _sigma_db(n_groups),
                 strategy="exact-decomposition",
                 rng=9,
-                backend=backend,
                 workers=workers,
             )
             with session:
@@ -422,11 +415,12 @@ class TestCandidateFanOutDeterminism:
 
     def test_sigma_over_join_subtree_runs_inherited_operators(self, monkeypatch):
         """σ̂ over ``project(select(join(R, S)))``: a non-trivial σ̂-free
-        subtree under the approximate evaluator.  Every cell of backends
-        × workers {omitted, 1, 2} must agree with its backend's first
-        cell on decisions, tuple bounds and rows; the subtree must run
-        the inherited ``UEvaluator`` operators (columnar on numpy) and
-        never Section 6's annotated ones, which start above a σ̂."""
+        subtree under the approximate evaluator.  Every cell of engines
+        × workers {omitted, 1, 2} must agree with its engine's first
+        cell on decisions, tuple bounds and rows; the subtree must run the
+        inherited ``UEvaluator`` operators (columnar on the columnar
+        engine) and never Section 6's annotated ones, which start above
+        a σ̂."""
         from repro.algebra.operators import Join, Project, Select
         from repro.core.approx_select import ApproxQueryEvaluator
         from repro.urel.evaluate import UEvaluator
@@ -462,14 +456,13 @@ class TestCandidateFanOutDeterminism:
         subtree = rel("R").join(rel("S")).select(col("C").eq(col("A"))).project(["A"])
         q = subtree.approx_select(col("P1") > lit(0.5), groups=[["A"]])
 
-        def run(backend, workers):
+        def run(engine, workers):
             calls["inherited"].clear()
             calls["join_reps"].clear()
             session = repro.connect(
-                _sigma_join_db(),
+                on_engine(engine, _sigma_join_db()),
                 strategy="exact-decomposition",
                 rng=9,
-                backend=backend,
                 workers=workers,
             )
             with session:
@@ -480,23 +473,24 @@ class TestCandidateFanOutDeterminism:
             assert sorted(calls["inherited"], key=repr) == sorted(
                 [Join, Select, Project] * report.evaluations, key=repr
             )
-            expected_rep = "ColumnarURelation" if backend == "numpy" else "URelation"
+            expected_rep = "ColumnarURelation" if engine == "columnar" else "URelation"
             assert calls["join_reps"] == {expected_rep}
             assert report.relation.columns == ("A", "P1")
             return report
 
         candidates = None
-        for backend in BACKENDS:
-            reference = run(backend, None)
+        for engine in ENGINES:
+            reference = run(engine, None)
             assert any(d.decision.total_trials > 0 for d in reference.decisions)
             for workers in (1, 2):
-                report = run(backend, workers)
+                report = run(engine, workers)
                 assert report.decisions == reference.decisions
                 assert report.tuple_bounds == reference.tuple_bounds
                 assert report.relation.rows == reference.relation.rows
                 assert report.rounds == reference.rounds
-            # Trial streams differ per backend; the candidates and their
-            # round-indexed budgets (l·|F| per value) do not.
+            # The engines may list a candidate's clauses in another order,
+            # which moves its trial stream; the candidates and their
+            # round-indexed budgets (l·|F| per value) do not move.
             data = [d.data for d in reference.decisions]
             assert candidates in (None, data)
             candidates = data
@@ -543,7 +537,6 @@ class TestProfitableShardSizeBoundary:
         # Worker count never shapes the plan.
         assert shards == ShardExecutor(1, min_shard_pairs=100).plan_all_pairs(10, 50)
 
-    @needs_numpy
     def test_explain_warns_below_threshold(self):
         """The README's "when serial wins" guidance, mechanized: the same
         node flips from ·sharded[4] to ·sharded[4]·below-threshold at
@@ -558,7 +551,7 @@ class TestProfitableShardSizeBoundary:
 
         def root_path(q, min_shard_pairs: int, operator: str) -> str:
             executor = ShardExecutor(4, min_shard_pairs=min_shard_pairs)
-            session = repro.connect(db, rng=1, backend="numpy", workers=executor)
+            session = repro.connect(db, rng=1, workers=executor)
             plan = session.explain(q)
             session.close()
             assert plan.root.operator == operator
@@ -582,9 +575,7 @@ class TestProfitableShardSizeBoundary:
         )
 
     def test_scalar_backend_never_carries_shard_annotation(self):
-        session = repro.connect(
-            _make_db(2), rng=1, backend="python", workers=_executor(4)
-        )
+        session = repro.connect(scalar_only(_make_db(2)), rng=1, workers=_executor(4))
         plan = session.explain(rel("R").product(rel("S").rename({"B": "D", "C": "E"})))
         assert plan.root.path == "scalar[indexed]"
 

@@ -16,7 +16,6 @@ import pytest
 
 import repro
 from repro.algebra.expressions import col, lit
-from repro.confidence.batch import available_backends
 from repro.confidence.bounds import rounds_for
 from repro.confidence.dissociation import DEFAULT_BOUND_BUDGET, dissociation_interval
 from repro.confidence.dnf import Dnf
@@ -240,10 +239,9 @@ def _kl_instances():
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("backend", available_backends())
 @pytest.mark.parametrize("strategy", ["karp-luby", "auto"])
 @pytest.mark.parametrize("instance", ["hard", "circulant"])
-def test_karp_luby_relative_error_stays_within_delta(instance, strategy, backend):
+def test_karp_luby_relative_error_stays_within_delta(instance, strategy):
     """Proposition 4.2: Pr[|p̂ − p| ≥ ε·p] ≤ δ, for the paper's budget and auto's.
 
     300 seeded runs against the exact-decomposition truth.  ``karp-luby``
@@ -254,9 +252,9 @@ def test_karp_luby_relative_error_stays_within_delta(instance, strategy, backend
     dnf, thresholds = _kl_instances()[instance]
     truth = probability_by_decomposition(dnf)
     if strategy == "auto":
-        sampler = AutoStrategy(KL_EPS, KL_DELTA, backend=backend, **thresholds)
+        sampler = AutoStrategy(KL_EPS, KL_DELTA, **thresholds)
     else:
-        sampler = KarpLuby(KL_EPS, KL_DELTA, backend=backend)
+        sampler = KarpLuby(KL_EPS, KL_DELTA)
     misses = 0
     for seed in range(replications):
         report = sampler.compute(dnf, random.Random(seed))
@@ -273,9 +271,8 @@ NAIVE_EPS, NAIVE_DELTA = 0.05, 0.1
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("backend", available_backends())
 @pytest.mark.parametrize("batched", [False, True], ids=["compute", "compute_batch"])
-def test_naive_mc_additive_error_stays_within_delta(batched, backend):
+def test_naive_mc_additive_error_stays_within_delta(batched):
     """The ``naive-mc`` baseline's guarantee: Pr[|p̂ − p| > ε] ≤ δ, additive.
 
     300 seeded runs over the six tuples of ``_contested_selection_db``
@@ -289,7 +286,7 @@ def test_naive_mc_additive_error_stays_within_delta(batched, backend):
     db = _contested_selection_db()
     _rows, dnfs = UEvaluator(db).lineage(db.relation("G"))
     truths = [probability_by_decomposition(dnf) for dnf in dnfs]
-    sampler = NaiveMonteCarlo(NAIVE_EPS, NAIVE_DELTA, backend=backend)
+    sampler = NaiveMonteCarlo(NAIVE_EPS, NAIVE_DELTA)
     misses = [0] * len(dnfs)
     for seed in range(replications):
         rng = random.Random(seed)
@@ -391,8 +388,7 @@ def _topk_instance():
 def test_race_topk_returns_the_true_top_k(bounds_budget):
     """``race_topk``: each estimate within its ε w.p. ≥ 1 − δ, and the right set.
 
-    240 seeded races per k on the default trial backend (the pure-Python
-    one takes minutes here).  Stage 1 admits and eliminates on the
+    240 seeded races per k.  Stage 1 admits and eliminates on the
     dissociation enclosures; at budget 0 they are loose and the race
     samples, at the default budget they decide every candidate.  A
     sampled entry's ε is the one its trial count justifies (the target ε

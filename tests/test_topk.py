@@ -7,8 +7,7 @@ The racer's contracts under test:
 * sampled races return the right answer *set* on workloads whose truth
   gaps exceed the (ε, δ) resolution, spending less than the full
   ``confidence_all`` budget;
-* transcripts are bit-identical across worker counts {serial, 1, 2, 4}
-  and admit/eliminate outcomes agree across numerical backends;
+* transcripts are bit-identical across worker counts {serial, 1, 2, 4};
 * the facade memoizes reports (volatile iff trials were drawn), explain
   carries the ``topk[k]·bounds-pruned[m/n]`` annotation, and the server
   round-trips reports losslessly with typed errors for bad parameters.
@@ -118,7 +117,7 @@ class TestRaceTopK:
         # bounds_budget=0: the default budget Shannon-expands these tiny
         # DNFs to exact enclosures, which would decide the race for free.
         report = race_topk(
-            rows, dnfs, 2, _EPS, _DELTA, rng=17, backend="python", bounds_budget=0
+            rows, dnfs, 2, _EPS, _DELTA, rng=17, bounds_budget=0
         )
         assert set(report.rows) == {(i,) for i in truth}
         assert report.sampled > 0 and report.total_trials > 0
@@ -133,40 +132,26 @@ class TestRaceTopK:
         """The determinism contract: serial and every worker count agree."""
         rows, dnfs = _pair_race(_SEPARATED)
         serial = race_topk(
-            rows, dnfs, 2, _EPS, _DELTA, rng=29, backend="python", bounds_budget=0
+            rows, dnfs, 2, _EPS, _DELTA, rng=29, bounds_budget=0
         )
         assert serial.total_trials > 0  # the contract is vacuous unsampled
         if workers is None:
             sharded = race_topk(
-                rows, dnfs, 2, _EPS, _DELTA, rng=29, backend="python", bounds_budget=0
+                rows, dnfs, 2, _EPS, _DELTA, rng=29, bounds_budget=0
             )
         else:
             with ShardExecutor(workers) as executor:
                 sharded = race_topk(
                     rows, dnfs, 2, _EPS, _DELTA, rng=29,
-                    backend="python", executor=executor, bounds_budget=0,
+                    executor=executor, bounds_budget=0,
                 )
         assert sharded == serial  # frozen dataclasses: full bit-identity
-
-    @pytest.mark.parametrize("backend", ["python", "numpy"])
-    def test_decisions_invariant_across_backends(self, backend):
-        """Admit/eliminate outcomes agree across numerical backends."""
-        pytest.importorskip("numpy") if backend == "numpy" else None
-        rows, dnfs = _pair_race(_SEPARATED)
-        truth = sorted(
-            range(len(rows)),
-            key=lambda i: -probability_by_decomposition(dnfs[i]),
-        )[:2]
-        report = race_topk(
-            rows, dnfs, 2, _EPS, _DELTA, rng=41, backend=backend, bounds_budget=0
-        )
-        assert set(report.rows) == {(i,) for i in truth}
 
     def test_forced_sampling_with_zero_bounds_budget(self):
         """bounds_budget=0 coarsens every enclosure: everything samples."""
         rows, dnfs = _pair_race(_SEPARATED)
         report = race_topk(
-            rows, dnfs, 2, _EPS, _DELTA, rng=13, backend="python", bounds_budget=0
+            rows, dnfs, 2, _EPS, _DELTA, rng=13, bounds_budget=0
         )
         assert report.sampled > 0 and report.total_trials > 0
         truth = sorted(

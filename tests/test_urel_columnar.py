@@ -7,9 +7,9 @@ performance change:
   relations) — every columnar operator result decodes to a URelation
   setwise identical to the scalar operator's;
 * evaluator-level differential tests — whole random query trees produce
-  identical U-relations under ``backend="numpy"`` and
-  ``backend="python"``, including through the engine facade with exact
-  confidences on top;
+  identical U-relations on the columnar engine and on the scalar
+  operators alone (:func:`conftest.scalar_only`), including through the
+  engine facade with exact confidences on top;
 * the supporting machinery: Condition sharing/early-exit fast paths,
   the ConditionPool, the URelation trusted-constructor caches, and the
   near-linear ``confidence_all`` scaling the tuple index buys.
@@ -21,19 +21,27 @@ import random
 from fractions import Fraction
 
 import pytest
+from conftest import ENGINES, on_engine
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import repro
 from repro.algebra.builder import query, rel
 from repro.algebra.expressions import col, lit
-from repro.urel.columnar import HAS_NUMPY, ColumnarContext
+from repro.urel.columnar import ColumnarContext
 from repro.urel.conditions import TOP, Condition, ConditionPool
 from repro.urel.evaluate import UEvaluator
 from repro.urel.udatabase import UDatabase
 from repro.urel.urelation import URelation
 from repro.urel.variables import VariableTable
 
-needs_numpy = pytest.mark.skipif(not HAS_NUMPY, reason="numpy backend not available")
+
+
+def _scalar_and_columnar(db: UDatabase, q):
+    """``q`` over private copies of ``db``: scalar operators only, then columnar."""
+    return tuple(
+        UEvaluator(on_engine(engine, db), copy_db=True).evaluate(q).relation
+        for engine in ("scalar", "columnar")
+    )
 
 
 # ---------------------------------------------------------------- fixtures
@@ -82,7 +90,6 @@ def _queries():
 
 
 # ------------------------------------------------- operator-level differential
-@needs_numpy
 class TestColumnarOperators:
     def test_roundtrip_returns_original_object(self):
         db = _random_udb(0)
@@ -98,11 +105,10 @@ class TestColumnarOperators:
 
     @pytest.mark.parametrize("seed", range(5))
     @pytest.mark.parametrize("q_index", range(11))
-    def test_backends_agree_on_random_queries(self, seed, q_index):
+    def test_engines_agree_on_random_queries(self, seed, q_index):
         db = _random_udb(seed)
         q = query(_queries()[q_index])
-        scalar = UEvaluator(db, copy_db=True, backend="python").evaluate(q).relation
-        columnar = UEvaluator(db, copy_db=True, backend="numpy").evaluate(q).relation
+        scalar, columnar = _scalar_and_columnar(db, q)
         assert scalar == columnar
 
     def test_empty_and_zero_arity_relations(self):
@@ -193,7 +199,7 @@ class TestColumnarOperators:
     def test_guarded_predicate_short_circuits_like_scalar(self):
         # Regression: `B != 0 and A / B > 1` must not raise on the
         # numpy path (eager vectorized evaluation hits the B == 0 rows
-        # the scalar backend's short-circuit never divides by).
+        # the scalar operators' short-circuit never divides by).
         w = VariableTable()
         urel = URelation.from_rows(
             ("A", "B"), [(TOP, (4, 2)), (TOP, (4, 0)), (TOP, (1, 2))]
@@ -230,7 +236,7 @@ class TestColumnarOperators:
         # from one relation while int 3 was coded first by another —
         # once the conflation flag is set, no columnar intermediate may
         # be built, so arithmetic selects see the true values on both
-        # backends.
+        # engines.
         w = VariableTable()
         db = UDatabase(w=w)
         db.set_relation(
@@ -248,15 +254,14 @@ class TestColumnarOperators:
         q = query(
             rel("S").join(rel("R")).select((col("A") + lit(2**60)).eq(2**60 + 3))
         )
-        scalar = UEvaluator(db, copy_db=True, backend="python").evaluate(q).relation
-        columnar = UEvaluator(db, copy_db=True, backend="numpy").evaluate(q).relation
+        scalar, columnar = _scalar_and_columnar(db, q)
         assert scalar == columnar
 
     def test_nan_values_agree_with_scalar_semantics(self):
         # Regression: the codec's dict lookup finds a NaN object by
         # identity, but the scalar path's == says nan != nan.  Once a
         # NaN is coded, the integer-code =/!= fast path must yield to
-        # the object path so both backends stay setwise identical.
+        # the object path so both engines stay setwise identical.
         nan = float("nan")
         w = VariableTable()
         urel = URelation.from_rows(
@@ -331,8 +336,7 @@ class TestColumnarOperators:
         ctx = ColumnarContext(db.w)
         assert ctx.encode(db.relation("R")).tainted
         q = query(rel("R").join(rel("S")))
-        scalar = UEvaluator(db, copy_db=True, backend="python").evaluate(q).relation
-        columnar = UEvaluator(db, copy_db=True, backend="numpy").evaluate(q).relation
+        scalar, columnar = _scalar_and_columnar(db, q)
         assert scalar == columnar
         assert len(scalar.rows) == 0  # nan != nan: every merge inconsistent
 
@@ -348,7 +352,7 @@ class TestColumnarOperators:
         out = ctx.encode(db.relation("R")).product(ctx.encode(renamed)).to_urelation()
         assert out == db.relation("R").product(renamed)
 
-    def test_wide_join_chain_agrees_across_backends(self):
+    def test_wide_join_chain_agrees_across_engines(self):
         # Chained joins whose merged condition layout exceeds max_vars:
         # the evaluator must fall back rather than build an ever-wider
         # dense matrix, and results must stay identical.
@@ -363,21 +367,19 @@ class TestColumnarOperators:
                 rows.append((Condition({var: 1}), (rng.randint(0, 5), rng.randint(0, 5))))
             db.set_relation(name, URelation.from_rows(cols, rows))
         q = query(rel("R1").join(rel("R2")).join(rel("R3")).project(["A", "D"]))
-        scalar = UEvaluator(db, copy_db=True, backend="python").evaluate(q).relation
-        columnar = UEvaluator(db, copy_db=True, backend="numpy").evaluate(q).relation
+        scalar, columnar = _scalar_and_columnar(db, q)
         assert scalar == columnar
 
-    def test_backends_agree_outside_the_envelope(self):
+    def test_engines_agree_outside_the_envelope(self):
         # Tuple-independent shape (one variable per row, > max_vars):
-        # the numpy evaluator must fall back per relation and still
+        # the columnar evaluator must fall back per relation and still
         # agree with the scalar path end to end.
         from repro.generators.tpdb import tuple_independent
 
         rows = [((i, i % 5), Fraction(1, 3)) for i in range(120)]
         db = tuple_independent("R", ("A", "B"), rows)
         q = query(rel("R").select(col("B").eq(2)).project(["A"]))
-        scalar = UEvaluator(db, copy_db=True, backend="python").evaluate(q).relation
-        columnar = UEvaluator(db, copy_db=True, backend="numpy").evaluate(q).relation
+        scalar, columnar = _scalar_and_columnar(db, q)
         assert scalar == columnar
 
 
@@ -395,7 +397,6 @@ def _urel_pair(draw):
     return w, left, right
 
 
-@needs_numpy
 class TestColumnarHypothesis:
     @given(_urel_pair())
     @settings(max_examples=40, suppress_health_check=[HealthCheck.too_slow])
@@ -437,13 +438,13 @@ class TestColumnarHypothesis:
 
 
 # ------------------------------------------------------- engine-level parity
-@needs_numpy
-class TestEngineBackendParity:
-    def test_coin_pipeline_identical_across_backends(self, coins_complete):
+class TestEngineParity:
+    def test_coin_pipeline_identical_across_engines(self, coins_complete):
         results = {}
-        for backend in ("python", "numpy"):
+        for engine in ENGINES:
             db = repro.connect(
-                dict(coins_complete), strategy="exact-decomposition", backend=backend
+                on_engine(engine, UDatabase.from_complete(coins_complete)),
+                strategy="exact-decomposition",
             )
             db.assign("R", "project[CoinType](repair-key[@ Count](Coins))")
             db.assign(
@@ -459,20 +460,20 @@ class TestEngineBackendParity:
             out = db.query(
                 "project[CoinType, P1 / P2 -> P](join(conf[P1](T), conf[P2](project[](T))))"
             )
-            results[backend] = out.relation
-        assert results["python"] == results["numpy"]
+            results[engine] = out.relation
+        assert results["scalar"] == results["columnar"]
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_exact_confidences_identical_across_backends(self, seed):
+    def test_exact_confidences_identical_across_engines(self, seed):
         db = _random_udb(seed)
         confs = {}
-        for backend in ("python", "numpy"):
+        for engine in ENGINES:
             session = repro.connect(
-                db, strategy="exact-decomposition", backend=backend, copy=True
+                on_engine(engine, db), strategy="exact-decomposition", copy=True
             )
             reports = session.confidence_all(rel("R").join(rel("S")).project(["A"]))
-            confs[backend] = {t: r.value for t, r in reports.items()}
-        assert confs["python"] == confs["numpy"]
+            confs[engine] = {t: r.value for t, r in reports.items()}
+        assert confs["scalar"] == confs["columnar"]
 
     def test_database_copies_get_private_coding_context(self):
         # connect(..., copy=True) promises a *private* copy: a scratch
@@ -481,7 +482,7 @@ class TestEngineBackendParity:
         # get a warm snapshot — same codes assigned so far, independent
         # growth afterwards.
         db = _random_udb(8)
-        session = repro.connect(db, backend="numpy", copy=True)
+        session = repro.connect(db, copy=True)
         session.query(query(rel("R").project(["A"])))
         ctx = session.db.columnar_context
         assert ctx is not None
@@ -513,8 +514,7 @@ class TestEngineBackendParity:
 
     def test_explain_reports_operator_path(self, coin_session_after_T):
         plan = coin_session_after_T.explain("project[CoinType](select[Toss = 1](S))")
-        expected = "columnar[numpy]" if HAS_NUMPY else "scalar[indexed]"
-        assert expected in plan.text
+        assert "columnar[numpy]" in plan.text
 
 
 # ----------------------------------------------- conditions: fast paths, pool

@@ -15,8 +15,7 @@ constructor parameter must be referenced in the governing token body as
 
 Parameters that genuinely must NOT appear (``workers`` — worker count
 never affects results, that's the determinism contract; the uniform
-``eps``/``delta``/``backend`` signature that exact strategies accept and
-ignore) are exempted in the rule's ``exempt`` manifest, keeping the
+``eps``/``delta`` signature that exact strategies accept and ignore) are exempted in the rule's ``exempt`` manifest, keeping the
 "this parameter doesn't affect results" claims in one auditable place
 rather than scattered through suppression comments.
 """

@@ -1,16 +1,18 @@
 """Transcript digest of one fixed script — are two checkouts' answers the same?
 
     PYTHONHASHSEED=0 PYTHONPATH=<checkout>/src python tools/transcript_digest.py <workers> [--warm] [--check]
-    PYTHONPATH=<checkout>/src python tools/transcript_digest.py <workers> --lifted <backend> [--check]
+    PYTHONPATH=<checkout>/src python tools/transcript_digest.py <workers> --lifted [--check]
 
 ``workers`` is ``none`` (the session omits the argument), an int, or
 ``custom`` (a ``ShardExecutor(2)`` with small plan parameters).  The
 script runs ``query``, ``confidence_all`` (karp-luby / naive-mc / auto, and
 an ``auto`` whose thresholds send most DNFs to its enclosure-sized
 sampler),
-a single-tuple confidence, ``topk`` and ``evaluate_with_guarantee`` on
-both trial backends with fixed seeds and prints a SHA-256 prefix per
-section (``--sections``) and six totals:
+a single-tuple confidence, ``topk`` and ``evaluate_with_guarantee`` with
+fixed seeds and prints a SHA-256 prefix per section (``--sections``) and
+six totals.  Section keys keep the ``numpy/`` prefix they had while a
+second trial engine existed, so a section digest is comparable with
+checkouts from before its removal:
 
 * ``top-level-sampling`` — sections whose trials are drawn by the
   session's executor (short DNF lists, narrow σ̂, top-k);
@@ -39,12 +41,11 @@ section (``--sections``) and six totals:
   session.  The safe ones are answered extensionally (step 0 of the conf
   seam), in a canonical multiplication order, and conditions print in
   sorted order, so this total must not move with
-  ``PYTHONHASHSEED``, the backend or the worker count:
-  ``--lifted <backend>`` (``numpy`` / ``python`` / ``auto``) prints it
-  alone, at that backend, in a fraction of a second — CI compares the
-  eight combinations of hash seed 0 / 1 × backend × workers none / 2.
+  ``PYTHONHASHSEED`` or the worker count: ``--lifted`` prints it alone,
+  in a fraction of a second — CI compares the four combinations of hash
+  seed 0 / 1 × workers none / 2.
 * ``float-bounds`` — a fifth script (in no other total): ``confidence_all``
-  under ``auto`` and ``karp-luby`` on both backends over float-weighted
+  under ``auto`` and ``karp-luby`` over float-weighted
   bipartite 2-DNFs that exhaust the bound budget, printing each report's
   value, trial count and enclosure; then under ``exact-decomposition``
   and ``dissociation-bounds`` at budgets 0 and default over
@@ -147,9 +148,9 @@ def sigma_db(n_groups, clauses=3, seed=5):
     return db
 
 
-def sampling_auto(eps, backend):
+def sampling_auto(eps):
     """``auto`` with steps 3 and 4 starved, so ``sampled_db``'s DNFs reach step 5."""
-    return AutoStrategy(eps, 0.2, backend=backend, max_exact_size=0, bounds_budget=0)
+    return AutoStrategy(eps, 0.2, max_exact_size=0, bounds_budget=0)
 
 
 def connect(db, workers, **kw):
@@ -205,53 +206,51 @@ def driver_key(rep):
 
 def transcript(workers):
     sections = {}
-    for backend in ("numpy", "python"):
-        # -- query + confidence_all on a SHORT list (4 tuples: per-tuple trial sharding)
-        out = []
-        for strategy in ("karp-luby", "naive-mc", "auto", sampling_auto(0.3, backend)):
-            with connect(sampled_db(6), workers, strategy=strategy, eps=0.3, delta=0.2,
-                         rng=11, backend=backend) as db:
-                q = db.query(rel("R").join(rel("S")).project(["A"]))
-                out.append(sorted(map(repr, q.relation.rows)))
-                out.append(sorted((r, report_key(p)) for r, p in db.confidence_all("R").items()))
-                out.append(sorted((r, report_key(p)) for r, p in db.confidence_all("R").items()))
-                out.append(report_key(db.query("R").confidence((0,))))
-        sections[f"{backend}/conf-short"] = out
-        # -- confidence_all on a LONG list (48 tuples: the DNF list itself shards)
-        out = []
-        for strategy in ("karp-luby", "naive-mc", "auto", sampling_auto(0.4, backend)):
-            with connect(sampled_db(48), workers, strategy=strategy, eps=0.4, delta=0.2,
-                         rng=11, backend=backend) as db:
-                out.append(sorted((r, report_key(p)) for r, p in db.confidence_all("R").items()))
-        sections[f"{backend}/conf-long"] = out
-        # -- topk
-        with connect(k33_db(), workers, eps=0.2, delta=0.05, rng=7, backend=backend) as db:
+    # -- query + confidence_all on a SHORT list (4 tuples: per-tuple trial sharding)
+    out = []
+    for strategy in ("karp-luby", "naive-mc", "auto", sampling_auto(0.3)):
+        with connect(sampled_db(6), workers, strategy=strategy, eps=0.3, delta=0.2,
+                     rng=11) as db:
+            q = db.query(rel("R").join(rel("S")).project(["A"]))
+            out.append(sorted(map(repr, q.relation.rows)))
+            out.append(sorted((r, report_key(p)) for r, p in db.confidence_all("R").items()))
+            out.append(sorted((r, report_key(p)) for r, p in db.confidence_all("R").items()))
+            out.append(report_key(db.query("R").confidence((0,))))
+    sections["numpy/conf-short"] = out
+    # -- confidence_all on a LONG list (48 tuples: the DNF list itself shards)
+    out = []
+    for strategy in ("karp-luby", "naive-mc", "auto", sampling_auto(0.4)):
+        with connect(sampled_db(48), workers, strategy=strategy, eps=0.4, delta=0.2,
+                     rng=11) as db:
+            out.append(sorted((r, report_key(p)) for r, p in db.confidence_all("R").items()))
+    sections["numpy/conf-long"] = out
+    # -- topk
+    with connect(k33_db(), workers, eps=0.2, delta=0.05, rng=7) as db:
+        rep = asked(
+            db, 7,
+            lambda: db.topk("R", 2, bounds_budget=0),
+            warm_up=lambda: db.topk("R", 3, bounds_budget=0),
+        )
+        assert rep.total_trials > 0
+        sections["numpy/topk"] = [
+            [(e.row, repr(e.value), e.trials, e.source) for e in rep.entries],
+            rep.total_trials, rep.rounds,
+        ]
+    # -- evaluate_with_guarantee, narrow (4 candidates) and wide (20)
+    q = rel("R").approx_select(col("P1") > lit(0.4), groups=[["A"]])
+    for label, n in (("narrow", 4), ("wide", 20)):
+        with connect(sigma_db(n), workers, strategy="exact-decomposition", rng=9) as db:
             rep = asked(
-                db, 7,
-                lambda: db.topk("R", 2, bounds_budget=0),
-                warm_up=lambda: db.topk("R", 3, bounds_budget=0),
+                db, 9,
+                lambda: db.evaluate_with_guarantee(q, delta=0.2, eps0=0.25, bounds_budget=0),
             )
-            assert rep.total_trials > 0
-            sections[f"{backend}/topk"] = [
-                [(e.row, repr(e.value), e.trials, e.source) for e in rep.entries],
-                rep.total_trials, rep.rounds,
+            sections[f"numpy/sigma-{label}"] = [
+                sorted(map(repr, rep.relation.rows)),
+                rep.rounds,
+                sorted((repr(r), b) for r, b in rep.tuple_bounds.items()),
+                [(d.data, d.decision.value, d.decision.total_trials,
+                  sorted(d.decision.estimates.items())) for d in rep.decisions],
             ]
-        # -- evaluate_with_guarantee, narrow (4 candidates) and wide (20)
-        q = rel("R").approx_select(col("P1") > lit(0.4), groups=[["A"]])
-        for label, n in (("narrow", 4), ("wide", 20)):
-            with connect(sigma_db(n), workers, strategy="exact-decomposition", rng=9,
-                         backend=backend) as db:
-                rep = asked(
-                    db, 9,
-                    lambda: db.evaluate_with_guarantee(q, delta=0.2, eps0=0.25, bounds_budget=0),
-                )
-                sections[f"{backend}/sigma-{label}"] = [
-                    sorted(map(repr, rep.relation.rows)),
-                    rep.rounds,
-                    sorted((repr(r), b) for r, b in rep.tuple_bounds.items()),
-                    [(d.data, d.decision.value, d.decision.total_trials,
-                      sorted(d.decision.estimates.items())) for d in rep.decisions],
-                ]
     return sections
 
 
@@ -271,24 +270,23 @@ def conf_operator_transcript(workers):
         return sorted(map(repr, relation.rows))
 
     sections = {}
-    for backend in ("numpy", "python"):
-        for n_tuples in (6, 24):  # from 16 tuples on, a DNF list shards
-            for strategy in (
-                "exact-decomposition", "exact-enumeration", "karp-luby", "naive-mc", "auto",
-            ):
-                with connect(sampled_db(n_tuples), workers, strategy=strategy, eps=0.3,
-                             delta=0.2, rng=13, backend=backend) as db:
-                    out = [(name, rows(db.query(q).relation)) for name, q in operators.items()]
-                    out.append(rows(db.confidence("R").relation))
-                    out.append(rows(db.confidence("R", strategy="karp-luby").relation))
-                    reports = db.query(joined).confidences()
-                    out.append(sorted((row, report_key(rep)) for row, rep in reports.items()))
-                    out.append(repr(db.rng.random()))
-                sections[f"{backend}/{n_tuples}/{strategy}"] = out
-            evaluator = UEvaluator(sampled_db(n_tuples), rng=3, backend=backend)
-            out = [(name, rows(evaluator.evaluate(q.q).relation)) for name, q in operators.items()]
-            out.append(repr(evaluator.rng.random()))
-            sections[f"{backend}/{n_tuples}/UEvaluator"] = out
+    for n_tuples in (6, 24):  # from 16 tuples on, a DNF list shards
+        for strategy in (
+            "exact-decomposition", "exact-enumeration", "karp-luby", "naive-mc", "auto",
+        ):
+            with connect(sampled_db(n_tuples), workers, strategy=strategy, eps=0.3,
+                         delta=0.2, rng=13) as db:
+                out = [(name, rows(db.query(q).relation)) for name, q in operators.items()]
+                out.append(rows(db.confidence("R").relation))
+                out.append(rows(db.confidence("R", strategy="karp-luby").relation))
+                reports = db.query(joined).confidences()
+                out.append(sorted((row, report_key(rep)) for row, rep in reports.items()))
+                out.append(repr(db.rng.random()))
+            sections[f"numpy/{n_tuples}/{strategy}"] = out
+        evaluator = UEvaluator(sampled_db(n_tuples), rng=3)
+        out = [(name, rows(evaluator.evaluate(q.q).relation)) for name, q in operators.items()]
+        out.append(repr(evaluator.rng.random()))
+        sections[f"numpy/{n_tuples}/UEvaluator"] = out
     return sections
 
 
@@ -315,20 +313,18 @@ def contested_db(n_groups):
 def enclosure_transcript(workers):
     q = rel("R").approx_select(col("P1") > lit(0.8), groups=[["A"]])
     sections = {}
-    for backend in ("numpy", "python"):
-        for label, n in (("narrow", 4), ("wide", 20)):
-            with connect(contested_db(n), workers, eps=0.3, delta=0.2, rng=9,
-                         backend=backend) as db:
-                def consumers():
-                    out = [topk_key(db.topk("R", k)) for k in (2, 3)]
-                    out.append(driver_key(db.evaluate_with_guarantee(q, delta=0.2, eps0=0.1)))
-                    out.append(
-                        driver_key(db.evaluate_with_guarantee(q, delta=0.1, eps0=0.1, rng=4))
-                    )
-                    out.append(repr(db.rng.random()))
-                    return out
+    for label, n in (("narrow", 4), ("wide", 20)):
+        with connect(contested_db(n), workers, eps=0.3, delta=0.2, rng=9) as db:
+            def consumers():
+                out = [topk_key(db.topk("R", k)) for k in (2, 3)]
+                out.append(driver_key(db.evaluate_with_guarantee(q, delta=0.2, eps0=0.1)))
+                out.append(
+                    driver_key(db.evaluate_with_guarantee(q, delta=0.1, eps0=0.1, rng=4))
+                )
+                out.append(repr(db.rng.random()))
+                return out
 
-                sections[f"{backend}/enclosures-{label}"] = asked(db, 9, consumers)
+            sections[f"numpy/enclosures-{label}"] = asked(db, 9, consumers)
     return sections
 
 
@@ -396,14 +392,13 @@ def float_bounds_transcript(workers):
         )
 
     sections = {}
-    for backend in ("numpy", "python"):
-        for strategy in ("auto", "karp-luby"):
-            with connect(float_bounds_db(), workers, strategy=strategy, eps=0.3, delta=0.2,
-                         rng=23, backend=backend) as db:
-                reports = db.confidence_all("R")
-                if strategy == "auto":
-                    assert all(rep.lower < rep.upper for rep in reports.values())
-                sections[f"{backend}/{strategy}"] = reports_key(reports)
+    for strategy in ("auto", "karp-luby"):
+        with connect(float_bounds_db(), workers, strategy=strategy, eps=0.3, delta=0.2,
+                     rng=23) as db:
+            reports = db.confidence_all("R")
+            if strategy == "auto":
+                assert all(rep.lower < rep.upper for rep in reports.values())
+            sections[f"numpy/{strategy}"] = reports_key(reports)
     solvers = {
         "exact-decomposition": "exact-decomposition",
         "bounds-0": DissociationBounds(budget=0),
@@ -429,7 +424,7 @@ def tuple_independent_db(floats, n_rows=40, n_keys=7, seed=17):
     return db
 
 
-def lifted_transcript(workers, backend):
+def lifted_transcript(workers):
     plans = (
         "R",
         "project[B](join(R, S))",
@@ -443,8 +438,7 @@ def lifted_transcript(workers, backend):
     sections = {}
     for weights in ("fraction", "float"):
         source = tuple_independent_db(floats=weights == "float")
-        with connect(source, workers, eps=0.3, delta=0.2, rng=5,
-                     backend=None if backend == "auto" else backend) as db:
+        with connect(source, workers, eps=0.3, delta=0.2, rng=5) as db:
             def ask(q):
                 reports = db.confidence_all(q)
                 result = db.query(q)
@@ -511,13 +505,13 @@ def report(totals):
 
 if __name__ == "__main__":
     if "--lifted" in sys.argv:
-        only = lifted_transcript(sys.argv[1], sys.argv[sys.argv.index("--lifted") + 1])
+        only = lifted_transcript(sys.argv[1])
         report({"lifted": digest(sorted(only.items()))})
         sys.exit(0)
     sections = transcript(sys.argv[1])
     conf_sections = conf_operator_transcript(sys.argv[1])
     enclosure_sections = enclosure_transcript(sys.argv[1])
-    lifted_sections = lifted_transcript(sys.argv[1], "auto")
+    lifted_sections = lifted_transcript(sys.argv[1])
     float_sections = float_bounds_transcript(sys.argv[1])
     if "--sections" in sys.argv:
         every = {**sections, **conf_sections, **enclosure_sections, **lifted_sections}
