@@ -32,11 +32,11 @@ one shared block of world samples — the draw-once, evaluate-everything
 pattern behind ``ProbDB.confidence_all``; :func:`batch_naive_confidence`
 is its one-disjunction case.
 
-Every block entry point runs on a
-:class:`~repro.util.parallel.ShardExecutor` (the process-wide serial one
-when the caller passes none): the trial budget is cut into blocks by the
-executor's worker-count-independent plan, each block draws from a
-generator seeded by its *block index*
+Every block entry point runs on the run scope's
+:class:`~repro.util.parallel.ShardExecutor` (:mod:`repro.util.scope`;
+the process-wide serial one outside every scope): the trial budget is
+cut into blocks by the executor's worker-count-independent plan, each
+block draws from a generator seeded by its *block index*
 (:func:`~repro.util.parallel.shard_seed`), and the block statistics
 merge by trial-count weighting (positives and trials simply sum, so the
 estimate X·M/m is the weighted mean of the block estimates).  Results
@@ -56,8 +56,9 @@ import numpy as np
 from repro.confidence import bounds
 from repro.confidence.dnf import Dnf
 from repro.urel.conditions import Var
-from repro.util.parallel import SERIAL_EXECUTOR, ShardExecutor, shard_seed
+from repro.util.parallel import shard_seed
 from repro.util.rng import ensure_rng
+from repro.util.scope import current_scope
 from repro.worlds.database import Prob
 
 __all__ = [
@@ -283,15 +284,14 @@ def _shared_trial_block(encoders: list[_EncodedDnf], n: int, seed: int) -> list[
     return [int(_np_satisfaction(enc, block).any(axis=1).sum()) for enc in encoders]
 
 
-def _map_trial_blocks(
-    executor: ShardExecutor, kernel, enc, n_trials: int, rng: random.Random
-) -> list:
-    """Per-block ``kernel`` results for a budget cut by ``executor.plan_trials``.
+def _map_trial_blocks(kernel, enc, n_trials: int, rng: random.Random) -> list:
+    """Per-block ``kernel`` results for a budget cut by the run scope's trial plan.
 
     One parent draw seeds the whole budget; block ``i`` draws from
     ``shard_seed(base, i)``, so the results depend on the plan and the
     block index only — never on which worker ran the block.
     """
+    executor = current_scope().executor
     base = rng.getrandbits(64)
     return executor.map(
         kernel,
@@ -317,24 +317,17 @@ class BatchKarpLubySampler:
     ``snapshot`` read the statistics so far.  The Figure 3 algorithm
     refines by repeatedly calling ``run(|F|)``.
 
-    :meth:`run` cuts each requested budget into blocks by the
-    executor's (worker-count-independent) trial plan, seeds block ``i``
+    :meth:`run` cuts each requested budget into blocks by the run
+    scope's (worker-count-independent) trial plan, seeds block ``i``
     from ``(one parent draw, i)``, and sums the block positives — the
     trial-count-weighted merge of the block estimates.  Estimates are
-    bit-identical for every worker count; without an ``executor`` the
-    blocks run on the process-wide serial one.
+    bit-identical for every worker count.
     """
 
-    def __init__(
-        self,
-        dnf: Dnf,
-        rng: random.Random | int | None = None,
-        executor: "ShardExecutor | None" = None,
-    ):
-        """Set up block sampling for ``dnf`` on ``executor``."""
+    def __init__(self, dnf: Dnf, rng: random.Random | int | None = None):
+        """Set up block sampling for ``dnf``."""
         self.dnf = dnf
         self.rng = ensure_rng(rng)
-        self.executor = executor or SERIAL_EXECUTOR
         self.trials = 0
         self.positives = 0
         if dnf.is_trivially_true:
@@ -370,9 +363,7 @@ class BatchKarpLubySampler:
         """Accumulate ``n_trials`` further Definition 4.1 trials."""
         if n_trials <= 0 or self.is_exact:
             return
-        blocks = _map_trial_blocks(
-            self.executor, _karp_luby_trial_block, self._enc, n_trials, self.rng
-        )
+        blocks = _map_trial_blocks(_karp_luby_trial_block, self._enc, n_trials, self.rng)
         self.positives += sum(blocks)
         self.trials += n_trials
 
@@ -426,7 +417,6 @@ def batch_approximate_confidence(
     eps: float,
     delta: float,
     rng: random.Random | int | None = None,
-    executor: "ShardExecutor | None" = None,
     lower: Prob | None = None,
 ) -> KarpLubyEstimate:
     """The (ε, δ) FPRAS of Proposition 4.2, its trial budget drawn in blocks.
@@ -440,7 +430,7 @@ def batch_approximate_confidence(
     bound ``lower`` ≤ p shrinks |F| in m to :func:`karp_luby_ratio`, at
     the same (ε, δ).
     """
-    sampler = BatchKarpLubySampler(dnf, rng, executor=executor)
+    sampler = BatchKarpLubySampler(dnf, rng)
     if sampler.is_exact:
         return sampler.snapshot(eps, delta)
     sampler.run(bounds.karp_luby_sample_size(eps, delta, karp_luby_ratio(dnf, lower)))
@@ -448,20 +438,14 @@ def batch_approximate_confidence(
 
 
 def batch_naive_confidence(
-    dnf: Dnf,
-    samples: int,
-    rng: random.Random | int | None = None,
-    executor: "ShardExecutor | None" = None,
+    dnf: Dnf, samples: int, rng: random.Random | int | None = None
 ) -> NaiveEstimate:
     """Naive world-sampling estimate of p: ``samples`` worlds over vars(F)."""
-    return shared_block_confidences([dnf], samples, rng, executor)[0]
+    return shared_block_confidences([dnf], samples, rng)[0]
 
 
 def shared_block_confidences(
-    dnfs: Sequence[Dnf],
-    samples: int,
-    rng: random.Random | int | None = None,
-    executor: "ShardExecutor | None" = None,
+    dnfs: Sequence[Dnf], samples: int, rng: random.Random | int | None = None
 ) -> list[NaiveEstimate]:
     """Estimate every disjunction against ONE shared block of worlds.
 
@@ -472,7 +456,7 @@ def shared_block_confidences(
     not once per result tuple.  Estimates for degenerate disjunctions
     are exact and draw nothing.  All disjunctions must share one W table.
 
-    The sample budget is cut into blocks by the executor's trial plan
+    The sample budget is cut into blocks by the run scope's trial plan
     (each still shared by every DNF *within* the block, so the per-block
     correlation structure is preserved); per-DNF positives sum across
     blocks — the trial-count-weighted merge.
@@ -499,9 +483,7 @@ def shared_block_confidences(
     variables = sorted(union_vars, key=repr)
     encoders = [_EncodedDnf(dnfs[i], variables) for i in sampled]
 
-    per_block = _map_trial_blocks(
-        executor or SERIAL_EXECUTOR, _shared_trial_block, encoders, samples, generator
-    )
+    per_block = _map_trial_blocks(_shared_trial_block, encoders, samples, generator)
     for k, i in enumerate(sampled):
         positives = sum(block[k] for block in per_block)
         results[i] = NaiveEstimate(positives / samples, samples, positives)

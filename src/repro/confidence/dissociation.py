@@ -72,7 +72,7 @@ import numpy as np
 
 from repro.confidence.dnf import Dnf
 from repro.confidence.exact import ClauseKernel, _Clause
-from repro.util.parallel import SERIAL_EXECUTOR
+from repro.util.scope import current_scope
 from repro.worlds.database import Prob
 
 __all__ = [
@@ -165,9 +165,7 @@ def _compute_interval(dnf: Dnf, budget: int) -> BoundInterval:
 
 
 def dissociation_intervals(
-    dnfs: Sequence[Dnf],
-    budget: int = DEFAULT_BOUND_BUDGET,
-    executor=None,
+    dnfs: Sequence[Dnf], budget: int = DEFAULT_BOUND_BUDGET
 ) -> list[BoundInterval]:
     """Compute bounds for a batch of disjunctions, sharded when profitable.
 
@@ -179,7 +177,8 @@ def dissociation_intervals(
     free.
 
     Bounds draw no randomness, so the shards need no seeds: the miss
-    list is cut by the worker-count-independent
+    list is cut, on the run scope's executor, by the
+    worker-count-independent
     :meth:`~repro.util.parallel.ShardExecutor.plan_items` schedule and
     results concatenate in shard order — bit-identical at every worker
     count, exactly like the exact strategies' sharded batches.
@@ -190,7 +189,7 @@ def dissociation_intervals(
         if budget not in _object_memo(dnf):
             misses.setdefault((id(dnf.w), frozenset(dnf.members)), []).append(dnf)
     if misses:
-        solved = (executor or SERIAL_EXECUTOR).map_items(
+        solved = current_scope().executor.map_items(
             _interval_shard_task, [same[0] for same in misses.values()], budget
         )
         for same, interval in zip(misses.values(), solved):
@@ -211,10 +210,13 @@ class EnclosureMemo:
     its variables and the budget, while the ``Dnf`` *objects* asking for
     it come and go — Theorem 6.7's driver rebuilds every candidate's
     disjunction, over a fresh copy of W, at each doubling of l.  A memo
-    outlives them: it is the run scope the driver carries across its
-    evaluations, and the scope a session puts in front of its cache (the
-    two hooks).  The key names no W, so one memo serves one database
-    (its W table and copies of it).  Calling it is the enclosure seam,
+    outlives them: it is the run memo of a run scope
+    (:mod:`repro.util.scope`), which the driver keeps across its
+    evaluations and a session puts in front of its cache (the two
+    hooks).  The memo's own table keys on the W object too, so a
+    library call may mix databases; the key it offers the longer-lived
+    store names no W, so that store serves one database (its W table
+    and copies of it).  Calling it is the enclosure seam,
     ``memo(dnfs, budget) -> list[BoundInterval]``; ``computed`` counts
     the disjunctions it had to hand to the solver.
 
@@ -226,9 +228,8 @@ class EnclosureMemo:
     Neither table reaches a longer-lived store.
     """
 
-    def __init__(self, executor=None):
-        """Solve misses on ``executor`` (default: the process-wide serial one)."""
-        self.executor = executor
+    def __init__(self):
+        """An empty memo; misses are solved on the run scope's executor."""
         self.computed = 0
         self._intervals: dict[tuple, BoundInterval] = {}
         self._dnfs: dict[tuple, Dnf] = {}
@@ -252,22 +253,22 @@ class EnclosureMemo:
     def __call__(self, dnfs: Sequence[Dnf], budget: int) -> list[BoundInterval]:
         """One interval per disjunction, in order; only the misses are solved."""
         known = self._intervals
-        keys = [("bounds", frozenset(dnf.members), budget) for dnf in dnfs]
+        keys = [(dnf.w, frozenset(dnf.members), budget) for dnf in dnfs]
         misses: dict[tuple, Dnf] = {}
         for key, dnf in zip(keys, dnfs):
             if key in known or key in misses:
                 continue
-            interval = self._shared_get(key)
+            interval = self._shared_get(("bounds",) + key[1:])
             if interval is None:
                 misses[key] = dnf
             else:
                 known[key] = interval
         if misses:
-            solved = dissociation_intervals(list(misses.values()), budget, executor=self.executor)
+            solved = dissociation_intervals(list(misses.values()), budget)
             self.computed += len(misses)
             for (key, dnf), interval in zip(misses.items(), solved):
                 known[key] = interval
-                self._shared_put(key, dnf, interval)
+                self._shared_put(("bounds",) + key[1:], dnf, interval)
         return [known[key] for key in keys]
 
 

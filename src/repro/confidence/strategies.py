@@ -25,8 +25,8 @@ the engine; :mod:`repro.engine.strategies` re-exports it unchanged.
 Registry protocol — two methods, one signature::
 
     strategy = resolve_strategy("auto", eps=0.1, delta=0.01)
-    report = strategy.compute(dnf, rng, executor=None)      # -> ConfidenceReport
-    reports = strategy.compute_batch(dnfs, rng, executor=None)   # batched
+    report = strategy.compute(dnf, rng)     # -> ConfidenceReport
+    reports = strategy.compute_batch(dnfs, rng)   # batched
     method = strategy.choose(dnf)           # what compute() would run
 
 Sampling strategies may override :meth:`ConfidenceStrategy.compute_batch`
@@ -35,9 +35,11 @@ to draw trials in blocks shared across a whole batch of tuples (see
 strategies with :func:`register_strategy`; strategy classes are
 instantiated as ``cls(eps=..., delta=...)``.
 
-``executor`` is the session's :class:`~repro.util.parallel.ShardExecutor`
-(``None`` means the process-wide serial one): a per-tuple DNF list long
-enough to cut is sharded by the executor's worker-count-independent
+A strategy that fans out reads ``current_scope().executor``
+(:mod:`repro.util.scope`): the session's
+:class:`~repro.util.parallel.ShardExecutor` inside a request, the
+process-wide serial one outside every run scope.  A per-tuple DNF list
+long enough to cut is sharded by the executor's worker-count-independent
 plan, each shard computed under a generator derived from its *shard
 index*, and results concatenated in shard order; shorter batches shard
 each tuple's trial budget instead — bit-identical for every worker
@@ -46,8 +48,10 @@ count either way.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 
 from collections.abc import Sequence
@@ -71,7 +75,8 @@ from repro.confidence.exact import (
     probability_by_decomposition,
     probability_by_enumeration,
 )
-from repro.util.parallel import SERIAL_EXECUTOR, ShardExecutor
+from repro.util.parallel import ShardExecutor
+from repro.util.scope import current_scope, run_scope
 from repro.worlds.database import Prob
 
 __all__ = [
@@ -135,6 +140,26 @@ class ConfidenceReport:
         return float(self.value)
 
 
+def _accepting_executor(method):
+    """``method``, also taking the ``executor`` argument of the pre-scope protocol.
+
+    ``None`` (what such a strategy forwards when the engine calls it)
+    changes nothing; a given executor serves the call as its run scope's.
+    """
+
+    @functools.wraps(method)
+    def call(self, *args, executor=None, **kwargs):
+        with _scope_on(executor):
+            return method(self, *args, **kwargs)
+
+    return call
+
+
+def _scope_on(executor: "ShardExecutor | None"):
+    """A run scope on ``executor``; if it is ``None``, none (the caller's stays)."""
+    return nullcontext() if executor is None else run_scope(executor=executor)
+
+
 class ConfidenceStrategy:
     """Base class: a named way of computing the weight of a DNF."""
 
@@ -184,44 +209,42 @@ class ConfidenceStrategy:
         """
         return 0
 
-    def compute(
-        self,
-        dnf: Dnf,
-        rng: random.Random,
-        executor: "ShardExecutor | None" = None,
-    ) -> ConfidenceReport:
+    def __init_subclass__(cls, **kwargs):
+        """Let the subclass's methods take the old ``executor`` (:func:`_accepting_executor`)."""
+        super().__init_subclass__(**kwargs)
+        for name in ("compute", "compute_batch"):
+            if name in cls.__dict__:
+                setattr(cls, name, _accepting_executor(cls.__dict__[name]))
+
+    def compute(self, dnf: Dnf, rng: random.Random) -> ConfidenceReport:
         """Compute the weight of ``dnf`` (sampling, if at all, from ``rng``)."""
         raise NotImplementedError
 
-    def compute_batch(
-        self,
-        dnfs: Sequence[Dnf],
-        rng: random.Random,
-        executor: "ShardExecutor | None" = None,
-    ) -> list[ConfidenceReport]:
+    @_accepting_executor
+    def compute_batch(self, dnfs: Sequence[Dnf], rng: random.Random) -> list[ConfidenceReport]:
         """Confidences for a whole batch of disjunctions (one per tuple).
 
-        A list long enough for ``executor.plan_items`` to cut is sharded:
-        the plan and each shard's generator depend on the workload and
-        the shard *index* only (never on the worker count), so the
-        concatenated result is bit-identical at any parallelism.  The
-        strategy itself travels to the workers, which is why strategy
+        A list long enough for the run scope's ``executor.plan_items`` to
+        cut is sharded: the plan and each shard's generator depend on the
+        workload and the shard *index* only (never on the worker count),
+        so the concatenated result is bit-identical at any parallelism.
+        The strategy itself travels to the workers, which is why strategy
         instances must stay picklable and must not hold executors.  A
-        shorter list runs :meth:`compute` per DNF, handing it the
-        executor so each tuple's trial budget can shard instead.
-        Sampling strategies override this to amortize trial drawing
-        across the batch (shared world blocks).
+        shorter list runs :meth:`compute` per DNF in the caller's run
+        scope, so each tuple's trial budget can shard instead.  Sampling
+        strategies override this to amortize trial drawing across the
+        batch (shared world blocks).
         """
-        return self._map_items(self.compute, dnfs, rng, executor)
+        return self._map_items(self.compute, dnfs, rng)
 
-    def _map_items(self, compute, items: Sequence, rng: random.Random, executor) -> list:
-        """``compute(item, rng, executor=…)`` per item: the sharding of :meth:`compute_batch`.
+    def _map_items(self, compute, items: Sequence, rng: random.Random) -> list:
+        """``compute(item, rng)`` per item: the sharding of :meth:`compute_batch`.
 
         ``compute`` is a bound method of this (picklable) strategy, so it
         travels to the workers with the shard; the items are whatever it
         takes — a ``Dnf``, or a DNF with what routing learned about it.
         """
-        executor = executor or SERIAL_EXECUTOR
+        executor = current_scope().executor
         if len(executor.plan_items(len(items))) > 1:
             # A strategy that never samples needs no shard entropy; a
             # fixed base keeps the shard-seed derivation uniform without
@@ -231,7 +254,7 @@ class ConfidenceStrategy:
             return executor.map_items(
                 _strategy_shard_task, list(items), compute, seed_base=base
             )
-        return [compute(item, rng, executor=executor) for item in items]
+        return [compute(item, rng) for item in items]
 
     def __repr__(self) -> str:
         """Return ``<strategy 'name'>``."""
@@ -252,8 +275,9 @@ def compute_batch_with_executor(
     rng: random.Random,
     executor: "ShardExecutor | None",
 ) -> list[ConfidenceReport]:
-    """``strategy.compute_batch(dnfs, rng, executor=executor)``."""
-    return strategy.compute_batch(dnfs, rng, executor=executor)
+    """``strategy.compute_batch(dnfs, rng)``, in a run scope on ``executor`` if given."""
+    with _scope_on(executor):
+        return strategy.compute_batch(dnfs, rng)
 
 
 def compute_with_executor(
@@ -262,8 +286,9 @@ def compute_with_executor(
     rng: random.Random,
     executor: "ShardExecutor | None",
 ) -> ConfidenceReport:
-    """``strategy.compute(dnf, rng, executor=executor)``."""
-    return strategy.compute(dnf, rng, executor=executor)
+    """``strategy.compute(dnf, rng)``, in a run scope on ``executor`` if given."""
+    with _scope_on(executor):
+        return strategy.compute(dnf, rng)
 
 
 def dnf_is_read_once(dnf: Dnf) -> bool:
@@ -326,12 +351,7 @@ class ExactDecomposition(ConfidenceStrategy):
     def __init__(self, eps: float | None = None, delta: float | None = None):
         """Accept and ignore the registry-uniform arguments."""
 
-    def compute(
-        self,
-        dnf: Dnf,
-        rng: random.Random,
-        executor: "ShardExecutor | None" = None,
-    ) -> ConfidenceReport:
+    def compute(self, dnf: Dnf, rng: random.Random) -> ConfidenceReport:
         """Solve ``dnf`` exactly; draws nothing from ``rng``."""
         value = probability_by_decomposition(dnf)
         return ConfidenceReport(value, self.name, self.name, exact=True)
@@ -347,12 +367,7 @@ class ExactEnumeration(ConfidenceStrategy):
     def __init__(self, eps: float | None = None, delta: float | None = None):
         """Accept and ignore the registry-uniform arguments."""
 
-    def compute(
-        self,
-        dnf: Dnf,
-        rng: random.Random,
-        executor: "ShardExecutor | None" = None,
-    ) -> ConfidenceReport:
+    def compute(self, dnf: Dnf, rng: random.Random) -> ConfidenceReport:
         """Enumerate the worlds of ``dnf``; draws nothing from ``rng``."""
         value = probability_by_enumeration(dnf)
         return ConfidenceReport(value, self.name, self.name, exact=True)
@@ -402,16 +417,9 @@ class KarpLuby(ConfidenceStrategy):
             return 0
         return karp_luby_sample_size(self.eps, self.delta, dnf.size)
 
-    def compute(
-        self,
-        dnf: Dnf,
-        rng: random.Random,
-        executor: "ShardExecutor | None" = None,
-    ) -> ConfidenceReport:
+    def compute(self, dnf: Dnf, rng: random.Random) -> ConfidenceReport:
         """Draw ``dnf``'s whole Proposition 4.2 budget from ``rng``."""
-        estimate = batch_approximate_confidence(
-            dnf, self.eps, self.delta, rng, executor=executor
-        )
+        estimate = batch_approximate_confidence(dnf, self.eps, self.delta, rng)
         return ConfidenceReport(
             estimate.estimate,
             self.name,
@@ -464,31 +472,21 @@ class NaiveMonteCarlo(ConfidenceStrategy):
             delta=self.delta,
         )
 
-    def compute(
-        self,
-        dnf: Dnf,
-        rng: random.Random,
-        executor: "ShardExecutor | None" = None,
-    ) -> ConfidenceReport:
+    def compute(self, dnf: Dnf, rng: random.Random) -> ConfidenceReport:
         """Estimate ``dnf`` against its own block of sampled worlds."""
         samples = naive_sample_size_additive(self.eps, self.delta)
-        estimate = batch_naive_confidence(dnf, samples, rng, executor=executor)
+        estimate = batch_naive_confidence(dnf, samples, rng)
         return self._report(dnf, estimate)
 
-    def compute_batch(
-        self,
-        dnfs: Sequence[Dnf],
-        rng: random.Random,
-        executor: "ShardExecutor | None" = None,
-    ) -> list[ConfidenceReport]:
+    def compute_batch(self, dnfs: Sequence[Dnf], rng: random.Random) -> list[ConfidenceReport]:
         """Estimate every DNF against one shared world budget.
 
-        The budget is split by the executor's trial plan into blocks
+        The budget is split by the run scope's trial plan into blocks
         (each still shared by every tuple) whose counts merge by
         trial-count weighting.
         """
         samples = naive_sample_size_additive(self.eps, self.delta)
-        estimates = shared_block_confidences(dnfs, samples, rng, executor=executor)
+        estimates = shared_block_confidences(dnfs, samples, rng)
         return [self._report(dnf, est) for dnf, est in zip(dnfs, estimates)]
 
 
@@ -533,26 +531,16 @@ class DissociationBounds(ConfidenceStrategy):
             upper=interval.upper,
         )
 
-    def compute(
-        self,
-        dnf: Dnf,
-        rng: random.Random,
-        executor: "ShardExecutor | None" = None,
-    ) -> ConfidenceReport:
+    def compute(self, dnf: Dnf, rng: random.Random) -> ConfidenceReport:
         """Enclose ``dnf``; draws nothing from ``rng``."""
         return self._report(dissociation_interval(dnf, self.budget))
 
-    def compute_batch(
-        self,
-        dnfs: Sequence[Dnf],
-        rng: random.Random,
-        executor: "ShardExecutor | None" = None,
-    ) -> list[ConfidenceReport]:
-        """Enclose every DNF, sharding the list over the executor's plan.
+    def compute_batch(self, dnfs: Sequence[Dnf], rng: random.Random) -> list[ConfidenceReport]:
+        """Enclose every DNF, sharding the list over the run scope's plan.
 
         The plan is worker-count-independent and needs no shard entropy.
         """
-        intervals = dissociation_intervals(dnfs, self.budget, executor=executor)
+        intervals = dissociation_intervals(dnfs, self.budget)
         return [self._report(interval) for interval in intervals]
 
 
@@ -655,21 +643,11 @@ class AutoStrategy(ConfidenceStrategy):
             return 0
         return karp_luby_sample_size(self.eps, self.delta, karp_luby_ratio(dnf, interval.lower))
 
-    def _sample(
-        self,
-        routed: tuple[Dnf, BoundInterval],
-        rng: random.Random,
-        executor: "ShardExecutor | None" = None,
-    ) -> ConfidenceReport:
+    def _sample(self, routed: tuple[Dnf, BoundInterval], rng: random.Random) -> ConfidenceReport:
         """Step 5 on a ``(dnf, enclosure)`` pair: sized by, and clipped into, the enclosure."""
         dnf, interval = routed
         estimate = batch_approximate_confidence(
-            dnf,
-            self.eps,
-            self.delta,
-            rng,
-            executor=executor,
-            lower=interval.lower,
+            dnf, self.eps, self.delta, rng, lower=interval.lower
         )
         return ConfidenceReport(
             _clip(estimate.estimate, interval),
@@ -694,33 +672,23 @@ class AutoStrategy(ConfidenceStrategy):
             upper=interval.upper,
         )
 
-    def compute(
-        self,
-        dnf: Dnf,
-        rng: random.Random,
-        executor: "ShardExecutor | None" = None,
-    ) -> ConfidenceReport:
+    def compute(self, dnf: Dnf, rng: random.Random) -> ConfidenceReport:
         """Route ``dnf`` and run the chosen method on it."""
         method, interval = self._route(dnf)
         if method == KarpLuby.name:
-            return self._sample((dnf, interval), rng, executor=executor)
+            return self._sample((dnf, interval), rng)
         if method == DissociationBounds.name:
             return self._enclosed(interval)
         return replace(self._exact.compute(dnf, rng), strategy=self.name)
 
-    def compute_batch(
-        self,
-        dnfs: Sequence[Dnf],
-        rng: random.Random,
-        executor: "ShardExecutor | None" = None,
-    ) -> list[ConfidenceReport]:
+    def compute_batch(self, dnfs: Sequence[Dnf], rng: random.Random) -> list[ConfidenceReport]:
         """Route the batch per tuple, then run each method's batched path.
 
         All exact-routed tuples go through the exact strategy's (list-
         sharding) batch, all sampler-routed tuples through one sampled
         batch whose items are ``(dnf, enclosure)`` pairs, so each DNF's
         enclosure is solved once per call and both sub-batches fan out
-        over the executor.  Routing itself is deterministic (it never
+        over the run scope's executor.  Routing itself is deterministic (it never
         samples), so the split — and with it every shard plan downstream
         — is worker-count invariant.
         """
@@ -729,14 +697,12 @@ class AutoStrategy(ConfidenceStrategy):
         exact = [i for i, (m, _) in enumerate(routes) if m == ExactDecomposition.name]
         sampled = [i for i, (m, _) in enumerate(routes) if m == KarpLuby.name]
         if exact:
-            batch = self._exact.compute_batch(
-                [dnfs[i] for i in exact], rng, executor=executor
-            )
+            batch = self._exact.compute_batch([dnfs[i] for i in exact], rng)
             for i, report in zip(exact, batch):
                 reports[i] = replace(report, strategy=self.name)
         if sampled:
             batch = self._map_items(
-                self._sample, [(dnfs[i], routes[i][1]) for i in sampled], rng, executor
+                self._sample, [(dnfs[i], routes[i][1]) for i in sampled], rng
             )
             for i, report in zip(sampled, batch):
                 reports[i] = report

@@ -47,7 +47,7 @@ from repro.algebra.operators import (
 from repro.algebra import schema as _schema
 from repro.algebra.builder import Q
 from repro.algebra.pushdown import PUSH_ERRORS
-from repro.confidence.dissociation import BoundInterval, EnclosureMemo
+from repro.confidence.dissociation import BoundInterval
 from repro.confidence.dnf import Dnf
 from repro.core.approximator import (
     PredicateApproximator,
@@ -61,6 +61,7 @@ from repro.urel.udatabase import UDatabase
 from repro.urel.urelation import URelation, URow
 from repro.util.parallel import shard_seed
 from repro.util.rng import spawn_rng
+from repro.util.scope import RunScope, current_scope
 
 __all__ = ["ApproxQueryEvaluator", "DecisionRecord", "UnreliableInputError"]
 
@@ -103,6 +104,10 @@ class ApproxQueryEvaluator(UEvaluator):
     Results flowing up the tree are the inherited ``(representation,
     complete)`` pairs until a σ̂ is crossed, and
     :class:`AnnotatedRelation` objects from there on.
+
+    σ̂ reads its bound budget (``None``/0: no pruning) from the run
+    scope (:mod:`repro.util.scope`), and works in the scope's run memo:
+    the Theorem 6.7 driver keeps one across its doublings.
     """
 
     def __init__(
@@ -114,24 +119,14 @@ class ApproxQueryEvaluator(UEvaluator):
         rng: random.Random | int | None = None,
         epsilon_method: str = "auto",
         copy_db: bool = True,
-        executor=None,
-        bounds_budget: int | None = None,
-        enclosures=None,
     ):
         if (rounds is None) == (decision_delta is None):
             raise ValueError("specify exactly one of rounds / decision_delta")
-        super().__init__(
-            db,
-            rng=rng,
-            copy_db=copy_db,
-            executor=executor,
-            enclosures=enclosures,
-        )
+        super().__init__(db, rng=rng, copy_db=copy_db)
         self.eps0 = eps0
         self.rounds = rounds
         self.decision_delta = decision_delta
         self.epsilon_method = epsilon_method
-        self.bounds_budget = bounds_budget
         self.decision_log: list[DecisionRecord] = []
 
     # ------------------------------------------------------------------
@@ -322,11 +317,10 @@ class ApproxQueryEvaluator(UEvaluator):
         child = self._annotated(child)
         # Candidate tuples: natural join over present ∪ phantom group keys.
         joined, group_dnfs = self.sigma_candidates(node, child.relation, child.phantom.rows)
-        empty = Dnf((), self.db.w)
-        run = self._run_scope
-        if run is not None:
-            group_dnfs = [{key: run.intern(dnf) for key, dnf in m.items()} for m in group_dnfs]
-            empty = run.intern(empty)
+        scope = current_scope()
+        run = scope.memo
+        group_dnfs = [{key: run.intern(dnf) for key, dnf in m.items()} for m in group_dnfs]
+        empty = run.intern(Dnf((), self.db.w))
 
         provenance_bound = self._provenance_bounds(node, child)
         out_cols = node.output_columns()
@@ -338,8 +332,9 @@ class ApproxQueryEvaluator(UEvaluator):
                 for p_name, group, dnf_map in zip(node.p_names, node.groups, group_dnfs)
             }
             specs.append((cand, cand_env, dnfs))
-        intervals = self._candidate_intervals([dnfs for _cand, _env, dnfs in specs])
-        decisions = self._decide_candidates(node, specs, intervals)
+        budget = scope.bounds_budget
+        intervals = self._candidate_intervals([dnfs for _cand, _env, dnfs in specs], budget)
+        decisions = self._decide_candidates(node, specs, intervals, scope)
         entries = []
         for (cand, cand_env, _dnfs), decision in zip(specs, decisions):
             prov_mu, tainted = provenance_bound(cand_env)
@@ -350,18 +345,8 @@ class ApproxQueryEvaluator(UEvaluator):
             entries.append((row, cap(decision.error_bound + prov_mu), singular, decision.value))
         return self._regroup(out_cols, entries, True)
 
-    @property
-    def _run_scope(self) -> EnclosureMemo | None:
-        """The driver run this evaluator works for, if its seam is one.
-
-        It holds what a round budget l cannot change: one ``Dnf`` per
-        ordered member tuple, and every σ̂ decision that drew no trial.
-        """
-        run = self._enclosures
-        return run if isinstance(run, EnclosureMemo) else None
-
     def _candidate_intervals(
-        self, candidate_dnfs: list[dict[str, Dnf]]
+        self, candidate_dnfs: list[dict[str, Dnf]], budget: int | None
     ) -> list[dict[str, BoundInterval] | None]:
         """Per candidate, the bound enclosure of each value (``None``: pruning off).
 
@@ -370,10 +355,10 @@ class ApproxQueryEvaluator(UEvaluator):
         intervals: no candidate — and, behind the seam, no doubling of
         the driver and no later run of a session — solves one again.
         """
-        if not self.bounds_budget:
+        if not budget:
             return [None] * len(candidate_dnfs)
         distinct = {id(dnf): dnf for dnfs in candidate_dnfs for dnf in dnfs.values()}
-        solved = self.enclosures(list(distinct.values()), self.bounds_budget)
+        solved = self.enclosures(list(distinct.values()), budget)
         enclosure = dict(zip(distinct, solved))
         return [
             {name: enclosure[id(dnf)] for name, dnf in dnfs.items()} for dnfs in candidate_dnfs
@@ -420,6 +405,7 @@ class ApproxQueryEvaluator(UEvaluator):
         node: ApproxSelect,
         specs: list[tuple[tuple, dict, dict[str, Dnf]]],
         intervals: list[dict[str, BoundInterval] | None],
+        scope: RunScope,
     ) -> list[PredicateDecision]:
         """Figure 3 decisions for the sorted σ̂ candidates, fanned out when wide.
 
@@ -437,7 +423,7 @@ class ApproxQueryEvaluator(UEvaluator):
         with each value's trial allocation sharded *within* the
         candidate.
 
-        With a ``bounds_budget``, each candidate's approximator first
+        With a bound budget, each candidate's approximator first
         tries to certify the predicate from its dissociation bound
         ``intervals``; certified candidates return a zero-error decision
         without drawing a trial.  Candidate streams are positional
@@ -446,20 +432,17 @@ class ApproxQueryEvaluator(UEvaluator):
         candidates that still sample.
 
         A decision that drew no trial (exact, or certified by bounds)
-        does not depend on l: within a driver run it is made once and
-        handed back at every later doubling, its stream still burned.
+        does not depend on l: within a run scope (a driver run) it is
+        made once and handed back at every later doubling, its stream
+        still burned.
         """
-        run = self._run_scope
-        settled = (
-            {}
-            if run is None
-            else run.settled.setdefault(
-                (node, self.eps0, self.epsilon_method, self.bounds_budget), {}
-            )
+        budget = scope.bounds_budget
+        settled = scope.memo.settled.setdefault(
+            (node, self.eps0, self.epsilon_method, budget), {}
         )
         keys = [(cand, tuple(map(id, dnfs.values()))) for cand, _env, dnfs in specs]
         decisions: list[PredicateDecision | None] = [settled.get(key) for key in keys]
-        executor = self.executor
+        executor = scope.executor
         if len(executor.plan_items(len(specs))) > 1:
             base = self.rng.getrandbits(64)
             open_ = [i for i, decision in enumerate(decisions) if decision is None]
@@ -471,7 +454,7 @@ class ApproxQueryEvaluator(UEvaluator):
                 self.rounds,
                 self.decision_delta,
                 self.epsilon_method,
-                self.bounds_budget,
+                budget,
             )
             for i, decision in zip(open_, fresh):
                 decisions[i] = decision
@@ -487,8 +470,7 @@ class ApproxQueryEvaluator(UEvaluator):
                     rng,
                     constants=cand_env,
                     epsilon_method=self.epsilon_method,
-                    executor=executor,
-                    bounds_budget=self.bounds_budget,
+                    bounds_budget=budget,
                     intervals=boxes,
                 )
                 if self.rounds is not None:

@@ -141,7 +141,6 @@ class PredicateApproximator:
         rng: random.Random | int | None = None,
         constants: Mapping[str, object] | None = None,
         epsilon_method: str = "auto",
-        executor=None,
         bounds_budget: int | None = None,
         intervals: Mapping[str, BoundInterval] | None = None,
     ):
@@ -161,7 +160,7 @@ class PredicateApproximator:
                 f"predicate mentions {sorted(missing)} but no values/constants given"
             )
         self.samplers: dict[str, ApproximableValue] = {
-            name: as_approximable(value, spawn_rng(generator), executor=executor)
+            name: as_approximable(value, spawn_rng(generator))
             for name, value in sorted(values.items())
         }
         self.aliases: dict[str, str] = {}
@@ -418,8 +417,9 @@ def decide_candidates_shard(
     replays identical streams, and the intervals are the enclosures the
     parent already obtained for the candidate's values (``None``:
     pruning is off).  The per-candidate Figure 3 runs never
-    nest a pool of their own (their values draw on the process-wide
-    serial executor): each candidate's trial allocation is one worker's
+    nest a pool of their own (a task runs in the serial run scope, which
+    is also why ``bounds_budget`` travels in the task): each candidate's
+    trial allocation is one worker's
     work by construction, which is exactly what makes candidate fan-out
     profitable for wide selections where per-value trial sharding has
     nothing left to cut.
@@ -451,18 +451,10 @@ def approximate_predicate(
     rng: random.Random | int | None = None,
     constants: Mapping[str, object] | None = None,
     epsilon_method: str = "auto",
-    executor=None,
     bounds_budget: int | None = None,
 ) -> PredicateDecision:
     """One-shot Figure 3 run (see :class:`PredicateApproximator`)."""
     approximator = PredicateApproximator(
-        predicate,
-        values,
-        eps0,
-        rng,
-        constants,
-        epsilon_method,
-        executor=executor,
-        bounds_budget=bounds_budget,
+        predicate, values, eps0, rng, constants, epsilon_method, bounds_budget=bounds_budget
     )
     return approximator.decide(delta)

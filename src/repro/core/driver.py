@@ -27,12 +27,12 @@ from dataclasses import dataclass, field
 from repro.algebra.builder import Q
 from repro.algebra.operators import ApproxSelect, Query, walk
 from repro.confidence.bounds import rounds_for
-from repro.confidence.dissociation import EnclosureMemo
 from repro.core.approx_select import ApproxQueryEvaluator, DecisionRecord
 from repro.core.error_bounds import AnnotatedRelation
 from repro.urel.udatabase import UDatabase
 from repro.urel.urelation import URow
 from repro.util.rng import ensure_rng, spawn_rng
+from repro.util.scope import current_scope, run_scope
 
 __all__ = ["DriverReport", "evaluate_with_guarantee"]
 
@@ -91,9 +91,7 @@ def evaluate_with_guarantee(
     max_rounds: int | None = None,
     epsilon_method: str = "auto",
     backend: str | None = None,
-    executor=None,
     bounds_budget: int | None = None,
-    enclosures: EnclosureMemo | None = None,
 ) -> DriverReport:
     """Evaluate a positive UA[σ̂] query with overall tuple error ≤ δ.
 
@@ -105,9 +103,9 @@ def evaluate_with_guarantee(
     Each evaluation at round budget l runs fixed-budget Figure 3
     decisions, so every stochastic value's whole (ε, δ)-derived
     allocation of l·|Fᵢ| Karp–Luby trials is drawn as one vectorized
-    block rather than trial by trial.  An ``executor``
-    (:class:`~repro.util.parallel.ShardExecutor`) fans the σ̂ work out
-    over worker processes: wide selections decide their candidate
+    block rather than trial by trial.  The run scope's executor
+    (:mod:`repro.util.scope`) fans the σ̂ work out over worker
+    processes: wide selections decide their candidate
     tuples *concurrently* (one pre-spawned stream per candidate, seeded
     by its position in the sorted candidate order), while narrow ones
     distribute each value's trial allocation as deterministic per-block
@@ -123,67 +121,62 @@ def evaluate_with_guarantee(
     at a given l are bit-identical wherever sampling still happens.
 
     "Double l and restart query evaluation" restarts the *sampling*: an
-    enclosure does not depend on l, so one
-    :class:`~repro.confidence.dissociation.EnclosureMemo` serves every
-    evaluation of the run and each distinct candidate disjunction is
-    solved once, not once per doubling
+    enclosure does not depend on l, so the run memo of one run scope
+    serves every evaluation of the run and each distinct candidate
+    disjunction is solved once, not once per doubling
     (``DriverReport.bounds_computed``).  The same memo interns the
     candidate disjunctions, so their weights and trial encodings are
     built once per run, and keeps the σ̂ decisions that drew no trial.
-    ``enclosures`` is that memo
-    when the caller owns a longer-lived one — a session passes the run
-    scope in front of its cache; nobody else needs to.
+    The run's scope is its own — a fresh memo, ``bounds_budget`` — on
+    the enclosing scope's executor.
     """
     # Kept for the frozen ``benchmarks/e2e`` harness, which passes
     # ``backend=db.backend``; numpy is the only trial engine.
     if backend not in (None, "numpy"):
         raise ValueError(f"unknown backend {backend!r}; numpy is the only one")
     node = query.q if isinstance(query, Q) else query
+    with run_scope(bounds_budget=0 if bounds_budget is None else bounds_budget):
+        return _run_doubling(
+            node, db, delta, eps0, ensure_rng(rng), initial_rounds, max_rounds, epsilon_method
+        )
+
+
+def _run_doubling(
+    node, db, delta, eps0, generator, initial_rounds, max_rounds, epsilon_method
+) -> DriverReport:
+    """:func:`evaluate_with_guarantee`'s doubling loop, in the current run scope
+    (a session's request runs it in its own, whose memo fronts the session cache)."""
     if not 0 < delta < 1:
         raise ValueError(f"delta must be in (0,1), got {delta}")
-    generator = ensure_rng(rng)
     n_sigma = sum(1 for q in walk(node) if isinstance(q, ApproxSelect)) or 1
     if max_rounds is None:
         max_rounds = 2 * rounds_for(eps0, delta / (2.0 * n_sigma))
 
-    memo = EnclosureMemo(executor) if enclosures is None else enclosures
+    memo = current_scope().memo
     computed_before = memo.computed
     rounds = max(1, initial_rounds)
     history: list[tuple[int, float]] = []
-    evaluations = 0
     while True:
         evaluator = ApproxQueryEvaluator(
-            db,
-            eps0,
-            rounds=rounds,
-            rng=spawn_rng(generator),
-            epsilon_method=epsilon_method,
-            executor=executor,
-            bounds_budget=bounds_budget,
-            enclosures=memo,
+            db, eps0, rounds=rounds, rng=spawn_rng(generator), epsilon_method=epsilon_method
         )
         annotated = evaluator.evaluate(node)
-        evaluations += 1
         worst = annotated.worst_bound(include_singular=False)
         history.append((rounds, worst))
-        achieved = worst <= delta
-        if achieved or rounds >= max_rounds:
-            return DriverReport(
-                annotated=annotated,
-                delta=delta,
-                eps0=eps0,
-                rounds=rounds,
-                evaluations=evaluations,
-                achieved=achieved,
-                tuple_bounds=annotated.all_bounds(),
-                singular_rows=frozenset(annotated.singular),
-                history=history,
-                decisions=list(evaluator.decision_log),
-                bounds_certified=sum(
-                    1
-                    for record in evaluator.decision_log
-                    if record.decision.certified_by_bounds
-                ),
-                bounds_computed=memo.computed - computed_before,
-            )
+        if worst <= delta or rounds >= max_rounds:
+            break
         rounds = min(rounds * 2, max_rounds)
+    return DriverReport(
+        annotated=annotated,
+        delta=delta,
+        eps0=eps0,
+        rounds=rounds,
+        evaluations=len(history),
+        achieved=worst <= delta,
+        tuple_bounds=annotated.all_bounds(),
+        singular_rows=frozenset(annotated.singular),
+        history=history,
+        decisions=list(evaluator.decision_log),
+        bounds_certified=sum(r.decision.certified_by_bounds for r in evaluator.decision_log),
+        bounds_computed=memo.computed - computed_before,
+    )

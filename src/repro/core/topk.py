@@ -56,11 +56,12 @@ from fractions import Fraction
 
 from repro.confidence import bounds
 from repro.confidence.batch import BatchKarpLubySampler, _karp_luby_trial_block
-from repro.confidence.dissociation import DEFAULT_BOUND_BUDGET, dissociation_intervals
+from repro.confidence.dissociation import DEFAULT_BOUND_BUDGET
 from repro.confidence.dnf import Dnf
 from repro.core.intervals import relative_interval
-from repro.util.parallel import SERIAL_EXECUTOR, ShardExecutor, shard_seed
+from repro.util.parallel import shard_seed
 from repro.util.rng import ensure_rng
+from repro.util.scope import current_scope, run_scope
 
 __all__ = ["TopKEntry", "TopKReport", "race_topk", "rank_exact", "TOPK_COARSE_ROUNDS"]
 
@@ -211,9 +212,7 @@ def race_topk(
     eps: float,
     delta: float,
     rng: random.Random | int | None = None,
-    executor: "ShardExecutor | None" = None,
     bounds_budget: int = DEFAULT_BOUND_BUDGET,
-    enclosures=None,
 ) -> TopKReport:
     """Race ``rows`` (with per-row disjunctions ``dnfs``) for the top k.
 
@@ -221,10 +220,21 @@ def race_topk(
     guarantee ``confidence_all`` gives each tuple — the race merely
     refuses to spend the full budget on candidates the intervals
     already separate.  ``rows`` fixes the deterministic candidate order
-    used for positional seeds and tie-breaking.  ``enclosures`` is the
-    enclosure seam stage 1 asks (``(dnfs, budget) -> intervals``; a
-    session passes its evaluator's, so boxes it already holds are not
-    solved again); by default they are solved here, on ``executor``.
+    used for positional seeds and tie-breaking.  The race runs in a run
+    scope of its own (:mod:`repro.util.scope`) — a fresh memo and
+    ``bounds_budget`` (``None`` counts as 0) — whose executor, inherited
+    from the enclosing scope, fans the rounds out.
+    """
+    with run_scope(bounds_budget=0 if bounds_budget is None else bounds_budget):
+        return _race(rows, dnfs, k, eps, delta, rng)
+
+
+def _race(rows, dnfs, k, eps, delta, rng) -> TopKReport:
+    """:func:`race_topk` in the current run scope.
+
+    Stage 1 asks the scope's memo for the boxes at its bound budget — a
+    session's request finds the ones it already holds — and the rounds
+    fan out on its executor.
     """
     if k <= 0:
         raise ValueError(f"k must be a positive integer, got {k}")
@@ -232,7 +242,6 @@ def race_topk(
     if len(rows) != len(dnfs):
         raise ValueError(f"{len(rows)} rows but {len(dnfs)} disjunctions")
     n = len(rows)
-    executor = executor or SERIAL_EXECUTOR
     generator = ensure_rng(rng)
     full_trials = sum(
         bounds.karp_luby_sample_size(eps, delta, dnf.size)
@@ -243,10 +252,8 @@ def race_topk(
         return TopKReport((), k, eps, delta, 0, 0, 0, 0, 0, 0)
 
     # ---- stage 1: dissociation enclosures seed every candidate's box.
-    if enclosures is None:
-        boxes = dissociation_intervals(dnfs, bounds_budget, executor=executor)
-    else:
-        boxes = enclosures(dnfs, bounds_budget)
+    scope = current_scope()
+    boxes = scope.memo(dnfs, scope.bounds_budget)
     lo: list[float] = [float(iv.lower) for iv in boxes]
     hi: list[float] = [float(iv.upper) for iv in boxes]
     # Point summaries: exact Fractions where the enclosure pins the
@@ -306,7 +313,7 @@ def race_topk(
             (samplers[i]._enc, count, shard_seed(shard_seed(base, i), rounds))
             for i, count in allocations
         ]
-        positives = executor.map_items(_race_shard_task, items)
+        positives = scope.executor.map_items(_race_shard_task, items)
         for (i, count), won in zip(allocations, positives):
             sampler = samplers[i]
             # Trial-count-weighted merge, exactly the sampler's own

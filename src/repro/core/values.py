@@ -103,18 +103,12 @@ class KarpLubyValue(ApproximableValue):
 
     A :class:`~repro.confidence.batch.BatchKarpLubySampler` draws each
     refinement round's |F| trials (and multi-round allocations, see
-    :meth:`refine_many`) in vectorized blocks on the ``executor``
-    (:class:`~repro.util.parallel.ShardExecutor`; default: the
-    process-wide serial one), which cuts each allocation into per-block
-    budgets merged by trial-count weighting.
+    :meth:`refine_many`) in vectorized blocks on the run scope's
+    executor (:mod:`repro.util.scope`), which cuts each allocation into
+    per-block budgets merged by trial-count weighting.
     """
 
-    def __init__(
-        self,
-        dnf: Dnf,
-        rng: random.Random | int | None = None,
-        executor=None,
-    ):
+    def __init__(self, dnf: Dnf, rng: random.Random | int | None = None):
         #: Guaranteed enclosing bound interval
         #: (:class:`repro.confidence.dissociation.BoundInterval`), seeded
         #: by the Figure 3 approximator when bound pruning is enabled.
@@ -122,7 +116,7 @@ class KarpLubyValue(ApproximableValue):
         #: stream, so sampled transcripts stay bit-identical with and
         #: without it.
         self.interval = None
-        self._sampler = BatchKarpLubySampler(dnf, rng, executor=executor)
+        self._sampler = BatchKarpLubySampler(dnf, rng)
 
     @property
     def dnf(self) -> Dnf:
@@ -159,8 +153,7 @@ class KarpLubyValue(ApproximableValue):
         return self._sampler.error_bound(eps)
 
     def clone(self, rng: random.Random | int | None = None) -> "KarpLubyValue":
-        sampler = self._sampler
-        fresh = KarpLubyValue(sampler.dnf, rng, executor=sampler.executor)
+        fresh = KarpLubyValue(self._sampler.dnf, rng)
         fresh.interval = self.interval
         return fresh
 
@@ -268,12 +261,11 @@ class ExactValue(ApproximableValue):
 def as_approximable(
     value: "ApproximableValue | Dnf | float | int",
     rng: random.Random | int | None = None,
-    executor=None,
 ) -> ApproximableValue:
     """Coerce user input into an :class:`ApproximableValue`.
 
-    Disjunctions become Karp–Luby values (the paper's case) on the given
-    shard ``executor``; numbers — including exact rationals like the
+    Disjunctions become Karp–Luby values (the paper's case); numbers —
+    including exact rationals like the
     :class:`~fractions.Fraction` confidences the exact solvers produce —
     become exact constants; existing values pass through.  ``bool`` is
     rejected: a truth value is a predicate's *output*, and silently
@@ -282,7 +274,7 @@ def as_approximable(
     if isinstance(value, ApproximableValue):
         return value
     if isinstance(value, Dnf):
-        return KarpLubyValue(value, rng, executor=executor)
+        return KarpLubyValue(value, rng)
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
         return ExactValue(value)
     raise TypeError(f"cannot treat {value!r} as an approximable value")

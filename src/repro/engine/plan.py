@@ -40,6 +40,7 @@ from repro.algebra.pushdown import strip
 from repro.algebra.tree import lazy
 from repro.confidence.dissociation import DEFAULT_BOUND_BUDGET
 from repro.confidence.extensional import EXTENSIONAL
+from repro.util.scope import current_scope
 
 if TYPE_CHECKING:
     from repro.confidence.dnf import Dnf
@@ -130,9 +131,10 @@ def explain_plan(
     ``evaluator`` must wrap a throwaway copy of the session database —
     explain executes repair-keys (extending that copy's W) to see the
     DNFs that confidence operators will face.  Relational nodes are
-    annotated with the columnar engine (``path``); when the evaluator's
-    executor has two or more workers, the operators it fans out over
-    them are annotated ``·sharded[n]`` (n = configured workers).
+    annotated with the columnar engine (``path``); when the run scope's
+    executor (:mod:`repro.util.scope`) has two or more workers, the
+    operators it fans out over them are annotated ``·sharded[n]``
+    (n = configured workers).
     The tree is the one the evaluator runs: selection copies the
     pushdown pass placed render as ``select[φ]  ·pushed``, and the
     operators of a plan step 0 answers as ``·deferred``.
@@ -172,13 +174,14 @@ drawing a Karp–Luby trial (see :mod:`repro.confidence.dissociation`),
 so only the remaining n−k consume round budget."""
 
 
-def _has_pool(executor) -> bool:
-    """Whether ``sharded[n]`` annotations apply: "fans out over n workers".
+def _pool():
+    """The run scope's executor if ``sharded[n]`` annotations apply, else ``None``.
 
     Every session runs the same shard plan, so with one worker there is
     no fan-out to report (and no cost model worth evaluating).
     """
-    return executor.workers >= 2
+    executor = current_scope().executor
+    return executor if executor.workers >= 2 else None
 
 
 def _sharded_path(executor, fans_out: bool) -> str:
@@ -194,17 +197,20 @@ def _sharded_path(executor, fans_out: bool) -> str:
     return path
 
 
-def _conf_path(executor, strategy, dnfs) -> str | None:
+def _conf_path(strategy, dnfs, candidates: int | None = None) -> str | None:
     """The sharded annotation of a conf-family operator, if any.
 
-    Mirrors the runtime's two levers: the per-tuple DNF list shards when
-    ``plan_items`` cuts it, and a batch too short to cut still fans out
-    when some tuple's Monte-Carlo budget alone fills worker blocks
-    (``plan_trials`` of :meth:`ConfidenceStrategy.trial_budget`).
+    Mirrors the runtime's two levers: the per-tuple DNF list (σ̂: its
+    ``candidates``) shards when ``plan_items`` cuts it, and a batch too
+    short to cut still fans out when some tuple's Monte-Carlo budget
+    alone fills worker blocks (``plan_trials`` of
+    :meth:`ConfidenceStrategy.trial_budget`).
     """
-    if not _has_pool(executor):
+    executor = _pool()
+    if executor is None:
         return None
-    fans_out = len(executor.plan_items(len(dnfs))) > 1 or any(
+    items = len(dnfs) if candidates is None else candidates
+    fans_out = len(executor.plan_items(items)) > 1 or any(
         len(executor.plan_trials(strategy.trial_budget(dnf))) > 1 for dnf in dnfs
     )
     return _sharded_path(executor, fans_out)
@@ -234,7 +240,6 @@ class _PlanPass:
     def __init__(self, evaluator: "UEvaluator", strategy: "ConfidenceStrategy", deferred=False):
         self.evaluator = evaluator
         self.strategy = strategy
-        self.executor = evaluator.executor
         # Names the configured engine; at runtime individual relations
         # outside the columnar envelope (tiny, or too many condition
         # variables) fall back to the indexed scalar operators.
@@ -313,8 +318,8 @@ class _PlanPass:
         """
         is_product = isinstance(node, Product)
         operator = "product" if is_product else "join"
-        executor = self.executor
-        if not _has_pool(executor) or self.path != "columnar[numpy]":
+        executor = _pool()
+        if executor is None or self.path != "columnar[numpy]":
             return PlanNode(operator, children=(left, right), path=self.path)
         left_rep, right_rep = self.rep(node.left), self.rep(node.right)
         # Consult the evaluator's own lift test, on the same in-flight
@@ -359,7 +364,7 @@ class _PlanPass:
             below = child()
             dnfs = self.tuple_dnfs(node.child)
             methods = _tally(self.strategy, dnfs)
-            path = _conf_path(self.executor, self.strategy, dnfs)
+            path = _conf_path(self.strategy, dnfs)
         return PlanNode(
             "conf",
             node.p_name,
@@ -391,7 +396,7 @@ class _PlanPass:
             strategy=node_sampler.name,
             methods={node_sampler.name: len(dnfs)},
             children=(child,),
-            path=_conf_path(self.executor, node_sampler, dnfs),
+            path=_conf_path(node_sampler, dnfs),
         )
 
     def _approx_select(self, node: ApproxSelect, child: PlanNode) -> PlanNode:
@@ -407,17 +412,12 @@ class _PlanPass:
         # candidate loop shards each value's trial allocation (the
         # session strategy's budget stands in for the runtime's l·|F|
         # rounds).
-        executor, strategy = self.executor, self.strategy
+        strategy = self.strategy
         candidates, group_dnfs = self.evaluator.sigma_candidates(
             node, self.relation(node.child)
         )
         dnfs = [dnf for by_key in group_dnfs for dnf in by_key.values()]
-        path = None
-        if _has_pool(executor):
-            fans_out = len(executor.plan_items(len(candidates.rows))) > 1 or any(
-                len(executor.plan_trials(strategy.trial_budget(dnf))) > 1 for dnf in dnfs
-            )
-            path = _sharded_path(executor, fans_out)
+        path = _conf_path(strategy, dnfs, len(candidates.rows))
         # Group DNFs the driver's bound pruning certifies outright: not
         # degenerate (those are free for every method) but with an exact
         # dissociation interval — e.g. repair-key alternatives.
@@ -492,7 +492,7 @@ def topk_plan(
             interval.is_exact for interval in evaluator.enclosures(dnfs, DEFAULT_BOUND_BUDGET)
         )
         path = f"topk[{k}]·{BOUNDS_PRUNED}[{pruned}/{len(dnfs)}]"
-        sharded = _conf_path(evaluator.executor, strategy, dnfs)
+        sharded = _conf_path(strategy, dnfs)
         if sharded is not None:
             path = f"{path}·{sharded}"
     root = PlanNode(

@@ -62,6 +62,7 @@ from repro.urel.udatabase import UDatabase
 from repro.urel.urelation import URelation
 from repro.util.parallel import ShardExecutor, as_executor
 from repro.util.rng import ensure_rng, spawn_rng
+from repro.util.scope import run_scope
 
 __all__ = ["ProbDB", "connect"]
 
@@ -139,7 +140,7 @@ def connect(
 
 
 class _SessionEnclosures(EnclosureMemo):
-    """One run's enclosures on a session: the run scope in front of its cache.
+    """One request's run memo on a session, in front of its cache.
 
     The content key ``("bounds", clause set, budget)`` names no W
     version: W only grows and a distribution is immutable once added, so
@@ -148,13 +149,13 @@ class _SessionEnclosures(EnclosureMemo):
     private copy, though, where a repair-key below the σ̂ mints
     variables the session never sees — and their distributions follow
     relation data that ``assign`` can replace without touching
-    ``w.version``.  Such an enclosure stays in the run scope and dies
+    ``w.version``.  Such an enclosure stays in the run memo and dies
     with it; everything else goes to the session cache, non-volatile
     (nothing is drawn, so an evicted entry recomputes identically).
     """
 
     def __init__(self, engine: "ProbDB"):
-        super().__init__(engine.executor)
+        super().__init__()
         self._cache = engine._cache
         self._w = engine.db.w
 
@@ -171,12 +172,7 @@ class _EngineEvaluator(UEvaluator):
 
     def __init__(self, engine: "ProbDB"):
         self.engine = engine
-        super().__init__(
-            engine.db,
-            rng=engine.rng,
-            copy_db=False,
-            executor=engine.executor,
-        )
+        super().__init__(engine.db, rng=engine.rng, copy_db=False)
 
     @property
     def strategy(self) -> ConfidenceStrategy:
@@ -216,10 +212,6 @@ class _EngineEvaluator(UEvaluator):
                 by_key[key] if report is None else report for key, report in zip(keys, reports)
             ]
         return reports
-
-    def enclosures(self, dnfs, budget) -> list[BoundInterval]:
-        """Memoized enclosures from the session cache, the misses solved once."""
-        return _SessionEnclosures(self.engine)(dnfs, budget)
 
     def _plan_reports(self, query, plan, strategy) -> dict[tuple, ConfidenceReport] | None:
         """A lifted plan's reports: one memo entry per plan, not one per tuple.
@@ -365,16 +357,22 @@ class ProbDB:
         """
         node, source = self._resolve(query)
         started = time.perf_counter()
-        answers, columns = self._evaluator.plan_confidences(node), None
-        if answers is None:
-            relation, complete = self._evaluate(node)
-        else:  # a lifted plan reads base relations only: they are its leaves
-            bases = {n.name: self.db.relation(n.name) for n in walk(node) if not children(n)}
-            columns = output_schema(node, {name: base.columns for name, base in bases.items()})
-            complete = all(self.db.is_complete(name) for name in bases)
-            relation = partial(self._relation_of, node, bases, self.db.version)
+        with self._scope():
+            answers, columns = self._evaluator.plan_confidences(node), None
+            if answers is None:
+                relation, complete = self._evaluate(node)
+            else:  # a lifted plan reads base relations only: they are its leaves
+                bases = {n.name: self.db.relation(n.name) for n in walk(node) if not children(n)}
+                columns = output_schema(node, {name: base.columns for name, base in bases.items()})
+                complete = all(self.db.is_complete(name) for name in bases)
+                relation = partial(self._relation_of, node, bases, self.db.version)
         elapsed = time.perf_counter() - started
         return EngineResult(relation, complete, node, self, elapsed, source, answers, columns)
+
+    def _scope(self, bounds_budget: int | None = None):
+        """The run scope of one request: the session executor and a fresh
+        run memo in front of the session cache (:mod:`repro.util.scope`)."""
+        return run_scope(self.executor, bounds_budget, _SessionEnclosures(self))
 
     def _evaluate(self, node: Query) -> tuple[URelation, bool]:
         """``node``'s relation and completeness, through the ``("query", …)`` memo."""
@@ -405,12 +403,13 @@ class ProbDB:
 
     def _relation_of(self, node: Query, bases: dict[str, URelation], version: int) -> URelation:
         """A lifted query's relation: through the memo while ``db.version`` is
-        ``version``, else over the ``bases`` it read then (W only grows)."""
-        if self.db.version == version:
-            return self._evaluate(node)[0]
-        db = UDatabase(bases, self.db.w, condition_pool=self.db.condition_pool)
-        evaluator = UEvaluator(db, copy_db=False, executor=self.executor)
-        return evaluator.eval(node)[0]
+        ``version``, else over the ``bases`` it read then (W only grows).
+        Read after :meth:`query` returned, so it opens its own run scope."""
+        with self._scope():
+            if self.db.version == version:
+                return self._evaluate(node)[0]
+            db = UDatabase(bases, self.db.w, condition_pool=self.db.condition_pool)
+            return UEvaluator(db, copy_db=False).eval(node)[0]
 
     def assign(self, name: str, query: "Query | Q | str") -> EngineResult:
         """``name := query`` — evaluate and store (Example 2.2 session style).
@@ -422,7 +421,8 @@ class ProbDB:
         """
         node, source = self._resolve(query)
         started = time.perf_counter()
-        relation, complete = self._evaluate(node)
+        with self._scope():
+            relation, complete = self._evaluate(node)
         self.db.set_relation(name, relation, complete=complete)
         return EngineResult(relation, complete, node, self, time.perf_counter() - started, source)
 
@@ -459,9 +459,10 @@ class ProbDB:
             u = db.confidence("R", strategy="karp-luby")       # force the FPRAS
         """
         node, source = self._resolve(query)
-        inner = self.query(node)
-        started = time.perf_counter()
-        reports = self._all_confidences(inner, self._override(strategy))
+        with self._scope():
+            inner = self.query(node)
+            started = time.perf_counter()
+            reports = self._all_confidences(inner, self._override(strategy))
         values = [report.value for report in reports.values()]
         relation = confidence_relation(inner.columns, p_name, list(reports), values)
         elapsed = time.perf_counter() - started
@@ -476,20 +477,25 @@ class ProbDB:
         delta: float,
         eps0: float,
         rng: random.Random | int | None = None,
-        **kwargs,
+        initial_rounds: int = 1,
+        max_rounds: int | None = None,
+        epsilon_method: str = "auto",
+        bounds_budget: int | None = DEFAULT_BOUND_BUDGET,
     ):
         """The Theorem 6.7 driver on this session's database.
 
         Returns a :class:`repro.core.driver.DriverReport`; the driver
-        works on a private copy of the database.  ``rng`` defaults to a
-        stream derived from the session seed; the session's shard
-        ``executor`` is used unless overridden via ``executor=...``.
+        works on a private copy of the database, on the session's shard
+        ``executor``.  ``rng`` defaults to a stream derived from the
+        session seed; ``initial_rounds``, ``max_rounds`` and
+        ``epsilon_method`` are the driver's
+        (:func:`repro.core.driver.evaluate_with_guarantee`).
 
         Dissociation bound pruning is ON by default: σ̂ candidates whose
         guaranteed bound intervals already decide the predicate are
         certified with error 0 before any sampling budget is allocated
         (``DriverReport.bounds_certified`` counts them).  Pass
-        ``bounds_budget=0`` to disable, or another Shannon-expansion
+        ``bounds_budget=0`` (or ``None``) to disable, or another Shannon-expansion
         budget to tune how hard the bound solver tries (see
         :mod:`repro.confidence.dissociation`).  Each candidate's
         enclosure is solved once — not once per doubling of l — and the
@@ -503,21 +509,14 @@ class ProbDB:
             )
             report.bounds_certified   # candidates decided without trials
         """
-        from repro.core.driver import evaluate_with_guarantee as _driver
+        from repro.core.driver import _run_doubling
 
         node, _source = self._resolve(query)
-        generator = spawn_rng(self._rng) if rng is None else ensure_rng(rng)
-        kwargs.setdefault("executor", self.executor)
-        kwargs.setdefault("bounds_budget", DEFAULT_BOUND_BUDGET)
-        return _driver(
-            node,
-            self.db,
-            delta=delta,
-            eps0=eps0,
-            rng=generator,
-            enclosures=_SessionEnclosures(self),
-            **kwargs,
-        )
+        with self._scope(0 if bounds_budget is None else bounds_budget):
+            generator = spawn_rng(self._rng) if rng is None else ensure_rng(rng)
+            return _run_doubling(
+                node, self.db, delta, eps0, generator, initial_rounds, max_rounds, epsilon_method
+            )
 
     def topk(
         self,
@@ -558,33 +557,34 @@ class ProbDB:
             if delta is None
             else delta
         )
-        result = self.query(node)
-        if not self._cache.enabled:
-            return self._topk_compute(result, k, eps_v, delta_v, bounds_budget)
-        token = self._plan_cache_token(self.strategy)
-        key = (
-            "topk",
-            query_fingerprint(node),
-            k,
-            eps_v,
-            delta_v,
-            bounds_budget,
-            token,
-            self.db.version,
-            self.db.w.version,
-        )
-        cached = self._cache.get(key)
-        if cached is None:
-            # A race that sampled consumed session RNG: volatile, the
-            # cross-session evictor must leave it alone (same rule as
-            # sampled query evaluations).
-            rng_before = self._rng.getstate()
-            cached = self._topk_compute(result, k, eps_v, delta_v, bounds_budget)
-            self._cache.put(key, cached, volatile=self._rng.getstate() != rng_before)
+        with self._scope(0 if bounds_budget is None else bounds_budget) as scope:
+            result = self.query(node)
+            if not self._cache.enabled:
+                return self._topk_compute(result, k, eps_v, delta_v)
+            token = self._plan_cache_token(self.strategy)
+            key = (
+                "topk",
+                query_fingerprint(node),
+                k,
+                eps_v,
+                delta_v,
+                scope.bounds_budget,
+                token,
+                self.db.version,
+                self.db.w.version,
+            )
+            cached = self._cache.get(key)
+            if cached is None:
+                # A race that sampled consumed session RNG: volatile, the
+                # cross-session evictor must leave it alone (same rule as
+                # sampled query evaluations).
+                rng_before = self._rng.getstate()
+                cached = self._topk_compute(result, k, eps_v, delta_v)
+                self._cache.put(key, cached, volatile=self._rng.getstate() != rng_before)
         return cached
 
-    def _topk_compute(self, result: EngineResult, k, eps, delta, bounds_budget):
-        from repro.core.topk import race_topk, rank_exact
+    def _topk_compute(self, result: EngineResult, k, eps, delta):
+        from repro.core.topk import _race, rank_exact
 
         # Exact values need no race — no trials, error 0, and the memo
         # entry is freely evictable.  Two ways to have them: the plan
@@ -599,17 +599,7 @@ class ProbDB:
         if is_exact_solver(self.strategy):
             reports = self._evaluator.confidences(dnfs)
             return rank_exact(rows, [report.value for report in reports], k, eps, delta)
-        return race_topk(
-            rows,
-            dnfs,
-            k,
-            eps,
-            delta,
-            rng=self._rng,
-            executor=self.executor,
-            bounds_budget=bounds_budget,
-            enclosures=self._evaluator.enclosures,
-        )
+        return _race(rows, dnfs, k, eps, delta, self._rng)
 
     def explain(self, query: "Query | Q | str") -> ExplainReport:
         """The plan for ``query``, with the strategy chosen per conf operator.
@@ -624,25 +614,19 @@ class ProbDB:
             print(db.explain("conf[P](T)"))
         """
         node, _source = self._resolve(query)
-        return explain_plan(node, self._scratch_evaluator(), self.strategy)
+        with self._scope():
+            return explain_plan(node, self._scratch_evaluator(), self.strategy)
 
     def _scratch_evaluator(self) -> UEvaluator:
         # Fixed-seed scratch RNG on a throwaway copy: explain only
         # *chooses* methods (never samples for answers), and a read-only
         # introspection call must not perturb the session generator or
-        # later stochastic results.  The scratch evaluator shares the
-        # session executor — one pool serves both the confidence and the
-        # algebra layer, and close() tears it down once — and asks the
-        # session's enclosure seam, so what explain encloses the next
-        # top-k or driver run finds solved (and the other way round).
-        return UEvaluator(
-            self.db,
-            strategy=self.strategy,
-            rng=random.Random(0),
-            copy_db=True,
-            executor=self.executor,
-            enclosures=self._evaluator.enclosures,
-        )
+        # later stochastic results.  It runs in the session's run scope
+        # — one pool serves both the confidence and the algebra layer,
+        # and close() tears it down once — whose memo sits in front of
+        # the session cache, so what explain encloses the next top-k or
+        # driver run finds solved (and the other way round).
+        return UEvaluator(self.db, strategy=self.strategy, rng=random.Random(0), copy_db=True)
 
     def explain_topk(self, query: "Query | Q | str", k: int) -> ExplainReport:
         """The plan for ``topk(query, k)``, with the stage-1 pruning census.
@@ -657,7 +641,8 @@ class ProbDB:
         node, _source = self._resolve(query)
         if isinstance(k, bool) or not isinstance(k, int) or k <= 0:
             raise ValueError(f"k must be a positive integer, got {k!r}")
-        return topk_plan(node, self._scratch_evaluator(), self.strategy, k)
+        with self._scope():
+            return topk_plan(node, self._scratch_evaluator(), self.strategy, k)
 
     # ------------------------------------------------------------ confidence internals
     def tuple_confidence(self, relation: URelation, row: Sequence) -> ConfidenceReport:
@@ -706,7 +691,8 @@ class ProbDB:
             for row, report in sorted(db.confidence_all("T").items()):
                 print(row, report.value, report.exact)
         """
-        return self._all_confidences(self.query(query), self._override(strategy))
+        with self._scope():
+            return self._all_confidences(self.query(query), self._override(strategy))
 
     def _all_confidences(self, result: EngineResult, override) -> dict[tuple, ConfidenceReport]:
         """``result``'s reports: step 0's where they serve, else its lineage in one batch."""
@@ -726,7 +712,8 @@ class ProbDB:
 
             db.relation_confidences(result.relation, result.rows)
         """
-        return self._evaluator.confidences(self._evaluator.lineage(relation, rows)[1])
+        with self._scope():
+            return self._evaluator.confidences(self._evaluator.lineage(relation, rows)[1])
 
     # ------------------------------------------------------------ introspection
     def relation(self, name: str) -> URelation:

@@ -129,15 +129,19 @@ class EngineResult:
         return self._answers if self._engine.strategy is self._strategy else None
 
     def _reports(self, rows: list[tuple]) -> list["ConfidenceReport"]:
-        """Reports for ``rows``: the captured answers where they serve, else lineage."""
+        """Reports for ``rows``: the captured answers where they serve, else lineage.
+
+        Asked after :meth:`ProbDB.query` returned: one run scope of the
+        session serves the (possibly deferred) relation and the batch."""
         engine, answers = self._engine, self._answered()
-        if answers is None:
-            return engine.relation_confidences(self.relation, rows)
-        # A row step 0 did not answer is no result tuple: its lineage is empty.
-        absent = [row for row in rows if row not in answers]
-        if absent:
-            empty = URelation(self.columns)
-            answers = {**answers, **dict(zip(absent, engine.relation_confidences(empty, absent)))}
+        with engine._scope():
+            if answers is None:
+                return engine.relation_confidences(self.relation, rows)
+            # A row step 0 did not answer is no result tuple: its lineage is empty.
+            absent = [row for row in rows if row not in answers]
+            if absent:
+                reports = engine.relation_confidences(URelation(self.columns), absent)
+                answers = {**answers, **dict(zip(absent, reports))}
         return [answers[row] for row in rows]
 
     def topk(self, k: int, eps=None, delta=None, bounds_budget=None):

@@ -83,6 +83,7 @@ from repro.server.protocol import (
 )
 from repro.server.scheduler import FairShareScheduler, Job
 from repro.util.parallel import ShardExecutor, as_executor
+from repro.util.scope import valid_bounds_budget
 
 __all__ = ["Server", "Client", "SessionHandle", "serve"]
 
@@ -121,15 +122,14 @@ def _numeric(params: dict, op: str, name: str):
 def _bounds_budget(params: dict, op: str, allow_none: bool) -> dict:
     """``{"bounds_budget": b}`` if the request names one, else ``{}``.
 
-    ``b`` must be an int ≥ 0 that is not a bool (``true`` is not budget
-    1), or ``None`` where the op takes it (no pruning).
+    ``b`` must be a bound budget (:func:`~repro.util.scope.valid_bounds_budget`:
+    ``true`` is not budget 1), and not ``None`` unless the op takes it
+    (no pruning).
     """
     if "bounds_budget" not in params:
         return {}
     budget = params["bounds_budget"]
-    if budget is None and allow_none:
-        return {"bounds_budget": None}
-    if isinstance(budget, bool) or not isinstance(budget, int) or budget < 0:
+    if not valid_bounds_budget(budget) or (budget is None and not allow_none):
         allowed = "a non-negative int or null" if allow_none else "a non-negative int"
         raise ProtocolError(f"{op} param 'bounds_budget' must be {allowed}")
     return {"bounds_budget": budget}

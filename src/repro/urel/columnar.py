@@ -68,7 +68,7 @@ from repro.algebra.tree import fold
 from repro.urel.conditions import TOP, Condition, ConditionPool, Var
 from repro.urel.urelation import URelation
 from repro.urel.variables import VariableTable
-from repro.util.parallel import SERIAL_EXECUTOR
+from repro.util.scope import current_scope
 
 __all__ = ["ValueCodec", "ColumnarContext", "ColumnarURelation"]
 
@@ -498,7 +498,6 @@ class ColumnarURelation:
         li,
         ri,
         rkeep: Sequence[int],
-        executor,
     ) -> "ColumnarURelation":
         """Merge candidate row pairs: vectorized consistency check + union.
 
@@ -516,14 +515,16 @@ class ColumnarURelation:
         :meth:`~repro.util.parallel.ShardExecutor.plan_pairs` — a
         function of the pair count only, never the worker count — and
         each contiguous shard runs its (still bounded) block loop as one
-        ``executor`` task; shard survivors are concatenated in shard
-        order, so the result is bit-identical at every worker count.
+        task on the run scope's executor; shard survivors are
+        concatenated in shard order, so the result is bit-identical at
+        every worker count.
         The dedup lexsort below runs once, on the merged survivors.
         """
         out_vars, left_conds, right_conds = self._aligned_conds(other)
         rkeep = list(rkeep)
         n_pairs = int(li.shape[0])
         block = _pair_block_size(len(out_vars), self.data.shape[1], len(rkeep))
+        executor = current_scope().executor
         shards = executor.plan_pairs(n_pairs)
         if len(shards) > 1:
             parts = executor.map(
@@ -649,7 +650,6 @@ class ColumnarURelation:
         other: "ColumnarURelation",
         out_cols: tuple[str, ...],
         rkeep: Sequence[int],
-        executor,
     ) -> "ColumnarURelation":
         """Merge every (left, right) row pair, generating pairs in blocks.
 
@@ -666,6 +666,7 @@ class ColumnarURelation:
         rkeep = list(rkeep)
         n1, n2 = len(self), len(other)
         block = _pair_block_size(len(out_vars), self.data.shape[1], len(rkeep))
+        executor = current_scope().executor
         shards = executor.plan_all_pairs(n1, n2)
         if len(shards) > 1:
             # Each task receives only its contiguous left-row slice
@@ -700,34 +701,29 @@ class ColumnarURelation:
             out_cols, data, out_vars, conds, tainted=self.tainted or other.tainted
         )
 
-    def product(self, other: "ColumnarURelation", executor=None) -> "ColumnarURelation":
+    def product(self, other: "ColumnarURelation") -> "ColumnarURelation":
         """[[R × S]] — all pairs, vectorized condition merge.
 
-        ``executor`` (a :class:`~repro.util.parallel.ShardExecutor`;
-        default: the process-wide serial one) runs the pair-merge
-        shards; results are bit-identical at every worker count.
+        The run scope's executor (:mod:`repro.util.scope`) runs the
+        pair-merge shards; results are bit-identical at every worker
+        count.
         """
         out_cols = _schema.disjoint_union(self.columns, other.columns)
-        return self._all_pairs_merge(
-            other, out_cols, range(len(other.columns)), executor or SERIAL_EXECUTOR
-        )
+        return self._all_pairs_merge(other, out_cols, range(len(other.columns)))
 
-    def natural_join(
-        self, other: "ColumnarURelation", executor=None
-    ) -> "ColumnarURelation":
+    def natural_join(self, other: "ColumnarURelation") -> "ColumnarURelation":
         """⋈ — hash-free key matching via sort + searchsorted, then merge.
 
         Equal data values share one session-wide code, so key equality is
         integer equality; candidate pairs come out of a grouped
-        repeat/tile over the sorted build side.  ``executor`` shards the
-        candidate-pair merge exactly as in :meth:`product`.
+        repeat/tile over the sorted build side.  The candidate-pair merge
+        is sharded exactly as in :meth:`product`.
         """
         out_cols, shared = _schema.natural_join_schema(self.columns, other.columns)
         rkeep = [i for i, c in enumerate(other.columns) if c not in set(shared)]
         n1, n2 = len(self), len(other)
-        executor = executor or SERIAL_EXECUTOR
         if not shared or n1 == 0 or n2 == 0:
-            return self._all_pairs_merge(other, out_cols, rkeep, executor)
+            return self._all_pairs_merge(other, out_cols, rkeep)
         lpos = list(_schema.positions(self.columns, shared))
         rpos = list(_schema.positions(other.columns, shared))
         stacked = np.vstack([self.data[:, lpos], other.data[:, rpos]])
@@ -743,7 +739,7 @@ class ColumnarURelation:
         offsets = np.concatenate(([0], np.cumsum(counts)))[:-1]
         within = np.arange(total) - np.repeat(offsets, counts)
         ri = order[np.repeat(starts, counts) + within]
-        return self._pair_merge(other, out_cols, li, ri, rkeep, executor)
+        return self._pair_merge(other, out_cols, li, ri, rkeep)
 
 
 # --------------------------------------------------------------------------

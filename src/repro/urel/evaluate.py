@@ -94,8 +94,8 @@ from repro.urel.columnar import ColumnarContext, ColumnarURelation
 from repro.urel.translate import confidence_relation, translate_repair_key
 from repro.urel.udatabase import UDatabase
 from repro.urel.urelation import URelation
-from repro.util.parallel import SERIAL_EXECUTOR
 from repro.util.rng import ensure_rng
+from repro.util.scope import current_scope
 from repro.worlds.repair import RepairError
 
 if TYPE_CHECKING:
@@ -138,16 +138,13 @@ class UEvaluator:
 
     ``strategy`` is the :class:`~repro.confidence.strategies.ConfidenceStrategy`
     object ``conf`` runs (``None``: exact decomposition, the Theorem 3.4
-    subprocedure); ``rng`` seeds all approximate operators; ``executor`` (a
-    :class:`~repro.util.parallel.ShardExecutor`; default: the
-    process-wide serial one) runs the columnar product/join pair merges
-    and the ``aconf`` trial budgets, bit-identically at every worker
-    count.  When ``copy_db`` is true the input database
-    (including W) is left untouched and repair-key variables go into a
-    private copy.  ``enclosures`` is an enclosure seam to ask instead of
-    solving here — how a scratch or per-doubling evaluator reaches the
-    memo of the session or driver run it works for (see
-    :meth:`enclosures`).
+    subprocedure); ``rng`` seeds all approximate operators.  The
+    columnar product/join pair merges, the strategies' batches and the
+    ``aconf`` trial budgets run on the run scope's executor
+    (:mod:`repro.util.scope`), bit-identically at every worker count, and
+    :meth:`enclosures` asks the run scope's memo.  When ``copy_db`` is
+    true the input database (including W) is left untouched and
+    repair-key variables go into a private copy.
     """
 
     def __init__(
@@ -156,17 +153,10 @@ class UEvaluator:
         strategy: ConfidenceStrategy | None = None,
         rng: random.Random | int | None = None,
         copy_db: bool = True,
-        executor=None,
-        enclosures=None,
     ):
         self.db = db.copy() if copy_db else db
         self._strategy = _confidence().ExactDecomposition() if strategy is None else strategy
-        self._enclosures = enclosures
         self.rng = ensure_rng(rng)
-        # Columnar product/join pair merges and aconf trial budgets run
-        # on it; the shard plan is a function of row and trial counts
-        # only, so results are bit-identical at every worker count.
-        self.executor = executor or SERIAL_EXECUTOR
         self._pool = self.db.condition_pool
         # One coding context per database family (shared through
         # UDatabase.copy, like the pool), so per-relation encoding memos
@@ -304,13 +294,13 @@ class UEvaluator:
     def _product(self, node: Product, left, right):
         columnar, left, right, complete = self._operands(left, right)
         if columnar:
-            return left.product(right, executor=self.executor), complete
+            return left.product(right), complete
         return left.product(right, pool=self._pool), complete
 
     def _join(self, node: Join, left, right):
         columnar, left, right, complete = self._operands(left, right)
         if columnar:
-            return left.natural_join(right, executor=self.executor), complete
+            return left.natural_join(right), complete
         return left.natural_join(right, pool=self._pool), complete
 
     def _union(self, node: Union, left, right):
@@ -354,7 +344,7 @@ class UEvaluator:
         # lineage once and from its memo — each a different trial stream,
         # the last also one that repeats.
         sampler = self.aconf_strategy(node)
-        values = [sampler.compute(dnf, self.rng, executor=self.executor).value for dnf in dnfs]
+        values = [sampler.compute(dnf, self.rng).value for dnf in dnfs]
         return confidence_relation(urel.columns, node.p_name, rows, values), True
 
     def _poss(self, node: Poss, child):
@@ -441,21 +431,17 @@ class UEvaluator:
         The override point: a session answers from its memo first.
         """
         chosen = self.strategy if strategy is None else strategy
-        return list(chosen.compute_batch(dnfs, self.rng, executor=self.executor))
+        return list(chosen.compute_batch(dnfs, self.rng))
 
     def enclosures(self, dnfs: Sequence[Dnf], budget: int) -> list[BoundInterval]:
         """One guaranteed ``lower ≤ P(F) ≤ upper`` box per DNF, trial-free.
 
         What σ̂ certification, top-k stage 1 and ``explain`` ask before
-        (or instead of) weighing a disjunction.  Here: the seam this
-        evaluator was built with if any, else the sharded
-        :func:`~repro.confidence.dissociation.dissociation_intervals`
-        over the distinct misses.  The override point: a session answers
-        from its memo first.
+        (or instead of) weighing a disjunction: the run scope's memo,
+        which solves only what it has not seen in this run (a session's
+        also asks its cache first) and shards the misses.
         """
-        if self._enclosures is not None:
-            return self._enclosures(dnfs, budget)
-        return _confidence().dissociation_intervals(dnfs, budget, executor=self.executor)
+        return current_scope().memo(dnfs, budget)
 
     def plan_confidences(
         self, query: Query, strategy: ConfidenceStrategy | None = None

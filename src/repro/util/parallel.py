@@ -11,8 +11,10 @@ blocks, and those blocks are independent subproblems too.
 it cuts a workload into *shards*, runs the shards on a process pool (or
 serially, in process, when ``workers <= 1`` or multiprocessing is
 unavailable), and merges results in shard order.  Every session and
-server owns one (:func:`as_executor`), and library calls made without
-one run on :data:`SERIAL_EXECUTOR` — there is no unsharded code path.
+server owns one (:func:`as_executor`) and makes it current in the run
+scope of each request (:mod:`repro.util.scope`); calls made outside
+every scope run on :data:`SERIAL_EXECUTOR` — there is no unsharded code
+path.
 
 Determinism is the hard contract, and it rests on two rules:
 
@@ -71,6 +73,7 @@ collection, so sessions that never shard never pay for a pool.
 
 from __future__ import annotations
 
+import contextvars
 import os
 import pickle
 import random
@@ -370,6 +373,9 @@ class ShardExecutor:
         """``[fn(*args) for args in tasks]``, one task per shard.
 
         Results come back in task order regardless of completion order.
+        Every task runs outside the caller's run scope, in a pool worker
+        or in process alike (:func:`_outside_scope`), so its nested calls
+        see the serial scope whatever the worker count or start method.
         ``fn`` must be a module-level function and its arguments
         picklable; unpicklable workloads (exotic user-defined variable
         names) quietly run the serial path instead — same results, by
@@ -385,7 +391,7 @@ class ShardExecutor:
         """
         tasks = list(tasks)
         if len(tasks) <= 1 or not self.parallel:
-            return [fn(*args) for args in tasks]
+            return [_outside_scope(fn, *args) for args in tasks]
         if validate:
             # Validate picklability up front and never hand the pool an
             # unpicklable item: CPython's pool wedges its manager thread
@@ -399,15 +405,15 @@ class ShardExecutor:
                 for args in tasks:
                     pickle.dumps((fn, args), protocol=pickle.HIGHEST_PROTOCOL)
             except (pickle.PicklingError, TypeError, AttributeError):
-                return [fn(*args) for args in tasks]
+                return [_outside_scope(fn, *args) for args in tasks]
         pool = self._ensure_pool()
         if pool is None:
-            return [fn(*args) for args in tasks]
+            return [_outside_scope(fn, *args) for args in tasks]
         from concurrent.futures.process import BrokenProcessPool
 
         futures = []
         try:
-            futures = [pool.submit(fn, *args) for args in tasks]
+            futures = [pool.submit(_outside_scope, fn, *args) for args in tasks]
             return [f.result() for f in futures]
         except (pickle.PicklingError, TypeError, AttributeError):
             # ``submit`` never pickles synchronously — a work item that
@@ -424,12 +430,12 @@ class ShardExecutor:
                 raise
             self._drain(futures)
             self._discard_pool(broken=True)
-            return [fn(*args) for args in tasks]
+            return [_outside_scope(fn, *args) for args in tasks]
         except (BrokenProcessPool, OSError):
             # A broken pool degrades this executor to serial for good.
             self._drain(futures)
             self._discard_pool(broken=True)
-            return [fn(*args) for args in tasks]
+            return [_outside_scope(fn, *args) for args in tasks]
 
     @staticmethod
     def _drain(futures) -> None:
@@ -501,10 +507,20 @@ class ShardExecutor:
 SERIAL_EXECUTOR = ShardExecutor()
 """The process-wide serial executor (default plan, never owns a pool).
 
-Library entry points called without an ``executor`` run on it, so they
-execute the same plan → map → merge code as a session — which is also
-what a shard kernel's nested calls get: one worker's work stays in
-that worker."""
+Calls made outside every run scope run on it, so they execute the same
+plan → map → merge code as a session — which is also what a shard
+kernel's nested calls get: one worker's work stays in that worker."""
+
+
+def _outside_scope(fn: Callable, *args):
+    """``fn(*args)`` in an empty context, where no run scope is current.
+
+    A forked worker inherits the forking thread's context variables and
+    an in-process task shares the caller's, so without this a task would
+    find the caller's (possibly pooled) executor, while a forkserver
+    worker would not.  Module level, so the pool pickles it.
+    """
+    return contextvars.Context().run(fn, *args)
 
 
 def as_executor(workers: "int | ShardExecutor | None") -> tuple[ShardExecutor, bool]:

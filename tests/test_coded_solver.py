@@ -44,6 +44,7 @@ from repro.confidence.exact import ClauseKernel, _Decomposition, probability_by_
 from repro.urel.conditions import Condition
 from repro.urel.variables import VariableTable
 from repro.util.parallel import ShardExecutor, default_workers
+from repro.util.scope import run_scope
 
 BUDGETS = (0, 1, 4, 64)
 KINDS = ("fraction", "float", "mixed")
@@ -606,10 +607,10 @@ def test_answers_do_not_move_with_the_hash_seed():
 def test_sharded_enclosure_batches_solve_in_pool_workers(workers):
     """A pooled ``dissociation_intervals`` batch codes and solves in the workers."""
     cases = [_case(name) for name in sorted(CORPUS)]
-    with ShardExecutor(workers, min_shard_items=1) as executor:
+    with ShardExecutor(workers, min_shard_items=1) as executor, run_scope(executor=executor):
         for budget in BUDGETS:
             dnfs = [Dnf(clauses, w) for w, clauses in cases]
-            pooled = dissociation_intervals(dnfs, budget, executor=executor)
+            pooled = dissociation_intervals(dnfs, budget)
             got = [(repr(iv.lower), repr(iv.upper)) for iv in pooled]
             want = [tuple(map(repr, _ref_interval(dnf, budget))) for dnf in dnfs]
             assert got == want, budget

@@ -148,6 +148,41 @@ def test_clean_idiom_passes(rule_id):
     assert not findings, [f.render() for f in findings]
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        "executor.map_items(lambda shard: shard, items)",
+        "current_scope().executor.map(lambda shard: shard, items)",
+        "current_scope().executor.map_items(lambda shard: shard, items)",
+        "(executor or SERIAL_EXECUTOR).map_items(lambda shard: shard, items)",
+        "self._pool.submit(lambda: 1)",
+    ],
+)
+def test_det003_sees_every_fan_out_receiver(call):
+    source = f"def fan_out(self, executor, items):\n    return {call}\n"
+    findings = run_on(source, "src/repro/core/_detlint_probe.py")
+    assert [f.rule for f in findings] == ["DET003"], [f.render() for f in findings]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        "current_scope().executor.map_items(_shard, items)",
+        "(executor or SERIAL_EXECUTOR).map(_shard, items)",
+        "current_scope().memo.map(lambda shard: shard, items)",
+        "builtins_map().map(lambda shard: shard, items)",
+    ],
+)
+def test_det003_passes_module_level_kernels_and_other_receivers(call):
+    source = (
+        "def _shard(shard):\n"
+        "    return shard\n"
+        f"def fan_out(executor, items):\n    return {call}\n"
+    )
+    findings = run_on(source, "src/repro/core/_detlint_probe.py")
+    assert not findings, [f.render() for f in findings]
+
+
 # --------------------------------------------------------------------------
 # suppressions
 # --------------------------------------------------------------------------

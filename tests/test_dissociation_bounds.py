@@ -42,6 +42,7 @@ from repro.urel.conditions import Condition
 from repro.urel.udatabase import UDatabase
 from repro.urel.urelation import URelation
 from repro.urel.variables import VariableTable
+from repro.util.scope import run_scope
 
 
 # ------------------------------------------------------------- generators
@@ -165,9 +166,9 @@ class TestBoundInvariant:
         assert dissociation_intervals(dnfs) == singles
         from repro.util.parallel import ShardExecutor
 
-        with ShardExecutor(2) as executor:
+        with ShardExecutor(2) as executor, run_scope(executor=executor):
             fresh = [Dnf(list(d.members), d.w) for d in dnfs]
-            assert dissociation_intervals(fresh, executor=executor) == singles
+            assert dissociation_intervals(fresh) == singles
 
 
 # ---------------------------------------------------------------- strategy
@@ -232,11 +233,9 @@ class TestMixedWorkload:
                 assert interval.is_exact
 
     def test_easy_groups_certified_hard_groups_sample(self):
-        evaluator = ApproxQueryEvaluator(
-            _mixed_sigma_db(), eps0=0.1, rounds=60, rng=11,
-            bounds_budget=DEFAULT_BOUND_BUDGET,
-        )
-        evaluator.evaluate(query(_SIGMA_QUERY))
+        evaluator = ApproxQueryEvaluator(_mixed_sigma_db(), eps0=0.1, rounds=60, rng=11)
+        with run_scope(bounds_budget=DEFAULT_BOUND_BUDGET):
+            evaluator.evaluate(query(_SIGMA_QUERY))
         by_group = {rec.data[0]: rec.decision for rec in evaluator.decision_log}
         for name, decision in by_group.items():
             if name.startswith("easy"):
@@ -258,12 +257,9 @@ class TestMixedWorkload:
 
         def transcript(bounds_budget):
             executor = ShardExecutor(workers) if workers > 1 else None
-            evaluator = ApproxQueryEvaluator(
-                _mixed_sigma_db(), eps0=0.1, rounds=40, rng=23,
-                executor=executor,
-                bounds_budget=bounds_budget,
-            )
-            evaluator.evaluate(query(_SIGMA_QUERY))
+            evaluator = ApproxQueryEvaluator(_mixed_sigma_db(), eps0=0.1, rounds=40, rng=23)
+            with run_scope(executor=executor, bounds_budget=bounds_budget):
+                evaluator.evaluate(query(_SIGMA_QUERY))
             if executor is not None:
                 executor.close()
             return {

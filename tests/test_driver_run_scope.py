@@ -8,9 +8,9 @@ it serve every doubling, and it keeps each σ̂ decision that drew no trial
 (exact, or certified by bounds).  Pinned here:
 
 * reports equal, field for field, those of a driver whose per-l
-  evaluators have no run scope (``enclosures=None``) and draw the same
-  spawned streams — narrow and wide selections, pruning off and on,
-  serial and two-worker executors;
+  evaluators each run in their own fresh ``run_scope()`` and draw the
+  same spawned streams — narrow and wide selections, pruning off and
+  on, serial and two-worker executors;
 * the work of one ``guarantee_select``-shaped run (26 candidates, 7
   doublings): 2 encodings, 38 approximators, 14 ε_ψ folds and 120 member
   weights, where rebuilding everything per doubling costs 182, 182, 182
@@ -42,6 +42,7 @@ from repro.urel.urelation import URelation
 from repro.urel.variables import VariableTable
 from repro.util.parallel import ShardExecutor
 from repro.util.rng import ensure_rng, spawn_rng
+from repro.util.scope import run_scope
 
 QUERY = "aselect[P > 0.5 ; conf(A) as P](G)"
 DELTA, EPS0 = 0.1, 0.05
@@ -106,26 +107,20 @@ RNG = 4  # six or more doublings on every shape and budget below
 
 
 def reference_driver(node, db, rng, executor, bounds_budget):
-    """``evaluate_with_guarantee``'s loop with no run scope.
+    """``evaluate_with_guarantee``'s loop with nothing carried across doublings.
 
-    Every per-l evaluator is built with ``enclosures=None`` — it rebuilds
-    its disjunctions, encodings, approximators and decisions — from the
-    same spawned streams the driver uses.
+    Every per-l evaluator runs in its own fresh ``run_scope()`` — it
+    rebuilds its disjunctions, encodings, approximators and decisions —
+    from the same spawned streams the driver uses.
     """
     generator = ensure_rng(rng)
     n_sigma = sum(1 for q in walk(node) if isinstance(q, ApproxSelect)) or 1
     max_rounds = 2 * rounds_for(EPS0, DELTA / (2.0 * n_sigma))
     rounds, history, evaluations = 1, [], 0
     while True:
-        evaluator = ApproxQueryEvaluator(
-            db,
-            EPS0,
-            rounds=rounds,
-            rng=spawn_rng(generator),
-            executor=executor,
-            bounds_budget=bounds_budget,
-        )
-        annotated = evaluator.evaluate(node)
+        evaluator = ApproxQueryEvaluator(db, EPS0, rounds=rounds, rng=spawn_rng(generator))
+        with run_scope(executor=executor, bounds_budget=bounds_budget):
+            annotated = evaluator.evaluate(node)
         evaluations += 1
         worst = annotated.worst_bound(include_singular=False)
         history.append((rounds, worst))
@@ -173,15 +168,10 @@ def test_reports_equal_a_driver_without_run_scope(shape, bounds_budget, workers,
     node = repro.parse_query(QUERY)
     executor = two_workers if workers else None
     want = reference_driver(node, udb, RNG, executor, bounds_budget)
-    library = evaluate_with_guarantee(
-        node,
-        udb,
-        delta=DELTA,
-        eps0=EPS0,
-        rng=RNG,
-        executor=executor,
-        bounds_budget=bounds_budget,
-    )
+    with run_scope(executor=executor):
+        library = evaluate_with_guarantee(
+            node, udb, delta=DELTA, eps0=EPS0, rng=RNG, bounds_budget=bounds_budget
+        )
     session = repro.connect(udb, rng=3, workers=executor)
     try:
         served = session.evaluate_with_guarantee(

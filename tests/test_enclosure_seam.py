@@ -34,6 +34,7 @@ from repro.urel.udatabase import UDatabase
 from repro.urel.urelation import URelation
 from repro.urel.variables import VariableTable
 from repro.util.parallel import SERIAL_EXECUTOR
+from repro.util.scope import run_scope
 
 QUERY = "aselect[P > 0.6 ; conf(A) as P](G)"
 DELTA, EPS0 = 0.1, 0.1
@@ -141,10 +142,9 @@ class TestSolvedOnce:
             assert solved == []
 
     def test_standalone_sigma_hat_asks_once_per_selection(self, solved):
-        evaluator = ApproxQueryEvaluator(
-            _instance(NARROW), EPS0, rounds=4, rng=1, bounds_budget=BUDGET
-        )
-        evaluator.evaluate(repro.parse_query(QUERY))
+        evaluator = ApproxQueryEvaluator(_instance(NARROW), EPS0, rounds=4, rng=1)
+        with run_scope(bounds_budget=BUDGET):
+            evaluator.evaluate(repro.parse_query(QUERY))
         assert len(solved) == len(set(solved)) == NARROW + 1
 
 
@@ -249,7 +249,8 @@ class TestSolverLayer:
         _, twins = dnf_lineage(relation, udb.w, rows)
         known = dissociation_interval(dnfs[0], BUDGET)  # e.g. by auto's routing
         executor = Recording()
-        intervals = dissociation_intervals(dnfs + twins, BUDGET, executor=executor)
+        with run_scope(executor=executor):
+            intervals = dissociation_intervals(dnfs + twins, BUDGET)
         # One object per distinct clause set that holds no interval yet: not
         # dnfs[0] (known), its twin instead.
         assert [[id(d) for d in batch] for batch in executor.sent] == [
@@ -257,7 +258,8 @@ class TestSolverLayer:
         ]
         assert intervals[0] is known and intervals[: len(dnfs)] == intervals[len(dnfs) :]
         assert all(dnf._bounds[BUDGET] == iv for dnf, iv in zip(dnfs + twins, intervals))
-        assert dissociation_intervals(dnfs + twins, BUDGET, executor=executor) == intervals
+        with run_scope(executor=executor):
+            assert dissociation_intervals(dnfs + twins, BUDGET) == intervals
         assert len(executor.sent) == 1  # nothing left to send
 
     def test_equal_clauses_over_different_w_tables_stay_apart(self):

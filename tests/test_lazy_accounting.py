@@ -47,6 +47,7 @@ from repro.urel.conditions import Condition
 from repro.urel.urelation import URelation
 from repro.urel.variables import VariableTable
 from repro.util.parallel import ShardExecutor
+from repro.util.scope import run_scope
 
 # --------------------------------------------------------------------------
 # Fixtures and data
@@ -541,14 +542,14 @@ def test_unweighed_dnfs_cross_the_pool(workers):
     """Sharded maps ship DNFs with the slot unset; the answers do not move."""
     dnfs = [dnf for _ in range(3) for dnf in hard_instances().values()]
     strategy = resolve_strategy("karp-luby", eps=0.3, delta=0.2)
-    with ShardExecutor(workers, min_shard_items=1) as executor:
+    with ShardExecutor(workers, min_shard_items=1) as executor, run_scope(executor=executor):
         shipped = executor.map_items(_weigh_shard, dnfs)
-        got = strategy.compute_batch(dnfs, random.Random(9), executor=executor)
+        got = strategy.compute_batch(dnfs, random.Random(9))
     assert [arrived for arrived, _ in shipped] == [False] * len(dnfs)
     assert [typed(w) for _, w in shipped] == [typed(eager_weights(d)) for d in dnfs]
     fresh = [dnf for _ in range(3) for dnf in hard_instances().values()]
     for dnf in fresh:
         dnf.weights
-    serial = ShardExecutor(1, min_shard_items=1)
-    want = strategy.compute_batch(fresh, random.Random(9), executor=serial)
+    with run_scope(executor=ShardExecutor(1, min_shard_items=1)):
+        want = strategy.compute_batch(fresh, random.Random(9))
     assert [(r.value, r.samples) for r in got] == [(r.value, r.samples) for r in want]

@@ -25,6 +25,7 @@ from repro.urel.udatabase import UDatabase
 from repro.urel.urelation import URelation
 from repro.urel.variables import VariableTable
 from repro.util.parallel import ShardExecutor
+from repro.util.scope import run_scope
 
 N_EXACT = 12  # repair-key groups: confidence exactly 3/5
 N_CLEAR = 4  # random bipartite 2-DNF groups the budgeted solver finishes
@@ -60,15 +61,9 @@ def bounds_db() -> UDatabase:
     return db
 
 
-def _run(bounds_budget, executor=None):
+def _run(bounds_budget):
     return evaluate_with_guarantee(
-        SIGMA_QUERY,
-        bounds_db(),
-        delta=DELTA,
-        eps0=EPS0,
-        rng=7,
-        executor=executor,
-        bounds_budget=bounds_budget,
+        SIGMA_QUERY, bounds_db(), delta=DELTA, eps0=EPS0, rng=7, bounds_budget=bounds_budget
     )
 
 
@@ -117,6 +112,6 @@ def test_bounds_pruning_bit_identical_across_workers():
 
     results = []
     for workers in (1, 2, 4):
-        with ShardExecutor(workers) as executor:
-            results.append(transcript(_run(bounds_budget=64, executor=executor)))
+        with ShardExecutor(workers) as executor, run_scope(executor=executor):
+            results.append(transcript(_run(bounds_budget=64)))
     assert results[0] == results[1] == results[2]

@@ -39,6 +39,7 @@ from repro.urel.udatabase import UDatabase
 from repro.urel.urelation import URelation
 from repro.urel.variables import VariableTable
 from repro.util.parallel import ShardExecutor, shard_seed, spawn_shard_rng
+from repro.util.scope import run_scope
 
 # None is the session (or library call) that omits ``workers``: it runs
 # the same shard plan on the default serial executor.
@@ -253,10 +254,9 @@ class TestDeterminismMatrix:
         dnf = _one_dnf()
 
         def run(workers):
-            sampler = BatchKarpLubySampler(
-                dnf, rng=21, executor=_executor_for(workers)
-            )
-            sampler.run(20_000)
+            sampler = BatchKarpLubySampler(dnf, rng=21)
+            with run_scope(executor=_executor_for(workers)):
+                sampler.run(20_000)
             return (sampler.estimate, sampler.positives, sampler.trials)
 
         results = [run(w) for w in WORKER_MATRIX]
@@ -267,9 +267,8 @@ class TestDeterminismMatrix:
         dnf = _one_dnf()
 
         def fpras(workers):
-            est = batch_approximate_confidence(
-                dnf, 0.2, 0.1, rng=31, executor=_executor_for(workers)
-            )
+            with run_scope(executor=_executor_for(workers)):
+                est = batch_approximate_confidence(dnf, 0.2, 0.1, rng=31)
             return (est.estimate, est.positives, est.samples)
 
         def shared(workers):
@@ -279,9 +278,8 @@ class TestDeterminismMatrix:
             dnfs = [Dnf(d.members, w) for d in dnfs[:1]] * 2 + [
                 Dnf(_one_dnf(seed=1).members, w)
             ]
-            ests = shared_block_confidences(
-                dnfs, 9000, rng=41, executor=_executor_for(workers)
-            )
+            with run_scope(executor=_executor_for(workers)):
+                ests = shared_block_confidences(dnfs, 9000, rng=41)
             return [(e.estimate, e.positives, e.samples) for e in ests]
 
         assert _all_equal([fpras(w) for w in WORKER_MATRIX])
@@ -335,8 +333,9 @@ class TestDeterminismMatrix:
         rerun reproduces workers=1 exactly (trial-count weighting)."""
         dnf = _one_dnf()
         executor = ShardExecutor(1)
-        sampler = BatchKarpLubySampler(dnf, rng=77, executor=executor)
-        sampler.run(20_000)
+        sampler = BatchKarpLubySampler(dnf, rng=77)
+        with run_scope(executor=executor):
+            sampler.run(20_000)
 
         base = random.Random(77).getrandbits(64)
         from repro.confidence.batch import _karp_luby_trial_block

@@ -492,7 +492,9 @@ PIPELINE = "conf[P](project[B](select[A < 20](join(R, S))))"
 
 def test_explain_gains_one_line_on_the_pipeline_shape(monkeypatch):
     def plan_text():
-        with repro.connect(pipeline_database()) as db:
+        # A serial session: an ambient pool (REPRO_WORKERS) would add
+        # ``·sharded[n]`` to the pinned lines.
+        with repro.connect(pipeline_database(), workers=1) as db:
             return str(db.explain(PIPELINE)).splitlines()
 
     pushed = plan_text()

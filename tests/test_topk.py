@@ -31,6 +31,7 @@ from repro.urel.udatabase import UDatabase
 from repro.urel.urelation import URelation
 from repro.urel.variables import VariableTable
 from repro.util.parallel import ShardExecutor
+from repro.util.scope import run_scope
 
 
 def _single_var_db(probs):
@@ -140,11 +141,8 @@ class TestRaceTopK:
                 rows, dnfs, 2, _EPS, _DELTA, rng=29, bounds_budget=0
             )
         else:
-            with ShardExecutor(workers) as executor:
-                sharded = race_topk(
-                    rows, dnfs, 2, _EPS, _DELTA, rng=29,
-                    executor=executor, bounds_budget=0,
-                )
+            with ShardExecutor(workers) as executor, run_scope(executor=executor):
+                sharded = race_topk(rows, dnfs, 2, _EPS, _DELTA, rng=29, bounds_budget=0)
         assert sharded == serial  # frozen dataclasses: full bit-identity
 
     def test_forced_sampling_with_zero_bounds_budget(self):

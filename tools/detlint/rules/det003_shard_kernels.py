@@ -1,17 +1,20 @@
 """DET003 — shard kernels must be module-level functions.
 
 ``ShardExecutor`` pickles the kernel when the process backend is active
-(fork *and* spawn), so anything submitted to ``.map``/``.submit`` must
-be importable by qualified name.  Lambdas, closures (functions defined
+(fork *and* spawn), so anything submitted to ``.map``/``.map_items``/
+``.submit`` must be importable by qualified name.  Lambdas, closures (functions defined
 inside another function), module-level ``name = lambda ...`` bindings
 (their ``__qualname__`` is still ``<lambda>``), and bound methods all
 fail that test — some loudly under spawn, some only on the process
 backend, which is exactly the config-dependent breakage the linter
 exists to catch before CI's backend matrix does.
 
-The receiver is matched by name (last dotted segment in the configured
-``executor-names`` list, default ``executor``/``_executor``/``pool``/
-``_pool``), so the rule also covers raw ``concurrent.futures`` pools.
+The receiver is matched by name (last attribute segment in the
+configured ``executor-names`` list, default ``executor``/``_executor``/
+``pool``/``_pool``), so the rule also covers raw ``concurrent.futures``
+pools.  The segment counts whatever it hangs off —
+``current_scope().executor.map(...)`` — and either operand of an
+``or``/``and`` receiver does: ``(executor or SERIAL_EXECUTOR).map(...)``.
 ``functools.partial(...)`` is unwrapped and its wrapped callable judged
 by the same rules.  Unresolvable callables (parameters, call results)
 pass — the rule only flags what it can prove.
@@ -24,7 +27,18 @@ import ast
 from tools.detlint.framework import Rule, dotted_name, register_rule
 
 _DEFAULT_EXECUTOR_NAMES = ["executor", "_executor", "pool", "_pool"]
-_SUBMIT_METHODS = frozenset({"map", "submit"})
+_SUBMIT_METHODS = frozenset({"map", "map_items", "submit"})
+
+
+def _receiver_names(node: ast.AST) -> list[str]:
+    """The last segments a receiver expression can be matched by."""
+    if isinstance(node, ast.BoolOp):
+        return [name for value in node.values for name in _receiver_names(value)]
+    if isinstance(node, ast.Attribute):
+        return [node.attr]
+    if isinstance(node, ast.Name):
+        return [node.id]
+    return []
 
 
 @register_rule
@@ -69,11 +83,8 @@ class ShardKernelPicklability(Rule):
         func = node.func
         if not (isinstance(func, ast.Attribute) and func.attr in _SUBMIT_METHODS):
             return
-        receiver = dotted_name(func.value)
-        if receiver is None:
-            return
         names = self.options.get("executor-names", _DEFAULT_EXECUTOR_NAMES)
-        if receiver.rsplit(".", 1)[-1] not in names:
+        if not any(name in names for name in _receiver_names(func.value)):
             return
         if not node.args:
             return
