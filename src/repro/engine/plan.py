@@ -14,6 +14,7 @@ actual data, not just syntax.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING
 
 from repro.algebra.operators import (
@@ -37,7 +38,7 @@ from repro.algebra.operators import (
 )
 from repro.algebra.printer import unparse_expression
 from repro.algebra.pushdown import strip
-from repro.algebra.tree import lazy
+from repro.algebra.tree import children, lazy
 from repro.confidence.dissociation import DEFAULT_BOUND_BUDGET
 from repro.confidence.extensional import EXTENSIONAL
 from repro.util.scope import current_scope
@@ -131,10 +132,10 @@ def explain_plan(
     ``evaluator`` must wrap a throwaway copy of the session database —
     explain executes repair-keys (extending that copy's W) to see the
     DNFs that confidence operators will face.  Relational nodes are
-    annotated with the columnar engine (``path``); when the run scope's
+    annotated with the operator engine (``path``); when the run scope's
     executor (:mod:`repro.util.scope`) has two or more workers, the
-    operators it fans out over them are annotated ``·sharded[n]``
-    (n = configured workers).
+    confidence operators it fans out over them are annotated
+    ``·sharded[n]`` (n = configured workers).
     The tree is the one the evaluator runs: selection copies the
     pushdown pass placed render as ``select[φ]  ·pushed``, and the
     operators of a plan step 0 answers as ``·deferred``.
@@ -232,7 +233,7 @@ class _PlanPass:
     so the pass memoizes the evaluator's *in-flight* representation of
     each inspected sub-query (columnar inside the envelope, scalar
     outside it) — the very object the runtime's lift test inspects, so
-    the cost-model annotations cannot diverge from what the evaluator
+    the engine annotations cannot diverge from what the evaluator
     would actually do with that node's children.  Keyed by node
     identity: the tree root keeps every node alive for the pass.
     """
@@ -251,11 +252,24 @@ class _PlanPass:
 
     def rep(self, node: Query):
         """The evaluator's representation of ``node``'s result, memoized."""
-        rep = self._reps.get(id(node))
-        if rep is None:
-            rep, _complete = self.evaluator._eval_rep(node)
-            self._reps[id(node)] = rep
-        return rep
+        return self._folded(node)[0]
+
+    def _folded(self, node: Query):
+        """The evaluator's ``(rep, complete)`` fold of ``node``, once per pass.
+
+        :func:`fold`'s dispatch over the evaluator's own handlers, fed the
+        children's memoized results: the product/join annotations and the
+        conf census read the same subtrees, and each is evaluated once.
+        """
+        folded = self._reps.get(id(node))
+        if folded is None:
+            handler = self.evaluator.HANDLERS[type(node)]
+            if getattr(handler, "lazy", False):
+                results = [partial(self._folded, child) for child in children(node)]
+            else:
+                results = [self._folded(child) for child in children(node)]
+            folded = self._reps[id(node)] = handler(self.evaluator, node, *results)
+        return folded
 
     def relation(self, node: Query):
         """The materialized (scalar) relation for ``node``, via the rep memo."""
@@ -305,38 +319,20 @@ class _PlanPass:
     def _pair_merge(self, node: "Product | Join", left: PlanNode, right: PlanNode) -> PlanNode:
         """A product/join node, with its operator-engine annotation.
 
-        On the columnar path with a pooled executor, the pair merge may
-        fan out.  The fan-out test consults the *same* schedule the operator
-        runs: products (and joins without shared attributes, which fall to
-        the all-pairs path) ask ``plan_all_pairs`` over the child row
-        counts; key joins ask ``plan_pairs`` over n₁·n₂ — an upper bound on
-        the candidate pairs the key match emits, so a join annotated
-        ``below-threshold`` certainly runs serially while one annotated
-        sharded may still fall back if few keys match.  Below the
-        profitable size the node carries the ``below-threshold`` warning.
-        The scalar path never shards and stays bare.
+        The evaluator's own lift test decides, on the same in-flight
+        representations the runtime would hold here: operands it refuses
+        to make columnar (outside the row/variable envelope, cross-type
+        conflation taint, merged condition layout too wide) run the
+        scalar operator, while columnar-born intermediates stay columnar
+        however small they are.  The algebra runs in process, so the
+        annotation is the same at every worker count.
         """
-        is_product = isinstance(node, Product)
-        operator = "product" if is_product else "join"
-        executor = _pool()
-        if executor is None or self.path != "columnar[numpy]":
-            return PlanNode(operator, children=(left, right), path=self.path)
-        left_rep, right_rep = self.rep(node.left), self.rep(node.right)
-        # Consult the evaluator's own lift test, on the same in-flight
-        # representations the runtime would hold here: operands the runtime
-        # refuses to make columnar (outside the row/variable envelope,
-        # cross-type conflation taint, merged condition layout too wide)
-        # run the scalar serial operator — annotating them "sharded" would
-        # promise a fan-out that cannot happen — while columnar-born
-        # intermediates stay columnar however small they are.
-        if self.evaluator._lift_pair(left_rep, right_rep) is None:
-            return PlanNode(operator, children=(left, right), path="scalar[indexed]")
-        n1, n2 = len(left_rep), len(right_rep)
-        if is_product or not (set(left_rep.columns) & set(right_rep.columns)):
-            fans_out = len(executor.plan_all_pairs(n1, n2)) > 1
-        else:
-            fans_out = len(executor.plan_pairs(n1 * n2)) > 1
-        path = f"{self.path}·{_sharded_path(executor, fans_out)}"
+        operator = "product" if isinstance(node, Product) else "join"
+        path = self.path
+        if path != DEFERRED and self.evaluator._lift_pair(
+            self.rep(node.left), self.rep(node.right)
+        ) is None:
+            path = "scalar[indexed]"
         return PlanNode(operator, children=(left, right), path=path)
 
     def _union(self, node: Union, left: PlanNode, right: PlanNode) -> PlanNode:

@@ -106,9 +106,9 @@ def connect(
 
     Every session runs the one shard plan (:mod:`repro.util.parallel`):
     confidence batches, Monte-Carlo trial budgets, driver round
-    allocations, σ̂ candidate decisions, and the columnar algebra's
-    product/join pair merges are cut into shards whose results merge in
-    shard order.  ``workers`` only sets how many processes run the
+    allocations and σ̂ candidate decisions are cut into shards whose
+    results merge in shard order; the relational algebra runs in
+    process.  ``workers`` only sets how many processes run the
     shards — results are *bit-identical for every worker count*.
     Omitted, it is the ``REPRO_WORKERS`` environment variable or ``1``
     (the shards run serially, in process).  Pass a
@@ -622,8 +622,8 @@ class ProbDB:
         # *chooses* methods (never samples for answers), and a read-only
         # introspection call must not perturb the session generator or
         # later stochastic results.  It runs in the session's run scope
-        # — one pool serves both the confidence and the algebra layer,
-        # and close() tears it down once — whose memo sits in front of
+        # — the session's pool serves its confidence fan-outs, and
+        # close() tears it down once — whose memo sits in front of
         # the session cache, so what explain encloses the next top-k or
         # driver run finds solved (and the other way round).
         return UEvaluator(self.db, strategy=self.strategy, rng=random.Random(0), copy_db=True)
@@ -663,7 +663,7 @@ class ProbDB:
 
     def _plan_cache_token(self, strategy: ConfidenceStrategy) -> tuple:
         # Answers are bit-identical at any worker count *given the plan*
-        # (the merge schedule of sampled estimates and pair merges), so
+        # (the merge schedule of sampled estimates), so
         # every memo key names the strategy configuration and the plan —
         # entries computed under another schedule never cross-hit.
         return strategy.cache_token + (self.executor.plan_token,)
@@ -752,8 +752,8 @@ class ProbDB:
     def close(self) -> None:
         """Release the session's worker pool (if it started one).
 
-        One executor serves both layers — confidence/driver fan-outs and
-        the sharded columnar algebra — so this tears down one pool, once.
+        One executor serves every confidence/driver fan-out, so this
+        tears down one pool, once.
         A *borrowed* executor (a ``ShardExecutor`` instance passed to
         ``connect``, possibly shared with other sessions) is left
         running: its creator owns the lifecycle — which is also what

@@ -22,14 +22,9 @@ columnar encoding and runs ``select``/``project``/``rename``/``union``/
   concatenated condition+data code matrix (``np.unique(axis=0)`` would
   sort rows as void scalars, which is orders of magnitude slower than
   per-column int64 key passes);
-* **product/join pair merges shard across worker processes** when given
-  a :class:`~repro.util.parallel.ShardExecutor`: the bounded merge
-  blocks that already cap peak memory are grouped into contiguous
-  shards by a plan that depends on the operand *row counts* only (never
-  the worker count), each shard runs the same module-level kernel the
-  serial path runs, survivors concatenate in shard order, and the dedup
-  lexsort runs once on the merged result — so sharded results are
-  bit-identical to serial ones at every worker count.
+* **product/join pair merges** run in bounded row blocks that cap the
+  gathered condition matrices (~128 MB), always in process: the algebra
+  never fans out, only the confidence layer above it does.
 
 A :class:`ColumnarURelation` decodes back to an exactly equal
 :class:`URelation` (original value objects, interned conditions) via
@@ -68,7 +63,6 @@ from repro.algebra.tree import fold
 from repro.urel.conditions import TOP, Condition, ConditionPool, Var
 from repro.urel.urelation import URelation
 from repro.urel.variables import VariableTable
-from repro.util.scope import current_scope
 
 __all__ = ["ValueCodec", "ColumnarContext", "ColumnarURelation"]
 
@@ -509,46 +503,15 @@ class ColumnarURelation:
         ``(pairs × union-variables)`` condition matrices are the
         dominant transient allocation, so capping the block size keeps
         peak memory at O(block × width) plus the surviving rows —
-        instead of materializing every candidate pair at once.
-
-        The pair index range is cut by
-        :meth:`~repro.util.parallel.ShardExecutor.plan_pairs` — a
-        function of the pair count only, never the worker count — and
-        each contiguous shard runs its (still bounded) block loop as one
-        task on the run scope's executor; shard survivors are
-        concatenated in shard order, so the result is bit-identical at
-        every worker count.
-        The dedup lexsort below runs once, on the merged survivors.
+        instead of materializing every candidate pair at once.  The
+        dedup lexsort runs once, on the merged survivors.
         """
         out_vars, left_conds, right_conds = self._aligned_conds(other)
         rkeep = list(rkeep)
-        n_pairs = int(li.shape[0])
         block = _pair_block_size(len(out_vars), self.data.shape[1], len(rkeep))
-        executor = current_scope().executor
-        shards = executor.plan_pairs(n_pairs)
-        if len(shards) > 1:
-            parts = executor.map(
-                _indexed_pairs_shard,
-                [
-                    (
-                        left_conds,
-                        right_conds,
-                        self.data,
-                        other.data,
-                        rkeep,
-                        li[start:stop],
-                        ri[start:stop],
-                        block,
-                    )
-                    for start, stop in shards
-                ],
-                validate=False,  # pure int64 arrays: picklable by construction
-            )
-            data, conds = _stack_parts([p[0] for p in parts], [p[1] for p in parts])
-        else:
-            data, conds = _indexed_pairs_shard(
-                left_conds, right_conds, self.data, other.data, rkeep, li, ri, block
-            )
+        data, conds = _indexed_pairs(
+            left_conds, right_conds, self.data, other.data, rkeep, li, ri, block
+        )
         return self._deduped(
             out_cols, data, out_vars, conds, tainted=self.tainted or other.tainted
         )
@@ -655,59 +618,21 @@ class ColumnarURelation:
 
         The pair *index arrays* themselves are O(n1·n2); materializing
         them up front would defeat the blocked merge bound, so left-row
-        blocks each generate their own repeat/tile slice — and the shard
-        unit is a contiguous *left-row* range (pairs are laid out
-        left-row-major), each shard covering at least
-        ``min_shard_pairs`` pairs.  The schedule is a function of the
-        two row counts and the plan parameters only; survivors merge in
-        shard order and the dedup lexsort runs once on the result.
+        blocks each generate their own repeat/tile slice.  The dedup
+        lexsort runs once on the result.
         """
         out_vars, left_conds, right_conds = self._aligned_conds(other)
         rkeep = list(rkeep)
-        n1, n2 = len(self), len(other)
         block = _pair_block_size(len(out_vars), self.data.shape[1], len(rkeep))
-        executor = current_scope().executor
-        shards = executor.plan_all_pairs(n1, n2)
-        if len(shards) > 1:
-            # Each task receives only its contiguous left-row slice
-            # (range rebased to 0) — the shard unit IS a left-row range,
-            # so shipping the whole left operand k times would be pure
-            # serialization waste.  The right operand is read in full by
-            # every shard and travels whole.
-            parts = executor.map(
-                _all_pairs_shard,
-                [
-                    (
-                        left_conds[start:stop],
-                        right_conds,
-                        self.data[start:stop],
-                        other.data,
-                        rkeep,
-                        0,
-                        stop - start,
-                        n2,
-                        block,
-                    )
-                    for start, stop in shards
-                ],
-                validate=False,  # pure int64 arrays: picklable by construction
-            )
-            data, conds = _stack_parts([p[0] for p in parts], [p[1] for p in parts])
-        else:
-            data, conds = _all_pairs_shard(
-                left_conds, right_conds, self.data, other.data, rkeep, 0, n1, n2, block
-            )
+        data, conds = _all_pairs(
+            left_conds, right_conds, self.data, other.data, rkeep, len(self), len(other), block
+        )
         return self._deduped(
             out_cols, data, out_vars, conds, tainted=self.tainted or other.tainted
         )
 
     def product(self, other: "ColumnarURelation") -> "ColumnarURelation":
-        """[[R × S]] — all pairs, vectorized condition merge.
-
-        The run scope's executor (:mod:`repro.util.scope`) runs the
-        pair-merge shards; results are bit-identical at every worker
-        count.
-        """
+        """[[R × S]] — all pairs, vectorized condition merge."""
         out_cols = _schema.disjoint_union(self.columns, other.columns)
         return self._all_pairs_merge(other, out_cols, range(len(other.columns)))
 
@@ -716,8 +641,7 @@ class ColumnarURelation:
 
         Equal data values share one session-wide code, so key equality is
         integer equality; candidate pairs come out of a grouped
-        repeat/tile over the sorted build side.  The candidate-pair merge
-        is sharded exactly as in :meth:`product`.
+        repeat/tile over the sorted build side.
         """
         out_cols, shared = _schema.natural_join_schema(self.columns, other.columns)
         rkeep = [i for i, c in enumerate(other.columns) if c not in set(shared)]
@@ -743,9 +667,7 @@ class ColumnarURelation:
 
 
 # --------------------------------------------------------------------------
-# Pair-merge kernels.  Module level so :meth:`ShardExecutor.map` can pickle
-# them to worker processes; the serial path runs the very same functions in
-# process, which is what makes sharded results bit-identical by construction.
+# Pair-merge kernels: bounded block loops over candidate row pairs.
 # --------------------------------------------------------------------------
 
 
@@ -779,13 +701,10 @@ def _stack_parts(data_parts, cond_parts):
     return np.vstack(data_parts), np.vstack(cond_parts)
 
 
-def _indexed_pairs_shard(
-    left_conds, right_conds, left_data, right_data, rkeep, li, ri, block
-):
-    """One contiguous shard of an indexed pair merge (join candidates).
+def _indexed_pairs(left_conds, right_conds, left_data, right_data, rkeep, li, ri, block):
+    """An indexed pair merge (join candidates), ``block`` pairs at a time.
 
-    Runs the bounded block loop over its slice of the pair index arrays;
-    an empty slice still produces correctly-shaped empty outputs.
+    An empty pair list still produces correctly-shaped empty outputs.
     """
     data_parts, cond_parts = [], []
     for start in range(0, max(int(li.shape[0]), 1), block):
@@ -803,34 +722,31 @@ def _indexed_pairs_shard(
     return _stack_parts(data_parts, cond_parts)
 
 
-def _all_pairs_shard(
-    left_conds, right_conds, left_data, right_data, rkeep, row_start, row_stop, n_right, block
-):
-    """One contiguous left-row range of an all-pairs (product) merge.
+def _all_pairs(left_conds, right_conds, left_data, right_data, rkeep, n_left, n_right, block):
+    """An all-pairs (product) merge, one bounded left-row range at a time.
 
     Generates its own repeat/tile pair indices per bounded sub-block, so
-    the O(rows × n_right) index arrays never materialize at once — and
-    never cross a process boundary at all.  Each sub-block's pairs then
-    run through the same ``block``-bounded gather loop as the indexed
-    path: when ``n_right`` alone exceeds the pair budget (one left row's
-    pairs outgrow a block), the inner loop re-cuts them, keeping the
-    gathered matrices under the ~128MB transient cap regardless of
-    operand shape.
+    the O(n_left × n_right) index arrays never materialize at once.  Each
+    sub-block's pairs then run through the same ``block``-bounded gather
+    loop as the indexed path: when ``n_right`` alone exceeds the pair
+    budget (one left row's pairs outgrow a block), the inner loop re-cuts
+    them, keeping the gathered matrices under the ~128MB transient cap
+    regardless of operand shape.
     """
     rows_per_block = max(1, block // max(n_right, 1))
     data_parts, cond_parts = [], []
-    start = row_start
+    start = 0
     while True:
-        stop = min(start + rows_per_block, row_stop)
+        stop = min(start + rows_per_block, n_left)
         li = np.repeat(np.arange(start, stop), n_right)
         ri = np.tile(np.arange(n_right), max(stop - start, 0))
-        data, conds = _indexed_pairs_shard(
+        data, conds = _indexed_pairs(
             left_conds, right_conds, left_data, right_data, rkeep, li, ri, block
         )
         data_parts.append(data)
         cond_parts.append(conds)
         start = stop
-        if start >= row_stop:
+        if start >= n_left:
             break
     return _stack_parts(data_parts, cond_parts)
 

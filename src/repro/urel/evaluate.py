@@ -139,10 +139,9 @@ class UEvaluator:
     ``strategy`` is the :class:`~repro.confidence.strategies.ConfidenceStrategy`
     object ``conf`` runs (``None``: exact decomposition, the Theorem 3.4
     subprocedure); ``rng`` seeds all approximate operators.  The
-    columnar product/join pair merges, the strategies' batches and the
-    ``aconf`` trial budgets run on the run scope's executor
-    (:mod:`repro.util.scope`), bit-identically at every worker count, and
-    :meth:`enclosures` asks the run scope's memo.  When ``copy_db`` is
+    strategies' batches and the ``aconf`` trial budgets run on the run
+    scope's executor (:mod:`repro.util.scope`), bit-identically at every
+    worker count, and :meth:`enclosures` asks the run scope's memo.  When ``copy_db`` is
     true the input database (including W) is left untouched and
     repair-key variables go into a private copy.
     """

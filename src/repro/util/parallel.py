@@ -4,10 +4,10 @@ The paper's approximation machinery is embarrassingly parallel: tuple
 confidences are independent DNF weights (Section 4), the Proposition 4.2
 trial budget m = ⌈3·|F|·ln(2/δ)/ε²⌉ is a sum of i.i.d. trials that can be
 drawn in any partition, and the Theorem 6.7 driver hands every σ̂ value a
-private round allocation.  So is the relational layer under them: the
-columnar algebra's product/join pair merges already run in bounded row
-blocks, and those blocks are independent subproblems too.
-:class:`ShardExecutor` is the one execution path behind all of them:
+private round allocation.  The relational algebra under them is not
+fanned out: its operators are parsimonious translations that never look
+at W, so they run in process, and the cost lies in the confidence layer.
+:class:`ShardExecutor` is the one execution path behind every fan-out:
 it cuts a workload into *shards*, runs the shards on a process pool (or
 serially, in process, when ``workers <= 1`` or multiprocessing is
 unavailable), and merges results in shard order.  Every session and
@@ -19,9 +19,9 @@ path.
 Determinism is the hard contract, and it rests on two rules:
 
 1. **The shard plan never looks at the worker count.**
-   :meth:`ShardExecutor.plan_items`, :meth:`ShardExecutor.plan_trials`,
-   and :meth:`ShardExecutor.plan_pairs` partition a workload as a
-   function of its *size* and the executor's plan parameters only, so
+   :meth:`ShardExecutor.plan_items` and :meth:`ShardExecutor.plan_trials`
+   partition a workload as a function of its *size* and the executor's
+   plan parameters only, so
    sessions opened with ``workers=1`` and ``workers=64`` cut identical
    shards.
 
@@ -74,6 +74,7 @@ collection, so sessions that never shard never pay for a pool.
 from __future__ import annotations
 
 import contextvars
+import operator
 import os
 import pickle
 import random
@@ -85,7 +86,6 @@ __all__ = [
     "DEFAULT_MAX_SHARDS",
     "DEFAULT_MIN_SHARD_ITEMS",
     "DEFAULT_MIN_SHARD_TRIALS",
-    "DEFAULT_MIN_SHARD_PAIRS",
     "ShardExecutor",
     "SERIAL_EXECUTOR",
     "as_executor",
@@ -103,14 +103,6 @@ DEFAULT_MIN_SHARD_ITEMS = 8
 
 DEFAULT_MIN_SHARD_TRIALS = 4096
 """Fewest Monte-Carlo trials worth a block of their own."""
-
-DEFAULT_MIN_SHARD_PAIRS = 1 << 18
-"""Fewest columnar pair-merge candidate pairs worth a shard of their own.
-
-A pair costs a few dozen int64 cell operations in the vectorized merge,
-so 2¹⁸ pairs is tens of milliseconds of work — enough to amortize one
-task dispatch (pickling the base code matrices plus the shard's pair
-index slice) comfortably."""
 
 _WORKERS_ENV = "REPRO_WORKERS"
 
@@ -188,6 +180,24 @@ def default_workers() -> int:
     return max(int(raw), 1)
 
 
+def _checked_count(name: str, value: object, least: int) -> int:
+    """``value`` as an int if it is an integer ≥ ``least`` and not a bool.
+
+    Any integral type passes (``numpy.int64`` too, through
+    :func:`operator.index`); floats, strings, bools and ``None`` raise
+    ``ValueError``.  Checked at construction, so a bad worker count or
+    plan parameter fails where it is given rather than inside the first
+    pooled map.
+    """
+    try:
+        count = None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        count = None
+    if count is None or count < least:
+        raise ValueError(f"{name} must be an int >= {least}, got {value!r}")
+    return count
+
+
 class ShardExecutor:
     """Deterministic shard-parallel map over a process pool.
 
@@ -206,17 +216,11 @@ class ShardExecutor:
         max_shards: int = DEFAULT_MAX_SHARDS,
         min_shard_items: int = DEFAULT_MIN_SHARD_ITEMS,
         min_shard_trials: int = DEFAULT_MIN_SHARD_TRIALS,
-        min_shard_pairs: int = DEFAULT_MIN_SHARD_PAIRS,
     ):
-        if workers < 0:
-            raise ValueError(f"workers must be >= 0, got {workers}")
-        if min(max_shards, min_shard_items, min_shard_trials, min_shard_pairs) < 1:
-            raise ValueError("shard plan parameters must be >= 1")
-        self.workers = workers
-        self.max_shards = max_shards
-        self.min_shard_items = min_shard_items
-        self.min_shard_trials = min_shard_trials
-        self.min_shard_pairs = min_shard_pairs
+        self.workers = _checked_count("workers", workers, 0)
+        self.max_shards = _checked_count("max_shards", max_shards, 1)
+        self.min_shard_items = _checked_count("min_shard_items", min_shard_items, 1)
+        self.min_shard_trials = _checked_count("min_shard_trials", min_shard_trials, 1)
         self._pool = None
         self._pool_broken = False
         self._closed = False
@@ -236,32 +240,7 @@ class ShardExecutor:
         caches include it so estimates computed under different schedules
         never share an entry.
         """
-        return (
-            "shards",
-            self.max_shards,
-            self.min_shard_items,
-            self.min_shard_trials,
-            self.min_shard_pairs,
-        )
-
-    def plan_ranges(self, n: int, min_size: int) -> list[tuple[int, int]]:
-        """Contiguous ``[start, stop)`` shards over a range of ``n`` units.
-
-        The shared schedule behind :meth:`plan_items` and
-        :meth:`plan_pairs`: a function of ``n``, ``min_size``, and
-        ``max_shards`` only — at most ``max_shards`` shards, none
-        smaller than ``min_size`` (sizes differ by at most one).
-        """
-        if n <= 0:
-            return []
-        shards = min(self.max_shards, n // max(1, min_size))
-        if shards <= 1:
-            return [(0, n)]
-        base, extra = divmod(n, shards)
-        bounds = [0]
-        for i in range(shards):
-            bounds.append(bounds[-1] + base + (1 if i < extra else 0))
-        return list(zip(bounds, bounds[1:]))
+        return ("shards", self.max_shards, self.min_shard_items, self.min_shard_trials)
 
     def plan_items(self, n_items: int) -> list[tuple[int, int]]:
         """Contiguous ``[start, stop)`` shards over a list of ``n_items``.
@@ -270,33 +249,16 @@ class ShardExecutor:
         ``max_shards`` shards, none smaller than ``min_shard_items``
         (sizes differ by at most one).
         """
-        return self.plan_ranges(n_items, self.min_shard_items)
-
-    def plan_pairs(self, n_pairs: int) -> list[tuple[int, int]]:
-        """Contiguous ``[start, stop)`` shards over candidate row pairs.
-
-        The columnar algebra's schedule for *indexed* pair merges (join
-        candidates): a function of the pair count — never the worker
-        count — and the plan parameters only, with ``min_shard_pairs``
-        as the profitable minimum.  One shard means "stay serial": below
-        the threshold the vectorized merge is cheaper than a single task
-        dispatch.
-        """
-        return self.plan_ranges(n_pairs, self.min_shard_pairs)
-
-    def plan_all_pairs(self, n_left: int, n_right: int) -> list[tuple[int, int]]:
-        """Left-row shard ranges for an all-pairs (product) merge.
-
-        Products never materialize their pair index arrays, so the shard
-        unit is a contiguous *left-row* range covering at least
-        ``min_shard_pairs`` pairs (``ceil(min_shard_pairs / n_right)``
-        rows).  Defined here — next to :meth:`plan_pairs` — so the
-        runtime operator and the ``explain`` cost model consult one
-        schedule and can never disagree about what fans out.
-        """
-        if n_right <= 0:
+        if n_items <= 0:
             return []
-        return self.plan_ranges(n_left, -(-self.min_shard_pairs // n_right))
+        shards = min(self.max_shards, n_items // self.min_shard_items)
+        if shards <= 1:
+            return [(0, n_items)]
+        base, extra = divmod(n_items, shards)
+        bounds = [0]
+        for i in range(shards):
+            bounds.append(bounds[-1] + base + (1 if i < extra else 0))
+        return list(zip(bounds, bounds[1:]))
 
     def plan_trials(self, n_trials: int) -> list[int]:
         """Per-block trial counts for a budget of ``n_trials``.
@@ -380,32 +342,25 @@ class ShardExecutor:
         picklable; unpicklable workloads (exotic user-defined variable
         names) quietly run the serial path instead — same results, by
         the determinism contract.  Exceptions raised *by the task* are
-        propagated.
-
-        ``validate=False`` skips the up-front pickle dry run.  The dry
-        run costs one extra serialization of every task, which the
-        columnar algebra — whose tasks are pure int64 code matrices and
-        index slices, picklable by construction — does not want to pay
-        per pair-merge.  Callers passing arbitrary user data (strategy
-        instances, user-defined variable names) must keep the default.
+        propagated.  ``validate`` is accepted for call compatibility and
+        ignored: every pooled map runs the pickle dry run.
         """
         tasks = list(tasks)
         if len(tasks) <= 1 or not self.parallel:
             return [_outside_scope(fn, *args) for args in tasks]
-        if validate:
-            # Validate picklability up front and never hand the pool an
-            # unpicklable item: CPython's pool wedges its manager thread
-            # when queued work items fail to pickle (observed on 3.11),
-            # so an unpicklable workload (e.g. a strategy holding a lock)
-            # must take the serial path *before* submission — same
-            # answers, by the plan/seed contract.  This also keeps
-            # genuine task exceptions unambiguous: anything raised after
-            # this point is from the task.
-            try:
-                for args in tasks:
-                    pickle.dumps((fn, args), protocol=pickle.HIGHEST_PROTOCOL)
-            except (pickle.PicklingError, TypeError, AttributeError):
-                return [_outside_scope(fn, *args) for args in tasks]
+        # Validate picklability up front and never hand the pool an
+        # unpicklable item: CPython's pool wedges its manager thread
+        # when queued work items fail to pickle (observed on 3.11),
+        # so an unpicklable workload (e.g. a strategy holding a lock)
+        # must take the serial path *before* submission — same
+        # answers, by the plan/seed contract.  This also keeps
+        # genuine task exceptions unambiguous: anything raised after
+        # this point is from the task.
+        try:
+            for args in tasks:
+                pickle.dumps((fn, args), protocol=pickle.HIGHEST_PROTOCOL)
+        except (pickle.PicklingError, TypeError, AttributeError):
+            return [_outside_scope(fn, *args) for args in tasks]
         pool = self._ensure_pool()
         if pool is None:
             return [_outside_scope(fn, *args) for args in tasks]
@@ -415,22 +370,6 @@ class ShardExecutor:
         try:
             futures = [pool.submit(_outside_scope, fn, *args) for args in tasks]
             return [f.result() for f in futures]
-        except (pickle.PicklingError, TypeError, AttributeError):
-            # ``submit`` never pickles synchronously — a work item that
-            # fails to pickle surfaces *here*, raised out of
-            # ``f.result()`` by the pool's feeder machinery.  Under
-            # ``validate=True`` every task pickled in the dry run, so
-            # this is the task's own exception: propagate it.  Under
-            # ``validate=False`` a caller broke its "picklable by
-            # construction" promise; tasks are pure, so recompute
-            # serially (a genuine task exception re-raises identically
-            # there) — and retire the pool, which cannot be trusted
-            # after a failed work-item pickle.
-            if validate:
-                raise
-            self._drain(futures)
-            self._discard_pool(broken=True)
-            return [_outside_scope(fn, *args) for args in tasks]
         except (BrokenProcessPool, OSError):
             # A broken pool degrades this executor to serial for good.
             self._drain(futures)
@@ -441,11 +380,11 @@ class ShardExecutor:
     def _drain(futures) -> None:
         """Await every future, swallowing outcomes, before pool teardown.
 
-        ``shutdown(wait=True, cancel_futures=True)`` deadlocks the
-        CPython 3.11 pool manager when it races a work item whose
-        *pickle* failure is still in flight (reproduced in the test
-        suite); each such future is marked with its exception promptly,
-        so consuming them all first makes the waiting shutdown safe.
+        ``shutdown(wait=True, cancel_futures=True)`` can deadlock the
+        CPython 3.11 pool manager when it races a work item still in
+        flight; each future of a broken pool is marked with its
+        exception promptly, so consuming them all first makes the
+        waiting shutdown safe.
         """
         for future in futures:
             try:

@@ -22,6 +22,7 @@ import random
 import threading
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import repro
@@ -110,6 +111,14 @@ class TestShardExecutor:
             if len(shards) > 1:
                 assert all(b - a >= ex.min_shard_items for a, b in shards)
 
+    def test_plan_items_sizes_sum_and_cap(self):
+        executor = ShardExecutor(2, min_shard_items=10, max_shards=7)
+        shards = executor.plan_items(1000)
+        assert len(shards) == 7
+        assert shards[0][0] == 0 and shards[-1][1] == 1000
+        sizes = [b - a for a, b in shards]
+        assert sum(sizes) == 1000 and max(sizes) - min(sizes) <= 1
+
     def test_plan_trials_preserves_budget(self):
         ex = ShardExecutor(4)
         for n in (1, 4095, 4096, 8191, 8192, 1_000_000):
@@ -143,20 +152,15 @@ class TestShardExecutor:
             with pytest.raises(ZeroDivisionError):
                 ex.map(_reciprocal, [(1,), (0,)])
 
-    def test_unvalidated_unpicklable_tasks_fall_back_to_serial(self):
-        """``validate=False`` skips the pickle dry run; a task that then
-        fails to pickle surfaces at result-collection time and must
-        still fall back to the serial path (and retire the pool, whose
-        manager thread cannot be trusted after a failed work-item
-        pickle)."""
-        executor = ShardExecutor(2)
-        locks = [threading.Lock(), threading.Lock()]  # unpicklable args
-        results = executor.map(_first_arg, [(lock,) for lock in locks], validate=False)
-        assert results == locks
-        # The executor degraded to serial for good, but keeps answering.
-        assert not executor.parallel
-        assert executor.map(_first_arg, [(1,), (2,)], validate=False) == [1, 2]
-        executor.close()
+    def test_validate_flag_still_dry_runs_the_pickle(self):
+        """``validate`` is accepted positionally and ignored: an
+        unpicklable workload takes the serial path before submission,
+        and the pool stays up."""
+        with ShardExecutor(2) as ex:
+            locks = [threading.Lock(), threading.Lock()]  # unpicklable args
+            assert ex.map(_first_arg, [(lock,) for lock in locks], False) == locks
+            assert ex.parallel
+            assert ex.map(_square, [(2,), (3,)], False) == [4, 9]
 
     def test_unpicklable_tasks_fall_back_to_serial(self):
         # A lock cannot cross a process boundary; the map must quietly
@@ -165,9 +169,37 @@ class TestShardExecutor:
             out = ex.map(_type_name, [(threading.Lock(),), (threading.Lock(),)])
         assert out == ["lock", "lock"]
 
-    def test_rejects_negative_workers(self):
-        with pytest.raises(ValueError):
-            ShardExecutor(-1)
+    @pytest.mark.parametrize(
+        "name,value",
+        [
+            ("workers", -1),
+            ("workers", 2.5),
+            ("workers", True),
+            ("workers", "2"),
+            ("max_shards", 2.5),
+            ("max_shards", 0),
+            ("min_shard_items", True),
+            ("min_shard_items", None),
+            ("min_shard_trials", 0),
+        ],
+    )
+    def test_rejects_bad_parameters_at_construction(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            ShardExecutor(**{name: value})
+
+    def test_accepts_any_integral_parameter(self):
+        ex = ShardExecutor(workers=np.int64(2), max_shards=np.int64(8))
+        assert (ex.workers, ex.max_shards) == (2, 8)
+        assert type(ex.workers) is int and type(ex.max_shards) is int
+        with repro.connect(UDatabase(), workers=np.int64(2)) as db:
+            assert db.executor.workers == 2
+
+    @pytest.mark.parametrize("workers", [2.5, True, "2", -1])
+    def test_connect_and_serve_reject_bad_worker_counts(self, workers):
+        with pytest.raises(ValueError, match="workers"):
+            repro.connect(UDatabase(), workers=workers)
+        with pytest.raises(ValueError, match="workers"):
+            repro.serve(UDatabase(), workers=workers)
 
 
 def _square(x):

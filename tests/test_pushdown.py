@@ -47,10 +47,10 @@ from repro.algebra.printer import unparse_query
 from repro.algebra.pushdown import push, strip
 from repro.algebra.relations import Relation
 from repro.algebra.tree import children, fold, rebuild, walk
+from repro.generators.tpdb import add_tuple_independent
 from repro.urel import UDatabase, UEvaluator, URelation, enumerate_worlds
 from repro.urel.conditions import Condition
 from repro.urel.variables import VariableTable
-from repro.util.parallel import ShardExecutor
 from repro.worlds import evaluate_worlds
 
 SCHEMAS = {
@@ -513,19 +513,40 @@ def test_explain_gains_one_line_on_the_pipeline_shape(monkeypatch):
     ]
 
 
-def test_the_join_is_rated_on_its_filtered_operand():
-    executor = ShardExecutor(2, min_shard_pairs=20_000)
-    try:
-        with repro.connect(pipeline_database(), workers=executor) as db:
-            lines = str(db.explain(PIPELINE)).splitlines()
-            unfiltered = len(db.relation("R")) * len(db.relation("S"))
-    finally:
-        executor.close()
-    # All 400 × 400 candidate pairs would fan out; the 20 rows the copy
-    # keeps of R, merged with S, do not.
-    assert len(executor.plan_pairs(unfiltered)) > 1
-    assert lines[4:6] == [
-        "      join  ·columnar[numpy]·sharded[2]·below-threshold",
-        "        select[A < 20]  ·pushed",
-    ]
-    assert lines[1].startswith("conf[P]  ·sharded[2]")
+def test_the_join_is_rated_on_its_filtered_operand(monkeypatch):
+    """A tuple-independent R carries one variable per row: all 400 rows
+    are past the columnar envelope's ``max_vars``, the 40 the pushed copy
+    keeps are not.  The join is rated on the operand it merges."""
+    db = pipeline_database()
+    half = Fraction(1, 2)
+    add_tuple_independent(db, "R", ("A", "B"), [((a, a % 4), half) for a in range(400)])
+    query = "conf[P](project[B](select[A < 40](join(R, S))))"
+
+    def join_line():
+        with repro.connect(db, workers=2) as session:
+            lines = str(session.explain(query)).splitlines()
+        return next(line.strip() for line in lines if line.strip().startswith("join"))
+
+    assert join_line() == "join  ·columnar[numpy]"
+    _without_the_pass(monkeypatch)
+    assert join_line() == "join  ·scalar[indexed]"
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_explain_evaluates_each_subtree_once(monkeypatch, workers):
+    """The join annotations and the conf census read the same subtrees;
+    the pass evaluates each once, however many nodes inspect it."""
+    calls = {BaseRel: 0, Join: 0}
+    for kind in calls:
+        handler = UEvaluator.HANDLERS[kind]
+
+        def counted(evaluator, node, *results, handler=handler, kind=kind):
+            calls[kind] += 1
+            return handler(evaluator, node, *results)
+
+        monkeypatch.setitem(UEvaluator.HANDLERS, kind, counted)
+    query = "conf[P](project[B](join(join(R, S), select[C < 40](S))))"
+    with repro.connect(pipeline_database(), workers=workers) as db:
+        lines = [line.strip() for line in str(db.explain(query)).splitlines()]
+    assert [line for line in lines if line.startswith("join")] == ["join  ·columnar[numpy]"] * 2
+    assert calls == {BaseRel: 3, Join: 2}

@@ -283,22 +283,6 @@ def test_an_exception_mid_request_leaves_the_server_healthy():
 
 
 # ------------------------------------------------------- a deferred relation
-class _Counting(ShardExecutor):
-    """Counts the pair-merge plans the columnar join asks of it."""
-
-    def __init__(self, workers: int):
-        super().__init__(workers)
-        self.plans = 0
-
-    def plan_pairs(self, n_pairs):
-        self.plans += 1
-        return super().plan_pairs(n_pairs)
-
-    def plan_all_pairs(self, n_left, n_right):
-        self.plans += 1
-        return super().plan_all_pairs(n_left, n_right)
-
-
 def _safe_join_database() -> UDatabase:
     """R(A, B) ⋈ S(B, C), 32 tuple-independent rows each: inside the
     columnar envelope (64 variables), and a safe plan over them."""
@@ -310,17 +294,28 @@ def _safe_join_database() -> UDatabase:
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_a_deferred_relation_is_read_on_the_session_executor(workers):
+def test_a_deferred_relation_is_read_on_the_session_executor(workers, monkeypatch):
+    from repro.algebra.operators import Join
+    from repro.urel.evaluate import UEvaluator
+
+    join = UEvaluator.HANDLERS[Join]
+    join_scopes = []
+
+    def spy(self, node, *operands):
+        join_scopes.append(current_scope().executor)
+        return join(self, node, *operands)
+
     query = "project[B](join(R, S))"
     eager = repro.connect(_safe_join_database(), strategy="exact-decomposition")
-    with eager, _Counting(workers) as executor:
+    with eager, ShardExecutor(workers) as executor:
         want = eager.query(query).relation
+        monkeypatch.setitem(UEvaluator.HANDLERS, Join, spy)
         with repro.connect(_safe_join_database(), workers=executor) as db:
             result = db.query(query)
-            assert result._answered() is not None and executor.plans == 0
+            assert result._answered() is not None and join_scopes == []
             assert _is_serial_scope(current_scope())
             relation = result.relation
-            assert executor.plans > 0
+            assert join_scopes == [executor]
     assert relation.columns == want.columns
     assert sorted(map(repr, relation.rows)) == sorted(map(repr, want.rows))
 

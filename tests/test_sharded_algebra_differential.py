@@ -1,7 +1,8 @@
-"""Cross-worker differential suite for the sharded columnar algebra.
+"""Cross-worker differential suite for the algebra under sharded confidence.
 
-The PR that shards the columnar product/join pair merges (and the σ̂
-candidate loop) rides on one hard claim: *parallelism changes wall-clock
+The relational algebra runs in process; the confidence batches, trial
+budgets and σ̂ candidate loop above it fan out over a session's
+executor.  Both ride on one hard claim: *parallelism changes wall-clock
 time, never answers*.  This suite attacks the claim differentially:
 
 * random query trees (joins / products / selects / projects / unions
@@ -13,9 +14,9 @@ time, never answers*.  This suite attacks the claim differentially:
   duplicate-heavy dedups, pairs whose conditions all conflict,
   cross-type ``3`` vs ``3.0`` values (the conflation-taint scalar
   fallback), boundary-sized relations — is pinned as fixed regressions;
-* the profitable-shard-size threshold (``min_shard_pairs`` /
-  ``plan_pairs``) is unit-tested at its boundary, together with the
-  ``explain`` ``·sharded[n]·below-threshold`` warning it drives;
+* ``explain`` annotates product/join nodes with the operator engine
+  alone, identically at every worker count, and conf nodes with
+  ``·sharded[n]`` / ``·below-threshold``;
 * the σ̂ candidate fan-out is checked across worker counts in both the
   wide regime (candidate-parallel, pre-spawned per-candidate streams)
   and the narrow regime (sequential candidates, per-value trial
@@ -42,6 +43,7 @@ import repro
 from repro.algebra.builder import rel
 from repro.algebra.expressions import col, lit
 from repro.engine.plan import BELOW_THRESHOLD
+from repro.generators.tpdb import add_tuple_independent
 from repro.urel.conditions import Condition
 from repro.urel.udatabase import UDatabase
 from repro.urel.urelation import URelation
@@ -59,17 +61,15 @@ _EXECUTORS: dict[int, ShardExecutor] = {}
 def _executor(workers: int | None) -> ShardExecutor | None:
     """A cached small-threshold executor (pool shared across examples).
 
-    ``min_shard_pairs=64`` / ``min_shard_items=2`` make hypothesis-sized
-    workloads fan out for real; the plan stays a pure function of the
+    ``min_shard_items=2`` / ``min_shard_trials=256`` make hypothesis-sized
+    confidence workloads fan out for real; the plan stays a pure function of the
     workload, so the determinism contract under test is the production
     one — only the profitability constants are scaled down.
     """
     if workers is None:
         return None  # connect(workers=None): the default serial executor
     if workers not in _EXECUTORS:
-        _EXECUTORS[workers] = ShardExecutor(
-            workers, min_shard_pairs=64, min_shard_items=2, min_shard_trials=256
-        )
+        _EXECUTORS[workers] = ShardExecutor(workers, min_shard_items=2, min_shard_trials=256)
     return _EXECUTORS[workers]
 
 
@@ -191,16 +191,16 @@ class TestSeedCorpus:
         [
             (0, 0),  # plain join
             (1, 6),  # self product (shared encodings both sides)
-            (711, 5),  # join chain: columnar-born intermediates re-shard
+            (711, 5),  # join chain: columnar-born intermediates re-join
             (3, 8),  # union after join/project with column re-alignment
-            (7, 2),  # select+project over sharded join survivors
+            (7, 2),  # select+project over join survivors
         ],
     )
     def test_shrunk_corpus(self, seed, q_index):
         _assert_matrix_agrees(seed, q_index)
 
     def test_empty_operand_edges(self):
-        """Zero-row sides: the shard plan must degrade to clean no-ops."""
+        """Zero-row sides: the pair merges must degrade to clean no-ops."""
         for engine, workers in _matrix_cells():
             db = _make_db(11)
             db.set_relation("S", URelation.from_rows(("B", "C"), []))
@@ -211,7 +211,7 @@ class TestSeedCorpus:
 
     def test_all_pairs_inconsistent(self):
         """Every candidate pair's conditions conflict: empty survivors
-        from every shard, deduped once, on every cell."""
+        from every block, deduped once, on every cell."""
         w = VariableTable()
         w.add(("k", 0), {0: Fraction(1, 2), 1: Fraction(1, 2)})
         left = URelation.from_rows(
@@ -245,7 +245,7 @@ class TestSeedCorpus:
 
     def test_cross_type_conflation_taint_under_sharding(self):
         """``3`` vs ``3.0`` in joined columns: the conflation taint must
-        force the same scalar fallback on sharded numpy cells as on
+        force the same scalar fallback on pooled numpy cells as on
         serial ones (decoded results stay setwise equal everywhere)."""
         w = VariableTable()
         w.add(("c", 0), {0: Fraction(1, 2), 1: Fraction(1, 2)})
@@ -271,20 +271,20 @@ class TestSeedCorpus:
 
 
 class TestPairBlockBounds:
-    def test_all_pairs_shard_reblocks_when_right_exceeds_budget(self):
+    def test_all_pairs_reblocks_when_right_exceeds_budget(self):
         """A right operand bigger than the pair budget must not defeat
         the ~128MB transient cap: one left row's pairs are re-cut by the
         inner block loop, and the output is identical either way."""
-        from repro.urel.columnar import _all_pairs_shard
+        from repro.urel.columnar import _all_pairs
 
         left_conds = np.array([[0], [1], [-1], [0], [1]], dtype=np.int64)
         right_conds = np.array([[i % 3 - 1] for i in range(10)], dtype=np.int64)
         left_data = np.arange(5, dtype=np.int64).reshape(5, 1)
         right_data = np.arange(10, 20, dtype=np.int64).reshape(10, 1)
-        args = (left_conds, right_conds, left_data, right_data, [0], 0, 5, 10)
-        unbounded = _all_pairs_shard(*args, 10**6)
+        args = (left_conds, right_conds, left_data, right_data, [0], 5, 10)
+        unbounded = _all_pairs(*args, 10**6)
         # block=3 < n_right=10: every row-chunk re-blocks internally.
-        reblocked = _all_pairs_shard(*args, 3)
+        reblocked = _all_pairs(*args, 3)
         assert np.array_equal(unbounded[0], reblocked[0])
         assert np.array_equal(unbounded[1], reblocked[1])
         assert unbounded[0].shape[0] > 0
@@ -296,18 +296,17 @@ class TestPairBlockBounds:
         re-materialized scalar relation that would flunk min_rows."""
         db = _make_db(4)
         tiny_left = rel("R").select(col("A").eq(1))  # far below min_rows
-        executor = ShardExecutor(4, min_shard_pairs=16)
+        executor = ShardExecutor(4)
         session = repro.connect(db, rng=1, workers=executor)
         plan = session.explain(tiny_left.join(rel("S")))
         assert plan.root.operator == "join"
-        assert plan.root.path.startswith("columnar[numpy]·sharded[4]"), plan.root.path
+        assert plan.root.path == "columnar[numpy]", plan.root.path
         session.close()
         executor.close()
 
     def test_explain_reports_scalar_for_unliftable_join(self):
         """Relations the runtime refuses to lift (cross-type conflation
-        taint) must not be annotated ·sharded — they run the scalar
-        serial operator whatever the worker count."""
+        taint) are annotated as the scalar operator they run."""
         w = VariableTable()
         w.add(("c", 0), {0: Fraction(1, 2), 1: Fraction(1, 2)})
         mixed = URelation.from_rows(
@@ -321,7 +320,7 @@ class TestPairBlockBounds:
         db = UDatabase(w=w)
         db.set_relation("M", mixed)
         db.set_relation("P", probe)
-        executor = ShardExecutor(4, min_shard_pairs=64)
+        executor = ShardExecutor(4)
         # Not `auto`: step 0 would answer this all-certain plan, and a
         # plan it answers runs no join (`·deferred`).
         session = repro.connect(
@@ -332,6 +331,24 @@ class TestPairBlockBounds:
         assert plan.root.path == "scalar[indexed]", plan.root.path
         session.close()
         executor.close()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_explain_join_annotation_ignores_the_worker_count(self, workers):
+        """300 tuple-independent rows a side put the join past
+        ``max_vars``: the runtime runs the scalar operator at every
+        worker count, and explain says so at every worker count."""
+        db = UDatabase()
+        half = Fraction(1, 2)
+        add_tuple_independent(db, "R", ("A", "B"), [((a, a % 10), half) for a in range(300)])
+        add_tuple_independent(db, "S", ("B", "C"), [((c % 10, c), half) for c in range(300)])
+        with repro.connect(db, strategy="karp-luby", workers=workers) as session:
+            lines = str(session.explain("conf[P](project[B](join(R, S)))")).splitlines()
+        assert lines[2:] == [
+            "  project[B]  ·columnar[numpy]",
+            "    join  ·scalar[indexed]",
+            "      scan[R]",
+            "      scan[S]",
+        ]
 
 
 # -------------------------------------------------------- σ̂ candidate fan-out
@@ -504,76 +521,8 @@ class TestCandidateFanOutDeterminism:
         assert len(executor.plan_items(4)) <= 1
 
 
-# --------------------------------------------------- threshold boundary units
+# --------------------------------------------------- explain annotations
 class TestProfitableShardSizeBoundary:
-    def test_plan_pairs_boundary(self):
-        executor = ShardExecutor(4, min_shard_pairs=100)
-        assert executor.plan_pairs(199) == [(0, 199)]
-        assert len(executor.plan_pairs(200)) == 2
-        assert executor.plan_pairs(0) == []
-        # Worker count never shapes the plan.
-        assert executor.plan_pairs(1000) == ShardExecutor(1, min_shard_pairs=100).plan_pairs(1000)
-
-    def test_plan_pairs_sizes_sum_and_cap(self):
-        executor = ShardExecutor(2, min_shard_pairs=10, max_shards=7)
-        shards = executor.plan_pairs(1000)
-        assert len(shards) == 7
-        assert shards[0][0] == 0 and shards[-1][1] == 1000
-        assert all(a < b for a, b in shards)
-        sizes = [b - a for a, b in shards]
-        assert sum(sizes) == 1000 and max(sizes) - min(sizes) <= 1
-
-    def test_plan_all_pairs_boundary(self):
-        """The product schedule: left-row ranges, ≥ min_shard_pairs pairs each."""
-        executor = ShardExecutor(4, min_shard_pairs=100)
-        # 10 left rows × 50 right rows: 2-row shards (100/50), capped at 5.
-        shards = executor.plan_all_pairs(10, 50)
-        assert len(shards) == 5 and shards[-1][1] == 10
-        # A skinny left side cannot fan out however big the right is.
-        assert executor.plan_all_pairs(1, 10**6) == [(0, 1)]
-        # Empty sides never shard.
-        assert executor.plan_all_pairs(0, 50) == []
-        assert executor.plan_all_pairs(10, 0) == []
-        # Worker count never shapes the plan.
-        assert shards == ShardExecutor(1, min_shard_pairs=100).plan_all_pairs(10, 50)
-
-    def test_explain_warns_below_threshold(self):
-        """The README's "when serial wins" guidance, mechanized: the same
-        node flips from ·sharded[4] to ·sharded[4]·below-threshold at
-        the ``min_shard_pairs`` boundary — products on the all-pairs
-        (left-row-range) schedule, key joins on the pair-count one.
-        Explain consults the very same plan methods the operators run."""
-        db = _make_db(2, n_r=40, n_s=36)
-        # Random rows dedup setwise, so measure the real row counts.
-        n1 = len(db.relation("R").rows)
-        n2 = len(db.relation("S").rows)
-        assert n1 >= 2 and n2 >= 2
-
-        def root_path(q, min_shard_pairs: int, operator: str) -> str:
-            executor = ShardExecutor(4, min_shard_pairs=min_shard_pairs)
-            session = repro.connect(db, rng=1, workers=executor)
-            plan = session.explain(q)
-            session.close()
-            assert plan.root.operator == operator
-            return plan.root.path
-
-        product = rel("R").product(rel("S").rename({"B": "D", "C": "E"}))
-        # min_shard_pairs == n2: one left row per shard — profitable.
-        assert root_path(product, n2, "product") == "columnar[numpy]·sharded[4]"
-        # min_shard_pairs == n1·n2: the whole product is one shard.
-        assert (
-            root_path(product, n1 * n2, "product")
-            == f"columnar[numpy]·sharded[4]·{BELOW_THRESHOLD}"
-        )
-
-        join = rel("R").join(rel("S"))  # shares B: the plan_pairs schedule
-        pairs = n1 * n2
-        assert root_path(join, pairs // 2, "join") == "columnar[numpy]·sharded[4]"
-        assert (
-            root_path(join, pairs // 2 + 1, "join")
-            == f"columnar[numpy]·sharded[4]·{BELOW_THRESHOLD}"
-        )
-
     def test_scalar_backend_never_carries_shard_annotation(self):
         session = repro.connect(scalar_only(_make_db(2)), rng=1, workers=_executor(4))
         plan = session.explain(rel("R").product(rel("S").rename({"B": "D", "C": "E"})))
@@ -614,7 +563,7 @@ class TestProfitableShardSizeBoundary:
     def test_borrowed_executor_survives_session_close(self):
         """A ShardExecutor passed into connect() is borrowed: closing one
         sharing session must not degrade the others to serial."""
-        executor = ShardExecutor(2, min_shard_pairs=64)
+        executor = ShardExecutor(2)
         first = repro.connect(_make_db(1), rng=1, workers=executor)
         second = repro.connect(_make_db(2), rng=1, workers=executor)
         first.close()

@@ -159,7 +159,7 @@ def connect(db, workers, **kw):
     if workers == "custom":
         return repro.connect(
             db,
-            workers=ShardExecutor(2, min_shard_pairs=64, min_shard_items=2, min_shard_trials=256),
+            workers=ShardExecutor(2, min_shard_items=2, min_shard_trials=256),
             **kw,
         )
     return repro.connect(db, workers=int(workers), **kw)
