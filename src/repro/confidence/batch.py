@@ -32,15 +32,14 @@ one shared block of world samples — the draw-once, evaluate-everything
 pattern behind ``ProbDB.confidence_all``; :func:`batch_naive_confidence`
 is its one-disjunction case.
 
-Every block entry point runs on the run scope's
-:class:`~repro.util.parallel.ShardExecutor` (:mod:`repro.util.scope`;
-the process-wide serial one outside every scope): the trial budget is
-cut into blocks by the executor's worker-count-independent plan, each
-block draws from a generator seeded by its *block index*
-(:func:`~repro.util.parallel.shard_seed`), and the block statistics
-merge by trial-count weighting (positives and trials simply sum, so the
-estimate X·M/m is the weighted mean of the block estimates).  Results
-are bit-identical for any worker count.
+Every block entry point cuts its trial budget by one fixed plan
+(:func:`~repro.util.parallel.plan_trials`), draws block ``i`` from a
+generator seeded by ``(one parent draw, i)``
+(:func:`~repro.util.parallel.shard_seed`), in process, and merges the
+block statistics by trial-count weighting (positives and trials simply
+sum, so the estimate X·M/m is the weighted mean of the block
+estimates).  Results depend on the budget and the parent draw only —
+never on a worker count or a shard plan.
 """
 
 from __future__ import annotations
@@ -56,9 +55,8 @@ import numpy as np
 from repro.confidence import bounds
 from repro.confidence.dnf import Dnf
 from repro.urel.conditions import Var
-from repro.util.parallel import shard_seed
+from repro.util.parallel import plan_trials, shard_seed
 from repro.util.rng import ensure_rng
-from repro.util.scope import current_scope
 from repro.worlds.database import Prob
 
 __all__ = [
@@ -263,7 +261,7 @@ def _np_karp_luby_block(enc: _EncodedDnf, n: int, nrng) -> int:
 
 
 # --------------------------------------------------------------------------
-# Shard tasks: per-block trial workers (module level, so they pickle)
+# Per-block trial kernels (module level: top-k's race ships them to workers)
 # --------------------------------------------------------------------------
 
 
@@ -275,31 +273,26 @@ def _karp_luby_trial_block(enc: _EncodedDnf, n: int, seed: int) -> int:
 def _shared_trial_block(encoders: list[_EncodedDnf], n: int, seed: int) -> list[int]:
     """Per-disjunction positives against ONE seeded block of ``n`` worlds.
 
-    The block is shared *within* the task (every DNF sees the same
-    worlds, preserving the correlation structure of
-    :func:`shared_block_confidences`); across tasks the blocks are
-    independent and their counts merge by trial-count weighting.
+    The block is shared by every DNF (the same worlds, preserving the
+    correlation structure of :func:`shared_block_confidences`); the
+    blocks of one budget are independent and their counts merge by
+    trial-count weighting.
     """
     block = _np_sample_block(encoders[0], n, np.random.default_rng(seed))
     return [int(_np_satisfaction(enc, block).any(axis=1).sum()) for enc in encoders]
 
 
 def _map_trial_blocks(kernel, enc, n_trials: int, rng: random.Random) -> list:
-    """Per-block ``kernel`` results for a budget cut by the run scope's trial plan.
+    """Per-block ``kernel`` results for a budget cut by :func:`plan_trials`.
 
     One parent draw seeds the whole budget; block ``i`` draws from
-    ``shard_seed(base, i)``, so the results depend on the plan and the
-    block index only — never on which worker ran the block.
+    ``shard_seed(base, i)``, in the calling process.
     """
-    executor = current_scope().executor
     base = rng.getrandbits(64)
-    return executor.map(
-        kernel,
-        [
-            (enc, count, shard_seed(base, i))
-            for i, count in enumerate(executor.plan_trials(n_trials))
-        ],
-    )
+    return [
+        kernel(enc, count, shard_seed(base, i))
+        for i, count in enumerate(plan_trials(n_trials))
+    ]
 
 
 # --------------------------------------------------------------------------
@@ -317,11 +310,10 @@ class BatchKarpLubySampler:
     ``snapshot`` read the statistics so far.  The Figure 3 algorithm
     refines by repeatedly calling ``run(|F|)``.
 
-    :meth:`run` cuts each requested budget into blocks by the run
-    scope's (worker-count-independent) trial plan, seeds block ``i``
-    from ``(one parent draw, i)``, and sums the block positives — the
-    trial-count-weighted merge of the block estimates.  Estimates are
-    bit-identical for every worker count.
+    :meth:`run` cuts each requested budget into blocks by
+    :func:`~repro.util.parallel.plan_trials`, seeds block ``i`` from
+    ``(one parent draw, i)``, and sums the block positives — the
+    trial-count-weighted merge of the block estimates.
     """
 
     def __init__(self, dnf: Dnf, rng: random.Random | int | None = None):
@@ -456,10 +448,11 @@ def shared_block_confidences(
     not once per result tuple.  Estimates for degenerate disjunctions
     are exact and draw nothing.  All disjunctions must share one W table.
 
-    The sample budget is cut into blocks by the run scope's trial plan
-    (each still shared by every DNF *within* the block, so the per-block
-    correlation structure is preserved); per-DNF positives sum across
-    blocks — the trial-count-weighted merge.
+    The sample budget is cut into blocks by
+    :func:`~repro.util.parallel.plan_trials` (each still shared by every
+    DNF *within* the block, so the per-block correlation structure is
+    preserved); per-DNF positives sum across blocks — the
+    trial-count-weighted merge.
     """
     generator = ensure_rng(rng)
     results: list[NaiveEstimate | None] = [None] * len(dnfs)

@@ -38,17 +38,15 @@ instantiated as ``cls(eps=..., delta=...)``.
 A strategy that fans out reads ``current_scope().executor``
 (:mod:`repro.util.scope`): the session's
 :class:`~repro.util.parallel.ShardExecutor` inside a request, the
-process-wide serial one outside every run scope.  A per-tuple DNF list
-long enough to cut is sharded by the executor's worker-count-independent
-plan, each shard computed under a generator derived from its *shard
-index*, and results concatenated in shard order; shorter batches shard
-each tuple's trial budget instead — bit-identical for every worker
-count either way.
+process-wide serial one outside every run scope.  Every per-tuple DNF
+list is one fan-out list: tuple ``i`` draws from
+``shard_seed(base, i)``, ``base`` one draw from the caller's generator,
+and the executor's plan only decides how the list is cut — so answers
+are bit-identical for every worker count and every shard plan.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import random
 from contextlib import nullcontext
@@ -59,11 +57,9 @@ from collections.abc import Sequence
 from repro.confidence.batch import (
     batch_approximate_confidence,
     batch_naive_confidence,
-    karp_luby_ratio,
     naive_sample_size_additive,
     shared_block_confidences,
 )
-from repro.confidence.bounds import karp_luby_sample_size
 from repro.confidence.dissociation import (
     DEFAULT_BOUND_BUDGET,
     BoundInterval,
@@ -75,7 +71,7 @@ from repro.confidence.exact import (
     probability_by_decomposition,
     probability_by_enumeration,
 )
-from repro.util.parallel import ShardExecutor
+from repro.util.parallel import ShardExecutor, shard_seed
 from repro.util.scope import current_scope, run_scope
 from repro.worlds.database import Prob
 
@@ -140,21 +136,6 @@ class ConfidenceReport:
         return float(self.value)
 
 
-def _accepting_executor(method):
-    """``method``, also taking the ``executor`` argument of the pre-scope protocol.
-
-    ``None`` (what such a strategy forwards when the engine calls it)
-    changes nothing; a given executor serves the call as its run scope's.
-    """
-
-    @functools.wraps(method)
-    def call(self, *args, executor=None, **kwargs):
-        with _scope_on(executor):
-            return method(self, *args, **kwargs)
-
-    return call
-
-
 def _scope_on(executor: "ShardExecutor | None"):
     """A run scope on ``executor``; if it is ``None``, none (the caller's stays)."""
     return nullcontext() if executor is None else run_scope(executor=executor)
@@ -167,9 +148,9 @@ class ConfidenceStrategy:
 
     consumes_rng: bool = True
     """Whether :meth:`compute`/:meth:`compute_batch` may draw from the
-    caller's generator.  Exact strategies set this ``False`` so a
-    sharded all-exact batch does not spend one ``getrandbits(64)`` of
-    session entropy on shard seeds its workers never use — which in turn
+    caller's generator.  Exact strategies set this ``False`` so an
+    all-exact batch does not spend one ``getrandbits(64)`` of session
+    entropy on item seeds it never uses — which in turn
     lets the serving layer's global cache budget evict exact entries
     without shifting the session's sampled stream.  Third parties keep
     the conservative default."""
@@ -197,74 +178,49 @@ class ConfidenceStrategy:
         """Name of the concrete method :meth:`compute` would run on ``dnf``."""
         return self.name
 
-    def trial_budget(self, dnf: Dnf) -> int:
-        """Monte-Carlo trials :meth:`compute` would spend on ``dnf`` (0 = exact).
-
-        The cost-model hook behind ``explain``'s "when serial wins"
-        annotation: a conf operator whose per-tuple DNF list is too
-        short to shard can still fan out profitably when some tuple's
-        trial budget alone fills worker-sized blocks
-        (:meth:`~repro.util.parallel.ShardExecutor.plan_trials`).  Exact
-        strategies spend none, so they report 0.
-        """
-        return 0
-
-    def __init_subclass__(cls, **kwargs):
-        """Let the subclass's methods take the old ``executor`` (:func:`_accepting_executor`)."""
-        super().__init_subclass__(**kwargs)
-        for name in ("compute", "compute_batch"):
-            if name in cls.__dict__:
-                setattr(cls, name, _accepting_executor(cls.__dict__[name]))
-
     def compute(self, dnf: Dnf, rng: random.Random) -> ConfidenceReport:
         """Compute the weight of ``dnf`` (sampling, if at all, from ``rng``)."""
         raise NotImplementedError
 
-    @_accepting_executor
     def compute_batch(self, dnfs: Sequence[Dnf], rng: random.Random) -> list[ConfidenceReport]:
         """Confidences for a whole batch of disjunctions (one per tuple).
 
-        A list long enough for the run scope's ``executor.plan_items`` to
-        cut is sharded: the plan and each shard's generator depend on the
-        workload and the shard *index* only (never on the worker count),
-        so the concatenated result is bit-identical at any parallelism.
-        The strategy itself travels to the workers, which is why strategy
-        instances must stay picklable and must not hold executors.  A
-        shorter list runs :meth:`compute` per DNF in the caller's run
-        scope, so each tuple's trial budget can shard instead.  Sampling
-        strategies override this to amortize trial drawing across the
-        batch (shared world blocks).
+        Each DNF is an item of one fan-out list (:meth:`_map_items`), so
+        every tuple gets an independent run, as Corollary 4.3 does, and
+        the answers depend on neither the worker count nor the shard
+        plan.  The strategy itself travels to the workers, which is why
+        strategy instances must stay picklable and must not hold
+        executors.  Sampling strategies override this to amortize trial
+        drawing across the batch (shared world blocks).
         """
         return self._map_items(self.compute, dnfs, rng)
 
     def _map_items(self, compute, items: Sequence, rng: random.Random) -> list:
-        """``compute(item, rng)`` per item: the sharding of :meth:`compute_batch`.
+        """``compute(item, generator)`` per item, mapped on the run scope's executor.
 
-        ``compute`` is a bound method of this (picklable) strategy, so it
-        travels to the workers with the shard; the items are whatever it
-        takes — a ``Dnf``, or a DNF with what routing learned about it.
+        Item ``i`` gets ``random.Random(shard_seed(base, i))``, ``base``
+        one draw from ``rng``; a strategy that never samples
+        (:attr:`consumes_rng` false) draws nothing and builds no
+        generator — its items get ``None``.  ``compute`` is a bound
+        method of this (picklable) strategy, so it travels to the
+        workers with the shard; the items are whatever it takes — a
+        ``Dnf``, or a DNF with what routing learned about it.
         """
-        executor = current_scope().executor
-        if len(executor.plan_items(len(items))) > 1:
-            # A strategy that never samples needs no shard entropy; a
-            # fixed base keeps the shard-seed derivation uniform without
-            # touching the session stream (the workers ignore their
-            # generators).
-            base = rng.getrandbits(64) if self.consumes_rng else 0
-            return executor.map_items(
-                _strategy_shard_task, list(items), compute, seed_base=base
-            )
-        return [compute(item, rng) for item in items]
+        if self.consumes_rng and items:
+            base = rng.getrandbits(64)
+            seeded = [(item, shard_seed(base, i)) for i, item in enumerate(items)]
+        else:
+            seeded = [(item, None) for item in items]
+        return current_scope().executor.map_items(_strategy_shard_task, seeded, compute)
 
     def __repr__(self) -> str:
         """Return ``<strategy 'name'>``."""
         return f"<strategy {self.name!r}>"
 
 
-def _strategy_shard_task(items: list, compute, seed: int) -> list[ConfidenceReport]:
-    """One shard of a sharded ``compute_batch`` (module level: pickles)."""
-    rng = random.Random(seed)
-    return [compute(item, rng) for item in items]
+def _strategy_shard_task(items: list, compute) -> list[ConfidenceReport]:
+    """One shard of :meth:`ConfidenceStrategy._map_items` (module level: pickles)."""
+    return [compute(item, None if seed is None else random.Random(seed)) for item, seed in items]
 
 
 # Kept for the frozen ``benchmarks/e2e`` harness, which imports these two
@@ -408,15 +364,6 @@ class KarpLuby(ConfidenceStrategy):
         """Name and (ε, δ)."""
         return (self.name, self.eps, self.delta)
 
-    def trial_budget(self, dnf: Dnf) -> int:
-        """Proposition 4.2's m for ``dnf`` (0 on degenerate disjunctions)."""
-
-        # Degenerate disjunctions (empty, trivially true, single clause)
-        # are answered exactly by the sampler without drawing a trial.
-        if dnf.is_empty or dnf.is_trivially_true or dnf.size == 1:
-            return 0
-        return karp_luby_sample_size(self.eps, self.delta, dnf.size)
-
     def compute(self, dnf: Dnf, rng: random.Random) -> ConfidenceReport:
         """Draw ``dnf``'s whole Proposition 4.2 budget from ``rng``."""
         estimate = batch_approximate_confidence(dnf, self.eps, self.delta, rng)
@@ -454,12 +401,6 @@ class NaiveMonteCarlo(ConfidenceStrategy):
         """Name and (ε, δ)."""
         return (self.name, self.eps, self.delta)
 
-    def trial_budget(self, dnf: Dnf) -> int:
-        """The Hoeffding sample size (0 on degenerate disjunctions)."""
-        if dnf.is_empty or dnf.is_trivially_true:
-            return 0
-        return naive_sample_size_additive(self.eps, self.delta)
-
     def _report(self, dnf: Dnf, estimate) -> ConfidenceReport:
         exact = dnf.is_empty or dnf.is_trivially_true
         return ConfidenceReport(
@@ -479,11 +420,12 @@ class NaiveMonteCarlo(ConfidenceStrategy):
         return self._report(dnf, estimate)
 
     def compute_batch(self, dnfs: Sequence[Dnf], rng: random.Random) -> list[ConfidenceReport]:
-        """Estimate every DNF against one shared world budget.
+        """Estimate every DNF against one shared world budget, in process.
 
-        The budget is split by the run scope's trial plan into blocks
-        (each still shared by every tuple) whose counts merge by
-        trial-count weighting.
+        The budget is cut into blocks by the one block plan (each still
+        shared by every tuple) whose counts merge by trial-count
+        weighting; the list itself is never cut, so the batch never fans
+        out.
         """
         samples = naive_sample_size_additive(self.eps, self.delta)
         estimates = shared_block_confidences(dnfs, samples, rng)
@@ -635,13 +577,6 @@ class AutoStrategy(ConfidenceStrategy):
     def choose(self, dnf: Dnf) -> str:
         """Apply the class docstring's decision rule to ``dnf``."""
         return self._route(dnf)[0]
-
-    def trial_budget(self, dnf: Dnf) -> int:
-        """The enclosure-sized budget where ``dnf`` routes to step 5, else 0."""
-        method, interval = self._route(dnf)
-        if method != KarpLuby.name:
-            return 0
-        return karp_luby_sample_size(self.eps, self.delta, karp_luby_ratio(dnf, interval.lower))
 
     def _sample(self, routed: tuple[Dnf, BoundInterval], rng: random.Random) -> ConfidenceReport:
         """Step 5 on a ``(dnf, enclosure)`` pair: sized by, and clipped into, the enclosure."""

@@ -49,18 +49,13 @@ from repro.algebra.builder import Q
 from repro.algebra.pushdown import PUSH_ERRORS
 from repro.confidence.dissociation import BoundInterval
 from repro.confidence.dnf import Dnf
-from repro.core.approximator import (
-    PredicateApproximator,
-    PredicateDecision,
-    decide_candidates_shard,
-)
+from repro.core.approximator import PredicateDecision, decide_candidates_shard
 from repro.core.error_bounds import AnnotatedRelation, cap
 from repro.urel.conditions import TOP
 from repro.urel.evaluate import UEvaluator
 from repro.urel.udatabase import UDatabase
 from repro.urel.urelation import URelation, URow
 from repro.util.parallel import shard_seed
-from repro.util.rng import spawn_rng
 from repro.util.scope import RunScope, current_scope
 
 __all__ = ["ApproxQueryEvaluator", "DecisionRecord", "UnreliableInputError"]
@@ -407,34 +402,25 @@ class ApproxQueryEvaluator(UEvaluator):
         intervals: list[dict[str, BoundInterval] | None],
         scope: RunScope,
     ) -> list[PredicateDecision]:
-        """Figure 3 decisions for the sorted σ̂ candidates, fanned out when wide.
+        """Figure 3 decisions for the sorted σ̂ candidates, one fan-out item each.
 
-        With enough candidates to cut
-        (:meth:`~repro.util.parallel.ShardExecutor.plan_items` — a
-        function of the candidate count only), candidates are decided
-        concurrently: one pre-spawned stream per candidate, seeded from
-        its *position* in the sorted candidate order, and the
-        per-candidate Figure 3 runs keep their whole allocation in one
-        worker.  Results are bit-identical at every worker count
-        because both the plan and the seeds ignore the worker count.
-
-        Narrow selections keep the sequential loop: one stream spawned
-        per candidate from the evaluator generator in candidate order,
-        with each value's trial allocation sharded *within* the
-        candidate.
+        Candidate ``i`` of the sorted order draws from
+        ``shard_seed(base, i)``, ``base`` one draw from the evaluator
+        generator, and keeps its whole allocation in the process that
+        decides it; the run scope's executor only decides how the list
+        is cut, so the decisions are bit-identical at every worker
+        count and shard plan.
 
         With a bound budget, each candidate's approximator first
         tries to certify the predicate from its dissociation bound
         ``intervals``; certified candidates return a zero-error decision
-        without drawing a trial.  Candidate streams are positional
-        (wide path) or burned per candidate in order (sequential path),
-        so pruning some candidates never shifts the streams of the
-        candidates that still sample.
+        without drawing a trial.  Streams are positional, so pruning
+        some candidates never shifts the streams of the candidates that
+        still sample.
 
         A decision that drew no trial (exact, or certified by bounds)
         does not depend on l: within a run scope (a driver run) it is
-        made once and handed back at every later doubling, its stream
-        still burned.
+        made once and handed back at every later doubling.
         """
         budget = scope.bounds_budget
         settled = scope.memo.settled.setdefault(
@@ -442,41 +428,20 @@ class ApproxQueryEvaluator(UEvaluator):
         )
         keys = [(cand, tuple(map(id, dnfs.values()))) for cand, _env, dnfs in specs]
         decisions: list[PredicateDecision | None] = [settled.get(key) for key in keys]
-        executor = scope.executor
-        if len(executor.plan_items(len(specs))) > 1:
-            base = self.rng.getrandbits(64)
-            open_ = [i for i, decision in enumerate(decisions) if decision is None]
-            fresh = executor.map_items(
-                decide_candidates_shard,
-                [(specs[i][2], specs[i][1], shard_seed(base, i), intervals[i]) for i in open_],
-                node.predicate,
-                self.eps0,
-                self.rounds,
-                self.decision_delta,
-                self.epsilon_method,
-                budget,
-            )
-            for i, decision in zip(open_, fresh):
-                decisions[i] = decision
-        else:
-            for i, ((_cand, cand_env, dnfs), boxes) in enumerate(zip(specs, intervals)):
-                rng = spawn_rng(self.rng)
-                if decisions[i] is not None:
-                    continue
-                approximator = PredicateApproximator(
-                    node.predicate,
-                    dnfs,
-                    self.eps0,
-                    rng,
-                    constants=cand_env,
-                    epsilon_method=self.epsilon_method,
-                    bounds_budget=budget,
-                    intervals=boxes,
-                )
-                if self.rounds is not None:
-                    decisions[i] = approximator.run_rounds(self.rounds)
-                else:
-                    decisions[i] = approximator.decide(self.decision_delta)
+        base = self.rng.getrandbits(64) if specs else 0
+        open_ = [i for i, decision in enumerate(decisions) if decision is None]
+        fresh = scope.executor.map_items(
+            decide_candidates_shard,
+            [(specs[i][2], specs[i][1], shard_seed(base, i), intervals[i]) for i in open_],
+            node.predicate,
+            self.eps0,
+            self.rounds,
+            self.decision_delta,
+            self.epsilon_method,
+            budget,
+        )
+        for i, decision in zip(open_, fresh):
+            decisions[i] = decision
         for key, decision in zip(keys, decisions):
             if decision.exact or decision.certified_by_bounds:
                 settled[key] = decision

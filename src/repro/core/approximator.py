@@ -419,10 +419,7 @@ def decide_candidates_shard(
     pruning is off).  The per-candidate Figure 3 runs never
     nest a pool of their own (a task runs in the serial run scope, which
     is also why ``bounds_budget`` travels in the task): each candidate's
-    trial allocation is one worker's
-    work by construction, which is exactly what makes candidate fan-out
-    profitable for wide selections where per-value trial sharding has
-    nothing left to cut.
+    trial allocation is drawn in the process that decides it.
     """
     decisions = []
     for values, constants, seed, intervals in specs:

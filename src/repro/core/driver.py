@@ -104,13 +104,10 @@ def evaluate_with_guarantee(
     decisions, so every stochastic value's whole (ε, δ)-derived
     allocation of l·|Fᵢ| Karp–Luby trials is drawn as one vectorized
     block rather than trial by trial.  The run scope's executor
-    (:mod:`repro.util.scope`) fans the σ̂ work out over worker
-    processes: wide selections decide their candidate
-    tuples *concurrently* (one pre-spawned stream per candidate, seeded
-    by its position in the sorted candidate order), while narrow ones
-    distribute each value's trial allocation as deterministic per-block
-    budgets instead — the regime switch depends only on the candidate
-    count, so results stay bit-identical at any worker count.
+    (:mod:`repro.util.scope`) fans each σ̂'s candidate tuples out over
+    worker processes, each candidate drawing from a stream seeded by its
+    position in the sorted candidate order, so results stay
+    bit-identical at any worker count and shard plan.
 
     ``bounds_budget`` (``None``/0 disables) enables dissociation bound
     pruning: every Karp–Luby value is seeded with its guaranteed bound

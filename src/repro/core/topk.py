@@ -35,15 +35,14 @@ refinement set; the race ends when every candidate is decided or every
 undecided candidate has reached its full (ε, δ) budget — exact ties at
 the boundary therefore terminate instead of racing forever.
 
-**Determinism contract.**  The shard plan is a function of the refine
-set's size and the round budget only (``plan_items`` over the
-candidate count); each candidate draws from its own positional stream
+**Determinism contract.**  Each round's refine set is one fan-out list
+(``map_items``); each candidate draws from its own positional stream
 ``shard_seed(shard_seed(base, index), round)`` where ``base`` is one
 parent draw and ``index`` the candidate's rank in the deterministic
-candidate order, and per-block positives merge by trial-count weighting
-exactly as the batch sampler's executor path does.  Results are
-bit-identical for every worker count, and the final ranking breaks ties by candidate order —
-so ``topk`` is reproducible tuple-for-tuple.
+candidate order, and per-round positives merge by trial-count weighting
+exactly as the batch sampler's blocks do.  Results are bit-identical for
+every worker count and shard plan, and the final ranking breaks ties by
+candidate order — so ``topk`` is reproducible tuple-for-tuple.
 """
 
 from __future__ import annotations

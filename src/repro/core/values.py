@@ -103,9 +103,10 @@ class KarpLubyValue(ApproximableValue):
 
     A :class:`~repro.confidence.batch.BatchKarpLubySampler` draws each
     refinement round's |F| trials (and multi-round allocations, see
-    :meth:`refine_many`) in vectorized blocks on the run scope's
-    executor (:mod:`repro.util.scope`), which cuts each allocation into
-    per-block budgets merged by trial-count weighting.
+    :meth:`refine_many`) in vectorized blocks, in process: each
+    allocation is cut by the one block plan
+    (:func:`~repro.util.parallel.plan_trials`) and the block counts merge
+    by trial-count weighting.
     """
 
     def __init__(self, dnf: Dnf, rng: random.Random | int | None = None):

@@ -41,6 +41,7 @@ from repro.algebra.pushdown import strip
 from repro.algebra.tree import children, lazy
 from repro.confidence.dissociation import DEFAULT_BOUND_BUDGET
 from repro.confidence.extensional import EXTENSIONAL
+from repro.confidence.strategies import NaiveMonteCarlo
 from repro.util.scope import current_scope
 
 if TYPE_CHECKING:
@@ -198,23 +199,18 @@ def _sharded_path(executor, fans_out: bool) -> str:
     return path
 
 
-def _conf_path(strategy, dnfs, candidates: int | None = None) -> str | None:
-    """The sharded annotation of a conf-family operator, if any.
+def _conf_path(items: int, shared_block: bool = False) -> str | None:
+    """The sharded annotation of a conf-family node over ``items`` fan-out items.
 
-    Mirrors the runtime's two levers: the per-tuple DNF list (σ̂: its
-    ``candidates``) shards when ``plan_items`` cuts it, and a batch too
-    short to cut still fans out when some tuple's Monte-Carlo budget
-    alone fills worker blocks (``plan_trials`` of
-    :meth:`ConfidenceStrategy.trial_budget`).
+    The node fans out iff the run scope's ``plan_items`` cuts its item
+    list — per-tuple DNFs, σ̂ candidates, top-k candidates — the rule the
+    runtime follows.  A ``shared_block`` batch (naive-mc weighs every
+    tuple against one world block) never cuts its list.
     """
     executor = _pool()
     if executor is None:
         return None
-    items = len(dnfs) if candidates is None else candidates
-    fans_out = len(executor.plan_items(items)) > 1 or any(
-        len(executor.plan_trials(strategy.trial_budget(dnf))) > 1 for dnf in dnfs
-    )
-    return _sharded_path(executor, fans_out)
+    return _sharded_path(executor, not shared_block and len(executor.plan_items(items)) > 1)
 
 
 def _tally(strategy: "ConfidenceStrategy", dnfs) -> dict[str, int]:
@@ -280,8 +276,7 @@ class _PlanPass:
 
         The list doubles as the workload the shard cost model inspects:
         its length is what :meth:`~repro.util.parallel.ShardExecutor.plan_items`
-        cuts, and each member's :meth:`ConfidenceStrategy.trial_budget` is
-        what :meth:`~repro.util.parallel.ShardExecutor.plan_trials` cuts.
+        cuts.
         """
         return self.evaluator.lineage(self.relation(node))[1]
 
@@ -360,7 +355,7 @@ class _PlanPass:
             below = child()
             dnfs = self.tuple_dnfs(node.child)
             methods = _tally(self.strategy, dnfs)
-            path = _conf_path(self.strategy, dnfs)
+            path = _conf_path(len(dnfs), self.strategy.name == NaiveMonteCarlo.name)
         return PlanNode(
             "conf",
             node.p_name,
@@ -383,8 +378,8 @@ class _PlanPass:
 
     def _approx_conf(self, node: ApproxConf, child: PlanNode) -> PlanNode:
         dnfs = self.tuple_dnfs(node.child)
-        # aconf always runs Karp–Luby at the node's own (ε, δ); the cost
-        # model must rate its budgets, not the session strategy's.
+        # aconf always runs Karp–Luby at the node's own (ε, δ), not the
+        # session strategy.
         node_sampler = self.evaluator.aconf_strategy(node)
         return PlanNode(
             "aconf",
@@ -392,7 +387,7 @@ class _PlanPass:
             strategy=node_sampler.name,
             methods={node_sampler.name: len(dnfs)},
             children=(child,),
-            path=_conf_path(node_sampler, dnfs),
+            path=_conf_path(len(dnfs)),
         )
 
     def _approx_select(self, node: ApproxSelect, child: PlanNode) -> PlanNode:
@@ -403,17 +398,12 @@ class _PlanPass:
         # evaluator for the same join over the observed (present) keys;
         # phantom-derived keys from approximate subtrees can only add
         # candidates, so a node annotated as fanning out certainly does.
-        # A narrow selection still fans out when some group DNF's
-        # Monte-Carlo budget alone fills worker blocks — the sequential
-        # candidate loop shards each value's trial allocation (the
-        # session strategy's budget stands in for the runtime's l·|F|
-        # rounds).
         strategy = self.strategy
         candidates, group_dnfs = self.evaluator.sigma_candidates(
             node, self.relation(node.child)
         )
         dnfs = [dnf for by_key in group_dnfs for dnf in by_key.values()]
-        path = _conf_path(strategy, dnfs, len(candidates.rows))
+        path = _conf_path(len(candidates.rows))
         # Group DNFs the driver's bound pruning certifies outright: not
         # degenerate (those are free for every method) but with an exact
         # dissociation interval — e.g. repair-key alternatives.
@@ -488,7 +478,7 @@ def topk_plan(
             interval.is_exact for interval in evaluator.enclosures(dnfs, DEFAULT_BOUND_BUDGET)
         )
         path = f"topk[{k}]·{BOUNDS_PRUNED}[{pruned}/{len(dnfs)}]"
-        sharded = _conf_path(strategy, dnfs)
+        sharded = _conf_path(len(dnfs))
         if sharded is not None:
             path = f"{path}·{sharded}"
     root = PlanNode(

@@ -22,7 +22,7 @@ in a session are free.  Every confidence the session computes — ``conf``
 / ``cert`` / σ̂ inside a query, :meth:`ProbDB.confidence`,
 ``confidence_all``, per-row and top-k — is the session evaluator's
 ``lineage`` → ``confidences``, so they all share the strategy protocol,
-the shard plan and the memo — after its plan-level step 0
+the executor and the memo — after its plan-level step 0
 (``plan_confidences``), which under ``auto`` answers a safe plan over
 tuple-independent relations without building any lineage; every
 dissociation enclosure it needs —
@@ -71,7 +71,7 @@ __all__ = ["ProbDB", "connect"]
 # by them are safe for a *cross-session* budget evictor to drop: a later
 # identical request recomputes bit-identically without shifting the
 # session's sampled stream.  Everything else (sampling methods, even on
-# degenerate DNFs their batch machinery seeds shards; third-party
+# degenerate DNFs their batch machinery draws item seeds; third-party
 # methods we cannot vouch for) is pinned as volatile.  Dissociation
 # bounds qualify: exact Fraction arithmetic over the clause set, never a
 # trial.  So does a lifted plan: arithmetic over the probability column
@@ -104,17 +104,17 @@ def connect(
     seeds every stochastic subroutine of the session.  With ``copy``
     the session works on a private copy of the database.
 
-    Every session runs the one shard plan (:mod:`repro.util.parallel`):
-    confidence batches, Monte-Carlo trial budgets, driver round
-    allocations and σ̂ candidate decisions are cut into shards whose
-    results merge in shard order; the relational algebra runs in
-    process.  ``workers`` only sets how many processes run the
-    shards — results are *bit-identical for every worker count*.
-    Omitted, it is the ``REPRO_WORKERS`` environment variable or ``1``
-    (the shards run serially, in process).  Pass a
+    Confidence batches, σ̂ candidate decisions and top-k rounds are
+    fan-out lists cut into shards (:mod:`repro.util.parallel`); each
+    item draws from a stream seeded by its position, and the relational
+    algebra and every Monte-Carlo trial budget run in the process that
+    owns them.  ``workers`` only sets how many processes run the
+    shards — results are *bit-identical for every worker count and
+    shard plan*.  Omitted, it is the ``REPRO_WORKERS`` environment
+    variable or ``1`` (the shards run serially, in process).  Pass a
     :class:`~repro.util.parallel.ShardExecutor` instance instead of an
-    int to customize the shard plan parameters or to share one pool
-    across sessions.
+    int to cut lists more finely or to share one pool across
+    sessions.
 
     Example::
 
@@ -249,8 +249,8 @@ class ProbDB:
     every stochastic subroutine derives from (same seed + same request
     sequence = bit-identical answers), a per-session memo cache, and
     one :class:`~repro.util.parallel.ShardExecutor` (``db.executor`` —
-    always set; every way of opening a session runs the same shard
-    plan, ``workers`` only sizes the pool).
+    always set; ``workers`` only sizes the pool, and answers never
+    depend on it).
 
     The public surface, in the order a session typically uses it::
 
@@ -379,7 +379,7 @@ class ProbDB:
         if not self._cache.enabled:
             return self._evaluator.eval(node)
         fingerprint = query_fingerprint(node)
-        token = self._plan_cache_token(self.strategy)
+        token = self.strategy.cache_token
         cached = self._cache.get(("query", fingerprint, token, self.db.version, self.db.w.version))
         if cached is None:
             # A query whose evaluation *drew* from the session RNG
@@ -561,7 +561,6 @@ class ProbDB:
             result = self.query(node)
             if not self._cache.enabled:
                 return self._topk_compute(result, k, eps_v, delta_v)
-            token = self._plan_cache_token(self.strategy)
             key = (
                 "topk",
                 query_fingerprint(node),
@@ -569,7 +568,7 @@ class ProbDB:
                 eps_v,
                 delta_v,
                 scope.bounds_budget,
-                token,
+                self.strategy.cache_token,
                 self.db.version,
                 self.db.w.version,
             )
@@ -661,16 +660,8 @@ class ProbDB:
             return None
         return resolve_strategy(strategy, eps=self._eps, delta=self._delta)
 
-    def _plan_cache_token(self, strategy: ConfidenceStrategy) -> tuple:
-        # Answers are bit-identical at any worker count *given the plan*
-        # (the merge schedule of sampled estimates), so
-        # every memo key names the strategy configuration and the plan —
-        # entries computed under another schedule never cross-hit.
-        return strategy.cache_token + (self.executor.plan_token,)
-
     def _conf_cache_key(self, dnf: Dnf, strategy: ConfidenceStrategy) -> tuple:
-        token = self._plan_cache_token(strategy)
-        return ("conf", frozenset(dnf.members), self.db.w.version, token)
+        return ("conf", frozenset(dnf.members), self.db.w.version, strategy.cache_token)
 
     def confidence_all(
         self,

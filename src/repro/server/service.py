@@ -39,8 +39,8 @@ seed, strategy, request sequence) — never of scheduling.  Three
 mechanisms carry that through concurrency: per-session FIFO execution
 (scheduler), volatile cache entries pinned against the global budget
 evictor (so another tenant's memory pressure cannot shift a session's
-sampled stream — see :mod:`repro.server.budget`), and the shared
-executor's worker-count-independent shard plans.  The soak tests
+sampled stream — see :mod:`repro.server.budget`), and positional
+item streams that no worker count or shard plan can move.  The soak tests
 assert the result: bit-identical answers against fresh serial replays.
 
 **Fairness and back-pressure.**  Compute ops pass admission control:

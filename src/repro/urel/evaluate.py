@@ -139,9 +139,10 @@ class UEvaluator:
     ``strategy`` is the :class:`~repro.confidence.strategies.ConfidenceStrategy`
     object ``conf`` runs (``None``: exact decomposition, the Theorem 3.4
     subprocedure); ``rng`` seeds all approximate operators.  The
-    strategies' batches and the ``aconf`` trial budgets run on the run
+    strategies' batches, ``aconf``'s among them, fan out on the run
     scope's executor (:mod:`repro.util.scope`), bit-identically at every
-    worker count, and :meth:`enclosures` asks the run scope's memo.  When ``copy_db`` is
+    worker count and shard plan, and :meth:`enclosures` asks the run
+    scope's memo.  When ``copy_db`` is
     true the input database (including W) is left untouched and
     repair-key variables go into a private copy.
     """
@@ -336,14 +337,11 @@ class UEvaluator:
     def _approx_conf(self, node: ApproxConf, child):
         urel = self._materialize(child[0])
         rows, dnfs = self.lineage(urel)
-        # Corollary 4.3 is one independent Karp–Luby run per tuple, in
-        # row order.  Hence ``compute`` per DNF and not
-        # :meth:`confidences`: the batch would shard a list of 16 or more
-        # tuples and seed each shard, and a session's batch answers equal
-        # lineage once and from its memo — each a different trial stream,
-        # the last also one that repeats.
-        sampler = self.aconf_strategy(node)
-        values = [sampler.compute(dnf, self.rng).value for dnf in dnfs]
+        # Straight to the strategy, not through :meth:`confidences`: a
+        # session's memo would answer equal lineage once, and Corollary
+        # 4.3 gives every tuple its own Karp–Luby run.
+        reports = self.aconf_strategy(node).compute_batch(dnfs, self.rng)
+        values = [report.value for report in reports]
         return confidence_relation(urel.columns, node.p_name, rows, values), True
 
     def _poss(self, node: Poss, child):

@@ -19,25 +19,24 @@ path.
 Determinism is the hard contract, and it rests on two rules:
 
 1. **The shard plan never looks at the worker count.**
-   :meth:`ShardExecutor.plan_items` and :meth:`ShardExecutor.plan_trials`
-   partition a workload as a function of its *size* and the executor's
-   plan parameters only, so
-   sessions opened with ``workers=1`` and ``workers=64`` cut identical
-   shards.
+   :meth:`ShardExecutor.plan_items` partitions a list as a function of
+   its *length* and the executor's plan parameters only, so sessions
+   opened with ``workers=1`` and ``workers=64`` cut identical shards.
 
-2. **Each shard's randomness is a function of its shard index.**
-   :func:`spawn_shard_rng` derives the shard's generator from
-   ``(base entropy, shard index)`` — the indexed analogue of
-   :func:`repro.util.rng.spawn_rng` — never from pop order, completion
-   order, or worker identity.
+2. **An item's randomness is a function of its position.**  Item ``i``
+   of a fan-out list draws from ``shard_seed(base, i)``
+   (:func:`shard_seed`, :func:`spawn_shard_rng` — the indexed analogue
+   of :func:`repro.util.rng.spawn_rng`), where ``base`` is one draw from
+   the caller's generator; never from its shard, pop order, completion
+   order or worker identity.  A sampler's trial budget is cut by one
+   fixed plan (:func:`plan_trials`) and drawn in the process that owns
+   the item.
 
-Together these make sharded results *bit-identical* for every worker
-count, including the serial in-process path: parallelism changes
-wall-clock time, never answers.  (This is also what makes the fallback
-safe — an environment that cannot fork simply runs the same shards
-serially and produces the same bits.)  The plan parameters are part of
-the determinism contract: :attr:`ShardExecutor.plan_token` names them so
-memoization layers can key results on the merge schedule.
+Together these make results *bit-identical* for every worker count and
+every shard plan, including the serial in-process path: parallelism
+and the plan parameters change wall-clock time, never answers.  (This
+is also what makes the fallback safe — an environment that cannot fork
+simply runs the same items serially and produces the same bits.)
 
 **Start method.**  Worker processes need the *parent's* hash seed:
 shard kernels iterate sets whose order is hash-dependent (Shannon
@@ -87,6 +86,7 @@ __all__ = [
     "DEFAULT_MIN_SHARD_ITEMS",
     "DEFAULT_MIN_SHARD_TRIALS",
     "ShardExecutor",
+    "plan_trials",
     "SERIAL_EXECUTOR",
     "as_executor",
     "shard_seed",
@@ -102,7 +102,7 @@ DEFAULT_MIN_SHARD_ITEMS = 8
 """Fewest list items (e.g. per-tuple DNFs) worth a shard of their own."""
 
 DEFAULT_MIN_SHARD_TRIALS = 4096
-"""Fewest Monte-Carlo trials worth a block of their own."""
+"""Fewest Monte-Carlo trials worth a block of their own (see :func:`plan_trials`)."""
 
 _WORKERS_ENV = "REPRO_WORKERS"
 
@@ -116,24 +116,43 @@ def _splitmix64(x: int) -> int:
 
 
 def shard_seed(base: int, index: int) -> int:
-    """The seed of shard ``index`` under batch entropy ``base``.
+    """The seed of item (or trial block) ``index`` under batch entropy ``base``.
 
     A pure function of its arguments (no process state, no hash
     randomization), so every worker count — and every platform — derives
-    the same per-shard stream.
+    the same stream for item (or block) ``index``.
     """
     return _splitmix64(_splitmix64(base) ^ _splitmix64(index + 1))
 
 
 def spawn_shard_rng(base: int, index: int) -> random.Random:
-    """An independent generator for shard ``index`` (see :func:`shard_seed`).
+    """An independent generator for item ``index`` (see :func:`shard_seed`).
 
     The indexed counterpart of :func:`repro.util.rng.spawn_rng`: the
     parent contributes ``base`` (one ``getrandbits(64)`` draw per batch),
-    the shard contributes its index, and the child stream depends on
+    the item contributes its position, and the child stream depends on
     nothing else.
     """
     return random.Random(shard_seed(base, index))
+
+
+def plan_trials(n_trials: int) -> list[int]:
+    """Per-block trial counts for a budget of ``n_trials``: the one block plan.
+
+    At most :data:`DEFAULT_MAX_SHARDS` blocks, none smaller than
+    :data:`DEFAULT_MIN_SHARD_TRIALS`, sizes summing to exactly
+    ``n_trials`` — the Proposition 4.2 budget is preserved, merely
+    partitioned.  Block ``i`` of a budget draws from
+    ``shard_seed(base, i)``; the blocks run in process, so the plan
+    fixes the bits and nothing else.
+    """
+    if n_trials <= 0:
+        return []
+    blocks = min(DEFAULT_MAX_SHARDS, n_trials // DEFAULT_MIN_SHARD_TRIALS)
+    if blocks <= 1:
+        return [n_trials]
+    base, extra = divmod(n_trials, blocks)
+    return [base + (1 if i < extra else 0) for i in range(blocks)]
 
 
 def pool_start_method() -> str | None:
@@ -202,12 +221,11 @@ class ShardExecutor:
     """Deterministic shard-parallel map over a process pool.
 
     ``workers`` is the degree of parallelism: ``<= 1`` runs every shard
-    serially in process (bit-identical to any parallel run, by the plan
+    serially in process (bit-identical to any parallel run, by the
     contract above).  The plan parameters (``max_shards``,
-    ``min_shard_items``, ``min_shard_trials``) shape how workloads are
-    cut; two executors with equal plan parameters produce equal results
-    at any worker counts.  Oversubscription is allowed — asking for four
-    workers on one core is correct, just not faster.
+    ``min_shard_items``) set only how finely item lists are cut; every
+    executor produces equal results.  Oversubscription is allowed —
+    asking for four workers on one core is correct, just not faster.
     """
 
     def __init__(
@@ -215,12 +233,10 @@ class ShardExecutor:
         workers: int = 1,
         max_shards: int = DEFAULT_MAX_SHARDS,
         min_shard_items: int = DEFAULT_MIN_SHARD_ITEMS,
-        min_shard_trials: int = DEFAULT_MIN_SHARD_TRIALS,
     ):
         self.workers = _checked_count("workers", workers, 0)
         self.max_shards = _checked_count("max_shards", max_shards, 1)
         self.min_shard_items = _checked_count("min_shard_items", min_shard_items, 1)
-        self.min_shard_trials = _checked_count("min_shard_trials", min_shard_trials, 1)
         self._pool = None
         self._pool_broken = False
         self._closed = False
@@ -231,17 +247,6 @@ class ShardExecutor:
         self._pool_lock = threading.Lock()
 
     # ----------------------------------------------------------- the plan
-    @property
-    def plan_token(self) -> tuple:
-        """Hashable identity of the merge schedule (NOT the worker count).
-
-        Results depend on how work is *cut*, never on how many workers
-        run the cuts, so the token names only the plan parameters.  Memo
-        caches include it so estimates computed under different schedules
-        never share an entry.
-        """
-        return ("shards", self.max_shards, self.min_shard_items, self.min_shard_trials)
-
     def plan_items(self, n_items: int) -> list[tuple[int, int]]:
         """Contiguous ``[start, stop)`` shards over a list of ``n_items``.
 
@@ -259,22 +264,6 @@ class ShardExecutor:
         for i in range(shards):
             bounds.append(bounds[-1] + base + (1 if i < extra else 0))
         return list(zip(bounds, bounds[1:]))
-
-    def plan_trials(self, n_trials: int) -> list[int]:
-        """Per-block trial counts for a budget of ``n_trials``.
-
-        Same contract as :meth:`plan_items`: at most ``max_shards``
-        blocks, none smaller than ``min_shard_trials``, sizes summing to
-        exactly ``n_trials`` — the Proposition 4.2 budget is preserved,
-        merely partitioned.
-        """
-        if n_trials <= 0:
-            return []
-        blocks = min(self.max_shards, n_trials // self.min_shard_trials)
-        if blocks <= 1:
-            return [n_trials]
-        base, extra = divmod(n_trials, blocks)
-        return [base + (1 if i < extra else 0) for i in range(blocks)]
 
     # ------------------------------------------------------------ running
     @property
@@ -310,25 +299,19 @@ class ShardExecutor:
             return False
         return True
 
-    def map_items(
-        self, fn: Callable, items: Sequence, *args, seed_base: int | None = None
-    ) -> list:
+    def map_items(self, fn: Callable, items: Sequence, *args) -> list:
         """``fn(items[start:stop], *args)`` per :meth:`plan_items` shard, flattened.
 
         The one "cut a list, map the shards, concatenate in shard order"
         schedule behind every list-shaped fan-out (strategy batches,
         bound batches, top-k rounds, σ̂ candidates).  ``fn`` returns one
-        result per item.  With ``seed_base`` each call also receives
-        ``shard_seed(seed_base, shard index)`` as its last argument.
-        Runs through :meth:`map`, so the same fallbacks apply.
+        result per item; an item that samples carries its own positional
+        seed, so the cut never reaches an answer.  Runs through
+        :meth:`map`, so the same fallbacks apply.
         """
         tasks = [
             (items[start:stop], *args) for start, stop in self.plan_items(len(items))
         ]
-        if seed_base is not None:
-            tasks = [
-                task + (shard_seed(seed_base, i),) for i, task in enumerate(tasks)
-            ]
         return [result for shard in self.map(fn, tasks) for result in shard]
 
     def map(self, fn: Callable, tasks: Sequence[tuple], validate: bool = True) -> list:

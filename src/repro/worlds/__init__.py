@@ -8,16 +8,8 @@ from repro.worlds.evaluate import (
     evaluate_worlds,
 )
 from repro.worlds.repair import RepairError, key_repairs
-from repro.worlds.sampling import (
-    SampledConfidences,
-    sample_world,
-    sampled_query_confidences,
-)
 
 __all__ = [
-    "SampledConfidences",
-    "sample_world",
-    "sampled_query_confidences",
     "PossibleWorldsDB",
     "World",
     "Prob",

@@ -35,9 +35,9 @@ class _Counting(ExactEnumeration):
     def __init__(self):
         self.seen: list[frozenset] = []
 
-    def compute(self, dnf, rng, executor=None):
+    def compute(self, dnf, rng):
         self.seen.append(frozenset(dnf.members))
-        return super().compute(dnf, rng, executor=executor)
+        return super().compute(dnf, rng)
 
 
 N_TUPLES = 6

@@ -275,7 +275,6 @@ class TestEnclosureSizedBudget:
             Dnf([Condition({("x", 0): 1, ("x", 1): 1})], w),
         ):
             auto = _sampling_auto()
-            assert auto.trial_budget(dnf) == 0
             assert auto.compute(dnf, random.Random(0)).samples == 0
             estimate = batch_approximate_confidence(dnf, 0.3, 0.2, 0, lower=Fraction(0))
             assert estimate.samples == 0 and estimate.exact
@@ -313,50 +312,32 @@ class TestEnclosureSizedBudget:
         for dnf in _loose_dnfs():
             report = strategy.compute(dnf, random.Random(1))
             assert report.samples == karp_luby_sample_size(0.1, 0.05, dnf.size)
-            assert report.samples == strategy.trial_budget(dnf)
             assert report.lower is None and report.upper is None
 
     def test_auto_sizes_by_its_enclosure(self):
-        auto, paper = AutoStrategy(0.1, 0.05), KarpLuby(0.1, 0.05)
+        auto = AutoStrategy(0.1, 0.05)
         for dnf in _loose_dnfs()[:3]:
             interval = dissociation_interval(dnf, auto.bounds_budget)
             report = auto.compute(dnf, random.Random(1))
             assert report.method == "karp-luby"
             assert (report.lower, report.upper) == (interval.lower, interval.upper)
-            assert report.samples == auto.trial_budget(dnf) == karp_luby_sample_size(
+            assert report.samples == karp_luby_sample_size(
                 0.1, 0.05, karp_luby_ratio(dnf, interval.lower)
             )
-            assert report.samples < paper.trial_budget(dnf)
+            assert report.samples < karp_luby_sample_size(0.1, 0.05, dnf.size)
 
     def test_results_bit_identical_across_workers(self):
-        """Unsharded, trial-sharded and item-sharded (``(dnf, enclosure)`` pairs) runs."""
+        """Default-plan and item-cut runs (``(dnf, enclosure)`` pairs), one answer."""
         db = _circulant_db(4)
         answers = []
         for workers in (None, 2):
             with repro.connect(db, workers=workers, rng=5, eps=0.2, delta=0.1) as session:
                 answers.append(session.confidence_all("H"))
         for workers in (1, 2):
-            executor = ShardExecutor(workers, min_shard_items=1, min_shard_trials=512)
+            executor = ShardExecutor(workers, min_shard_items=1)
             with executor, repro.connect(
                 db, workers=executor, rng=5, eps=0.2, delta=0.1
             ) as session:
                 answers.append(session.confidence_all("H"))
         assert all(r.method == "karp-luby" for r in answers[0].values())
-        assert answers[0] == answers[1]
-        assert answers[2] == answers[3]
-
-    def test_explain_rates_the_budget_that_runs(self, monkeypatch):
-        """``explain``'s shard rating asks ``plan_trials`` for each report's ``samples``."""
-        with repro.connect(_circulant_db(3), workers=2, rng=2) as db:
-            rated = []
-
-            def plan_trials(n_trials):
-                rated.append(n_trials)
-                return [n_trials]  # one block: the rating visits every DNF
-
-            monkeypatch.setattr(db.executor, "plan_trials", plan_trials)
-            db.explain("conf[P](H)")
-            monkeypatch.undo()
-            reports = db.confidence_all("H")
-        assert rated == [reports[row].samples for row in sorted(reports)]
-        assert all(0 < m < karp_luby_sample_size(0.1, 0.01, 24) for m in rated)
+        assert all(answer == answers[0] for answer in answers[1:])

@@ -194,17 +194,17 @@ class TestDissociationBoundsStrategy:
         auto = resolve_strategy("auto")
         dnf = _repair_key_dnf()  # 17 clauses: past the small-exact gate
         assert auto.choose(dnf) == "dissociation-bounds"
-        assert auto.trial_budget(dnf) == 0
         report = auto.compute(dnf, random.Random(0))
         assert report.strategy == "auto"
         assert report.method == "dissociation-bounds"
         assert report.value == Fraction(17, 20)
+        assert report.samples == 0
 
     def test_auto_keeps_sampling_for_loose_instances(self):
         auto = resolve_strategy("auto")
         dnf = bipartite_2dnf(12, 12, 0.5, rng=7)
         assert auto.choose(dnf) == "karp-luby"
-        assert auto.trial_budget(dnf) > 0
+        assert auto.compute(dnf, random.Random(0)).samples > 0
 
     def test_protocol_roundtrips_interval(self):
         strategy = resolve_strategy("dissociation-bounds")

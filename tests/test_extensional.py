@@ -330,12 +330,12 @@ class TestScreens:
             def choose(self, dnf):
                 return self.inner.choose(dnf)
 
-            def compute(self, dnf, rng, executor=None):
-                return self.compute_batch([dnf], rng, executor)[0]
+            def compute(self, dnf, rng):
+                return self.compute_batch([dnf], rng)[0]
 
-            def compute_batch(self, dnfs, rng, executor=None):
+            def compute_batch(self, dnfs, rng):
                 self.seen += len(dnfs)
-                return self.inner.compute_batch(dnfs, rng, executor=executor)
+                return self.inner.compute_batch(dnfs, rng)
 
         db, text = ti_database(3, n_rows=(5, 7)), "project[B](join(R, S))"
         wrapper = Delegating(AutoStrategy())

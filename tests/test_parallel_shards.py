@@ -5,8 +5,9 @@ Three claim families:
 * **Determinism matrix** — the tentpole contract: with one seed, every
   sharded entry point (``confidence_all``, ``evaluate_with_guarantee``,
   the Karp–Luby samplers) returns *bit-identical* results for
-  ``workers ∈ {1, 2, 4}``.  The shard plan and the per-shard generators are functions
-  of the workload and the shard index only — never of the worker count.
+  ``workers ∈ {1, 2, 4}`` and for every shard plan.  Item ``i`` of a
+  fan-out list draws from its position, ``shard_seed(base, i)``; the plan
+  only decides how the list is cut.
 * **Session safety** — the memo cache is LRU (a hot entry survives
   churn) and lock-protected; the U-database/W-table version counters
   mutate atomically, exercised by a threaded stress test over one
@@ -39,7 +40,14 @@ from repro.urel.conditions import Condition
 from repro.urel.udatabase import UDatabase
 from repro.urel.urelation import URelation
 from repro.urel.variables import VariableTable
-from repro.util.parallel import ShardExecutor, shard_seed, spawn_shard_rng
+from repro.util.parallel import (
+    DEFAULT_MAX_SHARDS,
+    DEFAULT_MIN_SHARD_TRIALS,
+    ShardExecutor,
+    plan_trials,
+    shard_seed,
+    spawn_shard_rng,
+)
 from repro.util.scope import run_scope
 
 # None is the session (or library call) that omits ``workers``: it runs
@@ -97,8 +105,6 @@ class TestShardExecutor:
         for n in (0, 1, 7, 8, 16, 63, 64, 1000, 12345):
             plans = {w: ShardExecutor(w).plan_items(n) for w in (0, 1, 2, 4, 64)}
             assert len(set(map(tuple, plans.values()))) == 1
-            trial_plans = {w: ShardExecutor(w).plan_trials(n) for w in (0, 1, 2, 4, 64)}
-            assert len(set(map(tuple, trial_plans.values()))) == 1
 
     def test_plan_items_partitions_exactly(self):
         ex = ShardExecutor(4)
@@ -120,13 +126,13 @@ class TestShardExecutor:
         assert sum(sizes) == 1000 and max(sizes) - min(sizes) <= 1
 
     def test_plan_trials_preserves_budget(self):
-        ex = ShardExecutor(4)
         for n in (1, 4095, 4096, 8191, 8192, 1_000_000):
-            blocks = ex.plan_trials(n)
+            blocks = plan_trials(n)
             assert sum(blocks) == n
-            assert len(blocks) <= ex.max_shards
+            assert len(blocks) <= DEFAULT_MAX_SHARDS
             if len(blocks) > 1:
-                assert min(blocks) >= ex.min_shard_trials
+                assert min(blocks) >= DEFAULT_MIN_SHARD_TRIALS
+        assert not hasattr(ShardExecutor, "plan_trials")
 
     def test_shard_seed_pure_and_distinct(self):
         seeds = [shard_seed(123, i) for i in range(64)]
@@ -180,7 +186,6 @@ class TestShardExecutor:
             ("max_shards", 0),
             ("min_shard_items", True),
             ("min_shard_items", None),
-            ("min_shard_trials", 0),
         ],
     )
     def test_rejects_bad_parameters_at_construction(self, name, value):
@@ -318,8 +323,8 @@ class TestDeterminismMatrix:
         assert _all_equal([shared(w) for w in WORKER_MATRIX])
 
     def test_single_tuple_confidence(self):
-        """result.confidence(row) / tuple_confidence also shards (its one
-        tuple's trial budget) and stays identical across worker counts."""
+        """result.confidence(row) / tuple_confidence stays identical
+        across worker counts (its one tuple's budget is drawn in process)."""
 
         def run(workers):
             session = repro.connect(
@@ -338,15 +343,14 @@ class TestDeterminismMatrix:
         assert _all_equal(results)
         assert results[0][1] > 0  # genuinely sampled
 
-    def test_aconf_operator_uses_session_executor(self):
-        """``aconf[ε, δ, P](R)`` draws each tuple's budget on the session's
-        executor — the same call a strategy makes."""
+    def test_aconf_operator_draws_each_tuple_from_its_position(self):
+        """``aconf[ε, δ, P](R)`` is the Karp–Luby strategy's batch: tuple
+        ``i`` runs under ``shard_seed(base, i)``, ``base`` one draw from
+        the session stream, at every worker count."""
         eps, delta = 0.2, 0.1
 
         def run(workers):
-            session = repro.connect(
-                _sampled_db(n_tuples=1), rng=13, workers=workers
-            )
+            session = repro.connect(_sampled_db(n_tuples=3), rng=13, workers=workers)
             with session:
                 result = session.query(f"aconf[{eps}, {delta}, P](R)")
                 return sorted(result.relation.to_complete().rows)
@@ -354,19 +358,24 @@ class TestDeterminismMatrix:
         results = [run(w) for w in (None, 1, 2)]
         assert _all_equal(results)
 
-        relation = _sampled_db(n_tuples=1).relation("R")
-        dnf = Dnf.for_tuple(relation, (0,), _sampled_db(n_tuples=1).w)
-        expected = batch_approximate_confidence(dnf, eps, delta, rng=13)
-        assert expected.samples > 0  # genuinely sampled
-        assert results[0] == [(0, expected.estimate)]
+        db = _sampled_db(n_tuples=3)
+        base = random.Random(13).getrandbits(64)
+        expected = []
+        for i in range(3):
+            dnf = Dnf.for_tuple(db.relation("R"), (i,), db.w)
+            estimate = batch_approximate_confidence(
+                dnf, eps, delta, rng=random.Random(shard_seed(base, i))
+            )
+            assert estimate.samples > 0  # genuinely sampled
+            expected.append((i, estimate.estimate))
+        assert results[0] == expected
 
     def test_workers_one_merges_like_many(self):
-        """The serial path IS the sharded plan: a hand-merged per-block
-        rerun reproduces workers=1 exactly (trial-count weighting)."""
+        """The block loop is the one block plan: a hand-merged per-block
+        rerun reproduces the sampler exactly (trial-count weighting)."""
         dnf = _one_dnf()
-        executor = ShardExecutor(1)
         sampler = BatchKarpLubySampler(dnf, rng=77)
-        with run_scope(executor=executor):
+        with run_scope(executor=ShardExecutor(1, max_shards=1)):
             sampler.run(20_000)
 
         base = random.Random(77).getrandbits(64)
@@ -374,9 +383,116 @@ class TestDeterminismMatrix:
 
         positives = sum(
             _karp_luby_trial_block(sampler._enc, count, shard_seed(base, i))
-            for i, count in enumerate(executor.plan_trials(20_000))
+            for i, count in enumerate(plan_trials(20_000))
         )
+        assert len(plan_trials(20_000)) > 1
         assert positives == sampler.positives
+
+
+# ------------------------------------------------------- the shard plan contract
+PLAN_MATRIX = [(w, a, b) for w in (1, 2) for a in (1, 3, 16) for b in (1, 2, 8)]
+
+
+def _sigma_db(n_groups: int, clauses: int = 3, seed: int = 5) -> UDatabase:
+    """One σ̂ candidate per group ``A``: three clauses over eight shared variables."""
+    rng = random.Random(seed)
+    w = VariableTable()
+    for i in range(8):
+        w.add(("v", i), {0: Fraction(1, 2), 1: Fraction(1, 2)})
+    rows = [
+        (Condition({("v", rng.randrange(8)): rng.randint(0, 1) for _ in range(2)}), (g,))
+        for g in range(n_groups)
+        for _ in range(clauses)
+    ]
+    db = UDatabase(w=w)
+    db.set_relation("R", URelation.from_rows(("A",), rows))
+    return db
+
+
+def _k33_db(targets=(0.08, 0.85, 0.2, 0.45, 0.3, 0.6, 0.5, 0.35, 0.7, 0.25, 0.4, 0.55)):
+    """One K_{3,3} lineage per tuple, its confidence near ``targets[t]``:
+    the enclosures leave the race something to sample."""
+    w = VariableTable()
+    rows = []
+    for t, target in enumerate(targets):
+        q = Fraction(1.0 - (1.0 - target**0.5) ** (1.0 / 3.0)).limit_denominator(64)
+        for side in "xy":
+            for i in range(3):
+                w.add((side, t, i), {1: q, 0: 1 - q})
+        rows += [
+            (Condition({("x", t, a): 1, ("y", t, b): 1}), (t,))
+            for a in range(3)
+            for b in range(3)
+        ]
+    db = UDatabase(w=w)
+    db.set_relation("R", URelation.from_rows(("A",), rows))
+    return db
+
+
+def _fan_out_transcript(workers) -> list:
+    """The answers of every fan-out point, each on a fresh session seeded alike."""
+    from repro.algebra.builder import rel
+    from repro.algebra.expressions import col, lit
+    from repro.confidence.strategies import AutoStrategy
+
+    out = []
+    sampling_auto = AutoStrategy(0.4, 0.2, max_exact_size=0, bounds_budget=0)
+    for strategy in ("karp-luby", "naive-mc", sampling_auto):
+        with repro.connect(
+            _sampled_db(n_tuples=20), strategy=strategy, eps=0.4, delta=0.2, rng=11,
+            workers=workers,
+        ) as db:
+            reports = db.confidence_all("R")
+            out.append(sorted((row, _report_key(rep)) for row, rep in reports.items()))
+    with repro.connect(_sampled_db(n_tuples=20), rng=13, workers=workers) as db:
+        out.append(sorted(db.query("aconf[0.3, 0.2, P](R)").relation.to_complete().rows))
+    q = rel("R").approx_select(col("P1") > lit(0.4), groups=[["A"]])
+    for n_groups in (4, 20):
+        with repro.connect(
+            _sigma_db(n_groups), strategy="exact-decomposition", rng=9, workers=workers
+        ) as db:
+            rep = db.evaluate_with_guarantee(q, delta=0.2, eps0=0.25, bounds_budget=0)
+            out.append((
+                sorted(map(repr, rep.relation.rows)),
+                rep.rounds,
+                [(d.data, d.decision.value, d.decision.total_trials) for d in rep.decisions],
+            ))
+    with repro.connect(_k33_db(), eps=0.2, delta=0.05, rng=7, workers=workers) as db:
+        rep = db.topk("R", 3, bounds_budget=0)
+        out.append((
+            [(e.row, e.value, e.trials, e.source) for e in rep.entries],
+            rep.total_trials,
+            rep.rounds,
+        ))
+    return out
+
+
+@pytest.fixture(scope="module")
+def default_plan_transcript():
+    """The answers of a session that omits ``workers`` (the default plan)."""
+    transcript = _fan_out_transcript(None)
+    # Every fan-out point must sample for the comparison to mean much.
+    for reports in transcript[:3]:
+        assert any(samples > 0 for _row, (_v, samples, _m, _e) in reports)
+    for _rows, _rounds, decisions in transcript[4:6]:
+        assert any(trials > 0 for _data, _value, trials in decisions)
+    assert transcript[6][1] > 0
+    return transcript
+
+
+@pytest.mark.parametrize(
+    "workers,max_shards,min_shard_items",
+    PLAN_MATRIX,
+    ids=[f"w{w}-a{a}-b{b}" for w, a, b in PLAN_MATRIX],
+)
+def test_answers_ignore_the_worker_count_and_the_shard_plan(
+    default_plan_transcript, workers, max_shards, min_shard_items
+):
+    """``confidence_all`` (karp-luby, naive-mc, a sampling ``auto``), an
+    ``aconf`` query, the Theorem 6.7 driver on 4 and 20 σ̂ candidates and
+    ``topk`` answer alike under every executor, however finely it cuts."""
+    with ShardExecutor(workers, max_shards=max_shards, min_shard_items=min_shard_items) as ex:
+        assert _fan_out_transcript(ex) == default_plan_transcript
 
 
 # -------------------------------------------------------------- cache fixes

@@ -320,39 +320,52 @@ def test_a_deferred_relation_is_read_on_the_session_executor(workers, monkeypatc
     assert sorted(map(repr, relation.rows)) == sorted(map(repr, want.rows))
 
 
-# ------------------------------------------------- the pre-scope strategy protocol
-class _Planning(ShardExecutor):
-    """Counts the trial plans asked of it."""
+# ------------------------------------------------- the harness shims
+class _Mapping(ShardExecutor):
+    """Counts the items mapped on it."""
 
     def __init__(self):
         super().__init__(1)
-        self.plans = 0
+        self.items = 0
 
-    def plan_trials(self, n_trials):
-        self.plans += 1
-        return super().plan_trials(n_trials)
+    def map_items(self, fn, items, *args):
+        self.items += len(items)
+        return super().map_items(fn, items, *args)
 
 
-def test_an_executor_passed_the_old_way_serves_the_call_as_its_run_scope():
-    """``compute(dnf, rng, executor=...)`` and the harness shims still work."""
-    from repro.confidence.strategies import compute_batch_with_executor, compute_with_executor
+def test_the_harness_shims_run_the_call_on_the_given_executor():
+    """``compute_batch_with_executor`` maps its items on the executor it is
+    given, ``compute_with_executor`` runs in a scope on it, and both leave
+    the serial scope current afterwards."""
+    from repro.confidence.strategies import (
+        KarpLuby,
+        compute_batch_with_executor,
+        compute_with_executor,
+    )
     from repro.generators.hard import bipartite_2dnf
 
+    seen = []
+
+    class Witness(KarpLuby):
+        """Records the run scope's executor of every ``compute`` call."""
+
+        def compute(self, dnf, rng):
+            seen.append(current_scope().executor)
+            return super().compute(dnf, rng)
+
     dnfs = [bipartite_2dnf(3, 3, 0.5, rng=seed) for seed in range(3)]
-    strategy = repro.resolve_strategy("karp-luby", eps=0.3, delta=0.2)
-    executor = _Planning()
-    with run_scope(executor=executor):
-        want = [strategy.compute(dnf, random.Random(1)) for dnf in dnfs]
-    assert executor.plans == len(dnfs)
-    for call in (
-        lambda dnf, rng: strategy.compute(dnf, rng, executor=executor),
-        lambda dnf, rng: compute_with_executor(strategy, dnf, rng, executor),
-        lambda dnf, rng: compute_batch_with_executor(strategy, [dnf], rng, executor)[0],
-    ):
-        executor.plans = 0
-        assert [call(dnf, random.Random(1)) for dnf in dnfs] == want
-        assert executor.plans == len(dnfs)
-    assert compute_with_executor(strategy, dnfs[0], random.Random(1), None) == want[0]
-    assert strategy.compute(dnf=dnfs[0], rng=random.Random(1)) == want[0]
-    assert strategy.compute_batch(dnfs=dnfs[:1], rng=random.Random(1)) == want[:1]
+    strategy = Witness(eps=0.3, delta=0.2)
+    executor = _Mapping()
+    want = strategy.compute_batch(dnfs, random.Random(1))
+    assert compute_batch_with_executor(strategy, dnfs, random.Random(1), executor) == want
+    assert executor.items == len(dnfs)
+    assert compute_batch_with_executor(strategy, dnfs, random.Random(1), None) == want
+    assert executor.items == len(dnfs)
+    assert _is_serial_scope(current_scope())
+
+    seen.clear()
+    one = strategy.compute(dnfs[0], random.Random(1))
+    assert compute_with_executor(strategy, dnfs[0], random.Random(1), executor) == one
+    assert compute_with_executor(strategy, dnfs[0], random.Random(1), None) == one
+    assert seen == [SERIAL_EXECUTOR, executor, SERIAL_EXECUTOR]
     assert _is_serial_scope(current_scope())

@@ -1,7 +1,7 @@
 """Cross-worker differential suite for the algebra under sharded confidence.
 
-The relational algebra runs in process; the confidence batches, trial
-budgets and σ̂ candidate loop above it fan out over a session's
+The relational algebra runs in process; the confidence batches, σ̂
+candidates and top-k rounds above it fan out over a session's
 executor.  Both ride on one hard claim: *parallelism changes wall-clock
 time, never answers*.  This suite attacks the claim differentially:
 
@@ -17,10 +17,9 @@ time, never answers*.  This suite attacks the claim differentially:
 * ``explain`` annotates product/join nodes with the operator engine
   alone, identically at every worker count, and conf nodes with
   ``·sharded[n]`` / ``·below-threshold``;
-* the σ̂ candidate fan-out is checked across worker counts in both the
-  wide regime (candidate-parallel, pre-spawned per-candidate streams)
-  and the narrow regime (sequential candidates, per-value trial
-  sharding).
+* the σ̂ candidate fan-out is checked across worker counts at 20
+  candidates (cut by the default plan) and at 4 (one shard): one rule,
+  each candidate drawing from its position.
 
 Sessions given a worker count here run executors with deliberately tiny
 plan thresholds so test-sized workloads genuinely cross process
@@ -61,15 +60,15 @@ _EXECUTORS: dict[int, ShardExecutor] = {}
 def _executor(workers: int | None) -> ShardExecutor | None:
     """A cached small-threshold executor (pool shared across examples).
 
-    ``min_shard_items=2`` / ``min_shard_trials=256`` make hypothesis-sized
-    confidence workloads fan out for real; the plan stays a pure function of the
-    workload, so the determinism contract under test is the production
-    one — only the profitability constants are scaled down.
+    ``min_shard_items=2`` makes hypothesis-sized confidence workloads fan
+    out for real; the plan stays a pure function of the workload, so the
+    determinism contract under test is the production one — only the
+    profitability constant is scaled down.
     """
     if workers is None:
         return None  # connect(workers=None): the default serial executor
     if workers not in _EXECUTORS:
-        _EXECUTORS[workers] = ShardExecutor(workers, min_shard_items=2, min_shard_trials=256)
+        _EXECUTORS[workers] = ShardExecutor(workers, min_shard_items=2)
     return _EXECUTORS[workers]
 
 
@@ -398,7 +397,7 @@ def _sigma_join_db() -> UDatabase:
 class TestCandidateFanOutDeterminism:
     """σ̂ decisions identical at workers ∈ {omitted, 1, 2, 4}, wide and narrow."""
 
-    @pytest.mark.parametrize("n_groups", [20, 4])  # wide (fans out) / narrow
+    @pytest.mark.parametrize("n_groups", [20, 4])  # cut by the default plan / one shard
     def test_evaluate_with_guarantee_across_workers(self, n_groups):
         q = rel("R").approx_select(col("P1") > lit(0.4), groups=[["A"]])
 
@@ -514,8 +513,8 @@ class TestCandidateFanOutDeterminism:
         assert calls["annotated"] == 0
 
     def test_wide_selection_crosses_fanout_threshold(self):
-        """20 candidates with the default plan (min 8 per shard) is the
-        candidate-parallel regime; 4 candidates is not."""
+        """20 candidates with the default plan (min 8 per shard) fan out;
+        4 candidates run as one shard."""
         executor = ShardExecutor(4)
         assert len(executor.plan_items(20)) > 1
         assert len(executor.plan_items(4)) <= 1
@@ -578,20 +577,44 @@ class TestProfitableShardSizeBoundary:
         assert not owned_executor.parallel
         executor.close()
 
-    def test_conf_below_threshold_tracks_items_and_trials(self):
-        """A conf over few, cheap (exact-routed) tuples warns; the same
-        tuple count with a sampling strategy's real trial budget does
-        not — the budget alone fills worker blocks."""
-        db = _sigma_db(3)  # 3 tuples, non-read-once DNFs
+    def test_conf_below_threshold_tracks_the_item_count(self):
+        """A conf node fans out iff the plan cuts its tuple list: three
+        tuples warn under an exact strategy and under a sampling one with
+        a large trial budget alike (the budget is drawn in process)."""
         executor = ShardExecutor(4)  # default thresholds
-        exact = repro.connect(
-            db, strategy="exact-decomposition", rng=1, workers=executor
-        )
-        plan = exact.explain(rel("R").conf())
-        assert plan.root.path == f"sharded[4]·{BELOW_THRESHOLD}"
-        sampled = repro.connect(
-            db, strategy="karp-luby", eps=0.05, delta=0.01, rng=1, workers=executor
-        )
-        plan = sampled.explain(rel("R").conf())
-        assert plan.root.path == "sharded[4]"
+        for strategy in ("exact-decomposition", "karp-luby"):
+            with repro.connect(
+                _sigma_db(3), strategy=strategy, eps=0.05, delta=0.01, rng=1, workers=executor
+            ) as session:
+                plan = session.explain(rel("R").conf())
+                assert plan.root.path == f"sharded[4]·{BELOW_THRESHOLD}"
+        with repro.connect(
+            _sigma_db(48), strategy="karp-luby", rng=1, workers=executor
+        ) as session:
+            assert session.explain(rel("R").conf()).root.path == "sharded[4]"
         executor.close()
+
+    def test_naive_mc_conf_never_fans_out(self):
+        """naive-mc weighs a whole batch against one shared world block:
+        its conf node reads ``below-threshold`` however many tuples it
+        has, and ``confidence_all`` hands the pool no task."""
+
+        class Counting(ShardExecutor):
+            def __init__(self):
+                super().__init__(2)
+                self.tasks: list[int] = []
+
+            def map(self, fn, tasks, validate=True):
+                tasks = list(tasks)
+                self.tasks.append(len(tasks))
+                return super().map(fn, tasks, validate)
+
+        with Counting() as executor, repro.connect(
+            _sigma_db(48), strategy="naive-mc", rng=1, workers=executor
+        ) as session:
+            plan = session.explain(rel("R").conf())
+            assert plan.root.path == f"sharded[2]·{BELOW_THRESHOLD}"
+            executor.tasks.clear()
+            reports = session.confidence_all("R")
+            assert all(report.samples > 0 for report in reports.values())
+            assert all(n <= 1 for n in executor.tasks)

@@ -4,7 +4,8 @@
     PYTHONPATH=<checkout>/src python tools/transcript_digest.py <workers> --lifted [--check]
 
 ``workers`` is ``none`` (the session omits the argument), an int, or
-``custom`` (a ``ShardExecutor(2)`` with small plan parameters).  The
+``custom`` (``ShardExecutor(2, min_shard_items=2)``, which cuts every
+list of two or more items).  The
 script runs ``query``, ``confidence_all`` (karp-luby / naive-mc / auto, and
 an ``auto`` whose thresholds send most DNFs to its enclosure-sized
 sampler),
@@ -14,10 +15,13 @@ six totals.  Section keys keep the ``numpy/`` prefix they had while a
 second trial engine existed, so a section digest is comparable with
 checkouts from before its removal:
 
-* ``top-level-sampling`` — sections whose trials are drawn by the
-  session's executor (short DNF lists, narrow σ̂, top-k);
-* ``all`` — plus the sections whose trials are drawn *inside a shard
-  kernel* (a 48-tuple ``confidence_all``, a 20-candidate σ̂);
+* ``top-level-sampling`` — the sections on short lists: 6-tuple
+  ``confidence_all`` and a single-tuple confidence, top-k, a
+  4-candidate σ̂;
+* ``all`` — plus the sections on lists the default plan cuts (a
+  48-tuple ``confidence_all``, a 20-candidate σ̂).  Every list draws by
+  one rule, item ``i`` from its position, so the two differ only in
+  what they cover;
 * ``conf-operators`` — a separate script (in neither total above): the
   confidence-closing operators ``conf`` / ``aconf`` / ``cert`` / σ̂
   inside queries, ``db.confidence`` and ``result.confidences()``, under
@@ -157,11 +161,7 @@ def connect(db, workers, **kw):
     if workers == "none":
         return repro.connect(db, **kw)
     if workers == "custom":
-        return repro.connect(
-            db,
-            workers=ShardExecutor(2, min_shard_items=2, min_shard_trials=256),
-            **kw,
-        )
+        return repro.connect(db, workers=ShardExecutor(2, min_shard_items=2), **kw)
     return repro.connect(db, workers=int(workers), **kw)
 
 
@@ -206,7 +206,7 @@ def driver_key(rep):
 
 def transcript(workers):
     sections = {}
-    # -- query + confidence_all on a SHORT list (4 tuples: per-tuple trial sharding)
+    # -- query + confidence_all on a SHORT list (6 tuples: one shard by default)
     out = []
     for strategy in ("karp-luby", "naive-mc", "auto", sampling_auto(0.3)):
         with connect(sampled_db(6), workers, strategy=strategy, eps=0.3, delta=0.2,
@@ -217,7 +217,7 @@ def transcript(workers):
             out.append(sorted((r, report_key(p)) for r, p in db.confidence_all("R").items()))
             out.append(report_key(db.query("R").confidence((0,))))
     sections["numpy/conf-short"] = out
-    # -- confidence_all on a LONG list (48 tuples: the DNF list itself shards)
+    # -- confidence_all on a LONG list (48 tuples: the default plan cuts it)
     out = []
     for strategy in ("karp-luby", "naive-mc", "auto", sampling_auto(0.4)):
         with connect(sampled_db(48), workers, strategy=strategy, eps=0.4, delta=0.2,
