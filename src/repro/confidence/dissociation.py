@@ -34,8 +34,12 @@ node budget bolted on, and walks the same integer-coded clauses
    sets are disjoint; q_ij continues p_i's product over the items c_j
    adds, in the order ``weight(c_i ∪ c_j)`` takes, so no union is built):
 
-   * lower: ``max(max_i p_i, Σp_i − Σ_{i<j} q_ij)`` — the degree-2
-     Bonferroni (Kounias) inequality, always valid;
+   * lower: ``max(max_i p_i, Σp_i − Σ_{i<j} q_ij, L_ro)`` — the degree-2
+     Bonferroni (Kounias) inequality and the *read-once floor*
+     ``L_ro = 1 − ∏(1 − p_i)`` over the clauses kept, by descending
+     weight, while they share no variable with one kept before: those are
+     independent events, so ``L_ro`` is exactly the probability of a
+     sub-formula.  Both are always valid (``L_ro`` also past ``PAIR_CAP``);
    * upper: ``Σp_i`` (union bound) improved to Hunter's bound
      ``Σp_i − Σ_{(i,j)∈T} q_ij`` over a maximum-weight spanning tree
      ``T``, always valid; and, **only** when every clause pair is
@@ -52,8 +56,9 @@ node budget bolted on, and walks the same integer-coded clauses
 
 Every sum and product is taken in one fixed order (and is exact for
 :class:`~fractions.Fraction` weights): components and base-case members
-by clause text, branches in domain order, each clause weight in the
-item order of the condition it came from.  So an interval is a pure
+by clause text (the read-once floor by descending weight, ties by
+text), branches in domain order, each clause weight in the item order
+of the condition it came from.  So an interval is a pure
 function of the clause set — identical across worker counts and hash
 seeds, which is what lets the ``auto`` policy route on it without
 breaking the engine's differential determinism contracts.  The pairwise
@@ -92,8 +97,8 @@ instance the exact router would accept."""
 
 PAIR_CAP = 48
 """Components larger than this skip the O(k²) pairwise bounds and fall
-back to ``max p_i`` / union-bound — keeping the worst-case base cost
-linear in the clause count."""
+back to ``max p_i`` and the read-once floor / union-bound — keeping the
+worst-case base cost near-linear in the clause count."""
 
 _NUMPY_SCREEN_MIN = 8
 """Components with at least this many clauses screen their pairs with one
@@ -136,7 +141,7 @@ def dissociation_interval(dnf: Dnf, budget: int = DEFAULT_BOUND_BUDGET) -> Bound
     """Guaranteed confidence bounds for ``dnf``, memoized on the object.
 
     ``budget`` caps the Shannon expansions spent before the solver falls
-    back to the pairwise Bonferroni/Hunter/FKG bounds; component
+    back to the pairwise Bonferroni/Hunter/FKG and read-once bounds; component
     factoring and single-clause components are free, so read-once
     disjunctions are exact at any budget (including 0).
     """
@@ -334,7 +339,7 @@ class _BoundSolver:
 
     # -------------------------------------------------- base-case bounds
     def _component_bounds(self, clauses: frozenset[_Clause]) -> tuple[Prob, Prob]:
-        """Pairwise bounds for one connected component, budget exhausted."""
+        """Pairwise and read-once bounds for one connected component, budget exhausted."""
         kernel = self.kernel
         members = sorted(clauses, key=kernel.texts.__getitem__)
         weights = [kernel.weight(c) for c in members]
@@ -343,8 +348,9 @@ class _BoundSolver:
         for p in weights:
             total = total + p
         best = max(weights)
+        floor = self._read_once_floor(members, weights)
         if k > PAIR_CAP:
-            return best, min(Fraction(1), total)
+            return max(best, floor), min(Fraction(1), total)
 
         consistent = self._pair_screen(members)
         pair_weight: list[list[Prob]] = [[Fraction(0)] * k for _ in range(k)]
@@ -355,7 +361,7 @@ class _BoundSolver:
             pair_weight[i][j] = pair_weight[j][i] = q
             s2 = s2 + q
 
-        lower = max(best, total - s2, Fraction(0))
+        lower = max(best, total - s2, Fraction(0), floor)
         # Hunter's bound: Σp_i − Σ_{(i,j)∈T} q_ij for any tree T on the
         # clauses; maximizing the tree weight minimizes the bound.
         upper = min(Fraction(1), total - _max_spanning_tree_weight(k, pair_weight))
@@ -369,6 +375,22 @@ class _BoundSolver:
                 miss = miss * (1 - p)
             upper = min(upper, 1 - miss)
         return lower, upper
+
+    def _read_once_floor(self, members: list[_Clause], weights: list[Prob]) -> Prob:
+        """``1 − ∏(1 − p_i)`` over the heaviest-first variable-disjoint members.
+
+        Ties are visited in text order; a member is kept while its
+        variables miss every kept one's.
+        """
+        masks = self.kernel.masks
+        taken = 0
+        miss: Prob = Fraction(1)
+        for i in sorted(range(len(members)), key=weights.__getitem__, reverse=True):
+            mask = masks[members[i]]
+            if not mask & taken:
+                taken |= mask
+                miss = miss * (1 - weights[i])
+        return 1 - miss
 
     def _pair_screen(self, members: list[_Clause]) -> list[tuple[int, int]]:
         """Indices (i < j) of clause pairs whose partial functions agree.

@@ -195,6 +195,15 @@ class ConfidenceStrategy:
         """
         return self._map_items(self.compute, dnfs, rng)
 
+    def fan_out_lists(self, dnfs: Sequence[Dnf]) -> tuple[int, ...]:
+        """Lengths of the item lists :meth:`compute_batch` cuts for ``dnfs``.
+
+        What ``explain`` rates a conf node by: the node fans out iff the
+        run scope's plan cuts one of these lists.  The base batch maps
+        one list, the DNFs themselves.
+        """
+        return (len(dnfs),)
+
     def _map_items(self, compute, items: Sequence, rng: random.Random) -> list:
         """``compute(item, generator)`` per item, mapped on the run scope's executor.
 
@@ -431,6 +440,10 @@ class NaiveMonteCarlo(ConfidenceStrategy):
         estimates = shared_block_confidences(dnfs, samples, rng)
         return [self._report(dnf, est) for dnf, est in zip(dnfs, estimates)]
 
+    def fan_out_lists(self, dnfs: Sequence[Dnf]) -> tuple[int, ...]:
+        """None: the shared block weighs the whole batch in process."""
+        return ()
+
 
 @register_strategy
 class DissociationBounds(ConfidenceStrategy):
@@ -558,25 +571,35 @@ class AutoStrategy(ConfidenceStrategy):
             self.bounds_budget,
         )
 
-    def _route(self, dnf: Dnf) -> tuple[str, BoundInterval | None]:
-        """The class docstring's decision for ``dnf``, with its step-4 enclosure.
+    def _settled(self, dnf: Dnf) -> bool:
+        """Steps 1–3 (empty and single-clause F are read-once): exact, unenclosed."""
+        small = dnf.size <= self.max_exact_size and len(dnf.variables) <= self.max_exact_variables
+        return dnf.is_trivially_true or dnf_is_read_once(dnf) or small
 
+    def _routes(self, dnfs: Sequence[Dnf]) -> list[tuple[str, BoundInterval | None]]:
+        """The class docstring's decision per DNF, with its step-4 enclosure.
+
+        Steps 1–3 screen each DNF; the survivors are enclosed by one
+        :func:`dissociation_intervals` batch, which solves each distinct
+        clause set once and cuts the list on the run scope's executor.
         The interval is ``None`` for DNFs settled before step 4.
         """
-        if dnf.is_empty or dnf.is_trivially_true or dnf.size == 1:
-            return ExactDecomposition.name, None
-        if dnf_is_read_once(dnf):
-            return ExactDecomposition.name, None
-        if dnf.size <= self.max_exact_size and len(dnf.variables) <= self.max_exact_variables:
-            return ExactDecomposition.name, None
-        interval = dissociation_interval(dnf, self.bounds_budget)
-        if interval.is_exact:
-            return DissociationBounds.name, interval
-        return KarpLuby.name, interval
+        routes = [(ExactDecomposition.name, None)] * len(dnfs)
+        survivors = [i for i, dnf in enumerate(dnfs) if not self._settled(dnf)]
+        intervals = dissociation_intervals([dnfs[i] for i in survivors], self.bounds_budget)
+        for i, interval in zip(survivors, intervals):
+            routes[i] = (DissociationBounds.name if interval.is_exact else KarpLuby.name, interval)
+        return routes
 
     def choose(self, dnf: Dnf) -> str:
         """Apply the class docstring's decision rule to ``dnf``."""
-        return self._route(dnf)[0]
+        return self._routes([dnf])[0][0]
+
+    def fan_out_lists(self, dnfs: Sequence[Dnf]) -> tuple[int, ...]:
+        """The exact sub-batch, the step-4 enclosures, the sampled sub-batch."""
+        methods = [method for method, _ in self._routes(dnfs)]
+        enclosed = len(dnfs) - methods.count(ExactDecomposition.name)
+        return methods.count(ExactDecomposition.name), enclosed, methods.count(KarpLuby.name)
 
     def _sample(self, routed: tuple[Dnf, BoundInterval], rng: random.Random) -> ConfidenceReport:
         """Step 5 on a ``(dnf, enclosure)`` pair: sized by, and clipped into, the enclosure."""
@@ -609,7 +632,7 @@ class AutoStrategy(ConfidenceStrategy):
 
     def compute(self, dnf: Dnf, rng: random.Random) -> ConfidenceReport:
         """Route ``dnf`` and run the chosen method on it."""
-        method, interval = self._route(dnf)
+        method, interval = self._routes([dnf])[0]
         if method == KarpLuby.name:
             return self._sample((dnf, interval), rng)
         if method == DissociationBounds.name:
@@ -619,15 +642,16 @@ class AutoStrategy(ConfidenceStrategy):
     def compute_batch(self, dnfs: Sequence[Dnf], rng: random.Random) -> list[ConfidenceReport]:
         """Route the batch per tuple, then run each method's batched path.
 
-        All exact-routed tuples go through the exact strategy's (list-
+        The step-4 enclosures are one batch (:meth:`_routes`); all
+        exact-routed tuples go through the exact strategy's (list-
         sharding) batch, all sampler-routed tuples through one sampled
         batch whose items are ``(dnf, enclosure)`` pairs, so each DNF's
-        enclosure is solved once per call and both sub-batches fan out
-        over the run scope's executor.  Routing itself is deterministic (it never
-        samples), so the split — and with it every shard plan downstream
-        — is worker-count invariant.
+        enclosure is solved once per call and all three lists fan out
+        over the run scope's executor (:meth:`fan_out_lists`).  Routing
+        itself is deterministic (it never samples), so the split — and
+        with it every shard plan downstream — is worker-count invariant.
         """
-        routes = [self._route(dnf) for dnf in dnfs]
+        routes = self._routes(dnfs)
         reports: list[ConfidenceReport | None] = [None] * len(dnfs)
         exact = [i for i, (m, _) in enumerate(routes) if m == ExactDecomposition.name]
         sampled = [i for i, (m, _) in enumerate(routes) if m == KarpLuby.name]

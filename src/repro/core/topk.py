@@ -43,6 +43,12 @@ candidate order, and per-round positives merge by trial-count weighting
 exactly as the batch sampler's blocks do.  Results are bit-identical for
 every worker count and shard plan, and the final ranking breaks ties by
 candidate order — so ``topk`` is reproducible tuple-for-tuple.
+
+**The draw rule.**  Every race (more than k candidates) draws ``base``
+once after stage 1, even when the enclosures decide every candidate and
+no trial follows.  So the caller's stream position after a race does not
+depend on how tight the enclosures are, and a memoized race report is
+volatile — recomputing it draws — exactly when a race ran.
 """
 
 from __future__ import annotations
@@ -281,7 +287,7 @@ def _race(rows, dnfs, k, eps, delta, rng) -> TopKReport:
     # ---- stage 2 + 3: coarse-sample survivors, then race the overlap set.
     survivors = [i for i in range(n) if status[i] == _ACTIVE]
     samplers: dict[int, BatchKarpLubySampler] = {}
-    base = generator.getrandbits(64) if survivors else 0
+    base = generator.getrandbits(64)  # even if nothing survives: the draw rule
     for i in survivors:
         sampler = BatchKarpLubySampler(dnfs[i], rng=shard_seed(base, i))
         if sampler.is_exact:  # degenerate DNFs have exact enclosures; belt+braces

@@ -41,7 +41,6 @@ from repro.algebra.pushdown import strip
 from repro.algebra.tree import children, lazy
 from repro.confidence.dissociation import DEFAULT_BOUND_BUDGET
 from repro.confidence.extensional import EXTENSIONAL
-from repro.confidence.strategies import NaiveMonteCarlo
 from repro.util.scope import current_scope
 
 if TYPE_CHECKING:
@@ -199,18 +198,18 @@ def _sharded_path(executor, fans_out: bool) -> str:
     return path
 
 
-def _conf_path(items: int, shared_block: bool = False) -> str | None:
-    """The sharded annotation of a conf-family node over ``items`` fan-out items.
+def _conf_path(*lists: int) -> str | None:
+    """The sharded annotation of a conf-family node over fan-out ``lists``.
 
-    The node fans out iff the run scope's ``plan_items`` cuts its item
-    list — per-tuple DNFs, σ̂ candidates, top-k candidates — the rule the
-    runtime follows.  A ``shared_block`` batch (naive-mc weighs every
-    tuple against one world block) never cuts its list.
+    ``lists`` holds the lengths of the item lists the node maps —
+    per-tuple DNFs (:meth:`~repro.confidence.strategies.ConfidenceStrategy.fan_out_lists`),
+    σ̂ candidates, top-k candidates — and the node fans out iff the run
+    scope's ``plan_items`` cuts one of them, the rule the runtime follows.
     """
     executor = _pool()
     if executor is None:
         return None
-    return _sharded_path(executor, not shared_block and len(executor.plan_items(items)) > 1)
+    return _sharded_path(executor, any(len(executor.plan_items(n)) > 1 for n in lists))
 
 
 def _tally(strategy: "ConfidenceStrategy", dnfs) -> dict[str, int]:
@@ -354,8 +353,8 @@ class _PlanPass:
         else:
             below = child()
             dnfs = self.tuple_dnfs(node.child)
+            path = _conf_path(*self.strategy.fan_out_lists(dnfs))
             methods = _tally(self.strategy, dnfs)
-            path = _conf_path(len(dnfs), self.strategy.name == NaiveMonteCarlo.name)
         return PlanNode(
             "conf",
             node.p_name,

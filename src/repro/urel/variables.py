@@ -28,6 +28,8 @@ from repro.worlds.database import Prob
 
 __all__ = ["VariableTable", "VariableError"]
 
+_ZERO = Fraction(0)  # Pr of a value outside the domain (immutable: shared)
+
 
 class VariableError(ValueError):
     """Raised for invalid variable definitions or lookups."""
@@ -129,7 +131,7 @@ class VariableTable:
             dist = self._vars[var]
         except KeyError as exc:
             raise VariableError(f"unknown variable {var!r}") from exc
-        return dist.get(value, Fraction(0))
+        return dist.get(value, _ZERO)
 
     def distribution(self, var: Var) -> dict[DomValue, Prob]:
         return dict(self._vars[var])

@@ -14,7 +14,8 @@ and four literals in shuffled item order (weights fold in item order),
 ``{x↦1}`` beside ``{x↦10}`` (clause text order is not literal-id order),
 tied branching counts (the tie goes to the least ``repr``), two parents
 that condition to equal clauses in different orders, multi-valued,
-certain (int ``1``) and out-of-domain values.
+certain (int ``1``) and out-of-domain values, and clauses that all share
+one variable (Kounias's sum still beats the read-once floor there).
 """
 
 from __future__ import annotations
@@ -164,6 +165,17 @@ def _ref_pair_weight(w, weight_i, c_i, c_j):
     return q
 
 
+def _ref_read_once_floor(members, weights):
+    """1 − ∏(1 − p_i) over the clauses, heaviest first, sharing no variable with one kept."""
+    taken = set()
+    miss = Fraction(1)
+    for i in sorted(range(len(members)), key=weights.__getitem__, reverse=True):
+        if taken.isdisjoint(members[i].variables):
+            taken |= members[i].variables
+            miss = miss * (1 - weights[i])
+    return 1 - miss
+
+
 class _RefBoundSolver:
     def __init__(self, w, budget):
         self.w, self.budget, self._memo, self._keys = w, budget, {}, _RefSortKeys()
@@ -218,8 +230,9 @@ class _RefBoundSolver:
         for p in weights:
             total = total + p
         best = max(weights)
+        floor = _ref_read_once_floor(members, weights)
         if k > PAIR_CAP:
-            return best, min(Fraction(1), total)
+            return max(best, floor), min(Fraction(1), total)
         consistent = _ref_consistent_pairs(members)
         pair_weight = [[Fraction(0)] * k for _ in range(k)]
         s2 = Fraction(0)
@@ -227,7 +240,7 @@ class _RefBoundSolver:
             q = _ref_pair_weight(self.w, weights[i], members[i], members[j])
             pair_weight[i][j] = pair_weight[j][i] = q
             s2 = s2 + q
-        lower = max(best, total - s2, Fraction(0))
+        lower = max(best, total - s2, Fraction(0), floor)
         upper = min(Fraction(1), total - _max_spanning_tree_weight(k, pair_weight))
         if len(consistent) == k * (k - 1) // 2:
             miss = Fraction(1)
@@ -474,6 +487,23 @@ def _zero_folds(kind, seed):
     ]
 
 
+def _shared_hub(kind, seed):
+    """Four three-literal clauses through one hub ``h``: the read-once floor keeps one.
+
+    Kounias's ``Σp_i − Σq_ij`` carries the budget-0 lower bound (checked
+    by ``test_kounias_carries_the_shared_hub``), so the order of the
+    q_ij fold stays pinned.
+    """
+    rng = random.Random(seed)
+    names = ["h"] + [(half, i) for half in "st" for i in range(4)]
+    w = _table(kind, names, [2] + [4] * 8, rng)
+    clauses = [
+        _shuffled([("h", 1), (("s", i), rng.randrange(4)), (("t", i), rng.randrange(4))], rng)
+        for i in range(4)
+    ]
+    return w, clauses
+
+
 SHAPES = {
     "three-four-literal": _long_clauses,
     "multi-valued": _multi_valued,
@@ -484,6 +514,7 @@ SHAPES = {
     "value-text-order": _value_text_order,
     "bipartite": _bipartite,
     "zero-folds": _zero_folds,
+    "shared-hub": _shared_hub,
 }
 CORPUS = {
     f"{kind}/{shape}/{seed}": (SHAPES[shape], kind, seed)
@@ -523,6 +554,16 @@ def test_single_clauses_keep_their_fold_and_their_zero():
         _assert_same(w, [Condition([(v, 1) for v in order])])
     zero = dissociation_interval(Dnf([Condition([("a", 1), ("b", 9)])], w), 0)
     assert repr(zero.lower) == repr(zero.upper) == "Fraction(0, 1)"
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_kounias_carries_the_shared_hub(kind):
+    """Every clause shares ``h``: the budget-0 lower bound is Σp − Σq, above the floor."""
+    for seed in SEEDS:
+        w, clauses = _shared_hub(kind, seed)
+        best = max(w.weight(clause) for clause in clauses)
+        lower = dissociation_interval(Dnf(clauses, w), 0).lower
+        assert lower > best * (1 + 1e-9)  # the floor of one clause is best itself
 
 
 def test_the_float_cases_can_tell_the_orders_apart():

@@ -95,8 +95,10 @@ def _mixed_sigma_db(n_easy: int = 4, n_hard: int = 2) -> UDatabase:
     for a in range(n_hard):
         rng = random.Random(100 + a)
         for i in range(12):
-            w.add(("u", a, i), {1: Fraction(1, 2), 0: Fraction(1, 2)})
-            w.add(("v", a, i), {1: Fraction(1, 2), 0: Fraction(1, 2)})
+            # At 1/3 the read-once floor of a matching stays well below
+            # the truth (~0.97), so the default-budget enclosure is loose.
+            w.add(("u", a, i), {1: Fraction(1, 3), 0: Fraction(2, 3)})
+            w.add(("v", a, i), {1: Fraction(1, 3), 0: Fraction(2, 3)})
         edges = [
             (i, j) for i in range(12) for j in range(12) if rng.random() < 0.5
         ]
@@ -112,7 +114,8 @@ def _mixed_sigma_db(n_easy: int = 4, n_hard: int = 2) -> UDatabase:
 # The threshold sits inside every hard group's bound interval (checked by
 # TestMixedWorkload.test_threshold_is_inside_hard_intervals), so those
 # candidates must sample; the easy groups' exact 3/4 decides immediately.
-_THRESHOLD = 0.97
+# The hard truths (0.9705, 0.9782) clear it by more than 4 %.
+_THRESHOLD = 0.93
 _SIGMA_QUERY = rel("R").approx_select(col("P1") > lit(_THRESHOLD), groups=[["A"]])
 
 

@@ -48,6 +48,7 @@ QUERY = "aselect[P > 0.5 ; conf(A) as P](G)"
 DELTA, EPS0 = 0.1, 0.05
 OFFSETS = (0, 1, 2, 3, 5)
 GRID = (Fraction(2, 10), Fraction(3, 10), Fraction(8, 10), Fraction(9, 10))
+BOUNDS_ON = 1  # pruning on: the groups are certified, the contested tuples sample
 
 
 def selection(n_groups: int, n_contested: int, side: int = 12, seed: int = 0) -> UDatabase:
@@ -56,12 +57,14 @@ def selection(n_groups: int, n_contested: int, side: int = 12, seed: int = 0) ->
     Group tuple k holds two of the three values of its own variable: its
     clauses are mutually exclusive, so its enclosure is a point, at a
     confidence on a grid clear of τ = 0.5.  A contested tuple is a
-    circulant bipartite 2-DNF (|F| = 5·side) conjoined with a private
-    variable that puts its confidence at 0.75; at side 12 the bound
-    solver leaves its lower bound below τ, so deciding ``P > 0.5`` takes
-    sampling.  Variables are named by ints: their hashes, and with them
-    every member order and every trial drawn, are the same under any
-    ``PYTHONHASHSEED``.
+    circulant bipartite 2-DNF (|F| = 5·side) conjoined with two private
+    gates that put its confidence at 0.75.  At bounds budget
+    ``BOUNDS_ON`` the solver spends its one expansion on a gate, and the
+    base case finds every clause sharing the other: its read-once floor
+    holds one clause, the lower bound stays below τ, and deciding
+    ``P > 0.5`` takes sampling.  Variables are named by ints: their
+    hashes, and with them every member order and every trial drawn, are
+    the same under any ``PYTHONHASHSEED``.
     """
     rng = random.Random(seed)
     w = VariableTable()
@@ -91,10 +94,12 @@ def selection(n_groups: int, n_contested: int, side: int = 12, seed: int = 0) ->
                 if any(mask >> i & 1 for i, jj in edges if jj == j):
                     pr *= 1 - q
             none += pr
-        p_z = 0.75 / (1 - none)
-        w.add((tag, 2), {1: p_z, 0: 1 - p_z})
+        p_gate = (0.75 / (1 - none)) ** 0.5
+        for gate in (2, 3):
+            w.add((tag, gate), {1: p_gate, 0: 1 - p_gate})
         rows += [
-            (Condition({(tag, 0, i): 1, (tag, 1, j): 1, (tag, 2): 1}), (tag,)) for i, j in edges
+            (Condition({(tag, 0, i): 1, (tag, 1, j): 1, (tag, 2): 1, (tag, 3): 1}), (tag,))
+            for i, j in edges
         ]
     db = UDatabase(w=w)
     db.set_relation("G", URelation.from_rows(("A",), rows))
@@ -161,7 +166,7 @@ def two_workers():
 
 
 @pytest.mark.parametrize("workers", [None, 2])
-@pytest.mark.parametrize("bounds_budget", [0, DEFAULT_BOUND_BUDGET])
+@pytest.mark.parametrize("bounds_budget", [0, BOUNDS_ON])
 @pytest.mark.parametrize("shape", [NARROW, WIDE], ids=["narrow", "wide"])
 def test_reports_equal_a_driver_without_run_scope(shape, bounds_budget, workers, two_workers):
     udb = selection(*shape)
@@ -219,7 +224,9 @@ def test_guarantee_select_work_per_run(work):
     with repro.connect(selection(24, 2), rng=1, workers=1) as db:  # counted in-process
         for rng in (0, 1):
             work.clear()
-            report = db.evaluate_with_guarantee(QUERY, delta=DELTA, eps0=EPS0, rng=rng)
+            report = db.evaluate_with_guarantee(
+                QUERY, delta=DELTA, eps0=EPS0, rng=rng, bounds_budget=BOUNDS_ON
+            )
             # An evaluation at l draws l·|F| trials per sampled value: the
             # run's trials are the final evaluation's scaled by Σl / l.
             rounds = [l for l, _ in report.history]

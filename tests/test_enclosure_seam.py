@@ -36,35 +36,36 @@ from repro.urel.variables import VariableTable
 from repro.util.parallel import SERIAL_EXECUTOR
 from repro.util.scope import run_scope
 
-QUERY = "aselect[P > 0.6 ; conf(A) as P](G)"
+QUERY = "aselect[P > 0.8 ; conf(A) as P](G)"
 DELTA, EPS0 = 0.1, 0.1
-BUDGET = 2  # too small to crack the contested DNF: its box straddles 0.6
+BUDGET = 2  # too small to crack the contested DNF: its box straddles 0.8
 NARROW, WIDE = 5, 20  # + 1 contested: the sequential and the sharded σ̂ path
 
 
 def _instance(n_groups: int) -> UDatabase:
     """``guarantee_select`` in small: G(A) holds ``n_groups`` repair-key style
     tuples (two alternatives of one variable — a point enclosure) and one
-    contested circulant bipartite 2-DNF with P = 0.863 enclosed by
-    [0.375, 0.954] at ``BUDGET``, so ``P > 0.6`` takes sampling.
+    contested complete bipartite 2-DNF K₆,₈ at variable probability 1/4,
+    with P = 0.740 enclosed by [0.432, 0.940] at ``BUDGET`` (a read-once
+    floor holds at most six of its 48 clauses), so ``P > 0.8`` takes
+    sampling.
 
     Variables are named by ints: their hashes, and with them the member
     order of every DNF and every trial drawn below, are the same under
     any ``PYTHONHASHSEED``."""
-    groups, xs, ys, side = 0, 1, 2, 4
+    groups, xs, ys = 0, 1, 2
     w = VariableTable()
     rows = []
     for k in range(n_groups):
         tenths = {0: 1, 1: k % 7 + 1, 2: 8 - k % 7}
         w.add((groups, k), {value: Fraction(n, 10) for value, n in tenths.items()})
         rows += [(Condition({(groups, k): value}), (k,)) for value in (0, 1)]
-    for i in range(side):
-        w.add((xs, i), {1: Fraction(1, 2), 0: Fraction(1, 2)})
-        w.add((ys, i), {1: Fraction(1, 2), 0: Fraction(1, 2)})
+    for i in range(6):
+        w.add((xs, i), {1: Fraction(1, 4), 0: Fraction(3, 4)})
+    for j in range(8):
+        w.add((ys, j), {1: Fraction(1, 4), 0: Fraction(3, 4)})
     rows += [
-        (Condition({(xs, i): 1, (ys, (i + d) % side): 1}), (100,))
-        for i in range(side)
-        for d in (0, 1, 2)
+        (Condition({(xs, i): 1, (ys, j): 1}), (100,)) for i in range(6) for j in range(8)
     ]
     db = UDatabase(w=w)
     db.set_relation("G", URelation.from_rows(("A",), rows))
@@ -285,7 +286,7 @@ class TestApproximatorIntervals:
         dnf = Dnf(relation.conditions_of((100,)), udb.w)
         interval = dissociation_interval(Dnf(dnf.members, udb.w), BUDGET)
         # Non-linear with a repeated variable: the duplication trick renames p.
-        for predicate in (col("p") > lit(0.6), col("p") * col("p") > lit(0.36)):
+        for predicate in (col("p") > lit(0.8), col("p") * col("p") > lit(0.64)):
             del solved[:]
             standalone = PredicateApproximator(
                 predicate, {"p": Dnf(dnf.members, udb.w)}, EPS0, rng=4, bounds_budget=BUDGET

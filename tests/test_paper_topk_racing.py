@@ -6,8 +6,8 @@ dissociation enclosures decide the easy bulk for free, survivors get a
 coarse batch, and only candidates whose Lemma 5.1 intervals still
 overlap the running k-th threshold keep sampling.  The workload is
 top-10 over single-clause candidates (decided at stage 1 with zero
-trials) plus 48 contested K₄,₄ bipartite 2-DNFs whose budget-0
-enclosures overlap across the k-boundary.
+trials) plus 48 contested K₄,₄ bipartite 2-DNFs, each behind a selector
+variable, whose budget-0 enclosures overlap across the k-boundary.
 
 The racer's win is budget asymmetry: the uniform per-candidate
 allocation grows as 1/ε², while the race stops each boundary duel as
@@ -33,9 +33,12 @@ BOUNDS_BUDGET = 0  # keep the K4,4 enclosures non-exact so the race samples
 SEED = 99
 
 
+SELECTOR = 0.95  # P(s): the selector every clause of a K4,4 candidate reads
+
+
 def _k44_variable_probability(truth: float) -> float:
-    """v with (1 − (1−v)⁴)² = truth — complete bipartite K₄,₄ truth dial."""
-    return 1.0 - (1.0 - math.sqrt(truth)) ** 0.25
+    """v with P(s)·(1 − (1−v)⁴)² = truth — the selected K₄,₄ truth dial."""
+    return 1.0 - (1.0 - math.sqrt(truth / SELECTOR)) ** 0.25
 
 
 def topk_workload(n_single: int, n_hard: int):
@@ -45,7 +48,9 @@ def topk_workload(n_single: int, n_hard: int):
     The truth ratio across the k-boundary is 2 (> (1+ε)/(1−ε) for any
     ε here), so the race separates it at a coarse achieved-ε; the
     budget-0 enclosures of the two groups overlap, so bounds alone
-    cannot decide and real sampling is forced.
+    cannot decide and real sampling is forced.  Every clause of a K₄,₄
+    candidate also reads that candidate's selector s, so the read-once
+    floor of its budget-0 base case holds a single clause.
     """
     w = VariableTable()
     rows, dnfs = [], []
@@ -60,11 +65,12 @@ def topk_workload(n_single: int, n_hard: int):
         for a in range(4):
             w.add(("hx", j, a), {1: v, 0: 1 - v})
             w.add(("hy", j, a), {1: v, 0: 1 - v})
+        w.add(("hs", j), {1: SELECTOR, 0: 1 - SELECTOR})
         rows.append((f"h{j}",))
         dnfs.append(
             Dnf(
                 [
-                    Condition({("hx", j, a): 1, ("hy", j, b): 1})
+                    Condition({("hs", j): 1, ("hx", j, a): 1, ("hy", j, b): 1})
                     for a in range(4)
                     for b in range(4)
                 ],

@@ -381,6 +381,17 @@ def _ref_consistent_pairs(members):
     ]
 
 
+def _ref_read_once_floor(members, weights):
+    """1 − ∏(1 − p_i) over the clauses, heaviest first, sharing no variable with one kept."""
+    taken = set()
+    miss = Fraction(1)
+    for i in sorted(range(len(members)), key=weights.__getitem__, reverse=True):
+        if taken.isdisjoint(members[i].variables):
+            taken |= members[i].variables
+            miss = miss * (1 - weights[i])
+    return 1 - miss
+
+
 def _ref_component_bounds(w, clauses):
     members = sorted(clauses, key=repr)
     weights = [w.weight(c) for c in members]
@@ -389,8 +400,9 @@ def _ref_component_bounds(w, clauses):
     for p in weights:
         total = total + p
     best = max(weights)
+    floor = _ref_read_once_floor(members, weights)
     if k > PAIR_CAP:
-        return best, min(Fraction(1), total)
+        return max(best, floor), min(Fraction(1), total)
 
     consistent = _ref_consistent_pairs(members)
     pair_weight = {}
@@ -400,7 +412,7 @@ def _ref_component_bounds(w, clauses):
         pair_weight[(i, j)] = q
         s2 = s2 + q
 
-    lower = max(best, total - s2, Fraction(0))
+    lower = max(best, total - s2, Fraction(0), floor)
     upper = min(Fraction(1), total - _ref_max_spanning_tree_weight(k, pair_weight))
     if len(consistent) == k * (k - 1) // 2:
         miss = Fraction(1)

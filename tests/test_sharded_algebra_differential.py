@@ -41,6 +41,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import repro
 from repro.algebra.builder import rel
 from repro.algebra.expressions import col, lit
+from repro.confidence import lineage as dnf_lineage
+from repro.confidence.strategies import AutoStrategy
 from repro.engine.plan import BELOW_THRESHOLD
 from repro.generators.tpdb import add_tuple_independent
 from repro.urel.conditions import Condition
@@ -618,3 +620,40 @@ class TestProfitableShardSizeBoundary:
             reports = session.confidence_all("R")
             assert all(report.samples > 0 for report in reports.values())
             assert all(n <= 1 for n in executor.tasks)
+
+    def test_auto_conf_encloses_its_step_four_tuples_in_one_cut_batch(self):
+        """``auto`` screens steps 1–3 per tuple, then encloses the rest as one list.
+
+        24 tuples under ``max_exact_size=2``: one settles at steps 1–3, 23
+        route on their enclosures, which are one ``dissociation_intervals``
+        list cut into two shards — the fan-out ``sharded[2]`` names.  The
+        reports equal one ``compute`` per DNF, serial or pooled.
+        """
+
+        class Counting(ShardExecutor):
+            def __init__(self):
+                super().__init__(2)
+                self.maps: list[tuple[str, int]] = []
+
+            def map(self, fn, tasks, validate=True):
+                tasks = list(tasks)
+                self.maps.append((fn.__name__, len(tasks)))
+                return super().map(fn, tasks, validate)
+
+        strategy = AutoStrategy(0.3, 0.2, max_exact_size=2)
+        with Counting() as executor, repro.connect(
+            _sigma_db(24), strategy=strategy, rng=1, workers=executor
+        ) as session:
+            plan = session.explain(rel("R").conf())
+            assert plan.root.path == "sharded[2]"
+            assert plan.root.methods == {"dissociation-bounds": 23, "exact-decomposition": 1}
+            executor.maps.clear()
+            pooled = session.confidence_all("R")
+            assert ("_interval_shard_task", 2) in executor.maps
+        udb = _sigma_db(24)
+        with repro.connect(udb, strategy=strategy, rng=1) as session:
+            serial = session.confidence_all("R")
+            result = session.query("R")
+            rows, dnfs = dnf_lineage(result.relation, udb.w, result.rows)
+            one_by_one = {row: strategy.compute(dnf, None) for row, dnf in zip(rows, dnfs)}
+        assert pooled == serial == one_by_one

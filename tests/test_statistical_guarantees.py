@@ -42,10 +42,20 @@ def _k33_clauses(c: int, w: VariableTable) -> list[dict]:
     return [{("x", c, a): 1, ("y", c, b): 1} for a in range(3) for b in range(3)]
 
 
-def _circulant_clauses(c: int, w: VariableTable) -> list[dict]:
-    """``guarantee_select``'s 5-regular side-12 circulant: its lower bound stays loose."""
+def _gated_circulant_clauses(c: int, w: VariableTable) -> list[dict]:
+    """``guarantee_select``'s 5-regular side-12 circulant, every clause behind a gate g.
+
+    Together with the private variable z every clause reads two shared
+    variables, so at bounds budget ``GATED_BUDGET`` the solver spends its
+    expansion on one of them and the base case keeps a single clause in
+    its read-once floor: the lower bound stays loose.
+    """
+    w.add(("g", c), {1: Fraction(9, 10), 0: Fraction(1, 10)})
     dnf = circulant_2dnf(12, offsets=(0, 1, 2, 3, 5), rng=c, w=w, tag=c)
-    return [dict(clause.items()) for clause in dnf.members]
+    return [{**dict(clause.items()), ("g", c): 1} for clause in dnf.members]
+
+
+GATED_BUDGET = 1
 
 
 def _contested_selection_db(
@@ -122,7 +132,9 @@ def test_driver_membership_error_stays_within_delta():
         assert count / replications <= DELTA + tolerance, (key, count)
 
 
-SINGLE_CANDIDATE_FLAGS = "measured 41/200 = 20.5 % of runs flag the candidate singular"
+SINGLE_CANDIDATE_FLAGS = (
+    "measured 39-56/200 (20-28 %) of runs flag the candidate singular, by hash seed"
+)
 
 
 @pytest.mark.slow
@@ -136,9 +148,10 @@ SINGLE_CANDIDATE_FLAGS = "measured 41/200 = 20.5 % of runs flag the candidate si
 def test_driver_rarely_flags_a_clear_candidate_singular(n_contested):
     """Theorem 6.7 at the driver, on candidates 50 % above τ that only sampling decides.
 
-    Each contested candidate is ``guarantee_select``'s circulant 2-DNF,
-    whose loose lower bound leaves ``P > τ`` to the sampled rounds under
-    the default bound budget.  At confidence 1.5·τ the candidate is far
+    Each contested candidate is ``guarantee_select``'s circulant 2-DNF
+    behind a gate, whose loose lower bound leaves ``P > τ`` to the
+    sampled rounds at bounds budget ``GATED_BUDGET`` (the repair-key
+    groups are still certified).  At confidence 1.5·τ the candidate is far
     outside the ε₀ band, so over 200 seeded driver runs it may be
     misplaced *or* excluded as suspected-singular in at most a δ share
     (plus three binomial standard deviations).  Two such candidates hold
@@ -146,7 +159,9 @@ def test_driver_rarely_flags_a_clear_candidate_singular(n_contested):
     as soon as every candidate it has not flagged meets δ.
     """
     replications = 200
-    db = _contested_selection_db(n_contested=n_contested, gap=0.5, clauses=_circulant_clauses)
+    db = _contested_selection_db(
+        n_contested=n_contested, gap=0.5, clauses=_gated_circulant_clauses
+    )
     truth = _exact_confidences(db)
     contested = [key for key in truth if key >= 1000]
     assert all(truth[key] / TAU - 1 == 0.5 for key in contested)
@@ -155,7 +170,11 @@ def test_driver_rarely_flags_a_clear_candidate_singular(n_contested):
     with repro.connect(db, rng=0) as session:
         for seed in range(replications):
             report = session.evaluate_with_guarantee(
-                "aselect[P > 0.5 ; conf(A) as P](G)", delta=DELTA, eps0=EPS0, rng=seed
+                "aselect[P > 0.5 ; conf(A) as P](G)",
+                delta=DELTA,
+                eps0=EPS0,
+                rng=seed,
+                bounds_budget=GATED_BUDGET,
             )
             assert report.achieved
             sampled += sum(r.decision.total_trials for r in report.decisions)

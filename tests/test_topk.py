@@ -8,7 +8,8 @@ The racer's contracts under test:
   gaps exceed the (ε, δ) resolution, spending less than the full
   ``confidence_all`` budget;
 * transcripts are bit-identical across worker counts {serial, 1, 2, 4};
-* the facade memoizes reports (volatile iff trials were drawn), explain
+* the facade memoizes reports (volatile iff the race ran: every race
+  draws its stream seed once, even when the enclosures decide it), explain
   carries the ``topk[k]·bounds-pruned[m/n]`` annotation, and the server
   round-trips reports losslessly with typed errors for bad parameters.
 """
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import asyncio
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -44,23 +46,30 @@ def _single_var_db(probs):
     return UDatabase({"R": URelation(("id",), frozenset(rows))}, w, set())
 
 
+_SELECTOR = 0.9
+
+
 def _pair_race(targets):
     """One complete-bipartite 2-DNF candidate per target, well separated.
 
-    Candidate i is the K₃,₃ disjunction ⋁ (xₐ ∧ y_b) at a variable
-    probability q tuned so the exact truth (1−(1−q)³)² hits the target.
-    Nine pairwise-overlapping clauses defeat the budget-0 pairwise
-    bounds (two-clause components would be *exact* by inclusion–
-    exclusion), so ``bounds_budget=0`` forces real sampling — while the
-    exact truth stays computable for the oracle.
+    Candidate i is the K₃,₃ disjunction ⋁ (s ∧ xₐ ∧ y_b) behind one
+    selector s that every clause reads, at a variable probability q
+    tuned so the exact truth P(s)·(1−(1−q)³)² hits the target.  Nine
+    pairwise-overlapping clauses defeat the budget-0 pairwise bounds
+    (two-clause components would be *exact* by inclusion–exclusion),
+    and the shared selector leaves one clause in the read-once floor,
+    so ``bounds_budget=0`` forces real sampling — while the exact truth
+    stays computable for the oracle.
     """
     from repro.generators.hard import bipartite_2dnf
 
     rows, dnfs = [], []
     for i, target in enumerate(targets):
-        q = 1.0 - (1.0 - math.sqrt(target)) ** (1.0 / 3.0)
+        q = 1.0 - (1.0 - math.sqrt(target / _SELECTOR)) ** (1.0 / 3.0)
         rows.append((i,))
-        dnfs.append(bipartite_2dnf(3, 3, 1.0, q, rng=100 + i))
+        pairs = bipartite_2dnf(3, 3, 1.0, q, rng=100 + i)
+        pairs.w.add("s", {1: _SELECTOR, 0: 1 - _SELECTOR})
+        dnfs.append(Dnf([Condition([*c.items(), ("s", 1)]) for c in pairs.members], pairs.w))
     return rows, dnfs
 
 
@@ -102,6 +111,22 @@ class TestRaceTopK:
         for entry in report.entries:
             assert entry.exact and entry.trials == 0 and entry.source == "bounds"
             assert entry.lower == entry.value == entry.upper
+
+    def test_a_race_decided_by_bounds_still_draws_its_seed(self):
+        """The draw rule: every race takes one draw, sampled or not; no race, none."""
+        w = VariableTable()
+        rows, dnfs = [], []
+        for i, p in enumerate([0.9, 0.5, 0.1]):
+            w.add(("x", i), {1: p, 0: 1 - p})
+            rows.append((i,))
+            dnfs.append(Dnf([Condition({("x", i): 1})], w))
+        generator, reference = random.Random(5), random.Random(5)
+        reference.getrandbits(64)
+        report = race_topk(rows, dnfs, 1, _EPS, _DELTA, rng=generator)
+        assert report.total_trials == 0 and report.bounds_decided == 3
+        assert generator.getstate() == reference.getstate()
+        race_topk(rows, dnfs, 3, _EPS, _DELTA, rng=generator)  # n ≤ k: nothing to race
+        assert generator.getstate() == reference.getstate()
 
     def test_n_at_most_k_returns_everything_ranked(self):
         rows, dnfs = _pair_race([0.3, 0.7])
@@ -172,17 +197,21 @@ class TestProbDBTopK:
     def test_session_transcripts_and_memo_agree_across_workers(self):
         """A session that omits ``workers`` races exactly like workers ∈
         {1, 2, 4} and leaves the same memo entries behind."""
-        # One K₃,₃ 2-DNF per tuple (see _pair_race): budget-0 bounds
-        # cannot decide them, so the race really samples.
+        # One K₃,₃ 2-DNF behind a selector per tuple (see _pair_race):
+        # budget-0 bounds cannot decide them, so the race really samples.
         w = VariableTable()
         rows = []
+        selector = Fraction(_SELECTOR).limit_denominator(10)
         for t, target in enumerate(_SEPARATED):
-            q = Fraction(1.0 - (1.0 - math.sqrt(target)) ** (1.0 / 3.0)).limit_denominator(64)
+            q = Fraction(
+                1.0 - (1.0 - math.sqrt(target / _SELECTOR)) ** (1.0 / 3.0)
+            ).limit_denominator(64)
             for side in "xy":
                 for i in range(3):
                     w.add((side, t, i), {1: q, 0: 1 - q})
+            w.add(("s", t), {1: selector, 0: 1 - selector})
             rows += [
-                (Condition({("x", t, a): 1, ("y", t, b): 1}), (t,))
+                (Condition({("s", t): 1, ("x", t, a): 1, ("y", t, b): 1}), (t,))
                 for a in range(3)
                 for b in range(3)
             ]
@@ -235,6 +264,15 @@ class TestProbDBTopK:
         plan = db.explain_topk("union(R, R)", 2)
         assert "topk[2]" in plan.text
         assert "bounds-pruned[3/3]" in plan.text
+
+    def test_a_raced_report_is_volatile_even_when_bounds_decide_it(self):
+        """Recomputing a race draws from the session stream, so its memo entry is pinned."""
+        db = ProbDB(_single_var_db([0.9, 0.7, 0.5]), rng=5)
+        before = db.rng.getstate()
+        report = db.topk("union(R, R)", 2)  # not liftable: a race, decided at stage 1
+        assert report.total_trials == 0 and db.rng.getstate() != before
+        entries = [e for e in db._cache._data.values() if e.value is report]
+        assert len(entries) == 1 and entries[0].volatile
 
 
 class TestServerTopK:

@@ -292,15 +292,16 @@ def conf_operator_transcript(workers):
 
 def contested_db(n_groups):
     """``sigma_db`` plus two circulant bipartite 2-DNFs (36 clauses over private
-    variables) that the default bound budget encloses in [0.79, 0.97] but
-    does not crack: ``P1 > 0.8`` certifies the groups and samples these."""
+    variables, P = 0.912) that the default bound budget encloses in
+    [0.77, 0.97] but does not crack: ``P1 > 0.8`` certifies the groups and
+    samples these."""
     db = sigma_db(n_groups)
     rows = list(db.relation("R").rows)
-    side, offsets = 9, (0, 1, 2, 3)
+    side, offsets = 9, (0, 1, 3, 4)
     for t in (1000, 1001):
         for i in range(side):
             db.w.add(("x", t, i), {1: Fraction(1, 3), 0: Fraction(2, 3)})
-            db.w.add(("y", t, i), {1: Fraction(2, 5), 0: Fraction(3, 5)})
+            db.w.add(("y", t, i), {1: Fraction(1, 3), 0: Fraction(2, 3)})
         rows += [
             (Condition({("x", t, i): 1, ("y", t, (i + d) % side): 1}), (t,))
             for i in range(side)
@@ -315,16 +316,26 @@ def enclosure_transcript(workers):
     sections = {}
     for label, n in (("narrow", 4), ("wide", 20)):
         with connect(contested_db(n), workers, eps=0.3, delta=0.2, rng=9) as db:
+            def drivers():
+                return [
+                    driver_key(db.evaluate_with_guarantee(q, delta=0.2, eps0=0.1)),
+                    driver_key(db.evaluate_with_guarantee(q, delta=0.1, eps0=0.1, rng=4)),
+                ]
+
             def consumers():
                 out = [topk_key(db.topk("R", k)) for k in (2, 3)]
-                out.append(driver_key(db.evaluate_with_guarantee(q, delta=0.2, eps0=0.1)))
-                out.append(
-                    driver_key(db.evaluate_with_guarantee(q, delta=0.1, eps0=0.1, rng=4))
-                )
+                out += drivers()
                 out.append(repr(db.rng.random()))
                 return out
 
-            sections[f"numpy/enclosures-{label}"] = asked(db, 9, consumers)
+            def enclose():
+                # Every race draws, so a memoized top-k report would skip
+                # its draw: warm the enclosures through explain instead.
+                for k in (2, 3):
+                    db.explain_topk("R", k)
+                drivers()
+
+            sections[f"numpy/enclosures-{label}"] = asked(db, 9, consumers, warm_up=enclose)
     return sections
 
 
@@ -332,9 +343,11 @@ def float_bounds_db(n_tuples=3, side=9, offsets=(0, 1, 3), seed=21):
     """Float-weighted circulant bipartite 2-DNFs that exhaust the default bound
     budget, so their enclosures come from the pairwise base case in float
     arithmetic; the variable probabilities are low enough that Bonferroni's
-    Σp_i − Σq_ij, and with it the last bit of every q_ij, reaches the
-    printed lower bounds.  Tuple 0 also carries a three-valued variable,
-    one of whose clauses asks for a value outside its domain (weight 0)."""
+    Σp_i − Σq_ij still carries some base cases at the default budget (the
+    read-once floor carries the rest), so the last bits of their q_ij
+    reach the printed lower bounds.  Tuple 0 also carries a three-valued
+    variable, one of whose clauses asks for a value outside its domain
+    (weight 0)."""
     rng = random.Random(seed)
     w = VariableTable()
     rows = []
