@@ -43,6 +43,9 @@ single-quoted strings, and attribute names.
 ``parse_query`` returns one AST; ``parse_session`` parses a
 ``Name := query;`` script into (name, query) assignments ready for
 ``repro.connect(db).run_script(...)`` (or per-name ``assign`` calls).
+Both raise :class:`ParseError`, and nothing else, on text they reject —
+also where an operator refuses its arguments (``project[A, A](R)``) and
+where the text nests deeper than :data:`MAX_NESTING` levels.
 """
 
 from __future__ import annotations
@@ -80,11 +83,33 @@ from repro.algebra.operators import (
 )
 from repro.algebra.relations import Relation
 
-__all__ = ["ParseError", "parse_query", "parse_session"]
+__all__ = ["MAX_NESTING", "ParseError", "parse_query", "parse_session"]
+
+MAX_NESTING = 64
+"""How deep query text may nest.  One level each: a sub-query, a
+parenthesised expression, ``not``, a unary minus, every operand after
+the first of an ``and`` / ``or`` / arithmetic chain and every part after
+the second of an n-ary ``product`` / ``join`` / ``union`` (each makes the
+left-deep tree one node deeper).  Within it the parser's own recursion,
+and every fold over the tree it returns (evaluation, ``explain``, the
+printer, the cache fingerprint), stay far inside Python's default
+recursion limit.  The printer parenthesises each nested ``not`` and
+minus, so its text for a tree may nest up to twice as deep as the text
+it came from: it parses back whenever that is within the limit."""
 
 
 class ParseError(ValueError):
     """Raised on malformed query text, with position information."""
+
+
+def _built(build, *args):
+    """``build(*args)``, with an operator's refusal of its arguments as a ParseError."""
+    try:
+        return build(*args)
+    except ParseError:
+        raise
+    except (ValueError, TypeError) as exc:
+        raise ParseError(str(exc)) from exc
 
 
 _TOKEN_RE = re.compile(
@@ -159,6 +184,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.index = 0
+        self.depth = 0
 
     # ------------------------------------------------------------- cursor
     def peek(self) -> _Token:
@@ -194,8 +220,22 @@ class _Parser:
         token = self.peek()
         return token.kind == "name" and token.text.lower() in names
 
+    def descend(self) -> None:
+        """Go one level deeper; past :data:`MAX_NESTING` the text is rejected."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(
+                f"query nests deeper than {MAX_NESTING} levels at offset {self.peek().pos}"
+            )
+
     # -------------------------------------------------------------- query
     def parse_query(self) -> Query:
+        self.descend()
+        node = self._query()
+        self.depth -= 1
+        return node
+
+    def _query(self) -> Query:
         token = self.peek()
         if token.kind != "name":
             raise ParseError(
@@ -245,7 +285,7 @@ class _Parser:
         self.eat_symbol("(")
         child = self.parse_query()
         self.eat_symbol(")")
-        return build(items, child)
+        return _built(build, items, child)
 
     def _bracket_items(self) -> list:
         """Parse ``[item, ...]`` where item is an expression, possibly with
@@ -283,10 +323,14 @@ class _Parser:
     def _nary(self, word: str) -> Query:
         self.advance()
         self.eat_symbol("(")
+        depth = self.depth
         parts = [self.parse_query()]
         while self.at_symbol(","):
             self.advance()
+            if len(parts) > 1:  # a third part on nests the left-deep tree one deeper
+                self.descend()
             parts.append(self.parse_query())
+        self.depth = depth
         self.eat_symbol(")")
         if word == "diff":
             if len(parts) != 2:
@@ -327,10 +371,9 @@ class _Parser:
         if word == "conf":
             if len(items) > 1:
                 raise ParseError("conf takes at most one [P] item")
-            p_name = items[0].name if items else "P"
             if items and not isinstance(items[0], Attr):
                 raise ParseError("conf's item must be a column name")
-            return Conf(child, p_name)
+            return Conf(child, items[0].name if items else "P")
         if len(items) not in (2, 3):
             raise ParseError("aconf needs [eps, delta] or [eps, delta, P]")
         eps, delta = (self._numeric(items[0]), self._numeric(items[1]))
@@ -339,7 +382,7 @@ class _Parser:
             if not isinstance(items[2], Attr):
                 raise ParseError("aconf's third item must be a column name")
             p_name = items[2].name
-        return ApproxConf(child, float(eps), float(delta), p_name)
+        return _built(ApproxConf, child, float(eps), float(delta), p_name)
 
     @staticmethod
     def _numeric(item) -> Fraction:
@@ -381,7 +424,7 @@ class _Parser:
         self.eat_symbol("(")
         child = self.parse_query()
         self.eat_symbol(")")
-        return ApproxSelect(child, predicate, groups, p_names)
+        return _built(ApproxSelect, child, predicate, groups, p_names)
 
     def _literal(self) -> Query:
         self.advance()
@@ -412,7 +455,7 @@ class _Parser:
                     continue
                 break
         self.eat_symbol("}")
-        return Literal(Relation.from_rows(tuple(columns), rows))
+        return Literal(_built(Relation.from_rows, tuple(columns), rows))
 
     def _scalar(self):
         token = self.peek()
@@ -432,26 +475,36 @@ class _Parser:
     def parse_condition(self) -> BoolExpr | Term:
         return self._parse_or()
 
+    # Each link of a chain nests the left-deep tree one level deeper.
     def _parse_or(self):
+        depth = self.depth
         left = self._parse_and()
         while self.at_keyword("or"):
             self.advance()
+            self.descend()
             right = self._parse_and()
             left = Or((self._boolish(left), self._boolish(right)))
+        self.depth = depth
         return left
 
     def _parse_and(self):
+        depth = self.depth
         left = self._parse_not()
         while self.at_keyword("and"):
             self.advance()
+            self.descend()
             right = self._parse_not()
             left = And((self._boolish(left), self._boolish(right)))
+        self.depth = depth
         return left
 
     def _parse_not(self):
         if self.at_keyword("not"):
             self.advance()
-            return Not(self._boolish(self._parse_not()))
+            self.descend()
+            node = Not(self._boolish(self._parse_not()))
+            self.depth -= 1
+            return node
         return self._parse_comparison()
 
     def _parse_comparison(self):
@@ -463,19 +516,27 @@ class _Parser:
         return left
 
     def _parse_additive(self):
+        depth = self.depth
         left = self._parse_multiplicative()
         while self.at_symbol("+") or self.at_symbol("-"):
             op = self.advance().text
+            self.descend()
             right = self._parse_multiplicative()
-            left = self._termish(left).__add__(right) if op == "+" else self._termish(left).__sub__(right)
+            term = self._termish(left)
+            left = _built(term.__add__ if op == "+" else term.__sub__, right)
+        self.depth = depth
         return left
 
     def _parse_multiplicative(self):
+        depth = self.depth
         left = self._parse_unary()
         while self.at_symbol("*") or self.at_symbol("/"):
             op = self.advance().text
+            self.descend()
             right = self._parse_unary()
-            left = self._termish(left).__mul__(right) if op == "*" else self._termish(left).__truediv__(right)
+            term = self._termish(left)
+            left = _built(term.__mul__ if op == "*" else term.__truediv__, right)
+        self.depth = depth
         return left
 
     def _parse_unary(self):
@@ -485,7 +546,10 @@ class _Parser:
             # not the expression 0 − 1); general terms get the 0 − x form.
             if self.peek().kind == "number":
                 return Const(-_parse_number(self.advance().text))
-            return Const(0) - self._termish(self._parse_unary())
+            self.descend()
+            node = Const(0) - self._termish(self._parse_unary())
+            self.depth -= 1
+            return node
         return self._parse_atom()
 
     def _parse_atom(self):
@@ -498,7 +562,9 @@ class _Parser:
             return Const(_parse_string(token.text))
         if self.at_symbol("("):
             self.advance()
+            self.descend()
             inner = self.parse_condition()
+            self.depth -= 1
             self.eat_symbol(")")
             return inner
         if token.kind == "name":

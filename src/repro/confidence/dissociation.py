@@ -15,7 +15,7 @@ finish) come back as exact point intervals; hard instances come back
 with the interval the budget could afford.
 
 The solver mirrors the exact decomposition solver's structure with a
-node budget bolted on, and walks the same integer-coded clauses
+node budget bolted on, and walks the same bitmask clause sets
 (:class:`~repro.confidence.exact.ClauseKernel`, built once per solve):
 
 1. **Independent-component factoring** (free — no budget spent):
@@ -76,7 +76,7 @@ from fractions import Fraction
 import numpy as np
 
 from repro.confidence.dnf import Dnf
-from repro.confidence.exact import ClauseKernel, _Clause
+from repro.confidence.exact import ClauseKernel, clause_ids
 from repro.util.scope import current_scope
 from repro.worlds.database import Prob
 
@@ -165,7 +165,7 @@ def _compute_interval(dnf: Dnf, budget: int) -> BoundInterval:
     if dnf.is_trivially_true:
         return BoundInterval(Fraction(1), Fraction(1))
     kernel = ClauseKernel(dnf)
-    lower, upper = _BoundSolver(kernel, budget).solve(kernel.clauses)
+    lower, upper = _BoundSolver(kernel, budget).solve(kernel.clauses, kernel.key)
     return BoundInterval(lower, upper)
 
 
@@ -294,54 +294,56 @@ class _BoundSolver:
         """Bind the coded DNF and the node budget the traversal may spend."""
         self.kernel = kernel
         self.budget = budget
-        self._memo: dict[frozenset[_Clause], tuple[Prob, Prob]] = {}
+        self._memo: dict[int, tuple[Prob, Prob]] = {}
 
-    def solve(self, clauses: frozenset[_Clause]) -> tuple[Prob, Prob]:
-        """Return (lower, upper) confidence bounds for ``clauses``."""
-        if not clauses:
+    def solve(self, ids: int, key: int, connected: bool = False) -> tuple[Prob, Prob]:
+        """Return (lower, upper) confidence bounds for the set ``ids`` / ``key``.
+
+        ``connected`` skips the component check of a set known to be one.
+        """
+        if not ids:
             return Fraction(0), Fraction(0)
-        cached = self._memo.get(clauses)
+        cached = self._memo.get(key)
         if cached is not None:
             return cached
 
         kernel = self.kernel
-        components = kernel.components(clauses)
-        if len(components) > 1:
+        parts = () if connected else kernel.components(ids, key)
+        if len(parts) > 1:
             # Disjoint variable sets: 1 − ∏(1 − x) is monotone in every
             # component probability, so the interval product is tight.
             miss_lower: Prob = Fraction(1)  # ∏(1 − upper_c)
             miss_upper: Prob = Fraction(1)  # ∏(1 − lower_c)
-            for component in components:
-                lower_c, upper_c = self.solve(component)
+            for part in parts:
+                lower_c, upper_c = self.solve(*part, True)
                 miss_lower = miss_lower * (1 - upper_c)
                 miss_upper = miss_upper * (1 - lower_c)
             result = (1 - miss_upper, 1 - miss_lower)
-        elif len(clauses) == 1:
-            (clause,) = clauses
-            p = kernel.weight(clause)
+        elif not ids & (ids - 1):  # one clause
+            p = kernel.weight(ids.bit_length() - 1)
             result = (p, p)
         elif self.budget > 0:
             self.budget -= 1
-            v = kernel.branching_variable(clauses)
+            v = kernel.branching_variable(ids)
             lower: Prob = Fraction(0)
             upper: Prob = Fraction(0)
             for p, lit in kernel.branches[v]:
-                reduced = kernel.condition(clauses, v, lit)
-                branch = (Fraction(1), Fraction(1)) if reduced is None else self.solve(reduced)
+                reduced = kernel.condition(ids, key, v, lit)
+                branch = (Fraction(1), Fraction(1)) if reduced is None else self.solve(*reduced)
                 lower = lower + p * branch[0]
                 upper = upper + p * branch[1]
             result = (lower, upper)
         else:
-            result = self._component_bounds(clauses)
+            result = self._component_bounds(ids)
 
-        self._memo[clauses] = result
+        self._memo[key] = result
         return result
 
     # -------------------------------------------------- base-case bounds
-    def _component_bounds(self, clauses: frozenset[_Clause]) -> tuple[Prob, Prob]:
+    def _component_bounds(self, ids: int) -> tuple[Prob, Prob]:
         """Pairwise and read-once bounds for one connected component, budget exhausted."""
         kernel = self.kernel
-        members = sorted(clauses, key=kernel.texts.__getitem__)
+        members = sorted(clause_ids(ids), key=kernel.texts.__getitem__)
         weights = [kernel.weight(c) for c in members]
         k = len(members)
         total: Prob = Fraction(0)
@@ -355,9 +357,10 @@ class _BoundSolver:
         consistent = self._pair_screen(members)
         pair_weight: list[list[Prob]] = [[Fraction(0)] * k for _ in range(k)]
         s2: Prob = Fraction(0)
+        lits = kernel.lits
         for i, j in consistent:
             # q_ij continues p_i's fold over the items c_j adds, in c_j's order
-            q = kernel.weight(members[j], weights[i], members[i])
+            q = kernel.weight(members[j], weights[i], lits[members[i]])
             pair_weight[i][j] = pair_weight[j][i] = q
             s2 = s2 + q
 
@@ -376,7 +379,7 @@ class _BoundSolver:
             upper = min(upper, 1 - miss)
         return lower, upper
 
-    def _read_once_floor(self, members: list[_Clause], weights: list[Prob]) -> Prob:
+    def _read_once_floor(self, members: list[int], weights: list[Prob]) -> Prob:
         """``1 − ∏(1 − p_i)`` over the heaviest-first variable-disjoint members.
 
         Ties are visited in text order; a member is kept while its
@@ -392,7 +395,7 @@ class _BoundSolver:
                 miss = miss * (1 - weights[i])
         return 1 - miss
 
-    def _pair_screen(self, members: list[_Clause]) -> list[tuple[int, int]]:
+    def _pair_screen(self, members: list[int]) -> list[tuple[int, int]]:
         """Indices (i < j) of clause pairs whose partial functions agree.
 
         Two clauses conflict where they hold different literals of one
@@ -401,28 +404,32 @@ class _BoundSolver:
         boolean-array program; id comparisons are exact, so both paths
         return the same pairs in the same order.
         """
-        k, lit_var = len(members), self.kernel.lit_var
+        kernel = self.kernel
+        k, lit_var, lits = len(members), kernel.lit_var, kernel.lits
         if k >= _NUMPY_SCREEN_MIN:
             column: dict[int, int] = {}
-            rows, columns, lits = [], [], []
+            rows, columns, codes = [], [], []
             for row, clause in enumerate(members):
-                for lit in clause:
+                for lit in lits[clause]:
                     rows.append(row)
                     columns.append(column.setdefault(lit_var[lit], len(column)))
-                    lits.append(lit)
+                    codes.append(lit)
             matrix = np.full((k, len(column)), -1, dtype=np.int64)
-            matrix[rows, columns] = lits
+            matrix[rows, columns] = codes
             a = matrix[:, None, :]
             b = matrix[None, :, :]
             conflict = ((a >= 0) & (b >= 0) & (a != b)).any(axis=2)
             i_idx, j_idx = np.nonzero(np.triu(~conflict, 1))
             return list(zip(i_idx.tolist(), j_idx.tolist()))
 
-        masks = self.kernel.masks
+        masks = kernel.masks
 
-        def agree(c_i: _Clause, c_j: _Clause) -> bool:
+        def agree(c_i: int, c_j: int) -> bool:
             shared = masks[c_i] & masks[c_j]
-            return not shared or all(lit in c_i for lit in c_j if 1 << lit_var[lit] & shared)
+            lits_i = lits[c_i]
+            return not shared or all(
+                lit in lits_i for lit in lits[c_j] if 1 << lit_var[lit] & shared
+            )
 
         return [(i, j) for i in range(k) for j in range(i + 1, k) if agree(members[i], members[j])]
 

@@ -13,9 +13,13 @@ The corpus targets every order the coding must keep: clauses of three
 and four literals in shuffled item order (weights fold in item order),
 ``{x↦1}`` beside ``{x↦10}`` (clause text order is not literal-id order),
 tied branching counts (the tie goes to the least ``repr``), two parents
-that condition to equal clauses in different orders, multi-valued,
-certain (int ``1``) and out-of-domain values, and clauses that all share
-one variable (Kounias's sum still beats the read-once floor there).
+that condition to equal clauses in different orders, a shortened clause
+giving way to the equal one its set holds, multi-valued,
+certain (int ``1``) and out-of-domain values, clauses that all share
+one variable (Kounias's sum still beats the read-once floor there), and
+``pipeline_conf``'s dense lineage, where conditioning shortens clause
+after clause into one the set already holds.  Equal answers are not
+enough: each budget must also reach as many base cases as the reference.
 """
 
 from __future__ import annotations
@@ -41,7 +45,12 @@ from repro.confidence.dissociation import (
     dissociation_intervals,
 )
 from repro.confidence.dnf import Dnf
-from repro.confidence.exact import ClauseKernel, _Decomposition, probability_by_decomposition
+from repro.confidence.exact import (
+    ClauseKernel,
+    _Decomposition,
+    clause_ids,
+    probability_by_decomposition,
+)
 from repro.urel.conditions import Condition
 from repro.urel.variables import VariableTable
 from repro.util.parallel import ShardExecutor, default_workers
@@ -415,6 +424,26 @@ def _subsumed(kind, seed):
     return w, clauses
 
 
+def _gives_way(kind, seed):
+    """A shortened clause meets a held one, and the held clause's fold is the answer.
+
+    ``b`` is certain (its one value is 1) and ties ``p`` … ``s`` at two
+    occurrences, so it is branched on first: ``{b↦0}`` dies and
+    ``{b↦1, s, r, p, q}`` shortens to ``{q, p, r, s}``, which the set
+    already holds.  From budget 1 on, the enclosure is that one clause's
+    weight, folded in the held clause's order — not the shortened one's.
+    """
+    rng = random.Random(seed)
+    w = _table(kind, ["p", "q", "r", "s"], [2] * 4, rng)
+    w.add("b", {1: 1})
+    clauses = [
+        Condition([("q", 1), ("p", 1), ("r", 1), ("s", 1)]),
+        Condition([("b", 1), ("s", 1), ("r", 1), ("p", 1), ("q", 1)]),
+        Condition([("b", 0)]),
+    ]
+    return w, clauses
+
+
 TEXT_ORDER_NAMES = (1, 10, 100, 1000, 2, 20, 200)  # literal-id order
 
 
@@ -504,17 +533,45 @@ def _shared_hub(kind, seed):
     return w, clauses
 
 
+def _dense_few_vars(kind, seed):
+    """``pipeline_conf``'s lineage: ~150 clauses of one to four literals over 12 binary variables.
+
+    As there, each clause is one consistent union of one of five one- or
+    two-literal ``R`` conditions with one of 60 zero- to two-literal ``S``
+    conditions, so most have three literals.  So many clauses share each
+    variable that conditioning shortens clause after clause into one the
+    set already holds, and the held clause keeps its own fold.
+    """
+    rng = random.Random(seed)
+    names = [("x", i) for i in (4, 11, 0, 7, 2, 9, 1, 10, 5, 3, 8, 6)]  # W order is not repr order
+    w = _table(kind, names, [2] * 12, rng)
+
+    def side(arities, n):
+        return [
+            {v: rng.randrange(2) for v in rng.sample(names, rng.choice(arities))} for _ in range(n)
+        ]
+
+    clauses = []
+    for r in side((1, 2), 5):
+        for s in side((0, 1, 2), 60):
+            if all(r.get(v, value) == value for v, value in s.items()):
+                clauses.append(_shuffled({**r, **s}.items(), rng))
+    return w, clauses
+
+
 SHAPES = {
     "three-four-literal": _long_clauses,
     "multi-valued": _multi_valued,
     "tied-counts": _tied_counts,
     "two-parents": _two_parents,
     "subsumed": _subsumed,
+    "gives-way": _gives_way,
     "text-order": _text_order,
     "value-text-order": _value_text_order,
     "bipartite": _bipartite,
     "zero-folds": _zero_folds,
     "shared-hub": _shared_hub,
+    "dense-few-vars": _dense_few_vars,
 }
 CORPUS = {
     f"{kind}/{shape}/{seed}": (SHAPES[shape], kind, seed)
@@ -544,6 +601,37 @@ def corpus_answers() -> dict:
 def test_corpus(name, screen):
     with _screen(screen):
         _assert_same(*_case(name))
+
+
+def _base_cases(solver_class, solve) -> int:
+    """How many base cases ``solve()`` reaches: calls of ``solver_class._component_bounds``."""
+    calls = []
+    inner = solver_class._component_bounds
+
+    def counting(self, *args):
+        calls.append(args)
+        return inner(self, *args)
+
+    with mock.patch.object(solver_class, "_component_bounds", counting):
+        solve()
+    return len(calls)
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_the_traversal_reaches_the_reference_base_cases(name):
+    """Equal bounds are not enough: every budget reaches as many base cases as the reference.
+
+    A traversal that spent its budget elsewhere could still land on the
+    same enclosure here; it would not reach the same base cases.
+    """
+    w, clauses = _case(name)
+    for budget in BUDGETS:
+        ours = _base_cases(
+            dissociation._BoundSolver,
+            lambda: dissociation._compute_interval(Dnf(clauses, w), budget),
+        )
+        theirs = _base_cases(_RefBoundSolver, lambda: _ref_interval(Dnf(clauses, w), budget))
+        assert ours == theirs, budget
 
 
 def test_single_clauses_keep_their_fold_and_their_zero():
@@ -582,19 +670,27 @@ def test_the_float_cases_can_tell_the_orders_apart():
         # the miss product over _text_order's components, by text and by literal id
         w, clauses = _text_order("float", seed)
         kernel = ClauseKernel(Dnf(clauses, w))
-        components = kernel.components(kernel.clauses)
-        misses = [1 - _Decomposition(kernel).solve(c) for c in components]
-        by_ids = sorted(range(len(components)), key=lambda i: min(components[i]))
+        components = kernel.components(kernel.clauses, kernel.key)
+        misses = [1 - _Decomposition(kernel).solve(*c) for c in components]
+
+        def least_lits(part):
+            return min(kernel.lits[c] for c in clause_ids(part[0]))
+
+        by_ids = sorted(range(len(components)), key=lambda i: least_lits(components[i]))
         assert by_ids != list(range(len(components)))
         text_order = folds(misses) != folds([misses[i] for i in by_ids])
         # Σ p_i over _value_text_order's base-case members, by text and by literal id
         w, clauses = _value_text_order("float", seed)
         kernel = ClauseKernel(Dnf(clauses, w))
-        by_text = sorted(kernel.clauses, key=kernel.texts.__getitem__)
-        by_tuple = sorted(kernel.clauses)
+        by_text = sorted(clause_ids(kernel.clauses), key=kernel.texts.__getitem__)
+        by_tuple = sorted(clause_ids(kernel.clauses), key=kernel.lits.__getitem__)
         assert by_text != by_tuple
         value_order = sum(map(kernel.weight, by_text)) != sum(map(kernel.weight, by_tuple))
-        return two_parents, text_order, value_order
+        # the held clause's fold q, p, r, s against the shortened one's s, r, p, q
+        w, _ = _gives_way("float", seed)
+        p = [w.prob(v, 1) for v in "qprs"]
+        gives_way = folds(p) != folds(p[::-1])
+        return two_parents, text_order, value_order, gives_way
 
     assert all(map(any, zip(*map(sensitive, SEEDS))))
 
