@@ -93,9 +93,9 @@ the second of an n-ary ``product`` / ``join`` / ``union`` (each makes the
 left-deep tree one node deeper).  Within it the parser's own recursion,
 and every fold over the tree it returns (evaluation, ``explain``, the
 printer, the cache fingerprint), stay far inside Python's default
-recursion limit.  The printer parenthesises each nested ``not`` and
-minus, so its text for a tree may nest up to twice as deep as the text
-it came from: it parses back whenever that is within the limit."""
+recursion limit.  The printer adds no parenthesis the grammar does not
+need, so its text for a tree nests no deeper than the text it came from
+and parses back whenever that did."""
 
 
 class ParseError(ValueError):

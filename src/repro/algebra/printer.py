@@ -5,6 +5,12 @@
 emits text that parses back to an equal tree (round-trip property-tested
 in ``tests/test_algebra_printer.py``).  Useful for logging query plans,
 error messages, and persisting sessions.
+
+Parentheses go only where the tree needs them: left-deep chains and
+``not`` / unary minus nest bare, ``0 - x`` prints as ``- x``, a
+``Fraction`` with a finite decimal expansion as that decimal.  So printed
+text nests no deeper (:data:`repro.algebra.parser.MAX_NESTING`) than any
+text that parses to the same tree.
 """
 
 from __future__ import annotations
@@ -51,7 +57,8 @@ _PREC_NOT = 3
 _PREC_CMP = 4
 _PREC_ADD = 5
 _PREC_MUL = 6
-_PREC_ATOM = 7
+_PREC_NEG = 7
+_PREC_ATOM = 8
 
 
 def unparse_expression(expr: Expr) -> str:
@@ -66,16 +73,20 @@ def _wrap(rendered: tuple[str, int], parent: int) -> str:
 
 
 def _arith_text(node: Arith, left, right):
+    # The parser reads "- x" as 0 - x, unless x is a number: "- 5" is -5.
+    operand = _wrap(right, _PREC_NEG)
+    if node.op == "-" and left == ("0", _PREC_ATOM) and not operand[0].isdigit():
+        return f"- {operand}", _PREC_NEG
     precedence = _PREC_ADD if node.op in "+-" else _PREC_MUL
-    # Right operand of -,/ needs a strictly tighter context so that
-    # a - (b - c) and a / (b * c) keep their grouping.
-    right_context = precedence + (1 if node.op in "-/" else 0)
-    return f"{_wrap(left, precedence)} {node.op} {_wrap(right, right_context)}", precedence
+    # Chains parse left-deep, so a right operand of equal precedence keeps
+    # its parentheses: a - (b - c), a / (b * c), and a + (b + c) too.
+    return f"{_wrap(left, precedence)} {node.op} {_wrap(right, precedence + 1)}", precedence
 
 
 def _junction_text(word: str, precedence: int):
-    return lambda node, *args: (
-        f" {word} ".join(_wrap(a, precedence + 1) for a in args),
+    # Chains parse left-deep, so a first operand of equal precedence stays bare.
+    return lambda node, first, *rest: (
+        f" {word} ".join([_wrap(first, precedence), *(_wrap(a, precedence + 1) for a in rest)]),
         precedence,
     )
 
@@ -89,7 +100,7 @@ _EXPR_HANDLERS = {
         f"{_wrap(left, _PREC_CMP + 1)} {node.op} {_wrap(right, _PREC_CMP + 1)}",
         _PREC_CMP,
     ),
-    Not: lambda node, arg: (f"not {_wrap(arg, _PREC_NOT + 1)}", _PREC_NOT),
+    Not: lambda node, arg: (f"not {_wrap(arg, _PREC_NOT)}", _PREC_NOT),
     And: _junction_text("and", _PREC_AND),
     Or: _junction_text("or", _PREC_OR),
 }
@@ -104,7 +115,15 @@ def _scalar(value) -> str:
         if value.denominator == 1:
             return str(value.numerator)
         # decimals parse back to exact Fractions; emit a division otherwise
-        return f"({value.numerator} / {value.denominator})"
+        places = next(
+            (k for k in range(value.denominator.bit_length()) if 10**k % value.denominator == 0),
+            None,
+        )
+        if places is None:
+            return f"({value.numerator} / {value.denominator})"
+        digits = str(abs(value.numerator) * 10**places // value.denominator)
+        digits = digits.rjust(places + 1, "0")
+        return f"{'-' if value < 0 else ''}{digits[:-places]}.{digits[-places:]}"
     if isinstance(value, float):
         return repr(value)
     if isinstance(value, str):

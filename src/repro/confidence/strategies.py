@@ -65,6 +65,7 @@ from repro.confidence.dissociation import (
     BoundInterval,
     dissociation_interval,
     dissociation_intervals,
+    routing_intervals,
 )
 from repro.confidence.dnf import Dnf
 from repro.confidence.exact import (
@@ -517,11 +518,13 @@ class AutoStrategy(ConfidenceStrategy):
        which factors into independent components in linear time;
     3. small F (|F| ≤ ``max_exact_size`` and |vars(F)| ≤
        ``max_exact_variables``) — exact decomposition stays affordable;
-    4. F whose dissociation bound interval is a *point*
-       (:func:`repro.confidence.dissociation.dissociation_interval` with
-       this strategy's ``bounds_budget``) — e.g. mutually-exclusive
-       clause sets of any size — the bound *is* the exact answer, no
-       trial drawn;
+    4. F whose dissociation bound interval at ``bounds_budget``
+       expansions is a *point* — e.g. mutually-exclusive clause sets of
+       any size — the bound *is* the exact answer, no trial drawn.  The
+       solve runs point-only and stops at its first open base case; F
+       then gets the cheaper enclosure at
+       :data:`~repro.confidence.dissociation.OPEN_BOUND_BUDGET`
+       expansions (:func:`~repro.confidence.dissociation.routing_intervals`);
     5. otherwise — Karp–Luby, sized by the step-4 enclosure: with L the
        interval's lower bound and M = Σ p_f, m = ⌈3·r·ln(2/δ)/ε²⌉ for
        r = M / max(L, max_f p_f) (:func:`~repro.confidence.batch.karp_luby_ratio`)
@@ -580,13 +583,14 @@ class AutoStrategy(ConfidenceStrategy):
         """The class docstring's decision per DNF, with its step-4 enclosure.
 
         Steps 1–3 screen each DNF; the survivors are enclosed by one
-        :func:`dissociation_intervals` batch, which solves each distinct
-        clause set once and cuts the list on the run scope's executor.
-        The interval is ``None`` for DNFs settled before step 4.
+        :func:`~repro.confidence.dissociation.routing_intervals` batch,
+        which solves each distinct clause set once and cuts the list on
+        the run scope's executor.  The interval is ``None`` for DNFs
+        settled before step 4.
         """
         routes = [(ExactDecomposition.name, None)] * len(dnfs)
         survivors = [i for i, dnf in enumerate(dnfs) if not self._settled(dnf)]
-        intervals = dissociation_intervals([dnfs[i] for i in survivors], self.bounds_budget)
+        intervals = routing_intervals([dnfs[i] for i in survivors], self.bounds_budget)
         for i, interval in zip(survivors, intervals):
             routes[i] = (DissociationBounds.name if interval.is_exact else KarpLuby.name, interval)
         return routes

@@ -33,6 +33,7 @@ from repro.confidence.batch import (
     batch_naive_confidence,
     karp_luby_ratio,
 )
+from repro.confidence.dissociation import OPEN_BOUND_BUDGET
 from repro.confidence.strategies import AutoStrategy, KarpLuby, _clip
 from repro.generators.hard import bipartite_2dnf, chain_dnf, circulant_2dnf
 from repro.urel.conditions import Condition
@@ -315,9 +316,11 @@ class TestEnclosureSizedBudget:
             assert report.lower is None and report.upper is None
 
     def test_auto_sizes_by_its_enclosure(self):
+        """An open DNF is sized by its step-4 enclosure: the one-expansion solve."""
         auto = AutoStrategy(0.1, 0.05)
         for dnf in _loose_dnfs()[:3]:
-            interval = dissociation_interval(dnf, auto.bounds_budget)
+            assert not dissociation_interval(dnf, auto.bounds_budget).is_exact
+            interval = dissociation_interval(dnf, OPEN_BOUND_BUDGET)
             report = auto.compute(dnf, random.Random(1))
             assert report.method == "karp-luby"
             assert (report.lower, report.upper) == (interval.lower, interval.upper)

@@ -17,12 +17,14 @@ from __future__ import annotations
 
 import asyncio
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
+from repro.algebra import parser
 from repro.algebra.parser import MAX_NESTING, ParseError, parse_query, parse_session
 from repro.algebra.printer import unparse_query
 from repro.engine.cache import query_fingerprint
@@ -43,6 +45,21 @@ def _database() -> UDatabase:
         URelation.from_rows(("A",), [(Condition({"x": 1}), (1,)), (Condition({"x": 0}), (2,))]),
     )
     return udb
+
+
+def _nesting(text: str) -> int:
+    """How many levels ``text`` nests, as :data:`MAX_NESTING` counts them."""
+    deepest = 0
+    descend = parser._Parser.descend
+
+    def counting(self):
+        nonlocal deepest
+        descend(self)
+        deepest = max(deepest, self.depth)
+
+    with mock.patch.object(parser._Parser, "descend", counting):
+        parse_query(text)
+    return deepest
 
 
 def _nested(opening: str, core: str, closing: str, levels: int) -> str:
@@ -79,12 +96,8 @@ def test_text_at_the_limit_runs_everywhere(shape):
         db.query(text).rows
         db.explain(text)
         db.query(query).rows
-    # The printer parenthesises what the text left bare, so its text may
-    # nest deeper; it parses back whenever it stays within the limit.
-    try:
-        assert parse_query(printed) == query
-    except ParseError as exc:
-        assert "nests deeper" in str(exc)
+    assert parse_query(printed) == query
+    assert _nesting(printed) <= _nesting(text)
 
 
 @pytest.mark.parametrize("shape", sorted(SHAPES))
@@ -163,6 +176,43 @@ def test_fuzzed_text_raises_only_parse_errors(text):
 def test_fuzzed_repetitions_raise_only_parse_errors(opening, repeat, body):
     """Token soup repeated hundreds of times: the nesting the limit exists for."""
     _only_parse_errors(opening * repeat + " " + body + ")" * repeat)
+
+
+_TERMS = st.recursive(
+    st.sampled_from(["A", "B", "1", "2.5", "'x'"]),
+    lambda term: st.one_of(
+        term.map("- {}".format),
+        term.map("({})".format),
+        st.tuples(term, st.sampled_from("+-*/"), term).map(" ".join),
+    ),
+    max_leaves=8,
+)
+_CONDITIONS = st.recursive(
+    st.tuples(_TERMS, st.sampled_from(["=", "<"]), _TERMS).map(" ".join),
+    lambda condition: st.one_of(
+        condition.map("not {}".format),
+        condition.map("({})".format),
+        st.tuples(condition, st.sampled_from(["and", "or"]), condition).map(" ".join),
+    ),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(condition=_CONDITIONS)
+def test_printed_text_nests_no_deeper_than_its_tree(condition):
+    """Whatever text a tree came from, the printer's text for it nests no deeper.
+
+    The tree's depth is that of a text it was parsed from — with
+    redundant parentheses, bare ``not`` / minus chains, any grouping the
+    precedences allow — so the printer must place no parenthesis the
+    grammar does not need.
+    """
+    text = f"select[{condition}](R)"
+    query = parse_query(text)
+    printed = unparse_query(query)
+    assert parse_query(printed) == query
+    assert _nesting(printed) <= _nesting(text)
 
 
 def test_a_served_session_rejects_deep_text_and_still_answers():

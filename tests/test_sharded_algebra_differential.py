@@ -625,7 +625,7 @@ class TestProfitableShardSizeBoundary:
         """``auto`` screens steps 1–3 per tuple, then encloses the rest as one list.
 
         24 tuples under ``max_exact_size=2``: one settles at steps 1–3, 23
-        route on their enclosures, which are one ``dissociation_intervals``
+        route on their enclosures, which are one ``routing_intervals``
         list cut into two shards — the fan-out ``sharded[2]`` names.  The
         reports equal one ``compute`` per DNF, serial or pooled.
         """
