@@ -142,6 +142,13 @@ class _EncodedDnf:
     sampled world ever matches (the clause has weight 0 and is
     unsatisfiable).
 
+    F is a set (Section 4), so the clauses are indexed in an order of
+    the data, not of ``dnf.members``: ascending by their (column, code)
+    pair tuples.  ``order`` lists the member index of each clause in
+    that order; Definition 4.1's "smallest index" and the cumulative
+    weights follow it.  Two members with equal pair tuples are
+    interchangeable (both out of domain, weight 0), so ties cannot show.
+
     The block kernels read numpy tables built from those, ``int8``-coded
     unless some domain has 127 values or more: ``fixed`` (clause codes, −2
     where a clause leaves the column free), the distinct ``literal_*``,
@@ -153,6 +160,7 @@ class _EncodedDnf:
     __slots__ = (
         "variables",
         "cumulative_probs",
+        "order",
         "member_pairs",
         "cumulative_weights",
         "total_weight",
@@ -176,14 +184,17 @@ class _EncodedDnf:
             dist = dnf.w.distribution(var)
             self.cumulative_probs.append(list(accumulate(float(p) for p in dist.values())))
             value_codes.append({value: code for code, value in enumerate(dist)})
-        self.member_pairs: list[tuple[tuple[int, int], ...]] = []
-        for member in dnf.members:
-            pairs = tuple(
+        pairs = [
+            tuple(
                 (var_index[var], value_codes[var_index[var]].get(value, -1))
                 for var, value in sorted(member.items(), key=repr)
             )
-            self.member_pairs.append(pairs)
-        self.cumulative_weights = list(accumulate(float(p) for p in dnf.weights))
+            for member in dnf.members
+        ]
+        self.order = sorted(range(len(pairs)), key=pairs.__getitem__)
+        self.member_pairs = [pairs[j] for j in self.order]
+        weights = dnf.weights
+        self.cumulative_weights = list(accumulate(float(weights[j]) for j in self.order))
         self.total_weight = self.cumulative_weights[-1] if self.cumulative_weights else 0.0
         dtype = np.int8 if all(len(cum) < 127 for cum in self.cumulative_probs) else np.int64
         self.edges = [np.array(cum[:-1]) for cum in self.cumulative_probs]
@@ -332,21 +343,6 @@ class BatchKarpLubySampler:
             self._exact_value = None
 
     @property
-    def _enc(self) -> _EncodedDnf:
-        """The disjunction's block encoding, built on first use and kept on it.
-
-        A pure function of the ordered members and W, so every sampler of
-        one ``Dnf`` shares it.  Racing threads may each build one; they
-        are equal and the last write wins, like :attr:`Dnf.weights`.
-        An unpickled copy carries the encoding if the original had it.
-        """
-        try:
-            return self.dnf._encoded
-        except AttributeError:
-            enc = self.dnf._encoded = _EncodedDnf(self.dnf)
-            return enc
-
-    @property
     def is_exact(self) -> bool:
         """True when the confidence is known exactly without sampling."""
         return self._exact_value is not None
@@ -355,7 +351,7 @@ class BatchKarpLubySampler:
         """Accumulate ``n_trials`` further Definition 4.1 trials."""
         if n_trials <= 0 or self.is_exact:
             return
-        blocks = _map_trial_blocks(_karp_luby_trial_block, self._enc, n_trials, self.rng)
+        blocks = _map_trial_blocks(_karp_luby_trial_block, self.dnf.encoded, n_trials, self.rng)
         self.positives += sum(blocks)
         self.trials += n_trials
 
@@ -366,7 +362,7 @@ class BatchKarpLubySampler:
             return self._exact_value
         if self.trials == 0:
             raise RuntimeError("no trials drawn yet")
-        return self.positives * self._enc.total_weight / self.trials
+        return self.positives * self.dnf.encoded.total_weight / self.trials
 
     def error_bound(self, eps: float) -> float:
         """δ(ε) = 2·e^{−m·ε²/(3|F|)} for the trials drawn so far."""
@@ -380,7 +376,7 @@ class BatchKarpLubySampler:
             estimate=self.estimate,
             samples=self.trials,
             positives=self.positives,
-            total_weight=self._enc.total_weight,
+            total_weight=self.dnf.encoded.total_weight,
             size=self.dnf.size,
             eps=eps,
             delta=delta,

@@ -282,8 +282,8 @@ class EnclosureMemo:
 
     Two more tables hold what else a round budget cannot change, for
     the approximate σ̂ evaluators of the run: :meth:`intern` keeps the
-    first disjunction seen with each ordered member tuple (and with it
-    the weights and trial encoding built on it), and ``settled`` holds
+    first disjunction seen with each member set (and with it the weights
+    and trial encoding built on it), and ``settled`` holds
     the σ̂ decisions that drew no trial, under keys the evaluator picks.
     Neither table reaches a longer-lived store.
     """
@@ -296,12 +296,13 @@ class EnclosureMemo:
         self.settled: dict[tuple, object] = {}
 
     def intern(self, dnf: Dnf) -> Dnf:
-        """The first disjunction of the run with ``dnf``'s members, in order.
+        """The first disjunction of the run with ``dnf``'s member set.
 
-        The order is part of the key: it is Definition 4.1's tie-break,
-        so a reordered disjunction samples differently.
+        Keyed like every other memo: a sampler indexes F in an order of
+        the data (:attr:`Dnf.encoded`), so a reordered disjunction samples
+        identically.
         """
-        return self._dnfs.setdefault(dnf.members, dnf)
+        return self._dnfs.setdefault(frozenset(dnf.members), dnf)
 
     def _shared_get(self, key: tuple) -> BoundInterval | None:
         """A longer-lived store's answer for ``key`` (here: there is none)."""
@@ -409,7 +410,14 @@ class _BoundSolver:
 
     # -------------------------------------------------- base-case bounds
     def _component_bounds(self, ids: int) -> tuple[Prob, Prob]:
-        """Pairwise and read-once bounds for one connected component, budget exhausted."""
+        """Pairwise and read-once bounds for one connected component, budget exhausted.
+
+        Where a lower and an upper bound meet mathematically, float sums
+        folded in different orders can leave the lower one a few ulps
+        above the upper one.  Such a result collapses to the point at the
+        upper bound, so no enclosure is ever inverted and upper bounds
+        never move.
+        """
         kernel = self.kernel
         members = sorted(clause_ids(ids), key=kernel.texts.__getitem__)
         weights = [kernel.weight(c) for c in members]
@@ -420,7 +428,8 @@ class _BoundSolver:
         best = max(weights)
         floor = self._read_once_floor(members, weights)
         if k > PAIR_CAP:
-            return max(best, floor), min(Fraction(1), total)
+            upper = min(Fraction(1), total)
+            return min(max(best, floor), upper), upper
 
         consistent = self._pair_screen(members)
         pair_weight: list[list[Prob]] = [[Fraction(0)] * k for _ in range(k)]
@@ -445,7 +454,7 @@ class _BoundSolver:
             for p in weights:
                 miss = miss * (1 - p)
             upper = min(upper, 1 - miss)
-        return lower, upper
+        return min(lower, upper), upper
 
     def _read_once_floor(self, members: list[int], weights: list[Prob]) -> Prob:
         """``1 − ∏(1 − p_i)`` over the heaviest-first variable-disjoint members.

@@ -3,15 +3,18 @@
 "The confidence of tuple t for relation R represented in a U-relational
 database is the weight of F = {f | ⟨f, t⟩ ∈ U_R}" (Section 4): the
 probability that at least one of the partial functions in F is satisfied
-by the random world.  This module packages F, in a fixed member order,
-with the W table.  What the samplers need is built on first use and
-kept on the object: the member weights p_f and their sum M on first
-read, the integer block encoding
-(:class:`repro.confidence.batch._EncodedDnf`) on the first Karp–Luby
-draw.  Exact and bound solvers read neither, and a value a point
-enclosure or a certified predicate settles never draws.  Both are pure
-functions of the ordered members and W, so a disjunction the Theorem 6.7
-driver reuses across its doublings pays for them once.
+by the random world.  This module packages F with the W table.  F is a
+set: ``members`` keeps the order it was handed (the order a relation's
+tuple index happens to hold), and nothing that reads an answer off F
+depends on that order.  What the samplers need is built on first use
+and kept on the object: the member weights p_f on first read, the
+integer block encoding (:class:`repro.confidence.batch._EncodedDnf`) on
+the first Karp–Luby draw or read of M.  The encoding indexes F in one
+order fixed by the data, the one Definition 4.1's "smallest index" and
+M's float sum follow.  Exact and bound solvers read neither, and a value
+a point enclosure or a certified predicate settles never draws.  Both
+are pure functions of the member set and W, so a disjunction the
+Theorem 6.7 driver reuses across its doublings pays for them once.
 """
 
 from __future__ import annotations
@@ -29,9 +32,10 @@ __all__ = ["Dnf", "lineage"]
 class Dnf:
     """A disjunction F of partial functions over a variable table W.
 
-    Members keep a fixed order (the estimator's tie-breaking uses "the one
-    of the smallest index", Definition 4.1 step 3).  Duplicate members are
-    removed, preserving first occurrence.
+    Duplicate members are removed, preserving first occurrence.  The
+    member order is not part of the value: the estimator's tie-break
+    ("the one of the smallest index", Definition 4.1 step 3) reads the
+    order :attr:`encoded` fixes from the data.
     """
 
     __slots__ = ("w", "members", "_weights", "_encoded", "_variables", "_bounds")
@@ -84,11 +88,33 @@ class Dnf:
 
     @property
     def total_weight(self) -> Prob:
-        """M = Σ_{f ∈ F} p_f (Section 4)."""
+        """M = Σ_{f ∈ F} p_f (Section 4), summed in :attr:`encoded`'s order.
+
+        Float weights round by order, so the sum runs in the order the
+        sampler indexes F, and M is a function of the member set.
+        """
+        weights = self.weights
         total: Prob = Fraction(0)
-        for p in self.weights:
-            total = total + p
+        for j in self.encoded.order:
+            total = total + weights[j]
         return total
+
+    @property
+    def encoded(self):
+        """The block encoding the samplers draw from, built on first use and kept.
+
+        A pure function of the member set and W, so every sampler of one
+        ``Dnf`` shares it.  Racing threads may each build one; they are
+        equal and the last write wins, like :attr:`weights`.  An
+        unpickled copy carries the encoding if the original had it.
+        """
+        try:
+            return self._encoded
+        except AttributeError:
+            from repro.confidence.batch import _EncodedDnf
+
+            self._encoded = _EncodedDnf(self)
+            return self._encoded
 
     @property
     def is_empty(self) -> bool:
@@ -124,7 +150,9 @@ def lineage(
     confidence-closing operator computes, and a sampler draws, in.  The
     one place a relation's DNFs are built: each is read off the
     relation's cached tuple index, so the whole list costs one grouping
-    pass over U_R.
+    pass over U_R.  A DNF's members come in that index's order, which
+    follows the relation's ``frozenset`` and so the hash seed; nothing
+    reads it (:class:`Dnf`).
     """
     if rows is None:
         rows = urelation.possible_tuples().sorted_rows()

@@ -315,7 +315,7 @@ def _race(rows, dnfs, k, eps, delta, rng) -> TopKReport:
             for i in refine
         ]
         items = [
-            (samplers[i]._enc, count, shard_seed(shard_seed(base, i), rounds))
+            (samplers[i].dnf.encoded, count, shard_seed(shard_seed(base, i), rounds))
             for i, count in allocations
         ]
         positives = scope.executor.map_items(_race_shard_task, items)

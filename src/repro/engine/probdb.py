@@ -291,7 +291,7 @@ class ProbDB:
         self._delta = delta
         self.strategy = resolve_strategy(strategy, eps=eps, delta=delta)
         # The session's one fan-out primitive.  The pool itself is lazy —
-        # sessions that never fan a workload out never fork.  An existing
+        # sessions that never fan a workload out never start one.  An existing
         # ShardExecutor is accepted as-is but *borrowed* (custom plan
         # parameters, or a pool shared across sessions): :meth:`close`
         # only tears down executors the session constructed itself, so

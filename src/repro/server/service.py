@@ -192,10 +192,8 @@ class Server:
         self._delta = delta
         self._cache_size = cache_size
         self._executor, self._owns_executor = as_executor(workers)
-        # Warm the shard pool before any compute thread exists: under the
-        # ``fork`` start method the pool MUST fork first (forked children
-        # must not inherit live threads); under ``forkserver`` this just
-        # moves cold-start latency off the first tenant's query.
+        # Warm the shard pool now, so its cold start is not paid on the
+        # first tenant's query.
         self._executor.prestart()
         self._scheduler = FairShareScheduler(
             tenant_quota=tenant_quota,

@@ -55,7 +55,9 @@ def translate_repair_key(
     tosses carry empty conditions.
 
     The input must be complete (``c(R) = 1``, Definition 2.1); the output
-    schema equals the input schema.
+    schema equals the input schema.  A group's rows are visited in
+    ``repr`` order, so the domain order and the float total follow the
+    data, not the input's ``frozenset`` order.
     """
     if not urel.is_certain:
         raise RepairError(
@@ -82,6 +84,7 @@ def translate_repair_key(
             # Deterministic choice: no new variable, empty condition.
             out_rows.add((TOP, rows[0]))
             continue
+        rows.sort(key=repr)
         total = sum(r[weight_pos] for r in rows)
         var = ("rk", op_id, key_vals)
         distribution = {

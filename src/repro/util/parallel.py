@@ -35,34 +35,17 @@ Determinism is the hard contract, and it rests on two rules:
 Together these make results *bit-identical* for every worker count and
 every shard plan, including the serial in-process path: parallelism
 and the plan parameters change wall-clock time, never answers.  (This
-is also what makes the fallback safe — an environment that cannot fork
+is also what makes the fallback safe — an environment without a pool
 simply runs the same items serially and produces the same bits.)
 
-**Start method.**  Worker processes need the *parent's* hash seed:
-shard kernels iterate sets whose order is hash-dependent (Shannon
-expansion sums, clause walks), so a worker hashing differently from the
-serial in-process path could emit different float-accumulation bits and
-break the contract.  :func:`pool_start_method` picks the safest start
-method that preserves seed agreement:
-
-* ``forkserver`` — used whenever ``PYTHONHASHSEED`` is pinned in the
-  environment (any integer value).  The forkserver process inherits the
-  environment, so it and every worker it forks initialize with the
-  *same, known* hash seed as the parent — the explicit hash-seed
-  handoff.  Forkserver launches by fork+exec, which is safe in a
-  process that already runs threads: this is the start method for
-  async/threaded servers (:mod:`repro.server` prestarts the pool), and
-  it removes the old "run one sharded workload before spawning
-  threads" ordering rule entirely.
-* ``fork`` — the fallback when the parent's hash seed is randomized
-  and therefore *unknowable* (CPython never exposes it): forked
-  children inherit the seed byte-for-byte.  Fork keeps the historical
-  caveat — forking a process that already runs many threads can
-  inherit locks held mid-operation — so threaded callers should either
-  pin ``PYTHONHASHSEED`` (getting forkserver) or run one sharded
-  workload before spawning threads.
-* serial — platforms with neither method (or broken pools) run the
-  same shards in process: same bits, no parallelism.
+**Start method.**  Pools start their workers with ``forkserver``, the
+one start method; a platform without it runs the same shards serially,
+in process (same bits, no parallelism).  A forkserver worker hashes
+under its own seed, which is harmless: no answer depends on a hash
+order (docs/determinism.md), so the workers need nothing from the
+parent but the pickled task.  Forkserver launches by fork+exec, which
+is safe in a process that already runs threads, so a threaded host may
+create its pool at any time.
 
 The pool is created lazily on the first genuinely parallel map
 (:meth:`ShardExecutor.prestart` forces it early — servers call it
@@ -92,7 +75,6 @@ __all__ = [
     "shard_seed",
     "spawn_shard_rng",
     "default_workers",
-    "pool_start_method",
 ]
 
 DEFAULT_MAX_SHARDS = 16
@@ -153,32 +135,6 @@ def plan_trials(n_trials: int) -> list[int]:
         return [n_trials]
     base, extra = divmod(n_trials, blocks)
     return [base + (1 if i < extra else 0) for i in range(blocks)]
-
-
-def pool_start_method() -> str | None:
-    """The multiprocessing start method shard pools will use, or ``None``.
-
-    ``forkserver`` when the hash seed is knowable (``PYTHONHASHSEED``
-    pinned to an integer in the environment — the forkserver and its
-    workers then re-derive the same seed from the inherited
-    environment, and fork+exec is thread-safe); ``fork`` when the seed
-    is randomized and only inheritance can reproduce it; ``None`` when
-    neither method exists (the executor stays serial).  A pure function
-    of the environment, exposed so deployments can assert which regime
-    their configuration lands in.
-    """
-    try:
-        import multiprocessing
-
-        methods = multiprocessing.get_all_start_methods()
-    except ImportError:  # pragma: no cover - no multiprocessing at all
-        return None
-    seed = os.environ.get("PYTHONHASHSEED", "")
-    if seed.isdigit() and "forkserver" in methods:
-        return "forkserver"
-    if "fork" in methods:
-        return "fork"
-    return None
 
 
 def default_workers() -> int:
@@ -279,13 +235,11 @@ class ShardExecutor:
     def prestart(self) -> bool:
         """Create the worker pool now; ``True`` if it came up parallel.
 
-        The lazy default creates the pool on the first sharded map, but
-        a *threaded* host (the async serving layer) wants it earlier:
-        under the ``fork`` start method the pool must fork before user
-        threads exist, and even under ``forkserver`` warming the first
-        worker off the request path avoids paying cold-start latency on
-        a tenant's query.  The round-trip task both forces the
-        forkserver/worker to spawn and proves the pool answers.
+        The lazy default creates the pool on the first sharded map; a
+        server calls this before taking traffic, so the forkserver and
+        its first worker start off the request path instead of on a
+        tenant's query.  The round-trip task both forces them to spawn
+        and proves the pool answers.
         """
         if not self.parallel:
             return False
@@ -381,20 +335,16 @@ class ShardExecutor:
                 return self._pool
             if self._pool_broken or self._closed:
                 return None
-            method = pool_start_method()
-            if method is None:
-                # No fork-family start method on this platform: stay serial.
-                self._pool_broken = True
-                return None
             try:
                 import multiprocessing
                 from concurrent.futures import ProcessPoolExecutor
 
-                context = multiprocessing.get_context(method)
+                # No forkserver on this platform: ValueError, stay serial.
+                context = multiprocessing.get_context("forkserver")
                 self._pool = ProcessPoolExecutor(
                     max_workers=self.workers, mp_context=context
                 )
-                self._start_method = method
+                self._start_method = "forkserver"
             except (ImportError, OSError, ValueError):
                 self._pool_broken = True
                 return None
@@ -437,9 +387,8 @@ kernel's nested calls get: one worker's work stays in that worker."""
 def _outside_scope(fn: Callable, *args):
     """``fn(*args)`` in an empty context, where no run scope is current.
 
-    A forked worker inherits the forking thread's context variables and
-    an in-process task shares the caller's, so without this a task would
-    find the caller's (possibly pooled) executor, while a forkserver
+    An in-process task shares the caller's context, so without this it
+    would find the caller's (possibly pooled) executor, while a pool
     worker would not.  Module level, so the pool pickles it.
     """
     return contextvars.Context().run(fn, *args)

@@ -107,9 +107,10 @@ def _driver_fields(report):
 
 
 class TestSolvedOnce:
+    # rng 7: a run of four evaluations, so the memo is asked again at later doublings.
     def test_driver_run_solves_each_distinct_dnf_once(self, solved):
         with repro.connect(_instance(NARROW), rng=3) as db:
-            report = _run(db)
+            report = _run(db, rng=7)
             assert report.evaluations >= 3 and report.achieved
             assert any(d.decision.total_trials for d in report.decisions)
             assert len(solved) == len(set(solved)) == NARROW + 1
@@ -125,7 +126,7 @@ class TestSolvedOnce:
         for _ in range(2):  # nothing outlives a library run
             del solved[:]
             report = evaluate_with_guarantee(
-                node, udb, delta=DELTA, eps0=EPS0, rng=5, bounds_budget=BUDGET
+                node, udb, delta=DELTA, eps0=EPS0, rng=7, bounds_budget=BUDGET
             )
             assert report.evaluations >= 3
             assert len(solved) == report.bounds_computed == NARROW + 1

@@ -10,7 +10,7 @@ first read, with the same numbers wherever they are read:
 * a disjunction's member weights — :attr:`Dnf.weights` is computed the
   first time a sampler (or anything else) reads it; exact and bound
   solvers never do;
-* a disjunction's trial encoding — ``BatchKarpLubySampler._enc`` builds
+* a disjunction's trial encoding — :attr:`Dnf.encoded` builds
   it on the first draw and keeps it on the ``Dnf``; a value settled by a
   point enclosure or a certified predicate never builds it.
 
@@ -367,7 +367,9 @@ class TestWeighOnFirstUse:
         calls = len(weight_calls)
         assert dnf.weights is dnf.weights  # computed once
         assert len(weight_calls) == calls
-        assert typed([dnf.total_weight]) == typed([sum(eager_weights(dnf), Fraction(0))])
+        eager = eager_weights(dnf)
+        in_order = sum((eager[j] for j in dnf.encoded.order), Fraction(0))
+        assert typed([dnf.total_weight]) == typed([in_order])
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -469,7 +471,7 @@ class TestEncodeOnFirstDraw:
         assert not hasattr(dnf, "_encoded")
         first.run(50)
         second = BatchKarpLubySampler(dnf, 3)
-        assert second._enc is first._enc is dnf._encoded
+        assert second.dnf.encoded is first.dnf.encoded is dnf._encoded
         second.run(50)
         assert (first.positives, first.estimate) == (second.positives, second.estimate)
 
@@ -493,7 +495,7 @@ class TestEncodeOnFirstDraw:
         def draw(sampler):
             barrier.wait()
             sampler.run(200)
-            seen.append((encoding_state(sampler._enc), sampler.estimate))
+            seen.append((encoding_state(sampler.dnf.encoded), sampler.estimate))
 
         threads = [threading.Thread(target=draw, args=(s,)) for s in samplers]
         for thread in threads:
@@ -502,16 +504,17 @@ class TestEncodeOnFirstDraw:
             thread.join()
         want = BatchKarpLubySampler(circulant_2dnf(12, rng=3), 5)
         want.run(200)
-        expected = (encoding_state(want._enc), want.estimate)
+        expected = (encoding_state(want.dnf.encoded), want.estimate)
         assert len(seen) == len(samplers) and all(got == expected for got in seen)
 
 
 # Karp–Luby on generators/hard.py instances at (ε, δ) = (0.2, 0.1), rng
-# seed 5: (estimate, trials), recorded with eagerly computed weights.
+# seed 5: (estimate, trials), recorded with eagerly computed weights;
+# `circulant` re-pinned when samplers began indexing F in an order of the data.
 KARP_LUBY_PINS = {
     "bipartite": (0.8352694018783984, 2023),
     "bipartite-float": (0.5959062592702463, 3371),
-    "circulant": (1.0371397737808268, 5393),
+    "circulant": (1.038075820508066, 5393),
     "chain": (0.7096786950074149, 2023),
 }
 

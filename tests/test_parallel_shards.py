@@ -382,7 +382,7 @@ class TestDeterminismMatrix:
         from repro.confidence.batch import _karp_luby_trial_block
 
         positives = sum(
-            _karp_luby_trial_block(sampler._enc, count, shard_seed(base, i))
+            _karp_luby_trial_block(sampler.dnf.encoded, count, shard_seed(base, i))
             for i, count in enumerate(plan_trials(20_000))
         )
         assert len(plan_trials(20_000)) > 1
@@ -771,55 +771,37 @@ class TestPrivateCopies:
 
 
 class TestStartMethod:
-    """The forkserver/fork/serial start-method choice and hash-seed handoff."""
+    """One start method: a pool is a forkserver pool, or the executor is serial."""
 
-    def _probe(self, env_seed):
-        """pool_start_method() as seen by a subprocess with the given seed."""
+    @pytest.mark.parametrize("hash_seed", ["0", None])
+    def test_start_method_is_forkserver_or_serial_at_any_hash_seed(self, hash_seed):
+        import multiprocessing
         import os
         import subprocess
         import sys
 
         env = dict(os.environ)
         env.pop("PYTHONHASHSEED", None)
-        if env_seed is not None:
-            env["PYTHONHASHSEED"] = env_seed
+        if hash_seed is not None:
+            env["PYTHONHASHSEED"] = hash_seed
+        code = (
+            "from repro.util.parallel import ShardExecutor\n"
+            "with ShardExecutor(2) as executor:\n"
+            "    print(executor.prestart(), executor.start_method)\n"
+        )
         out = subprocess.run(
-            [
-                sys.executable,
-                "-c",
-                "from repro.util.parallel import pool_start_method;"
-                "print(pool_start_method())",
-            ],
-            env=env,
-            capture_output=True,
-            text=True,
-            check=True,
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         )
-        return out.stdout.strip()
-
-    def test_pinned_hash_seed_selects_forkserver(self):
-        import multiprocessing
-
-        methods = multiprocessing.get_all_start_methods()
-        expected = "forkserver" if "forkserver" in methods else (
-            "fork" if "fork" in methods else "None"
-        )
-        assert self._probe("0") == expected
-        assert self._probe("12345") == expected
-
-    def test_randomized_hash_seed_falls_back_to_fork(self):
-        import multiprocessing
-
-        methods = multiprocessing.get_all_start_methods()
-        expected = "fork" if "fork" in methods else "None"
-        assert self._probe(None) == expected
-        assert self._probe("random") == expected
+        if "forkserver" in multiprocessing.get_all_start_methods():
+            assert out.stdout.split() == ["True", "forkserver"]
+        else:
+            assert out.stdout.split() == ["False", "None"]
 
     def test_prestart_brings_up_the_pool(self):
         with ShardExecutor(2) as executor:
             assert executor.start_method is None  # lazy until forced
             assert executor.prestart()
-            assert executor.start_method in {"fork", "forkserver"}
+            assert executor.start_method == "forkserver"
             assert executor.prestart()  # idempotent
 
     def test_prestart_serial_executor_is_a_noop(self):
@@ -827,9 +809,10 @@ class TestStartMethod:
             assert not executor.prestart()
             assert executor.start_method is None
 
-    def test_forkserver_results_match_serial(self, monkeypatch):
-        """Under a pinned hash seed (forkserver pool), sharded results are
-        bit-identical to the serial in-process path."""
+    def test_a_pool_under_a_random_hash_seed_matches_serial(self):
+        """Under a randomized hash seed, the forkserver workers hash unlike
+        the parent, and sharded results are still bit-identical to the
+        serial in-process path."""
         import subprocess
         import sys
 
@@ -856,8 +839,8 @@ class TestStartMethod:
         )
         import os
 
-        env = dict(os.environ, PYTHONHASHSEED="0")
-        env["PYTHONPATH"] = "src"
+        env = dict(os.environ, PYTHONPATH="src")
+        env.pop("PYTHONHASHSEED", None)
         out = subprocess.run(
             [sys.executable, "-c", code],
             env=env,
@@ -866,6 +849,6 @@ class TestStartMethod:
             cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
         )
         assert out.returncode == 0, out.stderr
-        # The 2-worker leg must have actually used a pool (forkserver when
-        # available under the pinned seed); serial-only platforms print None.
-        assert out.stdout.strip() in {"forkserver", "fork", "None"}
+        # The 2-worker leg must have actually used a pool; platforms
+        # without a forkserver stay serial and print None.
+        assert out.stdout.strip() in {"forkserver", "None"}

@@ -107,8 +107,8 @@ def test_floor_keeps_the_enclosure_and_only_raises_the_lower_bound(kind, sizes, 
         )
 
 
-def corpus_answers() -> list:
-    """Budget-0 and default enclosures of a fixed drawn corpus, as ``repr`` text."""
+def drawn_corpus() -> list:
+    """A fixed corpus of 40 drawn ``(w, clauses)`` cases, every kind of W."""
     rng = random.Random(44)
     out = []
     for case in range(40):
@@ -118,7 +118,14 @@ def corpus_answers() -> list:
             [(rng.randrange(6), rng.randrange(5)) for _ in range(rng.randint(1, 3))]
             for _ in range(rng.randint(2, 9))
         ]
-        w, clauses = _drawn(kind, sizes, specs, case)
+        out.append(_drawn(kind, sizes, specs, case))
+    return out
+
+
+def corpus_answers() -> list:
+    """Budget-0 and default enclosures of :func:`drawn_corpus`, as ``repr`` text."""
+    out = []
+    for w, clauses in drawn_corpus():
         for budget in (0, DEFAULT_BOUND_BUDGET):
             interval = dissociation_interval(Dnf(clauses, w), budget)
             out.append((repr(interval.lower), repr(interval.upper)))

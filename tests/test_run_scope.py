@@ -4,8 +4,7 @@ Pinned here:
 
 * the scope's own rules — three fields, ``None`` inherits, one budget
   check for every entry point that takes a ``bounds_budget``;
-* every task a pool worker runs sees the serial scope, also under the
-  ``fork`` start method, whose workers inherit the parent's context;
+* every task sees the serial scope, in a pool worker or in process;
 * an exception in the middle of a request leaves no scope behind, on
   the caller's thread or on a server's compute thread, and no in-flight
   slot: the next request answers what a fresh session answers;
@@ -20,7 +19,6 @@ import dataclasses
 import multiprocessing
 import os
 import random
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 import pytest
@@ -39,7 +37,6 @@ from repro.urel.conditions import Condition
 from repro.urel.udatabase import UDatabase
 from repro.urel.urelation import URelation
 from repro.urel.variables import VariableTable
-from repro.util import parallel, scope
 from repro.util.parallel import SERIAL_EXECUTOR, ShardExecutor
 from repro.util.scope import RunScope, current_scope, run_scope
 
@@ -195,23 +192,15 @@ def _scope_in_task(index: int) -> tuple[bool, int]:
     return _is_serial_scope(current_scope()), os.getpid()
 
 
-def _scope_var_is_set(_index: int) -> bool:
-    return scope._CURRENT.get() is not None
-
-
 @pytest.mark.skipif(
-    "fork" not in multiprocessing.get_all_start_methods(), reason="no fork start method"
+    "forkserver" not in multiprocessing.get_all_start_methods(),
+    reason="no forkserver start method",
 )
-def test_a_forked_pool_worker_runs_its_task_in_the_serial_scope(monkeypatch):
-    monkeypatch.setattr(parallel, "pool_start_method", lambda: "fork")
+def test_a_pool_worker_runs_its_task_in_the_serial_scope():
     with ShardExecutor(2) as executor, run_scope(executor=executor, bounds_budget=3):
-        # What the rule is for: a forked worker inherits the forking
-        # thread's context, and with it the parent's pooled scope.
-        with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork")) as raw:
-            assert raw.submit(_scope_var_is_set, 0).result()
         assert current_scope().executor is executor
         results = executor.map(_scope_in_task, [(i,) for i in range(4)])
-        assert executor.start_method == "fork"
+        assert executor.start_method == "forkserver"
     assert all(serial for serial, _pid in results)
     assert os.getpid() not in {pid for _serial, pid in results}
 

@@ -402,7 +402,8 @@ def _ref_component_bounds(w, clauses):
     best = max(weights)
     floor = _ref_read_once_floor(members, weights)
     if k > PAIR_CAP:
-        return max(best, floor), min(Fraction(1), total)
+        upper = min(Fraction(1), total)
+        return min(max(best, floor), upper), upper
 
     consistent = _ref_consistent_pairs(members)
     pair_weight = {}
@@ -419,7 +420,8 @@ def _ref_component_bounds(w, clauses):
         for p in weights:
             miss = miss * (1 - p)
         upper = min(upper, 1 - miss)
-    return lower, upper
+    # a float crossing by ulps collapses to the upper bound
+    return min(lower, upper), upper
 
 
 def _assert_same_bounds(w, clauses):

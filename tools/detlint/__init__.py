@@ -4,9 +4,9 @@ Every guarantee this reproduction makes (bit-identical answers for every
 worker count, backend, and hash seed) rests on code discipline that the
 dynamic test suites can only check *after* the fact: seeded randomness,
 order-stable iteration, picklable shard kernels, lock-protected shared
-state, complete cache keys, and fork-safe pool startup.  ``detlint``
-rejects the known violations of that discipline at lint time, from the
-AST alone (stdlib ``ast`` only — no new dependencies).
+state and complete cache keys.  ``detlint`` rejects the known
+violations of that discipline at lint time, from the AST alone (stdlib
+``ast`` only — no new dependencies).
 
 Usage::
 
@@ -22,7 +22,6 @@ DET002    set/frozenset iteration order escaping into ordered output
 DET003    non-module-level callables handed to ``ShardExecutor``
 DET004    writes to ``guarded-by`` fields outside their lock
 DET005    token functions missing determinism-relevant ctor params
-DET006    thread creation before the shard pool ``prestart()``
 ========  ==========================================================
 
 Inline suppression (requires a one-line justification)::

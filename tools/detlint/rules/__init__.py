@@ -6,5 +6,4 @@ from tools.detlint.rules import (  # noqa: F401  (registration side effect)
     det003_shard_kernels,
     det004_guarded_by,
     det005_cache_tokens,
-    det006_fork_safety,
 )

@@ -1,7 +1,6 @@
 """Transcript digest of one fixed script — are two checkouts' answers the same?
 
-    PYTHONHASHSEED=0 PYTHONPATH=<checkout>/src python tools/transcript_digest.py <workers> [--warm] [--check]
-    PYTHONPATH=<checkout>/src python tools/transcript_digest.py <workers> --lifted [--check]
+    PYTHONPATH=<checkout>/src python tools/transcript_digest.py <workers> [--warm] [--check]
 
 ``workers`` is ``none`` (the session omits the argument), an int, or
 ``custom`` (``ShardExecutor(2, min_shard_items=2)``, which cuts every
@@ -43,11 +42,7 @@ checkouts from before its removal:
   what a fresh ``db.query`` shows (``rows``, ``columns``, ``complete``,
   then its relation's rows), each asked cold and then warm on one
   session.  The safe ones are answered extensionally (step 0 of the conf
-  seam), in a canonical multiplication order, and conditions print in
-  sorted order, so this total must not move with
-  ``PYTHONHASHSEED`` or the worker count: ``--lifted`` prints it alone,
-  in a fraction of a second — CI compares the four combinations of hash
-  seed 0 / 1 × workers none / 2.
+  seam), in a canonical multiplication order.
 * ``float-bounds`` — a fifth script (in no other total): ``confidence_all``
   under ``auto`` and ``karp-luby`` over float-weighted
   bipartite 2-DNFs that exhaust the bound budget, printing each report's
@@ -69,11 +64,12 @@ answer that moves on every worker count at once still fails; a Python
 version that prints another value for some total pins it there under
 ``<total>@<major>.<minor>``.
 
-Pin ``PYTHONHASHSEED`` for every total but ``lifted``: the first four
-transcripts embed ``repr`` of conditions, and ``float-bounds`` samples
-clauses in the relation's stored order.  Each total uses only names that
-exist on both sides of the change it was written to check (CHANGES.md
-records the digests of both commits).
+No total depends on ``PYTHONHASHSEED``: conditions print in sorted
+order, a sampler indexes a DNF's members in an order of the data, and
+repair-key visits its rows in ``repr`` order (docs/determinism.md).  CI
+runs the script at hash seed 0 and at a random one.  Each total uses
+only names that exist on both sides of the change it was written to
+check (CHANGES.md records the digests of both commits).
 """
 
 import hashlib
@@ -517,10 +513,6 @@ def report(totals):
 
 
 if __name__ == "__main__":
-    if "--lifted" in sys.argv:
-        only = lifted_transcript(sys.argv[1])
-        report({"lifted": digest(sorted(only.items()))})
-        sys.exit(0)
     sections = transcript(sys.argv[1])
     conf_sections = conf_operator_transcript(sys.argv[1])
     enclosure_sections = enclosure_transcript(sys.argv[1])
