@@ -50,6 +50,7 @@ where the text nests deeper than :data:`MAX_NESTING` levels.
 
 from __future__ import annotations
 
+import operator
 import re
 from fractions import Fraction
 
@@ -87,15 +88,22 @@ __all__ = ["MAX_NESTING", "ParseError", "parse_query", "parse_session"]
 
 MAX_NESTING = 64
 """How deep query text may nest.  One level each: a sub-query, a
-parenthesised expression, ``not``, a unary minus, every operand after
-the first of an ``and`` / ``or`` / arithmetic chain and every part after
-the second of an n-ary ``product`` / ``join`` / ``union`` (each makes the
-left-deep tree one node deeper).  Within it the parser's own recursion,
+parenthesised expression, ``not``, a unary minus, and every link of an
+``and`` / ``or`` / arithmetic chain or of an n-ary ``product`` /
+``join`` / ``union`` past its first.  The tree a chain builds is
+left-deep, so each link is a node over every operand before it: of
+``n`` links, the first two operands sit ``n`` levels down and operand
+``i`` sits ``n - i + 1``; ``(a + b) + c`` nests one level deeper than
+``a + b + c``, not one less.  Within it the parser's own recursion,
 and every fold over the tree it returns (evaluation, ``explain``, the
 printer, the cache fingerprint), stay far inside Python's default
 recursion limit.  The printer adds no parenthesis the grammar does not
-need, so its text for a tree nests no deeper than the text it came from
-and parses back whenever that did."""
+need and writes ``0 - x`` where that nests less than ``- x``, so its
+text for a tree nests no deeper than the text it came from and parses
+back whenever that did."""
+
+
+_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
 
 class ParseError(ValueError):
@@ -179,12 +187,48 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
+class _Chain:
+    """The levels of a left-deep chain while the parser reads it.
+
+    The parser only loops over a chain's operands, but each link is a node
+    over every operand before it (see :data:`MAX_NESTING`), so an operand's
+    levels count once the links after it are read.  Call :meth:`link` after
+    each operand, with the next link's text or ``None`` at the end.
+    """
+
+    __slots__ = ("parser", "start", "outer", "counted", "links", "lowest")
+
+    def __init__(self, parser: "_Parser", counted: int = 0):
+        self.parser = parser
+        self.start, self.outer = parser.depth, parser.reach
+        self.counted = counted  # links whose node is already a level (an n-ary query's own)
+        self.links = 0
+        self.lowest = 0  # the operands' reach, less the links that are not over them
+        parser.reach = self.start
+
+    def link(self, token: str | None) -> str | None:
+        parser, links = self.parser, self.links
+        lowest = parser.reach - self.start - (links - 1 if links else 0)
+        if lowest > self.lowest:
+            self.lowest = lowest
+        above = links - self.counted if links > self.counted else 0
+        parser.reached(self.start + above + self.lowest)  # the reach is now this level
+        if token is None:
+            if self.outer > parser.reach:
+                parser.reach = self.outer
+        else:
+            self.links = links + 1
+            parser.reach = self.start
+        return token
+
+
 class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.tokens = _tokenize(text)
         self.index = 0
-        self.depth = 0
+        self.depth = 0  # levels the parser has recursed into
+        self.reach = 0  # deepest level the tree reaches, chains counted once read
 
     # ------------------------------------------------------------- cursor
     def peek(self) -> _Token:
@@ -220,13 +264,27 @@ class _Parser:
         token = self.peek()
         return token.kind == "name" and token.text.lower() in names
 
+    def take_symbol(self, *symbols: str) -> str | None:
+        """The next token's text, consumed, if it is one of ``symbols``."""
+        token = self.peek()
+        return self.advance().text if token.kind == "sym" and token.text in symbols else None
+
+    def take_keyword(self, word: str) -> str | None:
+        return self.advance().text if self.at_keyword(word) else None
+
     def descend(self) -> None:
         """Go one level deeper; past :data:`MAX_NESTING` the text is rejected."""
         self.depth += 1
-        if self.depth > MAX_NESTING:
+        self.reached(self.depth)
+
+    def reached(self, level: int) -> None:
+        """The tree reaches ``level``; past :data:`MAX_NESTING` the text is rejected."""
+        if level > MAX_NESTING:
             raise ParseError(
                 f"query nests deeper than {MAX_NESTING} levels at offset {self.peek().pos}"
             )
+        if level > self.reach:
+            self.reach = level
 
     # -------------------------------------------------------------- query
     def parse_query(self) -> Query:
@@ -323,14 +381,10 @@ class _Parser:
     def _nary(self, word: str) -> Query:
         self.advance()
         self.eat_symbol("(")
-        depth = self.depth
+        chain = _Chain(self, counted=1)  # this query's node is the last link's
         parts = [self.parse_query()]
-        while self.at_symbol(","):
-            self.advance()
-            if len(parts) > 1:  # a third part on nests the left-deep tree one deeper
-                self.descend()
+        while chain.link(self.take_symbol(",")):
             parts.append(self.parse_query())
-        self.depth = depth
         self.eat_symbol(")")
         if word == "diff":
             if len(parts) != 2:
@@ -475,27 +529,20 @@ class _Parser:
     def parse_condition(self) -> BoolExpr | Term:
         return self._parse_or()
 
-    # Each link of a chain nests the left-deep tree one level deeper.
     def _parse_or(self):
-        depth = self.depth
+        chain = _Chain(self)
         left = self._parse_and()
-        while self.at_keyword("or"):
-            self.advance()
-            self.descend()
+        while chain.link(self.take_keyword("or")):
             right = self._parse_and()
             left = Or((self._boolish(left), self._boolish(right)))
-        self.depth = depth
         return left
 
     def _parse_and(self):
-        depth = self.depth
+        chain = _Chain(self)
         left = self._parse_not()
-        while self.at_keyword("and"):
-            self.advance()
-            self.descend()
+        while chain.link(self.take_keyword("and")):
             right = self._parse_not()
             left = And((self._boolish(left), self._boolish(right)))
-        self.depth = depth
         return left
 
     def _parse_not(self):
@@ -516,27 +563,19 @@ class _Parser:
         return left
 
     def _parse_additive(self):
-        depth = self.depth
+        chain = _Chain(self)
         left = self._parse_multiplicative()
-        while self.at_symbol("+") or self.at_symbol("-"):
-            op = self.advance().text
-            self.descend()
+        while op := chain.link(self.take_symbol("+", "-")):
             right = self._parse_multiplicative()
-            term = self._termish(left)
-            left = _built(term.__add__ if op == "+" else term.__sub__, right)
-        self.depth = depth
+            left = _built(_ARITHMETIC[op], self._termish(left), right)
         return left
 
     def _parse_multiplicative(self):
-        depth = self.depth
+        chain = _Chain(self)
         left = self._parse_unary()
-        while self.at_symbol("*") or self.at_symbol("/"):
-            op = self.advance().text
-            self.descend()
+        while op := chain.link(self.take_symbol("*", "/")):
             right = self._parse_unary()
-            term = self._termish(left)
-            left = _built(term.__mul__ if op == "*" else term.__truediv__, right)
-        self.depth = depth
+            left = _built(_ARITHMETIC[op], self._termish(left), right)
         return left
 
     def _parse_unary(self):

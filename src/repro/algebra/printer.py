@@ -7,15 +7,18 @@ in ``tests/test_algebra_printer.py``).  Useful for logging query plans,
 error messages, and persisting sessions.
 
 Parentheses go only where the tree needs them: left-deep chains and
-``not`` / unary minus nest bare, ``0 - x`` prints as ``- x``, a
-``Fraction`` with a finite decimal expansion as that decimal.  So printed
-text nests no deeper (:data:`repro.algebra.parser.MAX_NESTING`) than any
-text that parses to the same tree.
+``not`` / unary minus nest bare, a ``Fraction`` with a finite decimal
+expansion prints as that decimal.  ``0 - x`` prints as ``- x`` or as
+``0 - x``, whichever nests less where it stands, so printed text nests no
+deeper (:data:`repro.algebra.parser.MAX_NESTING`) than any text that
+parses to the same tree.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import attrgetter
+from typing import NamedTuple
 
 from repro.algebra.expressions import (
     And,
@@ -61,48 +64,90 @@ _PREC_NEG = 7
 _PREC_ATOM = 8
 
 
+class _Text(NamedTuple):
+    """One way to print a subtree, and how many levels it nests (see ``MAX_NESTING``)."""
+
+    text: str
+    precedence: int
+    depth: int
+
+
+_DEPTH = attrgetter("depth")
+
+
 def unparse_expression(expr: Expr) -> str:
     """Render a condition/term in the textual language's expression syntax."""
-    return fold(expr, _EXPR_HANDLERS, "unparse_expression")[0]
+    return min(fold(expr, _EXPR_HANDLERS, "unparse_expression"), key=_DEPTH).text
 
 
-def _wrap(rendered: tuple[str, int], parent: int) -> str:
-    """A folded ``(text, precedence)`` operand, parenthesised if it binds looser."""
-    text, precedence = rendered
-    return f"({text})" if precedence < parent else text
+def _parenthesised(rendered: _Text) -> _Text:
+    return _Text(f"({rendered.text})", _PREC_ATOM, rendered.depth + 1)
 
 
-def _arith_text(node: Arith, left, right):
-    # The parser reads "- x" as 0 - x, unless x is a number: "- 5" is -5.
-    operand = _wrap(right, _PREC_NEG)
-    if node.op == "-" and left == ("0", _PREC_ATOM) and not operand[0].isdigit():
-        return f"- {operand}", _PREC_NEG
+def _operand(renderings: list[_Text], parent: int) -> _Text:
+    """The shallowest operand text, parenthesised if it binds looser than ``parent``."""
+    placed = [r if r.precedence >= parent else _parenthesised(r) for r in renderings]
+    return placed[0] if len(placed) == 1 else min(placed, key=_DEPTH)
+
+
+def _chain(word: str, precedence: int, first: list[_Text], rest) -> list[_Text]:
+    """``first word r1 word r2 …``, parsed left-deep: one node per link.
+
+    A first operand of equal precedence stays bare, a later one keeps its
+    parentheses: a - (b - c), a / (b * c), and a + (b + c) too.  Of ``n``
+    links the first two operands sit ``n`` levels down, operand ``i``
+    ``n - i + 1``.
+    """
+    head = _operand(first, precedence)
+    tails = [_operand(r, precedence + 1) for r in rest]
+    depth = len(tails) + max(head.depth, *(t.depth - i for i, t in enumerate(tails)))
+    text = f" {word} ".join([head.text, *(t.text for t in tails)])
+    return [_Text(text, precedence, depth)]
+
+
+def _arith_text(node: Arith, left: list[_Text], right: list[_Text]) -> list[_Text]:
     precedence = _PREC_ADD if node.op in "+-" else _PREC_MUL
-    # Chains parse left-deep, so a right operand of equal precedence keeps
-    # its parentheses: a - (b - c), a / (b * c), and a + (b + c) too.
-    return f"{_wrap(left, precedence)} {node.op} {_wrap(right, precedence + 1)}", precedence
+    renderings = _chain(node.op, precedence, left, [right])
+    if node.op == "-" and left == [_ZERO]:
+        # The parser reads "- x" as 0 - x, unless x is a number: "- 5" is
+        # -5, so 5 goes in parentheses (0 needs none: "- -0" is 0 - 0).
+        # "- x" binds tighter; "0 - x" is kept where it nests less
+        # (0 - 1, 0 - A * B) and the context lets it.
+        operand = _operand(right, _PREC_NEG)
+        if operand.text[0].isdigit():
+            zero = Fraction(operand.text) == 0
+            operand = operand._replace(text=f"-{operand.text}") if zero else _parenthesised(operand)
+        negation = _Text(f"- {operand.text}", _PREC_NEG, operand.depth + 1)
+        return [negation, *(r for r in renderings if r.depth < negation.depth)]
+    return renderings
 
 
-def _junction_text(word: str, precedence: int):
-    # Chains parse left-deep, so a first operand of equal precedence stays bare.
-    return lambda node, first, *rest: (
-        f" {word} ".join([_wrap(first, precedence), *(_wrap(a, precedence + 1) for a in rest)]),
-        precedence,
-    )
+def _cmp_text(node: Cmp, left: list[_Text], right: list[_Text]) -> list[_Text]:
+    lhs, rhs = _operand(left, _PREC_CMP + 1), _operand(right, _PREC_CMP + 1)
+    return [_Text(f"{lhs.text} {node.op} {rhs.text}", _PREC_CMP, max(lhs.depth, rhs.depth))]
 
+
+def _not_text(node: Not, arg: list[_Text]) -> list[_Text]:
+    operand = _operand(arg, _PREC_NOT)
+    return [_Text(f"not {operand.text}", _PREC_NOT, operand.depth + 1)]
+
+
+def _atom(text: str) -> list[_Text]:
+    # A fraction with no finite decimal prints as "(n / d)": two levels.
+    return [_Text(text, _PREC_ATOM, 2 if text.startswith("(") else 0)]
+
+
+_ZERO = _Text("0", _PREC_ATOM, 0)
 
 _EXPR_HANDLERS = {
-    Attr: lambda node: (node.name, _PREC_ATOM),
-    Const: lambda node: (_scalar(node.value), _PREC_ATOM),
-    BoolConst: lambda node: ("true" if node.value else "false", _PREC_ATOM),
+    Attr: lambda node: _atom(node.name),
+    Const: lambda node: _atom(_scalar(node.value)),
+    BoolConst: lambda node: _atom("true" if node.value else "false"),
     Arith: _arith_text,
-    Cmp: lambda node, left, right: (
-        f"{_wrap(left, _PREC_CMP + 1)} {node.op} {_wrap(right, _PREC_CMP + 1)}",
-        _PREC_CMP,
-    ),
-    Not: lambda node, arg: (f"not {_wrap(arg, _PREC_NOT)}", _PREC_NOT),
-    And: _junction_text("and", _PREC_AND),
-    Or: _junction_text("or", _PREC_OR),
+    Cmp: _cmp_text,
+    Not: _not_text,
+    And: lambda node, first, *rest: _chain("and", _PREC_AND, first, rest),
+    Or: lambda node, first, *rest: _chain("or", _PREC_OR, first, rest),
 }
 
 

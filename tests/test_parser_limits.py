@@ -20,7 +20,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import repro
@@ -50,14 +50,14 @@ def _database() -> UDatabase:
 def _nesting(text: str) -> int:
     """How many levels ``text`` nests, as :data:`MAX_NESTING` counts them."""
     deepest = 0
-    descend = parser._Parser.descend
+    reached = parser._Parser.reached
 
-    def counting(self):
+    def counting(self, level):
         nonlocal deepest
-        descend(self)
-        deepest = max(deepest, self.depth)
+        reached(self, level)
+        deepest = max(deepest, level)
 
-    with mock.patch.object(parser._Parser, "descend", counting):
+    with mock.patch.object(parser._Parser, "reached", counting):
         parse_query(text)
     return deepest
 
@@ -83,6 +83,9 @@ SHAPES = {
     "or-chain": lambda levels: "select[" + " or ".join(["A = 1"] * levels) + "](R)",
     "sum-chain": lambda levels: "select[" + " + ".join(["A"] * levels) + " = 1](R)",
     "union-parts": lambda levels: "union(" + ", ".join(["R"] * levels) + ")",
+    # A chain's first operand sits under every link after it, parentheses or not.
+    "sum-head": lambda levels: "select[(" + " + ".join(["A"] * (levels - 2)) + ") + A = 1](R)",
+    "union-head": lambda levels: "union(union(" + ", ".join(["R"] * (levels - 2)) + "), R, R)",
 }
 
 
@@ -122,6 +125,29 @@ def test_one_level_past_the_limit_is_a_parse_error(shape):
 )
 def test_deep_text_never_recurses_without_limit(text):
     with pytest.raises(ParseError):
+        parse_query(text)
+
+
+def _grouped_sum(groups: int) -> str:
+    """``((A + … + A) + A + … + A) + …``: each group as long as the limit lets it."""
+    term = "A"
+    for group in range(groups, 0, -1):
+        term = "(" + term + ")" + " + A" * (MAX_NESTING - group - 2)
+    return f"select[{term} = 1](R)"
+
+
+def _grouped_union(groups: int) -> str:
+    """``union(union(…, R, …, R), R, …, R)``: each part list as long as the limit lets it."""
+    query = "R"
+    for group in range(groups, 0, -1):
+        query = "union(" + query + ", R" * (MAX_NESTING - group - 1) + ")"
+    return query
+
+
+@pytest.mark.parametrize("text", [_grouped_sum(30), _grouped_union(30)], ids=["sum", "union"])
+def test_grouped_chains_count_every_link_over_them(text):
+    """A thousand-node left-deep tree, however its text groups the chain, is too deep."""
+    with pytest.raises(ParseError, match=f"nests deeper than {MAX_NESTING} levels"):
         parse_query(text)
 
 
@@ -179,7 +205,7 @@ def test_fuzzed_repetitions_raise_only_parse_errors(opening, repeat, body):
 
 
 _TERMS = st.recursive(
-    st.sampled_from(["A", "B", "1", "2.5", "'x'"]),
+    st.sampled_from(["A", "B", "0", "1", "2.5", "'x'"]),
     lambda term: st.one_of(
         term.map("- {}".format),
         term.map("({})".format),
@@ -200,6 +226,11 @@ _CONDITIONS = st.recursive(
 
 @settings(max_examples=300, deadline=None)
 @given(condition=_CONDITIONS)
+@example(condition="A = - (1) + - A")
+@example(condition="A = (- A + A) + - A")
+@example(condition="A = (A + A) + A + A")
+@example(condition="A = 0 - A * B")
+@example(condition="A = - - - 0")
 def test_printed_text_nests_no_deeper_than_its_tree(condition):
     """Whatever text a tree came from, the printer's text for it nests no deeper.
 
