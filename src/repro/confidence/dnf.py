@@ -6,10 +6,12 @@ probability that at least one of the partial functions in F is satisfied
 by the random world.  This module packages F with the W table.  F is a
 set: ``members`` keeps the order it was handed (the order a relation's
 tuple index happens to hold), and nothing that reads an answer off F
-depends on that order.  What the samplers need is built on first use
-and kept on the object: the member weights p_f on first read, the
-integer block encoding (:class:`repro.confidence.batch._EncodedDnf`) on
-the first Karp–Luby draw or read of M.  The encoding indexes F in one
+depends on that order.  :func:`lineage` hands a tuple whose F holds the
+empty condition ⊤ just ``{⊤}``: its weight is 1 either way.  What the
+samplers need is built on first use and kept on the object: the member
+weights p_f on first read, the integer block encoding
+(:class:`repro.confidence.batch._EncodedDnf`) on the first Karp–Luby
+draw or read of M.  The encoding indexes F in one
 order fixed by the data, the one Definition 4.1's "smallest index" and
 M's float sum follow.  Exact and bound solvers read neither, and a value
 a point enclosure or a certified predicate settles never draws.  Both
@@ -22,7 +24,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 
-from repro.urel.conditions import Condition, Var
+from repro.urel.conditions import TOP, Condition, Var
 from repro.urel.variables import VariableTable
 from repro.worlds.database import Prob
 
@@ -137,23 +139,38 @@ class Dnf:
 
     @staticmethod
     def for_tuple(urelation, row: Sequence, w: VariableTable) -> "Dnf":
-        """The disjunction F for data tuple ``row`` of a U-relation."""
+        """The disjunction F for data tuple ``row`` of a U-relation.
+
+        Every member is kept; the engine reads lineage through :func:`lineage`.
+        """
         return Dnf(urelation.conditions_of(row), w)
 
 
+_CERTAIN = (TOP,)
+
+
 def lineage(
-    urelation, w: VariableTable, rows: Sequence[tuple] | None = None
+    rep, w: VariableTable, rows: Sequence[tuple] | None = None
 ) -> tuple[Sequence[tuple], list[Dnf]]:
     """The data tuples of a U-relation and the disjunction F of each.
 
-    ``rows`` defaults to poss(R) in ``repr`` order — the order every
-    confidence-closing operator computes, and a sampler draws, in.  The
-    one place a relation's DNFs are built: each is read off the
-    relation's cached tuple index, so the whole list costs one grouping
-    pass over U_R.  A DNF's members come in that index's order, which
-    follows the relation's ``frozenset`` and so the hash seed; nothing
-    reads it (:class:`Dnf`).
+    ``rep`` is a :class:`~repro.urel.urelation.URelation` or a
+    :class:`~repro.urel.columnar.ColumnarURelation`; ``rows`` defaults to
+    poss(R) in ``repr`` order — the order every confidence-closing
+    operator computes, and a sampler draws, in.  The one place a
+    relation's DNFs are built: each is read off the relation's
+    ``lineage_index`` (one grouping pass over U_R), and a tuple whose
+    conditions include ⊤ gets ``Dnf([⊤])``: Pr = 1 whatever else F holds,
+    every strategy answers it without looking further, and its memo key
+    is the same on both representations.  A columnar relation therefore
+    decodes only the conditions of the tuples without ⊤.  A DNF's members
+    come in the index's order; nothing reads it (:class:`Dnf`).
     """
     if rows is None:
-        rows = urelation.possible_tuples().sorted_rows()
-    return rows, [Dnf.for_tuple(urelation, row, w) for row in rows]
+        rows = rep.sorted_rows()
+    index = rep.lineage_index()
+    dnfs = []
+    for row in rows:
+        conditions = index.get(tuple(row), ())
+        dnfs.append(Dnf(_CERTAIN if any(f.is_empty for f in conditions) else conditions, w))
+    return rows, dnfs

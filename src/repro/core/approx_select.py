@@ -129,7 +129,7 @@ class ApproxQueryEvaluator(UEvaluator):
         return self.eval(query.q if isinstance(query, Q) else query)
 
     def eval(self, query: Query) -> AnnotatedRelation:
-        return self._annotated(self._eval_rep(self._pushed(query)))
+        return self._annotated(self.eval_rep(query))
 
     def _annotated(self, result) -> AnnotatedRelation:
         """``result`` as an :class:`AnnotatedRelation` (reliable if plain)."""

@@ -33,6 +33,8 @@ process-wide clock (:func:`_next_tick`), not per cache.  Sizing is paid
 Otherwise the first read of ``approx_bytes``/``stats``/``snapshot()``,
 ``evict_lru`` or ``set_budget`` sizes it, once, at what it holds by
 then (a cached relation may have grown lazy indexes since the put).
+A holder that knows its value grew (a columnar query result that built
+its decode) calls ``resize``.
 
 **Volatile entries.**  ``put(..., volatile=True)`` marks an entry whose
 recomputation would consume session RNG state (a sampled confidence, or
@@ -105,8 +107,14 @@ def approx_size(obj, max_nodes: int = _SIZE_NODE_CAP) -> int:
     report their buffer through ``getsizeof`` already.  The result is
     an estimate — interned conditions shared between entries are
     charged to each entry — which is exactly what a fairness-oriented
-    budget wants: every entry pays for what it keeps alive.
+    budget wants: every entry pays for what it keeps alive.  What the
+    session keeps alive anyway is not the entry's: below the root, a
+    :class:`~repro.urel.columnar.ColumnarContext` (the codecs and
+    condition pool every columnar relation of a database shares) is
+    neither counted nor walked.
     """
+    from repro.urel.columnar import ColumnarContext
+
     seen: set[int] = set()
     stack = [obj]
     total = 0
@@ -114,7 +122,7 @@ def approx_size(obj, max_nodes: int = _SIZE_NODE_CAP) -> int:
     while stack:
         o = stack.pop()
         oid = id(o)
-        if oid in seen:
+        if oid in seen or (o is not obj and isinstance(o, ColumnarContext)):
             continue
         seen.add(oid)
         try:
@@ -307,6 +315,23 @@ class MemoCache:
             # poke itself stays outside the lock (ordering is always
             # budget lock → cache lock, never the reverse).
             budget = self._budget
+        if budget is not None:
+            budget.rebalance()
+
+    def resize(self, key) -> None:
+        """Size ``key``'s entry again: its value grew in place (a lazy part
+        attached after the put).  Under a budget it is sized now and the
+        budget poked; otherwise on demand, like an entry put unsized."""
+        with self._lock:
+            entry = self._data.get(key)
+            if entry is None or entry.nbytes is None:
+                return
+            self._stats.approx_bytes -= entry.nbytes
+            entry.nbytes = None
+            self._pending = True
+            budget = self._budget
+            if budget is not None:
+                self._settle()
         if budget is not None:
             budget.rebalance()
 

@@ -277,7 +277,7 @@ class _PlanPass:
         its length is what :meth:`~repro.util.parallel.ShardExecutor.plan_items`
         cuts.
         """
-        return self.evaluator.lineage(self.relation(node))[1]
+        return self.evaluator.lineage(self.rep(node))[1]
 
     # ----------------------------------------------------------- handlers
     def _scan(self, node: BaseRel) -> PlanNode:

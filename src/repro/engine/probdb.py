@@ -35,6 +35,7 @@ from __future__ import annotations
 import random
 import threading
 import time
+import weakref
 from collections.abc import Mapping, Sequence
 from functools import partial
 
@@ -56,6 +57,7 @@ from repro.confidence.strategies import (
 from repro.engine.cache import MemoCache, query_fingerprint
 from repro.engine.plan import ExplainReport, explain_plan, topk_plan
 from repro.engine.result import EngineResult
+from repro.urel.columnar import ColumnarURelation
 from repro.urel.evaluate import UEvaluator
 from repro.urel.translate import confidence_relation
 from repro.urel.udatabase import UDatabase
@@ -168,10 +170,15 @@ class _SessionEnclosures(EnclosureMemo):
 
 
 class _EngineEvaluator(UEvaluator):
-    """The session's evaluator: the session's *current* strategy, and its memo."""
+    """The session's evaluator: the session's *current* strategy, and its memo.
+
+    Only its session holds it, and it holds the session weakly: a session
+    nobody holds is freed at once, memo and all, not at the next cyclic
+    collection.
+    """
 
     def __init__(self, engine: "ProbDB"):
-        self.engine = engine
+        self.engine = weakref.proxy(engine)
         super().__init__(engine.db, rng=engine.rng, copy_db=False)
 
     @property
@@ -374,13 +381,16 @@ class ProbDB:
         run memo in front of the session cache (:mod:`repro.util.scope`)."""
         return run_scope(self.executor, bounds_budget, _SessionEnclosures(self))
 
-    def _evaluate(self, node: Query) -> tuple[URelation, bool]:
-        """``node``'s relation and completeness, through the ``("query", …)`` memo."""
+    def _evaluate(self, node: Query) -> tuple[URelation | ColumnarURelation, bool]:
+        """``node``'s result and completeness, through the ``("query", …)`` memo.
+
+        The result is what the evaluator produced: a columnar one stays
+        coded until its relation is first asked for (``to_urelation()``
+        keeps the decode on it, so a memo hit reuses it)."""
         if not self._cache.enabled:
-            return self._evaluator.eval(node)
+            return self._evaluator.eval_rep(node)
         fingerprint = query_fingerprint(node)
-        token = self.strategy.cache_token
-        cached = self._cache.get(("query", fingerprint, token, self.db.version, self.db.w.version))
+        cached = self._cache.get(self._query_key(fingerprint))
         if cached is None:
             # A query whose evaluation *drew* from the session RNG
             # (a sampled conf operator missing the conf cache) is
@@ -389,17 +399,23 @@ class ProbDB:
             # the global evictor must leave it alone.  Comparing RNG
             # state before/after captures exactly "did this draw".
             rng_before = self._rng.getstate()
-            cached = self._evaluator.eval(node)
+            cached = self._evaluator.eval_rep(node)
             # Key on the *post*-evaluation versions: a repair-key query
             # extends W on its first run but is idempotent afterwards
             # (``ensure`` + fixed op_ids), so the next identical call
             # sees exactly these versions and hits.
             self._cache.put(
-                ("query", fingerprint, token, self.db.version, self.db.w.version),
-                cached,
-                volatile=self._rng.getstate() != rng_before,
+                self._query_key(fingerprint), cached, volatile=self._rng.getstate() != rng_before
             )
         return cached
+
+    def _query_key(self, fingerprint: str) -> tuple:
+        return ("query", fingerprint, self.strategy.cache_token, self.db.version, self.db.w.version)
+
+    def _regrown(self, node: Query) -> None:
+        """A columnar result of ``node`` built a lazy part: size its memo entry again."""
+        if self._cache.enabled:
+            self._cache.resize(self._query_key(query_fingerprint(node)))
 
     def _relation_of(self, node: Query, bases: dict[str, URelation], version: int) -> URelation:
         """A lifted query's relation: through the memo while ``db.version`` is
@@ -407,7 +423,7 @@ class ProbDB:
         Read after :meth:`query` returned, so it opens its own run scope."""
         with self._scope():
             if self.db.version == version:
-                return self._evaluate(node)[0]
+                return self._evaluator._materialize(self._evaluate(node)[0])
             db = UDatabase(bases, self.db.w, condition_pool=self.db.condition_pool)
             return UEvaluator(db, copy_db=False).eval(node)[0]
 
@@ -422,7 +438,8 @@ class ProbDB:
         node, source = self._resolve(query)
         started = time.perf_counter()
         with self._scope():
-            relation, complete = self._evaluate(node)
+            rep, complete = self._evaluate(node)
+            relation = self._evaluator._materialize(rep)
         self.db.set_relation(name, relation, complete=complete)
         return EngineResult(relation, complete, node, self, time.perf_counter() - started, source)
 
@@ -594,7 +611,7 @@ class ProbDB:
             return rank_exact(
                 list(lifted), [report.value for report in lifted.values()], k, eps, delta
             )
-        rows, dnfs = self._evaluator.lineage(result.relation, result.rows)
+        rows, dnfs = result._lineage()
         if is_exact_solver(self.strategy):
             reports = self._evaluator.confidences(dnfs)
             return rank_exact(rows, [report.value for report in reports], k, eps, delta)
@@ -690,13 +707,14 @@ class ProbDB:
         lifted = result._answered(override)
         if lifted is not None:
             return dict(lifted)
-        rows, dnfs = self._evaluator.lineage(result.relation, result.rows)
+        rows, dnfs = result._lineage()
         return dict(zip(rows, self._evaluator.confidences(dnfs, override)))
 
     def relation_confidences(
-        self, relation: URelation, rows: Sequence[tuple]
+        self, relation: URelation | ColumnarURelation, rows: Sequence[tuple]
     ) -> list[ConfidenceReport]:
-        """Batched confidences for the given data tuples of ``relation``.
+        """Batched confidences for the given data tuples of ``relation``
+        (scalar or columnar).
 
         The batch primitive behind :meth:`EngineResult.confidences` —
         reports come back in ``rows`` order::

@@ -13,6 +13,7 @@ from typing import TYPE_CHECKING
 
 from repro.algebra.operators import Query
 from repro.algebra.relations import Relation
+from repro.urel.columnar import ColumnarURelation
 from repro.urel.conditions import Condition
 from repro.urel.urelation import URelation
 
@@ -42,7 +43,10 @@ class EngineResult:
 
     ``relation`` is lazy on a plan step 0 of the conf seam answers: it is
     built on first use (of ``relation``, ``provenance`` or ``str()``) over
-    the relations the plan read when it was asked.
+    the relations the plan read when it was asked.  A columnar result
+    decodes on first use too: until then ``rows`` decode only the
+    distinct data tuples, and confidences only the conditions of the
+    tuples without ⊤ (:func:`repro.confidence.dnf.lineage`).
     """
 
     __slots__ = (
@@ -61,7 +65,7 @@ class EngineResult:
 
     def __init__(
         self,
-        relation: "URelation | Callable[[], URelation]",
+        relation: "URelation | ColumnarURelation | Callable[[], URelation]",
         complete: bool,
         query: Query,
         engine: "ProbDB",
@@ -72,6 +76,7 @@ class EngineResult:
     ):
         # Given step 0's ``answers`` (poss(result) → report, in ``repr``
         # order), ``relation`` may be a thunk: then ``columns`` is given.
+        # A columnar ``relation`` is decoded on first use, like a thunk.
         self._relation = relation
         self.columns = relation.columns if columns is None else columns
         self.complete = complete
@@ -86,17 +91,41 @@ class EngineResult:
     # ------------------------------------------------------------ data access
     @property
     def relation(self) -> URelation:
-        """The result U-relation (on a lifted plan: built on first access)."""
+        """The result U-relation (lifted plan or columnar result: built on first access)."""
         if callable(self._relation):
             self._relation = self._relation()
+        elif isinstance(self._relation, ColumnarURelation):
+            self._relation = self._coded(ColumnarURelation.to_urelation)
         return self._relation
 
     @property
     def rows(self) -> list[tuple]:
         """The distinct possible data tuples, deterministically ordered."""
         if self._rows is None:
-            self._rows = self.relation.possible_tuples().sorted_rows()
+            if isinstance(self._relation, ColumnarURelation):
+                self._rows = self._coded(ColumnarURelation.sorted_rows)
+            else:
+                self._rows = self.relation.sorted_rows()
         return self._rows
+
+    def _lineage(self, rows: Sequence[tuple] | None = None) -> tuple[Sequence[tuple], list]:
+        """``rows`` (default: every row) and their DNFs, read off the result
+        as evaluated: a columnar one stays coded."""
+        rows = self.rows if rows is None else rows
+        lineage = self._engine._evaluator.lineage
+        if isinstance(self._relation, ColumnarURelation):
+            return self._coded(lambda coded: lineage(coded, rows))
+        return lineage(self.relation, rows)
+
+    def _coded(self, read):
+        """``read(coded)`` on the columnar result; when that built one of
+        its lazy parts, the session sizes its query memo entry again."""
+        coded = self._relation
+        built = coded.built_parts
+        value = read(coded)
+        if coded.built_parts != built:
+            self._engine._regrown(self.query)
+        return value
 
     def __iter__(self) -> Iterator[tuple]:
         return iter(self.rows)
@@ -136,7 +165,7 @@ class EngineResult:
         engine, answers = self._engine, self._answered()
         with engine._scope():
             if answers is None:
-                return engine.relation_confidences(self.relation, rows)
+                return engine._evaluator.confidences(self._lineage(rows)[1])
             # A row step 0 did not answer is no result tuple: its lineage is empty.
             absent = [row for row in rows if row not in answers]
             if absent:

@@ -18,10 +18,10 @@ columnar encoding and runs ``select``/``project``/``rename``/``union``/
   merge) is one vectorized comparison over candidate pairs:
   ``(L == R) | (L == -1) | (R == -1)`` AND-reduced per row, and the
   merged conditions are ``np.where(L == -1, R, L)``;
-* **set semantics** is a lexsort-and-adjacent-compare dedup over the
-  concatenated condition+data code matrix (``np.unique(axis=0)`` would
-  sort rows as void scalars, which is orders of magnitude slower than
-  per-column int64 key passes);
+* **set semantics** is a sort-and-adjacent-compare dedup over the
+  concatenated condition+data code matrix, its columns packed into a
+  few int64 sort words (``np.unique(axis=0)`` would sort rows as void
+  scalars, which is orders of magnitude slower);
 * **product/join pair merges** run in bounded row blocks that cap the
   gathered condition matrices (~128 MB), always in process: the algebra
   never fans out, only the confidence layer above it does.
@@ -348,6 +348,8 @@ class ColumnarURelation:
         "tainted",
         "_decoded",
         "_columns_cache",
+        "_groups",
+        "_index",
     )
 
     def __init__(
@@ -372,6 +374,8 @@ class ColumnarURelation:
         self.tainted = tainted
         self._decoded: Optional[URelation] = None
         self._columns_cache: dict[int, object] = {}
+        self._groups = None
+        self._index: Optional[dict] = None
 
     # ------------------------------------------------------------ inspection
     def __len__(self) -> int:
@@ -392,26 +396,21 @@ class ColumnarURelation:
         materialization is free.
         """
         if self._decoded is None:
-            n = self.data.shape[0]
-            # Data: one fancy-indexed gather through an object array, then
-            # a C-level map(tuple, ...) — no per-element Python loop.
-            if n and self.data.shape[1]:
-                lookup = self.ctx.values.object_array()
-                data_tuples = list(map(tuple, lookup[self.data].tolist()))
-            else:
-                data_tuples = [()] * n
+            ids, tuples = self._data_groups()
+            data_tuples = map(tuples.__getitem__, ids.tolist())
             self._decoded = URelation._trusted(
-                self.columns, frozenset(zip(self._decoded_conditions(), data_tuples))
+                self.columns, frozenset(zip(self._decoded_conditions(self.conds), data_tuples))
             )
         return self._decoded
 
-    def _decoded_conditions(self) -> list[Condition]:
-        """One interned :class:`Condition` per row — built once per
-        *distinct* condition row (group ids), then gathered."""
-        n, v = self.conds.shape
+    def _decoded_conditions(self, conds) -> list[Condition]:
+        """One interned :class:`Condition` per row of the condition matrix
+        ``conds`` (over :attr:`cond_vars`) — built once per *distinct*
+        condition row (group ids), then gathered."""
+        n, v = conds.shape
         if n == 0 or v == 0:
             return [TOP] * n
-        ids = _group_ids(self.conds)
+        ids = _group_ids(conds)
         n_groups = int(ids.max()) + 1
         representatives = np.empty(n_groups, dtype=np.int64)
         representatives[ids] = np.arange(n)
@@ -419,13 +418,66 @@ class ColumnarURelation:
         cond_vars = self.cond_vars
         intern = self.ctx.pool.intern
         group_conds = []
-        for row in self.conds[representatives].tolist():
+        for row in conds[representatives].tolist():
             mapping = {
                 cond_vars[j]: var_values[j][c] for j, c in enumerate(row) if c >= 0
             }
             group_conds.append(intern(Condition._from_map(mapping)) if mapping else TOP)
         gathered = np.fromiter(group_conds, dtype=object, count=n_groups)
         return gathered[ids].tolist()
+
+    def _data_groups(self) -> tuple:
+        """``(group id per row, the distinct data tuples by id)``, built once:
+        one row per group decodes its data through an object-array gather."""
+        if self._groups is None:
+            n, k = self.data.shape
+            if n == 0 or k == 0:
+                ids, tuples = np.zeros(n, dtype=np.int64), [()] * min(n, 1)
+            else:
+                ids = _group_ids(self.data)
+                first = np.empty(int(ids.max()) + 1, dtype=np.int64)
+                first[ids] = np.arange(n)
+                lookup = self.ctx.values.object_array()
+                tuples = list(map(tuple, lookup[self.data[first]].tolist()))
+            self._groups = (ids, tuples)
+        return self._groups
+
+    def sorted_rows(self) -> list[tuple]:
+        """poss(R) in ``repr`` order, equal to ``to_urelation().sorted_rows()``:
+        only the distinct data rows decode."""
+        if self._decoded is not None:
+            return self._decoded.sorted_rows()
+        return sorted(self._data_groups()[1], key=repr)
+
+    def lineage_index(self) -> dict[tuple, list[Condition]]:
+        """Data tuple → the conditions it appears under, ⊤ absorbing the rest.
+
+        A tuple with an all −1 condition row holds ⊤, so its F is
+        certain whatever else it holds: it maps to ``[TOP]``, and only
+        the rows of the other tuples decode their conditions.  Built
+        once and kept.  Once a decode is at hand it is read instead (the
+        encode of a scalar relation keeps the relation's own value
+        objects).
+        """
+        if self._decoded is not None:
+            return self._decoded.lineage_index()
+        if self._index is None:
+            ids, tuples = self._data_groups()
+            certain = np.zeros(len(tuples), dtype=bool)
+            certain[ids[(self.conds == -1).all(axis=1)]] = True
+            index = {row: [TOP] for row, top in zip(tuples, certain.tolist()) if top}
+            undecided = ~certain[ids]
+            conditions = self._decoded_conditions(self.conds[undecided])
+            for group, cond in zip(ids[undecided].tolist(), conditions):
+                index.setdefault(tuples[group], []).append(cond)
+            self._index = index
+        return self._index
+
+    @property
+    def built_parts(self) -> int:
+        """How many of its lazy parts — row groups, lineage index, decode —
+        are built: a count that grows when one is attached."""
+        return sum(part is not None for part in (self._groups, self._index, self._decoded))
 
     # ------------------------------------------------------------ internals
     def _replace(
@@ -751,18 +803,47 @@ def _all_pairs(left_conds, right_conds, left_data, right_data, rkeep, n_left, n_
     return _stack_parts(data_parts, cond_parts)
 
 
+_WORD_BITS = 62
+"""Bits of one packed sort word (:func:`_row_order`): int64 with room to spare."""
+
+
 def _row_order(matrix):
-    """A lexicographic row ordering (last column is the primary key —
-    any total order works, set semantics only needs grouping)."""
-    return np.lexsort(matrix.T)
+    """``np.lexsort(matrix.T)``: a lexicographic row order, last column the
+    primary key (any total order works, set semantics only needs grouping).
+
+    Each column is offset by its minimum and packed, last column most
+    significant, into as few ≤ 62-bit words as the observed spans allow;
+    lexsorting the words — one stable sort when they fit one — costs a
+    pass per word instead of one per column.  A column whose span needs
+    more bits is a word by itself, uncut.
+    """
+    if matrix.shape[0] == 0:
+        return np.empty(0, dtype=np.intp)
+    lows, highs = matrix.min(axis=0).tolist(), matrix.max(axis=0).tolist()
+    words: list = []  # most significant first
+    used = _WORD_BITS + 1
+    for j in reversed(range(matrix.shape[1])):
+        width = (highs[j] - lows[j]).bit_length()
+        if width > _WORD_BITS:
+            part, width = matrix[:, j], _WORD_BITS + 1
+        else:
+            part = matrix[:, j] - lows[j]
+        if used + width > _WORD_BITS:
+            words.append(part)  # a raw column fills its word: never shifted in place
+            used = width
+        else:
+            words[-1] <<= width
+            words[-1] |= part
+            used += width
+    return np.lexsort(words[::-1])
 
 
 def _unique_rows(matrix):
     """The distinct rows of an int64 matrix with ≥1 column.
 
-    Equivalent to ``np.unique(matrix, axis=0)`` but via per-column
-    ``lexsort`` passes instead of a void-dtype row sort, which keeps the
-    comparison loop in int64 C code.
+    Equivalent to ``np.unique(matrix, axis=0)`` but via packed int64
+    sort words (:func:`_row_order`) instead of a void-dtype row sort,
+    which keeps the comparison loop in int64 C code.
     """
     sorted_rows = matrix[_row_order(matrix)]
     keep = np.empty(sorted_rows.shape[0], dtype=bool)

@@ -173,8 +173,14 @@ class UEvaluator:
         return UResult(relation, complete)
 
     def eval(self, query: Query) -> tuple[URelation, bool]:
-        rep, complete = self._eval_rep(self._pushed(query))
+        rep, complete = self.eval_rep(query)
         return self._materialize(rep), complete
+
+    def eval_rep(self, query: Query) -> tuple[_Rep, bool]:
+        """``query``'s result as the operators leave it — columnar inside
+        the envelope, not decoded — and its completeness.  :meth:`lineage`
+        reads either representation; ``to_urelation()`` decodes."""
+        return self._eval_rep(self._pushed(query))
 
     def _pushed(self, query: Query) -> Query:
         """``query`` as it runs: selection copies pushed toward the scans.
@@ -415,10 +421,13 @@ class UEvaluator:
         return _confidence().KarpLuby(node.eps, node.delta)
 
     def lineage(
-        self, urel: URelation, rows: Sequence[tuple] | None = None
+        self, rep: _Rep, rows: Sequence[tuple] | None = None
     ) -> tuple[Sequence[tuple], list[Dnf]]:
-        """``rows`` of ``urel`` (default: poss(R) in ``repr`` order) and their DNFs."""
-        return _confidence().lineage(urel, self.db.w, rows)
+        """``rows`` of ``rep`` (default: poss(R) in ``repr`` order) and their DNFs.
+
+        ``rep`` is scalar or columnar; a tuple holding ⊤ gets ``Dnf([⊤])``
+        (:func:`repro.confidence.dnf.lineage`)."""
+        return _confidence().lineage(rep, self.db.w, rows)
 
     def confidences(
         self, dnfs: Sequence[Dnf], strategy: ConfidenceStrategy | None = None

@@ -15,10 +15,11 @@ Because a :class:`URelation` is immutable, it lazily builds (and keeps
 forever, invalidation-free) caches that turn the scalar operator
 paths from scan-per-call into lookup-per-call:
 
-* the **tuple index** (data tuple → list of conditions) behind
-  :meth:`conditions_of` — one grouping pass instead of a full-relation
-  scan per tuple, which is what makes batched confidence computation
-  (``ProbDB.confidence_all``) linear instead of quadratic;
+* the **tuple index** :meth:`lineage_index` (data tuple → list of
+  conditions) behind :meth:`conditions_of` — one grouping pass instead
+  of a full-relation scan per tuple, which is what makes batched
+  confidence computation (``ProbDB.confidence_all``) linear instead of
+  quadratic;
 * the **join-key index** (key values → rows, one per key-position
   tuple) used by :meth:`natural_join` for its build side;
 * the cached **variable set** / **certainty flag** behind
@@ -165,10 +166,15 @@ class URelation:
 
         Served from the cached tuple index once it exists.
         """
-        return Relation(self.columns, frozenset(self._tuple_index()))
+        return Relation(self.columns, frozenset(self.lineage_index()))
 
-    def _tuple_index(self) -> dict[tuple[Value, ...], list[Condition]]:
-        """Lazy cached index: data tuple → conditions it appears under."""
+    def sorted_rows(self) -> list[tuple[Value, ...]]:
+        """poss(R) in ``repr`` order: the rows every confidence-closing
+        operator reads, and a sampler draws, in."""
+        return self.possible_tuples().sorted_rows()
+
+    def lineage_index(self) -> dict[tuple[Value, ...], list[Condition]]:
+        """Lazy cached tuple index: data tuple → conditions it appears under."""
         index = self.__dict__.get("_conds_by_tuple")
         if index is None:
             with _CACHE_LOCK:
@@ -189,7 +195,7 @@ class URelation:
         of the seed's full scan per call, which made per-tuple confidence
         over a whole result quadratic.
         """
-        return list(self._tuple_index().get(tuple(row), ()))
+        return list(self.lineage_index().get(tuple(row), ()))
 
     def variables(self) -> frozenset:
         """All random variables mentioned by any condition (cached)."""

@@ -3,7 +3,7 @@
 Every confidence-closing operator and facade method must weigh its
 disjunctions through the evaluator's strategy object — a strategy that
 counts what it is asked sees them all — and build them in one place:
-a new per-relation ``Dnf.for_tuple`` comprehension, or a resurrected
+a new per-relation DNF comprehension, or a resurrected
 second spelling of ``conf``, fails here, in tier-1.
 """
 
@@ -151,13 +151,21 @@ def _uses(path: pathlib.Path, attr: str):
 
 class TestOneSpelling:
     def test_dnfs_of_a_relation_are_built_in_one_place(self):
-        """``Dnf.for_tuple`` has no caller under ``src/`` outside
-        ``confidence/dnf.py`` (``lineage``)."""
-        census = {
-            path.relative_to(SRC).as_posix(): len(list(_uses(path, "for_tuple")))
-            for path in sorted(SRC.rglob("*.py"))
-        }
-        assert {name: n for name, n in census.items() if n} == {"confidence/dnf.py": 1}
+        """``Dnf.for_tuple`` (kept for the ``benchmarks/e2e`` harness) has
+        no caller under ``src/``, and outside the representations
+        (``urel/``), ``lineage`` (``confidence/dnf.py``) is the one reader
+        of a relation's ``lineage_index``."""
+
+        def census(attr, skip=()):
+            uses = {
+                path.relative_to(SRC).as_posix(): len(list(_uses(path, attr)))
+                for path in sorted(SRC.rglob("*.py"))
+                if path.parent.name not in skip
+            }
+            return {name: n for name, n in uses.items() if n}
+
+        assert census("for_tuple") == {}
+        assert census("lineage_index", skip=("urel",)) == {"confidence/dnf.py": 1}
 
     def test_the_p_column_collision_is_checked_in_one_function(self):
         raisers = [

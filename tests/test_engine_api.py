@@ -243,8 +243,15 @@ class TestRngPlumbing:
             result = db.confidence("Hard")
             return result.relation.to_complete().rows
 
-        assert run(123) == run(123)
-        assert run(123) != run(321)  # different seed, different draws
+        first, again, other = run(123), run(123), run(321)
+        assert first == again, (
+            "same seed, different answers: "
+            f"seed 123 gave {sorted(first, key=repr)} then {sorted(again, key=repr)}"
+        )
+        assert first != other, (  # different seed, different draws
+            "different seeds, identical answers: "
+            f"seeds 123 and 321 both gave {sorted(first, key=repr)}"
+        )
 
     def test_same_seed_identical_driver_runs(self):
         def run():

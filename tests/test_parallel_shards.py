@@ -687,7 +687,7 @@ class TestThreadSafety:
         assert not errors, errors
         # The published caches are single objects — every later reader
         # sees the same index, not a per-thread rebuild.
-        assert shared._tuple_index() is shared._tuple_index()
+        assert shared.lineage_index() is shared.lineage_index()
         assert shared.variables() is shared.variables()
 
     def test_concurrent_repair_keys_extend_w_atomically(self):

@@ -20,6 +20,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from conftest import ENGINES, on_engine
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -560,6 +561,35 @@ class TestConditionFastPaths:
         assert pool.union(cond, TOP) is out
 
 
+# --------------------------------------------- the packed row-order kernel
+class TestRowOrder:
+    """``_row_order`` packs columns into few sort words; its permutation
+    must be ``np.lexsort(matrix.T)``'s, stable ties included."""
+
+    @staticmethod
+    def _matrices():
+        rng = np.random.default_rng(5)
+        yield np.empty((0, 3), dtype=np.int64)
+        yield np.empty((0, 1), dtype=np.int64)
+        yield rng.integers(-1, 3, size=(50, 1))  # one column, negative codes
+        yield rng.integers(-1, 2, size=(200, 15))  # one word
+        yield np.full((40, 4), -1, dtype=np.int64)  # zero spans: all ties
+        for _ in range(20):
+            n, k = int(rng.integers(1, 300)), int(rng.integers(1, 8))
+            high = int(rng.choice([2, 100, 1 << 20, 1 << 40]))
+            yield rng.integers(-high // 2, high, size=(n, k))  # several words
+        big = np.iinfo(np.int64)
+        wide = rng.integers(0, 4, size=(30, 3))
+        wide[:, 1] = rng.choice([big.min, -1, 0, big.max], size=30)  # a span past 62 bits
+        yield wide
+
+    def test_the_permutation_is_lexsorts(self):
+        from repro.urel.columnar import _row_order
+
+        for matrix in self._matrices():
+            assert np.array_equal(_row_order(matrix), np.lexsort(matrix.T)), matrix.shape
+
+
 # --------------------------------------------- URelation caches and indexes
 class TestURelationCaches:
     def test_conditions_of_matches_brute_force(self):
@@ -611,7 +641,7 @@ class TestConfidenceAllScaling:
     """Satellite: 4× the rows must not cost confidence_all 16× the work.
 
     Counted, not timed: every DNF is read off the relation's tuple index
-    (``URelation._tuple_index``), built by one grouping pass per
+    (``URelation.lineage_index``), built by one grouping pass per
     relation; the seed's per-tuple scan of U_R was quadratic.
     """
 
@@ -620,14 +650,14 @@ class TestConfidenceAllScaling:
         from repro.generators.tpdb import tuple_independent
 
         grouped = []
-        tuple_index = URelation._tuple_index
+        tuple_index = URelation.lineage_index
 
         def counted(self):
             if "_conds_by_tuple" not in self.__dict__:
                 grouped.append(len(self.rows))
             return tuple_index(self)
 
-        monkeypatch.setattr(URelation, "_tuple_index", counted)
+        monkeypatch.setattr(URelation, "lineage_index", counted)
         rows = [((i, i % 7), Fraction(1, 3)) for i in range(n_rows)]
         session = repro.connect(
             tuple_independent("R", ("A", "B"), rows), strategy="exact-decomposition"
